@@ -191,17 +191,6 @@ def mi_unit(n: int, k: int) -> Tuple[int, ...]:
     return tuple(1 if pos == k - 1 else 0 for pos in range(n))
 
 
-def mi_add(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mi_sub(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ValueError("multi-index subtraction went negative")
-    return out
-
-
 def mi_all(n: int, weight: int):
     """Yield all multi-indices in N_0^n of exact total weight."""
     if n == 1:

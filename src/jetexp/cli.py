@@ -9,10 +9,11 @@ Subcommands:
   tau      print the jet augmentation of a base function, by either route
   verify   run a named identity suite and report PASS/FAIL lines
 
-Exit codes: 0 success, 2 parse/load error, 3 truncation overflow,
-4 precondition violation (e.g. torsionful chart where torsion-freeness
-is required).  Output is deterministic: identical inputs produce
-byte-identical output.
+Exit codes: 0 success, 1 ran, and a verify identity failed or the
+fedosov D2_RESIDUAL is nonzero, 2 parse/load error or a --max-weight
+below 1, 3 truncation overflow, 4 precondition violation (e.g.
+torsionful chart where torsion-freeness is required).  Output is
+deterministic: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ def _load(path: str):
 
 
 def _weight(chart, arg):
-    return chart.truncation.max_sym_weight if arg is None else arg
+    if arg is None:
+        return chart.truncation.max_sym_weight
+    if arg < 1:
+        raise _Failure(EXIT_PARSE, "--max-weight must be at least 1, got %d"
+                       % arg)
+    return arg
 
 
 def cmd_pbw(args, out) -> int:

@@ -358,22 +358,10 @@ def _word_times_function(chart: Chart, index: MultiIndex,
     return out
 
 
-def diffop_apply(op: DiffOp, f: GradedPoly) -> GradedPoly:
-    return op.apply(f)
-
-
 def diffop_compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """Contract-level product, capped at the chart's symmetric-weight
     truncation (internal engines pass explicit headroom instead)."""
     return a.compose(b, max_order=a.chart.truncation.max_sym_weight)
-
-
-def filtration_order(op: DiffOp):
-    return op.order()
-
-
-def gr_leading(op: DiffOp) -> SymTensor:
-    return op.gr_leading()
 
 
 def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:

@@ -33,6 +33,7 @@ from .chart import Chart, mi_all_up_to, mi_factorial
 from .enveloping import TruncationOverflowError
 from .geometry import Connection
 from .pbw import PbwContext
+from .perturbation import ContractionData, perturb_contraction
 from .poly import GradedPoly, monomial_pq
 
 
@@ -112,10 +113,21 @@ def iota_incl(f: GradedPoly) -> GradedPoly:
     return f
 
 
-def interior_coordinate(i: int, f: GradedPoly) -> GradedPoly:
-    """Interior product by the i-th coordinate derivation (left
-    derivative by the form generator)."""
-    return f.partial(f.chart.dx_slot(i))
+def base_contraction(chart: Chart, weight: int) -> ContractionData:
+    """The lowering-map contraction of the section complex onto base
+    functions, computed in the jet quotient.  The homotopy is minus the
+    raising map, matching the package-wide id - tau.sigma normalization
+    against the differential -delta."""
+    def d_big(w):
+        return project_weight(-delta_op(w), weight)
+
+    return ContractionData(
+        sigma=sigma_aug,
+        tau=lambda f: project_weight(iota_incl(f), weight),
+        h=lambda w: -project_weight(delta_inv_op(w), weight),
+        d_big=d_big,
+        d_small=lambda f: GradedPoly.zero(chart),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +212,6 @@ def vvf_action(components: Sequence[GradedPoly], f: GradedPoly) -> GradedPoly:
     return out
 
 
-def a_action(components: Sequence[GradedPoly], f: GradedPoly) -> GradedPoly:
-    return vvf_action(components, f)
-
-
 def vvf_records(components: Sequence[GradedPoly]):
     """Flatten a vector-valued form into records
     (direction i, fiber multi-index J, component k, base coefficient),
@@ -268,7 +276,10 @@ class FedosovData:
 
         D = -delta + dnabla + correction-action
 
-    square to zero in the jet quotient at ``weight``.
+    square to zero in the jet quotient at ``weight``.  ``transfer`` is
+    the perturbation of the lowering-map contraction by D + delta; its
+    series give the augmentation and the homotopy, and raise
+    SeriesDivergenceError if they fail to terminate.
     """
 
     def __init__(self, conn: Connection, weight: int = None):
@@ -281,6 +292,9 @@ class FedosovData:
         self.weight = (chart.truncation.max_sym_weight if weight is None
                        else int(weight))
         self.correction = _solve_correction(conn, self.weight)
+        self.transfer = perturb_contraction(
+            base_contraction(chart, self.weight), self.perturbation,
+            max_terms=self.weight + 2)
 
     # -- the flat operator and its homotopy data ---------------------------
     def d_apply(self, f: GradedPoly) -> GradedPoly:
@@ -296,38 +310,13 @@ class FedosovData:
     def tau_series(self, f: GradedPoly) -> GradedPoly:
         """Augmentation by the homotopy series: sum of
         (raise o perturbation)^n applied to the included function."""
-        term = project_weight(iota_incl(f), self.weight)
-        total = term
-        for _ in range(self.weight + 1):
-            term = project_weight(delta_inv_op(self.perturbation(term)),
-                                  self.weight)
-            if not term:
-                break
-            total = total + term
-        else:
-            if term:
-                raise FlatStructureError("augmentation series did not "
-                                         "terminate at the quotient weight")
-        return total
+        return self.transfer.contraction.tau(f)
 
     def homotopy_h(self, f: GradedPoly) -> GradedPoly:
         """Contraction homotopy against the flat operator, normalized so
         that id - tau.sigma = h.D + D.h; this is *minus* the geometric
         series of (raise o perturbation) ending in the raising map."""
-        term = project_weight(delta_inv_op(project_weight(f, self.weight)),
-                              self.weight)
-        total = term
-        for _ in range(self.weight + 1):
-            term = project_weight(delta_inv_op(self.perturbation(term)),
-                                  self.weight)
-            if not term:
-                break
-            total = total + term
-        else:
-            if term:
-                raise FlatStructureError("homotopy series did not terminate "
-                                         "at the quotient weight")
-        return -total
+        return self.transfer.contraction.h(f)
 
 
 def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
@@ -372,10 +361,6 @@ def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
         if comp and comp.degree() != 1 + chart.coordinate_degree(k):
             raise FlatStructureError("correction component degree is off")
     return comps
-
-
-def fedosov_flat_structure(conn: Connection, weight: int = None) -> FedosovData:
-    return FedosovData(conn, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,11 @@ class _Parser:
             slot = self.chart.slot(name)
         except KeyError:
             raise ExprSyntaxError("unknown generator %r" % name, pos) from None
-        return GradedPoly.generator(self.chart, slot)
+        value = GradedPoly.generator(self.chart, slot)
+        if self.mode != "poly" and not value.is_base_only():
+            raise ExprSyntaxError("%r is not a coordinate; coefficients must "
+                                  "be base functions" % name, pos)
+        return value
 
     # -- grammar ------------------------------------------------------------
     def parse(self):
@@ -187,6 +191,8 @@ class _Parser:
                 dkind, dtext, dpos = self.take()
                 if dkind != "int":
                     raise ExprSyntaxError("expected denominator", dpos)
+                if not int(dtext):
+                    raise ExprSyntaxError("zero denominator", dpos)
                 return self._scalar(Fraction(num, int(dtext)))
             return self._scalar(Fraction(num))
         if kind in ("name", "word"):

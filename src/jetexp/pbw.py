@@ -129,14 +129,6 @@ def _unit_index(n: int, slot: int) -> Tuple[int, ...]:
     return tuple(1 if s == slot else 0 for s in range(n))
 
 
-def pbw_map(ctx: PbwContext, tensor: SymTensor) -> DiffOp:
-    return ctx.map(tensor)
-
-
-def pbw_inv(ctx: PbwContext, op: DiffOp) -> SymTensor:
-    return ctx.inv(op)
-
-
 def lightning_nabla(ctx: PbwContext, field: VectorField,
                     tensor: SymTensor) -> SymTensor:
     """The flat connection transported from left operator composition:

@@ -140,7 +140,8 @@ def perturb_contraction(c: ContractionData, partial: Callable,
                     "perturbation does not raise the filtration weight "
                     "on probe %r" % (p,))
 
-    def geometric(seed, advance, collect):
+    def series(what, seed, advance, collect):
+        # sum collect(advance^k(seed)) over k until the term vanishes
         term = seed
         total = collect(term)
         for _ in range(max_terms):
@@ -152,47 +153,31 @@ def perturb_contraction(c: ContractionData, partial: Callable,
                 total = total + add
         if term:
             raise SeriesDivergenceError(
-                "perturbation series did not stabilize in %d terms"
-                % max_terms)
+                "%s series did not stabilize in %d terms" % (what, max_terms))
         return total
 
-    def advance(t):
+    def step(t):
         return -c.h(partial(t))
+
+    def identity(t):
+        return t
 
     def new_tau(m):
         # sum (-h partial)^k tau
-        return geometric(c.tau(m), advance, lambda t: t)
+        return series("inclusion", c.tau(m), step, identity)
 
     def new_sigma(x):
         # sum sigma (-partial h)^k
-        term = x
-        total = c.sigma(x)
-        for _ in range(max_terms):
-            term = -partial(c.h(term))
-            if not term:
-                return total
-            total = total + c.sigma(term)
-        raise SeriesDivergenceError(
-            "projection series did not stabilize in %d terms" % max_terms)
+        return series("projection", x, lambda t: -partial(c.h(t)), c.sigma)
 
     def new_h(x):
         # sum (-h partial)^k h
-        return geometric(c.h(x), advance, lambda t: t)
+        return series("homotopy", c.h(x), step, identity)
 
     def theta(m):
         # sum sigma partial (-h partial)^k tau
-        term = c.tau(m)
-        total = c.sigma(partial(term))
-        for _ in range(max_terms):
-            term = advance(term)
-            if not term:
-                return total
-            add = c.sigma(partial(term))
-            if add:
-                total = total + add
-        raise SeriesDivergenceError(
-            "transferred-perturbation series did not stabilize in %d terms"
-            % max_terms)
+        return series("transferred-perturbation", c.tau(m), step,
+                      lambda t: c.sigma(partial(t)))
 
     def new_d_big(x):
         return c.d_big(x) + partial(x)

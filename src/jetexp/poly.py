@@ -245,15 +245,3 @@ class GradedPoly:
     def __repr__(self):
         from .grammar import format_poly
         return "GradedPoly(%s)" % format_poly(self)
-
-
-def partial_left(f: GradedPoly, slot: int) -> GradedPoly:
-    return f.partial(slot)
-
-
-def degree_of(f: GradedPoly) -> int:
-    return f.degree()
-
-
-def poly_mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    return a * b

@@ -128,7 +128,7 @@ def test_parse_error_reports_position(capsys):
     assert "position" in err
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     code, _ = run("pbw", "--chart", chart("line_flat.chart"), "s[x]^^")
     assert code == 2
     code, _ = run("pbw", "--chart", chart("line_flat.chart"), "s[x]^9")
@@ -143,6 +143,22 @@ def test_exit_codes(tmp_path):
     assert code == 2
     code, _ = run("pbw", "--chart", str(tmp_path / "missing.chart"), "1")
     assert code == 2
+    # weight bounds below 1: a usage error, not a wrong answer or a crash
+    curved = chart("line_curved.chart")
+    for argv in (("tau", "--route", "series", "--max-weight", "-1", "x^2"),
+                 ("tau", "--route", "series", "--max-weight", "-5", "x^2"),
+                 ("verify", "--max-weight", "0")):
+        capsys.readouterr()
+        code, text = run(argv[0], "--chart", curved, *argv[1:])
+        assert code == 2 and text == ""
+        assert "--max-weight" in capsys.readouterr().err
+    # a zero denominator and a non-base coefficient are parse errors at a
+    # position, not exit 1 (reserved for a failed identity)
+    for expr in ("1/0", "s[x]^2*dx"):
+        capsys.readouterr()
+        code, _ = run("pbw", "--chart", curved, expr)
+        assert code == 2
+        assert "position" in capsys.readouterr().err
 
 
 def test_verify_suites_pass_on_shipped_charts():

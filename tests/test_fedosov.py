@@ -4,7 +4,7 @@ import pytest
 
 from jetexp.chart import Chart, Truncation
 from jetexp.enveloping import SymTensor, TruncationOverflowError, pairing
-from jetexp.fedosov import (FedosovData, a_action, bidegree_split,
+from jetexp.fedosov import (FedosovData, bidegree_split,
                             check_section_bounds, delta_inv_op, delta_op,
                             derivation_apply, dnabla_form,
                             dual_connection_images, dual_curvature_action,
@@ -167,7 +167,7 @@ def test_vvf_action_examples(line):
     a = (y * y * dx,)  # one-form valued derivation sending y to y^2 dx
     assert vvf_action(a, y) == y * y * dx
     assert not vvf_action(a, x * x)
-    assert a_action(a, y * y) == 2 * y * y * y * dx
+    assert vvf_action(a, y * y) == 2 * y * y * y * dx
 
 
 def test_flat_structure_trivial_cases():

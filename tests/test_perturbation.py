@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from jetexp.fedosov import FedosovData, project_weight, sigma_aug
+from jetexp.fedosov import (FedosovData, base_contraction, project_weight,
+                            sigma_aug, tau_pbw)
+from jetexp.pbw import PbwContext
 from jetexp.perturbation import (ContractionData, SeriesDivergenceError,
                                  check_contraction, perturb_contraction)
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_section
-from jetexp.verify import base_contraction, flat_contraction
+from jetexp.verify import flat_contraction
 
 from conftest import build_chart
 from oracles import mat_add, mat_identity, mat_inv, mat_mul, mat_vec
@@ -196,11 +198,21 @@ def test_weight_raising_validation(toy):
 
 
 def test_series_divergence_detected(toy):
-    # perturbing by the differential itself keeps (h.partial) from
-    # nilpoting: the series guard must trip rather than loop forever
-    with pytest.raises(SeriesDivergenceError):
-        perturbed, _ = perturb_contraction(toy, toy.d_big, 5)
-        perturbed.h(basis(4, 2))
+    # a perturbation along the differential (e1 -> e2) keeps (h.partial)
+    # from nilpotenting, e1 -> -e1 -> e1 ...; adding e0 -> e2 feeds the
+    # inclusion into that cycle too, so every transferred map must trip
+    # the series guard rather than loop forever
+    partial = from_matrix(frac_matrix([[0, 0, 0, 0],
+                                       [0, 0, 0, 0],
+                                       [1, 1, 0, 0],
+                                       [0, 0, 0, 0]]))
+    perturbed, theta = perturb_contraction(toy, partial, 5)
+    for transferred, arg in ((perturbed.sigma, basis(4, 2)),
+                             (perturbed.tau, basis(2, 0)),
+                             (perturbed.h, basis(4, 2)),
+                             (theta, basis(2, 0))):
+        with pytest.raises(SeriesDivergenceError):
+            transferred(arg)
 
 
 # -- the lowering-map contraction of the section complex --------------------
@@ -239,13 +251,18 @@ def test_fedosov_perturbation_transfer(rng):
     c = base_contraction(chart, weight)
     perturbed, theta = perturb_contraction(c, fd.perturbation,
                                            max_terms=weight + 2)
+    # references outside the series engine: the exponential-map route for
+    # the augmentation, the perturbation-lemma fixed point
+    # h' = h - h.partial.h' for the homotopy
+    ctx = PbwContext(chart, conn, max_weight=weight)
     for _ in range(10):
         f = random_base_poly(rng, chart, 2, 3)
-        assert perturbed.tau(f) == fd.tau_series(f)
+        assert perturbed.tau(f) == tau_pbw(ctx, f, weight)
         assert not theta(f)
         w = random_section(rng, chart, weight)
         assert perturbed.sigma(w) == sigma_aug(w)
-        assert perturbed.h(w) == fd.homotopy_h(w)
+        h_w = perturbed.h(w)
+        assert h_w == c.h(w) - c.h(fd.perturbation(h_w))
         assert perturbed.d_big(w) == fd.d_apply(w)
     big = [random_section(rng, chart, weight) for _ in range(10)]
     small = [random_base_poly(rng, chart, 2, 3) for _ in range(8)]

@@ -1,7 +1,10 @@
 import pytest
 
+import jetexp.fedosov
+import jetexp.verify
 from jetexp.chart import Chart, Truncation
 from jetexp.geometry import Connection
+from jetexp.perturbation import ContractionData, PerturbedContraction
 from jetexp.poly import GradedPoly
 from jetexp.verify import SUITE_NAMES, run_suite
 
@@ -70,3 +73,44 @@ def test_every_shipped_chart_loads_and_passes_a_suite():
         assert all(r.status == "PASS" for r in results), name
         seen += 1
     assert seen >= 6
+
+
+def perturbation_statuses():
+    chart, conn = build_chart("plane_curved")
+    return {r.name: r.status
+            for r in run_suite("perturbation", chart, conn, seed=0, weight=3)}
+
+
+def test_augmentation_check_fails_against_truncated_pbw_route(monkeypatch):
+    # negative control: a tau_pbw that drops its top-weight words must
+    # make the transferred augmentation disagree
+    real = jetexp.verify.tau_pbw
+    monkeypatch.setattr(jetexp.verify, "tau_pbw",
+                        lambda ctx, f, weight: real(ctx, f, weight - 1))
+    statuses = perturbation_statuses()
+    assert statuses["transferred-augmentation-matches"] == "FAIL"
+    assert statuses["transferred-homotopy-matches"] == "PASS"
+
+
+def test_homotopy_check_fails_when_last_series_term_dropped(monkeypatch):
+    # negative control: a transferred homotopy that drops the last nonzero
+    # term of its series must miss the perturbation-lemma fixed point
+    real = jetexp.fedosov.perturb_contraction
+
+    def short_series(c, partial, max_terms):
+        out = real(c, partial, max_terms)
+
+        def h(w):
+            terms = [c.h(w)]
+            while terms[-1]:
+                terms.append(-c.h(partial(terms[-1])))
+            return sum(terms[:-2], GradedPoly.zero(w.chart))
+
+        t = out.contraction
+        return PerturbedContraction(
+            ContractionData(t.sigma, t.tau, h, t.d_big, t.d_small), out.theta)
+
+    monkeypatch.setattr(jetexp.fedosov, "perturb_contraction", short_series)
+    statuses = perturbation_statuses()
+    assert statuses["transferred-homotopy-matches"] == "FAIL"
+    assert statuses["transferred-augmentation-matches"] == "PASS"
