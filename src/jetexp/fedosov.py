@@ -14,11 +14,16 @@ covariant differential, and vector-valued-form actions) preserves that
 filtration, so projecting after each step computes exactly in the
 quotient; "exact up to truncation" means exact there.
 
-Sign conventions are all inherited from the left-derivative rule:
+Every such operator that is a derivation is a table of generator images
+applied by GradedPoly.derive, so all of them share its left-derivative
+sign rule:
 
-  * lowering map:  delta(u)     = sum_i dx_i . (d u / d y_i)
-  * raising map:   delta_inv(u) = 1/(p+q) sum_i y_i . (d u / d dx_i)
-                   per (p, q)-bihomogeneous piece, 0 on (0, 0)
+  * lowering map:  y_i -> dx_i, i.e. delta(u) = sum_i dx_i . (d u / d y_i)
+  * raising map:   dx_i -> y_i, then each output monomial divided by its
+                   own p + q (the map keeps p + q), 0 on (0, 0)
+  * dual covariant differential: x_i -> dx_i,
+                   y_k -> sum_i dx_i . cov_i(y_k)
+  * correction action: y_k -> k-th component
   * dual connection on fiber generators, fixed by the requirement that
     covariant differentiation commute with the duality pairing:
         cov_i(y_k) = - sum_l (-1)^(|x_l|(1+|x_k|)) Gamma^k_{il} . y_l
@@ -38,14 +43,7 @@ from .poly import GradedPoly, monomial_pq
 
 
 # ---------------------------------------------------------------------------
-# bidegree helpers
-
-def bidegree_split(f: GradedPoly) -> Dict[Tuple[int, int], GradedPoly]:
-    buckets: Dict[Tuple[int, int], Dict] = {}
-    for m, c in f.terms.items():
-        buckets.setdefault(monomial_pq(f.chart, m), {})[m] = c
-    return {pq: GradedPoly(f.chart, t) for pq, t in sorted(buckets.items())}
-
+# jet-quotient helpers
 
 def project_weight(f: GradedPoly, max_weight: int) -> GradedPoly:
     """Jet-quotient projection: drop monomials with p + q > max_weight."""
@@ -76,28 +74,22 @@ def check_section_bounds(f: GradedPoly):
 def delta_op(f: GradedPoly) -> GradedPoly:
     """Degree +1 map (p, q) -> (p+1, q-1); squares to zero."""
     chart = f.chart
-    out = GradedPoly.zero(chart)
-    for i in range(chart.n):
-        d = f.partial(chart.y_slot(i))
-        if d:
-            out = out + GradedPoly.generator(chart, chart.dx_slot(i)) * d
-    return out
+    return f.derive({chart.y_slot(i): GradedPoly.generator(chart,
+                                                           chart.dx_slot(i))
+                     for i in range(chart.n)})
 
 
 def delta_inv_op(f: GradedPoly) -> GradedPoly:
-    """Degree -1 map (p, q) -> (p-1, q+1); zero on the (0, 0) part."""
+    """Degree -1 map (p, q) -> (p-1, q+1); zero on the (0, 0) part.
+
+    The derivation dx_i -> y_i keeps p + q, so each output monomial is
+    divided by its own p + q (never 0: every output term holds a y)."""
     chart = f.chart
-    out = GradedPoly.zero(chart)
-    for (p, q), part in bidegree_split(f).items():
-        if p + q == 0 or p == 0:
-            continue
-        piece = GradedPoly.zero(chart)
-        for i in range(chart.n):
-            d = part.partial(chart.dx_slot(i))
-            if d:
-                piece = piece + GradedPoly.generator(chart, chart.y_slot(i)) * d
-        out = out + piece * Fraction(1, p + q)
-    return out
+    raised = f.derive({chart.dx_slot(i): GradedPoly.generator(chart,
+                                                              chart.y_slot(i))
+                       for i in range(chart.n)})
+    return GradedPoly(chart, {m: c / sum(monomial_pq(chart, m))
+                              for m, c in raised.terms.items()})
 
 
 def sigma_aug(f: GradedPoly) -> GradedPoly:
@@ -133,34 +125,6 @@ def base_contraction(chart: Chart, weight: int) -> ContractionData:
 # ---------------------------------------------------------------------------
 # derivations of the section algebra
 
-def derivation_apply(f: GradedPoly, images: Sequence[GradedPoly],
-                     parity: int) -> GradedPoly:
-    """Apply the parity-``parity`` derivation with the given generator
-    images (one per slot, None meaning zero) to f.
-
-    Positional Leibniz rule: each occurrence of a generator is replaced
-    in place by its image, with the sign of carrying the derivation past
-    the monomial prefix to its left.
-    """
-    chart = f.chart
-    nslots = 3 * chart.n
-    out = GradedPoly.zero(chart)
-    for m, c in f.terms.items():
-        prefix_par = 0
-        for slot, e in enumerate(m):
-            if e:
-                img = images[slot]
-                if img is not None and img:
-                    sign = -1 if (parity & 1) and (prefix_par & 1) else 1
-                    prefix = m[:slot] + (0,) * (nslots - slot)
-                    rest = (0,) * slot + (e - 1,) + m[slot + 1:]
-                    term = (GradedPoly(chart, {prefix: c * e * sign})
-                            * img * GradedPoly(chart, {rest: Fraction(1)}))
-                    out = out + term
-                prefix_par ^= (e * chart.gen_parities[slot]) & 1
-    return out
-
-
 def dual_connection_images(conn: Connection) -> List[List[GradedPoly]]:
     """Per direction i, the generator images of the induced derivation on
     sections: base generators map to Kronecker deltas, fiber generators
@@ -186,17 +150,25 @@ def dual_connection_images(conn: Connection) -> List[List[GradedPoly]]:
     return all_images
 
 
+def dnabla_images(conn: Connection) -> Dict[int, GradedPoly]:
+    """Generator images of the dual covariant differential
+    sum_i dx_i . cov_i: x_i -> dx_i, y_k -> sum_i dx_i . cov_i(y_k),
+    form generators -> 0."""
+    chart = conn.chart
+    rows = dual_connection_images(conn)
+    dx = [GradedPoly.generator(chart, chart.dx_slot(i))
+          for i in range(chart.n)]
+    images = {chart.x_slot(i): dx[i] for i in range(chart.n)}
+    for y in map(chart.y_slot, range(chart.n)):
+        images[y] = sum((dx[i] * row[y] for i, row in enumerate(rows)
+                         if row[y]), GradedPoly.zero(chart))
+    return images
+
+
 def dnabla_form(conn: Connection, f: GradedPoly) -> GradedPoly:
     """Covariant differential of the induced dual connection:
     sum_i dx_i . cov_i(f), a degree +1 derivation over forms."""
-    chart = f.chart
-    images = dual_connection_images(conn)
-    out = GradedPoly.zero(chart)
-    for i in range(chart.n):
-        d = derivation_apply(f, images[i], chart.coordinate_parity(i))
-        if d:
-            out = out + GradedPoly.generator(chart, chart.dx_slot(i)) * d
-    return out
+    return f.derive(dnabla_images(conn))
 
 
 def vvf_action(components: Sequence[GradedPoly], f: GradedPoly) -> GradedPoly:
@@ -205,11 +177,8 @@ def vvf_action(components: Sequence[GradedPoly], f: GradedPoly) -> GradedPoly:
     if not components:
         raise ValueError("empty component tuple")
     chart = components[0].chart
-    out = GradedPoly.zero(chart)
-    for k, comp in enumerate(components):
-        if comp:
-            out = out + comp * f.partial(chart.y_slot(k))
-    return out
+    return f.derive({chart.y_slot(k): comp
+                     for k, comp in enumerate(components)})
 
 
 def vvf_records(components: Sequence[GradedPoly]):
@@ -242,7 +211,7 @@ def dual_curvature_action(conn: Connection, f: GradedPoly) -> GradedPoly:
     dnabla_form(dnabla_form(.)) identically and ties to the curvature of
     the input connection through the pairing (tested, not assumed)."""
     chart = f.chart
-    images = dual_connection_images(conn)
+    images = [dict(enumerate(row)) for row in dual_connection_images(conn)]
     out = GradedPoly.zero(chart)
     for j in range(chart.n):
         pj = chart.coordinate_parity(j)
@@ -251,10 +220,8 @@ def dual_curvature_action(conn: Connection, f: GradedPoly) -> GradedPoly:
             pi = chart.coordinate_parity(i)
             dxi = GradedPoly.generator(chart, chart.dx_slot(i))
             sign = -1 if (pj * (1 + pi)) & 1 else 1
-            inner = derivation_apply(f, images[i], pi)
-            inner = derivation_apply(inner, images[j], pj)
-            flip = derivation_apply(f, images[j], pj)
-            flip = derivation_apply(flip, images[i], pi)
+            inner = f.derive(images[i]).derive(images[j])
+            flip = f.derive(images[j]).derive(images[i])
             comm = inner - (flip if not (pi and pj) else -flip)
             out = out + dxj * dxi * comm * Fraction(sign, 2)
     return out
@@ -276,10 +243,12 @@ class FedosovData:
 
         D = -delta + dnabla + correction-action
 
-    square to zero in the jet quotient at ``weight``.  ``transfer`` is
-    the perturbation of the lowering-map contraction by D + delta; its
-    series give the augmentation and the homotopy, and raise
-    SeriesDivergenceError if they fail to terminate.
+    square to zero in the jet quotient at ``weight``.  D and its
+    weight-raising part D + delta are derivations, kept as the generator
+    image tables ``flat_images`` and ``perturbation_images``.
+    ``transfer`` is the perturbation of the lowering-map contraction by
+    D + delta; its series give the augmentation and the homotopy, and
+    raise SeriesDivergenceError if they fail to terminate.
     """
 
     def __init__(self, conn: Connection, weight: int = None):
@@ -292,20 +261,26 @@ class FedosovData:
         self.weight = (chart.truncation.max_sym_weight if weight is None
                        else int(weight))
         self.correction = _solve_correction(conn, self.weight)
+        self.perturbation_images = dnabla_images(conn)
+        self.flat_images = dict(self.perturbation_images)
+        for k, comp in enumerate(self.correction):
+            y = chart.y_slot(k)
+            self.perturbation_images[y] += comp
+            self.flat_images[y] = (self.perturbation_images[y]
+                                   - GradedPoly.generator(chart,
+                                                          chart.dx_slot(k)))
         self.transfer = perturb_contraction(
             base_contraction(chart, self.weight), self.perturbation,
             max_terms=self.weight + 2)
 
     # -- the flat operator and its homotopy data ---------------------------
     def d_apply(self, f: GradedPoly) -> GradedPoly:
-        val = (-delta_op(f) + dnabla_form(self.conn, f)
-               + vvf_action(self.correction, f))
-        return project_weight(val, self.weight)
+        return project_weight(f.derive(self.flat_images), self.weight)
 
     def perturbation(self, f: GradedPoly) -> GradedPoly:
         """The weight-raising part: D + delta."""
-        val = dnabla_form(self.conn, f) + vvf_action(self.correction, f)
-        return project_weight(val, self.weight)
+        return project_weight(f.derive(self.perturbation_images),
+                              self.weight)
 
     def tau_series(self, f: GradedPoly) -> GradedPoly:
         """Augmentation by the homotopy series: sum of
@@ -333,18 +308,16 @@ def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
     which gains at least one fiber weight per pass.
     """
     chart = conn.chart
-    ys = [GradedPoly.generator(chart, chart.y_slot(k))
-          for k in range(chart.n)]
-    d_y = [dnabla_form(conn, y) for y in ys]
-    seed = [dnabla_form(conn, dy) - delta_op(dy) for dy in d_y]
+    images = dnabla_images(conn)
+    d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
+    seed = [dy.derive(images) - delta_op(dy) for dy in d_y]
     comps = tuple(GradedPoly.zero(chart) for _ in range(chart.n))
     for _ in range(weight + 2):
         new = []
         for k in range(chart.n):
             rhs = (seed[k]
-                   + vvf_action(comps, d_y[k])
-                   + dnabla_form(conn, comps[k])
-                   + vvf_action(comps, comps[k]))
+                   + vvf_action(comps, d_y[k] + comps[k])
+                   + comps[k].derive(images))
             new.append(project_weight(delta_inv_op(rhs), weight + 1))
         new = tuple(new)
         if new == comps:

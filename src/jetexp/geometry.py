@@ -94,11 +94,7 @@ class VectorField:
         """The derivation applied to a polynomial."""
         if f.chart != self.chart:
             raise ValueError("chart mismatch")
-        out = GradedPoly.zero(self.chart)
-        for i, comp in enumerate(self.components):
-            if comp:
-                out = out + comp * f.partial(i)
-        return out
+        return f.derive(dict(enumerate(self.components)))
 
     def homogeneous_components(self) -> Dict[int, "VectorField"]:
         chart = self.chart
@@ -127,10 +123,6 @@ class VectorField:
         parts = ["(%s)*d_%s" % (format_poly(c), self.chart.coords[i].name)
                  for i, c in enumerate(self.components) if c]
         return "VectorField(%s)" % (" + ".join(parts) or "0")
-
-
-def vf_apply(field: VectorField, f: GradedPoly) -> GradedPoly:
-    return field.apply(f)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

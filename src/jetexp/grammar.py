@@ -110,41 +110,53 @@ class _Parser:
         return SymTensor.from_word(self.chart, (0,) * self.chart.n,
                                    GradedPoly.constant(self.chart, c))
 
-    def _generator(self, name: str, pos: int):
+    def _generator(self, name: str, pos: int, exp: int, epos: int):
+        """``name`` raised to ``exp``, built directly (an odd generator
+        squares to 0; an even one is capped by its block's B, Q or P; a
+        bracket power is one word, its weight checked by the caller)."""
+        chart = self.chart
         bracket = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\[([A-Za-z_0-9]+)\]$",
                            name)
         if bracket:
             head, coord = bracket.group(1), bracket.group(2)
-            idx = None
-            for i, c in enumerate(self.chart.coords):
-                if c.name == coord:
-                    idx = i
-            if idx is None:
+            names = [c.name for c in chart.coords]
+            if coord not in names:
                 raise ExprSyntaxError("unknown coordinate %r" % coord, pos)
+            idx = names.index(coord)
             if head == "d":
                 if self.mode != "diffop":
                     raise ExprSyntaxError("d[..] only valid in operator "
                                           "expressions", pos)
-                return DiffOp.from_word(
-                    self.chart,
-                    tuple(1 if s == idx else 0 for s in range(self.chart.n)))
-            if head == "s":
+                word = DiffOp.from_word
+            elif head == "s":
                 if self.mode != "sym":
                     raise ExprSyntaxError("s[..] only valid in symmetric "
                                           "tensor expressions", pos)
-                return SymTensor.from_word(
-                    self.chart,
-                    tuple(1 if s == idx else 0 for s in range(self.chart.n)))
-            raise ExprSyntaxError("unknown bracket generator %r" % head, pos)
+                word = SymTensor.from_word
+            else:
+                raise ExprSyntaxError("unknown bracket generator %r" % head,
+                                      pos)
+            if exp > 1 and chart.coordinate_parity(idx):
+                return self._scalar(0)
+            return word(chart, tuple(exp if s == idx else 0
+                                     for s in range(chart.n)))
         try:
-            slot = self.chart.slot(name)
+            slot = chart.slot(name)
         except KeyError:
             raise ExprSyntaxError("unknown generator %r" % name, pos) from None
-        value = GradedPoly.generator(self.chart, slot)
-        if self.mode != "poly" and not value.is_base_only():
+        if self.mode != "poly" and slot >= chart.n:
             raise ExprSyntaxError("%r is not a coordinate; coefficients must "
                                   "be base functions" % name, pos)
-        return value
+        if chart.gen_parities[slot]:
+            if exp > 1:
+                return GradedPoly.zero(chart)
+        else:
+            q_cap, p_cap, b_cap = chart.truncation
+            bound = (b_cap, q_cap, p_cap)[slot // chart.n]
+            if exp > bound:
+                raise ExprSyntaxError("exponent %d of %r exceeds the chart "
+                                      "bound %d" % (exp, name, bound), epos)
+        return GradedPoly.generator(chart, slot, exp)
 
     # -- grammar ------------------------------------------------------------
     def parse(self):
@@ -196,7 +208,7 @@ class _Parser:
                 return self._scalar(Fraction(num, int(dtext)))
             return self._scalar(Fraction(num))
         if kind in ("name", "word"):
-            value = self._generator(text, pos)
+            exp, epos = 1, pos
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "^":
                 self.take()
@@ -204,11 +216,7 @@ class _Parser:
                 if ekind != "int":
                     raise ExprSyntaxError("expected integer exponent", epos)
                 exp = int(etext)
-                acc = self._unit()
-                for _ in range(exp):
-                    acc = self._mul(acc, value)
-                return acc
-            return value
+            return self._generator(text, pos, exp, epos)
         raise ExprSyntaxError("unexpected token %r" % text, pos)
 
 

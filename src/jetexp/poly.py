@@ -14,6 +14,10 @@ with |partial_i| = -(degree of generator i) (parity matters only).
 Every sign-bearing formula elsewhere in the package references this one
 convention.
 
+``GradedPoly.derive`` is the one derivation rule: a derivation of either
+parity is the table of its generator images, applied as
+sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
+
 Values are immutable after construction and all operations are pure, so
 sharing across threads needs no synchronization.
 """
@@ -21,7 +25,7 @@ sharing across threads needs no synchronization.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 from .chart import Chart, same_chart
 
@@ -199,6 +203,17 @@ class GradedPoly:
             else:
                 del out[m2]
         return self._wrap(out)
+
+    def derive(self, images: Mapping[int, "GradedPoly"]) -> "GradedPoly":
+        """The derivation with generator images ``images`` (slot -> poly;
+        unlisted slots and None map to 0): sum_s images[s] . partial_s."""
+        out = GradedPoly.zero(self.chart)
+        for slot, img in images.items():
+            if img:
+                d = self.partial(slot)
+                if d:
+                    out = out + img * d
+        return out
 
     def homogeneous_components(self) -> Dict[int, "GradedPoly"]:
         buckets: Dict[int, Dict[Monomial, Fraction]] = {}

@@ -120,3 +120,29 @@ def brute_force_derivative(chart, f, slot, direction="left"):
                 mono[r] += 1
             out = out + GradedPoly(chart, {tuple(mono): c * sign})
     return out
+
+
+def derivation_apply(f, images, parity):
+    """Apply the parity-``parity`` derivation with the given generator
+    images (one per slot, None meaning zero) to f, by the positional
+    Leibniz rule: each occurrence of a generator is replaced in place by
+    its image, with the sign of carrying the derivation past the
+    monomial prefix to its left.  (The library instead sums
+    image . left-partial over slots, in ``GradedPoly.derive``.)"""
+    chart = f.chart
+    nslots = 3 * chart.n
+    out = GradedPoly.zero(chart)
+    for m, c in f.terms.items():
+        prefix_par = 0
+        for slot, e in enumerate(m):
+            if e:
+                img = images[slot]
+                if img is not None and img:
+                    sign = -1 if (parity & 1) and (prefix_par & 1) else 1
+                    prefix = m[:slot] + (0,) * (nslots - slot)
+                    rest = (0,) * slot + (e - 1,) + m[slot + 1:]
+                    term = (GradedPoly(chart, {prefix: c * e * sign})
+                            * img * GradedPoly(chart, {rest: Fraction(1)}))
+                    out = out + term
+                prefix_par ^= (e * chart.gen_parities[slot]) & 1
+    return out

@@ -1,5 +1,6 @@
 import io
 import os
+import time
 
 from jetexp.cli import main
 
@@ -159,6 +160,26 @@ def test_exit_codes(tmp_path, capsys):
         code, _ = run("pbw", "--chart", curved, expr)
         assert code == 2
         assert "position" in capsys.readouterr().err
+    # huge exponents are checked before any product is formed: an even
+    # generator past its chart bound is a parse error, a bracket power
+    # past the weight a truncation overflow, an odd square zero
+    mixed = chart("mixed_parity.chart")
+    for argv, want_code, want_text in (
+            (("pbw", "--chart", curved, "x^99999999"), 2, ""),
+            (("pbw", "--chart", curved, "s[x]^99999999"), 3, ""),
+            (("pbw", "--chart", curved, "--direction", "inv",
+              "d[x]^99999999"), 3, ""),
+            (("pbw", "--chart", mixed, "t^99999999"), 0, "0\n"),
+            (("tau", "--chart", curved, "x^99999999"), 2, "")):
+        start = time.perf_counter()
+        assert run(*argv) == (want_code, want_text)
+        assert time.perf_counter() - start < 2
+    # the smallest accepted weight runs every suite; checks that need
+    # two-letter words report SKIP
+    code, text = run("verify", "--chart", curved, "--max-weight", "1")
+    assert code == 0
+    assert text.splitlines()[-1] == "VERIFY all PASS"
+    assert "CHECK map-inverse-roundtrip SKIP" in text
 
 
 def test_verify_suites_pass_on_shipped_charts():

@@ -4,9 +4,8 @@ import pytest
 
 from jetexp.chart import Chart, Truncation
 from jetexp.enveloping import SymTensor, TruncationOverflowError, pairing
-from jetexp.fedosov import (FedosovData, bidegree_split,
-                            check_section_bounds, delta_inv_op, delta_op,
-                            derivation_apply, dnabla_form,
+from jetexp.fedosov import (FedosovData, check_section_bounds, delta_inv_op,
+                            delta_op, dnabla_form,
                             dual_connection_images, dual_curvature_action,
                             iota_incl, project_weight, sigma_aug, tau_pbw,
                             vvf_action, vvf_records)
@@ -16,6 +15,7 @@ from jetexp.poly import GradedPoly, monomial_pq
 from jetexp.randomgen import random_base_poly, random_section
 
 from conftest import build_chart
+from oracles import derivation_apply
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,20 @@ def test_flat_operator_squares_to_zero(charts, rng):
             assert not fd.d_apply(fd.d_apply(w))
 
 
+def test_flat_image_tables_match_operator_sums(charts, rng):
+    # the image tables behind d_apply and perturbation are the operator
+    # sums they replace
+    for name in ("plane_curved", "mixed", "two_odd", "negdeg"):
+        chart, conn = charts[name]
+        fd = FedosovData(conn, chart.truncation.max_sym_weight)
+        for _ in range(8):
+            w = random_section(rng, chart, fd.weight)
+            raising = dnabla_form(conn, w) + vvf_action(fd.correction, w)
+            assert fd.d_apply(w) == project_weight(-delta_op(w) + raising,
+                                                   fd.weight)
+            assert fd.perturbation(w) == project_weight(raising, fd.weight)
+
+
 def test_augmentation_taylor_specialization(rng):
     chart, conn = build_chart("line_flat")
     ctx = PbwContext(chart, conn, max_weight=6)
@@ -258,10 +272,13 @@ def test_augmentation_curved_line_frozen():
     ctx = PbwContext(chart, conn, max_weight=6)
     x, y = g(chart, 0), g(chart, 1)
     value = tau_pbw(ctx, x * x)
-    parts = bidegree_split(value)
-    assert parts[(0, 0)] == x * x
-    assert parts[(0, 1)] == 2 * x * y
-    assert parts[(0, 2)] == (GradedPoly.constant(chart, 1) - x * x) * y * y
+    parts = {}
+    for m, c in value.terms.items():
+        parts.setdefault(monomial_pq(chart, m), {})[m] = c
+    assert GradedPoly(chart, parts[(0, 0)]) == x * x
+    assert GradedPoly(chart, parts[(0, 1)]) == 2 * x * y
+    assert GradedPoly(chart, parts[(0, 2)]) == \
+        (GradedPoly.constant(chart, 1) - x * x) * y * y
     assert FedosovData(conn, 5).tau_series(x * x) == value
 
 

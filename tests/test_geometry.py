@@ -3,7 +3,7 @@ import pytest
 from jetexp.chart import Chart, Truncation
 from jetexp.enveloping import SymTensor
 from jetexp.geometry import (Connection, VectorField, cov_deriv, curvature,
-                             lie_bracket, nabla_sym, torsion, vf_apply)
+                             lie_bracket, nabla_sym, torsion)
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_homogeneous_vf,
                               random_symtensor, random_torsion_free_connection,
@@ -28,16 +28,16 @@ def mixed():
 def test_vf_apply_examples(line, mixed):
     x = GradedPoly.generator(line, 0)
     d = VectorField.coordinate(line, 0)
-    assert vf_apply(d.scale(x), x * x) == 2 * x * x
+    assert d.scale(x).apply(x * x) == 2 * x * x
     xm = GradedPoly.generator(mixed, 0)
     t = GradedPoly.generator(mixed, 1)
     d_t = VectorField.coordinate(mixed, 1)
-    assert vf_apply(d_t, xm * t) == xm
-    assert vf_apply(d_t, t * xm) == xm  # same element, canonical form
+    assert d_t.apply(xm * t) == xm
+    assert d_t.apply(t * xm) == xm  # same element, canonical form
     two_odd = Chart([("t1", 1), ("t2", 1)])
     t1 = GradedPoly.generator(two_odd, 0)
     t2 = GradedPoly.generator(two_odd, 1)
-    assert vf_apply(VectorField.coordinate(two_odd, 0), t1 * t2) == t2
+    assert VectorField.coordinate(two_odd, 0).apply(t1 * t2) == t2
 
 
 def test_bracket_examples(line):
@@ -57,7 +57,7 @@ def test_bracket_is_derivation_commutator(mixed, rng):
         x = random_vector_field(rng, mixed, 2)
         y = random_vector_field(rng, mixed, 2)
         f = random_base_poly(rng, mixed, 3, 3)
-        lhs = vf_apply(lie_bracket(x, y), f)
+        lhs = lie_bracket(x, y).apply(f)
         rhs = GradedPoly.zero(mixed)
         for dx, xh in x.homogeneous_components().items():
             for dy, yh in y.homogeneous_components().items():

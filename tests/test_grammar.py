@@ -91,6 +91,22 @@ def test_parse_errors_carry_positions(mixed):
 def test_base_degree_bound_enforced_on_parse(mixed):
     with pytest.raises(ExprSyntaxError):
         parse_poly(mixed, "x^7")  # chart bound is 6
+    # every even generator's exponent is checked against its block's
+    # bound (B, Q, P) before any product is formed; odd powers vanish and
+    # a bracket power is a single word
+    for text, pos in (("x^99999999", 2), ("y^5", 2), ("1 + dt^5", 7)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(mixed, text)
+        assert err.value.pos == pos
+    y, dt = (GradedPoly.generator(mixed, mixed.slot(n)) for n in ("y", "dt"))
+    assert parse_poly(mixed, "y^4*dt^4") == y ** 4 * dt ** 4
+    assert not parse_poly(mixed, "t^99999999")
+    assert not parse_symtensor(mixed, "s[t]^99999999")
+    assert not parse_diffop(mixed, "d[t]^2")
+    assert parse_symtensor(mixed, "s[x]^99999999") == \
+        SymTensor.from_word(mixed, (99999999, 0))
+    assert parse_diffop(mixed, "d[x]^3") == \
+        parse_diffop(mixed, "d[x]*d[x]*d[x]")
 
 
 def test_print_is_deterministic(mixed, rng):

@@ -5,10 +5,10 @@ import pytest
 
 from jetexp.chart import Chart, Truncation
 from jetexp.poly import (DegreeUndefinedError, GradedPoly, NotHomogeneousError,
-                         monomial_pq)
+                         monomial_parity, monomial_pq)
 from jetexp.randomgen import random_section
 
-from oracles import brute_force_derivative
+from oracles import brute_force_derivative, derivation_apply
 
 
 @pytest.fixture
@@ -96,6 +96,25 @@ def test_partial_matches_word_expansion_oracle(mixed, rng):
         f = random_section(rng, mixed, 3)
         slot = rng.randrange(3 * mixed.n)
         assert f.partial(slot) == brute_force_derivative(mixed, f, slot)
+
+
+@pytest.mark.parametrize("name", ["mixed", "two_odd", "negdeg",
+                                  "three_degrees"])
+def test_derive_matches_positional_leibniz_oracle(charts, rng, name):
+    # sum of image . left partial over slots is the derivation with those
+    # generator images, for even and odd derivations alike
+    chart, _ = charts[name]
+    nslots = 3 * chart.n
+    for parity in (0, 1):
+        for _ in range(10):
+            images = [None] * nslots
+            for s in rng.sample(range(nslots), rng.randint(1, nslots)):
+                want = (parity + chart.gen_parities[s]) & 1
+                images[s] = random_section(rng, chart, 2, terms=4) \
+                    .filter_terms(lambda m: monomial_parity(chart, m) == want)
+            f = random_section(rng, chart, 3)
+            table = {s: img for s, img in enumerate(images) if img is not None}
+            assert f.derive(table) == derivation_apply(f, images, parity)
 
 
 def test_canonicalization_idempotent(mixed, rng):
