@@ -73,7 +73,7 @@ def cmd_pbw(args, out) -> int:
                     % (tensor.weight(), weight))
             out.write(format_diffop(ctx.map(tensor)) + "\n")
         else:
-            op = parse_diffop(chart, args.expression)
+            op = parse_diffop(chart, args.expression, max_order=weight)
             order = op.order() or 0
             if order > weight:
                 raise TruncationOverflowError(

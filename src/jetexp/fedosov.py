@@ -11,8 +11,10 @@ Truncation semantics: all flat-structure identities are asserted in the
 jet quotient by total filtration weight p + q.  Every operator used
 (the lowering/raising pair, the projection/inclusion pair, the dual
 covariant differential, and vector-valued-form actions) preserves that
-filtration, so projecting after each step computes exactly in the
-quotient; "exact up to truncation" means exact there.
+filtration, and weights add under products, so cutting each product off
+at the quotient weight (GradedPoly.times with ``max_weight``) computes
+exactly in the quotient without forming the terms it drops; "exact up to
+truncation" means exact there.
 
 Every such operator that is a derivation is a table of generator images
 applied by GradedPoly.derive, so all of them share its left-derivative
@@ -39,7 +41,7 @@ from .enveloping import TruncationOverflowError
 from .geometry import Connection
 from .pbw import PbwContext
 from .perturbation import ContractionData, perturb_contraction
-from .poly import GradedPoly, monomial_pq
+from .poly import GradedPoly, monomial_pq, monomial_weight
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +50,7 @@ from .poly import GradedPoly, monomial_pq
 def project_weight(f: GradedPoly, max_weight: int) -> GradedPoly:
     """Jet-quotient projection: drop monomials with p + q > max_weight."""
     chart = f.chart
-    return f.filter_terms(lambda m: sum(monomial_pq(chart, m)) <= max_weight)
+    return f.filter_terms(lambda m: monomial_weight(chart, m) <= max_weight)
 
 
 def check_section_bounds(f: GradedPoly):
@@ -88,8 +90,8 @@ def delta_inv_op(f: GradedPoly) -> GradedPoly:
     raised = f.derive({chart.dx_slot(i): GradedPoly.generator(chart,
                                                               chart.y_slot(i))
                        for i in range(chart.n)})
-    return GradedPoly(chart, {m: c / sum(monomial_pq(chart, m))
-                              for m, c in raised.terms.items()})
+    return raised._wrap({m: c / monomial_weight(chart, m)
+                         for m, c in raised.terms.items()})
 
 
 def sigma_aug(f: GradedPoly) -> GradedPoly:
@@ -171,14 +173,16 @@ def dnabla_form(conn: Connection, f: GradedPoly) -> GradedPoly:
     return f.derive(dnabla_images(conn))
 
 
-def vvf_action(components: Sequence[GradedPoly], f: GradedPoly) -> GradedPoly:
+def vvf_action(components: Sequence[GradedPoly], f: GradedPoly,
+               max_weight: int = None) -> GradedPoly:
     """Action of a vector-valued form (tuple of coefficient polynomials,
-    one per fiber generator) as the derivation sum_k comp_k . d/dy_k."""
+    one per fiber generator) as the derivation sum_k comp_k . d/dy_k,
+    with products cut off at ``max_weight`` when given."""
     if not components:
         raise ValueError("empty component tuple")
     chart = components[0].chart
     return f.derive({chart.y_slot(k): comp
-                     for k, comp in enumerate(components)})
+                     for k, comp in enumerate(components)}, max_weight)
 
 
 def vvf_records(components: Sequence[GradedPoly]):
@@ -275,12 +279,11 @@ class FedosovData:
 
     # -- the flat operator and its homotopy data ---------------------------
     def d_apply(self, f: GradedPoly) -> GradedPoly:
-        return project_weight(f.derive(self.flat_images), self.weight)
+        return f.derive(self.flat_images, self.weight)
 
     def perturbation(self, f: GradedPoly) -> GradedPoly:
         """The weight-raising part: D + delta."""
-        return project_weight(f.derive(self.perturbation_images),
-                              self.weight)
+        return f.derive(self.perturbation_images, self.weight)
 
     def tau_series(self, f: GradedPoly) -> GradedPoly:
         """Augmentation by the homotopy series: sum of
@@ -303,27 +306,50 @@ def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
     equation with the homotopy identity gives the fixed-point form
 
         a_k = raise( (dnabla)^2 y_k - delta(dnabla y_k)
-                     + action(a, dnabla y_k) + dnabla a_k + action(a, a_k) )
+                     + action(a, dnabla y_k + a_k) + dnabla a_k )
 
-    which gains at least one fiber weight per pass.
+    in the quotient at weight + 1.  The dual differential raises p + q by
+    one, dnabla y_k has weight 2 and the action of a weight-u layer on a
+    weight-v one has weight u + v - 1, while the raising map keeps p + q.
+    So the layer of a at weight w is the raising map of
+
+        seed_w + dnabla a_{w-1} + sum_{u+v=w+1} action(a_u, b_v),
+
+    b = dnabla y_k + a_k, whose products involve only layers below w;
+    each is formed once, layer by layer.  One confirming pass of the
+    whole fixed-point map, with products cut off at weight + 1, must
+    then reproduce the result.
     """
     chart = conn.chart
+    top = weight + 1
     images = dnabla_images(conn)
     d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
     seed = [dy.derive(images) - delta_op(dy) for dy in d_y]
-    comps = tuple(GradedPoly.zero(chart) for _ in range(chart.n))
-    for _ in range(weight + 2):
+    seed_layers = [s.weight_layers() for s in seed]
+    zero = GradedPoly.zero(chart)
+    layers: Dict[int, Tuple[GradedPoly, ...]] = {}
+    for w in range(2, top + 1):  # the seed has weights 2 and 3
+        below = layers.get(w - 1)
         new = []
         for k in range(chart.n):
-            rhs = (seed[k]
-                   + vvf_action(comps, d_y[k] + comps[k])
-                   + comps[k].derive(images))
-            new.append(project_weight(delta_inv_op(rhs), weight + 1))
-        new = tuple(new)
-        if new == comps:
-            break
-        comps = new
-    else:
+            rhs = seed_layers[k].get(w, zero)
+            if below is not None:
+                rhs = rhs + below[k].derive(images) + vvf_action(below, d_y[k])
+            for u, a_u in layers.items():
+                a_v = layers.get(w + 1 - u)
+                if a_v is not None:
+                    rhs = rhs + vvf_action(a_u, a_v[k])
+            new.append(delta_inv_op(rhs))
+        if any(new):
+            layers[w] = tuple(new)
+    comps = tuple(sum((layer[k] for layer in layers.values()), zero)
+                  for k in range(chart.n))
+    confirm = tuple(
+        project_weight(delta_inv_op(
+            seed[k] + vvf_action(comps, d_y[k] + comps[k], top)
+            + comps[k].derive(images, top)), top)
+        for k in range(chart.n))
+    if confirm != comps:
         raise FlatStructureError("correction recursion did not stabilize")
     for k, comp in enumerate(comps):
         if delta_inv_op(comp):

@@ -25,7 +25,7 @@ from typing import List, Tuple
 
 from .chart import Chart
 from .poly import GradedPoly
-from .enveloping import DiffOp, SymTensor
+from .enveloping import DiffOp, SymTensor, TruncationOverflowError
 
 
 class ExprSyntaxError(ValueError):
@@ -64,10 +64,12 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, chart: Chart, text: str, mode: str):
+    def __init__(self, chart: Chart, text: str, mode: str,
+                 max_order: int = None):
         self.chart = chart
         self.text = text
         self.mode = mode  # 'poly' | 'diffop' | 'sym'
+        self.max_order = max_order  # operator order cap of a product
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -95,6 +97,12 @@ class _Parser:
         if self.mode == "diffop":
             if isinstance(factor, GradedPoly):
                 factor = DiffOp.function(self.chart, factor)
+            # composing peels the left word letter by letter: bound it first
+            orders = (acc.order() or 0, factor.order() or 0)
+            if self.max_order is not None and max(orders) > self.max_order:
+                raise TruncationOverflowError(
+                    "operator order %d exceeds bound %d"
+                    % (max(orders), self.max_order))
             return acc.compose(factor)
         if isinstance(factor, GradedPoly):
             return _sym_scale_right(acc, factor)
@@ -185,12 +193,25 @@ class _Parser:
     def _term(self):
         acc = self._unit()
         while True:
+            pos = self.peek()[2] if self.peek() else len(self.text)
             acc = self._mul(acc, self._factor())
+            self._check_base_degree(acc, pos)
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
                 continue
             return acc
+
+    def _check_base_degree(self, value, pos: int):
+        """A coefficient product past the chart's base-degree bound B is
+        an error at the factor that crossed it."""
+        coeffs = [value] if isinstance(value, GradedPoly) \
+            else value.terms.values()
+        degree = max((c.max_base_degree() for c in coeffs), default=0)
+        limit = self.chart.truncation.max_base_degree
+        if degree > limit:
+            raise ExprSyntaxError("base degree %d exceeds chart bound %d"
+                                  % (degree, limit), pos)
 
     def _factor(self):
         tok = self.take()
@@ -261,25 +282,18 @@ def _sym_mul(a: SymTensor, b: SymTensor) -> SymTensor:
 
 
 def parse_poly(chart: Chart, text: str) -> GradedPoly:
-    value = _Parser(chart, text, "poly").parse()
-    _check_input_bounds(chart, value)
-    return value
+    return _Parser(chart, text, "poly").parse()
 
 
-def parse_diffop(chart: Chart, text: str) -> DiffOp:
-    return _Parser(chart, text, "diffop").parse()
+def parse_diffop(chart: Chart, text: str, max_order: int = None) -> DiffOp:
+    """Parse an operator expression; with ``max_order``, an operand of a
+    product whose order exceeds it raises TruncationOverflowError before
+    the product is formed."""
+    return _Parser(chart, text, "diffop", max_order).parse()
 
 
 def parse_symtensor(chart: Chart, text: str) -> SymTensor:
     return _Parser(chart, text, "sym").parse()
-
-
-def _check_input_bounds(chart: Chart, value: GradedPoly):
-    limit = chart.truncation.max_base_degree
-    if value.max_base_degree() > limit:
-        raise ExprSyntaxError(
-            "base degree %d exceeds chart bound %d"
-            % (value.max_base_degree(), limit), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,11 @@ def monomial_pq(chart: Chart, m: Monomial) -> Tuple[int, int]:
     return sum(m[2 * n:]), sum(m[n:2 * n])
 
 
+def monomial_weight(chart: Chart, m: Monomial) -> int:
+    """Jet filtration weight p + q of a monomial."""
+    return sum(m[chart.n:])
+
+
 def monomial_base_degree(chart: Chart, m: Monomial) -> int:
     return sum(m[:chart.n])
 
@@ -146,12 +151,29 @@ class GradedPoly:
     def __neg__(self):
         return self._wrap({m: -c for m, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, GradedPoly):
-            same_chart(self, other)
-            out: Dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
+    def __mul__(self, other, max_weight: int = None):
+        """Product with a scalar or a polynomial.  With ``max_weight``
+        (called as ``times``), only monomial pairs whose weights p + q
+        sum to at most ``max_weight`` are formed: the result is the full
+        product projected to that weight."""
+        if not isinstance(other, GradedPoly):
+            c = Fraction(other)
+            if not c:
+                return GradedPoly.zero(self.chart)
+            return self._wrap({m: c * v for m, v in self.terms.items()})
+        same_chart(self, other)
+        if max_weight is None:
+            blocks = ((self.terms, other.terms),)
+        else:
+            by_weight = other.weight_layers()
+            blocks = [(a.terms, b.terms)
+                      for wa, a in self.weight_layers().items()
+                      for wb, b in by_weight.items()
+                      if wa + wb <= max_weight]
+        out: Dict[Monomial, Fraction] = {}
+        for left, right in blocks:
+            for m1, c1 in left.items():
+                for m2, c2 in right.items():
                     sign, m = mul_monomials(self.chart, m1, m2)
                     if not sign:
                         continue
@@ -160,11 +182,9 @@ class GradedPoly:
                         out[m] = s
                     else:
                         del out[m]
-            return self._wrap(out)
-        c = Fraction(other)
-        if not c:
-            return GradedPoly.zero(self.chart)
-        return self._wrap({m: c * v for m, v in self.terms.items()})
+        return self._wrap(out)
+
+    times = __mul__  # a.times(b, max_weight): the weight-capped product
 
     def __rmul__(self, other):
         return self.__mul__(other)  # scalars commute with everything
@@ -204,15 +224,18 @@ class GradedPoly:
                 del out[m2]
         return self._wrap(out)
 
-    def derive(self, images: Mapping[int, "GradedPoly"]) -> "GradedPoly":
+    def derive(self, images: Mapping[int, "GradedPoly"],
+               max_weight: int = None) -> "GradedPoly":
         """The derivation with generator images ``images`` (slot -> poly;
-        unlisted slots and None map to 0): sum_s images[s] . partial_s."""
+        unlisted slots and None map to 0): sum_s images[s] . partial_s,
+        each product formed only up to weight ``max_weight`` (see
+        ``times``)."""
         out = GradedPoly.zero(self.chart)
         for slot, img in images.items():
             if img:
                 d = self.partial(slot)
                 if d:
-                    out = out + img * d
+                    out = out + img.times(d, max_weight)
         return out
 
     def homogeneous_components(self) -> Dict[int, "GradedPoly"]:
@@ -220,6 +243,13 @@ class GradedPoly:
         for m, c in self.terms.items():
             buckets.setdefault(monomial_degree(self.chart, m), {})[m] = c
         return {d: self._wrap(t) for d, t in sorted(buckets.items())}
+
+    def weight_layers(self) -> Dict[int, "GradedPoly"]:
+        """The parts of fixed weight p + q, keyed by weight."""
+        buckets: Dict[int, Dict[Monomial, Fraction]] = {}
+        for m, c in self.terms.items():
+            buckets.setdefault(monomial_weight(self.chart, m), {})[m] = c
+        return {w: self._wrap(t) for w, t in sorted(buckets.items())}
 
     def is_homogeneous(self) -> bool:
         return len({monomial_degree(self.chart, m) for m in self.terms}) <= 1

@@ -231,6 +231,8 @@ def suite_flat_connection(chart: Chart, conn: Connection, seed: int = 0,
     sections = [random_section(rng, chart, weight) for _ in range(samples)]
     res.append(_run("flat-operator-squares-to-zero", sections,
                     lambda w: not fd.d_apply(fd.d_apply(w))))
+    # full products projected afterwards: independent of the capped
+    # products inside d_apply
     res.append(_run("flat-operator-is-lower-plus-dual-correction", sections,
                     lambda w: fd.d_apply(w) == project_weight(
                         -delta_op(w) + dnabla_form(conn, w)

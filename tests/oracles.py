@@ -3,8 +3,10 @@
 Each function recomputes a quantity by a deliberately different route
 than the library (bubble sort instead of inversion counting, explicit
 shuffle interleave instead of the factorial diagonal rule, exact matrix
-inversion instead of series summation) so frozen expectations in the
-tests do not share code with the implementation they check.
+inversion instead of series summation, a plain fixed-point iteration of
+full products instead of the weight-layered correction solve) so frozen
+expectations in the tests do not share code with the implementation
+they check.
 """
 
 from fractions import Fraction
@@ -146,3 +148,27 @@ def derivation_apply(f, images, parity):
                     out = out + term
                 prefix_par ^= (e * chart.gen_parities[slot]) & 1
     return out
+
+
+def fixed_point_correction(conn, weight):
+    """The flat-structure correction by iterating the whole fixed-point
+    map from zero until it repeats, forming every product in full and
+    projecting to weight + 1 afterwards.  (The library instead solves one
+    weight layer at a time with products cut off at the cap.)"""
+    from jetexp.fedosov import (delta_inv_op, delta_op, dnabla_images,
+                                project_weight, vvf_action)
+    chart = conn.chart
+    images = dnabla_images(conn)
+    d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
+    seed = [dy.derive(images) - delta_op(dy) for dy in d_y]
+    comps = tuple(GradedPoly.zero(chart) for _ in range(chart.n))
+    for _ in range(weight + 2):
+        new = tuple(
+            project_weight(delta_inv_op(
+                seed[k] + vvf_action(comps, d_y[k] + comps[k])
+                + comps[k].derive(images)), weight + 1)
+            for k in range(chart.n))
+        if new == comps:
+            return comps
+        comps = new
+    raise AssertionError("fixed-point iteration did not stabilize")

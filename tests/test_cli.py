@@ -170,7 +170,13 @@ def test_exit_codes(tmp_path, capsys):
             (("pbw", "--chart", curved, "--direction", "inv",
               "d[x]^99999999"), 3, ""),
             (("pbw", "--chart", mixed, "t^99999999"), 0, "0\n"),
-            (("tau", "--chart", curved, "x^99999999"), 2, "")):
+            (("tau", "--chart", curved, "x^99999999"), 2, ""),
+            # an operand's order is checked against the weight before the
+            # product peels its word letter by letter
+            (("pbw", "--chart", curved, "--direction", "inv",
+              "d[x]^1500*x"), 3, ""),
+            # a coefficient product past B, like a single power past it
+            (("pbw", "--chart", curved, "x^4*x^5*s[x]"), 2, "")):
         start = time.perf_counter()
         assert run(*argv) == (want_code, want_text)
         assert time.perf_counter() - start < 2

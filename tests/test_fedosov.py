@@ -1,21 +1,40 @@
+import glob
+import os
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from jetexp.chart import Chart, Truncation
+from jetexp.chartfile import load_chart_file
 from jetexp.enveloping import SymTensor, TruncationOverflowError, pairing
-from jetexp.fedosov import (FedosovData, check_section_bounds, delta_inv_op,
-                            delta_op, dnabla_form,
+from jetexp.fedosov import (FedosovData, FlatStructureError,
+                            _solve_correction, check_section_bounds,
+                            delta_inv_op, delta_op, dnabla_form,
                             dual_connection_images, dual_curvature_action,
                             iota_incl, project_weight, sigma_aug, tau_pbw,
                             vvf_action, vvf_records)
 from jetexp.geometry import Connection, VectorField, curvature
 from jetexp.pbw import PbwContext
 from jetexp.poly import GradedPoly, monomial_pq
-from jetexp.randomgen import random_base_poly, random_section
+from jetexp.randomgen import (random_base_poly, random_section,
+                              random_torsion_free_connection)
 
 from conftest import build_chart
-from oracles import derivation_apply
+from oracles import derivation_apply, fixed_point_correction
+
+CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
+
+
+def dense_connection(n, weight, seed=11):
+    """A random torsion-free connection (each admissible Christoffel slot
+    filled with probability 1/2) on n = 3 or 4 coordinates of degrees
+    (0, 1, 2) or (0, 0, 1, 2), at symmetric weight ``weight``."""
+    degrees = {3: (0, 1, 2), 4: (0, 0, 1, 2)}[n]
+    chart = Chart([("x%d" % (i + 1), d) for i, d in enumerate(degrees)],
+                  Truncation(weight, 3, 6))
+    return random_torsion_free_connection(random.Random(seed), chart)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +232,56 @@ def test_correction_matches_dual_form_on_charts(charts, contexts):
         assert all(a == -b for a, b in zip(fd.correction, xi))
 
 
+def test_layered_solve_matches_fixed_point_oracle():
+    # every shipped torsion-free chart at every weight, and two dense
+    # random tables: the layered solve is the plain fixed point
+    conns = []
+    for path in sorted(glob.glob(os.path.join(CHART_DIR, "*.chart"))):
+        chart, conn = load_chart_file(path)
+        if conn.torsion_free:
+            conns += [(conn, w)
+                      for w in range(1, chart.truncation.max_sym_weight + 1)]
+    assert len(conns) > 6
+    conns += [(dense_connection(3, 4), 4), (dense_connection(4, 3), 3)]
+    for conn, weight in conns:
+        assert _solve_correction(conn, weight) == \
+            fixed_point_correction(conn, weight)
+
+
+def test_confirming_pass_rejects_a_bad_layer(monkeypatch):
+    # a layer that is not the fixed point fails the confirming pass
+    import jetexp.fedosov as fedosov
+    chart, conn = build_chart("plane_curved")
+    real = fedosov.delta_inv_op
+    skewed_once = []
+
+    def skewed(f):
+        out = real(f)
+        if out and not skewed_once:
+            skewed_once.append(out)
+            return out * 2
+        return out
+    monkeypatch.setattr(fedosov, "delta_inv_op", skewed)
+    with pytest.raises(FlatStructureError, match="did not stabilize"):
+        _solve_correction(conn, 4)
+
+
+def test_dense_solve_stays_fast():
+    # dense n=4 table at weight 5: about 1 s with weight-capped products
+    # and the layered solve, about 27 s with full products and the plain
+    # fixed point; the bound is generous so that a machine running at
+    # half speed does not trip it
+    conn = dense_connection(4, 5)
+    start = time.perf_counter()
+    fd = FedosovData(conn, 5)
+    assert time.perf_counter() - start < 15
+    assert any(fd.correction)
+    chart = conn.chart
+    for slot in range(2 * chart.n):  # D^2 on base and fiber generators
+        probe = GradedPoly.generator(chart, slot)
+        assert not fd.d_apply(fd.d_apply(probe))
+
+
 def test_flat_operator_examples():
     chart, conn = build_chart("line_flat")
     fd = FedosovData(conn, 5)
@@ -234,7 +303,8 @@ def test_flat_operator_squares_to_zero(charts, rng):
 
 def test_flat_image_tables_match_operator_sums(charts, rng):
     # the image tables behind d_apply and perturbation are the operator
-    # sums they replace
+    # sums they replace, formed with full products and projected after,
+    # so the capped products inside d_apply are checked too
     for name in ("plane_curved", "mixed", "two_odd", "negdeg"):
         chart, conn = charts[name]
         fd = FedosovData(conn, chart.truncation.max_sym_weight)

@@ -98,6 +98,18 @@ def test_base_degree_bound_enforced_on_parse(mixed):
         with pytest.raises(ExprSyntaxError) as err:
             parse_poly(mixed, text)
         assert err.value.pos == pos
+    # so is the base degree of every coefficient product, at the factor
+    # that crosses B
+    for parse, text, pos in ((parse_poly, "x^4*x^3", 4),
+                             (parse_symtensor, "x^4*x^3*s[x]", 4),
+                             (parse_symtensor, "s[x]*x^3*x^4", 9),
+                             (parse_diffop, "x^4*x^3*d[x]", 4),
+                             (parse_diffop, "x^6*d[x]*x", 9)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(mixed, text)
+        assert err.value.pos == pos
+    assert parse_diffop(mixed, "d[x]*x^6") == parse_diffop(
+        mixed, "x^6*d[x] + 6*x^5")
     y, dt = (GradedPoly.generator(mixed, mixed.slot(n)) for n in ("y", "dt"))
     assert parse_poly(mixed, "y^4*dt^4") == y ** 4 * dt ** 4
     assert not parse_poly(mixed, "t^99999999")

@@ -152,3 +152,28 @@ def test_scalar_arithmetic(mixed):
     assert Fraction(3) * x - x == 2 * x
     assert (x * 0) == GradedPoly.zero(mixed)
     assert x ** 3 == x * x * x
+
+
+@pytest.mark.parametrize("name", ["mixed", "two_odd", "negdeg",
+                                  "three_degrees"])
+def test_weight_capped_products_match_projection(charts, rng, name):
+    # a product cut off at weight w is the full product projected to w,
+    # and so is a derivation applied with that cap, for every w up to Q+1
+    from jetexp.fedosov import project_weight
+    chart, _ = charts[name]
+    nslots = 3 * chart.n
+    top = chart.truncation.max_sym_weight + 1
+    for parity in (0, 1):
+        for _ in range(6):
+            a = random_section(rng, chart, top - 1)
+            b = random_section(rng, chart, top - 1)
+            table = {}
+            for s in rng.sample(range(nslots), rng.randint(1, nslots)):
+                want = (parity + chart.gen_parities[s]) & 1
+                table[s] = random_section(rng, chart, 2, terms=4) \
+                    .filter_terms(lambda m: monomial_parity(chart, m) == want)
+            full_product, full_derive = a * b, a.derive(table)
+            for w in range(top + 1):
+                assert a.times(b, w) == project_weight(full_product, w)
+                assert a.derive(table, max_weight=w) == \
+                    project_weight(full_derive, w)
