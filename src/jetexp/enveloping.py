@@ -327,7 +327,12 @@ class DiffOp(_IndexedSum):
 def _word_times_function(chart: Chart, index: MultiIndex,
                          g: GradedPoly) -> Dict[MultiIndex, GradedPoly]:
     """Normal-order (descending word of ``index``) o m_g by peeling the
-    innermost derivation and rewriting with the graded Leibniz rule."""
+    innermost block of equal derivations at once: for an even slot
+
+        d_s^m o m_g  =  sum_j C(m, j) m_{d_s^j g} o d_s^(m - j),
+
+    and an odd slot (m = 1) is the graded Leibniz rule.  The recursion
+    depth is the number of distinct letters."""
     out: Dict[MultiIndex, GradedPoly] = {}
     if not g:
         return out
@@ -335,26 +340,30 @@ def _word_times_function(chart: Chart, index: MultiIndex,
         out[index] = g
         return out
     slot = min(s for s, e in enumerate(index) if e)
-    rest = tuple(e - (1 if s == slot else 0) for s, e in enumerate(index))
-    unit = tuple(1 if s == slot else 0 for s in range(chart.n))
-    par = chart.coordinate_parity(slot)
-
-    def accumulate(word, coeff):
-        if not coeff:
-            return
-        cur = out.get(word)
-        out[word] = coeff if cur is None else cur + coeff
-
-    for part in g.homogeneous_components().values():
-        dg = part.partial(slot)
-        if dg:
-            for word, coeff in _word_times_function(chart, rest, dg).items():
-                accumulate(word, coeff)
-        passed = -part if par and part.parity() else part
-        for word, coeff in _word_times_function(chart, rest, passed).items():
-            sign, merged = merge_words(chart, word, unit)
-            if sign:
-                accumulate(merged, coeff if sign > 0 else -coeff)
+    mult = index[slot]
+    rest = tuple(0 if s == slot else e for s, e in enumerate(index))
+    if chart.coordinate_parity(slot):
+        passed = GradedPoly.zero(chart)
+        for part in g.homogeneous_components().values():
+            passed = passed + (-part if part.parity() else part)
+        pieces = [(g.partial(slot), 0), (passed, 1)]
+    else:
+        pieces = []
+        dg = g
+        for j in range(mult + 1):
+            if not dg:
+                break
+            pieces.append((dg * math.comb(mult, j), mult - j))
+            dg = dg.partial(slot)
+    for h, k in pieces:
+        tail = tuple(k if s == slot else 0 for s in range(chart.n))
+        for word, coeff in _word_times_function(chart, rest, h).items():
+            sign, merged = merge_words(chart, word, tail)
+            if not sign:
+                continue
+            val = coeff if sign > 0 else -coeff
+            cur = out.get(merged)
+            out[merged] = val if cur is None else cur + val
     return out
 
 

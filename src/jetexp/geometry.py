@@ -279,10 +279,12 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
     Replaces one factor at a time by its covariant derivative, with the
     Koszul sign of moving the direction past the earlier factors; on
     coefficients it acts as the plain derivation with the matching
-    Leibniz sign.  Three signs are tracked per replacement: the Leibniz
-    crossing over the coefficient, the direction crossing the leading
-    letters, and the replacement field's own coefficient moving back out
-    to the far left.
+    Leibniz sign.  Only even letters repeat, and replacing any copy of
+    one gives the same symmetric word, so each block of equal letters is
+    replaced once and scaled by its multiplicity.  Three signs are
+    tracked per replacement: the Leibniz crossing over the coefficient,
+    the direction crossing the leading letters, and the replacement
+    field's own coefficient moving back out to the far left.
     """
     from .enveloping import sym_word_product, word_letters
 
@@ -294,32 +296,29 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
             dcoeff = xh.apply(coeff)
             if dcoeff:
                 out = out + SymTensor(chart, {index: dcoeff})
-            if not any(index):
-                continue
             letters = word_letters(index)
-            pars = [chart.coordinate_parity(s) for s in letters]
-            for cdeg, cpart in coeff.homogeneous_components().items():
-                leibniz = bool(xpar and (cdeg & 1))
-                for pos, slot in enumerate(letters):
-                    pre_par = sum(pars[:pos]) & 1
-                    lead_flip = leibniz ^ bool(xpar and pre_par)
-                    repl = VectorField.zero(chart)
-                    for i in range(chart.n):
-                        xi = xh.components[i]
-                        if xi:
-                            repl = repl + conn.christoffel_field(i, slot).scale(xi)
-                    if not repl:
+            cparts = coeff.homogeneous_components()
+            start = pre_par = 0  # position and parity of the block's lead
+            for slot in range(chart.n - 1, -1, -1):
+                mult = index[slot]
+                if not mult:
+                    continue
+                repl = VectorField.zero(chart)
+                for i, xi in enumerate(xh.components):
+                    if xi:
+                        repl = repl + conn.christoffel_field(i, slot).scale(xi)
+                for k, rk in enumerate(repl.components):
+                    if not rk:
                         continue
-                    rest = list(letters)
-                    del rest[pos]
-                    for k in range(chart.n):
-                        rk = repl.components[k]
-                        if not rk:
-                            continue
-                        word = rest[:pos] + [k] + rest[pos:]
+                    word = sym_word_product(
+                        chart, letters[:start] + [k] + letters[start + 1:])
+                    for cdeg, cpart in cparts.items():
+                        leibniz = bool(xpar and (cdeg & 1))
+                        lead_flip = leibniz ^ bool(xpar and pre_par)
                         for rdeg, rpart in rk.homogeneous_components().items():
                             flip = lead_flip ^ bool((rdeg & 1) and pre_par)
-                            base = sym_word_product(chart, word).scale(
-                                cpart * rpart)
+                            base = word.scale(cpart * rpart * mult)
                             out = out + (-base if flip else base)
+                start += mult
+                pre_par ^= mult * chart.coordinate_parity(slot) & 1
     return out

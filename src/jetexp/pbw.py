@@ -10,13 +10,23 @@ averaged recursion
 
 with eps_k the Koszul sign of pulling X_k to the front, and is extended
 to arbitrary tensors by left linearity over base functions (its own
-well-definedness).  The inverse peels symbols: the top-order part of an
+well-definedness).  On the descending word of a multi-index I equal
+letters give equal terms (only even letters repeat, so their sign is
++1), and the sum is formed once per distinct letter:
+
+    exp(I) = 1/|I| * sum_{s : I_s > 0} eps_s * I_s *
+        ( d_s o exp(I - e_s) - exp(cov(d_s, word of I - e_s)) )
+
+with eps_s = -1 exactly when d_s is odd and an odd number of odd letters
+precede it (the slots above s).  The inverse peels symbols: the top-order part of an
 operator is reinterpreted as a word, its image subtracted, and the
 remainder (one order lower, because symbols match exactly) recursed on.
 
 A context carries the memo table from basis word to operator; the memo
-is the only mutable state and uses atomic get-or-compute under a lock so
-contexts can be shared across worker threads.
+is the only mutable state.  A missing word is computed outside the lock
+and stored under it, and the first value stored wins, so contexts can be
+shared across worker threads (two threads may compute the same word, but
+both get the same stored operator).
 
 Weight bookkeeping: a context created with the chart's default cap can
 serve the map and its inverse up to weight Q.  Transporting the module
@@ -32,15 +42,17 @@ import threading
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .chart import Chart, mi_all_up_to, mi_factorial, mi_weight, same_chart
+from .chart import (Chart, mi_all_up_to, mi_factorial, mi_unit, mi_weight,
+                    same_chart)
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         pairing, sym_mul_vf, word_degree, word_letters)
+                         pairing, sym_mul_vf, word_degree)
 from .geometry import Connection, VectorField, nabla_sym
 from .poly import GradedPoly
 
 
 class PbwContext:
-    """Chart + connection + memoized basis-word images."""
+    """Chart + connection + memoized basis-word images (first value
+    stored wins; see the module docstring)."""
 
     def __init__(self, chart: Chart, conn: Connection, max_weight: int = None):
         if conn.chart != chart:
@@ -65,30 +77,29 @@ class PbwContext:
 
     def _compute_word(self, index) -> DiffOp:
         chart = self.chart
-        letters = word_letters(index)
-        m = len(letters)
+        m = mi_weight(index)
         if m == 0:
             return DiffOp.identity(chart)
         if m == 1:
             return DiffOp.from_word(chart, index)
-        pars = [chart.coordinate_parity(s) for s in letters]
         acc = DiffOp.zero(chart)
-        for k, slot in enumerate(letters):
-            eps = -1 if (pars[k] and (sum(pars[:k]) & 1)) else 1
-            rest_letters = letters[:k] + letters[k + 1:]
-            rest_index = [0] * chart.n
-            for s in rest_letters:
-                rest_index[s] += 1
-            rest_index = tuple(rest_index)
-            xk = VectorField.coordinate(chart, slot)
-            left = DiffOp.from_word(chart, _unit_index(chart.n, slot)).compose(
+        odd_before = 0
+        for slot in range(chart.n - 1, -1, -1):
+            mult = index[slot]
+            if not mult:
+                continue
+            unit = mi_unit(chart.n, slot + 1)
+            rest_index = tuple(e - u for e, u in zip(index, unit))
+            left = DiffOp.from_word(chart, unit).compose(
                 self.word_image(rest_index))
-            inner = nabla_sym(self.conn, xk,
+            inner = nabla_sym(self.conn, VectorField.coordinate(chart, slot),
                               SymTensor.from_word(chart, rest_index))
-            right = self.map(inner, _internal=True)
-            term = left - right
-            acc = acc + (term.scale(eps) if eps < 0 else term)
-        return acc.scale(Fraction(1, m))
+            term = left - self.map(inner, _internal=True)
+            par = chart.coordinate_parity(slot)
+            sign = -1 if par and odd_before & 1 else 1
+            odd_before += par
+            acc = acc + term.scale(Fraction(sign * mult, m))
+        return acc
 
     # -- the map and its inverse ----------------------------------------------
     def map(self, tensor: SymTensor, _internal: bool = False) -> DiffOp:
@@ -123,10 +134,6 @@ class PbwContext:
             if new_order is not None and new_order >= k:
                 raise AssertionError("symbol peeling failed to lower order")
         return out
-
-
-def _unit_index(n: int, slot: int) -> Tuple[int, ...]:
-    return tuple(1 if s == slot else 0 for s in range(n))
 
 
 def lightning_nabla(ctx: PbwContext, field: VectorField,

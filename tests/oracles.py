@@ -4,9 +4,10 @@ Each function recomputes a quantity by a deliberately different route
 than the library (bubble sort instead of inversion counting, explicit
 shuffle interleave instead of the factorial diagonal rule, exact matrix
 inversion instead of series summation, a plain fixed-point iteration of
-full products instead of the weight-layered correction solve) so frozen
-expectations in the tests do not share code with the implementation
-they check.
+full products instead of the weight-layered correction solve, one
+recursion term or replacement per letter of a word instead of one per
+block of equal letters) so frozen expectations in the tests do not share
+code with the implementation they check.
 """
 
 from fractions import Fraction
@@ -172,3 +173,130 @@ def fixed_point_correction(conn, weight):
             return comps
         comps = new
     raise AssertionError("fixed-point iteration did not stabilize")
+
+
+def per_position_nabla_sym(conn, x, tensor):
+    """The connection extended to symmetric tensors, replacing each letter
+    position of each word on its own, with the Christoffel field rebuilt
+    per position.  (The library replaces each block of equal letters once
+    and scales by its multiplicity.)"""
+    from jetexp.enveloping import SymTensor, sym_word_product, word_letters
+    from jetexp.geometry import VectorField
+
+    chart = conn.chart
+    out = SymTensor.zero(chart)
+    for dx, xh in x.homogeneous_components().items():
+        xpar = dx & 1
+        for index, coeff in tensor.terms.items():
+            dcoeff = xh.apply(coeff)
+            if dcoeff:
+                out = out + SymTensor(chart, {index: dcoeff})
+            letters = word_letters(index)
+            pars = [chart.coordinate_parity(s) for s in letters]
+            for cdeg, cpart in coeff.homogeneous_components().items():
+                leibniz = bool(xpar and (cdeg & 1))
+                for pos, slot in enumerate(letters):
+                    pre_par = sum(pars[:pos]) & 1
+                    lead_flip = leibniz ^ bool(xpar and pre_par)
+                    repl = VectorField.zero(chart)
+                    for i in range(chart.n):
+                        xi = xh.components[i]
+                        if xi:
+                            repl = repl + conn.christoffel_field(
+                                i, slot).scale(xi)
+                    rest = list(letters)
+                    del rest[pos]
+                    for k in range(chart.n):
+                        rk = repl.components[k]
+                        if not rk:
+                            continue
+                        word = rest[:pos] + [k] + rest[pos:]
+                        for rdeg, rpart in rk.homogeneous_components().items():
+                            flip = lead_flip ^ bool((rdeg & 1) and pre_par)
+                            base = sym_word_product(chart, word).scale(
+                                cpart * rpart)
+                            out = out + (-base if flip else base)
+    return out
+
+
+def per_letter_word_image(ctx, index):
+    """One step of the averaged recursion for the basis word of ``index``,
+    with one term per letter (eps_k the sign of pulling the k-th letter
+    to the front) and ``per_position_nabla_sym``; shorter words come from
+    the context.  Needs a nonempty word.  (The library forms one term
+    per distinct letter, times its multiplicity.)"""
+    from jetexp.enveloping import DiffOp, SymTensor, word_letters
+    from jetexp.geometry import VectorField
+
+    chart = ctx.chart
+    letters = word_letters(index)
+    m = len(letters)
+    pars = [chart.coordinate_parity(s) for s in letters]
+    acc = DiffOp.zero(chart)
+    for k, slot in enumerate(letters):
+        eps = -1 if (pars[k] and (sum(pars[:k]) & 1)) else 1
+        rest_index = [0] * chart.n
+        for s in letters[:k] + letters[k + 1:]:
+            rest_index[s] += 1
+        rest_index = tuple(rest_index)
+        unit = tuple(1 if s == slot else 0 for s in range(chart.n))
+        left = DiffOp.from_word(chart, unit).compose(
+            ctx.word_image(rest_index))
+        inner = per_position_nabla_sym(
+            ctx.conn, VectorField.coordinate(chart, slot),
+            SymTensor.from_word(chart, rest_index))
+        term = left - ctx.map(inner, _internal=True)
+        acc = acc + term.scale(eps)
+    return acc.scale(Fraction(1, m))
+
+
+def per_letter_word_times_function(chart, index, g):
+    """Normal form of (descending word of ``index``) o m_g as a dict
+    word -> coefficient, peeling one derivation at a time by the graded
+    Leibniz rule d_i o m_f = m_{d_i f} + (-1)^(|x_i||f|) m_f o d_i.  (The
+    library peels a whole block of equal letters by the binomial rule.)"""
+    from jetexp.enveloping import merge_words
+
+    out = {}
+    if not g:
+        return out
+    if not any(index):
+        return {index: g}
+    slot = min(s for s, e in enumerate(index) if e)
+    rest = tuple(e - (1 if s == slot else 0) for s, e in enumerate(index))
+    unit = tuple(1 if s == slot else 0 for s in range(chart.n))
+    par = chart.coordinate_parity(slot)
+
+    def accumulate(word, coeff):
+        if coeff:
+            cur = out.get(word)
+            out[word] = coeff if cur is None else cur + coeff
+
+    for part in g.homogeneous_components().values():
+        for word, coeff in per_letter_word_times_function(
+                chart, rest, part.partial(slot)).items():
+            accumulate(word, coeff)
+        passed = -part if par and part.parity() else part
+        for word, coeff in per_letter_word_times_function(
+                chart, rest, passed).items():
+            sign, merged = merge_words(chart, word, unit)
+            if sign:
+                accumulate(merged, coeff if sign > 0 else -coeff)
+    return out
+
+
+def per_letter_compose(a, b):
+    """Operator product a o b in normal form through
+    ``per_letter_word_times_function``."""
+    from jetexp.enveloping import DiffOp, merge_words
+
+    chart = a.chart
+    out = DiffOp.zero(chart)
+    for right_index, g in b.terms.items():
+        for left_index, coeff in a.terms.items():
+            words = per_letter_word_times_function(chart, left_index, g)
+            for word, h in words.items():
+                sign, merged = merge_words(chart, word, right_index)
+                if sign:
+                    out = out + DiffOp(chart, {merged: coeff * h * sign})
+    return out

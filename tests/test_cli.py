@@ -230,3 +230,14 @@ def test_output_determinism():
     second = run("verify", "--chart", chart("line_curved.chart"),
                  "--suite", "resolution", "--max-weight", "3")
     assert first == second
+
+
+def test_long_word_image_stays_fast():
+    # one recursion term per distinct letter: each word s[x]^k on the way is
+    # one term, not k equal ones
+    start = time.perf_counter()
+    code, text = run("pbw", "--max-weight", "40", "--chart",
+                     chart("line_curved.chart"), "s[x]^32")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert text.startswith("d[x]^32 - 496*x*d[x]^31")

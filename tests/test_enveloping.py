@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_symtensor,
                               random_vector_field)
 
-from oracles import shuffle_pairing
+from conftest import build_chart
+from oracles import per_letter_compose, shuffle_pairing
 
 
 @pytest.fixture
@@ -57,6 +59,30 @@ def test_compose_examples(line, mixed):
     got = dt.compose(DiffOp.function(mixed, t))
     assert got == DiffOp(mixed, {(0, 0): GradedPoly.constant(mixed, 1),
                                  (0, 1): -t})
+
+
+def test_compose_peels_long_blocks_at_once():
+    # one step per block of equal letters, so a long word does not
+    # recurse once per letter
+    from jetexp.grammar import parse_diffop
+    chart, _ = build_chart("line_curved")
+    x = x_of(chart)
+    start = time.perf_counter()
+    got = parse_diffop(chart, "d[x]^1200*x", max_order=1300)
+    assert time.perf_counter() - start < 2
+    assert got == DiffOp(chart, {(1200,): x,
+                                 (1199,): GradedPoly.constant(chart, 1200)})
+
+
+@pytest.mark.parametrize("name", ["mixed", "two_odd", "three_degrees",
+                                  "negdeg"])
+def test_compose_matches_per_letter_oracle(name, rng):
+    chart, _ = build_chart(name)
+    for _ in range(8):
+        a, b = (DiffOp(chart, random_symtensor(rng, chart, 4, terms=3,
+                                               max_base=3).terms)
+                for _ in range(2))
+        assert a.compose(b) == per_letter_compose(a, b)
 
 
 def test_compose_truncation_cap(line):

@@ -9,6 +9,9 @@ from jetexp.randomgen import (random_base_poly, random_homogeneous_vf,
                               random_symtensor, random_torsion_free_connection,
                               random_vector_field)
 
+from conftest import TORSION_FREE_CHARTS
+from oracles import per_position_nabla_sym
+
 
 @pytest.fixture
 def line():
@@ -258,3 +261,19 @@ def test_nabla_sym_is_graded_derivation_of_product(mixed, rng):
             rhs = sym_mul_vf(cov_deriv(conn, x, y), tensor) + \
                 sym_mul_vf(y, nabla_sym(conn, x, tensor)).scale(sign)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_nabla_sym_matches_per_position_oracle(name, charts, rng):
+    # one replacement per block of equal letters, times its multiplicity,
+    # against one replacement per letter position; the tensors carry
+    # coefficients with odd parts wherever the chart has odd coordinates
+    chart, conn = charts[name]
+    weight = chart.truncation.max_sym_weight
+    for _ in range(6):
+        tensor = random_symtensor(rng, chart, weight, terms=4)
+        for x in (random_vector_field(rng, chart, 2),
+                  random_homogeneous_vf(rng, chart, 1),
+                  VectorField.coordinate(chart, rng.randrange(chart.n))):
+            assert nabla_sym(conn, x, tensor) == \
+                per_position_nabla_sym(conn, x, tensor)

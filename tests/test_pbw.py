@@ -12,7 +12,8 @@ from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_section,
                               random_symtensor, random_word)
 
-from conftest import build_chart
+from conftest import TORSION_FREE_CHARTS, build_chart
+from oracles import per_letter_word_image
 
 
 def europe_recursion(ctx, fields):
@@ -113,14 +114,20 @@ def test_left_linearity_over_base_functions(charts, contexts, rng):
                 ctx.map(tensor, _internal=True).scale(f)
 
 
+def admissible_words(chart, max_weight):
+    """Basis words of weight 1 ... max_weight (odd letters at most once)."""
+    for index in mi_all_up_to(chart.n, max_weight):
+        if mi_weight(index) and not any(
+                e > 1 and chart.coordinate_parity(s)
+                for s, e in enumerate(index)):
+            yield index
+
+
 def test_word_images_match_europe_oracle(charts, contexts):
-    for name in ("line_curved", "mixed", "two_odd"):
+    for name in TORSION_FREE_CHARTS:
         chart, conn = charts[name]
         ctx = contexts[name]
-        for index in mi_all_up_to(chart.n, 3):
-            if any(e > 1 and chart.coordinate_parity(s)
-                   for s, e in enumerate(index)):
-                continue
+        for index in admissible_words(chart, 4):
             if mi_weight(index) < 2:
                 continue
             letters = []
@@ -128,6 +135,18 @@ def test_word_images_match_europe_oracle(charts, contexts):
                 letters.extend([s] * index[s])
             fields = [VectorField.coordinate(chart, s) for s in letters]
             assert ctx.word_image(index) == europe_recursion(ctx, fields)
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_word_images_match_per_letter_oracle(name, charts, contexts):
+    # one recursion term per letter against the library's one term per
+    # distinct letter times its multiplicity; on two_odd the sign of a
+    # word with both odd letters tells "odd letters before the slot" from
+    # "after" it
+    chart, conn = charts[name]
+    ctx = contexts[name]
+    for index in admissible_words(chart, chart.truncation.max_sym_weight):
+        assert ctx.word_image(index) == per_letter_word_image(ctx, index)
 
 
 def test_oracle_multilinearity_over_base_functions(charts, contexts, rng):
