@@ -56,7 +56,7 @@ class Chart:
 
     __slots__ = (
         "coords", "truncation", "n", "gen_names", "gen_degrees",
-        "gen_parities", "_slot_of",
+        "gen_parities", "odd_slots", "_slot_of",
     )
 
     def __init__(self, coordinates: Iterable[Tuple[str, int]],
@@ -82,6 +82,8 @@ class Chart:
         degrees = [c.degree for c in coords]
         self.gen_degrees = tuple(degrees + degrees + [d + 1 for d in degrees])
         self.gen_parities = tuple(d & 1 for d in self.gen_degrees)
+        self.odd_slots = tuple(s for s, p in enumerate(self.gen_parities)
+                               if p)
         self._slot_of = {name: i for i, name in enumerate(self.gen_names)}
 
     # slot layout: [0, n) base, [n, 2n) fiber, [2n, 3n) form
@@ -123,7 +125,7 @@ def same_chart(*objs) -> Chart:
     """Return the shared chart of the arguments, or raise on mismatch."""
     chart = objs[0].chart
     for o in objs[1:]:
-        if o.chart != chart:
+        if o.chart is not chart and o.chart != chart:
             raise ValueError("chart mismatch between operands")
     return chart
 

@@ -18,13 +18,27 @@ convention.
 parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
 
+Arithmetic kernel.  ``terms`` holds ``Fraction`` values, but products
+and derivations run on Python integers.  Each polynomial lazily builds,
+at most once, an integer form: the lcm D of its coefficient
+denominators and, per weight p + q, rows of (monomial, odd-slot bitmask,
+parity mask of the odd slots above each slot, integer numerator c*D).
+A product multiplies numerators over Da*Db (a sum of products over the
+lcm of those), accumulates plain ints per output monomial and builds one
+``Fraction`` per nonzero output term.  Intersecting odd masks kill a
+pair; otherwise its Koszul sign is the parity of the odd slots of the
+left monomial above the odd slots of the right one.
+
 Values are immutable after construction and all operations are pure, so
-sharing across threads needs no synchronization.
+the cached integer form never goes stale and sharing across threads
+needs no synchronization (two threads may both build the same form).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Dict, Mapping, Tuple
 
 from .chart import Chart, same_chart
@@ -68,24 +82,12 @@ def monomial_base_degree(chart: Chart, m: Monomial) -> int:
     return sum(m[:chart.n])
 
 
-def mul_monomials(chart: Chart, a: Monomial, b: Monomial):
-    """Return (sign, product monomial); sign 0 when an odd slot repeats."""
-    par = chart.gen_parities
-    inv = 0
-    for v, bv in enumerate(b):
-        if not bv or not par[v]:
-            continue
-        if a[v]:
-            return 0, None
-        inv += sum(a[u] for u in range(v + 1, len(a)) if par[u])
-    return (-1 if inv & 1 else 1), tuple(x + y for x, y in zip(a, b))
-
-
 class GradedPoly:
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_ints")
 
     def __init__(self, chart: Chart, terms: Dict[Monomial, Fraction] = None):
         self.chart = chart
+        self._ints = None
         clean: Dict[Monomial, Fraction] = {}
         if terms:
             nslots = 3 * chart.n
@@ -101,9 +103,12 @@ class GradedPoly:
                 if any(e > 1 and chart.gen_parities[s]
                        for s, e in enumerate(m)):
                     raise ValueError("odd generator raised to a power > 1")
-                clean[m] = clean.get(m, Fraction(0)) + c
-                if not clean[m]:
-                    del clean[m]
+                if m in clean:
+                    c += clean[m]
+                    if not c:
+                        del clean[m]
+                        continue
+                clean[m] = c
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
@@ -113,7 +118,8 @@ class GradedPoly:
 
     @classmethod
     def constant(cls, chart: Chart, c) -> "GradedPoly":
-        return cls(chart, {(0,) * (3 * chart.n): Fraction(c)})
+        c = Fraction(c)
+        return cls(chart)._wrap({(0,) * (3 * chart.n): c} if c else {})
 
     @classmethod
     def generator(cls, chart: Chart, slot: int, exp: int = 1) -> "GradedPoly":
@@ -138,11 +144,12 @@ class GradedPoly:
         same_chart(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            if m in out:
+                c += out[m]
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
         return self._wrap(out)
 
     def __sub__(self, other):
@@ -162,27 +169,7 @@ class GradedPoly:
                 return GradedPoly.zero(self.chart)
             return self._wrap({m: c * v for m, v in self.terms.items()})
         same_chart(self, other)
-        if max_weight is None:
-            blocks = ((self.terms, other.terms),)
-        else:
-            by_weight = other.weight_layers()
-            blocks = [(a.terms, b.terms)
-                      for wa, a in self.weight_layers().items()
-                      for wb, b in by_weight.items()
-                      if wa + wb <= max_weight]
-        out: Dict[Monomial, Fraction] = {}
-        for left, right in blocks:
-            for m1, c1 in left.items():
-                for m2, c2 in right.items():
-                    sign, m = mul_monomials(self.chart, m1, m2)
-                    if not sign:
-                        continue
-                    s = out.get(m, Fraction(0)) + sign * c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return self._wrap(out)
+        return self._wrap(_sum_of_products(((self, other),), max_weight))
 
     times = __mul__  # a.times(b, max_weight): the weight-capped product
 
@@ -201,27 +188,48 @@ class GradedPoly:
         p = GradedPoly.__new__(GradedPoly)
         p.chart = self.chart
         p.terms = terms
+        p._ints = None
         return p
+
+    def _integer_form(self):
+        """(D, layers), built once: D is the lcm of the coefficient
+        denominators; ``layers`` maps each weight p + q, ascending, to
+        rows (monomial, odd mask, above mask, numerator c*D), where bit s
+        of the above mask is the parity of the odd slots of the monomial
+        above slot s."""
+        form = self._ints
+        if form is None:
+            n = self.chart.n
+            odd = self.chart.odd_slots
+            den = lcm(*[c.denominator for c in self.terms.values()])
+            layers: Dict[int, list] = {}
+            for m, c in self.terms.items():
+                mask = above = 0
+                for s in odd:
+                    if m[s]:
+                        mask |= 1 << s
+                        above ^= (1 << s) - 1
+                layers.setdefault(sum(m[n:]), []).append(
+                    (m, mask, above, c.numerator * (den // c.denominator)))
+            form = self._ints = (den, dict(sorted(layers.items())))
+        return form
 
     # -- graded structure ---------------------------------------------------
     def partial(self, slot: int) -> "GradedPoly":
         """Left derivative by the generator in ``slot``."""
         if not 0 <= slot < 3 * self.chart.n:
             raise ValueError("generator slot out of range")
-        par = self.chart.gen_parities
+        odd_below = [j for j in self.chart.odd_slots if j < slot] \
+            if self.chart.gen_parities[slot] else ()
         out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             e = m[slot]
             if not e:
                 continue
-            crossings = par[slot] * sum(m[j] * par[j] for j in range(slot))
-            sign = -1 if crossings & 1 else 1
-            m2 = m[:slot] + (e - 1,) + m[slot + 1:]
-            s = out.get(m2, Fraction(0)) + sign * e * c
-            if s:
-                out[m2] = s
-            else:
-                del out[m2]
+            if odd_below and sum([m[j] for j in odd_below]) & 1:
+                c = -c
+            # distinct monomials have distinct derivatives: no accumulation
+            out[m[:slot] + (e - 1,) + m[slot + 1:]] = c if e == 1 else c * e
         return self._wrap(out)
 
     def derive(self, images: Mapping[int, "GradedPoly"],
@@ -230,13 +238,14 @@ class GradedPoly:
         unlisted slots and None map to 0): sum_s images[s] . partial_s,
         each product formed only up to weight ``max_weight`` (see
         ``times``)."""
-        out = GradedPoly.zero(self.chart)
+        pairs = []
         for slot, img in images.items():
             if img:
+                same_chart(self, img)
                 d = self.partial(slot)
                 if d:
-                    out = out + img.times(d, max_weight)
-        return out
+                    pairs.append((img, d))
+        return self._wrap(_sum_of_products(pairs, max_weight))
 
     def homogeneous_components(self) -> Dict[int, "GradedPoly"]:
         buckets: Dict[int, Dict[Monomial, Fraction]] = {}
@@ -250,9 +259,6 @@ class GradedPoly:
         for m, c in self.terms.items():
             buckets.setdefault(monomial_weight(self.chart, m), {})[m] = c
         return {w: self._wrap(t) for w, t in sorted(buckets.items())}
-
-    def is_homogeneous(self) -> bool:
-        return len({monomial_degree(self.chart, m) for m in self.terms}) <= 1
 
     def degree(self) -> int:
         degs = {monomial_degree(self.chart, m) for m in self.terms}
@@ -272,21 +278,47 @@ class GradedPoly:
     def filter_terms(self, keep: Callable[[Monomial], bool]) -> "GradedPoly":
         return self._wrap({m: c for m, c in self.terms.items() if keep(m)})
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * (3 * self.chart.n), Fraction(0))
-
     def max_base_degree(self) -> int:
         return max((monomial_base_degree(self.chart, m) for m in self.terms),
                    default=0)
 
-    def uses_only(self, slots) -> bool:
-        allowed = set(slots)
-        return all(all(e == 0 or s in allowed for s, e in enumerate(m))
-                   for m in self.terms)
-
     def is_base_only(self) -> bool:
-        return self.uses_only(range(self.chart.n))
+        n = self.chart.n
+        return not any(any(m[n:]) for m in self.terms)
 
     def __repr__(self):
         from .grammar import format_poly
         return "GradedPoly(%s)" % format_poly(self)
+
+
+def _sum_of_products(pairs, max_weight: int = None) -> Dict[Monomial, Fraction]:
+    """The terms of sum_k a_k * b_k over ``pairs`` of same-chart
+    polynomials, forming only monomial pairs of total weight at most
+    ``max_weight`` when given.  Integer numerators over the lcm of the
+    pairs' Da*Db; one Fraction per nonzero output term."""
+    forms = [(a._integer_form(), b._integer_form()) for a, b in pairs]
+    den = lcm(*[da * db for (da, _), (db, _) in forms])
+    out: Dict[Monomial, int] = {}
+    get = out.get
+    for (da, left), (db, right) in forms:
+        scale = den // (da * db)
+        for wa, rows_a in left.items():
+            for wb, rows_b in right.items():
+                if max_weight is not None and wa + wb > max_weight:
+                    break  # weights ascend
+                for ma, mask_a, above_a, na in rows_a:
+                    na *= scale
+                    if not mask_a:  # an even monomial: no sign, no kill
+                        for mb, _, _, nb in rows_b:
+                            m = tuple(map(add, ma, mb))
+                            out[m] = get(m, 0) + na * nb
+                        continue
+                    for mb, mask_b, _, nb in rows_b:
+                        if mask_b:
+                            if mask_a & mask_b:  # a repeated odd slot
+                                continue
+                            if (above_a & mask_b).bit_count() & 1:
+                                nb = -nb
+                        m = tuple(map(add, ma, mb))
+                        out[m] = get(m, 0) + na * nb
+    return {m: Fraction(v, den) for m, v in out.items() if v}

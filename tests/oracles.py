@@ -6,8 +6,10 @@ shuffle interleave instead of the factorial diagonal rule, exact matrix
 inversion instead of series summation, a plain fixed-point iteration of
 full products instead of the weight-layered correction solve, one
 recursion term or replacement per letter of a word instead of one per
-block of equal letters) so frozen expectations in the tests do not share
-code with the implementation they check.
+block of equal letters, a ``Fraction`` pair loop with per-pair inversion
+counting instead of the integer-numerator bitmask kernel) so frozen
+expectations in the tests do not share code with the implementation they
+check.
 """
 
 from fractions import Fraction
@@ -99,6 +101,62 @@ def mat_inv(a):
                 work[r] = [x - factor * y
                            for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
+
+
+def _mul_monomials(chart, a, b):
+    """(sign, product monomial); sign 0 when an odd slot repeats.  The
+    sign counts, for each odd slot of b, the odd slots of a above it."""
+    par = chart.gen_parities
+    inv = 0
+    for v, bv in enumerate(b):
+        if not bv or not par[v]:
+            continue
+        if a[v]:
+            return 0, None
+        inv += sum(a[u] for u in range(v + 1, len(a)) if par[u])
+    return (-1 if inv & 1 else 1), tuple(x + y for x, y in zip(a, b))
+
+
+def fraction_mul(a, b, max_weight=None):
+    """a * b by one Fraction accumulation per monomial pair, keeping only
+    pairs whose weights p + q sum to at most ``max_weight`` when given."""
+    chart = a.chart
+    n = chart.n
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if max_weight is not None and sum(m1[n:]) + sum(m2[n:]) > \
+                    max_weight:
+                continue
+            sign, m = _mul_monomials(chart, m1, m2)
+            if sign:
+                out[m] = out.get(m, Fraction(0)) + sign * c1 * c2
+    return GradedPoly(chart, out)
+
+
+def fraction_partial(f, slot):
+    """Left derivative by the generator in ``slot``, one Fraction
+    accumulation per monomial."""
+    par = f.chart.gen_parities
+    out = {}
+    for m, c in f.terms.items():
+        e = m[slot]
+        if not e:
+            continue
+        crossings = par[slot] * sum(m[j] * par[j] for j in range(slot))
+        sign = -1 if crossings & 1 else 1
+        m2 = m[:slot] + (e - 1,) + m[slot + 1:]
+        out[m2] = out.get(m2, Fraction(0)) + sign * e * c
+    return GradedPoly(f.chart, out)
+
+
+def fraction_derive(f, images, max_weight=None):
+    """sum_s images[s] . partial_s(f) from the two oracles above, summed
+    one slot at a time."""
+    out = GradedPoly.zero(f.chart)
+    for slot, img in images.items():
+        out = out + fraction_mul(img, fraction_partial(f, slot), max_weight)
+    return out
 
 
 def brute_force_derivative(chart, f, slot, direction="left"):

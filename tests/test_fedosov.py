@@ -29,9 +29,10 @@ CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
 
 def dense_connection(n, weight, seed=11):
     """A random torsion-free connection (each admissible Christoffel slot
-    filled with probability 1/2) on n = 3 or 4 coordinates of degrees
-    (0, 1, 2) or (0, 0, 1, 2), at symmetric weight ``weight``."""
-    degrees = {3: (0, 1, 2), 4: (0, 0, 1, 2)}[n]
+    filled with probability 1/2) on n = 3, 4 or 5 coordinates of degrees
+    (0, 1, 2), (0, 0, 1, 2) or (0, 0, 1, 1, 2), at symmetric weight
+    ``weight``."""
+    degrees = {3: (0, 1, 2), 4: (0, 0, 1, 2), 5: (0, 0, 1, 1, 2)}[n]
     chart = Chart([("x%d" % (i + 1), d) for i, d in enumerate(degrees)],
                   Truncation(weight, 3, 6))
     return random_torsion_free_connection(random.Random(seed), chart)
@@ -275,6 +276,21 @@ def test_dense_solve_stays_fast():
     start = time.perf_counter()
     fd = FedosovData(conn, 5)
     assert time.perf_counter() - start < 15
+    assert any(fd.correction)
+    chart = conn.chart
+    for slot in range(2 * chart.n):  # D^2 on base and fiber generators
+        probe = GradedPoly.generator(chart, slot)
+        assert not fd.d_apply(fd.d_apply(probe))
+
+
+def test_dense_n5_solve_under_gate():
+    # dense n=5 table at weight 5: about 19 s with the Fraction pair loop,
+    # 3 to 4.5 s with the integer-numerator kernel (wall time, 2-vCPU
+    # shared VM); the gate is 10 s
+    conn = dense_connection(5, 5)
+    start = time.perf_counter()
+    fd = FedosovData(conn, 5)
+    assert time.perf_counter() - start < 10
     assert any(fd.correction)
     chart = conn.chart
     for slot in range(2 * chart.n):  # D^2 on base and fiber generators

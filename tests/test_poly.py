@@ -8,7 +8,9 @@ from jetexp.poly import (DegreeUndefinedError, GradedPoly, NotHomogeneousError,
                          monomial_parity, monomial_pq)
 from jetexp.randomgen import random_section
 
-from oracles import brute_force_derivative, derivation_apply
+from conftest import CHART_DEFS
+from oracles import (brute_force_derivative, derivation_apply,
+                     fraction_derive, fraction_mul, fraction_partial)
 
 
 @pytest.fixture
@@ -177,3 +179,48 @@ def test_weight_capped_products_match_projection(charts, rng, name):
                 assert a.times(b, w) == project_weight(full_product, w)
                 assert a.derive(table, max_weight=w) == \
                     project_weight(full_derive, w)
+
+
+def _random_poly(rng, chart, terms, max_factors):
+    # coefficients with denominators 1..7 and both signs; odd slots at
+    # most once per monomial
+    nslots = 3 * chart.n
+    out = {}
+    for _ in range(terms):
+        m = [0] * nslots
+        for s in rng.choices(range(nslots), k=rng.randint(0, max_factors)):
+            m[s] = 1 if chart.gen_parities[s] else m[s] + 1
+        out[tuple(m)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                 rng.randint(1, 7))
+    return GradedPoly(chart, out)
+
+
+@pytest.mark.parametrize("name", sorted(CHART_DEFS))
+def test_integer_kernel_matches_fraction_oracle(charts, rng, name):
+    # products at every cap, partials and derivations agree with the
+    # Fraction pair loop, also on values built from already-used ones
+    chart, _ = charts[name]
+    nslots = 3 * chart.n
+    top = chart.truncation.max_sym_weight + 1
+    for _ in range(6):
+        a = _random_poly(rng, chart, rng.randint(1, 8), 4)
+        b = _random_poly(rng, chart, rng.randint(1, 8), 4)
+        derived = [a * b, -a, a + b, a * Fraction(-3, 7),
+                   a.filter_terms(lambda m: sum(m[chart.n:]) <= 2)]
+        for left, right in [(a, b), (b, a), (a, a)] + \
+                [(d, b) for d in derived] + [(b, d) for d in derived]:
+            want = fraction_mul(left, right)
+            assert left * right == want
+            assert all(type(c) is Fraction for c in (left * right).terms
+                       .values())
+            for w in range(top + 1):
+                assert left.times(right, w) == fraction_mul(left, right, w)
+        for f in [a, b] + derived:
+            for s in range(nslots):
+                assert f.partial(s) == fraction_partial(f, s)
+        table = {s: _random_poly(rng, chart, 3, 2)
+                 for s in rng.sample(range(nslots), rng.randint(1, nslots))}
+        for w in [None] + list(range(top + 1)):
+            assert a.derive(table, w) == fraction_derive(a, table, w)
+    assert GradedPoly.constant(chart, Fraction(2, 3)) * a == \
+        fraction_mul(GradedPoly.constant(chart, Fraction(2, 3)), a)

@@ -114,3 +114,20 @@ def test_homotopy_check_fails_when_last_series_term_dropped(monkeypatch):
     statuses = perturbation_statuses()
     assert statuses["transferred-homotopy-matches"] == "FAIL"
     assert statuses["transferred-augmentation-matches"] == "PASS"
+
+
+def test_resolution_computes_each_augmentation_once(monkeypatch):
+    # the suite asks for the series augmentation of the same inputs in
+    # several checks; each distinct input is summed once, and the routes
+    # still agree
+    seen = []
+    real = jetexp.fedosov.FedosovData.tau_series
+
+    def counted(fd, f):
+        seen.append(f)
+        return real(fd, f)
+    monkeypatch.setattr(jetexp.fedosov.FedosovData, "tau_series", counted)
+    chart, conn = build_chart("plane_curved")
+    results = run_suite("resolution", chart, conn, seed=0, weight=3)
+    assert all(r.status == "PASS" for r in results)
+    assert seen and len(seen) == len(set(seen))
