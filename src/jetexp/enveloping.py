@@ -383,15 +383,6 @@ def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
     return out
 
 
-def sym_word_product(chart: Chart, slots: Sequence[int]) -> SymTensor:
-    """Canonical form of a symmetric word of coordinate derivations given
-    in left-to-right order."""
-    out = SymTensor.from_word(chart, (0,) * chart.n)
-    for slot in reversed(list(slots)):
-        out = out.mul_letter_left(slot)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Symmetrization
 

@@ -366,8 +366,23 @@ def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
 # the augmentation through the exponential map
 
 def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
-    """Augmentation as the exponential-twisted jet: sum over words I of
-    y^I / I! times the word image applied to the function."""
+    """Augmentation as the exponential-twisted jet: the sum over words I
+    of y^I / I! times v_I, the word image exp(d^I) applied to ``f``.
+
+    The v_I come from the averaged recursion of the exponential map
+    evaluated on values instead of operators: v_0 = f and
+
+        v_I = 1/|I| * sum_{s : I_s > 0} eps_s * I_s *
+              ( d_s v_{I - e_s} - sum_J c_J v_J ),
+
+    with eps_s the sign of the word recursion (see ``jetexp.pbw``) and
+    sum_J c_J d^J = cov(d_s, word of I - e_s) the context's memoized
+    replacement, whose words have weight |I| - 1.  The map is left
+    linear over base functions, so exp(c_J d^J)(f) = c_J v_J.  The v_I
+    are filled iteratively in ascending weight, so every v_J is known
+    when it is needed: no operator is built, and the depth of the
+    computation does not grow with the weight.
+    """
     chart = ctx.chart
     if not f.is_base_only():
         raise ValueError("augmentation argument must be a base function")
@@ -375,16 +390,36 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
     if weight > ctx.max_weight:
         raise TruncationOverflowError(
             "weight %d exceeds context cap %d" % (weight, ctx.max_weight))
+    n = chart.n
+    pars = [chart.coordinate_parity(s) for s in range(n)]
+    values: Dict[Tuple[int, ...], GradedPoly] = {}
     out = GradedPoly.zero(chart)
-    for index in mi_all_up_to(chart.n, weight):
-        if any(e > 1 and chart.coordinate_parity(s)
-               for s, e in enumerate(index)):
+    for index in mi_all_up_to(n, weight):
+        if any(e > 1 and pars[s] for s, e in enumerate(index)):
             continue
-        val = ctx.word_image(index).apply(f)
-        if not val:
-            continue
-        y_mono = GradedPoly(chart,
-                            {(0,) * chart.n + index + (0,) * chart.n:
-                             Fraction(1, mi_factorial(index))})
-        out = out + y_mono * val
+        m = sum(index)
+        if not m:
+            val = f
+        else:
+            acc = GradedPoly.zero(chart)
+            odd_before = 0
+            for slot in range(n - 1, -1, -1):
+                mult = index[slot]
+                if not mult:
+                    continue
+                rest = index[:slot] + (mult - 1,) + index[slot + 1:]
+                term = values[rest].partial(slot)
+                if m > 1:  # cov(d_s, 1) = 0
+                    for word, coeff in ctx.replacement(slot,
+                                                       rest).terms.items():
+                        term = term - coeff * values[word]
+                sign = -1 if pars[slot] and odd_before & 1 else 1
+                odd_before += pars[slot]
+                acc = acc + term * (sign * mult)
+            val = acc * Fraction(1, m)
+        values[index] = val
+        if val:
+            y_mono = GradedPoly(chart, {(0,) * n + index + (0,) * n:
+                                        Fraction(1, mi_factorial(index))})
+            out = out + y_mono * val
     return out

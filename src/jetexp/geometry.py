@@ -281,44 +281,88 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
     coefficients it acts as the plain derivation with the matching
     Leibniz sign.  Only even letters repeat, and replacing any copy of
     one gives the same symmetric word, so each block of equal letters is
-    replaced once and scaled by its multiplicity.  Three signs are
-    tracked per replacement: the Leibniz crossing over the coefficient,
-    the direction crossing the leading letters, and the replacement
-    field's own coefficient moving back out to the far left.
+    replaced once and scaled by its multiplicity.  Replacing a letter of
+    the word I by d_k gives the word I - e_slot + e_k by index
+    arithmetic: an odd d_k dies on a word that already holds it, and
+    otherwise moves to its place past the odd letters strictly between
+    the two slots.  Three more signs are tracked per replacement: the
+    Leibniz crossing over the coefficient, the direction crossing the
+    leading letters, and the replacement field's own coefficient moving
+    back out to the far left.  Only parities enter the signs, so
+    coefficients are split by parity, not by degree.
     """
-    from .enveloping import sym_word_product, word_letters
-
     chart = same_chart(conn, x, tensor)
-    out = SymTensor.zero(chart)
-    for dx, xh in x.homogeneous_components().items():
-        xpar = dx & 1
+    n = chart.n
+    pars = [chart.coordinate_parity(s) for s in range(n)]
+    gamma = conn.gamma
+    out: Dict[Tuple[int, ...], GradedPoly] = {}
+
+    def add(index, val):
+        cur = out.get(index)
+        out[index] = val if cur is None else cur + val
+
+    for index, coeff in tensor.terms.items():
+        dcoeff = x.apply(coeff)
+        if dcoeff:
+            add(index, dcoeff)
+    # the direction split by parity: its components' parts of parity
+    # p + |x_i| (a coordinate derivation has the parity of its coordinate)
+    xparts: Dict[int, list] = {}
+    for i, comp in enumerate(x.components):
+        for p, part in _parity_parts(comp):
+            xparts.setdefault(p ^ pars[i], [None] * n)[i] = part
+    for xpar, comps in sorted(xparts.items()):
+        fields: Dict[int, list] = {}  # slot -> [(k, parity parts of r_k)]
         for index, coeff in tensor.terms.items():
-            dcoeff = xh.apply(coeff)
-            if dcoeff:
-                out = out + SymTensor(chart, {index: dcoeff})
-            letters = word_letters(index)
-            cparts = coeff.homogeneous_components()
-            start = pre_par = 0  # position and parity of the block's lead
-            for slot in range(chart.n - 1, -1, -1):
+            cparts = _parity_parts(coeff)
+            pre_par = 0  # parity of the letters before the block
+            for slot in range(n - 1, -1, -1):
                 mult = index[slot]
                 if not mult:
                     continue
-                repl = VectorField.zero(chart)
-                for i, xi in enumerate(xh.components):
-                    if xi:
-                        repl = repl + conn.christoffel_field(i, slot).scale(xi)
-                for k, rk in enumerate(repl.components):
-                    if not rk:
-                        continue
-                    word = sym_word_product(
-                        chart, letters[:start] + [k] + letters[start + 1:])
-                    for cdeg, cpart in cparts.items():
-                        leibniz = bool(xpar and (cdeg & 1))
-                        lead_flip = leibniz ^ bool(xpar and pre_par)
-                        for rdeg, rpart in rk.homogeneous_components().items():
-                            flip = lead_flip ^ bool((rdeg & 1) and pre_par)
-                            base = word.scale(cpart * rpart * mult)
-                            out = out + (-base if flip else base)
-                start += mult
-                pre_par ^= mult * chart.coordinate_parity(slot) & 1
+                if slot not in fields:
+                    fields[slot] = _replacement_field(comps, gamma, slot)
+                for k, rparts in fields[slot]:
+                    if pars[k] and index[k] and k != slot:
+                        continue  # an odd letter repeated
+                    lo, hi = (k, slot) if k < slot else (slot, k)
+                    wflip = pars[k] and sum(
+                        index[u] for u in range(lo + 1, hi) if pars[u]) & 1
+                    word = tuple(e - (s == slot) + (s == k)
+                                 for s, e in enumerate(index))
+                    for cpar, cpart in cparts:
+                        lead_flip = wflip ^ (xpar & (cpar ^ pre_par))
+                        for rpar, rpart in rparts:
+                            flip = lead_flip ^ (rpar & pre_par)
+                            add(word, cpart * rpart * (-mult if flip
+                                                       else mult))
+                pre_par ^= mult * pars[slot] & 1
+    return SymTensor.zero(chart)._wrap(out)
+
+
+def _replacement_field(comps, gamma, slot: int):
+    """The components r_k = sum_i comps[i] . Gamma(i, slot, k) of the
+    covariant derivative of d_slot along the field, as (k, parity parts)
+    for the nonzero ones."""
+    out = []
+    for k in range(len(comps)):
+        rk = None
+        for i, xi in enumerate(comps):
+            gam = gamma.get((i, slot, k))
+            if xi and gam is not None:
+                val = xi * gam
+                rk = val if rk is None else rk + val
+        if rk:
+            out.append((k, _parity_parts(rk)))
     return out
+
+
+def _parity_parts(f: GradedPoly):
+    """(parity, part) for the nonzero even and odd parts of ``f``."""
+    odd = f.chart.odd_slots
+    if not odd:
+        return [(0, f)] if f else []
+    parts: Dict[int, dict] = {}
+    for m, c in f.terms.items():
+        parts.setdefault(sum([m[s] for s in odd]) & 1, {})[m] = c
+    return [(p, f._wrap(t)) for p, t in sorted(parts.items())]

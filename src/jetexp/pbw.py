@@ -22,11 +22,15 @@ precede it (the slots above s).  The inverse peels symbols: the top-order part o
 operator is reinterpreted as a word, its image subtracted, and the
 remainder (one order lower, because symbols match exactly) recursed on.
 
-A context carries the memo table from basis word to operator; the memo
-is the only mutable state.  A missing word is computed outside the lock
-and stored under it, and the first value stored wins, so contexts can be
-shared across worker threads (two threads may compute the same word, but
-both get the same stored operator).
+A context carries two memo tables, the only mutable state: basis word
+to operator, and (slot s, word of J) to the replacement tensor
+cov(d_s, word of J) that the recursion subtracts for the word J + e_s.
+The replacements are shared by the word images and by the augmentation
+route ``fedosov.tau_pbw``, which runs the same recursion on values.  A
+missing entry of either table is computed outside the lock and stored
+under it, and the first value stored wins, so contexts can be shared
+across worker threads (two threads may compute the same entry, but both
+get the same stored value).
 
 Weight bookkeeping: a context created with the chart's default cap can
 serve the map and its inverse up to weight Q.  Transporting the module
@@ -51,8 +55,8 @@ from .poly import GradedPoly
 
 
 class PbwContext:
-    """Chart + connection + memoized basis-word images (first value
-    stored wins; see the module docstring)."""
+    """Chart + connection + memoized basis-word images and replacement
+    tensors (first value stored wins; see the module docstring)."""
 
     def __init__(self, chart: Chart, conn: Connection, max_weight: int = None):
         if conn.chart != chart:
@@ -62,6 +66,7 @@ class PbwContext:
         self.max_weight = (chart.truncation.max_sym_weight
                            if max_weight is None else int(max_weight))
         self._memo: Dict[Tuple[int, ...], DiffOp] = {}
+        self._replacements: Dict[Tuple[int, Tuple[int, ...]], SymTensor] = {}
         self._lock = threading.Lock()
 
     # -- basis words ---------------------------------------------------------
@@ -74,6 +79,20 @@ class PbwContext:
         value = self._compute_word(index)
         with self._lock:
             return self._memo.setdefault(index, value)
+
+    def replacement(self, slot: int, index) -> SymTensor:
+        """cov(d_slot, word of ``index``), the tensor the recursion
+        subtracts for the word index + e_slot (memoized like the word
+        images)."""
+        key = (slot, tuple(index))
+        hit = self._replacements.get(key)
+        if hit is not None:
+            return hit
+        chart = self.chart
+        value = nabla_sym(self.conn, VectorField.coordinate(chart, slot),
+                          SymTensor.from_word(chart, key[1]))
+        with self._lock:
+            return self._replacements.setdefault(key, value)
 
     def _compute_word(self, index) -> DiffOp:
         chart = self.chart
@@ -92,9 +111,8 @@ class PbwContext:
             rest_index = tuple(e - u for e, u in zip(index, unit))
             left = DiffOp.from_word(chart, unit).compose(
                 self.word_image(rest_index))
-            inner = nabla_sym(self.conn, VectorField.coordinate(chart, slot),
-                              SymTensor.from_word(chart, rest_index))
-            term = left - self.map(inner, _internal=True)
+            term = left - self.map(self.replacement(slot, rest_index),
+                                   _internal=True)
             par = chart.coordinate_parity(slot)
             sign = -1 if par and odd_before & 1 else 1
             odd_before += par

@@ -24,6 +24,8 @@ CHART_DEFS = {
     "three_degrees": ([("x", 0), ("t", 1), ("z", 2)], (4, 4, 6),
                       {(0, 0, 1): "t", (0, 0, 2): "z", (0, 1, 2): "t",
                        (1, 0, 2): "t"}),
+    "odd_first": ([("t1", 1), ("t2", 1), ("x", 0)], (4, 4, 6),
+                  {(2, 2, 0): "t2"}),
 }
 
 VAVIN_CHARTS = ("line_curved", "plane_curved", "mixed", "two_odd", "deg2")

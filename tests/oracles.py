@@ -7,9 +7,11 @@ inversion instead of series summation, a plain fixed-point iteration of
 full products instead of the weight-layered correction solve, one
 recursion term or replacement per letter of a word instead of one per
 block of equal letters, a ``Fraction`` pair loop with per-pair inversion
-counting instead of the integer-numerator bitmask kernel) so frozen
-expectations in the tests do not share code with the implementation they
-check.
+counting instead of the integer-numerator bitmask kernel, operator word
+images applied to a function instead of the recursion evaluated on
+values, a symmetric word built letter by letter instead of by index
+arithmetic) so frozen expectations in the tests do not share code with
+the implementation they check.
 """
 
 from fractions import Fraction
@@ -238,7 +240,7 @@ def per_position_nabla_sym(conn, x, tensor):
     position of each word on its own, with the Christoffel field rebuilt
     per position.  (The library replaces each block of equal letters once
     and scales by its multiplicity.)"""
-    from jetexp.enveloping import SymTensor, sym_word_product, word_letters
+    from jetexp.enveloping import SymTensor, word_letters
     from jetexp.geometry import VectorField
 
     chart = conn.chart
@@ -274,6 +276,39 @@ def per_position_nabla_sym(conn, x, tensor):
                             base = sym_word_product(chart, word).scale(
                                 cpart * rpart)
                             out = out + (-base if flip else base)
+    return out
+
+
+def sym_word_product(chart, slots):
+    """Canonical form of a symmetric word of coordinate derivations given
+    in left-to-right order, one letter at a time from the right."""
+    from jetexp.enveloping import SymTensor
+
+    out = SymTensor.from_word(chart, (0,) * chart.n)
+    for slot in reversed(list(slots)):
+        out = out.mul_letter_left(slot)
+    return out
+
+
+def tau_by_word_images(ctx, f, weight):
+    """The augmentation as sum_I y^I / I! times the operator
+    ``ctx.word_image(I)`` applied to ``f``.  (The library evaluates the
+    recursion on values and builds no operator.)"""
+    from jetexp.chart import mi_all_up_to, mi_factorial
+
+    chart = ctx.chart
+    out = GradedPoly.zero(chart)
+    for index in mi_all_up_to(chart.n, weight):
+        if any(e > 1 and chart.coordinate_parity(s)
+               for s, e in enumerate(index)):
+            continue
+        val = ctx.word_image(index).apply(f)
+        if not val:
+            continue
+        y_mono = GradedPoly(chart,
+                            {(0,) * chart.n + index + (0,) * chart.n:
+                             Fraction(1, mi_factorial(index))})
+        out = out + y_mono * val
     return out
 
 

@@ -8,7 +8,7 @@ from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weigh
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                                comult_env, comult_sym, counit, diffop_compose,
                                pairing, sym_map, sym_mul_vf, sym_word,
-                               sym_word_product, tensor_push_left,
+                               tensor_push_left,
                                tensor_square_left_mult_vf, TensorSquare,
                                word_letters)
 from jetexp.geometry import VectorField
@@ -17,7 +17,7 @@ from jetexp.randomgen import (random_base_poly, random_symtensor,
                               random_vector_field)
 
 from conftest import build_chart
-from oracles import per_letter_compose, shuffle_pairing
+from oracles import per_letter_compose, shuffle_pairing, sym_word_product
 
 
 @pytest.fixture

@@ -21,8 +21,9 @@ from jetexp.poly import GradedPoly, monomial_pq
 from jetexp.randomgen import (random_base_poly, random_section,
                               random_torsion_free_connection)
 
-from conftest import build_chart
-from oracles import derivation_apply, fixed_point_correction
+from conftest import TORSION_FREE_CHARTS, build_chart
+from oracles import (derivation_apply, fixed_point_correction,
+                     tau_by_word_images)
 
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
 
@@ -383,6 +384,37 @@ def test_augmentation_properties(charts, contexts, rng):
             h = random_base_poly(rng, chart, 2, 3)
             assert project_weight(tf * fd.tau_series(h), weight) == \
                 fd.tau_series(f * h)
+
+
+def _functions_with_odd_parts(rng, chart, count):
+    # seeded base functions; on a chart with odd coordinates every odd
+    # coordinate also appears as a factor of one of the terms
+    odd = [g(chart, s) for s in range(chart.n) if chart.coordinate_parity(s)]
+    out = []
+    for _ in range(count):
+        f = random_base_poly(rng, chart, 3, 4)
+        for t in odd:
+            f = f + t * random_base_poly(rng, chart, 2, 2)
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS + ("plane_torsion",))
+def test_tau_pbw_matches_word_image_oracle(name, charts, rng):
+    # the recursion evaluated on values against the operator word images
+    # applied to the function, at every weight; plane_torsion is the
+    # shipped torsionful chart
+    if name == "plane_torsion":
+        chart, conn = load_chart_file(os.path.join(CHART_DIR,
+                                                   "plane_torsion.chart"))
+    else:
+        chart, conn = charts[name]
+    top = chart.truncation.max_sym_weight
+    ctx = PbwContext(chart, conn, max_weight=top)
+    for weight in range(1, top + 1):
+        for f in _functions_with_odd_parts(rng, chart, 3):
+            assert tau_pbw(ctx, f, weight) == \
+                tau_by_word_images(ctx, f, weight)
 
 
 def test_homotopy_identities(charts, rng):

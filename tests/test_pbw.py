@@ -351,26 +351,47 @@ def test_theta_cyclic_sum_vanishes(charts, contexts, rng):
 
 
 def test_context_memo_is_shareable_across_threads():
+    # both memo tables (word images, and the replacements that tau_pbw
+    # shares with them) under several threads on one context
+    import sys
     import threading
 
+    from jetexp.fedosov import tau_pbw
+
     chart, conn = build_chart("plane_curved")
-    words = [i for i in __import__("jetexp.chart", fromlist=["mi_all_up_to"])
-             .mi_all_up_to(chart.n, 5)]
+    words = list(mi_all_up_to(chart.n, 5))
+    x1, x2 = (GradedPoly.generator(chart, s) for s in range(2))
+    funcs = [x1 * x1 * x1, x1 * x2 * x2]
     reference = {i: PbwContext(chart, conn, max_weight=6).word_image(i)
                  for i in words}
+    ref_tau = [tau_pbw(PbwContext(chart, conn, max_weight=6), f, 5)
+               for f in funcs]
     shared = PbwContext(chart, conn, max_weight=6)
     failures = []
 
-    def worker():
+    def worker(k):
+        for j, f in enumerate(funcs):
+            if k % 2 and tau_pbw(shared, f, 5) != ref_tau[j]:
+                failures.append(f)
         for i in words:
             if shared.word_image(i) != reference[i]:
                 failures.append(i)
+        for j, f in enumerate(funcs):
+            if tau_pbw(shared, f, 5) != ref_tau[j]:
+                failures.append(f)
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not failures
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 import jetexp.fedosov
+import jetexp.pbw
 import jetexp.verify
 from jetexp.chart import Chart, Truncation
 from jetexp.geometry import Connection
@@ -128,6 +129,23 @@ def test_resolution_computes_each_augmentation_once(monkeypatch):
         return real(fd, f)
     monkeypatch.setattr(jetexp.fedosov.FedosovData, "tau_series", counted)
     chart, conn = build_chart("plane_curved")
+    results = run_suite("resolution", chart, conn, seed=0, weight=3)
+    assert all(r.status == "PASS" for r in results)
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_resolution_forms_each_replacement_once(monkeypatch):
+    # the suite calls tau_pbw on one context for every input; the
+    # replacement cov(d_s, word) of each (slot, word) is formed once and
+    # shared through the context's memo
+    seen = []
+    real = jetexp.pbw.nabla_sym
+
+    def counted(conn, x, tensor):
+        seen.append((x.components, frozenset(tensor.terms.items())))
+        return real(conn, x, tensor)
+    monkeypatch.setattr(jetexp.pbw, "nabla_sym", counted)
+    chart, conn = build_chart("mixed")
     results = run_suite("resolution", chart, conn, seed=0, weight=3)
     assert all(r.status == "PASS" for r in results)
     assert seen and len(seen) == len(set(seen))
