@@ -121,8 +121,14 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
 
 
 def load_chart_file(path: str) -> Tuple[Chart, Connection]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_chart_file(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChartFileError("byte 0x%02x is not UTF-8 text" % data[exc.start],
+                             data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_chart_file(text)
 
 
 def format_chart_file(chart: Chart, conn: Connection) -> str:

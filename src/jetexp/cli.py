@@ -19,6 +19,7 @@ deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .chartfile import ChartFileError, load_chart_file
@@ -206,9 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of ``main`` and then reused:
+    parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
     except _Failure as exc:

@@ -179,8 +179,8 @@ class _IndexedSum:
             if not factor.is_base_only():
                 raise ValueError("left factor must be a base function")
             return self._wrap({i: factor * c for i, c in self.terms.items()})
-        return self._wrap({i: c * Fraction(factor)
-                           for i, c in self.terms.items()})
+        factor = Fraction(factor)
+        return self._wrap({i: c * factor for i, c in self.terms.items()})
 
     def max_word_weight(self) -> int:
         return max((mi_weight(i) for i in self.terms), default=0)
@@ -586,7 +586,7 @@ def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
     chart = same_chart(tensor, sigma)
     n = chart.n
     out = GradedPoly.zero(chart)
-    for m, c in sigma.terms.items():
+    for m, v in sigma.nums.items():
         if any(m[2 * n:]):
             raise ValueError("pairing argument must be free of form "
                              "generators")
@@ -599,6 +599,6 @@ def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
                           for s, e in enumerate(m[:n])) & 1
         word_parity = word_degree(chart, fiber) & 1
         sign = -1 if base_parity and word_parity else 1
-        out = out + coeff * GradedPoly(
-            chart, {base_monomial: c * mi_factorial(fiber) * sign})
+        out = out + coeff * GradedPoly._of(
+            chart, {base_monomial: v * mi_factorial(fiber) * sign}, sigma.den)
     return out

@@ -34,6 +34,7 @@ sign rule:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .chart import Chart, mi_all_up_to, mi_factorial
@@ -57,7 +58,7 @@ def check_section_bounds(f: GradedPoly):
     """Validate a parsed section against the chart truncation box."""
     chart = f.chart
     q_cap, p_cap, b_cap = chart.truncation
-    for m in f.terms:
+    for m in f.nums:
         p, q = monomial_pq(chart, m)
         if p > p_cap:
             raise TruncationOverflowError("form degree %d exceeds P=%d"
@@ -90,8 +91,11 @@ def delta_inv_op(f: GradedPoly) -> GradedPoly:
     raised = f.derive({chart.dx_slot(i): GradedPoly.generator(chart,
                                                               chart.y_slot(i))
                        for i in range(chart.n)})
-    return raised._wrap({m: c / monomial_weight(chart, m)
-                         for m, c in raised.terms.items()})
+    weights = {m: monomial_weight(chart, m) for m in raised.nums}
+    top = lcm(*weights.values())
+    return GradedPoly._of(chart, {m: v * (top // weights[m])
+                                  for m, v in raised.nums.items()},
+                          raised.den * top)
 
 
 def sigma_aug(f: GradedPoly) -> GradedPoly:
@@ -354,7 +358,7 @@ def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
     for k, comp in enumerate(comps):
         if delta_inv_op(comp):
             raise FlatStructureError("correction is not raising-normalized")
-        for m in comp.terms:
+        for m in comp.nums:
             if monomial_pq(chart, m)[1] < 2:
                 raise FlatStructureError("correction has fiber weight < 2")
         if comp and comp.degree() != 1 + chart.coordinate_degree(k):
@@ -419,7 +423,7 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
             val = acc * Fraction(1, m)
         values[index] = val
         if val:
-            y_mono = GradedPoly(chart, {(0,) * n + index + (0,) * n:
-                                        Fraction(1, mi_factorial(index))})
+            y_mono = GradedPoly._of(chart, {(0,) * n + index + (0,) * n: 1},
+                                    mi_factorial(index))
             out = out + y_mono * val
     return out

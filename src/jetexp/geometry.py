@@ -360,9 +360,4 @@ def _replacement_field(comps, gamma, slot: int):
 def _parity_parts(f: GradedPoly):
     """(parity, part) for the nonzero even and odd parts of ``f``."""
     odd = f.chart.odd_slots
-    if not odd:
-        return [(0, f)] if f else []
-    parts: Dict[int, dict] = {}
-    for m, c in f.terms.items():
-        parts.setdefault(sum([m[s] for s in odd]) & 1, {})[m] = c
-    return [(p, f._wrap(t)) for p, t in sorted(parts.items())]
+    return list(f._split(lambda m: sum([m[s] for s in odd]) & 1).items())

@@ -226,10 +226,9 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
                 continue
             sign = -1 if ((word_degree(chart, index) & 1)
                           and chart.coordinate_parity(i)) else 1
-            y_mono = GradedPoly(
-                chart,
-                {(0,) * chart.n + index + (0,) * chart.n:
-                 Fraction(sign, mi_factorial(index))})
+            y_mono = GradedPoly._of(
+                chart, {(0,) * chart.n + index + (0,) * chart.n: sign},
+                mi_factorial(index))
             for k in range(chart.n):
                 yk = GradedPoly.generator(chart, chart.y_slot(k))
                 coeff = pairing(theta, yk)

@@ -1,9 +1,9 @@
 """Exact graded-commutative polynomials over a chart's generators.
 
 A monomial is an exponent tuple over the chart's 3n generator slots in
-canonical order; a polynomial is a finite map monomial -> nonzero
-Fraction.  Products reorder via Koszul transpositions: swapping two odd
-generators costs a sign, a repeated odd generator kills the term.
+canonical order.  Products reorder via Koszul transpositions: swapping
+two odd generators costs a sign, a repeated odd generator kills the
+term.
 
 The partial derivative here is the *left* derivative: the generator is
 pulled out of the front of the monomial, so
@@ -18,26 +18,35 @@ convention.
 parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
 
-Arithmetic kernel.  ``terms`` holds ``Fraction`` values, but products
-and derivations run on Python integers.  Each polynomial lazily builds,
-at most once, an integer form: the lcm D of its coefficient
-denominators and, per weight p + q, rows of (monomial, odd-slot bitmask,
-parity mask of the odd slots above each slot, integer numerator c*D).
-A product multiplies numerators over Da*Db (a sum of products over the
-lcm of those), accumulates plain ints per output monomial and builds one
-``Fraction`` per nonzero output term.  Intersecting odd masks kill a
-pair; otherwise its Koszul sign is the parity of the odd slots of the
+Stored form.  A polynomial stores integers: a positive ``den`` and a
+dict ``nums`` from monomial to nonzero numerator, the coefficient of m
+being nums[m] / den.  The form is canonical, gcd(den, every numerator)
+= 1 (the zero polynomial has den 1), so equality and hashing compare
+(den, nums) directly.  Every operation computes numerators over one
+denominator and ends in the one internal constructor ``_of``, which
+reduces them with a single gcd: sums over the lcm of the denominators,
+scalars by scaling (an int leaves the denominator alone), partials over
+the operand's own denominator.  ``terms``, monomial -> ``Fraction``, is
+a view for readers outside the arithmetic, built on first read and
+cached.
+
+Product kernel.  Each polynomial lazily builds, at most once, its rows:
+per weight p + q, ascending, (monomial, odd-slot bitmask, parity mask of
+the odd slots above each slot, numerator).  A product multiplies
+numerators over Da*Db (a sum of products over the lcm of those) and
+accumulates plain ints per output monomial.  Intersecting odd masks kill
+a pair; otherwise its Koszul sign is the parity of the odd slots of the
 left monomial above the odd slots of the right one.
 
 Values are immutable after construction and all operations are pure, so
-the cached integer form never goes stale and sharing across threads
-needs no synchronization (two threads may both build the same form).
+the cached view and rows never go stale and sharing across threads
+needs no synchronization (two threads may both build the same cache).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Dict, Mapping, Tuple
 
@@ -83,11 +92,9 @@ def monomial_base_degree(chart: Chart, m: Monomial) -> int:
 
 
 class GradedPoly:
-    __slots__ = ("chart", "terms", "_ints")
+    __slots__ = ("chart", "den", "nums", "_terms", "_rows")
 
     def __init__(self, chart: Chart, terms: Dict[Monomial, Fraction] = None):
-        self.chart = chart
-        self._ints = None
         clean: Dict[Monomial, Fraction] = {}
         if terms:
             nslots = 3 * chart.n
@@ -109,67 +116,126 @@ class GradedPoly:
                         del clean[m]
                         continue
                 clean[m] = c
-        self.terms = clean
+        # reduced Fractions over the lcm of their denominators: gcd 1
+        den = lcm(*[c.denominator for c in clean.values()])
+        self.chart = chart
+        self.den = den
+        self.nums = {m: c.numerator * (den // c.denominator)
+                     for m, c in clean.items()}
+        self._terms = self._rows = None
+
+    @staticmethod
+    def _of(chart: Chart, nums: Dict[Monomial, int],
+            den: int = 1) -> "GradedPoly":
+        """The trusted constructor: sum_m nums[m]/den * m from nonzero
+        int numerators over a positive int ``den``, reduced by one gcd."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: v // g for m, v in nums.items()}
+        p = GradedPoly.__new__(GradedPoly)
+        p.chart = chart
+        p.den = den
+        p.nums = nums
+        p._terms = p._rows = None
+        return p
+
+    @property
+    def terms(self) -> Dict[Monomial, Fraction]:
+        """monomial -> Fraction coefficient, built on first read."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            terms = self._terms = {m: Fraction(v, den)
+                                   for m, v in self.nums.items()}
+        return terms
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls, chart: Chart) -> "GradedPoly":
-        return cls(chart)
+        return cls._of(chart, {})
 
     @classmethod
     def constant(cls, chart: Chart, c) -> "GradedPoly":
         c = Fraction(c)
-        return cls(chart)._wrap({(0,) * (3 * chart.n): c} if c else {})
+        return cls._of(chart, {(0,) * (3 * chart.n): c.numerator} if c else {},
+                       c.denominator)
 
     @classmethod
     def generator(cls, chart: Chart, slot: int, exp: int = 1) -> "GradedPoly":
         m = tuple(exp if s == slot else 0 for s in range(3 * chart.n))
-        return cls(chart, {m: Fraction(1)})
+        # a first power needs none of the checks of the public constructor
+        return cls._of(chart, {m: 1}) if exp == 1 else cls(chart, {m: 1})
 
     # -- ring structure ----------------------------------------------------
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (self.chart == other.chart and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        same_chart(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                c += out[m]
-                if not c:
-                    del out[m]
-                    continue
-            out[m] = c
-        return self._wrap(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        return self._plus(other, -1)
+
+    def _plus(self, other: "GradedPoly", sign: int) -> "GradedPoly":
+        """self + sign * other, over the lcm of the two denominators."""
+        same_chart(self, other)
+        if not other.nums:  # values are immutable: share the operand
+            return self
+        if not self.nums:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        scale_a, scale_b = den // da, sign * (den // db)
+        out = dict(self.nums) if scale_a == 1 else \
+            {m: v * scale_a for m, v in self.nums.items()}
+        get = out.get
+        for m, v in other.nums.items():
+            v = get(m, 0) + v * scale_b
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return GradedPoly._of(self.chart, out, den)
 
     def __neg__(self):
-        return self._wrap({m: -c for m, c in self.terms.items()})
+        return GradedPoly._of(self.chart,
+                              {m: -v for m, v in self.nums.items()}, self.den)
 
     def __mul__(self, other, max_weight: int = None):
         """Product with a scalar or a polynomial.  With ``max_weight``
         (called as ``times``), only monomial pairs whose weights p + q
         sum to at most ``max_weight`` are formed: the result is the full
         product projected to that weight."""
-        if not isinstance(other, GradedPoly):
+        if isinstance(other, GradedPoly):
+            same_chart(self, other)
+            return _sum_of_products(self.chart, ((self, other),), max_weight)
+        if type(other) is int:
+            num, den = other, 1
+        else:
             c = Fraction(other)
-            if not c:
-                return GradedPoly.zero(self.chart)
-            return self._wrap({m: c * v for m, v in self.terms.items()})
-        same_chart(self, other)
-        return self._wrap(_sum_of_products(((self, other),), max_weight))
+            num, den = c.numerator, c.denominator
+        if not num:
+            return GradedPoly.zero(self.chart)
+        if num == den:  # times 1
+            return self
+        return GradedPoly._of(self.chart,
+                              {m: v * num for m, v in self.nums.items()},
+                              self.den * den)
 
     times = __mul__  # a.times(b, max_weight): the weight-capped product
 
@@ -184,35 +250,25 @@ class GradedPoly:
             out = out * self
         return out
 
-    def _wrap(self, terms: Dict[Monomial, Fraction]) -> "GradedPoly":
-        p = GradedPoly.__new__(GradedPoly)
-        p.chart = self.chart
-        p.terms = terms
-        p._ints = None
-        return p
-
-    def _integer_form(self):
-        """(D, layers), built once: D is the lcm of the coefficient
-        denominators; ``layers`` maps each weight p + q, ascending, to
-        rows (monomial, odd mask, above mask, numerator c*D), where bit s
-        of the above mask is the parity of the odd slots of the monomial
-        above slot s."""
-        form = self._ints
-        if form is None:
+    def _layout(self) -> list:
+        """The rows of the product kernel, built once: (weight p + q,
+        rows (monomial, odd mask, above mask, numerator)) ascending,
+        where bit s of the above mask is the parity of the odd slots of
+        the monomial above slot s."""
+        rows = self._rows
+        if rows is None:
             n = self.chart.n
             odd = self.chart.odd_slots
-            den = lcm(*[c.denominator for c in self.terms.values()])
             layers: Dict[int, list] = {}
-            for m, c in self.terms.items():
+            for m, v in self.nums.items():
                 mask = above = 0
                 for s in odd:
                     if m[s]:
                         mask |= 1 << s
                         above ^= (1 << s) - 1
-                layers.setdefault(sum(m[n:]), []).append(
-                    (m, mask, above, c.numerator * (den // c.denominator)))
-            form = self._ints = (den, dict(sorted(layers.items())))
-        return form
+                layers.setdefault(sum(m[n:]), []).append((m, mask, above, v))
+            rows = self._rows = sorted(layers.items())
+        return rows
 
     # -- graded structure ---------------------------------------------------
     def partial(self, slot: int) -> "GradedPoly":
@@ -221,16 +277,16 @@ class GradedPoly:
             raise ValueError("generator slot out of range")
         odd_below = [j for j in self.chart.odd_slots if j < slot] \
             if self.chart.gen_parities[slot] else ()
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        out: Dict[Monomial, int] = {}
+        for m, v in self.nums.items():
             e = m[slot]
             if not e:
                 continue
             if odd_below and sum([m[j] for j in odd_below]) & 1:
-                c = -c
+                v = -v
             # distinct monomials have distinct derivatives: no accumulation
-            out[m[:slot] + (e - 1,) + m[slot + 1:]] = c if e == 1 else c * e
-        return self._wrap(out)
+            out[m[:slot] + (e - 1,) + m[slot + 1:]] = v if e == 1 else v * e
+        return GradedPoly._of(self.chart, out, self.den)
 
     def derive(self, images: Mapping[int, "GradedPoly"],
                max_weight: int = None) -> "GradedPoly":
@@ -245,23 +301,29 @@ class GradedPoly:
                 d = self.partial(slot)
                 if d:
                     pairs.append((img, d))
-        return self._wrap(_sum_of_products(pairs, max_weight))
+        return _sum_of_products(self.chart, pairs, max_weight)
+
+    def _split(self, key: Callable[[Monomial], int]) -> Dict[int, "GradedPoly"]:
+        """The nonzero parts of fixed ``key(monomial)``, keyed ascending."""
+        buckets: Dict[int, Dict[Monomial, int]] = {}
+        for m, v in self.nums.items():
+            buckets.setdefault(key(m), {})[m] = v
+        if len(buckets) == 1:
+            return {k: self for k in buckets}
+        return {k: GradedPoly._of(self.chart, b, self.den)
+                for k, b in sorted(buckets.items())}
 
     def homogeneous_components(self) -> Dict[int, "GradedPoly"]:
-        buckets: Dict[int, Dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(monomial_degree(self.chart, m), {})[m] = c
-        return {d: self._wrap(t) for d, t in sorted(buckets.items())}
+        chart = self.chart
+        return self._split(lambda m: monomial_degree(chart, m))
 
     def weight_layers(self) -> Dict[int, "GradedPoly"]:
         """The parts of fixed weight p + q, keyed by weight."""
-        buckets: Dict[int, Dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(monomial_weight(self.chart, m), {})[m] = c
-        return {w: self._wrap(t) for w, t in sorted(buckets.items())}
+        n = self.chart.n
+        return self._split(lambda m: sum(m[n:]))
 
     def degree(self) -> int:
-        degs = {monomial_degree(self.chart, m) for m in self.terms}
+        degs = {monomial_degree(self.chart, m) for m in self.nums}
         if not degs:
             raise DegreeUndefinedError("zero polynomial has no degree")
         if len(degs) > 1:
@@ -269,41 +331,42 @@ class GradedPoly:
         return degs.pop()
 
     def parity(self) -> int:
-        pars = {monomial_parity(self.chart, m) for m in self.terms}
+        pars = {monomial_parity(self.chart, m) for m in self.nums}
         if len(pars) != 1:
             raise NotHomogeneousError(pars)
         return pars.pop()
 
     # -- views ---------------------------------------------------------------
     def filter_terms(self, keep: Callable[[Monomial], bool]) -> "GradedPoly":
-        return self._wrap({m: c for m, c in self.terms.items() if keep(m)})
+        return GradedPoly._of(self.chart, {m: v for m, v in self.nums.items()
+                                           if keep(m)}, self.den)
 
     def max_base_degree(self) -> int:
-        return max((monomial_base_degree(self.chart, m) for m in self.terms),
+        return max((monomial_base_degree(self.chart, m) for m in self.nums),
                    default=0)
 
     def is_base_only(self) -> bool:
         n = self.chart.n
-        return not any(any(m[n:]) for m in self.terms)
+        return not any(any(m[n:]) for m in self.nums)
 
     def __repr__(self):
         from .grammar import format_poly
         return "GradedPoly(%s)" % format_poly(self)
 
 
-def _sum_of_products(pairs, max_weight: int = None) -> Dict[Monomial, Fraction]:
-    """The terms of sum_k a_k * b_k over ``pairs`` of same-chart
-    polynomials, forming only monomial pairs of total weight at most
-    ``max_weight`` when given.  Integer numerators over the lcm of the
-    pairs' Da*Db; one Fraction per nonzero output term."""
-    forms = [(a._integer_form(), b._integer_form()) for a, b in pairs]
-    den = lcm(*[da * db for (da, _), (db, _) in forms])
+def _sum_of_products(chart: Chart, pairs,
+                     max_weight: int = None) -> GradedPoly:
+    """sum_k a_k * b_k over ``pairs`` of polynomials on ``chart``,
+    forming only monomial pairs of total weight at most ``max_weight``
+    when given: integer numerators over the lcm of the pairs' Da*Db."""
+    den = lcm(*[a.den * b.den for a, b in pairs])
     out: Dict[Monomial, int] = {}
     get = out.get
-    for (da, left), (db, right) in forms:
-        scale = den // (da * db)
-        for wa, rows_a in left.items():
-            for wb, rows_b in right.items():
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        right = b._layout()
+        for wa, rows_a in a._layout():
+            for wb, rows_b in right:
                 if max_weight is not None and wa + wb > max_weight:
                     break  # weights ascend
                 for ma, mask_a, above_a, na in rows_a:
@@ -321,4 +384,4 @@ def _sum_of_products(pairs, max_weight: int = None) -> Dict[Monomial, Fraction]:
                                 nb = -nb
                         m = tuple(map(add, ma, mb))
                         out[m] = get(m, 0) + na * nb
-    return {m: Fraction(v, den) for m, v in out.items() if v}
+    return GradedPoly._of(chart, {m: v for m, v in out.items() if v}, den)

@@ -2,6 +2,8 @@ import io
 import os
 import time
 
+import pytest
+
 from jetexp.cli import main
 
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
@@ -144,6 +146,15 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
     code, _ = run("pbw", "--chart", str(tmp_path / "missing.chart"), "1")
     assert code == 2
+    # a chart file that is not UTF-8 text: the line of the bad byte
+    undecodable = tmp_path / "undecodable.chart"
+    undecodable.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert run("tau", "--chart", str(undecodable), "x") == (2, "")
+    assert "(line 1)" in capsys.readouterr().err
+    undecodable.write_bytes(b"[coordinates]\nx 0\n# caf\xe9\n")
+    assert run("tau", "--chart", str(undecodable), "x") == (2, "")
+    assert "byte 0xe9 is not UTF-8 text (line 3)" in capsys.readouterr().err
     # weight bounds below 1: a usage error, not a wrong answer or a crash
     curved = chart("line_curved.chart")
     for argv in (("tau", "--route", "series", "--max-weight", "-1", "x^2"),
@@ -186,6 +197,20 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 0
     assert text.splitlines()[-1] == "VERIFY all PASS"
     assert "CHECK map-inverse-roundtrip SKIP" in text
+
+
+def test_rejected_argv_leaves_the_parser_unchanged(capsys):
+    # the parser is built once per process: a usage error must not leak
+    # into the next command
+    argv = ("tau", "--chart", chart("line_curved.chart"), "--route",
+            "series", "x^2")
+    alone = run(*argv), capsys.readouterr()
+    for bad in (["tau", "--route", "nowhere", "x"], ["--chart"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad, out=io.StringIO())
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert (run(*argv), capsys.readouterr()) == alone
 
 
 def test_verify_suites_pass_on_shipped_charts():
