@@ -367,12 +367,6 @@ def _word_times_function(chart: Chart, index: MultiIndex,
     return out
 
 
-def diffop_compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Contract-level product, capped at the chart's symmetric-weight
-    truncation (internal engines pass explicit headroom instead)."""
-    return a.compose(b, max_order=a.chart.truncation.max_sym_weight)
-
-
 def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
     """Symmetric product (vector field) (.) tensor, field on the left."""
     chart = same_chart(field, tensor)

@@ -273,28 +273,65 @@ def curvature(conn: Connection, x: VectorField, y: VectorField,
     return out
 
 
-def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
-    """The connection extended as a derivation of the symmetric product.
+def coordinate_replacement(conn: Connection, direction: int,
+                           index) -> SymTensor:
+    """cov(d_direction, word of ``index``), read off the Christoffel table.
 
-    Replaces one factor at a time by its covariant derivative, with the
-    Koszul sign of moving the direction past the earlier factors; on
-    coefficients it acts as the plain derivation with the matching
-    Leibniz sign.  Only even letters repeat, and replacing any copy of
-    one gives the same symmetric word, so each block of equal letters is
-    replaced once and scaled by its multiplicity.  Replacing a letter of
-    the word I by d_k gives the word I - e_slot + e_k by index
-    arithmetic: an odd d_k dies on a word that already holds it, and
-    otherwise moves to its place past the odd letters strictly between
-    the two slots.  Three more signs are tracked per replacement: the
-    Leibniz crossing over the coefficient, the direction crossing the
-    leading letters, and the replacement field's own coefficient moving
-    back out to the far left.  Only parities enter the signs, so
-    coefficients are split by parity, not by degree.
+    Each block of equal letters (only even letters repeat) is replaced
+    once by Gamma(direction, slot, k) d_k and scaled by its multiplicity.
+    The new word is I - e_slot + e_k by index arithmetic: an odd d_k dies
+    on a word that already holds it, and otherwise moves to its place
+    past the odd letters strictly between the two slots.  Each entry is
+    homogeneous of parity |d_k| + |d_direction| + |d_slot|, so the
+    direction crossing the letters before the block and the coefficient
+    moving back out past them leave their sign when |d_k| + |d_slot| is
+    odd.
     """
-    chart = same_chart(conn, x, tensor)
+    chart = conn.chart
     n = chart.n
     pars = [chart.coordinate_parity(s) for s in range(n)]
     gamma = conn.gamma
+    out: Dict[Tuple[int, ...], GradedPoly] = {}
+    pre_par = 0  # parity of the letters before the block
+    for slot in range(n - 1, -1, -1):
+        mult = index[slot]
+        if not mult:
+            continue
+        for k in range(n):
+            gam = gamma.get((direction, slot, k))
+            if gam is None or pars[k] and index[k] and k != slot:
+                continue  # no entry, or an odd letter repeated
+            lo, hi = (k, slot) if k < slot else (slot, k)
+            flip = pars[k] and sum(
+                index[u] for u in range(lo + 1, hi) if pars[u]) & 1
+            flip ^= pre_par & (pars[k] ^ pars[slot])
+            word = tuple(e - (s == slot) + (s == k)
+                         for s, e in enumerate(index))
+            val = gam * (-mult if flip else mult)
+            cur = out.get(word)
+            out[word] = val if cur is None else cur + val
+        pre_par ^= mult * pars[slot] & 1
+    return SymTensor.zero(chart)._wrap(out)
+
+
+def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
+    """The connection extended as a derivation of the symmetric product.
+
+    By the Leibniz rule over ``coordinate_replacement``: with X = sum_i
+    X_i d_i, and p and q indexing the parity parts of X_i and of the
+    coefficient c,
+
+        cov(X, c w) = X(c) w + sum_i (-1)^(|X_i,p d_i| |c_q|)
+                                  c_q X_i,p cov(d_i, w).
+
+    Only parities enter the signs, so coefficients are split by parity,
+    not by degree.
+    """
+    chart = same_chart(conn, x, tensor)
+    pars = [chart.coordinate_parity(s) for s in range(chart.n)]
+    # the direction's components split by the parity of X_i,p d_i
+    xparts = [(i, [(p ^ pars[i], part) for p, part in _parity_parts(comp)])
+              for i, comp in enumerate(x.components) if comp]
     out: Dict[Tuple[int, ...], GradedPoly] = {}
 
     def add(index, val):
@@ -305,56 +342,14 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
         dcoeff = x.apply(coeff)
         if dcoeff:
             add(index, dcoeff)
-    # the direction split by parity: its components' parts of parity
-    # p + |x_i| (a coordinate derivation has the parity of its coordinate)
-    xparts: Dict[int, list] = {}
-    for i, comp in enumerate(x.components):
-        for p, part in _parity_parts(comp):
-            xparts.setdefault(p ^ pars[i], [None] * n)[i] = part
-    for xpar, comps in sorted(xparts.items()):
-        fields: Dict[int, list] = {}  # slot -> [(k, parity parts of r_k)]
-        for index, coeff in tensor.terms.items():
-            cparts = _parity_parts(coeff)
-            pre_par = 0  # parity of the letters before the block
-            for slot in range(n - 1, -1, -1):
-                mult = index[slot]
-                if not mult:
-                    continue
-                if slot not in fields:
-                    fields[slot] = _replacement_field(comps, gamma, slot)
-                for k, rparts in fields[slot]:
-                    if pars[k] and index[k] and k != slot:
-                        continue  # an odd letter repeated
-                    lo, hi = (k, slot) if k < slot else (slot, k)
-                    wflip = pars[k] and sum(
-                        index[u] for u in range(lo + 1, hi) if pars[u]) & 1
-                    word = tuple(e - (s == slot) + (s == k)
-                                 for s, e in enumerate(index))
-                    for cpar, cpart in cparts:
-                        lead_flip = wflip ^ (xpar & (cpar ^ pre_par))
-                        for rpar, rpart in rparts:
-                            flip = lead_flip ^ (rpar & pre_par)
-                            add(word, cpart * rpart * (-mult if flip
-                                                       else mult))
-                pre_par ^= mult * pars[slot] & 1
+        cparts = _parity_parts(coeff)
+        for i, parts in xparts:
+            for word, g in coordinate_replacement(conn, i, index).terms.items():
+                for cpar, cpart in cparts:
+                    for xpar, xpart in parts:
+                        val = cpart * xpart * g
+                        add(word, -val if cpar & xpar else val)
     return SymTensor.zero(chart)._wrap(out)
-
-
-def _replacement_field(comps, gamma, slot: int):
-    """The components r_k = sum_i comps[i] . Gamma(i, slot, k) of the
-    covariant derivative of d_slot along the field, as (k, parity parts)
-    for the nonzero ones."""
-    out = []
-    for k in range(len(comps)):
-        rk = None
-        for i, xi in enumerate(comps):
-            gam = gamma.get((i, slot, k))
-            if xi and gam is not None:
-                val = xi * gam
-                rk = val if rk is None else rk + val
-        if rk:
-            out.append((k, _parity_parts(rk)))
-    return out
 
 
 def _parity_parts(f: GradedPoly):

@@ -24,7 +24,8 @@ remainder (one order lower, because symbols match exactly) recursed on.
 
 A context carries two memo tables, the only mutable state: basis word
 to operator, and (slot s, word of J) to the replacement tensor
-cov(d_s, word of J) that the recursion subtracts for the word J + e_s.
+cov(d_s, word of J) that the recursion subtracts for the word J + e_s,
+read off the Christoffel table by ``geometry.coordinate_replacement``.
 The replacements are shared by the word images and by the augmentation
 route ``fedosov.tau_pbw``, which runs the same recursion on values.  A
 missing entry of either table is computed outside the lock and stored
@@ -50,7 +51,8 @@ from .chart import (Chart, mi_all_up_to, mi_factorial, mi_unit, mi_weight,
                     same_chart)
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                          pairing, sym_mul_vf, word_degree)
-from .geometry import Connection, VectorField, nabla_sym
+from .geometry import (Connection, VectorField, coordinate_replacement,
+                       nabla_sym)
 from .poly import GradedPoly
 
 
@@ -88,9 +90,7 @@ class PbwContext:
         hit = self._replacements.get(key)
         if hit is not None:
             return hit
-        chart = self.chart
-        value = nabla_sym(self.conn, VectorField.coordinate(chart, slot),
-                          SymTensor.from_word(chart, key[1]))
+        value = coordinate_replacement(self.conn, slot, key[1])
         with self._lock:
             return self._replacements.setdefault(key, value)
 

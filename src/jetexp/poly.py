@@ -17,6 +17,8 @@ convention.
 ``GradedPoly.derive`` is the one derivation rule: a derivation of either
 parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
+One per-row rule forms partial_s from the operand's product rows; it
+feeds ``derive``'s products directly and builds ``partial``'s result.
 
 Stored form.  A polynomial stores integers: a positive ``den`` and a
 dict ``nums`` from monomial to nonzero numerator, the coefficient of m
@@ -36,7 +38,8 @@ the odd slots above each slot, numerator).  A product multiplies
 numerators over Da*Db (a sum of products over the lcm of those) and
 accumulates plain ints per output monomial.  Intersecting odd masks kill
 a pair; otherwise its Koszul sign is the parity of the odd slots of the
-left monomial above the odd slots of the right one.
+left monomial above the odd slots of the right one.  A constant factor
+is taken as a scalar, capped like the product, and builds no rows.
 
 Values are immutable after construction and all operations are pure, so
 the cached view and rows never go stale and sharing across threads
@@ -220,27 +223,42 @@ class GradedPoly:
         """Product with a scalar or a polynomial.  With ``max_weight``
         (called as ``times``), only monomial pairs whose weights p + q
         sum to at most ``max_weight`` are formed: the result is the full
-        product projected to that weight."""
+        product projected to that weight.  A constant factor is taken as
+        a scalar: no product rows are built."""
         if isinstance(other, GradedPoly):
             same_chart(self, other)
-            return _sum_of_products(self.chart, ((self, other),), max_weight)
-        if type(other) is int:
-            num, den = other, 1
-        else:
-            c = Fraction(other)
-            num, den = c.numerator, c.denominator
-        if not num:
-            return GradedPoly.zero(self.chart)
-        if num == den:  # times 1
-            return self
-        return GradedPoly._of(self.chart,
-                              {m: v * num for m, v in self.nums.items()},
-                              self.den * den)
+            for c, f in ((other, self), (self, other)):
+                if len(c.nums) == 1 and not any(next(iter(c.nums))):
+                    return f._scaled(next(iter(c.nums.values())), c.den,
+                                     max_weight)
+            return _sum_of_products(self.chart, (
+                (self.den * other.den, self._layout(), other._layout()),),
+                max_weight)
+        c = other if type(other) is int else Fraction(other)
+        return self._scaled(c.numerator, c.denominator)
 
     times = __mul__  # a.times(b, max_weight): the weight-capped product
 
     def __rmul__(self, other):
         return self.__mul__(other)  # scalars commute with everything
+
+    def _scaled(self, num: int, den: int,
+                max_weight: int = None) -> "GradedPoly":
+        """num/den * self, projected to weight ``max_weight`` when given
+        (the operand itself when that changes nothing)."""
+        nums = self.nums
+        if max_weight is not None:
+            n = self.chart.n
+            nums = {m: v for m, v in nums.items() if sum(m[n:]) <= max_weight}
+            if len(nums) == len(self.nums):
+                nums = self.nums
+        if not num:
+            return GradedPoly.zero(self.chart)
+        if num == den:  # times 1
+            return self if nums is self.nums else \
+                GradedPoly._of(self.chart, nums, self.den)
+        return GradedPoly._of(self.chart, {m: v * num for m, v in nums.items()},
+                              self.den * den)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -271,36 +289,58 @@ class GradedPoly:
         return rows
 
     # -- graded structure ---------------------------------------------------
-    def partial(self, slot: int) -> "GradedPoly":
-        """Left derivative by the generator in ``slot``."""
+    def _partial_rows(self, slot: int) -> list:
+        """The product rows of partial_slot(self) over ``self.den``, read
+        off the operand's own rows: the odd bit of the slot cleared and
+        the above masks below it flipped, the sign of the odd slots below
+        it, the weight lowered by one for a fiber or form slot, and the
+        numerator times the exponent.  Distinct monomials have distinct
+        derivatives, so nothing accumulates."""
         if not 0 <= slot < 3 * self.chart.n:
             raise ValueError("generator slot out of range")
-        odd_below = [j for j in self.chart.odd_slots if j < slot] \
-            if self.chart.gen_parities[slot] else ()
-        out: Dict[Monomial, int] = {}
-        for m, v in self.nums.items():
-            e = m[slot]
-            if not e:
-                continue
-            if odd_below and sum([m[j] for j in odd_below]) & 1:
-                v = -v
-            # distinct monomials have distinct derivatives: no accumulation
-            out[m[:slot] + (e - 1,) + m[slot + 1:]] = v if e == 1 else v * e
-        return GradedPoly._of(self.chart, out, self.den)
+        shift = slot >= self.chart.n
+        bit = 1 << slot if self.chart.gen_parities[slot] else 0
+        below = bit - 1 if bit else 0
+        out = []
+        for w, rows in self._layout():
+            drows = []
+            for m, mask, above, v in rows:
+                e = m[slot]
+                if not e:
+                    continue
+                if bit:  # an odd slot: e == 1
+                    if (mask & below).bit_count() & 1:
+                        v = -v
+                    mask ^= bit
+                    above ^= below
+                elif e > 1:
+                    v *= e
+                drows.append((m[:slot] + (e - 1,) + m[slot + 1:],
+                              mask, above, v))
+            if drows:
+                out.append((w - shift, drows))
+        return out
+
+    def partial(self, slot: int) -> "GradedPoly":
+        """Left derivative by the generator in ``slot``."""
+        return GradedPoly._of(self.chart, {
+            m: v for _, rows in self._partial_rows(slot)
+            for m, _, _, v in rows}, self.den)
 
     def derive(self, images: Mapping[int, "GradedPoly"],
                max_weight: int = None) -> "GradedPoly":
         """The derivation with generator images ``images`` (slot -> poly;
         unlisted slots and None map to 0): sum_s images[s] . partial_s,
         each product formed only up to weight ``max_weight`` (see
-        ``times``)."""
+        ``times``).  The partials enter the product kernel as rows read
+        off this polynomial's own; none is built as a polynomial."""
         pairs = []
         for slot, img in images.items():
             if img:
                 same_chart(self, img)
-                d = self.partial(slot)
-                if d:
-                    pairs.append((img, d))
+                rows = self._partial_rows(slot)
+                if rows:
+                    pairs.append((img.den * self.den, img._layout(), rows))
         return _sum_of_products(self.chart, pairs, max_weight)
 
     def _split(self, key: Callable[[Monomial], int]) -> Dict[int, "GradedPoly"]:
@@ -356,16 +396,16 @@ class GradedPoly:
 
 def _sum_of_products(chart: Chart, pairs,
                      max_weight: int = None) -> GradedPoly:
-    """sum_k a_k * b_k over ``pairs`` of polynomials on ``chart``,
-    forming only monomial pairs of total weight at most ``max_weight``
-    when given: integer numerators over the lcm of the pairs' Da*Db."""
-    den = lcm(*[a.den * b.den for a, b in pairs])
+    """sum_k a_k * b_k over ``pairs`` (Da*Db, rows of a, rows of b) on
+    ``chart``, forming only monomial pairs of total weight at most
+    ``max_weight`` when given: integer numerators over the lcm of the
+    pairs' Da*Db."""
+    den = lcm(*[d for d, _, _ in pairs])
     out: Dict[Monomial, int] = {}
     get = out.get
-    for a, b in pairs:
-        scale = den // (a.den * b.den)
-        right = b._layout()
-        for wa, rows_a in a._layout():
+    for d, left, right in pairs:
+        scale = den // d
+        for wa, rows_a in left:
             for wb, rows_b in right:
                 if max_weight is not None and wa + wb > max_weight:
                     break  # weights ascend

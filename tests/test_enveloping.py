@@ -6,8 +6,8 @@ import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weight
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                               comult_env, comult_sym, counit, diffop_compose,
-                               pairing, sym_map, sym_mul_vf, sym_word,
+                               comult_env, comult_sym, counit, pairing,
+                               sym_map, sym_mul_vf, sym_word,
                                tensor_push_left,
                                tensor_square_left_mult_vf, TensorSquare,
                                word_letters)
@@ -88,11 +88,12 @@ def test_compose_matches_per_letter_oracle(name, rng):
 def test_compose_truncation_cap(line):
     d3 = DiffOp.from_word(line, (3,))
     with pytest.raises(TruncationOverflowError):
-        diffop_compose(d3, d3)  # chart bound is 5
+        d3.compose(d3, max_order=line.truncation.max_sym_weight)  # 5 here
     with pytest.raises(TruncationOverflowError):
         d3.compose(d3, max_order=4)
     assert d3.compose(d3).order() == 6  # exact by default
-    assert diffop_compose(d3, DiffOp.from_word(line, (2,))).order() == 5
+    assert d3.compose(DiffOp.from_word(line, (2,)),
+                      max_order=line.truncation.max_sym_weight).order() == 5
 
 
 def test_compose_confluence_and_apply(mixed, rng):

@@ -1,9 +1,10 @@
 import pytest
 
-from jetexp.chart import Chart, Truncation
+from jetexp.chart import Chart, Truncation, mi_all_up_to
 from jetexp.enveloping import SymTensor
-from jetexp.geometry import (Connection, VectorField, cov_deriv, curvature,
-                             lie_bracket, nabla_sym, torsion)
+from jetexp.geometry import (Connection, VectorField, coordinate_replacement,
+                             cov_deriv, curvature, lie_bracket, nabla_sym,
+                             torsion)
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_homogeneous_vf,
                               random_symtensor, random_torsion_free_connection,
@@ -277,3 +278,12 @@ def test_nabla_sym_matches_per_position_oracle(name, charts, rng):
                   VectorField.coordinate(chart, rng.randrange(chart.n))):
             assert nabla_sym(conn, x, tensor) == \
                 per_position_nabla_sym(conn, x, tensor)
+    # a coordinate direction on a pure word: the replacement core itself
+    for index in mi_all_up_to(chart.n, weight):
+        if any(e > 1 and chart.coordinate_parity(s)
+               for s, e in enumerate(index)):
+            continue
+        for s in range(chart.n):
+            assert coordinate_replacement(conn, s, index) == \
+                per_position_nabla_sym(conn, VectorField.coordinate(chart, s),
+                                       SymTensor.from_word(chart, index))

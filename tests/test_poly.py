@@ -34,6 +34,11 @@ def test_partial_examples(mixed):
     assert (x * x).partial(0) == 2 * x
     assert (t1 * t2).partial(mixed.slot("t1")) == t2
     assert (t1 * t2).partial(mixed.slot("t2")) == -t1
+    for slot in (-1, 3 * mixed.n):  # a slot off the chart is refused
+        with pytest.raises(ValueError):
+            x.partial(slot)
+        with pytest.raises(ValueError):
+            x.derive({slot: x})
 
 
 def test_degree_examples(mixed):
@@ -195,32 +200,71 @@ def _random_poly(rng, chart, terms, max_factors):
     return GradedPoly(chart, out)
 
 
+CONSTANTS = (1, -1, Fraction(2, 3), Fraction(-5, 7))
+
+
 @pytest.mark.parametrize("name", sorted(CHART_DEFS))
 def test_integer_kernel_matches_fraction_oracle(charts, rng, name):
     # products at every cap, partials and derivations agree with the
-    # Fraction pair loop, also on values built from already-used ones
+    # Fraction pair loop, also on values built from already-used ones;
+    # every product also runs with a constant factor on either side (taken
+    # as a scalar), at caps down to below the other factor's lowest weight
     chart, _ = charts[name]
     nslots = 3 * chart.n
     top = chart.truncation.max_sym_weight + 1
+    consts = [GradedPoly.constant(chart, c) for c in CONSTANTS]
     for _ in range(6):
         a = _random_poly(rng, chart, rng.randint(1, 8), 4)
         b = _random_poly(rng, chart, rng.randint(1, 8), 4)
         derived = [a * b, -a, a + b, a * Fraction(-3, 7),
-                   a.filter_terms(lambda m: sum(m[chart.n:]) <= 2)]
+                   a.filter_terms(lambda m: sum(m[chart.n:]) <= 2),
+                   b.filter_terms(lambda m: sum(m[chart.n:]) >= 2)]
+        checked = {}  # each distinct product once, in order
         for left, right in [(a, b), (b, a), (a, a)] + \
                 [(d, b) for d in derived] + [(b, d) for d in derived]:
-            want = fraction_mul(left, right)
-            assert left * right == want
-            assert all(type(c) is Fraction for c in (left * right).terms
-                       .values())
-            for w in range(top + 1):
-                assert left.times(right, w) == fraction_mul(left, right, w)
+            for pair in [(left, right)] + [(c, right) for c in consts] + \
+                    [(left, c) for c in consts]:
+                checked.setdefault(pair)
+        for x, y in checked:
+            assert x * y == fraction_mul(x, y)
+            assert all(type(c) is Fraction for c in (x * y).terms.values())
+            for w in range(-1, top + 1):
+                assert x.times(y, w) == fraction_mul(x, y, w)
         for f in [a, b] + derived:
             for s in range(nslots):
                 assert f.partial(s) == fraction_partial(f, s)
-        table = {s: _random_poly(rng, chart, 3, 2)
-                 for s in rng.sample(range(nslots), rng.randint(1, nslots))}
-        for w in [None] + list(range(top + 1)):
-            assert a.derive(table, w) == fraction_derive(a, table, w)
-    assert GradedPoly.constant(chart, Fraction(2, 3)) * a == \
-        fraction_mul(GradedPoly.constant(chart, Fraction(2, 3)), a)
+        listed = rng.sample(range(nslots), rng.randint(1, nslots))
+        table = {s: _random_poly(rng, chart, 3, 2) for s in listed}
+        with_consts = {s: rng.choice(consts) if rng.random() < 0.5 else img
+                       for s, img in table.items()}
+        # operands whose partials vanish on some, or all, listed slots
+        missing = rng.sample(listed, rng.randint(1, len(listed)))
+        operands = [a, a.filter_terms(lambda m: not any(m[s] for s in
+                                                        missing)),
+                    a.filter_terms(lambda m: not any(m[s] for s in listed)),
+                    consts[2]]
+        for f in operands:
+            for images in (table, with_consts):
+                for w in [None] + list(range(-1, top + 1)):
+                    assert f.derive(images, w) == \
+                        fraction_derive(f, images, w)
+
+
+def test_derive_builds_no_partial_polynomial(charts, rng, monkeypatch):
+    # derive reads the partials' rows off the operand's own rows; it never
+    # builds a partial polynomial
+    from jetexp.fedosov import dnabla_images
+
+    def refuse(self, slot):
+        raise AssertionError("derive built a partial polynomial")
+    monkeypatch.setattr(GradedPoly, "partial", refuse)
+    for name in sorted(CHART_DEFS):
+        chart, conn = charts[name]
+        nslots = 3 * chart.n
+        tables = [dnabla_images(conn),
+                  {s: _random_poly(rng, chart, 3, 2)
+                   for s in rng.sample(range(nslots), rng.randint(1, nslots))}]
+        for _ in range(4):
+            f = _random_poly(rng, chart, rng.randint(1, 8), 4)
+            for table in tables:
+                assert f.derive(table) == fraction_derive(f, table)

@@ -139,12 +139,12 @@ def test_resolution_forms_each_replacement_once(monkeypatch):
     # replacement cov(d_s, word) of each (slot, word) is formed once and
     # shared through the context's memo
     seen = []
-    real = jetexp.pbw.nabla_sym
+    real = jetexp.pbw.coordinate_replacement
 
-    def counted(conn, x, tensor):
-        seen.append((x.components, frozenset(tensor.terms.items())))
-        return real(conn, x, tensor)
-    monkeypatch.setattr(jetexp.pbw, "nabla_sym", counted)
+    def counted(conn, direction, index):
+        seen.append((direction, tuple(index)))
+        return real(conn, direction, index)
+    monkeypatch.setattr(jetexp.pbw, "coordinate_replacement", counted)
     chart, conn = build_chart("mixed")
     results = run_suite("resolution", chart, conn, seed=0, weight=3)
     assert all(r.status == "PASS" for r in results)
