@@ -27,12 +27,11 @@ u.f (x) v == u (x) f.v; the right slot is always a pure word.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .chart import Chart, koszul_sign, mi_factorial, mi_weight, same_chart
+from .chart import Chart, mi_factorial, mi_weight, same_chart
 from .poly import GradedPoly
 
 MultiIndex = Tuple[int, ...]
@@ -100,6 +99,35 @@ def insert_letter(chart: Chart, slot: int, index: MultiIndex):
 
 def _bump(index: MultiIndex, slot: int) -> MultiIndex:
     return tuple(e + (1 if s == slot else 0) for s, e in enumerate(index))
+
+
+def parity_parts(f: GradedPoly):
+    """(parity, part) for the nonzero even and odd parts of ``f``."""
+    odd = f.chart.odd_slots
+    return list(f._split(lambda m: sum([m[s] for s in odd]) & 1).items())
+
+
+def letter_compose(chart: Chart, slot: int, index: MultiIndex,
+                   coeff: GradedPoly):
+    """d_slot o (coeff d^index) in normal form, as (word, sign, part)
+    triples meaning sign * part at word, by the graded Leibniz rule
+
+        d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
+
+    the last word normal-ordered by ``insert_letter``; for an odd slot c
+    enters by its parity parts."""
+    out = []
+    dc = coeff.partial(slot)
+    if dc:
+        out.append((index, 1, dc))
+    sign, bumped = insert_letter(chart, slot, index)
+    if sign:
+        if chart.coordinate_parity(slot):
+            for par, part in parity_parts(coeff):
+                out.append((bumped, -sign if par else sign, part))
+        else:
+            out.append((bumped, sign, coeff))
+    return out
 
 
 class _IndexedSum:
@@ -378,39 +406,6 @@ def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# Symmetrization
-
-def sym_map(tensor: SymTensor) -> DiffOp:
-    """Base-function-linear symmetrization of a stored tensor.
-
-    All orderings of a descending basis word of coordinate derivations
-    compose to the identical operator (the derivations commute exactly
-    and the Koszul signs of reordering in the operator algebra and in
-    the symmetric algebra coincide), so the average collapses to the
-    word itself.
-    """
-    return DiffOp(tensor.chart, dict(tensor.terms))
-
-
-def sym_word(fields: Sequence) -> DiffOp:
-    """Symmetrization of a word of homogeneous vector fields: the average
-    of all Koszul-signed orderings composed in the operator algebra."""
-    if not fields:
-        raise ValueError("empty word")
-    chart = same_chart(*fields)
-    degrees = [f.degree() for f in fields]
-    ops = [DiffOp.from_vector_field(f) for f in fields]
-    out = DiffOp.zero(chart)
-    for perm in itertools.permutations(range(len(fields))):
-        sign = koszul_sign(list(perm), degrees)
-        term = DiffOp.identity(chart)
-        for pos in perm:
-            term = term.compose(ops[pos])
-        out = out + term.scale(sign)
-    return out.scale(Fraction(1, math.factorial(len(fields))))
-
-
-# ---------------------------------------------------------------------------
 # Comultiplication and tensor squares
 
 class TensorSquare:
@@ -506,25 +501,6 @@ def comult_env(op: DiffOp) -> TensorSquare:
     return out
 
 
-def counit(obj: _IndexedSum) -> GradedPoly:
-    """Projection onto the empty word."""
-    return obj.terms.get((0,) * obj.chart.n, GradedPoly.zero(obj.chart))
-
-
-def vf_homogeneous_ops(field):
-    """Homogeneous pieces of a vector field as (degree, DiffOp) pairs."""
-    chart = field.chart
-    buckets: Dict[int, Dict[MultiIndex, GradedPoly]] = {}
-    for i, comp in enumerate(field.components):
-        for d, part in comp.homogeneous_components().items():
-            deg = d - chart.coordinate_degree(i)
-            idx = tuple(1 if s == i else 0 for s in range(chart.n))
-            dst = buckets.setdefault(deg, {})
-            cur = dst.get(idx)
-            dst[idx] = part if cur is None else cur + part
-    return [(d, DiffOp(chart, t)) for d, t in sorted(buckets.items())]
-
-
 def tensor_push_left(out: TensorSquare, left_op: DiffOp, right_op: DiffOp):
     """Accumulate left_op (x) right_op into ``out`` in normal form: each
     right-slot coefficient crosses the left slot with a Koszul sign and
@@ -537,31 +513,6 @@ def tensor_push_left(out: TensorSquare, left_op: DiffOp, right_op: DiffOp):
                 for left_index, lcoeff in moved.terms.items():
                     out.add_term(left_index, right_index,
                                  -lcoeff if flip else lcoeff)
-
-
-def tensor_square_left_mult_vf(field, square: TensorSquare) -> TensorSquare:
-    """Multiply a tensor square from the left by (X (x) 1 + 1 (x) X).
-
-    The X (x) 1 term composes into the left slot; the 1 (x) X term
-    crosses the left slot with a Koszul sign, composes into the right
-    slot, and the coefficients this produces on the right are pushed
-    back into the left slot through the balancing twist.
-    """
-    chart = same_chart(field, square)
-    xop = DiffOp.from_vector_field(field)
-    out = TensorSquare(chart, square.kind)
-    for (left_index, right_index), coeff in square.terms.items():
-        left_op = DiffOp(chart, {left_index: coeff})
-        for idx, c in xop.compose(left_op).terms.items():
-            out.add_term(idx, right_index, c)
-        right_word = DiffOp.from_word(chart, right_index)
-        for xdeg, xpart in vf_homogeneous_ops(field):
-            xr = xpart.compose(right_word)
-            for udeg, upart in left_op.homogeneous_components().items():
-                crossed = upart.scale(-1) if (xdeg & 1) and (udeg & 1) \
-                    else upart
-                tensor_push_left(out, crossed, xr)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -192,22 +192,22 @@ def vvf_action(components: Sequence[GradedPoly], f: GradedPoly,
 def vvf_records(components: Sequence[GradedPoly]):
     """Flatten a vector-valued form into records
     (direction i, fiber multi-index J, component k, base coefficient),
-    sorted by (i, J, k); all indices 1-based in the output."""
+    sorted by (i, J, k); all indices 1-based in the output.  Within a
+    record the base monomials are distinct, so its numerators are read
+    off the component over the component's denominator."""
     chart = components[0].chart
     n = chart.n
     records = {}
     for k, comp in enumerate(components):
-        for m, c in comp.terms.items():
+        for m, v in comp.nums.items():
             form = m[2 * n:]
             if sum(form) != 1:
                 raise ValueError("vector-valued form component is not a "
                                  "one-form")
-            i = form.index(1)
-            key = (i + 1, m[n:2 * n], k + 1)
-            base_mono = m[:n] + (0,) * (2 * n)
-            cur = records.get(key, GradedPoly.zero(chart))
-            records[key] = cur + GradedPoly(chart, {base_mono: c})
-    return [(i, j, k, poly) for (i, j, k), poly in sorted(records.items())]
+            key = (form.index(1) + 1, m[n:2 * n], k + 1)
+            records.setdefault(key, {})[m[:n] + (0,) * (2 * n)] = v
+    return [(i, j, k, GradedPoly._of(chart, nums, components[k - 1].den))
+            for (i, j, k), nums in sorted(records.items())]
 
 
 # ---------------------------------------------------------------------------

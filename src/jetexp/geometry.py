@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .chart import Chart, same_chart
-from .enveloping import SymTensor
+from .enveloping import SymTensor, parity_parts
 from .poly import GradedPoly
 
 
@@ -330,7 +330,7 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
     chart = same_chart(conn, x, tensor)
     pars = [chart.coordinate_parity(s) for s in range(chart.n)]
     # the direction's components split by the parity of X_i,p d_i
-    xparts = [(i, [(p ^ pars[i], part) for p, part in _parity_parts(comp)])
+    xparts = [(i, [(p ^ pars[i], part) for p, part in parity_parts(comp)])
               for i, comp in enumerate(x.components) if comp]
     out: Dict[Tuple[int, ...], GradedPoly] = {}
 
@@ -342,7 +342,7 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
         dcoeff = x.apply(coeff)
         if dcoeff:
             add(index, dcoeff)
-        cparts = _parity_parts(coeff)
+        cparts = parity_parts(coeff)
         for i, parts in xparts:
             for word, g in coordinate_replacement(conn, i, index).terms.items():
                 for cpar, cpart in cparts:
@@ -350,9 +350,3 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
                         val = cpart * xpart * g
                         add(word, -val if cpar & xpar else val)
     return SymTensor.zero(chart)._wrap(out)
-
-
-def _parity_parts(f: GradedPoly):
-    """(parity, part) for the nonzero even and odd parts of ``f``."""
-    odd = f.chart.odd_slots
-    return list(f._split(lambda m: sum([m[s] for s in odd]) & 1).items())

@@ -18,7 +18,16 @@ letters give equal terms (only even letters repeat, so their sign is
         ( d_s o exp(I - e_s) - exp(cov(d_s, word of I - e_s)) )
 
 with eps_s = -1 exactly when d_s is odd and an odd number of odd letters
-precede it (the slots above s).  The inverse peels symbols: the top-order part of an
+precede it (the slots above s).  No general operator product is formed:
+d_s o exp(I - e_s) is taken one coefficient at a time by the one-letter
+Leibniz rule (``enveloping.letter_compose``)
+
+    d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
+
+and all its terms and the replacement terms c_J exp(J) go into one
+word -> coefficient table with integer weights eps_s * I_s, summed and
+divided by |I| once per word.  ``map`` sums c_J exp(J) into one table
+the same way.  The inverse peels symbols: the top-order part of an
 operator is reinterpreted as a word, its image subtracted, and the
 remainder (one order lower, because symbols match exactly) recursed on.
 
@@ -44,16 +53,15 @@ makes that explicit rather than silently truncating.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from typing import Dict, Tuple
 
-from .chart import (Chart, mi_all_up_to, mi_factorial, mi_unit, mi_weight,
+from .chart import (Chart, mi_all_up_to, mi_factorial, mi_weight,
                     same_chart)
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         pairing, sym_mul_vf, word_degree)
+                         letter_compose, pairing, sym_mul_vf, word_degree)
 from .geometry import (Connection, VectorField, coordinate_replacement,
                        nabla_sym)
-from .poly import GradedPoly
+from .poly import GradedPoly, linear_combination
 
 
 class PbwContext:
@@ -95,29 +103,39 @@ class PbwContext:
             return self._replacements.setdefault(key, value)
 
     def _compute_word(self, index) -> DiffOp:
+        """One step of the recursion: every slot's terms d_s o W_{I-e_s}
+        (by ``letter_compose``, one coefficient at a time) and every
+        replacement term c_J W_J are gathered in one word -> coefficient
+        table with integer weights eps_s * I_s, divided by |I| once."""
         chart = self.chart
         m = mi_weight(index)
         if m == 0:
             return DiffOp.identity(chart)
         if m == 1:
             return DiffOp.from_word(chart, index)
-        acc = DiffOp.zero(chart)
+        table: Dict[Tuple[int, ...], list] = {}
         odd_before = 0
         for slot in range(chart.n - 1, -1, -1):
             mult = index[slot]
             if not mult:
                 continue
-            unit = mi_unit(chart.n, slot + 1)
-            rest_index = tuple(e - u for e, u in zip(index, unit))
-            left = DiffOp.from_word(chart, unit).compose(
-                self.word_image(rest_index))
-            term = left - self.map(self.replacement(slot, rest_index),
-                                   _internal=True)
             par = chart.coordinate_parity(slot)
-            sign = -1 if par and odd_before & 1 else 1
+            weight = -mult if par and odd_before & 1 else mult
             odd_before += par
-            acc = acc + term.scale(Fraction(sign * mult, m))
-        return acc
+            rest = index[:slot] + (mult - 1,) + index[slot + 1:]
+            for word, coeff in self.word_image(rest).terms.items():
+                for new, sign, part in letter_compose(chart, slot, word,
+                                                      coeff):
+                    table.setdefault(new, []).append((sign * weight, part))
+            self._gather(table, self.replacement(slot, rest), -weight)
+        return _table_op(chart, table, m)
+
+    def _gather(self, table, tensor: SymTensor, weight: int):
+        """Add weight * sum_J c_J W_J to ``table`` (word -> list of
+        (int weight, coefficient))."""
+        for index, c in tensor.terms.items():
+            for word, coeff in self.word_image(index).terms.items():
+                table.setdefault(word, []).append((weight, c * coeff))
 
     # -- the map and its inverse ----------------------------------------------
     def map(self, tensor: SymTensor, _internal: bool = False) -> DiffOp:
@@ -128,10 +146,9 @@ class PbwContext:
             raise TruncationOverflowError(
                 "tensor weight %d exceeds context cap %d"
                 % (tensor.weight(), self.max_weight))
-        out = DiffOp.zero(self.chart)
-        for index, coeff in tensor.terms.items():
-            out = out + self.word_image(index).scale(coeff)
-        return out
+        table: Dict[Tuple[int, ...], list] = {}
+        self._gather(table, tensor, 1)
+        return _table_op(self.chart, table, 1)
 
     def inv(self, op: DiffOp) -> SymTensor:
         """Inverse by symbol peeling (top order down)."""
@@ -152,6 +169,14 @@ class PbwContext:
             if new_order is not None and new_order >= k:
                 raise AssertionError("symbol peeling failed to lower order")
         return out
+
+
+def _table_op(chart: Chart, table, div: int) -> DiffOp:
+    """The operator with coefficient sum_k w_k p_k / div at each word of
+    ``table`` (word -> list of (int w_k, polynomial p_k))."""
+    return DiffOp.zero(chart)._wrap({
+        word: linear_combination(chart, pairs, div)
+        for word, pairs in table.items()})
 
 
 def lightning_nabla(ctx: PbwContext, field: VectorField,

@@ -394,6 +394,22 @@ class GradedPoly:
         return "GradedPoly(%s)" % format_poly(self)
 
 
+def linear_combination(chart: Chart, pairs, div: int = 1) -> GradedPoly:
+    """sum_k w_k * p_k / div over ``pairs`` (int w_k, polynomial p_k):
+    integer numerators over the lcm of the denominators, reduced once."""
+    if len(pairs) == 1 and div == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    den = lcm(*[p.den for _, p in pairs])
+    out: Dict[Monomial, int] = {}
+    get = out.get
+    for w, p in pairs:
+        scale = w * (den // p.den)
+        for m, v in p.nums.items():
+            out[m] = get(m, 0) + v * scale
+    return GradedPoly._of(chart, {m: v for m, v in out.items() if v},
+                          den * div)
+
+
 def _sum_of_products(chart: Chart, pairs,
                      max_weight: int = None) -> GradedPoly:
     """sum_k a_k * b_k over ``pairs`` (Da*Db, rows of a, rows of b) on

@@ -10,13 +10,19 @@ block of equal letters, a ``Fraction`` pair loop with per-pair inversion
 counting instead of the integer-numerator bitmask kernel, operator word
 images applied to a function instead of the recursion evaluated on
 values, a symmetric word built letter by letter instead of by index
-arithmetic) so frozen expectations in the tests do not share code with
-the implementation they check.
+arithmetic, the operator products d_s o W of a word image formed by the
+general ``DiffOp.compose`` and summed as operators instead of by the
+one-letter Leibniz rule into one table, the symmetrization of a word of
+vector fields as the average over all orderings, the comultiplication
+built by left multiplications of tensor squares) so frozen expectations
+in the tests do not share code with the implementation they check.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
-from jetexp.chart import koszul_sign  # noqa: F401  (re-export for tests)
+from jetexp.chart import koszul_sign  # also re-exported for tests
 from jetexp.poly import GradedPoly
 
 
@@ -392,4 +398,104 @@ def per_letter_compose(a, b):
                 sign, merged = merge_words(chart, word, right_index)
                 if sign:
                     out = out + DiffOp(chart, {merged: coeff * h * sign})
+    return out
+
+
+def compose_word_image(ctx, index):
+    """One step of the averaged recursion for the basis word of ``index``
+    with one term per distinct letter (like the library), each d_s o W
+    formed by the general operator product and each term summed and
+    scaled as an operator; shorter words come from the context.  (The
+    library forms d_s o W by the one-letter Leibniz rule and sums every
+    term of the step in one table.)"""
+    from jetexp.chart import mi_unit, mi_weight
+    from jetexp.enveloping import DiffOp
+
+    chart = ctx.chart
+    m = mi_weight(index)
+    if m == 0:
+        return DiffOp.identity(chart)
+    if m == 1:
+        return DiffOp.from_word(chart, index)
+    acc = DiffOp.zero(chart)
+    odd_before = 0
+    for slot in range(chart.n - 1, -1, -1):
+        mult = index[slot]
+        if not mult:
+            continue
+        unit = mi_unit(chart.n, slot + 1)
+        rest_index = tuple(e - u for e, u in zip(index, unit))
+        left = DiffOp.from_word(chart, unit).compose(
+            ctx.word_image(rest_index))
+        term = left - ctx.map(ctx.replacement(slot, rest_index),
+                              _internal=True)
+        par = chart.coordinate_parity(slot)
+        sign = -1 if par and odd_before & 1 else 1
+        odd_before += par
+        acc = acc + term.scale(Fraction(sign * mult, m))
+    return acc
+
+
+def sym_word(fields):
+    """Symmetrization of a word of homogeneous vector fields: the average
+    of all Koszul-signed orderings composed in the operator algebra."""
+    from jetexp.chart import same_chart
+    from jetexp.enveloping import DiffOp
+
+    if not fields:
+        raise ValueError("empty word")
+    chart = same_chart(*fields)
+    degrees = [f.degree() for f in fields]
+    ops = [DiffOp.from_vector_field(f) for f in fields]
+    out = DiffOp.zero(chart)
+    for perm in itertools.permutations(range(len(fields))):
+        sign = koszul_sign(list(perm), degrees)
+        term = DiffOp.identity(chart)
+        for pos in perm:
+            term = term.compose(ops[pos])
+        out = out + term.scale(sign)
+    return out.scale(Fraction(1, math.factorial(len(fields))))
+
+
+def vf_homogeneous_ops(field):
+    """Homogeneous pieces of a vector field as (degree, DiffOp) pairs."""
+    from jetexp.enveloping import DiffOp
+
+    chart = field.chart
+    buckets = {}
+    for i, comp in enumerate(field.components):
+        for d, part in comp.homogeneous_components().items():
+            deg = d - chart.coordinate_degree(i)
+            idx = tuple(1 if s == i else 0 for s in range(chart.n))
+            dst = buckets.setdefault(deg, {})
+            cur = dst.get(idx)
+            dst[idx] = part if cur is None else cur + part
+    return [(d, DiffOp(chart, t)) for d, t in sorted(buckets.items())]
+
+
+def tensor_square_left_mult_vf(field, square):
+    """Multiply a tensor square from the left by (X (x) 1 + 1 (x) X).
+
+    The X (x) 1 term composes into the left slot; the 1 (x) X term
+    crosses the left slot with a Koszul sign, composes into the right
+    slot, and the coefficients this produces on the right are pushed
+    back into the left slot through the balancing twist.
+    """
+    from jetexp.chart import same_chart
+    from jetexp.enveloping import DiffOp, TensorSquare, tensor_push_left
+
+    chart = same_chart(field, square)
+    xop = DiffOp.from_vector_field(field)
+    out = TensorSquare(chart, square.kind)
+    for (left_index, right_index), coeff in square.terms.items():
+        left_op = DiffOp(chart, {left_index: coeff})
+        for idx, c in xop.compose(left_op).terms.items():
+            out.add_term(idx, right_index, c)
+        right_word = DiffOp.from_word(chart, right_index)
+        for xdeg, xpart in vf_homogeneous_ops(field):
+            xr = xpart.compose(right_word)
+            for udeg, upart in left_op.homogeneous_components().items():
+                crossed = upart.scale(-1) if (xdeg & 1) and (udeg & 1) \
+                    else upart
+                tensor_push_left(out, crossed, xr)
     return out

@@ -6,18 +6,17 @@ import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weight
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                               comult_env, comult_sym, counit, pairing,
-                               sym_map, sym_mul_vf, sym_word,
-                               tensor_push_left,
-                               tensor_square_left_mult_vf, TensorSquare,
-                               word_letters)
+                               comult_env, comult_sym, letter_compose,
+                               pairing, parity_parts, sym_mul_vf,
+                               tensor_push_left, TensorSquare, word_letters)
 from jetexp.geometry import VectorField
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_symtensor,
                               random_vector_field)
 
-from conftest import build_chart
-from oracles import per_letter_compose, shuffle_pairing, sym_word_product
+from conftest import TORSION_FREE_CHARTS, build_chart
+from oracles import (per_letter_compose, shuffle_pairing, sym_word,
+                     sym_word_product, tensor_square_left_mult_vf)
 
 
 @pytest.fixture
@@ -85,6 +84,38 @@ def test_compose_matches_per_letter_oracle(name, rng):
         assert a.compose(b) == per_letter_compose(a, b)
 
 
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_letter_compose_matches_general_product(name):
+    # d_s o W by the one-letter Leibniz rule against the general product
+    # d_s o W, on operators whose coefficients are even, odd and mixed
+    chart, _ = build_chart(name)
+    rng = random.Random(20261018)
+    odd = [GradedPoly.generator(chart, s) for s in chart.odd_slots
+           if s < chart.n]
+    mixed_seen = False
+    for _ in range(12):
+        terms = {}
+        for index in random_symtensor(rng, chart, 3, terms=4).terms:
+            coeff = random_base_poly(rng, chart, 2, 3)
+            if odd:
+                coeff = coeff + rng.choice(odd) * random_base_poly(
+                    rng, chart, 1, 2)
+                mixed_seen |= len(parity_parts(coeff)) == 2
+            terms[index] = coeff
+        op = DiffOp(chart, terms)
+        for slot in range(chart.n):
+            got = {}
+            for word, coeff in op.terms.items():
+                for new, sign, part in letter_compose(chart, slot, word,
+                                                      coeff):
+                    val = part if sign > 0 else -part
+                    got[new] = got[new] + val if new in got else val
+            unit = tuple(1 if s == slot else 0 for s in range(chart.n))
+            assert DiffOp(chart, got) == \
+                DiffOp.from_word(chart, unit).compose(op)
+    assert mixed_seen or not odd
+
+
 def test_compose_truncation_cap(line):
     d3 = DiffOp.from_word(line, (3,))
     with pytest.raises(TruncationOverflowError):
@@ -128,7 +159,9 @@ def test_filtration_order_and_symbol(line, mixed):
 def test_sym_map_examples(line):
     x = x_of(line)
     d = VectorField.coordinate(line, 0)
-    assert sym_map(SymTensor.from_word(line, (1,))) == DiffOp.from_word(line, (1,))
+    # a stored tensor symmetrizes to the operator with the same terms
+    word = SymTensor.from_word(line, (1,))
+    assert DiffOp(line, dict(word.terms)) == DiffOp.from_word(line, (1,))
     got = sym_word([d, d.scale(x)])
     want = DiffOp(line, {(2,): x, (1,): GradedPoly.constant(line, Fraction(1, 2))})
     assert got == want
@@ -145,7 +178,7 @@ def test_symbol_of_sym_map_is_identity(mixed, rng):
         t = random_symtensor(rng, mixed, 4)
         for w, part in ((w, t.weight_part(w)) for w in range(5)):
             if part:
-                assert sym_map(part).gr_leading() == part
+                assert DiffOp(mixed, dict(part.terms)).gr_leading() == part
 
 
 def test_comult_sym_examples(line):
@@ -371,5 +404,6 @@ def test_tensor_square_counit_of_counit(line):
         if a == (0,) and b == (3,):
             total = total + coeff
     assert total == GradedPoly.constant(line, 1)
-    assert counit(t) == GradedPoly.zero(line)
-    assert counit(SymTensor.function(line, x_of(line))) == x_of(line)
+    # the counit is the coefficient of the empty word
+    assert (0,) not in t.terms
+    assert SymTensor.function(line, x_of(line)).terms[(0,)] == x_of(line)

@@ -13,7 +13,7 @@ from jetexp.randomgen import (random_base_poly, random_section,
                               random_symtensor, random_word)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import per_letter_word_image
+from oracles import compose_word_image, per_letter_word_image
 
 
 def europe_recursion(ctx, fields):
@@ -147,6 +147,16 @@ def test_word_images_match_per_letter_oracle(name, charts, contexts):
     ctx = contexts[name]
     for index in admissible_words(chart, chart.truncation.max_sym_weight):
         assert ctx.word_image(index) == per_letter_word_image(ctx, index)
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_word_images_match_general_product_oracle(name, charts, contexts):
+    # each d_s o W by the general product and summed as operators against
+    # the library's one-letter rule summed in one table
+    chart, conn = charts[name]
+    ctx = contexts[name]
+    for index in admissible_words(chart, chart.truncation.max_sym_weight):
+        assert ctx.word_image(index) == compose_word_image(ctx, index)
 
 
 def test_oracle_multilinearity_over_base_functions(charts, contexts, rng):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetexp.chartfile import load_chart_file
 from jetexp.fedosov import delta_inv_op, project_weight
-from jetexp.geometry import _parity_parts
+from jetexp.enveloping import parity_parts
 from jetexp.grammar import format_poly, parse_poly
 from jetexp.poly import GradedPoly
 
@@ -79,7 +79,7 @@ def test_every_result_is_canonical(args, k, q):
     results += [a.times(b, w) for w in range(4)]
     results += list(a.weight_layers().values())
     results += list(a.homogeneous_components().values())
-    results += [part for _, part in _parity_parts(a)]
+    results += [part for _, part in parity_parts(a)]
     for p in results:
         assert_canonical(p)
 
