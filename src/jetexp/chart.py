@@ -173,26 +173,6 @@ def mi_factorial(index: Sequence[int]) -> int:
     return out
 
 
-def mi_truncate_le(index: Sequence[int], k: int) -> Tuple[int, ...]:
-    """Keep the first k entries (1-based boundary), zero the rest."""
-    return tuple(e if pos < k else 0 for pos, e in enumerate(index))
-
-
-def mi_truncate_lt(index: Sequence[int], k: int) -> Tuple[int, ...]:
-    return mi_truncate_le(index, k - 1)
-
-
-def mi_truncate_gt(index: Sequence[int], k: int) -> Tuple[int, ...]:
-    return tuple(e if pos >= k else 0 for pos, e in enumerate(index))
-
-
-def mi_unit(n: int, k: int) -> Tuple[int, ...]:
-    """The k-th unit multi-index (k is 1-based, matching record files)."""
-    if not 1 <= k <= n:
-        raise ValueError("unit index out of range")
-    return tuple(1 if pos == k - 1 else 0 for pos in range(n))
-
-
 def mi_all(n: int, weight: int):
     """Yield all multi-indices in N_0^n of exact total weight."""
     if n == 1:

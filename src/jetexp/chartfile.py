@@ -130,24 +130,3 @@ def load_chart_file(path: str) -> Tuple[Chart, Connection]:
                              data.count(b"\n", 0, exc.start) + 1) from None
     return parse_chart_file(text)
 
-
-def format_chart_file(chart: Chart, conn: Connection) -> str:
-    lines = ["[coordinates]"]
-    for c in chart.coords:
-        lines.append("%s %d" % (c.name, c.degree))
-    lines.append("")
-    lines.append("[truncation]")
-    q, p, b = chart.truncation
-    lines.extend(["Q %d" % q, "P %d" % p, "B %d" % b])
-    lines.append("")
-    lines.append("[flags]")
-    lines.append("torsion_free %s" % ("true" if conn.torsion_free else "false"))
-    if conn.gamma:
-        lines.append("")
-        lines.append("[christoffel]")
-        from .grammar import format_poly
-        for (i, j, k) in sorted(conn.gamma):
-            lines.append("%d %d %d %s"
-                         % (i + 1, j + 1, k + 1,
-                            format_poly(conn.gamma[(i, j, k)])))
-    return "\n".join(lines) + "\n"

@@ -13,12 +13,15 @@ come out as I! on the diagonal with no stray signs, odd sectors
 included.
 
 DiffOp normal form puts all coefficient functions left of all
-derivations; composition rewrites via the graded Leibniz rule
+derivations.  One rule, ``letter_compose``, brings a single derivation
+past a normal-ordered term by the graded Leibniz rule
 
-    d_i o m_f  =  m_{d_i f} + (-1)^(|x_i||f|) m_f o d_i
+    d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
-and reorders derivation words by Koszul transpositions (coordinate
-derivations commute exactly, so this is lossless).
+and ``insert_letter`` moves the new letter to its place in the word by
+Koszul transpositions (coordinate derivations commute exactly, so this
+is lossless).  ``DiffOp.compose`` applies the letters of each left word
+this way, innermost first; the word images of ``pbw`` use the same rule.
 
 Tensor squares over base functions are normalized with all coefficients
 pushed into the left factor via the bimodule relation
@@ -27,12 +30,11 @@ u.f (x) v == u (x) f.v; the right slot is always a pure word.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .chart import Chart, mi_factorial, mi_weight, same_chart
-from .poly import GradedPoly
+from .poly import GradedPoly, linear_combination
 
 MultiIndex = Tuple[int, ...]
 
@@ -290,6 +292,14 @@ class DiffOp(_IndexedSum):
                 terms[tuple(1 if s == i else 0 for s in range(chart.n))] = comp
         return cls(chart, terms)
 
+    @classmethod
+    def from_table(cls, chart: Chart, table, div: int = 1) -> "DiffOp":
+        """The operator with coefficient sum_k w_k p_k / div at each word
+        of ``table`` (word -> list of (int w_k, polynomial p_k))."""
+        return cls.zero(chart)._wrap({
+            word: linear_combination(chart, pairs, div)
+            for word, pairs in table.items()})
+
     def order(self):
         """Filtration order; None for the zero operator."""
         return max((mi_weight(i) for i in self.terms), default=None)
@@ -317,82 +327,36 @@ class DiffOp(_IndexedSum):
                 out = out + coeff * g
         return out
 
-    def compose_function(self, g: GradedPoly) -> "DiffOp":
-        """Normal form of self o (multiplication by g)."""
-        out: Dict[MultiIndex, GradedPoly] = {}
-        for index, coeff in self.terms.items():
-            for word, h in _word_times_function(self.chart, index, g).items():
-                val = coeff * h
-                cur = out.get(word)
-                out[word] = val if cur is None else cur + val
-        return self._wrap(out)
-
     def compose(self, other: "DiffOp", max_order=None) -> "DiffOp":
-        """Operator product self o other in normal form.
+        """Operator product self o other in normal form, letter by letter:
+        for each term c d^I of self, the letters of I act on other's
+        table by ``letter_compose``, innermost (lowest slot) first, and c
+        multiplies the result on the left.
 
         ``max_order`` None computes exactly; otherwise a word longer than
         ``max_order`` raises TruncationOverflowError (never dropped
         silently).
         """
-        same_chart(self, other)
-        out: Dict[MultiIndex, GradedPoly] = {}
-        for right_index, g in other.terms.items():
-            left = self.compose_function(g)
-            for mid_index, coeff in left.terms.items():
-                sign, merged = merge_words(self.chart, mid_index, right_index)
-                if not sign:
-                    continue
-                if max_order is not None and mi_weight(merged) > max_order:
+        chart = same_chart(self, other)
+        out: Dict[MultiIndex, list] = {}
+        for index, c in self.terms.items():
+            table = other.terms
+            for slot in reversed(word_letters(index)):
+                step: Dict[MultiIndex, list] = {}
+                for word, coeff in table.items():
+                    for new, sign, part in letter_compose(chart, slot, word,
+                                                          coeff):
+                        step.setdefault(new, []).append((sign, part))
+                table = self.from_table(chart, step).terms
+            for word, coeff in table.items():
+                val = c * coeff
+                if val and max_order is not None and \
+                        mi_weight(word) > max_order:
                     raise TruncationOverflowError(
                         "operator order %d exceeds cap %d"
-                        % (mi_weight(merged), max_order))
-                val = coeff if sign > 0 else -coeff
-                cur = out.get(merged)
-                out[merged] = val if cur is None else cur + val
-        return self._wrap(out)
-
-
-def _word_times_function(chart: Chart, index: MultiIndex,
-                         g: GradedPoly) -> Dict[MultiIndex, GradedPoly]:
-    """Normal-order (descending word of ``index``) o m_g by peeling the
-    innermost block of equal derivations at once: for an even slot
-
-        d_s^m o m_g  =  sum_j C(m, j) m_{d_s^j g} o d_s^(m - j),
-
-    and an odd slot (m = 1) is the graded Leibniz rule.  The recursion
-    depth is the number of distinct letters."""
-    out: Dict[MultiIndex, GradedPoly] = {}
-    if not g:
-        return out
-    if not any(index):
-        out[index] = g
-        return out
-    slot = min(s for s, e in enumerate(index) if e)
-    mult = index[slot]
-    rest = tuple(0 if s == slot else e for s, e in enumerate(index))
-    if chart.coordinate_parity(slot):
-        passed = GradedPoly.zero(chart)
-        for part in g.homogeneous_components().values():
-            passed = passed + (-part if part.parity() else part)
-        pieces = [(g.partial(slot), 0), (passed, 1)]
-    else:
-        pieces = []
-        dg = g
-        for j in range(mult + 1):
-            if not dg:
-                break
-            pieces.append((dg * math.comb(mult, j), mult - j))
-            dg = dg.partial(slot)
-    for h, k in pieces:
-        tail = tuple(k if s == slot else 0 for s in range(chart.n))
-        for word, coeff in _word_times_function(chart, rest, h).items():
-            sign, merged = merge_words(chart, word, tail)
-            if not sign:
-                continue
-            val = coeff if sign > 0 else -coeff
-            cur = out.get(merged)
-            out[merged] = val if cur is None else cur + val
-    return out
+                        % (mi_weight(word), max_order))
+                out.setdefault(word, []).append((1, val))
+        return self.from_table(chart, out)
 
 
 def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:

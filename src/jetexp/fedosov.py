@@ -54,23 +54,6 @@ def project_weight(f: GradedPoly, max_weight: int) -> GradedPoly:
     return f.filter_terms(lambda m: monomial_weight(chart, m) <= max_weight)
 
 
-def check_section_bounds(f: GradedPoly):
-    """Validate a parsed section against the chart truncation box."""
-    chart = f.chart
-    q_cap, p_cap, b_cap = chart.truncation
-    for m in f.nums:
-        p, q = monomial_pq(chart, m)
-        if p > p_cap:
-            raise TruncationOverflowError("form degree %d exceeds P=%d"
-                                          % (p, p_cap))
-        if q > q_cap:
-            raise TruncationOverflowError("fiber weight %d exceeds Q=%d"
-                                          % (q, q_cap))
-    if f.max_base_degree() > b_cap:
-        raise TruncationOverflowError("base degree %d exceeds B=%d"
-                                      % (f.max_base_degree(), b_cap))
-
-
 # ---------------------------------------------------------------------------
 # the lowering/raising pair and the augmentation
 
@@ -208,31 +191,6 @@ def vvf_records(components: Sequence[GradedPoly]):
             records.setdefault(key, {})[m[:n] + (0,) * (2 * n)] = v
     return [(i, j, k, GradedPoly._of(chart, nums, components[k - 1].den))
             for (i, j, k), nums in sorted(records.items())]
-
-
-# ---------------------------------------------------------------------------
-# curvature action cross-check helpers
-
-def dual_curvature_action(conn: Connection, f: GradedPoly) -> GradedPoly:
-    """The square of the dual covariant differential reassembled from
-    graded commutators of the direction derivations; equals
-    dnabla_form(dnabla_form(.)) identically and ties to the curvature of
-    the input connection through the pairing (tested, not assumed)."""
-    chart = f.chart
-    images = [dict(enumerate(row)) for row in dual_connection_images(conn)]
-    out = GradedPoly.zero(chart)
-    for j in range(chart.n):
-        pj = chart.coordinate_parity(j)
-        dxj = GradedPoly.generator(chart, chart.dx_slot(j))
-        for i in range(chart.n):
-            pi = chart.coordinate_parity(i)
-            dxi = GradedPoly.generator(chart, chart.dx_slot(i))
-            sign = -1 if (pj * (1 + pi)) & 1 else 1
-            inner = f.derive(images[i]).derive(images[j])
-            flip = f.derive(images[j]).derive(images[i])
-            comm = inner - (flip if not (pi and pj) else -flip)
-            out = out + dxj * dxi * comm * Fraction(sign, 2)
-    return out
 
 
 # ---------------------------------------------------------------------------

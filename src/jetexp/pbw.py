@@ -61,7 +61,7 @@ from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                          letter_compose, pairing, sym_mul_vf, word_degree)
 from .geometry import (Connection, VectorField, coordinate_replacement,
                        nabla_sym)
-from .poly import GradedPoly, linear_combination
+from .poly import GradedPoly
 
 
 class PbwContext:
@@ -128,7 +128,7 @@ class PbwContext:
                                                       coeff):
                     table.setdefault(new, []).append((sign * weight, part))
             self._gather(table, self.replacement(slot, rest), -weight)
-        return _table_op(chart, table, m)
+        return DiffOp.from_table(chart, table, m)
 
     def _gather(self, table, tensor: SymTensor, weight: int):
         """Add weight * sum_J c_J W_J to ``table`` (word -> list of
@@ -148,7 +148,7 @@ class PbwContext:
                 % (tensor.weight(), self.max_weight))
         table: Dict[Tuple[int, ...], list] = {}
         self._gather(table, tensor, 1)
-        return _table_op(self.chart, table, 1)
+        return DiffOp.from_table(self.chart, table)
 
     def inv(self, op: DiffOp) -> SymTensor:
         """Inverse by symbol peeling (top order down)."""
@@ -169,14 +169,6 @@ class PbwContext:
             if new_order is not None and new_order >= k:
                 raise AssertionError("symbol peeling failed to lower order")
         return out
-
-
-def _table_op(chart: Chart, table, div: int) -> DiffOp:
-    """The operator with coefficient sum_k w_k p_k / div at each word of
-    ``table`` (word -> list of (int w_k, polynomial p_k))."""
-    return DiffOp.zero(chart)._wrap({
-        word: linear_combination(chart, pairs, div)
-        for word, pairs in table.items()})
 
 
 def lightning_nabla(ctx: PbwContext, field: VectorField,

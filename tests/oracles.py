@@ -10,11 +10,14 @@ block of equal letters, a ``Fraction`` pair loop with per-pair inversion
 counting instead of the integer-numerator bitmask kernel, operator word
 images applied to a function instead of the recursion evaluated on
 values, a symmetric word built letter by letter instead of by index
-arithmetic, the operator products d_s o W of a word image formed by the
-general ``DiffOp.compose`` and summed as operators instead of by the
-one-letter Leibniz rule into one table, the symmetrization of a word of
-vector fields as the average over all orderings, the comultiplication
-built by left multiplications of tensor squares) so frozen expectations
+arithmetic, operator products by peeling letters through each
+coefficient and merging words by ``merge_words`` instead of applying
+each letter to the whole operator by ``letter_compose``, the operator
+products d_s o W of a word image summed as operators instead of into
+one table, the symmetrization of a word of vector fields as the average
+over all orderings, the comultiplication built by left multiplications
+of tensor squares, the square of the dual covariant differential as
+graded commutators of its direction derivations) so frozen expectations
 in the tests do not share code with the implementation they check.
 """
 
@@ -339,8 +342,8 @@ def per_letter_word_image(ctx, index):
             rest_index[s] += 1
         rest_index = tuple(rest_index)
         unit = tuple(1 if s == slot else 0 for s in range(chart.n))
-        left = DiffOp.from_word(chart, unit).compose(
-            ctx.word_image(rest_index))
+        left = per_letter_compose(DiffOp.from_word(chart, unit),
+                                  ctx.word_image(rest_index))
         inner = per_position_nabla_sym(
             ctx.conn, VectorField.coordinate(chart, slot),
             SymTensor.from_word(chart, rest_index))
@@ -352,8 +355,10 @@ def per_letter_word_image(ctx, index):
 def per_letter_word_times_function(chart, index, g):
     """Normal form of (descending word of ``index``) o m_g as a dict
     word -> coefficient, peeling one derivation at a time by the graded
-    Leibniz rule d_i o m_f = m_{d_i f} + (-1)^(|x_i||f|) m_f o d_i.  (The
-    library peels a whole block of equal letters by the binomial rule.)"""
+    Leibniz rule d_i o m_f = m_{d_i f} + (-1)^(|x_i||f|) m_f o d_i, the
+    word merged by ``merge_words``.  (The library's ``DiffOp.compose``
+    applies each letter to the whole right operator by
+    ``letter_compose``, the new word ordered by ``insert_letter``.)"""
     from jetexp.enveloping import merge_words
 
     out = {}
@@ -404,11 +409,11 @@ def per_letter_compose(a, b):
 def compose_word_image(ctx, index):
     """One step of the averaged recursion for the basis word of ``index``
     with one term per distinct letter (like the library), each d_s o W
-    formed by the general operator product and each term summed and
-    scaled as an operator; shorter words come from the context.  (The
-    library forms d_s o W by the one-letter Leibniz rule and sums every
-    term of the step in one table.)"""
-    from jetexp.chart import mi_unit, mi_weight
+    formed by ``per_letter_compose`` and each term summed and scaled as
+    an operator; shorter words come from the context.  (The library
+    forms d_s o W by ``letter_compose`` and sums every term of the step
+    in one table.)"""
+    from jetexp.chart import mi_weight
     from jetexp.enveloping import DiffOp
 
     chart = ctx.chart
@@ -423,10 +428,10 @@ def compose_word_image(ctx, index):
         mult = index[slot]
         if not mult:
             continue
-        unit = mi_unit(chart.n, slot + 1)
+        unit = tuple(1 if s == slot else 0 for s in range(chart.n))
         rest_index = tuple(e - u for e, u in zip(index, unit))
-        left = DiffOp.from_word(chart, unit).compose(
-            ctx.word_image(rest_index))
+        left = per_letter_compose(DiffOp.from_word(chart, unit),
+                                  ctx.word_image(rest_index))
         term = left - ctx.map(ctx.replacement(slot, rest_index),
                               _internal=True)
         par = chart.coordinate_parity(slot)
@@ -498,4 +503,28 @@ def tensor_square_left_mult_vf(field, square):
                 crossed = upart.scale(-1) if (xdeg & 1) and (udeg & 1) \
                     else upart
                 tensor_push_left(out, crossed, xr)
+    return out
+
+
+def dual_curvature_action(conn, f):
+    """The square of the dual covariant differential reassembled from
+    graded commutators of the direction derivations; equals
+    dnabla_form(dnabla_form(.)) identically and ties to the curvature of
+    the input connection through the pairing (tested, not assumed)."""
+    from jetexp.fedosov import dual_connection_images
+
+    chart = f.chart
+    images = [dict(enumerate(row)) for row in dual_connection_images(conn)]
+    out = GradedPoly.zero(chart)
+    for j in range(chart.n):
+        pj = chart.coordinate_parity(j)
+        dxj = GradedPoly.generator(chart, chart.dx_slot(j))
+        for i in range(chart.n):
+            pi = chart.coordinate_parity(i)
+            dxi = GradedPoly.generator(chart, chart.dx_slot(i))
+            sign = -1 if (pj * (1 + pi)) & 1 else 1
+            inner = f.derive(images[i]).derive(images[j])
+            flip = f.derive(images[j]).derive(images[i])
+            comm = inner - (flip if not (pi and pj) else -flip)
+            out = out + dxj * dxi * comm * Fraction(sign, 2)
     return out

@@ -11,8 +11,8 @@ from fractions import Fraction
 from jetexp.chart import Chart, Truncation, mi_all_up_to
 from jetexp.enveloping import DiffOp, SymTensor, pairing, sym_mul_vf
 from jetexp.fedosov import (FedosovData, delta_inv_op, delta_op, dnabla_form,
-                            dual_connection_images, dual_curvature_action,
-                            project_weight, sigma_aug, tau_pbw)
+                            dual_connection_images, project_weight,
+                            sigma_aug, tau_pbw)
 from jetexp.geometry import Connection, VectorField, curvature
 from jetexp.grammar import parse_poly
 from jetexp.pbw import PbwContext, lightning_nabla, xi_form
@@ -24,7 +24,7 @@ from jetexp.randomgen import (random_base_poly, random_section,
 from jetexp.verify import flat_contraction, morphism_sides
 
 from conftest import CHART_DEFS
-from oracles import derivation_apply
+from oracles import derivation_apply, dual_curvature_action
 
 WEIGHT = 5  # the truncation every criterion is pinned at
 

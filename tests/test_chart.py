@@ -3,8 +3,7 @@ import random
 import pytest
 
 from jetexp.chart import (Chart, Truncation, koszul_sign, mi_all_up_to,
-                          mi_factorial, mi_truncate_gt, mi_truncate_le,
-                          mi_truncate_lt, mi_unit, mi_weight)
+                          mi_factorial, mi_weight)
 
 from oracles import bubble_koszul_sign
 
@@ -64,10 +63,6 @@ def test_multiindex_basics():
     index = (2, 1)
     assert mi_weight(index) == 3
     assert mi_factorial(index) == 2
-    assert mi_truncate_le(index, 1) == (2, 0)
-    assert mi_truncate_lt(index, 2) == (2, 0)
-    assert mi_truncate_gt(index, 1) == (0, 1)
-    assert mi_unit(3, 2) == (0, 1, 0)
 
 
 def test_multiindex_enumeration():

@@ -8,13 +8,12 @@ import pytest
 
 from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import load_chart_file
-from jetexp.enveloping import SymTensor, TruncationOverflowError, pairing
+from jetexp.enveloping import SymTensor, pairing
 from jetexp.fedosov import (FedosovData, FlatStructureError,
-                            _solve_correction, check_section_bounds,
-                            delta_inv_op, delta_op, dnabla_form,
-                            dual_connection_images, dual_curvature_action,
-                            iota_incl, project_weight, sigma_aug, tau_pbw,
-                            vvf_action, vvf_records)
+                            _solve_correction, delta_inv_op, delta_op,
+                            dnabla_form, dual_connection_images, iota_incl,
+                            project_weight, sigma_aug, tau_pbw, vvf_action,
+                            vvf_records)
 from jetexp.geometry import Connection, VectorField, curvature
 from jetexp.pbw import PbwContext
 from jetexp.poly import GradedPoly, monomial_pq
@@ -22,8 +21,8 @@ from jetexp.randomgen import (random_base_poly, random_section,
                               random_torsion_free_connection)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (derivation_apply, fixed_point_correction,
-                     tau_by_word_images)
+from oracles import (derivation_apply, dual_curvature_action,
+                     fixed_point_correction, tau_by_word_images)
 
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
 
@@ -456,18 +455,3 @@ def test_record_serialization_round_shape():
     for i, fiber, k, poly in records:
         assert 1 <= i <= chart.n and 1 <= k <= chart.n
         assert len(fiber) == chart.n
-
-
-def test_section_bounds_checker():
-    chart = Chart([("x", 0), ("t", 1)], Truncation(2, 2, 2))
-    x, t = g(chart, 0), g(chart, 1)
-    y = g(chart, chart.y_slot(0))
-    dx = g(chart, chart.dx_slot(0))
-    dt = g(chart, chart.dx_slot(1))
-    check_section_bounds(x * x + y * y)
-    with pytest.raises(TruncationOverflowError):
-        check_section_bounds(y ** 3)
-    with pytest.raises(TruncationOverflowError):
-        check_section_bounds(dt * dt * dt)
-    with pytest.raises(TruncationOverflowError):
-        check_section_bounds(x ** 3)

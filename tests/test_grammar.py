@@ -1,9 +1,10 @@
+import os
 from fractions import Fraction
 
 import pytest
 
 from jetexp.chart import Chart, Truncation
-from jetexp.chartfile import (ChartFileError, format_chart_file,
+from jetexp.chartfile import (ChartFileError, load_chart_file,
                               parse_chart_file)
 from jetexp.enveloping import DiffOp, SymTensor
 from jetexp.grammar import (ExprSyntaxError, format_diffop, format_poly,
@@ -140,9 +141,10 @@ def test_frozen_display_conventions():
 
 
 def test_chart_file_roundtrip():
+    # the shipped file and the conftest definition describe one chart
     chart, conn = build_chart("mixed")
-    text = format_chart_file(chart, conn)
-    chart2, conn2 = parse_chart_file(text)
+    chart2, conn2 = load_chart_file(os.path.join(
+        os.path.dirname(__file__), os.pardir, "charts", "mixed_parity.chart"))
     assert chart2 == chart
     assert conn2.gamma == conn.gamma
     assert conn2.torsion_free == conn.torsion_free

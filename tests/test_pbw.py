@@ -13,7 +13,8 @@ from jetexp.randomgen import (random_base_poly, random_section,
                               random_symtensor, random_word)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import compose_word_image, per_letter_word_image
+from oracles import (compose_word_image, per_letter_compose,
+                     per_letter_word_image)
 
 
 def europe_recursion(ctx, fields):
@@ -31,8 +32,8 @@ def europe_recursion(ctx, fields):
         eps = -1 if (degrees[k] & 1) and \
             (sum(d & 1 for d in degrees[:k]) & 1) else 1
         rest = fields[:k] + fields[k + 1:]
-        left = DiffOp.from_vector_field(fields[k]).compose(
-            europe_recursion(ctx, rest))
+        left = per_letter_compose(DiffOp.from_vector_field(fields[k]),
+                                  europe_recursion(ctx, rest))
         word = SymTensor.function(chart, GradedPoly.constant(chart, 1))
         for f in reversed(rest):
             word = sym_mul_vf(f, word)
@@ -151,8 +152,8 @@ def test_word_images_match_per_letter_oracle(name, charts, contexts):
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
 def test_word_images_match_general_product_oracle(name, charts, contexts):
-    # each d_s o W by the general product and summed as operators against
-    # the library's one-letter rule summed in one table
+    # each d_s o W by the oracle's operator product and summed as
+    # operators against the library's one-letter rule summed in one table
     chart, conn = charts[name]
     ctx = contexts[name]
     for index in admissible_words(chart, chart.truncation.max_sym_weight):
