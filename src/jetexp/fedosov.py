@@ -16,13 +16,15 @@ at the quotient weight (GradedPoly.times with ``max_weight``) computes
 exactly in the quotient without forming the terms it drops; "exact up to
 truncation" means exact there.
 
-Every such operator that is a derivation is a table of generator images
-applied by GradedPoly.derive, so all of them share its left-derivative
-sign rule:
+Every such operator that is a derivation shares the left-derivative
+sign rule of GradedPoly.derive.  The lowering and raising maps send
+generators to generators and keep p + q, so each is one slot exchange
+(GradedPoly.exchange) with an optional weight cap; the others are
+tables of generator images applied by GradedPoly.derive:
 
   * lowering map:  y_i -> dx_i, i.e. delta(u) = sum_i dx_i . (d u / d y_i)
-  * raising map:   dx_i -> y_i, then each output monomial divided by its
-                   own p + q (the map keeps p + q), 0 on (0, 0)
+  * raising map:   dx_i -> y_i, each output monomial divided by its own
+                   p + q in the same pass, 0 on (0, 0)
   * dual covariant differential: x_i -> dx_i,
                    y_k -> sum_i dx_i . cov_i(y_k)
   * correction action: y_k -> k-th component
@@ -34,7 +36,6 @@ sign rule:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .chart import Chart, mi_all_up_to, mi_factorial
@@ -57,28 +58,24 @@ def project_weight(f: GradedPoly, max_weight: int) -> GradedPoly:
 # ---------------------------------------------------------------------------
 # the lowering/raising pair and the augmentation
 
-def delta_op(f: GradedPoly) -> GradedPoly:
-    """Degree +1 map (p, q) -> (p+1, q-1); squares to zero."""
+def delta_op(f: GradedPoly, max_weight: int = None) -> GradedPoly:
+    """Degree +1 map (p, q) -> (p+1, q-1); squares to zero.  It keeps
+    p + q, so ``max_weight`` projects input and output alike."""
     chart = f.chart
-    return f.derive({chart.y_slot(i): GradedPoly.generator(chart,
-                                                           chart.dx_slot(i))
-                     for i in range(chart.n)})
+    return f.exchange([(chart.y_slot(i), chart.dx_slot(i))
+                       for i in range(chart.n)], max_weight)
 
 
-def delta_inv_op(f: GradedPoly) -> GradedPoly:
+def delta_inv_op(f: GradedPoly, max_weight: int = None) -> GradedPoly:
     """Degree -1 map (p, q) -> (p-1, q+1); zero on the (0, 0) part.
 
     The derivation dx_i -> y_i keeps p + q, so each output monomial is
-    divided by its own p + q (never 0: every output term holds a y)."""
+    divided by its own p + q (never 0: every output term holds a y),
+    and with ``max_weight`` the result is its projection to that
+    weight."""
     chart = f.chart
-    raised = f.derive({chart.dx_slot(i): GradedPoly.generator(chart,
-                                                              chart.y_slot(i))
-                       for i in range(chart.n)})
-    weights = {m: monomial_weight(chart, m) for m in raised.nums}
-    top = lcm(*weights.values())
-    return GradedPoly._of(chart, {m: v * (top // weights[m])
-                                  for m, v in raised.nums.items()},
-                          raised.den * top)
+    return f.exchange([(chart.dx_slot(i), chart.y_slot(i))
+                       for i in range(chart.n)], max_weight, by_weight=True)
 
 
 def sigma_aug(f: GradedPoly) -> GradedPoly:
@@ -99,14 +96,11 @@ def base_contraction(chart: Chart, weight: int) -> ContractionData:
     functions, computed in the jet quotient.  The homotopy is minus the
     raising map, matching the package-wide id - tau.sigma normalization
     against the differential -delta."""
-    def d_big(w):
-        return project_weight(-delta_op(w), weight)
-
     return ContractionData(
         sigma=sigma_aug,
         tau=lambda f: project_weight(iota_incl(f), weight),
-        h=lambda w: -project_weight(delta_inv_op(w), weight),
-        d_big=d_big,
+        h=lambda w: -delta_inv_op(w, weight),
+        d_big=lambda w: -delta_op(w, weight),
         d_small=lambda f: GradedPoly.zero(chart),
     )
 
@@ -226,8 +220,9 @@ class FedosovData:
         self.conn = conn
         self.weight = (chart.truncation.max_sym_weight if weight is None
                        else int(weight))
-        self.correction = _solve_correction(conn, self.weight)
-        self.perturbation_images = dnabla_images(conn)
+        images = dnabla_images(conn)
+        self.correction = _solve_correction(conn, self.weight, images)
+        self.perturbation_images = images
         self.flat_images = dict(self.perturbation_images)
         for k, comp in enumerate(self.correction):
             y = chart.y_slot(k)
@@ -259,7 +254,9 @@ class FedosovData:
         return self.transfer.contraction.h(f)
 
 
-def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
+def _solve_correction(conn: Connection, weight: int,
+                      images: Dict[int, GradedPoly]
+                      ) -> Tuple[GradedPoly, ...]:
     """Weight recursion for the unique raising-normalized correction.
 
     The square of the candidate flat operator is a fiberwise derivation
@@ -280,11 +277,11 @@ def _solve_correction(conn: Connection, weight: int) -> Tuple[GradedPoly, ...]:
     b = dnabla y_k + a_k, whose products involve only layers below w;
     each is formed once, layer by layer.  One confirming pass of the
     whole fixed-point map, with products cut off at weight + 1, must
-    then reproduce the result.
+    then reproduce the result.  ``images`` is the generator table of
+    dnabla, ``dnabla_images(conn)``.
     """
     chart = conn.chart
     top = weight + 1
-    images = dnabla_images(conn)
     d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
     seed = [dy.derive(images) - delta_op(dy) for dy in d_y]
     seed_layers = [s.weight_layers() for s in seed]

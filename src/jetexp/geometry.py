@@ -180,20 +180,26 @@ class Connection:
         return cls(chart, {})
 
     def _check_symmetric(self):
+        """Gamma^k_ij = (-1)^(|x_i||x_j|) Gamma^k_ji for all i, j, k.  A
+        triple fails together with its mirror (j, i, k), and one whose
+        entry and mirror are both missing cannot fail, so only the
+        stored keys are visited, as (min(i, j), max(i, j), k) in
+        ascending order: the first failure named is the least failing
+        triple."""
         chart = self.chart
         zero = GradedPoly.zero(chart)
-        for i in range(chart.n):
-            for j in range(chart.n):
-                sign = -1 if (chart.coordinate_parity(i)
-                              and chart.coordinate_parity(j)) else 1
-                for k in range(chart.n):
-                    a = self.gamma.get((i, j, k), zero)
-                    b = self.gamma.get((j, i, k), zero)
-                    if a != b * sign:
-                        raise ValueError(
-                            "torsion_free flag set but Christoffel table is "
-                            "not graded-symmetric at (%d,%d,%d)"
-                            % (i + 1, j + 1, k + 1))
+        gamma = self.gamma
+        for i, j, k in sorted({(min(i, j), max(i, j), k)
+                               for i, j, k in gamma}):
+            a = gamma.get((i, j, k), zero)
+            b = gamma.get((j, i, k), zero)
+            if chart.coordinate_parity(i) and chart.coordinate_parity(j):
+                b = -b
+            if a != b:
+                raise ValueError(
+                    "torsion_free flag set but Christoffel table is "
+                    "not graded-symmetric at (%d,%d,%d)"
+                    % (i + 1, j + 1, k + 1))
 
     def entry(self, i: int, j: int, k: int) -> GradedPoly:
         return self.gamma.get((i, j, k), GradedPoly.zero(self.chart))

@@ -19,6 +19,11 @@ parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
 One per-row rule forms partial_s from the operand's product rows; it
 feeds ``derive``'s products directly and builds ``partial``'s result.
+A derivation whose images are single generators of fiber or form slots,
+g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off one
+odd-slot bitmask per monomial, in one pass with no product rows.  Such a
+map keeps p + q, so it takes an exact weight cap on its input and can
+divide each term by its own p + q in the same pass.
 
 Stored form.  A polynomial stores integers: a positive ``den`` and a
 dict ``nums`` from monomial to nonzero numerator, the coefficient of m
@@ -51,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from .chart import Chart, same_chart
 
@@ -342,6 +347,70 @@ class GradedPoly:
                 if rows:
                     pairs.append((img.den * self.den, img._layout(), rows))
         return _sum_of_products(self.chart, pairs, max_weight)
+
+    def exchange(self, pairs: Sequence[Tuple[int, int]],
+                 max_weight: int = None,
+                 by_weight: bool = False) -> "GradedPoly":
+        """The derivation sending the generator in slot s to the one in
+        slot t for each pair (s, t) of fiber or form slots, and every
+        other generator to 0: sum_(s,t) g_t . partial_s(self), with
+        ``derive``'s sign rule, in one pass over the monomials and with
+        no product rows.  Such a map keeps p + q, so ``max_weight``
+        drops the input monomials above it (the same as dropping the
+        output's), and ``by_weight`` divides each term by its own p + q.
+
+        Signs come from the odd-slot bitmask of the monomial m: pulling
+        an odd g_s out of the front costs the parity of the odd slots of
+        m below s, and putting an odd g_t in front of m - e_s costs the
+        parity of its odd slots below t, or kills the term when it
+        already holds g_t."""
+        chart = self.chart
+        n = chart.n
+        par = chart.gen_parities
+        table = []  # (slot s, odd bit of s, slot t, odd bit of t)
+        for s, t in pairs:
+            if not (n <= s < 3 * n and n <= t < 3 * n):
+                raise ValueError("exchange pairs must be fiber or form slots")
+            table.append((s, par[s] << s, t, par[t] << t))
+        odd = chart.odd_slots
+        layers: Dict[int, list] = {}  # weight p + q -> [(monomial, num)]
+        for m, v in self.nums.items():
+            w = sum(m[n:])
+            if w and (max_weight is None or w <= max_weight):
+                layers.setdefault(w, []).append((m, v))
+        top = lcm(*layers) if by_weight else 1
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for w, rows in layers.items():
+            scale = top // w if by_weight else 1
+            for m, v in rows:
+                mask = 0
+                for s in odd:
+                    if m[s]:
+                        mask |= 1 << s
+                v *= scale
+                for s, sbit, t, tbit in table:
+                    e = m[s]
+                    if not e:
+                        continue
+                    c = v * e  # an odd slot has e == 1
+                    rest = mask
+                    if sbit:
+                        if (mask & (sbit - 1)).bit_count() & 1:
+                            c = -c
+                        rest ^= sbit
+                    if tbit:
+                        if rest & tbit:  # g_t is odd and already in m
+                            continue
+                        if (rest & (tbit - 1)).bit_count() & 1:
+                            c = -c
+                    key = list(m)
+                    key[s] = e - 1
+                    key[t] += 1
+                    key = tuple(key)
+                    out[key] = get(key, 0) + c
+        return GradedPoly._of(chart, {m: v for m, v in out.items() if v},
+                              self.den * top)
 
     def _split(self, key: Callable[[Monomial], int]) -> Dict[int, "GradedPoly"]:
         """The nonzero parts of fixed ``key(monomial)``, keyed ascending."""

@@ -4,7 +4,9 @@ Each function recomputes a quantity by a deliberately different route
 than the library (bubble sort instead of inversion counting, explicit
 shuffle interleave instead of the factorial diagonal rule, exact matrix
 inversion instead of series summation, a plain fixed-point iteration of
-full products instead of the weight-layered correction solve, one
+full products instead of the weight-layered correction solve, the
+lowering and raising maps as generator tables applied by ``derive``
+instead of one-pass slot exchanges, one
 recursion term or replacement per letter of a word instead of one per
 block of equal letters, a ``Fraction`` pair loop with per-pair inversion
 counting instead of the integer-numerator bitmask kernel, operator word
@@ -220,21 +222,45 @@ def derivation_apply(f, images, parity):
     return out
 
 
+def derive_delta(f):
+    """The lowering map as the generator table y_i -> dx_i applied by
+    ``GradedPoly.derive``.  (The library exchanges slots in one pass,
+    in ``GradedPoly.exchange``.)"""
+    chart = f.chart
+    return f.derive({chart.y_slot(i): GradedPoly.generator(chart,
+                                                           chart.dx_slot(i))
+                     for i in range(chart.n)})
+
+
+def derive_delta_inv(f):
+    """The raising map as the generator table dx_i -> y_i applied by
+    ``GradedPoly.derive``, then each output monomial divided by its own
+    p + q in a second pass."""
+    chart = f.chart
+    n = chart.n
+    raised = f.derive({chart.dx_slot(i): GradedPoly.generator(chart,
+                                                              chart.y_slot(i))
+                       for i in range(n)})
+    return GradedPoly(chart, {m: c / sum(m[n:])
+                              for m, c in raised.terms.items()})
+
+
 def fixed_point_correction(conn, weight):
     """The flat-structure correction by iterating the whole fixed-point
-    map from zero until it repeats, forming every product in full and
-    projecting to weight + 1 afterwards.  (The library instead solves one
-    weight layer at a time with products cut off at the cap.)"""
-    from jetexp.fedosov import (delta_inv_op, delta_op, dnabla_images,
-                                project_weight, vvf_action)
+    map from zero until it repeats, forming every product in full, with
+    the lowering and raising maps from ``derive_delta`` and
+    ``derive_delta_inv``, and projecting to weight + 1 afterwards.  (The
+    library instead solves one weight layer at a time with products cut
+    off at the cap, and exchanges slots for the two maps.)"""
+    from jetexp.fedosov import dnabla_images, project_weight, vvf_action
     chart = conn.chart
     images = dnabla_images(conn)
     d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
-    seed = [dy.derive(images) - delta_op(dy) for dy in d_y]
+    seed = [dy.derive(images) - derive_delta(dy) for dy in d_y]
     comps = tuple(GradedPoly.zero(chart) for _ in range(chart.n))
     for _ in range(weight + 2):
         new = tuple(
-            project_weight(delta_inv_op(
+            project_weight(derive_delta_inv(
                 seed[k] + vvf_action(comps, d_y[k] + comps[k])
                 + comps[k].derive(images)), weight + 1)
             for k in range(chart.n))

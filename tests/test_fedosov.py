@@ -5,13 +5,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import load_chart_file
 from jetexp.enveloping import SymTensor, pairing
 from jetexp.fedosov import (FedosovData, FlatStructureError,
                             _solve_correction, delta_inv_op, delta_op,
-                            dnabla_form, dual_connection_images, iota_incl,
+                            dnabla_form, dnabla_images,
+                            dual_connection_images, iota_incl,
                             project_weight, sigma_aug, tau_pbw, vvf_action,
                             vvf_records)
 from jetexp.geometry import Connection, VectorField, curvature
@@ -54,6 +56,69 @@ def test_lowering_examples(line):
     assert not delta_op(y * dx)  # dx wedge dx dies
     assert delta_inv_op(y * dx) == y * y * Fraction(1, 2)
     assert not delta_inv_op(x * x)  # zero on the (0, 0) part
+
+
+def oracle_exchange(w, pairs, by_weight=False):
+    """The derivation g_s -> g_t over ``pairs`` by the positional Leibniz
+    rule (odd, like both maps), each output monomial divided by its own
+    p + q when ``by_weight``."""
+    chart = w.chart
+    images = [None] * (3 * chart.n)
+    for s, t in pairs:
+        images[s] = GradedPoly.generator(chart, t)
+    out = derivation_apply(w, images, parity=1)
+    if not by_weight:
+        return out
+    n = chart.n
+    return GradedPoly(chart, {m: c / sum(m[n:]) for m, c in out.terms.items()})
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_exchange_maps_match_the_positional_leibniz_rule(name, seed):
+    # both maps against the derivation applied letter by letter, on
+    # sections up to weight Q + 1, with and without the cap Q
+    chart, _ = build_chart(name)
+    n = chart.n
+    q = chart.truncation.max_sym_weight
+    w = random_section(random.Random(seed), chart, q + 1)
+    down = [(chart.y_slot(i), chart.dx_slot(i)) for i in range(n)]
+    up = [(t, s) for s, t in down]
+    lowered = oracle_exchange(w, down)
+    raised = oracle_exchange(w, up, by_weight=True)
+    assert delta_op(w) == lowered
+    assert delta_inv_op(w) == raised
+    assert delta_op(w, q) == project_weight(lowered, q)
+    assert delta_inv_op(w, q) == project_weight(raised, q)
+
+
+def test_exchange_rejects_base_slots(line):
+    y = g(line, 1)
+    for pairs in ([(0, 2)], [(1, 0)], [(1, 3)]):
+        with pytest.raises(ValueError, match="exchange pairs"):
+            y.exchange(pairs)
+
+
+def test_flat_structure_builds_no_generator_tables(monkeypatch):
+    # the lowering pair exchanges slots, and the solve and the flat
+    # operator share one dnabla table
+    import jetexp.fedosov as fedosov
+    chart, conn = build_chart("three_degrees")
+    w = random_section(random.Random(5), chart, 4)
+    expected = (delta_op(w), delta_inv_op(w))
+
+    def no_generator(*args):
+        raise AssertionError("generator table built")
+    with monkeypatch.context() as patch:
+        patch.setattr(GradedPoly, "generator", staticmethod(no_generator))
+        assert (delta_op(w), delta_inv_op(w)) == expected
+    tables = []
+    real = fedosov.dnabla_images
+    monkeypatch.setattr(fedosov, "dnabla_images",
+                        lambda c: tables.append(c) or real(c))
+    FedosovData(conn, 3)
+    assert tables == [conn]
 
 
 def test_lowering_pair_degrees(line):
@@ -245,7 +310,7 @@ def test_layered_solve_matches_fixed_point_oracle():
     assert len(conns) > 6
     conns += [(dense_connection(3, 4), 4), (dense_connection(4, 3), 3)]
     for conn, weight in conns:
-        assert _solve_correction(conn, weight) == \
+        assert _solve_correction(conn, weight, dnabla_images(conn)) == \
             fixed_point_correction(conn, weight)
 
 
@@ -264,7 +329,7 @@ def test_confirming_pass_rejects_a_bad_layer(monkeypatch):
         return out
     monkeypatch.setattr(fedosov, "delta_inv_op", skewed)
     with pytest.raises(FlatStructureError, match="did not stabilize"):
-        _solve_correction(conn, 4)
+        _solve_correction(conn, 4, dnabla_images(conn))
 
 
 def test_dense_solve_stays_fast():

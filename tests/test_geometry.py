@@ -139,6 +139,25 @@ def test_torsion_free_flag_validated(plane, mixed):
                    torsion_free=True)
 
 
+def test_symmetry_check_names_the_least_failing_triple():
+    # two entries without mirrors, the later key in index order stored
+    # first: the message names the least failing triple, (0, 2, 1)
+    space = Chart([("x1", 0), ("x2", 0), ("x3", 0)], Truncation(3, 3, 4))
+    one = GradedPoly.constant(space, 1)
+    with pytest.raises(ValueError,
+                       match=r"not graded-symmetric at \(1,3,2\)$"):
+        Connection(space, {(1, 2, 0): one, (2, 0, 1): one},
+                   torsion_free=True)
+    # symmetric pairs pass, and an odd-odd diagonal entry fails by itself
+    Connection(space, {(1, 2, 0): one, (2, 1, 0): one}, torsion_free=True)
+    graded = Chart([("x", 0), ("t", 1), ("z", 2)], Truncation(3, 3, 4))
+    one = GradedPoly.constant(graded, 1)
+    with pytest.raises(ValueError,
+                       match=r"not graded-symmetric at \(2,2,3\)$"):
+        Connection(graded, {(0, 1, 1): one, (1, 0, 1): one, (1, 1, 2): one},
+                   torsion_free=True)
+
+
 def test_torsion_free_characterization_both_ways(mixed, rng):
     # random graded-symmetric tables have vanishing torsion on random
     # fields, and vanishing torsion forces graded symmetry
