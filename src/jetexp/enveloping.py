@@ -265,10 +265,9 @@ class SymTensor(_IndexedSum):
             sign, idx = insert_letter(self.chart, slot, index)
             if not sign:
                 continue
-            for part in coeff.homogeneous_components().values():
-                val = part if sign > 0 else -part
-                if par and part.parity():
-                    val = -val
+            parts = parity_parts(coeff) if par else [(0, coeff)]
+            for p, part in parts:
+                val = -part if (sign < 0) ^ p else part
                 cur = out.get(idx)
                 out[idx] = val if cur is None else cur + val
         return self._wrap(out)
@@ -468,15 +467,27 @@ def comult_env(op: DiffOp) -> TensorSquare:
 def tensor_push_left(out: TensorSquare, left_op: DiffOp, right_op: DiffOp):
     """Accumulate left_op (x) right_op into ``out`` in normal form: each
     right-slot coefficient crosses the left slot with a Koszul sign and
-    left-multiplies it."""
+    left-multiplies it.
+
+    The sign (-1)^(|f||u|) depends on parities only.  Each right
+    coefficient enters by its parity parts: an even part multiplies the
+    left coefficients as they are, an odd one the left table with its
+    odd parts negated (a term's parity is its coefficient's plus its
+    word's), built at most once per call."""
+    chart = left_op.chart
+    flipped = None
     for right_index, rcoeff in right_op.terms.items():
-        for udeg, upart in left_op.homogeneous_components().items():
-            for gdeg, gpart in rcoeff.homogeneous_components().items():
-                flip = (gdeg & 1) and (udeg & 1)
-                moved = upart.scale(gpart)
-                for left_index, lcoeff in moved.terms.items():
-                    out.add_term(left_index, right_index,
-                                 -lcoeff if flip else lcoeff)
+        for par, g in parity_parts(rcoeff):
+            table = left_op.terms
+            if par:
+                if flipped is None:
+                    flipped = {i: linear_combination(chart, [
+                        (-1 if p ^ (word_degree(chart, i) & 1) else 1, part)
+                        for p, part in parity_parts(c)])
+                        for i, c in table.items()}
+                table = flipped
+            for left_index, lcoeff in table.items():
+                out.add_term(left_index, right_index, g * lcoeff)
 
 
 # ---------------------------------------------------------------------------

@@ -47,26 +47,26 @@ def random_monomial(rng: random.Random, chart: Chart, max_base: int,
 
 def random_base_poly(rng: random.Random, chart: Chart, max_degree: int = 2,
                      terms: int = 3) -> GradedPoly:
-    out = GradedPoly.zero(chart)
+    out = {}
     for _ in range(terms):
         m = random_monomial(rng, chart, max_degree, 0, 0)
-        out = out + GradedPoly(chart, {m: random_coefficient(rng)})
-    return out
+        out[m] = out.get(m, 0) + random_coefficient(rng)
+    return GradedPoly(chart, out)
 
 
 def random_section(rng: random.Random, chart: Chart, max_weight: int,
                    terms: int = 5, max_base: int = 2) -> GradedPoly:
     """Random polynomial section with every monomial's p + q within the
     weight bound."""
-    out = GradedPoly.zero(chart)
+    out = {}
     for _ in range(terms):
         m = random_monomial(rng, chart, max_base, max_weight, max_weight)
         while sum(monomial_pq(chart, m)) > max_weight:
             hot = [s for s in range(chart.n, 3 * chart.n) if m[s]]
             s = rng.choice(hot)
             m = m[:s] + (m[s] - 1,) + m[s + 1:]
-        out = out + GradedPoly(chart, {m: random_coefficient(rng)})
-    return out
+        out[m] = out.get(m, 0) + random_coefficient(rng)
+    return GradedPoly(chart, out)
 
 
 def random_homogeneous_base(rng: random.Random, chart: Chart, degree: int,
@@ -132,16 +132,17 @@ def random_word(rng: random.Random, chart: Chart, length: int) -> List[int]:
 
 def random_symtensor(rng: random.Random, chart: Chart, max_weight: int,
                      terms: int = 3, max_base: int = 2) -> SymTensor:
-    out = SymTensor.zero(chart)
+    out = {}
     for _ in range(terms):
         w = rng.randrange(max_weight + 1)
         letters = random_word(rng, chart, w)
         index = [0] * chart.n
         for s in letters:
             index[s] += 1
-        out = out + SymTensor(
-            chart, {tuple(index): random_base_poly(rng, chart, max_base, 2)})
-    return out
+        index = tuple(index)
+        coeff = random_base_poly(rng, chart, max_base, 2)
+        out[index] = out[index] + coeff if index in out else coeff
+    return SymTensor(chart, out)
 
 
 def random_torsion_free_connection(rng: random.Random,

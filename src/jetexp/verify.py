@@ -23,6 +23,13 @@ Suites:
                    tau_pbw, the projection against sigma_aug, and the
                    homotopy against the perturbation-lemma fixed point
                    h' = h - h.partial.h' in the unperturbed maps
+
+Work shared between the checks of a suite is memoized inside one suite
+call and dropped when it returns: the resolution suite sums the series
+augmentation and the homotopy of each input once, and the flat-connection
+suite builds its dnabla table once.  Nothing is cached across calls, and
+the memos hold series values only, so the independent routes (tau_pbw,
+the projected full products) are never read from them.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .chart import Chart, koszul_sign
 from .enveloping import (DiffOp, SymTensor, TensorSquare, comult_env,
                          comult_sym, sym_mul_vf, tensor_push_left)
 from .fedosov import (FedosovData, base_contraction, delta_inv_op, delta_op,
-                      dnabla_form, project_weight, sigma_aug, tau_pbw,
+                      dnabla_images, project_weight, sigma_aug, tau_pbw,
                       vvf_action)
 from .geometry import Connection, VectorField
 from .pbw import PbwContext, xi_form
@@ -67,6 +74,17 @@ def _run(name: str, samples, test: Callable) -> CheckResult:
 
 def _skip(name: str, reason: str) -> CheckResult:
     return CheckResult(name, "SKIP", reason)
+
+
+def _memo(fn: Callable) -> Callable:
+    """``fn`` computed once per distinct argument, for one suite call."""
+    values = {}
+
+    def call(x):
+        if x not in values:
+            values[x] = fn(x)
+        return values[x]
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +125,17 @@ def _word_tensor(chart: Chart, letters) -> SymTensor:
 
 
 def _compose_letters(chart: Chart, letters) -> DiffOp:
-    out = DiffOp.identity(chart)
+    """The product d_{l_1} o d_{l_2} o ... of constant coordinate
+    derivations: the descending word times the Koszul sign of sorting
+    the letters into it, and 0 when an odd letter repeats."""
+    index = [0] * chart.n
     for s in letters:
-        out = out.compose(DiffOp.from_word(
-            chart, tuple(1 if j == s else 0 for j in range(chart.n))))
-    return out
+        if index[s] and chart.coordinate_parity(s):
+            return DiffOp.zero(chart)
+        index[s] += 1
+    order = sorted(range(len(letters)), key=lambda p: -letters[p])
+    sign = koszul_sign(order, [chart.coordinate_degree(s) for s in letters])
+    return DiffOp.from_word(chart, tuple(index), sign)
 
 
 def _leading_two_term(ctx: PbwContext, letters, invert: bool):
@@ -119,15 +143,15 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
     coordinate word of L factors: the word's product corrected by the
     signed sum of covariant-derivative contractions must agree with the
     map through the top *two* filtration layers (residual order at most
-    L - 2)."""
+    L - 2).  The correction is formed on the side the direction checks:
+    as symmetric tensors for the inverse, as operators for the map."""
     chart = ctx.chart
     conn = ctx.conn
     length = len(letters)
     degrees = [-chart.coordinate_degree(s) for s in letters]
     product = _compose_letters(chart, letters)
     word = _word_tensor(chart, letters)
-    correction_op = DiffOp.zero(chart)
-    correction_sym = SymTensor.zero(chart)
+    correction = SymTensor.zero(chart) if invert else DiffOp.zero(chart)
     for j in range(length):
         for k in range(j + 1, length):
             rest = [letters[p] for p in range(length) if p not in (j, k)]
@@ -136,15 +160,16 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
             nabla = conn.christoffel_field(letters[j], letters[k])
             if not nabla:
                 continue
-            rest_op = _compose_letters(chart, rest)
-            term = rest_op.compose(DiffOp.from_vector_field(nabla))
-            correction_op = correction_op + term.scale(eps)
-            correction_sym = correction_sym + _append_word(
-                chart, rest, nabla).scale(eps)
+            if invert:
+                term = _append_word(chart, rest, nabla)
+            else:
+                term = _compose_letters(chart, rest).compose(
+                    DiffOp.from_vector_field(nabla))
+            correction = correction + term.scale(eps)
     if invert:
-        residual = ctx.inv(product) - word - correction_sym
+        residual = ctx.inv(product) - word - correction
         return residual.weight_le(length - 2) == residual
-    residual = ctx.map(word, _internal=True) - product + correction_op
+    residual = ctx.map(word, _internal=True) - product + correction
     if not residual:
         return True
     return residual.order() <= length - 2
@@ -231,11 +256,12 @@ def suite_flat_connection(chart: Chart, conn: Connection, seed: int = 0,
     sections = [random_section(rng, chart, weight) for _ in range(samples)]
     res.append(_run("flat-operator-squares-to-zero", sections,
                     lambda w: not fd.d_apply(fd.d_apply(w))))
-    # full products projected afterwards: independent of the capped
-    # products inside d_apply
+    # full products projected afterwards, with the suite's own dnabla
+    # table: independent of the capped products inside d_apply
+    dnabla = dnabla_images(conn)
     res.append(_run("flat-operator-is-lower-plus-dual-correction", sections,
                     lambda w: fd.d_apply(w) == project_weight(
-                        -delta_op(w) + dnabla_form(conn, w)
+                        -delta_op(w) + w.derive(dnabla)
                         - vvf_action(xi, w), weight)))
     return res
 
@@ -252,14 +278,10 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
     fd = FedosovData(conn, weight)
     ctx = PbwContext(chart, conn, max_weight=weight + 1)
 
-    taus = {}
-
-    def tau(f):
-        # the series augmentation of each input once per suite; the
-        # exponential-map route tau_pbw is never taken from this memo
-        if f not in taus:
-            taus[f] = fd.tau_series(f)
-        return taus[f]
+    # the series augmentation and homotopy of each input once per suite;
+    # the exponential-map route tau_pbw is never taken from these memos
+    tau = _memo(fd.tau_series)
+    h = _memo(fd.homotopy_h)
 
     funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(samples)]
     res = [_run("augmentation-routes-agree", funcs,
@@ -274,7 +296,7 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
                     == tau(fg[0] * fg[1])))
 
     sections = [random_section(rng, chart, weight) for _ in range(samples)]
-    contraction = flat_contraction(fd, tau)
+    contraction = flat_contraction(fd, tau, h)
     report = check_contraction(contraction, sections, funcs)
     for r in report.results:
         res.append(CheckResult("flat-" + r.name,
@@ -283,18 +305,19 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
     closed = [fd.d_apply(random_section(rng, chart, weight - 1))
               for _ in range(samples)]
     res.append(_run("closed-sections-are-exact", closed,
-                    lambda w: fd.d_apply(fd.homotopy_h(w)) == w))
+                    lambda w: fd.d_apply(h(w)) == w))
     return res
 
 
-def flat_contraction(fd: FedosovData,
-                     tau: Callable = None) -> ContractionData:
+def flat_contraction(fd: FedosovData, tau: Callable = None,
+                     h: Callable = None) -> ContractionData:
     """The contraction of the flat complex onto base functions; ``tau``
-    (default ``fd.tau_series``) may be a memo of the series."""
+    and ``h`` (default ``fd.tau_series`` and ``fd.homotopy_h``) may be
+    memos of the series."""
     return ContractionData(
         sigma=sigma_aug,
         tau=tau or fd.tau_series,
-        h=fd.homotopy_h,
+        h=h or fd.homotopy_h,
         d_big=fd.d_apply,
         d_small=lambda f: GradedPoly.zero(fd.chart),
     )

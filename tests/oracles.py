@@ -19,8 +19,11 @@ products d_s o W of a word image summed as operators instead of into
 one table, the symmetrization of a word of vector fields as the average
 over all orderings, the comultiplication built by left multiplications
 of tensor squares, the square of the dual covariant differential as
-graded commutators of its direction derivations) so frozen expectations
-in the tests do not share code with the implementation they check.
+graded commutators of its direction derivations, the Koszul sign of a
+tensor push read off each degree-homogeneous pair of parts instead of
+off parities, random samples summed one public single-term polynomial
+at a time instead of collected in one dict) so frozen expectations in
+the tests do not share code with the implementation they check.
 """
 
 import itertools
@@ -553,4 +556,86 @@ def dual_curvature_action(conn, f):
             flip = f.derive(images[j]).derive(images[i])
             comm = inner - (flip if not (pi and pj) else -flip)
             out = out + dxj * dxi * comm * Fraction(sign, 2)
+    return out
+
+
+def degree_split_tensor_push_left(out, left_op, right_op):
+    """``tensor_push_left`` over degree-homogeneous parts: the whole left
+    operator and each right coefficient split by total degree, each pair
+    of parts multiplied and negated when both degrees are odd."""
+    for right_index, rcoeff in right_op.terms.items():
+        for udeg, upart in left_op.homogeneous_components().items():
+            for gdeg, gpart in rcoeff.homogeneous_components().items():
+                flip = (gdeg & 1) and (udeg & 1)
+                moved = upart.scale(gpart)
+                for left_index, lcoeff in moved.terms.items():
+                    out.add_term(left_index, right_index,
+                                 -lcoeff if flip else lcoeff)
+
+
+def degree_split_mul_letter_left(tensor, slot):
+    """``SymTensor.mul_letter_left`` over the degree-homogeneous parts of
+    each coefficient, the parity read off each part."""
+    from jetexp.enveloping import insert_letter
+
+    chart = tensor.chart
+    par = chart.coordinate_parity(slot)
+    out = {}
+    for index, coeff in tensor.terms.items():
+        sign, idx = insert_letter(chart, slot, index)
+        if not sign:
+            continue
+        for part in coeff.homogeneous_components().values():
+            val = part if sign > 0 else -part
+            if par and part.parity():
+                val = -val
+            cur = out.get(idx)
+            out[idx] = val if cur is None else cur + val
+    return type(tensor)(chart, out)
+
+
+def summed_random_base_poly(rng, chart, max_degree=2, terms=3):
+    """``randomgen.random_base_poly`` as a sum of single-term
+    polynomials, with the same draws in the same order."""
+    from jetexp.randomgen import random_coefficient, random_monomial
+
+    out = GradedPoly.zero(chart)
+    for _ in range(terms):
+        m = random_monomial(rng, chart, max_degree, 0, 0)
+        out = out + GradedPoly(chart, {m: random_coefficient(rng)})
+    return out
+
+
+def summed_random_section(rng, chart, max_weight, terms=5, max_base=2):
+    """``randomgen.random_section`` as a sum of single-term polynomials,
+    with the same draws in the same order."""
+    from jetexp.poly import monomial_pq
+    from jetexp.randomgen import random_coefficient, random_monomial
+
+    out = GradedPoly.zero(chart)
+    for _ in range(terms):
+        m = random_monomial(rng, chart, max_base, max_weight, max_weight)
+        while sum(monomial_pq(chart, m)) > max_weight:
+            hot = [s for s in range(chart.n, 3 * chart.n) if m[s]]
+            s = rng.choice(hot)
+            m = m[:s] + (m[s] - 1,) + m[s + 1:]
+        out = out + GradedPoly(chart, {m: random_coefficient(rng)})
+    return out
+
+
+def summed_random_symtensor(rng, chart, max_weight, terms=3, max_base=2):
+    """``randomgen.random_symtensor`` as a sum of single-term tensors,
+    with the same draws in the same order."""
+    from jetexp.enveloping import SymTensor
+    from jetexp.randomgen import random_word
+
+    out = SymTensor.zero(chart)
+    for _ in range(terms):
+        w = rng.randrange(max_weight + 1)
+        letters = random_word(rng, chart, w)
+        index = [0] * chart.n
+        for s in letters:
+            index[s] += 1
+        out = out + SymTensor(chart, {tuple(index): summed_random_base_poly(
+            rng, chart, max_base, 2)})
     return out

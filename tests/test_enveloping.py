@@ -14,9 +14,15 @@ from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_symtensor,
                               random_vector_field)
 
+from hypothesis import given, strategies as st
+
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (per_letter_compose, shuffle_pairing, sym_word,
-                     sym_word_product, tensor_square_left_mult_vf)
+from oracles import (degree_split_mul_letter_left,
+                     degree_split_tensor_push_left, per_letter_compose,
+                     shuffle_pairing, sym_word, sym_word_product,
+                     tensor_square_left_mult_vf)
+from test_operator_properties import indexed
+from test_poly_properties import PROPERTY
 
 
 @pytest.fixture
@@ -407,3 +413,40 @@ def test_tensor_square_counit_of_counit(line):
     # the counit is the coefficient of the empty word
     assert (0,) not in t.terms
     assert SymTensor.function(line, x_of(line)).terms[(0,)] == x_of(line)
+
+
+def odd_parts(obj):
+    """``obj`` with each coefficient cut down to its odd part."""
+    return type(obj)(obj.chart, {index: part
+                                 for index, coeff in obj.terms.items()
+                                 for par, part in parity_parts(coeff) if par})
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@PROPERTY
+@given(data=st.data())
+def test_tensor_push_left_matches_degree_split_oracle(name, data):
+    # the drawn coefficients run over all base generators, so on a chart
+    # with odd coordinates they are of mixed parity; their odd parts are
+    # pushed too
+    chart, _ = build_chart(name)
+    left = data.draw(indexed(DiffOp, chart))
+    right = data.draw(indexed(DiffOp, chart))
+    for rhs in (right, odd_parts(right)):
+        got = TensorSquare(chart, "env")
+        want = TensorSquare(chart, "env")
+        tensor_push_left(got, left, rhs)
+        degree_split_tensor_push_left(want, left, rhs)
+        assert got == want
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@PROPERTY
+@given(data=st.data())
+def test_mul_letter_left_matches_degree_split_oracle(name, data):
+    chart, _ = build_chart(name)
+    tensor = data.draw(indexed(SymTensor, chart))
+    for slot in range(chart.n):
+        for t in (tensor, odd_parts(tensor)):
+            assert t.mul_letter_left(slot) == \
+                degree_split_mul_letter_left(t, slot)

@@ -1,15 +1,25 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 import jetexp.fedosov
 import jetexp.pbw
 import jetexp.verify
 from jetexp.chart import Chart, Truncation
+from jetexp.enveloping import DiffOp
+from jetexp.fedosov import FedosovData, base_contraction
 from jetexp.geometry import Connection
+from jetexp.pbw import PbwContext
 from jetexp.perturbation import ContractionData, PerturbedContraction
 from jetexp.poly import GradedPoly
-from jetexp.verify import SUITE_NAMES, run_suite
+from jetexp.randomgen import random_word
+from jetexp.verify import (SUITE_NAMES, _compose_letters, _leading_two_term,
+                           run_suite)
 
-from conftest import build_chart
+from conftest import TORSION_FREE_CHARTS, build_chart
+from oracles import per_letter_compose
+from test_poly_properties import PROPERTY
 
 
 def torsionful():
@@ -149,3 +159,111 @@ def test_resolution_forms_each_replacement_once(monkeypatch):
     results = run_suite("resolution", chart, conn, seed=0, weight=3)
     assert all(r.status == "PASS" for r in results)
     assert seen and len(seen) == len(set(seen))
+
+
+def test_resolution_computes_each_homotopy_once(monkeypatch):
+    # the contraction identities ask for h of the same section up to
+    # three times; each distinct section's series is summed once
+    seen = []
+    real = FedosovData.homotopy_h
+
+    def counted(fd, w):
+        seen.append(w)
+        return real(fd, w)
+    monkeypatch.setattr(FedosovData, "homotopy_h", counted)
+    chart, conn = build_chart("plane_curved")
+    results = run_suite("resolution", chart, conn, seed=0, weight=3)
+    assert all(r.status == "PASS" for r in results)
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_resolution_homotopy_check_fails_when_last_series_term_dropped(
+        monkeypatch):
+    # negative control for the memo: a homotopy that drops the last
+    # nonzero term of its series must still break the homotopy identity
+    def short_series(fd, w):
+        base = base_contraction(fd.chart, fd.weight)
+        terms = [base.h(w)]
+        while terms[-1]:
+            terms.append(-base.h(fd.perturbation(terms[-1])))
+        return sum(terms[:-2], GradedPoly.zero(w.chart))
+
+    monkeypatch.setattr(FedosovData, "homotopy_h", short_series)
+    chart, conn = build_chart("plane_curved")
+    statuses = {r.name: r.status
+                for r in run_suite("resolution", chart, conn, seed=0,
+                                   weight=3)}
+    assert statuses["flat-tau-sigma-homotopic-to-identity"] == "FAIL"
+    assert statuses["augmentation-routes-agree"] == "PASS"
+
+
+@pytest.mark.parametrize("name", ["line_curved", "mixed", "two_odd"])
+def test_coalgebra_check_fails_when_a_word_image_is_perturbed(monkeypatch,
+                                                              name):
+    # negative control: one word image off by the identity operator
+    chart, conn = build_chart(name)
+    target = (2,) + (0,) * (chart.n - 1)
+    real = PbwContext.word_image
+
+    def perturbed(ctx, index):
+        image = real(ctx, index)
+        if tuple(index) == target:
+            return image + DiffOp.identity(ctx.chart)
+        return image
+    (clean,) = run_suite("coalgebra", chart, conn, seed=0)
+    monkeypatch.setattr(PbwContext, "word_image", perturbed)
+    (broken,) = run_suite("coalgebra", chart, conn, seed=0)
+    assert clean.status == "PASS"
+    assert broken.name == "comultiplication-intertwines-map"
+    assert broken.status == "FAIL"
+
+
+def test_inverse_two_term_expansion_composes_no_operators(monkeypatch):
+    # the inverse direction needs only the symmetric correction, and the
+    # word product is read off in closed form
+    def forbidden(*args, **kwargs):
+        raise AssertionError("DiffOp.compose called")
+    monkeypatch.setattr(DiffOp, "compose", forbidden)
+    rng = random.Random(3)
+    for name in TORSION_FREE_CHARTS:
+        chart, conn = build_chart(name)
+        ctx = PbwContext(chart, conn, max_weight=5)
+        for _ in range(6):
+            letters = random_word(rng, chart, rng.randrange(2, 5))
+            assert _leading_two_term(ctx, letters, invert=True)
+    # the forward direction composes its correction as operators
+    chart, conn = build_chart("line_curved")
+    with pytest.raises(AssertionError, match="compose called"):
+        _leading_two_term(PbwContext(chart, conn), [0, 0], invert=False)
+
+
+def unit_word(chart, slot):
+    return DiffOp.from_word(chart, tuple(int(s == slot)
+                                         for s in range(chart.n)))
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@PROPERTY
+@given(data=st.data())
+def test_compose_letters_matches_per_letter_products(name, data):
+    # letters in any order, repeats included
+    chart, _ = build_chart(name)
+    letters = data.draw(st.lists(st.integers(0, chart.n - 1), max_size=5))
+    want = DiffOp.identity(chart)
+    for s in letters:
+        want = per_letter_compose(want, unit_word(chart, s))
+    assert _compose_letters(chart, letters) == want
+
+
+def test_compose_letters_signs_and_repeated_odd_letters():
+    chart, _ = build_chart("mixed")  # slot 1 is odd
+    assert not _compose_letters(chart, [1, 1])
+    assert not _compose_letters(chart, [1, 0, 1])
+    assert _compose_letters(chart, [0, 1, 0]) == \
+        DiffOp.from_word(chart, (2, 1))
+    assert _compose_letters(chart, [0, 1]) == DiffOp.from_word(chart, (1, 1))
+    chart, _ = build_chart("two_odd")  # slots 1 and 2 are odd
+    assert _compose_letters(chart, [2, 0, 1]) == \
+        DiffOp.from_word(chart, (1, 1, 1))
+    assert _compose_letters(chart, [1, 0, 2]) == \
+        DiffOp.from_word(chart, (1, 1, 1), -1)
