@@ -81,9 +81,11 @@ def _memo(fn: Callable) -> Callable:
     values = {}
 
     def call(x):
-        if x not in values:
-            values[x] = fn(x)
-        return values[x]
+        # one hash per call; the memoized values are never None
+        value = values.get(x)
+        if value is None:
+            value = values[x] = fn(x)
+        return value
     return call
 
 
@@ -117,25 +119,28 @@ def suite_coalgebra(chart: Chart, conn: Connection, seed: int = 0,
 
 # ---------------------------------------------------------------------------
 
-def _word_tensor(chart: Chart, letters) -> SymTensor:
+def _word_index(chart: Chart, letters) -> tuple:
     index = [0] * chart.n
     for s in letters:
         index[s] += 1
-    return SymTensor.from_word(chart, tuple(index))
+    return tuple(index)
+
+
+def _word_tensor(chart: Chart, letters) -> SymTensor:
+    return SymTensor.from_word(chart, _word_index(chart, letters))
 
 
 def _compose_letters(chart: Chart, letters) -> DiffOp:
     """The product d_{l_1} o d_{l_2} o ... of constant coordinate
     derivations: the descending word times the Koszul sign of sorting
     the letters into it, and 0 when an odd letter repeats."""
-    index = [0] * chart.n
-    for s in letters:
-        if index[s] and chart.coordinate_parity(s):
-            return DiffOp.zero(chart)
-        index[s] += 1
+    index = _word_index(chart, letters)
+    if any(k > 1 and chart.coordinate_parity(s)
+           for s, k in enumerate(index)):
+        return DiffOp.zero(chart)
     order = sorted(range(len(letters)), key=lambda p: -letters[p])
     sign = koszul_sign(order, [chart.coordinate_degree(s) for s in letters])
-    return DiffOp.from_word(chart, tuple(index), sign)
+    return DiffOp.from_word(chart, index, sign)
 
 
 def _leading_two_term(ctx: PbwContext, letters, invert: bool):
@@ -278,10 +283,10 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
     fd = FedosovData(conn, weight)
     ctx = PbwContext(chart, conn, max_weight=weight + 1)
 
-    # the series augmentation and homotopy of each input once per suite;
-    # the exponential-map route tau_pbw is never taken from these memos
-    tau = _memo(fd.tau_series)
-    h = _memo(fd.homotopy_h)
+    # the contraction's series augmentation and homotopy are memos, so each
+    # input is summed once per suite; tau_pbw is never taken from them
+    contraction = flat_contraction(fd)
+    tau, h = contraction.tau, contraction.h
 
     funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(samples)]
     res = [_run("augmentation-routes-agree", funcs,
@@ -296,7 +301,6 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
                     == tau(fg[0] * fg[1])))
 
     sections = [random_section(rng, chart, weight) for _ in range(samples)]
-    contraction = flat_contraction(fd, tau, h)
     report = check_contraction(contraction, sections, funcs)
     for r in report.results:
         res.append(CheckResult("flat-" + r.name,
@@ -309,15 +313,14 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
     return res
 
 
-def flat_contraction(fd: FedosovData, tau: Callable = None,
-                     h: Callable = None) -> ContractionData:
-    """The contraction of the flat complex onto base functions; ``tau``
-    and ``h`` (default ``fd.tau_series`` and ``fd.homotopy_h``) may be
-    memos of the series."""
+def flat_contraction(fd: FedosovData) -> ContractionData:
+    """The contraction of the flat complex onto base functions, with the
+    series ``fd.tau_series`` and ``fd.homotopy_h`` memoized for as long as
+    the contraction lives."""
     return ContractionData(
         sigma=sigma_aug,
-        tau=tau or fd.tau_series,
-        h=h or fd.homotopy_h,
+        tau=_memo(fd.tau_series),
+        h=_memo(fd.homotopy_h),
         d_big=fd.d_apply,
         d_small=lambda f: GradedPoly.zero(fd.chart),
     )
