@@ -25,7 +25,8 @@ from typing import List, Tuple
 
 from .chart import Chart
 from .poly import GradedPoly
-from .enveloping import DiffOp, SymTensor, TruncationOverflowError
+from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
+                         merge_words, parity_parts, word_degree)
 
 
 class ExprSyntaxError(ValueError):
@@ -105,10 +106,8 @@ class _Parser:
                     % (max(orders), self.max_order))
             return acc.compose(factor)
         if isinstance(factor, GradedPoly):
-            return _sym_scale_right(acc, factor)
-        if isinstance(factor, SymTensor):
-            return _sym_mul(acc, factor)
-        raise AssertionError
+            factor = SymTensor.function(self.chart, factor)
+        return _sym_mul(acc, factor)
 
     def _scalar(self, c: Fraction):
         if self.mode == "poly":
@@ -245,37 +244,22 @@ def _negate(x):
     return -x
 
 
-def _sym_scale_right(acc: SymTensor, f: GradedPoly) -> SymTensor:
-    """Multiply a symmetric tensor by a base function written to its
-    right: the function crosses each word leftwards."""
-    from .enveloping import word_degree
-    chart = acc.chart
-    out = SymTensor.zero(chart)
-    for fdeg, fpart in f.homogeneous_components().items():
-        for index, coeff in acc.terms.items():
-            flip = (fdeg & 1) and (word_degree(chart, index) & 1)
-            val = coeff * fpart
-            out = out + SymTensor(chart, {index: -val if flip else val})
-    return out
-
-
 def _sym_mul(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Symmetric product of parsed tensors (used for s[..] factor chains)."""
-    from .enveloping import merge_words, word_degree
+    """Symmetric product of parsed tensors: s[..] factor chains, and a
+    base function written to the right of a tensor (as a tensor of the
+    empty word)."""
     chart = a.chart
     out = SymTensor.zero(chart)
     for ia, ca in a.terms.items():
+        odd_word = word_degree(chart, ia) & 1
         for ib, cb in b.terms.items():
+            sign, merged = merge_words(chart, ia, ib)
+            if not sign:
+                continue
             # move b's coefficient left past a's word
-            for cdeg, cpart in cb.homogeneous_components().items():
-                flip = (cdeg & 1) and (word_degree(chart, ia) & 1)
-                sign, merged = merge_words(chart, ia, ib)
-                if not sign:
-                    continue
+            for par, cpart in parity_parts(cb):
                 val = ca * cpart
-                if flip:
-                    val = -val
-                if sign < 0:
+                if (par & odd_word) ^ (sign < 0):
                     val = -val
                 out = out + SymTensor(chart, {merged: val})
     return out

@@ -138,11 +138,10 @@ class PbwContext:
                 table.setdefault(word, []).append((weight, c * coeff))
 
     # -- the map and its inverse ----------------------------------------------
-    def map(self, tensor: SymTensor, _internal: bool = False) -> DiffOp:
+    def map(self, tensor: SymTensor) -> DiffOp:
         """Left-linear extension of the basis-word images."""
         same_chart(self, tensor)
-        cap = self.max_weight + (1 if _internal else 0)
-        if tensor.weight() > cap:
+        if tensor.weight() > self.max_weight:
             raise TruncationOverflowError(
                 "tensor weight %d exceeds context cap %d"
                 % (tensor.weight(), self.max_weight))
@@ -154,7 +153,7 @@ class PbwContext:
         """Inverse by symbol peeling (top order down)."""
         same_chart(self, op)
         order = op.order()
-        if order is not None and order > self.max_weight + 1:
+        if order is not None and order > self.max_weight:
             raise TruncationOverflowError(
                 "operator order %d exceeds context cap %d"
                 % (order, self.max_weight))
@@ -164,7 +163,7 @@ class PbwContext:
             k = rem.order()
             top = rem.gr_leading()
             out = out + top
-            rem = rem - self.map(top, _internal=True)
+            rem = rem - self.map(top)
             new_order = rem.order()
             if new_order is not None and new_order >= k:
                 raise AssertionError("symbol peeling failed to lower order")

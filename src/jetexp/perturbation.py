@@ -28,37 +28,35 @@ non-termination into an explicit error instead of a wrong answer.
 Filtration orientation: weights ascend here and perturbations raise
 them.  A presentation with descending filtrations and lowering
 perturbations maps onto this one by negating weights.
+
+Checks report as ``CheckResult`` entries built by ``run_check``; the
+verify suites use the same pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
 
-class IdentityResult(NamedTuple):
+class CheckResult(NamedTuple):
+    """One named identity check: PASS, FAIL with the first witnessing
+    sample (by repr), or SKIP with the reason."""
     name: str
-    passed: bool
+    status: str  # PASS | FAIL | SKIP
     witness: Optional[str]
 
     def line(self) -> str:
-        if self.passed:
-            return "IDENTITY %s PASS" % self.name
-        return "IDENTITY %s FAIL %s" % (self.name, self.witness or "")
+        if self.witness:
+            return "CHECK %s %s %s" % (self.name, self.status, self.witness)
+        return "CHECK %s %s" % (self.name, self.status)
 
 
-class ContractionReport:
-    def __init__(self, results: List[IdentityResult]):
-        self.results = results
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> List[str]:
-        return [r.line() for r in self.results]
-
-    def __repr__(self):
-        return "\n".join(self.lines())
+def run_check(name: str, samples: Iterable, test: Callable) -> CheckResult:
+    """``test`` on each sample in turn; FAIL at the first that fails."""
+    for sample in samples:
+        if not test(sample):
+            return CheckResult(name, "FAIL", repr(sample))
+    return CheckResult(name, "PASS", None)
 
 
 class ContractionData:
@@ -76,37 +74,27 @@ class ContractionData:
 
 
 def check_contraction(c: ContractionData, big_samples: Iterable,
-                      small_samples: Iterable) -> ContractionReport:
-    """Verify the five contraction identities on the given samples.
-
-    The report carries one entry per identity; a failing entry records
-    the first witnessing sample (by repr) rather than raising.
-    """
+                      small_samples: Iterable) -> List[CheckResult]:
+    """The contraction identities on the given samples, one result per
+    identity; a failing result records its first witness rather than
+    raising."""
     big = list(big_samples)
     small = list(small_samples)
-    results: List[IdentityResult] = []
-
-    def run(name, samples, test):
-        witness = None
-        for s in samples:
-            if not test(s):
-                witness = repr(s)
-                break
-        results.append(IdentityResult(name, witness is None, witness))
-
-    run("sigma-tau-is-identity", small,
-        lambda m: not (c.sigma(c.tau(m)) - m))
-    run("tau-sigma-homotopic-to-identity", big,
-        lambda x: not ((x - c.tau(c.sigma(x)))
-                       - c.h(c.d_big(x)) - c.d_big(c.h(x))))
-    run("chain-map-sigma", big,
-        lambda x: not (c.sigma(c.d_big(x)) - c.d_small(c.sigma(x))))
-    run("chain-map-tau", small,
-        lambda m: not (c.d_big(c.tau(m)) - c.tau(c.d_small(m))))
-    run("side-sigma-h", big, lambda x: not c.sigma(c.h(x)))
-    run("side-h-tau", small, lambda m: not c.h(c.tau(m)))
-    run("side-h-h", big, lambda x: not c.h(c.h(x)))
-    return ContractionReport(results)
+    return [
+        run_check("sigma-tau-is-identity", small,
+                  lambda m: not (c.sigma(c.tau(m)) - m)),
+        run_check("tau-sigma-homotopic-to-identity", big,
+                  lambda x: not ((x - c.tau(c.sigma(x)))
+                                 - c.h(c.d_big(x)) - c.d_big(c.h(x)))),
+        run_check("chain-map-sigma", big,
+                  lambda x: not (c.sigma(c.d_big(x))
+                                 - c.d_small(c.sigma(x)))),
+        run_check("chain-map-tau", small,
+                  lambda m: not (c.d_big(c.tau(m)) - c.tau(c.d_small(m)))),
+        run_check("side-sigma-h", big, lambda x: not c.sigma(c.h(x))),
+        run_check("side-h-tau", small, lambda m: not c.h(c.tau(m))),
+        run_check("side-h-h", big, lambda x: not c.h(c.h(x))),
+    ]
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -119,27 +107,15 @@ class PerturbedContraction(NamedTuple):
 
 
 def perturb_contraction(c: ContractionData, partial: Callable,
-                        max_terms: int,
-                        weight: Callable = None,
-                        probes: Sequence = ()) -> PerturbedContraction:
+                        max_terms: int) -> PerturbedContraction:
     """Transfer a filtration-raising perturbation through a contraction.
 
     ``partial`` perturbs the big differential (their sum must square to
-    zero; that is the caller's obligation and is checked indirectly by
-    check_contraction on the output).  When a ``weight`` function is
-    supplied, the raising property is validated on the probe elements:
-    each nonzero image must have strictly larger weight.  Series are cut
-    off after ``max_terms`` summands; reaching the cap with a nonzero
-    term raises SeriesDivergenceError.
+    zero, and it must raise the filtration weight; both are the caller's
+    obligations, checked indirectly by check_contraction on the output).
+    Series are cut off after ``max_terms`` summands; reaching the cap
+    with a nonzero term raises SeriesDivergenceError.
     """
-    if weight is not None:
-        for p in probes:
-            image = partial(p)
-            if image and not weight(image) > weight(p):
-                raise ValueError(
-                    "perturbation does not raise the filtration weight "
-                    "on probe %r" % (p,))
-
     def series(what, seed, advance, collect):
         # sum collect(advance^k(seed)) over k until the term vanishes
         term = seed

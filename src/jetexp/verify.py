@@ -1,9 +1,13 @@
 """Named verification suites over a chart + connection.
 
 Each suite runs a family of exact identities on seeded random data and
-returns a list of check results; a FAIL carries a printable witness.
-Suites whose statements require a torsion-free connection return a
-single SKIP entry on torsionful input instead of failing.
+returns a list of check results (``perturbation.CheckResult``, each
+built by ``perturbation.run_check``, the runner the contraction checks
+use too); a FAIL carries a printable witness.  Every suite takes
+(chart, conn, seed, weight), and ``run_suite`` looks them up in one
+table: it resolves a missing weight to the chart's Q, and on a
+torsionful connection it returns a single SKIP entry for each suite
+whose statements need a torsion-free one instead of running it.
 
 Suites:
 
@@ -35,7 +39,7 @@ the projected full products) are never read from them.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List
 
 from .chart import Chart, koszul_sign
 from .enveloping import (DiffOp, SymTensor, TensorSquare, comult_env,
@@ -45,36 +49,11 @@ from .fedosov import (FedosovData, base_contraction, delta_inv_op, delta_op,
                       vvf_action)
 from .geometry import Connection, VectorField
 from .pbw import PbwContext, xi_form
-from .perturbation import ContractionData, check_contraction
+from .perturbation import (CheckResult, ContractionData, check_contraction,
+                           run_check)
 from .poly import GradedPoly
 from .randomgen import (random_base_poly, random_section, random_symtensor,
                         random_word)
-
-SUITE_NAMES = ("coalgebra", "symbols", "flat-connection", "resolution",
-               "perturbation")
-
-
-class CheckResult(NamedTuple):
-    name: str
-    status: str  # PASS | FAIL | SKIP
-    witness: Optional[str]
-
-    def line(self) -> str:
-        if self.witness:
-            return "CHECK %s %s %s" % (self.name, self.status, self.witness)
-        return "CHECK %s %s" % (self.name, self.status)
-
-
-def _run(name: str, samples, test: Callable) -> CheckResult:
-    for sample in samples:
-        if not test(sample):
-            return CheckResult(name, "FAIL", repr(sample))
-    return CheckResult(name, "PASS", None)
-
-
-def _skip(name: str, reason: str) -> CheckResult:
-    return CheckResult(name, "SKIP", reason)
-
 
 def _memo(fn: Callable) -> Callable:
     """``fn`` computed once per distinct argument, for one suite call."""
@@ -93,7 +72,7 @@ def _memo(fn: Callable) -> Callable:
 
 def morphism_sides(ctx: PbwContext, tensor: SymTensor):
     """Both sides of the comultiplication identity for the map."""
-    lhs = comult_env(ctx.map(tensor, _internal=True))
+    lhs = comult_env(ctx.map(tensor))
     rhs = TensorSquare(ctx.chart, "env")
     for (left, right), coeff in comult_sym(tensor).terms.items():
         tensor_push_left(rhs, ctx.word_image(left).scale(coeff),
@@ -101,20 +80,18 @@ def morphism_sides(ctx: PbwContext, tensor: SymTensor):
     return lhs, rhs
 
 
-def suite_coalgebra(chart: Chart, conn: Connection, seed: int = 0,
-                    samples: int = 40,
-                    max_weight: int = None) -> List[CheckResult]:
+def suite_coalgebra(chart: Chart, conn: Connection, seed: int,
+                    weight: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    max_weight = 4 if max_weight is None else min(max_weight, 5)
-    ctx = PbwContext(chart, conn, max_weight=max_weight + 1)
-    tensors = [random_symtensor(rng, chart, max_weight)
-               for _ in range(samples)]
+    weight = min(weight, 5)
+    ctx = PbwContext(chart, conn, max_weight=weight + 1)
+    tensors = [random_symtensor(rng, chart, weight) for _ in range(40)]
 
     def test(t):
         lhs, rhs = morphism_sides(ctx, t)
         return lhs == rhs
 
-    return [_run("comultiplication-intertwines-map", tensors, test)]
+    return [run_check("comultiplication-intertwines-map", tensors, test)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +109,10 @@ def _word_tensor(chart: Chart, letters) -> SymTensor:
 
 def _compose_letters(chart: Chart, letters) -> DiffOp:
     """The product d_{l_1} o d_{l_2} o ... of constant coordinate
-    derivations: the descending word times the Koszul sign of sorting
-    the letters into it, and 0 when an odd letter repeats."""
-    index = _word_index(chart, letters)
-    if any(k > 1 and chart.coordinate_parity(s)
-           for s, k in enumerate(index)):
-        return DiffOp.zero(chart)
-    order = sorted(range(len(letters)), key=lambda p: -letters[p])
-    sign = koszul_sign(order, [chart.coordinate_degree(s) for s in letters])
-    return DiffOp.from_word(chart, index, sign)
+    derivations.  The letters must be descending with no odd letter
+    repeated, as ``random_word`` draws them (and so is every sublist):
+    the product is then the word itself, with no sign."""
+    return DiffOp.from_word(chart, _word_index(chart, letters))
 
 
 def _leading_two_term(ctx: PbwContext, letters, invert: bool):
@@ -174,7 +146,7 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
     if invert:
         residual = ctx.inv(product) - word - correction
         return residual.weight_le(length - 2) == residual
-    residual = ctx.map(word, _internal=True) - product + correction
+    residual = ctx.map(word) - product + correction
     if not residual:
         return True
     return residual.order() <= length - 2
@@ -190,40 +162,38 @@ def _append_word(chart: Chart, letters, field: VectorField) -> SymTensor:
     return out
 
 
-def suite_symbols(chart: Chart, conn: Connection, seed: int = 0,
-                  samples: int = 30,
-                  max_weight: int = None) -> List[CheckResult]:
-    if not conn.torsion_free:
-        return [_skip("leading-terms", "requires a torsion-free connection")]
+def suite_symbols(chart: Chart, conn: Connection, seed: int,
+                  weight: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    max_weight = 4 if max_weight is None else min(max_weight, 5)
-    ctx = PbwContext(chart, conn, max_weight=max_weight + 1)
+    weight = min(weight, 5)
+    ctx = PbwContext(chart, conn, max_weight=weight + 1)
 
-    tensors = [t for t in (random_symtensor(rng, chart, max_weight)
-                           for _ in range(samples)) if t]
-    res = [_run("symbol-of-map-is-identity", tensors,
-                lambda t: _symbol_check(ctx, t))]
+    tensors = [t for t in (random_symtensor(rng, chart, weight)
+                           for _ in range(30)) if t]
+    res = [run_check("symbol-of-map-is-identity", tensors,
+                     lambda t: _symbol_check(ctx, t))]
 
-    if max_weight < 2:
-        return res + [_skip(name, "needs words of two letters; weight bound "
-                            "is %d" % max_weight)
+    if weight < 2:
+        return res + [CheckResult(name, "SKIP", "needs words of two letters; "
+                                  "weight bound is %d" % weight)
                       for name in ("two-term-leading-expansion",
                                    "two-term-leading-expansion-inverse",
                                    "map-inverse-roundtrip")]
-    words = [random_word(rng, chart, rng.randrange(2, max_weight + 1))
-             for _ in range(samples)]
+    words = [random_word(rng, chart, rng.randrange(2, weight + 1))
+             for _ in range(30)]
     words = [w for w in words if w]
-    res.append(_run("two-term-leading-expansion", words,
-                    lambda w: _leading_two_term(ctx, w, invert=False)))
-    res.append(_run("two-term-leading-expansion-inverse", words,
-                    lambda w: _leading_two_term(ctx, w, invert=True)))
-    res.append(_run("map-inverse-roundtrip", words, lambda w: _roundtrip(ctx, w)))
+    res.append(run_check("two-term-leading-expansion", words,
+                         lambda w: _leading_two_term(ctx, w, invert=False)))
+    res.append(run_check("two-term-leading-expansion-inverse", words,
+                         lambda w: _leading_two_term(ctx, w, invert=True)))
+    res.append(run_check("map-inverse-roundtrip", words,
+                         lambda w: _roundtrip(ctx, w)))
     return res
 
 
 def _symbol_check(ctx: PbwContext, tensor: SymTensor) -> bool:
     top = tensor.weight()
-    op = ctx.map(tensor, _internal=True)
+    op = ctx.map(tensor)
     return op.gr_leading() == tensor.weight_part(top) and \
         (op.order() or 0) <= top
 
@@ -231,20 +201,14 @@ def _symbol_check(ctx: PbwContext, tensor: SymTensor) -> bool:
 def _roundtrip(ctx: PbwContext, letters) -> bool:
     word = _word_tensor(ctx.chart, letters)
     op = _compose_letters(ctx.chart, letters)
-    return (ctx.inv(ctx.map(word, _internal=True)) == word
-            and ctx.map(ctx.inv(op), _internal=True) == op)
+    return ctx.inv(ctx.map(word)) == word and ctx.map(ctx.inv(op)) == op
 
 
 # ---------------------------------------------------------------------------
 
-def suite_flat_connection(chart: Chart, conn: Connection, seed: int = 0,
-                          samples: int = 15,
-                          weight: int = None) -> List[CheckResult]:
-    if not conn.torsion_free:
-        return [_skip("flat-connection", "requires a torsion-free "
-                      "connection")]
+def suite_flat_connection(chart: Chart, conn: Connection, seed: int,
+                          weight: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    weight = chart.truncation.max_sym_weight if weight is None else weight
     fd = FedosovData(conn, weight)
     ctx = PbwContext(chart, conn, max_weight=weight + 1)
     xi = xi_form(ctx, weight)
@@ -258,28 +222,24 @@ def suite_flat_connection(chart: Chart, conn: Connection, seed: int = 0,
         "PASS" if all(not delta_inv_op(c) for c in fd.correction)
         and all(not delta_inv_op(c) for c in xi) else "FAIL", None))
 
-    sections = [random_section(rng, chart, weight) for _ in range(samples)]
-    res.append(_run("flat-operator-squares-to-zero", sections,
-                    lambda w: not fd.d_apply(fd.d_apply(w))))
+    sections = [random_section(rng, chart, weight) for _ in range(15)]
+    res.append(run_check("flat-operator-squares-to-zero", sections,
+                         lambda w: not fd.d_apply(fd.d_apply(w))))
     # full products projected afterwards, with the suite's own dnabla
     # table: independent of the capped products inside d_apply
     dnabla = dnabla_images(conn)
-    res.append(_run("flat-operator-is-lower-plus-dual-correction", sections,
-                    lambda w: fd.d_apply(w) == project_weight(
-                        -delta_op(w) + w.derive(dnabla)
-                        - vvf_action(xi, w), weight)))
+    res.append(run_check(
+        "flat-operator-is-lower-plus-dual-correction", sections,
+        lambda w: fd.d_apply(w) == project_weight(
+            -delta_op(w) + w.derive(dnabla) - vvf_action(xi, w), weight)))
     return res
 
 
 # ---------------------------------------------------------------------------
 
-def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
-                     samples: int = 20,
-                     weight: int = None) -> List[CheckResult]:
-    if not conn.torsion_free:
-        return [_skip("resolution", "requires a torsion-free connection")]
+def suite_resolution(chart: Chart, conn: Connection, seed: int,
+                     weight: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    weight = chart.truncation.max_sym_weight if weight is None else weight
     fd = FedosovData(conn, weight)
     ctx = PbwContext(chart, conn, max_weight=weight + 1)
 
@@ -288,28 +248,27 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int = 0,
     contraction = flat_contraction(fd)
     tau, h = contraction.tau, contraction.h
 
-    funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(samples)]
-    res = [_run("augmentation-routes-agree", funcs,
-                lambda f: tau(f) == tau_pbw(ctx, f, weight))]
-    res.append(_run("augmentation-splits-projection", funcs,
-                    lambda f: sigma_aug(tau(f)) == f))
-    res.append(_run("augmentation-is-flat", funcs,
-                    lambda f: not fd.d_apply(tau(f))))
+    funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(20)]
+    res = [run_check("augmentation-routes-agree", funcs,
+                     lambda f: tau(f) == tau_pbw(ctx, f, weight))]
+    res.append(run_check("augmentation-splits-projection", funcs,
+                         lambda f: sigma_aug(tau(f)) == f))
+    res.append(run_check("augmentation-is-flat", funcs,
+                         lambda f: not fd.d_apply(tau(f))))
     pairs = list(zip(funcs[::2], funcs[1::2]))
-    res.append(_run("augmentation-is-multiplicative", pairs,
-                    lambda fg: project_weight(tau(fg[0]) * tau(fg[1]), weight)
-                    == tau(fg[0] * fg[1])))
+    res.append(run_check(
+        "augmentation-is-multiplicative", pairs,
+        lambda fg: project_weight(tau(fg[0]) * tau(fg[1]), weight)
+        == tau(fg[0] * fg[1])))
 
-    sections = [random_section(rng, chart, weight) for _ in range(samples)]
-    report = check_contraction(contraction, sections, funcs)
-    for r in report.results:
-        res.append(CheckResult("flat-" + r.name,
-                               "PASS" if r.passed else "FAIL", r.witness))
+    sections = [random_section(rng, chart, weight) for _ in range(20)]
+    res += [r._replace(name="flat-" + r.name)
+            for r in check_contraction(contraction, sections, funcs)]
 
     closed = [fd.d_apply(random_section(rng, chart, weight - 1))
-              for _ in range(samples)]
-    res.append(_run("closed-sections-are-exact", closed,
-                    lambda w: fd.d_apply(h(w)) == w))
+              for _ in range(20)]
+    res.append(run_check("closed-sections-are-exact", closed,
+                         lambda w: fd.d_apply(h(w)) == w))
     return res
 
 
@@ -326,23 +285,16 @@ def flat_contraction(fd: FedosovData) -> ContractionData:
     )
 
 
-def suite_perturbation(chart: Chart, conn: Connection, seed: int = 0,
-                       samples: int = 12,
-                       weight: int = None) -> List[CheckResult]:
-    if not conn.torsion_free:
-        return [_skip("perturbation", "requires a torsion-free connection")]
+def suite_perturbation(chart: Chart, conn: Connection, seed: int,
+                       weight: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    weight = chart.truncation.max_sym_weight if weight is None else weight
     fd = FedosovData(conn, weight)
     base = base_contraction(chart, weight)
 
-    sections = [random_section(rng, chart, weight) for _ in range(samples)]
-    funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(samples)]
-    res = []
-    report = check_contraction(base, sections, funcs)
-    for r in report.results:
-        res.append(CheckResult("lowering-" + r.name,
-                               "PASS" if r.passed else "FAIL", r.witness))
+    sections = [random_section(rng, chart, weight) for _ in range(12)]
+    funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(12)]
+    res = [r._replace(name="lowering-" + r.name)
+           for r in check_contraction(base, sections, funcs)]
 
     ctx = PbwContext(chart, conn, max_weight=weight)
     perturbed, theta = fd.transfer
@@ -352,34 +304,50 @@ def suite_perturbation(chart: Chart, conn: Connection, seed: int = 0,
         h_w = perturbed.h(w)
         return h_w == base.h(w) - base.h(fd.perturbation(h_w))
 
-    res.append(_run("transferred-augmentation-matches", funcs,
-                    lambda f: perturbed.tau(f) == tau_pbw(ctx, f, weight)))
-    res.append(_run("transferred-projection-is-projection", sections,
-                    lambda w: perturbed.sigma(w) == sigma_aug(w)))
-    res.append(_run("transferred-homotopy-matches", sections,
-                    homotopy_fixed_point))
-    res.append(_run("transferred-small-perturbation-vanishes", funcs,
-                    lambda f: not theta(f)))
+    res.append(run_check(
+        "transferred-augmentation-matches", funcs,
+        lambda f: perturbed.tau(f) == tau_pbw(ctx, f, weight)))
+    res.append(run_check("transferred-projection-is-projection", sections,
+                         lambda w: perturbed.sigma(w) == sigma_aug(w)))
+    res.append(run_check("transferred-homotopy-matches", sections,
+                         homotopy_fixed_point))
+    res.append(run_check("transferred-small-perturbation-vanishes", funcs,
+                         lambda f: not theta(f)))
     return res
 
 
 # ---------------------------------------------------------------------------
 
+def _suites() -> dict:
+    """Suite name -> (suite, the name of its SKIP entry on a torsionful
+    connection, or None when it runs on any connection).  Built on each
+    call, so that a suite replaced in this module (by a tracer, say) is
+    the one that runs."""
+    return {
+        "coalgebra": (suite_coalgebra, None),
+        "symbols": (suite_symbols, "leading-terms"),
+        "flat-connection": (suite_flat_connection, "flat-connection"),
+        "resolution": (suite_resolution, "resolution"),
+        "perturbation": (suite_perturbation, "perturbation"),
+    }
+
+
+SUITE_NAMES = tuple(_suites())
+
+
 def run_suite(name: str, chart: Chart, conn: Connection, seed: int = 0,
               weight: int = None) -> List[CheckResult]:
+    """The named suite, or ``all`` of them in order, at ``weight`` (by
+    default the chart's Q)."""
     if name == "all":
-        out = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, chart, conn, seed, weight))
-        return out
-    if name == "coalgebra":
-        return suite_coalgebra(chart, conn, seed, max_weight=weight)
-    if name == "symbols":
-        return suite_symbols(chart, conn, seed, max_weight=weight)
-    if name == "flat-connection":
-        return suite_flat_connection(chart, conn, seed, weight=weight)
-    if name == "resolution":
-        return suite_resolution(chart, conn, seed, weight=weight)
-    if name == "perturbation":
-        return suite_perturbation(chart, conn, seed, weight=weight)
-    raise ValueError("unknown suite %r" % name)
+        return [r for suite in SUITE_NAMES
+                for r in run_suite(suite, chart, conn, seed, weight)]
+    if name not in SUITE_NAMES:
+        raise ValueError("unknown suite %r" % name)
+    suite, gated = _suites()[name]
+    if gated and not conn.torsion_free:
+        return [CheckResult(gated, "SKIP",
+                            "requires a torsion-free connection")]
+    if weight is None:
+        weight = chart.truncation.max_sym_weight
+    return suite(chart, conn, seed, weight)

@@ -376,7 +376,7 @@ def per_letter_word_image(ctx, index):
         inner = per_position_nabla_sym(
             ctx.conn, VectorField.coordinate(chart, slot),
             SymTensor.from_word(chart, rest_index))
-        term = left - ctx.map(inner, _internal=True)
+        term = left - ctx.map(inner)
         acc = acc + term.scale(eps)
     return acc.scale(Fraction(1, m))
 
@@ -461,8 +461,7 @@ def compose_word_image(ctx, index):
         rest_index = tuple(e - u for e, u in zip(index, unit))
         left = per_letter_compose(DiffOp.from_word(chart, unit),
                                   ctx.word_image(rest_index))
-        term = left - ctx.map(ctx.replacement(slot, rest_index),
-                              _internal=True)
+        term = left - ctx.map(ctx.replacement(slot, rest_index))
         par = chart.coordinate_parity(slot)
         sign = -1 if par and odd_before & 1 else 1
         odd_before += par

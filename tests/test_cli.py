@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import time
 
@@ -6,7 +7,8 @@ import pytest
 
 from jetexp.cli import main
 
-CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CHART_DIR = os.path.join(ROOT, "charts")
 
 
 def chart(name):
@@ -244,6 +246,20 @@ def test_verify_skips_on_torsionful_chart():
                      "--suite", "symbols")
     assert code == 0
     assert "SKIP" in text and "FAIL" not in text
+
+
+def test_verify_matches_shipped_reference():
+    # every suite's check names, their order and the SKIP lines of the
+    # torsionful chart, byte for byte as the shipped-cli reference has them
+    path = os.path.join(ROOT, "perfbench", "reference", "shipped-cli.json")
+    with open(path, encoding="utf-8") as handle:
+        commands = json.load(handle)["commands"]
+    verify = [c for c in commands if c["kind"] == "verify"]
+    assert len(verify) == 7
+    for cmd in verify:
+        argv = [os.path.join(ROOT, a) if a.endswith(".chart")
+                else "1" if a == "{seed}" else a for a in cmd["argv"]]
+        assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["chart"]
 
 
 def test_output_determinism():

@@ -61,7 +61,7 @@ def test_map_and_inverse_are_inverse(args):
     name, tensor, op = args
     ctx = CONTEXTS[name]
     assert ctx.inv(ctx.map(tensor)) == tensor
-    assert ctx.map(ctx.inv(op), _internal=True) == op
+    assert ctx.map(ctx.inv(op)) == op
 
 
 @PROPERTY
