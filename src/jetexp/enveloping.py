@@ -13,15 +13,20 @@ come out as I! on the diagonal with no stray signs, odd sectors
 included.
 
 DiffOp normal form puts all coefficient functions left of all
-derivations.  One rule, ``letter_compose``, brings a single derivation
-past a normal-ordered term by the graded Leibniz rule
+derivations.  Every Koszul sign for moving one coordinate derivation
+within a descending word comes from one rule, ``letter_sign``: d_s
+entering at the front of the word of K moves right past the letters
+with a larger coordinate index, a sign for each odd one when d_s is odd,
+and an odd d_s already in K gives 0 (coordinate derivations commute
+exactly, so this is lossless).  ``letter_compose`` brings a single
+derivation past a normal-ordered term by the graded Leibniz rule
 
     d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
-and ``insert_letter`` moves the new letter to its place in the word by
-Koszul transpositions (coordinate derivations commute exactly, so this
-is lossless).  ``DiffOp.compose`` applies the letters of each left word
-this way, innermost first; the word images of ``pbw`` use the same rule.
+the symmetric product ``SymTensor.mul_letter_left`` is its last term
+alone, and ``add_letter`` gathers either over a table.
+``DiffOp.compose`` applies the letters of each left word this way,
+innermost first; the word images of ``pbw`` use the same rule.
 
 Tensor squares over base functions are normalized with all coefficients
 pushed into the left factor via the bimodule relation
@@ -66,47 +71,38 @@ def _check_index(chart: Chart, index: MultiIndex):
             raise ValueError("odd coordinate derivation repeated in a word")
 
 
-def merge_words(chart: Chart, a: MultiIndex, b: MultiIndex):
-    """Koszul sign and multi-index for concatenating descending words a, b.
-
-    Returns (0, None) when an odd derivation would repeat.  In a
-    descending word the right block's letters cross exactly the left
-    block's letters with *smaller* coordinate index on their way to
-    canonical position.
-    """
-    inv = 0
-    for v, bv in enumerate(b):
-        if not bv or not chart.coordinate_parity(v):
-            continue
-        if a[v]:
-            return 0, None
-        inv += sum(a[u] for u in range(v)
-                   if chart.coordinate_parity(u))
-    return (-1 if inv & 1 else 1), tuple(x + y for x, y in zip(a, b))
-
-
-def insert_letter(chart: Chart, slot: int, index: MultiIndex):
-    """Sign and multi-index for prepending one derivation to a word: the
-    new letter enters at the far left and commutes rightwards past every
-    stored letter with a larger coordinate index."""
-    if chart.coordinate_parity(slot):
-        if index[slot]:
-            return 0, None
-        crossings = sum(index[u] for u in range(slot + 1, chart.n)
-                        if chart.coordinate_parity(u))
-        if crossings & 1:
-            return -1, _bump(index, slot)
-    return 1, _bump(index, slot)
-
-
-def _bump(index: MultiIndex, slot: int) -> MultiIndex:
-    return tuple(e + (1 if s == slot else 0) for s, e in enumerate(index))
+def letter_sign(chart: Chart, slot: int, index: MultiIndex) -> int:
+    """Sign for moving d_slot from the front of the descending word of
+    ``index`` to its place, past every letter with a larger coordinate
+    index; 0 when d_slot is odd and already in the word."""
+    if not chart.coordinate_parity(slot):
+        return 1
+    if index[slot]:
+        return 0
+    crossings = sum(index[u] for u in range(slot + 1, chart.n)
+                    if chart.coordinate_parity(u))
+    return -1 if crossings & 1 else 1
 
 
 def parity_parts(f: GradedPoly):
     """(parity, part) for the nonzero even and odd parts of ``f``."""
     odd = f.chart.odd_slots
     return list(f._split(lambda m: sum([m[s] for s in odd]) & 1).items())
+
+
+def _prepend(chart: Chart, slot: int, index: MultiIndex,
+             coeff: GradedPoly):
+    """d_slot (coeff d^index) with the letter moved past the coefficient
+    and into the word, as (word, sign, part) triples: for an odd slot c
+    enters by its parity parts."""
+    sign = letter_sign(chart, slot, index)
+    if not sign:
+        return []
+    word = index[:slot] + (index[slot] + 1,) + index[slot + 1:]
+    if chart.coordinate_parity(slot):
+        return [(word, -sign if par else sign, part)
+                for par, part in parity_parts(coeff)]
+    return [(word, sign, coeff)]
 
 
 def letter_compose(chart: Chart, slot: int, index: MultiIndex,
@@ -116,20 +112,21 @@ def letter_compose(chart: Chart, slot: int, index: MultiIndex,
 
         d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
-    the last word normal-ordered by ``insert_letter``; for an odd slot c
-    enters by its parity parts."""
-    out = []
+    the last term by ``_prepend``."""
     dc = coeff.partial(slot)
-    if dc:
-        out.append((index, 1, dc))
-    sign, bumped = insert_letter(chart, slot, index)
-    if sign:
-        if chart.coordinate_parity(slot):
-            for par, part in parity_parts(coeff):
-                out.append((bumped, -sign if par else sign, part))
-        else:
-            out.append((bumped, sign, coeff))
-    return out
+    head = [(index, 1, dc)] if dc else []
+    return head + _prepend(chart, slot, index, coeff)
+
+
+def add_letter(chart: Chart, table, slot: int, terms, weight: int = 1,
+               rule=letter_compose):
+    """Add weight * d_slot (sum of c d^K over ``terms``, word -> c) to
+    ``table`` (word -> list of (int weight, part)), each term brought to
+    normal form by ``rule``: ``letter_compose`` for the operator product,
+    ``_prepend`` for the symmetric one."""
+    for index, coeff in terms.items():
+        for word, sign, part in rule(chart, slot, index, coeff):
+            table.setdefault(word, []).append((sign * weight, part))
 
 
 class _IndexedSum:
@@ -170,6 +167,14 @@ class _IndexedSum:
         elif not isinstance(coeff, GradedPoly):
             coeff = GradedPoly.constant(chart, coeff)
         return cls(chart, {tuple(index): coeff})
+
+    @classmethod
+    def from_table(cls, chart: Chart, table, div: int = 1) -> "_IndexedSum":
+        """The sum with coefficient sum_k w_k p_k / div at each word
+        of ``table`` (word -> list of (int w_k, polynomial p_k))."""
+        return cls.zero(chart)._wrap({
+            word: linear_combination(chart, pairs, div)
+            for word, pairs in table.items()})
 
     @classmethod
     def function(cls, chart: Chart, f: GradedPoly):
@@ -259,18 +264,9 @@ class SymTensor(_IndexedSum):
     def mul_letter_left(self, slot: int) -> "SymTensor":
         """Symmetric product by one coordinate derivation from the left
         (the derivation still crosses each term's coefficient)."""
-        par = self.chart.coordinate_parity(slot)
-        out: Dict[MultiIndex, GradedPoly] = {}
-        for index, coeff in self.terms.items():
-            sign, idx = insert_letter(self.chart, slot, index)
-            if not sign:
-                continue
-            parts = parity_parts(coeff) if par else [(0, coeff)]
-            for p, part in parts:
-                val = -part if (sign < 0) ^ p else part
-                cur = out.get(idx)
-                out[idx] = val if cur is None else cur + val
-        return self._wrap(out)
+        table: Dict[MultiIndex, list] = {}
+        add_letter(self.chart, table, slot, self.terms, rule=_prepend)
+        return self.from_table(self.chart, table)
 
 
 class DiffOp(_IndexedSum):
@@ -290,14 +286,6 @@ class DiffOp(_IndexedSum):
             if comp:
                 terms[tuple(1 if s == i else 0 for s in range(chart.n))] = comp
         return cls(chart, terms)
-
-    @classmethod
-    def from_table(cls, chart: Chart, table, div: int = 1) -> "DiffOp":
-        """The operator with coefficient sum_k w_k p_k / div at each word
-        of ``table`` (word -> list of (int w_k, polynomial p_k))."""
-        return cls.zero(chart)._wrap({
-            word: linear_combination(chart, pairs, div)
-            for word, pairs in table.items()})
 
     def order(self):
         """Filtration order; None for the zero operator."""
@@ -342,10 +330,7 @@ class DiffOp(_IndexedSum):
             table = other.terms
             for slot in reversed(word_letters(index)):
                 step: Dict[MultiIndex, list] = {}
-                for word, coeff in table.items():
-                    for new, sign, part in letter_compose(chart, slot, word,
-                                                          coeff):
-                        step.setdefault(new, []).append((sign, part))
+                add_letter(chart, step, slot, table)
                 table = self.from_table(chart, step).terms
             for word, coeff in table.items():
                 val = c * coeff

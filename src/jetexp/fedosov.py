@@ -41,7 +41,7 @@ from typing import Dict, List, Sequence, Tuple
 from .chart import Chart, mi_all_up_to, mi_factorial
 from .enveloping import TruncationOverflowError
 from .geometry import Connection
-from .pbw import PbwContext
+from .pbw import PbwContext, recursion_steps
 from .perturbation import ContractionData, perturb_contraction
 from .poly import GradedPoly, monomial_pq, monomial_weight
 
@@ -334,13 +334,14 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
         v_I = 1/|I| * sum_{s : I_s > 0} eps_s * I_s *
               ( d_s v_{I - e_s} - sum_J c_J v_J ),
 
-    with eps_s the sign of the word recursion (see ``jetexp.pbw``) and
-    sum_J c_J d^J = cov(d_s, word of I - e_s) the context's memoized
-    replacement, whose words have weight |I| - 1.  The map is left
-    linear over base functions, so exp(c_J d^J)(f) = c_J v_J.  The v_I
-    are filled iteratively in ascending weight, so every v_J is known
-    when it is needed: no operator is built, and the depth of the
-    computation does not grow with the weight.
+    with the steps (s, I - e_s, eps_s * I_s) of the word recursion
+    (``pbw.recursion_steps``) and sum_J c_J d^J = cov(d_s, word of
+    I - e_s) the context's memoized replacement, whose words have weight
+    |I| - 1.  The map is left linear over base functions, so
+    exp(c_J d^J)(f) = c_J v_J.  The v_I are filled iteratively in
+    ascending weight, so every v_J is known when it is needed: no
+    operator is built, and the depth of the computation does not grow
+    with the weight.
     """
     chart = ctx.chart
     if not f.is_base_only():
@@ -361,20 +362,13 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
             val = f
         else:
             acc = GradedPoly.zero(chart)
-            odd_before = 0
-            for slot in range(n - 1, -1, -1):
-                mult = index[slot]
-                if not mult:
-                    continue
-                rest = index[:slot] + (mult - 1,) + index[slot + 1:]
+            for slot, rest, signed in recursion_steps(chart, index):
                 term = values[rest].partial(slot)
                 if m > 1:  # cov(d_s, 1) = 0
                     for word, coeff in ctx.replacement(slot,
                                                        rest).terms.items():
                         term = term - coeff * values[word]
-                sign = -1 if pars[slot] and odd_before & 1 else 1
-                odd_before += pars[slot]
-                acc = acc + term * (sign * mult)
+                acc = acc + term * signed
             val = acc * Fraction(1, m)
         values[index] = val
         if val:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .chart import Chart, same_chart
-from .enveloping import SymTensor, parity_parts
+from .enveloping import SymTensor, letter_sign, parity_parts
 from .poly import GradedPoly
 
 
@@ -283,40 +283,35 @@ def coordinate_replacement(conn: Connection, direction: int,
                            index) -> SymTensor:
     """cov(d_direction, word of ``index``), read off the Christoffel table.
 
-    Each block of equal letters (only even letters repeat) is replaced
-    once by Gamma(direction, slot, k) d_k and scaled by its multiplicity.
-    The new word is I - e_slot + e_k by index arithmetic: an odd d_k dies
-    on a word that already holds it, and otherwise moves to its place
-    past the odd letters strictly between the two slots.  Each entry is
-    homogeneous of parity |d_k| + |d_direction| + |d_slot|, so the
-    direction crossing the letters before the block and the coefficient
-    moving back out past them leave their sign when |d_k| + |d_slot| is
-    odd.
+    Each block of equal letters d_slot (only even letters repeat) is
+    replaced once by Gamma(direction, slot, k) d_k and scaled by its
+    multiplicity: d_slot is pulled out to the front of the word (the
+    sign ``letter_sign`` of d_slot on I - e_slot), and d_k is put in at
+    its place (``letter_sign`` of d_k on I - e_slot, which is 0 for an
+    odd d_k already in the word).  Each entry is homogeneous of parity
+    |d_k| + |d_direction| + |d_slot|, so moving it out past the letters
+    before the block undoes the direction's crossing of them.
     """
     chart = conn.chart
-    n = chart.n
-    pars = [chart.coordinate_parity(s) for s in range(n)]
     gamma = conn.gamma
     out: Dict[Tuple[int, ...], GradedPoly] = {}
-    pre_par = 0  # parity of the letters before the block
-    for slot in range(n - 1, -1, -1):
+    for slot in range(chart.n - 1, -1, -1):
         mult = index[slot]
         if not mult:
             continue
-        for k in range(n):
+        rest = index[:slot] + (mult - 1,) + index[slot + 1:]
+        pulled = mult * letter_sign(chart, slot, rest)
+        for k in range(chart.n):
             gam = gamma.get((direction, slot, k))
-            if gam is None or pars[k] and index[k] and k != slot:
-                continue  # no entry, or an odd letter repeated
-            lo, hi = (k, slot) if k < slot else (slot, k)
-            flip = pars[k] and sum(
-                index[u] for u in range(lo + 1, hi) if pars[u]) & 1
-            flip ^= pre_par & (pars[k] ^ pars[slot])
-            word = tuple(e - (s == slot) + (s == k)
-                         for s, e in enumerate(index))
-            val = gam * (-mult if flip else mult)
+            if gam is None:
+                continue
+            sign = letter_sign(chart, k, rest)
+            if not sign:
+                continue  # an odd letter repeated
+            word = rest[:k] + (rest[k] + 1,) + rest[k + 1:]
+            val = gam * (pulled * sign)
             cur = out.get(word)
             out[word] = val if cur is None else cur + val
-        pre_par ^= mult * pars[slot] & 1
     return SymTensor.zero(chart)._wrap(out)
 
 

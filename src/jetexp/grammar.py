@@ -26,7 +26,7 @@ from typing import List, Tuple
 from .chart import Chart
 from .poly import GradedPoly
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         merge_words, parity_parts, word_degree)
+                         word_letters)
 
 
 class ExprSyntaxError(ValueError):
@@ -247,21 +247,14 @@ def _negate(x):
 def _sym_mul(a: SymTensor, b: SymTensor) -> SymTensor:
     """Symmetric product of parsed tensors: s[..] factor chains, and a
     base function written to the right of a tensor (as a tensor of the
-    empty word)."""
-    chart = a.chart
-    out = SymTensor.zero(chart)
-    for ia, ca in a.terms.items():
-        odd_word = word_degree(chart, ia) & 1
-        for ib, cb in b.terms.items():
-            sign, merged = merge_words(chart, ia, ib)
-            if not sign:
-                continue
-            # move b's coefficient left past a's word
-            for par, cpart in parity_parts(cb):
-                val = ca * cpart
-                if (par & odd_word) ^ (sign < 0):
-                    val = -val
-                out = out + SymTensor(chart, {merged: val})
+    empty word).  Each term c W of a multiplies b by the letters of W,
+    last letter first, and then by c on the left."""
+    out = SymTensor.zero(a.chart)
+    for index, coeff in a.terms.items():
+        prod = b
+        for slot in reversed(word_letters(index)):
+            prod = prod.mul_letter_left(slot)
+        out = out + prod.scale(coeff)
     return out
 
 

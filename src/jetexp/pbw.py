@@ -17,10 +17,13 @@ letters give equal terms (only even letters repeat, so their sign is
     exp(I) = 1/|I| * sum_{s : I_s > 0} eps_s * I_s *
         ( d_s o exp(I - e_s) - exp(cov(d_s, word of I - e_s)) )
 
-with eps_s = -1 exactly when d_s is odd and an odd number of odd letters
-precede it (the slots above s).  No general operator product is formed:
-d_s o exp(I - e_s) is taken one coefficient at a time by the one-letter
-Leibniz rule (``enveloping.letter_compose``)
+with eps_s = ``enveloping.letter_sign`` of d_s on I - e_s (pulling d_s
+to the front is the inverse of moving it back to its place).
+``recursion_steps`` yields the triples (s, I - e_s, eps_s * I_s) that
+drive both the word images here and the values of ``fedosov.tau_pbw``.
+No general operator product is formed: d_s o exp(I - e_s) is taken one
+coefficient at a time by the one-letter Leibniz rule
+(``enveloping.add_letter`` over ``letter_compose``)
 
     d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
@@ -58,10 +61,21 @@ from typing import Dict, Tuple
 from .chart import (Chart, mi_all_up_to, mi_factorial, mi_weight,
                     same_chart)
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         letter_compose, pairing, sym_mul_vf, word_degree)
+                         add_letter, letter_sign, pairing, sym_mul_vf,
+                         word_degree)
 from .geometry import (Connection, VectorField, coordinate_replacement,
                        nabla_sym)
 from .poly import GradedPoly
+
+
+def recursion_steps(chart: Chart, index):
+    """(s, I - e_s, eps_s * I_s) for every letter d_s of the word of I,
+    highest slot first: the steps of the averaged recursion."""
+    for slot in range(chart.n - 1, -1, -1):
+        mult = index[slot]
+        if mult:
+            rest = index[:slot] + (mult - 1,) + index[slot + 1:]
+            yield slot, rest, letter_sign(chart, slot, rest) * mult
 
 
 class PbwContext:
@@ -104,7 +118,7 @@ class PbwContext:
 
     def _compute_word(self, index) -> DiffOp:
         """One step of the recursion: every slot's terms d_s o W_{I-e_s}
-        (by ``letter_compose``, one coefficient at a time) and every
+        (by ``add_letter``, one coefficient at a time) and every
         replacement term c_J W_J are gathered in one word -> coefficient
         table with integer weights eps_s * I_s, divided by |I| once."""
         chart = self.chart
@@ -114,19 +128,8 @@ class PbwContext:
         if m == 1:
             return DiffOp.from_word(chart, index)
         table: Dict[Tuple[int, ...], list] = {}
-        odd_before = 0
-        for slot in range(chart.n - 1, -1, -1):
-            mult = index[slot]
-            if not mult:
-                continue
-            par = chart.coordinate_parity(slot)
-            weight = -mult if par and odd_before & 1 else mult
-            odd_before += par
-            rest = index[:slot] + (mult - 1,) + index[slot + 1:]
-            for word, coeff in self.word_image(rest).terms.items():
-                for new, sign, part in letter_compose(chart, slot, word,
-                                                      coeff):
-                    table.setdefault(new, []).append((sign * weight, part))
+        for slot, rest, weight in recursion_steps(chart, index):
+            add_letter(chart, table, slot, self.word_image(rest).terms, weight)
             self._gather(table, self.replacement(slot, rest), -weight)
         return DiffOp.from_table(chart, table, m)
 

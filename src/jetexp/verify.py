@@ -97,22 +97,14 @@ def suite_coalgebra(chart: Chart, conn: Connection, seed: int,
 # ---------------------------------------------------------------------------
 
 def _word_index(chart: Chart, letters) -> tuple:
+    """Multi-index of a letter list.  The suites draw descending letters
+    with no odd letter repeated, as ``random_word`` does (and so is every
+    sublist), so the product d_{l_1} o d_{l_2} o ... of constant
+    coordinate derivations is the word of this index, with no sign."""
     index = [0] * chart.n
     for s in letters:
         index[s] += 1
     return tuple(index)
-
-
-def _word_tensor(chart: Chart, letters) -> SymTensor:
-    return SymTensor.from_word(chart, _word_index(chart, letters))
-
-
-def _compose_letters(chart: Chart, letters) -> DiffOp:
-    """The product d_{l_1} o d_{l_2} o ... of constant coordinate
-    derivations.  The letters must be descending with no odd letter
-    repeated, as ``random_word`` draws them (and so is every sublist):
-    the product is then the word itself, with no sign."""
-    return DiffOp.from_word(chart, _word_index(chart, letters))
 
 
 def _leading_two_term(ctx: PbwContext, letters, invert: bool):
@@ -126,8 +118,9 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
     conn = ctx.conn
     length = len(letters)
     degrees = [-chart.coordinate_degree(s) for s in letters]
-    product = _compose_letters(chart, letters)
-    word = _word_tensor(chart, letters)
+    index = _word_index(chart, letters)
+    product = DiffOp.from_word(chart, index)
+    word = SymTensor.from_word(chart, index)
     correction = SymTensor.zero(chart) if invert else DiffOp.zero(chart)
     for j in range(length):
         for k in range(j + 1, length):
@@ -140,7 +133,8 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
             if invert:
                 term = _append_word(chart, rest, nabla)
             else:
-                term = _compose_letters(chart, rest).compose(
+                term = DiffOp.from_word(
+                    chart, _word_index(chart, rest)).compose(
                     DiffOp.from_vector_field(nabla))
             correction = correction + term.scale(eps)
     if invert:
@@ -199,8 +193,9 @@ def _symbol_check(ctx: PbwContext, tensor: SymTensor) -> bool:
 
 
 def _roundtrip(ctx: PbwContext, letters) -> bool:
-    word = _word_tensor(ctx.chart, letters)
-    op = _compose_letters(ctx.chart, letters)
+    index = _word_index(ctx.chart, letters)
+    word = SymTensor.from_word(ctx.chart, index)
+    op = DiffOp.from_word(ctx.chart, index)
     return ctx.inv(ctx.map(word)) == word and ctx.map(ctx.inv(op)) == op
 
 

@@ -52,6 +52,26 @@ def bubble_koszul_sign(permutation, degrees):
     return sign
 
 
+def merge_words(chart, a, b):
+    """Koszul sign and multi-index for concatenating descending words a, b.
+
+    Returns (0, None) when an odd derivation would repeat.  In a
+    descending word the right block's letters cross exactly the left
+    block's letters with *smaller* coordinate index on their way to
+    canonical position.  (The library moves one letter at a time by
+    ``enveloping.letter_sign``.)
+    """
+    inv = 0
+    for v, bv in enumerate(b):
+        if not bv or not chart.coordinate_parity(v):
+            continue
+        if a[v]:
+            return 0, None
+        inv += sum(a[u] for u in range(v)
+                   if chart.coordinate_parity(u))
+    return (-1 if inv & 1 else 1), tuple(x + y for x, y in zip(a, b))
+
+
 def shuffle_pairing(chart, word_slots, fiber_monomial_slots):
     """Duality pairing of a descending derivation word against a product
     of fiber generators, by the interleaving-permutation formula:
@@ -387,9 +407,7 @@ def per_letter_word_times_function(chart, index, g):
     Leibniz rule d_i o m_f = m_{d_i f} + (-1)^(|x_i||f|) m_f o d_i, the
     word merged by ``merge_words``.  (The library's ``DiffOp.compose``
     applies each letter to the whole right operator by
-    ``letter_compose``, the new word ordered by ``insert_letter``.)"""
-    from jetexp.enveloping import merge_words
-
+    ``letter_compose``, the new word ordered by ``letter_sign``.)"""
     out = {}
     if not g:
         return out
@@ -421,7 +439,7 @@ def per_letter_word_times_function(chart, index, g):
 def per_letter_compose(a, b):
     """Operator product a o b in normal form through
     ``per_letter_word_times_function``."""
-    from jetexp.enveloping import DiffOp, merge_words
+    from jetexp.enveloping import DiffOp
 
     chart = a.chart
     out = DiffOp.zero(chart)
@@ -574,14 +592,14 @@ def degree_split_tensor_push_left(out, left_op, right_op):
 
 def degree_split_mul_letter_left(tensor, slot):
     """``SymTensor.mul_letter_left`` over the degree-homogeneous parts of
-    each coefficient, the parity read off each part."""
-    from jetexp.enveloping import insert_letter
-
+    each coefficient, the parity read off each part, and the word
+    merged by ``merge_words``."""
     chart = tensor.chart
     par = chart.coordinate_parity(slot)
+    unit = tuple(int(s == slot) for s in range(chart.n))
     out = {}
     for index, coeff in tensor.terms.items():
-        sign, idx = insert_letter(chart, slot, index)
+        sign, idx = merge_words(chart, unit, index)
         if not sign:
             continue
         for part in coeff.homogeneous_components().values():

@@ -262,6 +262,20 @@ def test_verify_matches_shipped_reference():
         assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["chart"]
 
 
+def test_pbw_tau_fedosov_match_shipped_reference():
+    # every non-verify command of the shipped-cli reference, on every
+    # shipped chart, exit code and stdout byte for byte
+    path = os.path.join(ROOT, "perfbench", "reference", "shipped-cli.json")
+    with open(path, encoding="utf-8") as handle:
+        commands = json.load(handle)["commands"]
+    rest = [c for c in commands if c["kind"] != "verify"]
+    assert len(rest) == 231
+    for cmd in rest:
+        argv = [os.path.join(ROOT, a) if a.endswith(".chart") else a
+                for a in cmd["argv"]]
+        assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["argv"]
+
+
 def test_output_determinism():
     first = run("fedosov", "--chart", chart("plane_curved.chart"))
     second = run("fedosov", "--chart", chart("plane_curved.chart"))

@@ -7,7 +7,7 @@ import pytest
 from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weight
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                                comult_env, comult_sym, letter_compose,
-                               pairing, parity_parts, sym_mul_vf,
+                               letter_sign, pairing, parity_parts, sym_mul_vf,
                                tensor_push_left, TensorSquare, word_letters)
 from jetexp.geometry import VectorField
 from jetexp.poly import GradedPoly
@@ -17,7 +17,7 @@ from jetexp.randomgen import (random_base_poly, random_symtensor,
 from hypothesis import given, strategies as st
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (degree_split_mul_letter_left,
+from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
                      degree_split_tensor_push_left, per_letter_compose,
                      shuffle_pairing, sym_word, sym_word_product,
                      tensor_square_left_mult_vf)
@@ -450,3 +450,24 @@ def test_mul_letter_left_matches_degree_split_oracle(name, data):
         for t in (tensor, odd_parts(tensor)):
             assert t.mul_letter_left(slot) == \
                 degree_split_mul_letter_left(t, slot)
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_letter_sign_matches_bubble_sort(name):
+    # d_slot in front of the descending word of I, bubble-sorted into
+    # descending order (keys n-1-s sort ascending); 0 exactly when an odd
+    # d_slot is already in the word
+    chart, _ = build_chart(name)
+    n = chart.n
+    degrees = [-chart.coordinate_degree(n - 1 - key) for key in range(n)]
+    for index in mi_all_up_to(n, chart.truncation.max_sym_weight):
+        if any(e > 1 and chart.coordinate_parity(s)
+               for s, e in enumerate(index)):
+            continue
+        for slot in range(n):
+            got = letter_sign(chart, slot, index)
+            if chart.coordinate_parity(slot) and index[slot]:
+                assert got == 0, (index, slot)
+                continue
+            keys = [n - 1 - s for s in [slot] + word_letters(index)]
+            assert got == bubble_koszul_sign(keys, degrees), (index, slot)

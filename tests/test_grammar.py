@@ -2,6 +2,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import (ChartFileError, load_chart_file,
@@ -13,7 +14,9 @@ from jetexp.grammar import (ExprSyntaxError, format_diffop, format_poly,
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_section, random_symtensor
 
-from conftest import build_chart
+from conftest import TORSION_FREE_CHARTS, build_chart
+from oracles import bubble_koszul_sign
+from test_poly_properties import PROPERTY
 
 
 @pytest.fixture
@@ -71,6 +74,41 @@ def test_symmetric_word_reordering(mixed):
     b = parse_symtensor(two_odd, "s[t2]*s[t1]")
     assert a == -b
     assert not parse_symtensor(two_odd, "s[t1]*s[t1]")
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@PROPERTY
+@given(data=st.data())
+def test_symmetric_letter_chain_matches_bubble_sort(name, data):
+    # s[a]*s[b]*... in any order, repeats included, with at most one base
+    # generator g among the letters: +/- g times the descending word, the
+    # sign from bubble-sorting g to the front and the letters into
+    # descending order (g key 0, letter s key n-s), or 0 when an odd
+    # letter repeats
+    chart, _ = build_chart(name)
+    n = chart.n
+    letters = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=chart.truncation.max_sym_weight))
+    base = data.draw(st.none() | st.integers(0, n - 1))
+    factors = ["s[%s]" % chart.coords[s].name for s in letters]
+    keys = [n - s for s in letters]
+    degrees = [0] + [-chart.coordinate_degree(n - key)
+                     for key in range(1, n + 1)]
+    coeff = GradedPoly.constant(chart, 1)
+    if base is not None:
+        at = data.draw(st.integers(0, len(letters)))
+        factors.insert(at, chart.coords[base].name)
+        keys.insert(at, 0)
+        degrees[0] = chart.coordinate_degree(base)
+        coeff = GradedPoly.generator(chart, base)
+    got = parse_symtensor(chart, "*".join(factors))
+    index = tuple(letters.count(s) for s in range(n))
+    if any(e > 1 and chart.coordinate_parity(s)
+           for s, e in enumerate(index)):
+        assert not got
+        return
+    want = SymTensor.from_word(chart, index, coeff)
+    assert got == want.scale(bubble_koszul_sign(keys, degrees))
 
 
 def test_parse_errors_carry_positions(mixed):
