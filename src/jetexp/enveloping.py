@@ -24,7 +24,7 @@ derivation past a normal-ordered term by the graded Leibniz rule
     d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
 the symmetric product ``SymTensor.mul_letter_left`` is its last term
-alone, and ``add_letter`` gathers either over a table.
+alone, and ``add_letter`` gathers ``letter_compose`` over a table.
 ``DiffOp.compose`` applies the letters of each left word this way,
 innermost first; the word images of ``pbw`` use the same rule.
 
@@ -91,15 +91,17 @@ def parity_parts(f: GradedPoly):
 
 
 def _prepend(chart: Chart, slot: int, index: MultiIndex,
-             coeff: GradedPoly):
-    """d_slot (coeff d^index) with the letter moved past the coefficient
-    and into the word, as (word, sign, part) triples: for an odd slot c
-    enters by its parity parts."""
-    sign = letter_sign(chart, slot, index)
+             coeff: GradedPoly, times: int = 1):
+    """d_slot^times (coeff d^index) with the letters moved past the
+    coefficient and into the word, as (word, sign, part) triples: for an
+    odd slot c enters by its parity parts, and an odd square is 0; a
+    block of an even letter moves in one step, with no sign."""
+    odd = chart.coordinate_parity(slot)
+    sign = 0 if odd and times > 1 else letter_sign(chart, slot, index)
     if not sign:
         return []
-    word = index[:slot] + (index[slot] + 1,) + index[slot + 1:]
-    if chart.coordinate_parity(slot):
+    word = index[:slot] + (index[slot] + times,) + index[slot + 1:]
+    if odd:
         return [(word, -sign if par else sign, part)
                 for par, part in parity_parts(coeff)]
     return [(word, sign, coeff)]
@@ -118,14 +120,12 @@ def letter_compose(chart: Chart, slot: int, index: MultiIndex,
     return head + _prepend(chart, slot, index, coeff)
 
 
-def add_letter(chart: Chart, table, slot: int, terms, weight: int = 1,
-               rule=letter_compose):
-    """Add weight * d_slot (sum of c d^K over ``terms``, word -> c) to
+def add_letter(chart: Chart, table, slot: int, terms, weight: int = 1):
+    """Add weight * d_slot o (sum of c d^K over ``terms``, word -> c) to
     ``table`` (word -> list of (int weight, part)), each term brought to
-    normal form by ``rule``: ``letter_compose`` for the operator product,
-    ``_prepend`` for the symmetric one."""
+    normal form by ``letter_compose``."""
     for index, coeff in terms.items():
-        for word, sign, part in rule(chart, slot, index, coeff):
+        for word, sign, part in letter_compose(chart, slot, index, coeff):
             table.setdefault(word, []).append((sign * weight, part))
 
 
@@ -261,11 +261,14 @@ class SymTensor(_IndexedSum):
     def weight(self) -> int:
         return self.max_word_weight()
 
-    def mul_letter_left(self, slot: int) -> "SymTensor":
-        """Symmetric product by one coordinate derivation from the left
-        (the derivation still crosses each term's coefficient)."""
+    def mul_letter_left(self, slot: int, times: int = 1) -> "SymTensor":
+        """Symmetric product by d_slot^times from the left (the letters
+        still cross each term's coefficient; an even block is one step)."""
         table: Dict[MultiIndex, list] = {}
-        add_letter(self.chart, table, slot, self.terms, rule=_prepend)
+        for index, coeff in self.terms.items():
+            for word, sign, part in _prepend(self.chart, slot, index, coeff,
+                                             times):
+                table.setdefault(word, []).append((sign, part))
         return self.from_table(self.chart, table)
 
 

@@ -25,8 +25,7 @@ from typing import List, Tuple
 
 from .chart import Chart
 from .poly import GradedPoly
-from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         word_letters)
+from .enveloping import DiffOp, SymTensor, TruncationOverflowError
 
 
 class ExprSyntaxError(ValueError):
@@ -248,12 +247,14 @@ def _sym_mul(a: SymTensor, b: SymTensor) -> SymTensor:
     """Symmetric product of parsed tensors: s[..] factor chains, and a
     base function written to the right of a tensor (as a tensor of the
     empty word).  Each term c W of a multiplies b by the letters of W,
-    last letter first, and then by c on the left."""
+    last letter first, a power of one letter in one step, and then by c
+    on the left."""
     out = SymTensor.zero(a.chart)
     for index, coeff in a.terms.items():
         prod = b
-        for slot in reversed(word_letters(index)):
-            prod = prod.mul_letter_left(slot)
+        for slot, times in enumerate(index):
+            if times:
+                prod = prod.mul_letter_left(slot, times)
         out = out + prod.scale(coeff)
     return out
 

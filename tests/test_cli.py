@@ -180,6 +180,8 @@ def test_exit_codes(tmp_path, capsys):
     for argv, want_code, want_text in (
             (("pbw", "--chart", curved, "x^99999999"), 2, ""),
             (("pbw", "--chart", curved, "s[x]^99999999"), 3, ""),
+            (("pbw", "--chart", curved, "s[x]^99999999*x"), 3, ""),
+            (("pbw", "--chart", curved, "s[x]^99999999*s[x]"), 3, ""),
             (("pbw", "--chart", curved, "--direction", "inv",
               "d[x]^99999999"), 3, ""),
             (("pbw", "--chart", mixed, "t^99999999"), 0, "0\n"),
@@ -249,30 +251,17 @@ def test_verify_skips_on_torsionful_chart():
 
 
 def test_verify_matches_shipped_reference():
-    # every suite's check names, their order and the SKIP lines of the
-    # torsionful chart, byte for byte as the shipped-cli reference has them
+    # every command of the shipped-cli reference on every shipped chart,
+    # exit code and stdout byte for byte: pbw, tau and fedosov outputs,
+    # and every verify suite's check names, their order and the SKIP
+    # lines of the torsionful chart
     path = os.path.join(ROOT, "perfbench", "reference", "shipped-cli.json")
     with open(path, encoding="utf-8") as handle:
         commands = json.load(handle)["commands"]
-    verify = [c for c in commands if c["kind"] == "verify"]
-    assert len(verify) == 7
-    for cmd in verify:
+    assert len(commands) == 238
+    for cmd in commands:
         argv = [os.path.join(ROOT, a) if a.endswith(".chart")
                 else "1" if a == "{seed}" else a for a in cmd["argv"]]
-        assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["chart"]
-
-
-def test_pbw_tau_fedosov_match_shipped_reference():
-    # every non-verify command of the shipped-cli reference, on every
-    # shipped chart, exit code and stdout byte for byte
-    path = os.path.join(ROOT, "perfbench", "reference", "shipped-cli.json")
-    with open(path, encoding="utf-8") as handle:
-        commands = json.load(handle)["commands"]
-    rest = [c for c in commands if c["kind"] != "verify"]
-    assert len(rest) == 231
-    for cmd in rest:
-        argv = [os.path.join(ROOT, a) if a.endswith(".chart") else a
-                for a in cmd["argv"]]
         assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["argv"]
 
 

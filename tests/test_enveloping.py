@@ -448,8 +448,11 @@ def test_mul_letter_left_matches_degree_split_oracle(name, data):
     tensor = data.draw(indexed(SymTensor, chart))
     for slot in range(chart.n):
         for t in (tensor, odd_parts(tensor)):
-            assert t.mul_letter_left(slot) == \
-                degree_split_mul_letter_left(t, slot)
+            once = degree_split_mul_letter_left(t, slot)
+            assert t.mul_letter_left(slot) == once
+            # a power of one letter in one step; an odd square is 0
+            assert t.mul_letter_left(slot, 2) == \
+                degree_split_mul_letter_left(once, slot)
 
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
