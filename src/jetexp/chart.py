@@ -13,6 +13,18 @@ block; that fixed order is the canonical monomial order used by all
 normal forms.  The coordinate list order is frozen for the chart's
 lifetime.
 
+Packed layout.  A monomial is stored as one int: each slot s holds its
+exponent in a fixed field of ``FIELD_BITS`` bits starting at bit
+``FIELD_BITS * s``, and one more field above the 3n slots holds the
+weight p + q.  The top bit of every field is a guard, clear in every
+valid key, so an exponent or a weight is at most ``FIELD_MAX`` and the
+sum of two valid keys never carries from one field into the next: a
+product of monomials is one int addition, and a guard bit set in the
+sum is an overflow.  ``unit[s]`` is the key of the generator in slot s
+(its field's low bit, plus the weight field's for a fiber or form
+slot), ``odd_low`` the low bits of the odd slots' fields (an odd
+exponent is 0 or 1), and ``guard`` the guard bits of all fields.
+
 Naming: a coordinate named ``x2`` gets fiber generator ``y2`` and form
 generator ``dx2`` (leading ``x`` swapped for ``y``); any other name
 ``t`` gets ``y_t`` and ``dt``.  Collisions are rejected at construction.
@@ -22,6 +34,11 @@ from __future__ import annotations
 
 import math
 from typing import Iterable, NamedTuple, Sequence, Tuple
+
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+FIELD_MAX = (1 << FIELD_BITS - 1) - 1  # 32767: the guard bit stays clear
 
 
 class Truncation(NamedTuple):
@@ -57,6 +74,7 @@ class Chart:
     __slots__ = (
         "coords", "truncation", "n", "gen_names", "gen_degrees",
         "gen_parities", "odd_slots", "_slot_of",
+        "shifts", "weight_shift", "unit", "odd_low", "guard", "base_mask",
     )
 
     def __init__(self, coordinates: Iterable[Tuple[str, int]],
@@ -68,6 +86,9 @@ class Chart:
         q, p, b = truncation
         if q < 1 or p < 2 or b < 1:
             raise ValueError("truncation must satisfy Q >= 1, P >= 2, B >= 1")
+        if max(truncation) > FIELD_MAX:
+            raise ValueError("truncation bounds must be at most %d"
+                             % FIELD_MAX)
         names = [c.name for c in coords]
         derived = ([_fiber_name(n) for n in names]
                    + [_form_name(n) for n in names])
@@ -85,6 +106,16 @@ class Chart:
         self.odd_slots = tuple(s for s, p in enumerate(self.gen_parities)
                                if p)
         self._slot_of = {name: i for i, name in enumerate(self.gen_names)}
+        # the packed monomial layout (see the module docstring)
+        self.shifts = tuple(FIELD_BITS * s for s in range(3 * self.n))
+        self.weight_shift = FIELD_BITS * 3 * self.n
+        weight_unit = 1 << self.weight_shift
+        self.unit = tuple(1 << sh | (weight_unit if s >= self.n else 0)
+                          for s, sh in enumerate(self.shifts))
+        self.odd_low = sum(1 << self.shifts[s] for s in self.odd_slots)
+        self.guard = sum(1 << sh + FIELD_BITS - 1
+                         for sh in self.shifts + (self.weight_shift,))
+        self.base_mask = (1 << FIELD_BITS * self.n) - 1
 
     # slot layout: [0, n) base, [n, 2n) fiber, [2n, 3n) form
     def x_slot(self, i: int) -> int:

@@ -19,16 +19,18 @@ Format (``#`` starts a comment, blank lines ignored, ``=`` optional):
     1 1 2 x2      # i j k polynomial   (1-based indices, chart grammar)
 
 Christoffel degree constraints are validated on load, as is graded
-symmetry when the torsion-free flag is set.
+symmetry when the torsion-free flag is set.  Q, P and B are at most
+``chart.FIELD_MAX``, the largest exponent a packed monomial holds.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .chart import Chart, Truncation
+from .chart import FIELD_MAX, Chart, Truncation
 from .geometry import Connection
 from .grammar import ExprSyntaxError, parse_poly
+from .poly import TruncationOverflowError
 
 
 class ChartFileError(ValueError):
@@ -70,6 +72,9 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
             except ValueError:
                 raise ChartFileError("bad value %r" % fields[1],
                                      line_no) from None
+            if trunc[fields[0]] > FIELD_MAX:
+                raise ChartFileError("%s %d exceeds %d" % (
+                    fields[0], trunc[fields[0]], FIELD_MAX), line_no)
         elif section == "flags":
             if len(fields) != 2 or fields[0] != "torsion_free":
                 raise ChartFileError("expected 'torsion_free true|false'",
@@ -105,7 +110,7 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
                                      line_no)
         try:
             poly = parse_poly(chart, poly_text)
-        except ExprSyntaxError as exc:
+        except (ExprSyntaxError, TruncationOverflowError) as exc:
             raise ChartFileError("bad Christoffel polynomial: %s" % exc,
                                  line_no) from None
         if not poly.is_base_only():

@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 ran, and a verify identity failed or the
 fedosov D2_RESIDUAL is nonzero, 2 parse/load error or a --max-weight
-below 1, 3 truncation overflow, 4 precondition violation (e.g.
-torsionful chart where torsion-freeness is required).  Output is
+below 1 or above ``chart.FIELD_MAX``, 3 truncation overflow (from any
+subcommand), 4 precondition violation (e.g. torsionful chart where
+torsion-freeness is required).  Output is
 deterministic: identical inputs produce byte-identical output.
 """
 
@@ -22,6 +23,7 @@ import argparse
 import functools
 import sys
 
+from .chart import FIELD_MAX
 from .chartfile import ChartFileError, load_chart_file
 from .enveloping import TruncationOverflowError
 from .fedosov import FedosovData, tau_pbw, vvf_records
@@ -58,6 +60,9 @@ def _weight(chart, arg):
     if arg < 1:
         raise _Failure(EXIT_PARSE, "--max-weight must be at least 1, got %d"
                        % arg)
+    if arg > FIELD_MAX:
+        raise _Failure(EXIT_PARSE, "--max-weight must be at most %d, got %d"
+                       % (FIELD_MAX, arg))
     return arg
 
 
@@ -82,8 +87,6 @@ def cmd_pbw(args, out) -> int:
             out.write(format_symtensor(ctx.inv(op)) + "\n")
     except ExprSyntaxError as exc:
         raise _Failure(EXIT_PARSE, "parse error: %s" % exc)
-    except TruncationOverflowError as exc:
-        raise _Failure(EXIT_TRUNCATION, "truncation overflow: %s" % exc)
     return EXIT_OK
 
 
@@ -145,14 +148,11 @@ def cmd_tau(args, out) -> int:
     if not conn.torsion_free and args.route == "series":
         raise _Failure(EXIT_PRECONDITION,
                        "series route requires a torsion-free chart")
-    try:
-        if args.route == "series":
-            value = FedosovData(conn, weight).tau_series(f)
-        else:
-            ctx = PbwContext(chart, conn, max_weight=weight)
-            value = tau_pbw(ctx, f, weight)
-    except TruncationOverflowError as exc:
-        raise _Failure(EXIT_TRUNCATION, "truncation overflow: %s" % exc)
+    if args.route == "series":
+        value = FedosovData(conn, weight).tau_series(f)
+    else:
+        ctx = PbwContext(chart, conn, max_weight=weight)
+        value = tau_pbw(ctx, f, weight)
     out.write(format_poly(value) + "\n")
     return EXIT_OK
 
@@ -222,6 +222,9 @@ def main(argv=None, out=None) -> int:
     except _Failure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except TruncationOverflowError as exc:
+        print("error: truncation overflow: %s" % exc, file=sys.stderr)
+        return EXIT_TRUNCATION
 
 
 if __name__ == "__main__":

@@ -28,6 +28,14 @@ alone, and ``add_letter`` gathers ``letter_compose`` over a table.
 ``DiffOp.compose`` applies the letters of each left word this way,
 innermost first; the word images of ``pbw`` use the same rule.
 
+Tables.  A word -> coefficient table under construction maps each word
+to a list of ``poly.combine`` entries: an int weight times a
+coefficient, a product of two, a one-slot partial (the (d_s c) d^K term
+above) or a parity flip (an odd d_s crossing c: its even part keeps the
+sign, its odd part changes it).  ``from_table`` sums each list into one
+polynomial, so no term of the Leibniz rule is built as a polynomial of
+its own.
+
 Tensor squares over base functions are normalized with all coefficients
 pushed into the left factor via the bimodule relation
 u.f (x) v == u (x) f.v; the right slot is always a pure word.
@@ -39,13 +47,10 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .chart import Chart, mi_factorial, mi_weight, same_chart
-from .poly import GradedPoly, linear_combination
+from .poly import (FLIP, GradedPoly, TruncationOverflowError, combine,
+                   unpack_monomial)
 
 MultiIndex = Tuple[int, ...]
-
-
-class TruncationOverflowError(ValueError):
-    """An operator product left the allowed filtration range."""
 
 
 def word_letters(index: MultiIndex) -> List[int]:
@@ -86,47 +91,45 @@ def letter_sign(chart: Chart, slot: int, index: MultiIndex) -> int:
 
 def parity_parts(f: GradedPoly):
     """(parity, part) for the nonzero even and odd parts of ``f``."""
-    odd = f.chart.odd_slots
-    return list(f._split(lambda m: sum([m[s] for s in odd]) & 1).items())
+    odd_low = f.chart.odd_low
+    return list(f._split(lambda k: (k & odd_low).bit_count() & 1).items())
 
 
 def _prepend(chart: Chart, slot: int, index: MultiIndex,
-             coeff: GradedPoly, times: int = 1):
-    """d_slot^times (coeff d^index) with the letters moved past the
-    coefficient and into the word, as (word, sign, part) triples: for an
-    odd slot c enters by its parity parts, and an odd square is 0; a
-    block of an even letter moves in one step, with no sign."""
+             coeff: GradedPoly, times: int = 1, weight: int = 1):
+    """weight * d_slot^times (coeff d^index) with the letters moved past
+    the coefficient and into the word, as (word, ``combine`` entry)
+    pairs: for an odd slot c crosses as a parity flip, and an odd square
+    is 0; a block of an even letter moves in one step, with no sign."""
     odd = chart.coordinate_parity(slot)
     sign = 0 if odd and times > 1 else letter_sign(chart, slot, index)
     if not sign:
         return []
     word = index[:slot] + (index[slot] + times,) + index[slot + 1:]
     if odd:
-        return [(word, -sign if par else sign, part)
-                for par, part in parity_parts(coeff)]
-    return [(word, sign, coeff)]
+        return [(word, (sign * weight, coeff, FLIP))]
+    return [(word, (sign * weight, coeff))]
 
 
 def letter_compose(chart: Chart, slot: int, index: MultiIndex,
-                   coeff: GradedPoly):
-    """d_slot o (coeff d^index) in normal form, as (word, sign, part)
-    triples meaning sign * part at word, by the graded Leibniz rule
+                   coeff: GradedPoly, weight: int = 1):
+    """weight * d_slot o (coeff d^index) in normal form, as (word,
+    ``combine`` entry) pairs, by the graded Leibniz rule
 
         d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
-    the last term by ``_prepend``."""
-    dc = coeff.partial(slot)
-    head = [(index, 1, dc)] if dc else []
-    return head + _prepend(chart, slot, index, coeff)
+    the first term a partial entry, the last by ``_prepend``."""
+    return [(index, (weight, coeff, slot))] + _prepend(
+        chart, slot, index, coeff, 1, weight)
 
 
 def add_letter(chart: Chart, table, slot: int, terms, weight: int = 1):
     """Add weight * d_slot o (sum of c d^K over ``terms``, word -> c) to
-    ``table`` (word -> list of (int weight, part)), each term brought to
-    normal form by ``letter_compose``."""
+    ``table`` (word -> list of ``combine`` entries), each term brought
+    to normal form by ``letter_compose``."""
     for index, coeff in terms.items():
-        for word, sign, part in letter_compose(chart, slot, index, coeff):
-            table.setdefault(word, []).append((sign * weight, part))
+        for word, entry in letter_compose(chart, slot, index, coeff, weight):
+            table.setdefault(word, []).append(entry)
 
 
 class _IndexedSum:
@@ -170,11 +173,11 @@ class _IndexedSum:
 
     @classmethod
     def from_table(cls, chart: Chart, table, div: int = 1) -> "_IndexedSum":
-        """The sum with coefficient sum_k w_k p_k / div at each word
-        of ``table`` (word -> list of (int w_k, polynomial p_k))."""
+        """The sum with coefficient combine(entries) / div at each word
+        of ``table`` (word -> list of ``combine`` entries)."""
         return cls.zero(chart)._wrap({
-            word: linear_combination(chart, pairs, div)
-            for word, pairs in table.items()})
+            word: combine(chart, entries, div)
+            for word, entries in table.items()})
 
     @classmethod
     def function(cls, chart: Chart, f: GradedPoly):
@@ -266,9 +269,9 @@ class SymTensor(_IndexedSum):
         still cross each term's coefficient; an even block is one step)."""
         table: Dict[MultiIndex, list] = {}
         for index, coeff in self.terms.items():
-            for word, sign, part in _prepend(self.chart, slot, index, coeff,
-                                             times):
-                table.setdefault(word, []).append((sign, part))
+            for word, entry in _prepend(self.chart, slot, index, coeff,
+                                        times):
+                table.setdefault(word, []).append(entry)
         return self.from_table(self.chart, table)
 
 
@@ -305,7 +308,7 @@ class DiffOp(_IndexedSum):
     def apply(self, f: GradedPoly) -> GradedPoly:
         if f.chart != self.chart:
             raise ValueError("chart mismatch between operator and argument")
-        out = GradedPoly.zero(self.chart)
+        entries = []
         for index, coeff in self.terms.items():
             g = f
             for slot in range(self.chart.n):
@@ -314,8 +317,8 @@ class DiffOp(_IndexedSum):
                 if not g:
                     break
             if g:
-                out = out + coeff * g
-        return out
+                entries.append((1, coeff, g))
+        return combine(self.chart, entries)
 
     def compose(self, other: "DiffOp", max_order=None) -> "DiffOp":
         """Operator product self o other in normal form, letter by letter:
@@ -323,9 +326,9 @@ class DiffOp(_IndexedSum):
         table by ``letter_compose``, innermost (lowest slot) first, and c
         multiplies the result on the left.
 
-        ``max_order`` None computes exactly; otherwise a word longer than
-        ``max_order`` raises TruncationOverflowError (never dropped
-        silently).
+        ``max_order`` None computes exactly; otherwise a product whose
+        order exceeds ``max_order`` raises TruncationOverflowError (its
+        top words are never dropped silently).
         """
         chart = same_chart(self, other)
         out: Dict[MultiIndex, list] = {}
@@ -336,14 +339,13 @@ class DiffOp(_IndexedSum):
                 add_letter(chart, step, slot, table)
                 table = self.from_table(chart, step).terms
             for word, coeff in table.items():
-                val = c * coeff
-                if val and max_order is not None and \
-                        mi_weight(word) > max_order:
-                    raise TruncationOverflowError(
-                        "operator order %d exceeds cap %d"
-                        % (mi_weight(word), max_order))
-                out.setdefault(word, []).append((1, val))
-        return self.from_table(chart, out)
+                out.setdefault(word, []).append((1, c, coeff))
+        product = self.from_table(chart, out)
+        order = product.order()
+        if max_order is not None and order is not None and order > max_order:
+            raise TruncationOverflowError(
+                "operator order %d exceeds cap %d" % (order, max_order))
+        return product
 
 
 def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
@@ -469,9 +471,8 @@ def tensor_push_left(out: TensorSquare, left_op: DiffOp, right_op: DiffOp):
             table = left_op.terms
             if par:
                 if flipped is None:
-                    flipped = {i: linear_combination(chart, [
-                        (-1 if p ^ (word_degree(chart, i) & 1) else 1, part)
-                        for p, part in parity_parts(c)])
+                    flipped = {i: combine(chart, [
+                        (-1 if word_degree(chart, i) & 1 else 1, c, FLIP)])
                         for i, c in table.items()}
                 table = flipped
             for left_index, lcoeff in table.items():
@@ -493,8 +494,11 @@ def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
     """
     chart = same_chart(tensor, sigma)
     n = chart.n
-    out = GradedPoly.zero(chart)
-    for m, v in sigma.nums.items():
+    base = chart.base_mask
+    odd_base = chart.odd_low & base
+    entries = []
+    for k, v in sigma.nums.items():
+        m = unpack_monomial(chart, k)
         if any(m[2 * n:]):
             raise ValueError("pairing argument must be free of form "
                              "generators")
@@ -502,11 +506,9 @@ def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
         coeff = tensor.terms.get(fiber)
         if coeff is None:
             continue
-        base_monomial = m[:n] + (0,) * (2 * n)
-        base_parity = sum(e * chart.gen_parities[s]
-                          for s, e in enumerate(m[:n])) & 1
+        base_parity = (k & odd_base).bit_count() & 1
         word_parity = word_degree(chart, fiber) & 1
         sign = -1 if base_parity and word_parity else 1
-        out = out + coeff * GradedPoly._of(
-            chart, {base_monomial: v * mi_factorial(fiber) * sign}, sigma.den)
-    return out
+        entries.append((1, coeff, GradedPoly._of(
+            chart, {k & base: v * mi_factorial(fiber) * sign}, sigma.den)))
+    return combine(chart, entries)

@@ -35,7 +35,6 @@ tables of generator images applied by GradedPoly.derive:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .chart import Chart, mi_all_up_to, mi_factorial
@@ -43,7 +42,8 @@ from .enveloping import TruncationOverflowError
 from .geometry import Connection
 from .pbw import PbwContext, recursion_steps
 from .perturbation import ContractionData, perturb_contraction
-from .poly import GradedPoly, monomial_pq, monomial_weight
+from .poly import (GradedPoly, combine, monomial_pq, pack_monomial,
+                   unpack_monomial)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +51,7 @@ from .poly import GradedPoly, monomial_pq, monomial_weight
 
 def project_weight(f: GradedPoly, max_weight: int) -> GradedPoly:
     """Jet-quotient projection: drop monomials with p + q > max_weight."""
-    chart = f.chart
-    return f.filter_terms(lambda m: monomial_weight(chart, m) <= max_weight)
+    return f.up_to_weight(max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +78,9 @@ def delta_inv_op(f: GradedPoly, max_weight: int = None) -> GradedPoly:
 
 
 def sigma_aug(f: GradedPoly) -> GradedPoly:
-    """Projection onto the (0, 0) part (a base function)."""
-    chart = f.chart
-    return f.filter_terms(lambda m: monomial_pq(chart, m) == (0, 0))
+    """Projection onto the (0, 0) part (a base function): the weight-0
+    part."""
+    return f.up_to_weight(0)
 
 
 def iota_incl(f: GradedPoly) -> GradedPoly:
@@ -176,13 +175,14 @@ def vvf_records(components: Sequence[GradedPoly]):
     n = chart.n
     records = {}
     for k, comp in enumerate(components):
-        for m, v in comp.nums.items():
+        for key, v in comp.nums.items():
+            m = unpack_monomial(chart, key)
             form = m[2 * n:]
             if sum(form) != 1:
                 raise ValueError("vector-valued form component is not a "
                                  "one-form")
-            key = (form.index(1) + 1, m[n:2 * n], k + 1)
-            records.setdefault(key, {})[m[:n] + (0,) * (2 * n)] = v
+            record = (form.index(1) + 1, m[n:2 * n], k + 1)
+            records.setdefault(record, {})[key & chart.base_mask] = v
     return [(i, j, k, GradedPoly._of(chart, nums, components[k - 1].den))
             for (i, j, k), nums in sorted(records.items())]
 
@@ -313,7 +313,7 @@ def _solve_correction(conn: Connection, weight: int,
     for k, comp in enumerate(comps):
         if delta_inv_op(comp):
             raise FlatStructureError("correction is not raising-normalized")
-        for m in comp.nums:
+        for m in comp.terms:
             if monomial_pq(chart, m)[1] < 2:
                 raise FlatStructureError("correction has fiber weight < 2")
         if comp and comp.degree() != 1 + chart.coordinate_degree(k):
@@ -341,7 +341,9 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
     exp(c_J d^J)(f) = c_J v_J.  The v_I are filled iteratively in
     ascending weight, so every v_J is known when it is needed: no
     operator is built, and the depth of the computation does not grow
-    with the weight.
+    with the weight.  Each v_I is one ``poly.combine`` of its partial
+    entries and replacement products, and the result one ``combine`` of
+    the products y^I / I! * v_I.
     """
     chart = ctx.chart
     if not f.is_base_only():
@@ -353,7 +355,7 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
     n = chart.n
     pars = [chart.coordinate_parity(s) for s in range(n)]
     values: Dict[Tuple[int, ...], GradedPoly] = {}
-    out = GradedPoly.zero(chart)
+    out = []
     for index in mi_all_up_to(n, weight):
         if any(e > 1 and pars[s] for s, e in enumerate(index)):
             continue
@@ -361,18 +363,17 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
         if not m:
             val = f
         else:
-            acc = GradedPoly.zero(chart)
+            entries = []
             for slot, rest, signed in recursion_steps(chart, index):
-                term = values[rest].partial(slot)
+                entries.append((signed, values[rest], slot))
                 if m > 1:  # cov(d_s, 1) = 0
                     for word, coeff in ctx.replacement(slot,
                                                        rest).terms.items():
-                        term = term - coeff * values[word]
-                acc = acc + term * signed
-            val = acc * Fraction(1, m)
+                        entries.append((-signed, coeff, values[word]))
+            val = combine(chart, entries, m)
         values[index] = val
         if val:
-            y_mono = GradedPoly._of(chart, {(0,) * n + index + (0,) * n: 1},
-                                    mi_factorial(index))
-            out = out + y_mono * val
-    return out
+            y_mono = GradedPoly._of(chart, {pack_monomial(
+                chart, (0,) * n + index + (0,) * n): 1}, mi_factorial(index))
+            out.append((1, y_mono, val))
+    return combine(chart, out)

@@ -294,7 +294,7 @@ def coordinate_replacement(conn: Connection, direction: int,
     """
     chart = conn.chart
     gamma = conn.gamma
-    out: Dict[Tuple[int, ...], GradedPoly] = {}
+    table: Dict[Tuple[int, ...], list] = {}
     for slot in range(chart.n - 1, -1, -1):
         mult = index[slot]
         if not mult:
@@ -309,10 +309,8 @@ def coordinate_replacement(conn: Connection, direction: int,
             if not sign:
                 continue  # an odd letter repeated
             word = rest[:k] + (rest[k] + 1,) + rest[k + 1:]
-            val = gam * (pulled * sign)
-            cur = out.get(word)
-            out[word] = val if cur is None else cur + val
-    return SymTensor.zero(chart)._wrap(out)
+            table.setdefault(word, []).append((pulled * sign, gam))
+    return SymTensor.from_table(chart, table)
 
 
 def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:

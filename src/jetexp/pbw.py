@@ -28,11 +28,14 @@ coefficient at a time by the one-letter Leibniz rule
     d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
 and all its terms and the replacement terms c_J exp(J) go into one
-word -> coefficient table with integer weights eps_s * I_s, summed and
-divided by |I| once per word.  ``map`` sums c_J exp(J) into one table
-the same way.  The inverse peels symbols: the top-order part of an
-operator is reinterpreted as a word, its image subtracted, and the
-remainder (one order lower, because symbols match exactly) recursed on.
+word -> coefficient table of ``poly.combine`` entries with integer
+weights eps_s * I_s: a partial of a coefficient, a coefficient under a
+parity flip, or a product c_J * (coefficient of exp(J)).  Each word's
+entries are summed into one polynomial and divided by |I| once.
+``map`` gathers c_J exp(J) into one table the same way.  The inverse
+peels symbols: the top-order part of an operator is reinterpreted as a
+word, its image subtracted, and the remainder (one order lower, because
+symbols match exactly) recursed on.
 
 A context carries two memo tables, the only mutable state: basis word
 to operator, and (slot s, word of J) to the replacement tensor
@@ -40,10 +43,10 @@ cov(d_s, word of J) that the recursion subtracts for the word J + e_s,
 read off the Christoffel table by ``geometry.coordinate_replacement``.
 The replacements are shared by the word images and by the augmentation
 route ``fedosov.tau_pbw``, which runs the same recursion on values.  A
-missing entry of either table is computed outside the lock and stored
-under it, and the first value stored wins, so contexts can be shared
-across worker threads (two threads may compute the same entry, but both
-get the same stored value).
+missing entry of either table is computed and then stored by one
+``dict.setdefault``, which is atomic, and the first value stored wins,
+so contexts can be shared across worker threads (two threads may
+compute the same entry, but both get the same stored value).
 
 Weight bookkeeping: a context created with the chart's default cap can
 serve the map and its inverse up to weight Q.  Transporting the module
@@ -55,7 +58,6 @@ makes that explicit rather than silently truncating.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Tuple
 
 from .chart import (Chart, mi_all_up_to, mi_factorial, mi_weight,
@@ -65,7 +67,7 @@ from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                          word_degree)
 from .geometry import (Connection, VectorField, coordinate_replacement,
                        nabla_sym)
-from .poly import GradedPoly
+from .poly import GradedPoly, pack_monomial
 
 
 def recursion_steps(chart: Chart, index):
@@ -91,7 +93,6 @@ class PbwContext:
                            if max_weight is None else int(max_weight))
         self._memo: Dict[Tuple[int, ...], DiffOp] = {}
         self._replacements: Dict[Tuple[int, Tuple[int, ...]], SymTensor] = {}
-        self._lock = threading.Lock()
 
     # -- basis words ---------------------------------------------------------
     def word_image(self, index) -> DiffOp:
@@ -100,9 +101,7 @@ class PbwContext:
         hit = self._memo.get(index)
         if hit is not None:
             return hit
-        value = self._compute_word(index)
-        with self._lock:
-            return self._memo.setdefault(index, value)
+        return self._memo.setdefault(index, self._compute_word(index))
 
     def replacement(self, slot: int, index) -> SymTensor:
         """cov(d_slot, word of ``index``), the tensor the recursion
@@ -112,14 +111,13 @@ class PbwContext:
         hit = self._replacements.get(key)
         if hit is not None:
             return hit
-        value = coordinate_replacement(self.conn, slot, key[1])
-        with self._lock:
-            return self._replacements.setdefault(key, value)
+        return self._replacements.setdefault(
+            key, coordinate_replacement(self.conn, slot, key[1]))
 
     def _compute_word(self, index) -> DiffOp:
         """One step of the recursion: every slot's terms d_s o W_{I-e_s}
         (by ``add_letter``, one coefficient at a time) and every
-        replacement term c_J W_J are gathered in one word -> coefficient
+        replacement term c_J W_J are gathered in one word -> entries
         table with integer weights eps_s * I_s, divided by |I| once."""
         chart = self.chart
         m = mi_weight(index)
@@ -135,10 +133,10 @@ class PbwContext:
 
     def _gather(self, table, tensor: SymTensor, weight: int):
         """Add weight * sum_J c_J W_J to ``table`` (word -> list of
-        (int weight, coefficient))."""
+        ``combine`` entries), one product entry per term."""
         for index, c in tensor.terms.items():
             for word, coeff in self.word_image(index).terms.items():
-                table.setdefault(word, []).append((weight, c * coeff))
+                table.setdefault(word, []).append((weight, c, coeff))
 
     # -- the map and its inverse ----------------------------------------------
     def map(self, tensor: SymTensor) -> DiffOp:
@@ -245,8 +243,8 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
                 continue
             sign = -1 if ((word_degree(chart, index) & 1)
                           and chart.coordinate_parity(i)) else 1
-            y_mono = GradedPoly._of(
-                chart, {(0,) * chart.n + index + (0,) * chart.n: sign},
+            y_mono = GradedPoly._of(chart, {pack_monomial(
+                chart, (0,) * chart.n + index + (0,) * chart.n): sign},
                 mi_factorial(index))
             for k in range(chart.n):
                 yk = GradedPoly.generator(chart, chart.y_slot(k))

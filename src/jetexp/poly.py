@@ -18,49 +18,69 @@ convention.
 parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
 One per-row rule forms partial_s from the operand's product rows; it
-feeds ``derive``'s products directly and builds ``partial``'s result.
+feeds ``derive``'s products directly and builds ``partial``'s result
+and ``combine``'s partial entries.
 A derivation whose images are single generators of fiber or form slots,
-g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off one
-odd-slot bitmask per monomial, in one pass with no product rows.  Such a
+g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off the
+odd-slot bits of each key, in one pass with no product rows.  Such a
 map keeps p + q, so it takes an exact weight cap on its input and can
 divide each term by its own p + q in the same pass.
 
 Stored form.  A polynomial stores integers: a positive ``den`` and a
-dict ``nums`` from monomial to nonzero numerator, the coefficient of m
-being nums[m] / den.  The form is canonical, gcd(den, every numerator)
-= 1 (the zero polynomial has den 1), so equality and hashing compare
-(den, nums) directly.  Every operation computes numerators over one
+dict ``nums`` from packed monomial key to nonzero numerator, the
+coefficient of m being nums[key(m)] / den.  A key is one int laid out
+by the chart (``chart`` module docstring): a fixed field per slot and a
+top field holding p + q, each with a guard bit.  So a weight cap is one
+comparison of keys, the odd slots of a monomial are ``key &
+chart.odd_low``, and a partial subtracts ``chart.unit[s]``.  The form is
+canonical, gcd(den, every numerator) = 1 (the zero polynomial has den
+1), so equality and hashing compare (den, nums) directly; the hash is
+computed once.  Every operation computes numerators over one
 denominator and ends in the one internal constructor ``_of``, which
-reduces them with a single gcd: sums over the lcm of the denominators,
-scalars by scaling (an int leaves the denominator alone), partials over
-the operand's own denominator.  ``terms``, monomial -> ``Fraction``, is
-a view for readers outside the arithmetic, built on first read and
-cached.
+reduces them with a single gcd.  ``terms``, exponent tuple ->
+``Fraction``, is a view for readers outside the arithmetic, built on
+first read and cached; the public constructor takes the same tuples.
 
 Product kernel.  Each polynomial lazily builds, at most once, its rows:
-per weight p + q, ascending, (monomial, odd-slot bitmask, parity mask of
-the odd slots above each slot, numerator).  A product multiplies
-numerators over Da*Db (a sum of products over the lcm of those) and
-accumulates plain ints per output monomial.  Intersecting odd masks kill
-a pair; otherwise its Koszul sign is the parity of the odd slots of the
+per weight p + q, ascending, (key, odd bits, parity bits of the odd
+slots above each slot, numerator).  A pair of rows multiplies to the
+key sum, with the product of numerators.  Intersecting odd bits kill a
+pair; otherwise its Koszul sign is the parity of the odd slots of the
 left monomial above the odd slots of the right one.  A constant factor
-is taken as a scalar, capped like the product, and builds no rows.
+is taken as a scalar, capped like the product, and builds no rows.  A
+guard bit set in any key a product or an exchange forms raises
+``TruncationOverflowError``.
+
+One polynomial per word.  ``combine`` sums a list of entries, each an
+int weight times a polynomial, a product of two, a one-slot partial or
+a parity flip, as integer numerators over one lcm, reduced once: a
+caller that sums many such terms builds no polynomial for any of them.
+Its products go through the same loop as ``*`` and ``derive``.
 
 Values are immutable after construction and all operations are pure, so
-the cached view and rows never go stale and sharing across threads
-needs no synchronization (two threads may both build the same cache).
+the cached view, rows and hash never go stale and sharing across
+threads needs no synchronization (two threads may both build the same
+cache).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from .chart import Chart, same_chart
+from .chart import FIELD_MASK, FIELD_MAX, Chart, same_chart
 
 Monomial = Tuple[int, ...]
+
+FLIP = "flip"  # the third item of a ``combine`` entry for a parity flip
+
+
+class TruncationOverflowError(ValueError):
+    """A result left the allowed range: an operator order or a weight
+    past its cap, or an exponent or a weight p + q past ``FIELD_MAX``."""
 
 
 class NotHomogeneousError(ValueError):
@@ -76,10 +96,6 @@ class DegreeUndefinedError(ValueError):
     """Raised when a degree is requested of the zero polynomial."""
 
 
-def monomial_degree(chart: Chart, m: Monomial) -> int:
-    return sum(e * d for e, d in zip(m, chart.gen_degrees))
-
-
 def monomial_parity(chart: Chart, m: Monomial) -> int:
     return sum(e * p for e, p in zip(m, chart.gen_parities)) & 1
 
@@ -90,20 +106,39 @@ def monomial_pq(chart: Chart, m: Monomial) -> Tuple[int, int]:
     return sum(m[2 * n:]), sum(m[n:2 * n])
 
 
-def monomial_weight(chart: Chart, m: Monomial) -> int:
-    """Jet filtration weight p + q of a monomial."""
-    return sum(m[chart.n:])
+def pack_monomial(chart: Chart, m: Monomial) -> int:
+    """The packed key of an exponent tuple; ValueError when an exponent
+    or the weight p + q exceeds ``FIELD_MAX``."""
+    if max(m) > FIELD_MAX:
+        raise ValueError("exponent %d exceeds %d" % (max(m), FIELD_MAX))
+    key = sum([e * u for e, u in zip(m, chart.unit)])
+    if key & chart.guard:
+        raise ValueError("weight p + q exceeds %d" % FIELD_MAX)
+    return key
 
 
-def monomial_base_degree(chart: Chart, m: Monomial) -> int:
-    return sum(m[:chart.n])
+def unpack_monomial(chart: Chart, key: int) -> Monomial:
+    """The exponent tuple of a packed key."""
+    return tuple([key >> sh & FIELD_MASK for sh in chart.shifts])
+
+
+def _key_degree(chart: Chart, key: int) -> int:
+    return sum([(key >> sh & FIELD_MASK) * d
+                for sh, d in zip(chart.shifts, chart.gen_degrees) if d])
+
+
+def _check_guard(chart: Chart, keys) -> None:
+    """Raise TruncationOverflowError when a key has a guard bit set."""
+    if reduce(or_, keys, 0) & chart.guard:
+        raise TruncationOverflowError(
+            "an exponent or the weight p + q exceeds %d" % FIELD_MAX)
 
 
 class GradedPoly:
-    __slots__ = ("chart", "den", "nums", "_terms", "_rows")
+    __slots__ = ("chart", "den", "nums", "_terms", "_rows", "_hash")
 
     def __init__(self, chart: Chart, terms: Dict[Monomial, Fraction] = None):
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[int, Fraction] = {}
         if terms:
             nslots = 3 * chart.n
             for m, c in terms.items():
@@ -118,45 +153,49 @@ class GradedPoly:
                 if any(e > 1 and chart.gen_parities[s]
                        for s, e in enumerate(m)):
                     raise ValueError("odd generator raised to a power > 1")
-                if m in clean:
-                    c += clean[m]
+                key = pack_monomial(chart, m)
+                if key in clean:
+                    c += clean[key]
                     if not c:
-                        del clean[m]
+                        del clean[key]
                         continue
-                clean[m] = c
+                clean[key] = c
         # reduced Fractions over the lcm of their denominators: gcd 1
         den = lcm(*[c.denominator for c in clean.values()])
         self.chart = chart
         self.den = den
-        self.nums = {m: c.numerator * (den // c.denominator)
-                     for m, c in clean.items()}
-        self._terms = self._rows = None
+        self.nums = {k: c.numerator * (den // c.denominator)
+                     for k, c in clean.items()}
+        self._terms = self._rows = self._hash = None
 
     @staticmethod
-    def _of(chart: Chart, nums: Dict[Monomial, int],
+    def _of(chart: Chart, nums: Dict[int, int],
             den: int = 1) -> "GradedPoly":
-        """The trusted constructor: sum_m nums[m]/den * m from nonzero
-        int numerators over a positive int ``den``, reduced by one gcd."""
+        """The trusted constructor: sum_k nums[k]/den * monomial(k) from
+        nonzero int numerators over a positive int ``den``, reduced by
+        one gcd."""
         if den != 1:
             g = gcd(den, *nums.values())
             if g != 1:
                 den //= g
-                nums = {m: v // g for m, v in nums.items()}
+                nums = {k: v // g for k, v in nums.items()}
         p = GradedPoly.__new__(GradedPoly)
         p.chart = chart
         p.den = den
         p.nums = nums
-        p._terms = p._rows = None
+        p._terms = p._rows = p._hash = None
         return p
 
     @property
     def terms(self) -> Dict[Monomial, Fraction]:
-        """monomial -> Fraction coefficient, built on first read."""
+        """exponent tuple -> Fraction coefficient, built on first read."""
         terms = self._terms
         if terms is None:
             den = self.den
-            terms = self._terms = {m: Fraction(v, den)
-                                   for m, v in self.nums.items()}
+            shifts = self.chart.shifts
+            terms = self._terms = {
+                tuple([k >> sh & FIELD_MASK for sh in shifts]):
+                Fraction(v, den) for k, v in self.nums.items()}
         return terms
 
     # -- constructors -----------------------------------------------------
@@ -167,14 +206,14 @@ class GradedPoly:
     @classmethod
     def constant(cls, chart: Chart, c) -> "GradedPoly":
         c = Fraction(c)
-        return cls._of(chart, {(0,) * (3 * chart.n): c.numerator} if c else {},
-                       c.denominator)
+        return cls._of(chart, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def generator(cls, chart: Chart, slot: int, exp: int = 1) -> "GradedPoly":
-        m = tuple(exp if s == slot else 0 for s in range(3 * chart.n))
-        # a first power needs none of the checks of the public constructor
-        return cls._of(chart, {m: 1}) if exp == 1 else cls(chart, {m: 1})
+        if exp == 1:  # needs none of the checks of the public constructor
+            return cls._of(chart, {chart.unit[slot]: 1})
+        return cls(chart, {tuple(exp if s == slot else 0
+                                 for s in range(3 * chart.n)): 1})
 
     # -- ring structure ----------------------------------------------------
     def __bool__(self):
@@ -187,7 +226,11 @@ class GradedPoly:
                 and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.chart, self.den, frozenset(self.nums.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.chart, self.den,
+                                   frozenset(self.nums.items())))
+        return h
 
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
@@ -210,19 +253,19 @@ class GradedPoly:
         den = lcm(da, db)
         scale_a, scale_b = den // da, sign * (den // db)
         out = dict(self.nums) if scale_a == 1 else \
-            {m: v * scale_a for m, v in self.nums.items()}
+            {k: v * scale_a for k, v in self.nums.items()}
         get = out.get
-        for m, v in other.nums.items():
-            v = get(m, 0) + v * scale_b
+        for k, v in other.nums.items():
+            v = get(k, 0) + v * scale_b
             if v:
-                out[m] = v
+                out[k] = v
             else:
-                del out[m]
+                del out[k]
         return GradedPoly._of(self.chart, out, den)
 
     def __neg__(self):
         return GradedPoly._of(self.chart,
-                              {m: -v for m, v in self.nums.items()}, self.den)
+                              {k: -v for k, v in self.nums.items()}, self.den)
 
     def __mul__(self, other, max_weight: int = None):
         """Product with a scalar or a polynomial.  With ``max_weight``
@@ -233,9 +276,8 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             same_chart(self, other)
             for c, f in ((other, self), (self, other)):
-                if len(c.nums) == 1 and not any(next(iter(c.nums))):
-                    return f._scaled(next(iter(c.nums.values())), c.den,
-                                     max_weight)
+                if len(c.nums) == 1 and 0 in c.nums:
+                    return f._scaled(c.nums[0], c.den, max_weight)
             return _sum_of_products(self.chart, (
                 (self.den * other.den, self._layout(), other._layout()),),
                 max_weight)
@@ -251,19 +293,23 @@ class GradedPoly:
                 max_weight: int = None) -> "GradedPoly":
         """num/den * self, projected to weight ``max_weight`` when given
         (the operand itself when that changes nothing)."""
-        nums = self.nums
-        if max_weight is not None:
-            n = self.chart.n
-            nums = {m: v for m, v in nums.items() if sum(m[n:]) <= max_weight}
-            if len(nums) == len(self.nums):
-                nums = self.nums
+        f = self if max_weight is None else self.up_to_weight(max_weight)
         if not num:
             return GradedPoly.zero(self.chart)
         if num == den:  # times 1
-            return self if nums is self.nums else \
-                GradedPoly._of(self.chart, nums, self.den)
-        return GradedPoly._of(self.chart, {m: v * num for m, v in nums.items()},
-                              self.den * den)
+            return f
+        return GradedPoly._of(self.chart, {k: v * num
+                                           for k, v in f.nums.items()},
+                              f.den * den)
+
+    def up_to_weight(self, max_weight: int) -> "GradedPoly":
+        """The jet-quotient projection: the monomials of weight p + q at
+        most ``max_weight`` (the operand itself when it drops none)."""
+        limit = max_weight + 1 << self.chart.weight_shift
+        nums = {k: v for k, v in self.nums.items() if k < limit}
+        if len(nums) == len(self.nums):
+            return self
+        return GradedPoly._of(self.chart, nums, self.den)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -275,42 +321,50 @@ class GradedPoly:
 
     def _layout(self) -> list:
         """The rows of the product kernel, built once: (weight p + q,
-        rows (monomial, odd mask, above mask, numerator)) ascending,
-        where bit s of the above mask is the parity of the odd slots of
-        the monomial above slot s."""
+        rows (key, odd bits, above bits, numerator)) ascending, where
+        the odd bits are ``key & chart.odd_low`` and the above bit of an
+        odd slot s is the parity of the odd slots of the monomial above
+        s."""
         rows = self._rows
         if rows is None:
-            n = self.chart.n
-            odd = self.chart.odd_slots
+            chart = self.chart
+            odd_low = chart.odd_low
+            shift = chart.weight_shift
             layers: Dict[int, list] = {}
-            for m, v in self.nums.items():
-                mask = above = 0
-                for s in odd:
-                    if m[s]:
-                        mask |= 1 << s
-                        above ^= (1 << s) - 1
-                layers.setdefault(sum(m[n:]), []).append((m, mask, above, v))
+            for k, v in self.nums.items():
+                mask = k & odd_low
+                above = 0
+                rest = mask
+                while rest:  # each odd slot flips the odd slots below it
+                    low = rest & -rest
+                    above ^= odd_low & (low - 1)
+                    rest ^= low
+                layers.setdefault(k >> shift, []).append((k, mask, above, v))
             rows = self._rows = sorted(layers.items())
         return rows
 
     # -- graded structure ---------------------------------------------------
     def _partial_rows(self, slot: int) -> list:
         """The product rows of partial_slot(self) over ``self.den``, read
-        off the operand's own rows: the odd bit of the slot cleared and
-        the above masks below it flipped, the sign of the odd slots below
-        it, the weight lowered by one for a fiber or form slot, and the
-        numerator times the exponent.  Distinct monomials have distinct
-        derivatives, so nothing accumulates."""
-        if not 0 <= slot < 3 * self.chart.n:
+        off the operand's own rows: the key lowered by the slot's unit,
+        the odd bit of the slot cleared and the above bits below it
+        flipped, the sign of the odd slots below it, the weight lowered
+        by one for a fiber or form slot, and the numerator times the
+        exponent.  Distinct monomials have distinct derivatives, so
+        nothing accumulates."""
+        chart = self.chart
+        if not 0 <= slot < 3 * chart.n:
             raise ValueError("generator slot out of range")
-        shift = slot >= self.chart.n
-        bit = 1 << slot if self.chart.gen_parities[slot] else 0
-        below = bit - 1 if bit else 0
+        lower = slot >= chart.n
+        sh = chart.shifts[slot]
+        unit = chart.unit[slot]
+        bit = chart.odd_low & 1 << sh
+        below = chart.odd_low & bit - 1 if bit else 0
         out = []
         for w, rows in self._layout():
             drows = []
-            for m, mask, above, v in rows:
-                e = m[slot]
+            for k, mask, above, v in rows:
+                e = k >> sh & FIELD_MASK
                 if not e:
                     continue
                 if bit:  # an odd slot: e == 1
@@ -320,17 +374,16 @@ class GradedPoly:
                     above ^= below
                 elif e > 1:
                     v *= e
-                drows.append((m[:slot] + (e - 1,) + m[slot + 1:],
-                              mask, above, v))
+                drows.append((k - unit, mask, above, v))
             if drows:
-                out.append((w - shift, drows))
+                out.append((w - lower, drows))
         return out
 
     def partial(self, slot: int) -> "GradedPoly":
         """Left derivative by the generator in ``slot``."""
         return GradedPoly._of(self.chart, {
-            m: v for _, rows in self._partial_rows(slot)
-            for m, _, _, v in rows}, self.den)
+            k: v for _, rows in self._partial_rows(slot)
+            for k, _, _, v in rows}, self.den)
 
     def derive(self, images: Mapping[int, "GradedPoly"],
                max_weight: int = None) -> "GradedPoly":
@@ -359,64 +412,64 @@ class GradedPoly:
         drops the input monomials above it (the same as dropping the
         output's), and ``by_weight`` divides each term by its own p + q.
 
-        Signs come from the odd-slot bitmask of the monomial m: pulling
-        an odd g_s out of the front costs the parity of the odd slots of
-        m below s, and putting an odd g_t in front of m - e_s costs the
-        parity of its odd slots below t, or kills the term when it
-        already holds g_t."""
+        Each term moves its key by the precomputed step unit[t] -
+        unit[s].  Signs come from the odd bits of the key: pulling an
+        odd g_s out of the front costs the parity of the odd slots below
+        s, and putting an odd g_t in front of m - e_s costs the parity
+        of its odd slots below t, or kills the term when it already
+        holds g_t."""
         chart = self.chart
         n = chart.n
-        par = chart.gen_parities
-        table = []  # (slot s, odd bit of s, slot t, odd bit of t)
+        odd_low = chart.odd_low
+        shifts, unit = chart.shifts, chart.unit
+        table = []  # (shift of s, odd bit of s, odd bit of t, key step)
         for s, t in pairs:
             if not (n <= s < 3 * n and n <= t < 3 * n):
                 raise ValueError("exchange pairs must be fiber or form slots")
-            table.append((s, par[s] << s, t, par[t] << t))
-        odd = chart.odd_slots
-        layers: Dict[int, list] = {}  # weight p + q -> [(monomial, num)]
-        for m, v in self.nums.items():
-            w = sum(m[n:])
-            if w and (max_weight is None or w <= max_weight):
-                layers.setdefault(w, []).append((m, v))
+            table.append((shifts[s], odd_low & 1 << shifts[s],
+                          odd_low & 1 << shifts[t], unit[t] - unit[s]))
+        shift = chart.weight_shift
+        limit = None if max_weight is None else max_weight + 1 << shift
+        layers: Dict[int, list] = {}  # weight p + q -> [(key, num)]
+        for k, v in self.nums.items():
+            w = k >> shift
+            if w and (limit is None or k < limit):
+                layers.setdefault(w, []).append((k, v))
         top = lcm(*layers) if by_weight else 1
-        out: Dict[Monomial, int] = {}
+        out: Dict[int, int] = {}
         get = out.get
         for w, rows in layers.items():
             scale = top // w if by_weight else 1
-            for m, v in rows:
-                mask = 0
-                for s in odd:
-                    if m[s]:
-                        mask |= 1 << s
+            for k, v in rows:
+                mask = k & odd_low
                 v *= scale
-                for s, sbit, t, tbit in table:
-                    e = m[s]
+                for sh, sbit, tbit, step in table:
+                    e = k >> sh & FIELD_MASK
                     if not e:
                         continue
                     c = v * e  # an odd slot has e == 1
                     rest = mask
                     if sbit:
-                        if (mask & (sbit - 1)).bit_count() & 1:
+                        if (mask & sbit - 1).bit_count() & 1:
                             c = -c
                         rest ^= sbit
                     if tbit:
                         if rest & tbit:  # g_t is odd and already in m
                             continue
-                        if (rest & (tbit - 1)).bit_count() & 1:
+                        if (rest & tbit - 1).bit_count() & 1:
                             c = -c
-                    key = list(m)
-                    key[s] = e - 1
-                    key[t] += 1
-                    key = tuple(key)
+                    key = k + step
                     out[key] = get(key, 0) + c
-        return GradedPoly._of(chart, {m: v for m, v in out.items() if v},
+        _check_guard(chart, out)
+        return GradedPoly._of(chart, {k: v for k, v in out.items() if v},
                               self.den * top)
 
-    def _split(self, key: Callable[[Monomial], int]) -> Dict[int, "GradedPoly"]:
-        """The nonzero parts of fixed ``key(monomial)``, keyed ascending."""
-        buckets: Dict[int, Dict[Monomial, int]] = {}
-        for m, v in self.nums.items():
-            buckets.setdefault(key(m), {})[m] = v
+    def _split(self, key: Callable[[int], int]) -> Dict[int, "GradedPoly"]:
+        """The nonzero parts of fixed ``key(packed key)``, keyed
+        ascending."""
+        buckets: Dict[int, Dict[int, int]] = {}
+        for k, v in self.nums.items():
+            buckets.setdefault(key(k), {})[k] = v
         if len(buckets) == 1:
             return {k: self for k in buckets}
         return {k: GradedPoly._of(self.chart, b, self.den)
@@ -424,15 +477,15 @@ class GradedPoly:
 
     def homogeneous_components(self) -> Dict[int, "GradedPoly"]:
         chart = self.chart
-        return self._split(lambda m: monomial_degree(chart, m))
+        return self._split(lambda k: _key_degree(chart, k))
 
     def weight_layers(self) -> Dict[int, "GradedPoly"]:
         """The parts of fixed weight p + q, keyed by weight."""
-        n = self.chart.n
-        return self._split(lambda m: sum(m[n:]))
+        shift = self.chart.weight_shift
+        return self._split(lambda k: k >> shift)
 
     def degree(self) -> int:
-        degs = {monomial_degree(self.chart, m) for m in self.nums}
+        degs = {_key_degree(self.chart, k) for k in self.nums}
         if not degs:
             raise DegreeUndefinedError("zero polynomial has no degree")
         if len(degs) > 1:
@@ -440,43 +493,58 @@ class GradedPoly:
         return degs.pop()
 
     def parity(self) -> int:
-        pars = {monomial_parity(self.chart, m) for m in self.nums}
+        odd_low = self.chart.odd_low
+        pars = {(k & odd_low).bit_count() & 1 for k in self.nums}
         if len(pars) != 1:
             raise NotHomogeneousError(pars)
         return pars.pop()
 
     # -- views ---------------------------------------------------------------
     def filter_terms(self, keep: Callable[[Monomial], bool]) -> "GradedPoly":
-        return GradedPoly._of(self.chart, {m: v for m, v in self.nums.items()
-                                           if keep(m)}, self.den)
+        """The monomials whose exponent tuple satisfies ``keep``."""
+        chart = self.chart
+        return GradedPoly._of(chart, {k: v for k, v in self.nums.items()
+                                      if keep(unpack_monomial(chart, k))},
+                              self.den)
 
     def max_base_degree(self) -> int:
-        return max((monomial_base_degree(self.chart, m) for m in self.nums),
-                   default=0)
+        shifts = self.chart.shifts[:self.chart.n]
+        return max((sum([k >> sh & FIELD_MASK for sh in shifts])
+                    for k in self.nums), default=0)
 
     def is_base_only(self) -> bool:
-        n = self.chart.n
-        return not any(any(m[n:]) for m in self.nums)
+        return max(self.nums, default=0) >> self.chart.weight_shift == 0
 
     def __repr__(self):
         from .grammar import format_poly
         return "GradedPoly(%s)" % format_poly(self)
 
 
-def linear_combination(chart: Chart, pairs, div: int = 1) -> GradedPoly:
-    """sum_k w_k * p_k / div over ``pairs`` (int w_k, polynomial p_k):
-    integer numerators over the lcm of the denominators, reduced once."""
-    if len(pairs) == 1 and div == 1 and pairs[0][0] == 1:
-        return pairs[0][1]
-    den = lcm(*[p.den for _, p in pairs])
-    out: Dict[Monomial, int] = {}
+def _products_into(out: Dict[int, int], scale: int, left, right,
+                   max_weight: int = None) -> None:
+    """The product loop: add scale * a * b to ``out`` (key -> numerator)
+    from the rows of a and of b, forming only pairs of total weight at
+    most ``max_weight`` when given."""
     get = out.get
-    for w, p in pairs:
-        scale = w * (den // p.den)
-        for m, v in p.nums.items():
-            out[m] = get(m, 0) + v * scale
-    return GradedPoly._of(chart, {m: v for m, v in out.items() if v},
-                          den * div)
+    for wa, rows_a in left:
+        for wb, rows_b in right:
+            if max_weight is not None and wa + wb > max_weight:
+                break  # weights ascend
+            for ka, mask_a, above_a, na in rows_a:
+                na *= scale
+                if not mask_a:  # an even monomial: no sign, no kill
+                    for kb, _, _, nb in rows_b:
+                        k = ka + kb
+                        out[k] = get(k, 0) + na * nb
+                    continue
+                for kb, mask_b, _, nb in rows_b:
+                    if mask_b:
+                        if mask_a & mask_b:  # a repeated odd slot
+                            continue
+                        if (above_a & mask_b).bit_count() & 1:
+                            nb = -nb
+                    k = ka + kb
+                    out[k] = get(k, 0) + na * nb
 
 
 def _sum_of_products(chart: Chart, pairs,
@@ -486,27 +554,60 @@ def _sum_of_products(chart: Chart, pairs,
     ``max_weight`` when given: integer numerators over the lcm of the
     pairs' Da*Db."""
     den = lcm(*[d for d, _, _ in pairs])
-    out: Dict[Monomial, int] = {}
-    get = out.get
+    out: Dict[int, int] = {}
     for d, left, right in pairs:
-        scale = den // d
-        for wa, rows_a in left:
-            for wb, rows_b in right:
-                if max_weight is not None and wa + wb > max_weight:
-                    break  # weights ascend
-                for ma, mask_a, above_a, na in rows_a:
-                    na *= scale
-                    if not mask_a:  # an even monomial: no sign, no kill
-                        for mb, _, _, nb in rows_b:
-                            m = tuple(map(add, ma, mb))
-                            out[m] = get(m, 0) + na * nb
-                        continue
-                    for mb, mask_b, _, nb in rows_b:
-                        if mask_b:
-                            if mask_a & mask_b:  # a repeated odd slot
-                                continue
-                            if (above_a & mask_b).bit_count() & 1:
-                                nb = -nb
-                        m = tuple(map(add, ma, mb))
-                        out[m] = get(m, 0) + na * nb
-    return GradedPoly._of(chart, {m: v for m, v in out.items() if v}, den)
+        _products_into(out, den // d, left, right, max_weight)
+    _check_guard(chart, out)
+    return GradedPoly._of(chart, {k: v for k, v in out.items() if v}, den)
+
+
+def combine(chart: Chart, entries, div: int = 1) -> GradedPoly:
+    """sum_k entry_k / div over ``entries``, each a tuple
+
+        (w, p)          w * p
+        (w, p, q)       w * p * q            (q a GradedPoly)
+        (w, p, s)       w * partial_s(p)     (s an int slot)
+        (w, p, FLIP)    w * (p with its odd part negated)
+
+    with int weights w: integer numerators over the lcm of the entries'
+    denominators, reduced once.  A lone (w, p) is p scaled."""
+    if len(entries) == 1 and len(entries[0]) == 2:
+        w, p = entries[0]
+        return p._scaled(w, div)
+    dens = [e[1].den * e[2].den if len(e) == 3 and type(e[2]) is GradedPoly
+            else e[1].den for e in entries]
+    den = lcm(*dens)
+    out: Dict[int, int] = {}
+    get = out.get
+    products = False
+    odd_low = chart.odd_low
+    for entry, d in zip(entries, dens):
+        w = entry[0] * (den // d)
+        p = entry[1]
+        if len(entry) == 3:
+            x = entry[2]
+            if type(x) is int:
+                for _, rows in p._partial_rows(x):
+                    for k, _, _, v in rows:
+                        out[k] = get(k, 0) + v * w
+                continue
+            if x is FLIP:
+                for k, v in p.nums.items():
+                    out[k] = get(k, 0) + (
+                        -v * w if (k & odd_low).bit_count() & 1 else v * w)
+                continue
+            if len(x.nums) == 1 and 0 in x.nums:  # a constant factor
+                w *= x.nums[0]
+            elif len(p.nums) == 1 and 0 in p.nums:
+                w *= p.nums[0]
+                p = x
+            else:
+                _products_into(out, w, p._layout(), x._layout())
+                products = True
+                continue
+        for k, v in p.nums.items():
+            out[k] = get(k, 0) + v * w
+    if products:
+        _check_guard(chart, out)
+    return GradedPoly._of(chart, {k: v for k, v in out.items() if v},
+                          den * div)

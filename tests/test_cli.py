@@ -195,6 +195,40 @@ def test_exit_codes(tmp_path, capsys):
         start = time.perf_counter()
         assert run(*argv) == (want_code, want_text)
         assert time.perf_counter() - start < 2
+    # a packed exponent field holds at most 32767: larger bounds are load
+    # or usage errors at a position, and a product or a slot exchange
+    # past the field is a truncation overflow in every subcommand
+    head = "[coordinates]\nx 0\n[truncation]\nQ 2\nP 3\n"
+    wide = tmp_path / "wide.chart"
+    wide.write_text(head + "B 32767\n")
+    wide_curved = tmp_path / "wide_curved.chart"
+    wide_curved.write_text(head + "B 32767\n[christoffel]\n1 1 1 x^32767\n")
+    for text, line in ((head + "B 32768\n", 6),
+                       ("[coordinates]\nx 0\n[truncation]\nQ 99999\n", 4),
+                       (head + "B 32767\n[christoffel]\n1 1 1 x^20000*x^20000\n",
+                        8)):
+        bad.write_text(text)
+        for argv in (("fedosov",), ("tau", "x")):
+            capsys.readouterr()
+            start = time.perf_counter()
+            assert run(argv[0], "--chart", str(bad), *argv[1:]) == (2, "")
+            assert time.perf_counter() - start < 2
+            assert "(line %d)" % line in capsys.readouterr().err
+    for argv, want_code in (
+            (("tau", "--chart", curved, "--max-weight", "32768", "x"), 2),
+            (("verify", "--chart", curved, "--max-weight", "99999"), 2),
+            (("tau", "--chart", str(wide), "x^20000*x^20000"), 3),
+            (("tau", "--chart", str(wide), "--route", "series",
+              "x^32767*x"), 3),
+            (("pbw", "--chart", str(wide), "x^20000*x^20000*s[x]"), 3),
+            (("verify", "--chart", str(wide_curved)), 3)):
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run(*argv) == (want_code, "")
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert ("truncation overflow" if want_code == 3
+                else "--max-weight") in err
     # the smallest accepted weight runs every suite; checks that need
     # two-letter words report SKIP
     code, text = run("verify", "--chart", curved, "--max-weight", "1")

@@ -10,7 +10,7 @@ from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                                letter_sign, pairing, parity_parts, sym_mul_vf,
                                tensor_push_left, TensorSquare, word_letters)
 from jetexp.geometry import VectorField
-from jetexp.poly import GradedPoly
+from jetexp.poly import GradedPoly, combine
 from jetexp.randomgen import (random_base_poly, random_symtensor,
                               random_vector_field)
 
@@ -110,12 +110,12 @@ def test_letter_compose_matches_general_product(name):
             terms[index] = coeff
         op = DiffOp(chart, terms)
         for slot in range(chart.n):
-            got = {}
+            table = {}
             for word, coeff in op.terms.items():
-                for new, sign, part in letter_compose(chart, slot, word,
-                                                      coeff):
-                    val = part if sign > 0 else -part
-                    got[new] = got[new] + val if new in got else val
+                for new, entry in letter_compose(chart, slot, word, coeff):
+                    table.setdefault(new, []).append(entry)
+            got = {new: combine(chart, entries)
+                   for new, entries in table.items()}
             unit = tuple(1 if s == slot else 0 for s in range(chart.n))
             assert DiffOp(chart, got) == \
                 per_letter_compose(DiffOp.from_word(chart, unit), op)
