@@ -434,24 +434,26 @@ def _shuffle_splits(chart: Chart, index: MultiIndex):
         yield (-1 if inv & 1 else 1), tuple(left), tuple(right)
 
 
+def _comult(element: _IndexedSum, kind: str) -> TensorSquare:
+    """Shuffle comultiplication of the words of ``element``, extended
+    left-linearly over their coefficients, as a square of ``kind``."""
+    out = TensorSquare(element.chart, kind)
+    for index, coeff in element.terms.items():
+        for sign, left, right in _shuffle_splits(element.chart, index):
+            out.add_term(left, right, coeff * sign)
+    return out
+
+
 def comult_sym(tensor: SymTensor) -> TensorSquare:
     """Shuffle comultiplication of a symmetric tensor, left-linear over
     base functions."""
-    out = TensorSquare(tensor.chart, "sym")
-    for index, coeff in tensor.terms.items():
-        for sign, left, right in _shuffle_splits(tensor.chart, index):
-            out.add_term(left, right, coeff * sign)
-    return out
+    return _comult(tensor, "sym")
 
 
 def comult_env(op: DiffOp) -> TensorSquare:
     """Shuffle comultiplication of a normal-ordered operator, computed on
     its derivation words and extended left-linearly over coefficients."""
-    out = TensorSquare(op.chart, "env")
-    for index, coeff in op.terms.items():
-        for sign, left, right in _shuffle_splits(op.chart, index):
-            out.add_term(left, right, coeff * sign)
-    return out
+    return _comult(op, "env")
 
 
 def tensor_push_left(out: TensorSquare, left_op: DiffOp, right_op: DiffOp):

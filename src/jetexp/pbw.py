@@ -1,6 +1,6 @@
 """The formal exponential map between symmetric tensors and differential
-operators, its inverse, the flat connection it transports, and the
-correction forms measuring the difference from the naive product.
+operators, its inverse, and the dual correction form of the flat
+connection it transports (its difference from the naive product).
 
 The map is defined on basis words of coordinate derivations by the
 averaged recursion
@@ -49,11 +49,11 @@ so contexts can be shared across worker threads (two threads may
 compute the same entry, but both get the same stored value).
 
 Weight bookkeeping: a context created with the chart's default cap can
-serve the map and its inverse up to weight Q.  Transporting the module
-structure (``lightning_nabla``) and the correction forms need one extra
-composition with a vector field, so they require ``max_weight`` headroom
-of one above the weights they are probed at; the constructor argument
-makes that explicit rather than silently truncating.
+serve the map and its inverse up to weight Q.  The dual correction form
+``xi_form`` reads the inverse of one extra composition with a vector
+field, so it requires ``max_weight`` headroom of one above the fiber
+weight it is probed at; the constructor argument makes that explicit
+rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -63,11 +63,9 @@ from typing import Dict, Tuple
 from .chart import (Chart, mi_all_up_to, mi_factorial, mi_weight,
                     same_chart)
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         add_letter, letter_sign, pairing, sym_mul_vf,
-                         word_degree)
-from .geometry import (Connection, VectorField, coordinate_replacement,
-                       nabla_sym)
-from .poly import GradedPoly, pack_monomial
+                         add_letter, letter_sign, word_degree)
+from .geometry import Connection, coordinate_replacement
+from .poly import GradedPoly, combine, pack_monomial
 
 
 def recursion_steps(chart: Chart, index):
@@ -171,39 +169,6 @@ class PbwContext:
         return out
 
 
-def lightning_nabla(ctx: PbwContext, field: VectorField,
-                    tensor: SymTensor) -> SymTensor:
-    """The flat connection transported from left operator composition:
-    cov(X, S) = inv(X o map(S)).  Raises the weight by one, so the
-    context needs headroom above the tensor's weight."""
-    same_chart(ctx, field, tensor)
-    if tensor.weight() + 1 > ctx.max_weight:
-        raise TruncationOverflowError(
-            "transported derivative of weight-%d tensor exceeds context "
-            "cap %d" % (tensor.weight(), ctx.max_weight))
-    xop = DiffOp.from_vector_field(field)
-    return ctx.inv(xop.compose(ctx.map(tensor)))
-
-
-def theta_form(ctx: PbwContext, field: VectorField,
-               tensor: SymTensor) -> SymTensor:
-    """Correction of the transported connection against the naive
-    symmetric product plus the input connection (contracted with the
-    given field).
-
-    Gated on torsion-freeness: with torsion the weight-one value would
-    be half the torsion tensor rather than zero, and none of the
-    downstream weight bookkeeping applies.  Lowers weight by at least
-    one on torsion-free input.
-    """
-    if not ctx.conn.torsion_free:
-        raise ValueError("correction form requires a torsion-free "
-                         "connection")
-    lowered = lightning_nabla(ctx, field, tensor)
-    return (lowered - sym_mul_vf(field, tensor)
-            - nabla_sym(ctx.conn, field, tensor))
-
-
 def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
     """Dual correction form as a one-form valued in fiberwise vector
     fields: component k is the polynomial (in base, fiber and form
@@ -215,40 +180,71 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
         contribution_k  +=  sign/I! * y^I * <theta(d_i, word_I), y_k>
 
     with sign = (-1)^(|word_I||d_i|), then multiplied by the direction's
-    form generator on the left.  Requires a torsion-free connection (the
-    fiber weight would otherwise start at one, not two).
+    form generator on the left.  theta(d_i, word_I) is the transported
+    connection inv(d_i o exp(I)) less the naive symmetric product and
+    the input connection; for |I| >= 2 only the first has weight one,
+    and ``inv`` is left linear over base functions, so
+
+        <theta(d_i, word_I), y_k>  =  sum_J c_J * lambda_k(J)
+
+    over the terms c_J d^J of d_i o exp(I) (one ``add_letter`` table),
+    where lambda_k(J) is the coefficient at e_k of inv(d^J).  lambda is
+    filled bottom-up over the words of weight at most one above the
+    fiber weight: lambda(0) = 0, lambda_k(e_j) = delta_jk and, since
+    exp(J) is d^J plus lower terms c_K d^K,
+
+        lambda_k(J)  =  -sum_{K != J} c_K * lambda_k(K).
+
+    Requires a torsion-free connection (the fiber weight would otherwise
+    start at one, not two).
     """
     if not ctx.conn.torsion_free:
         raise ValueError("dual correction form requires a torsion-free "
                          "connection")
     chart = ctx.chart
+    n = chart.n
     weight = (chart.truncation.max_sym_weight if max_fiber_weight is None
               else int(max_fiber_weight))
     if weight + 1 > ctx.max_weight:
         raise TruncationOverflowError(
             "fiber weight %d needs context cap at least %d"
             % (weight, weight + 1))
-    components = [GradedPoly.zero(chart) for _ in range(chart.n)]
-    for i in range(chart.n):
-        xi_i = VectorField.coordinate(chart, i)
-        dxi = GradedPoly.generator(chart, chart.dx_slot(i))
-        for index in mi_all_up_to(chart.n, weight):
-            if mi_weight(index) < 2:
-                continue
-            if any(e > 1 and chart.coordinate_parity(s)
-                   for s, e in enumerate(index)):
-                continue
-            theta = theta_form(ctx, xi_i, SymTensor.from_word(chart, index))
-            if not theta:
-                continue
-            sign = -1 if ((word_degree(chart, index) & 1)
-                          and chart.coordinate_parity(i)) else 1
-            y_mono = GradedPoly._of(chart, {pack_monomial(
-                chart, (0,) * chart.n + index + (0,) * chart.n): sign},
-                mi_factorial(index))
-            for k in range(chart.n):
-                yk = GradedPoly.generator(chart, chart.y_slot(k))
-                coeff = pairing(theta, yk)
-                if coeff:
-                    components[k] = components[k] + dxi * (y_mono * coeff)
-    return tuple(components)
+    words = [index for index in mi_all_up_to(n, weight + 1)
+             if not any(e > 1 and chart.coordinate_parity(s)
+                        for s, e in enumerate(index))]
+    lam = {}  # word J -> {e_k: lambda_k(J)}, the weight-1 part of inv(d^J)
+
+    def inv_weight_one(terms, scale, skip=None):
+        """{e_k: sum of scale * c_J * lambda_k(J)} over ``terms`` (word
+        J -> c_J) but the word ``skip``."""
+        table: Dict[Tuple[int, ...], list] = {}
+        for word, c in terms.items():
+            if word != skip:
+                for e, v in lam[word].items():
+                    table.setdefault(e, []).append((scale, c, v))
+        return SymTensor.from_table(chart, table).terms
+
+    for index in words:
+        if mi_weight(index) < 2:
+            lam[index] = {index: GradedPoly.constant(chart, 1)} \
+                if any(index) else {}
+        else:
+            lam[index] = inv_weight_one(ctx.word_image(index).terms, -1,
+                                        index)
+    components = [[] for _ in range(n)]
+    for index in words:
+        if not 2 <= mi_weight(index) <= weight:
+            continue
+        y_mono = GradedPoly._of(chart, {pack_monomial(
+            chart, (0,) * n + index + (0,) * n): 1}, mi_factorial(index))
+        odd_word = word_degree(chart, index) & 1
+        image = ctx.word_image(index).terms
+        for i in range(n):
+            step: Dict[Tuple[int, ...], list] = {}
+            add_letter(chart, step, i, image)
+            sign = -1 if odd_word and chart.coordinate_parity(i) else 1
+            dxi = GradedPoly.generator(chart, chart.dx_slot(i))
+            for e, coeff in inv_weight_one(
+                    DiffOp.from_table(chart, step).terms, 1).items():
+                components[e.index(1)].append((sign, dxi, y_mono * coeff))
+    return tuple(combine(chart, entries) for entries in components)

@@ -391,15 +391,22 @@ class GradedPoly:
         unlisted slots and None map to 0): sum_s images[s] . partial_s,
         each product formed only up to weight ``max_weight`` (see
         ``times``).  The partials enter the product kernel as rows read
-        off this polynomial's own; none is built as a polynomial."""
+        off this polynomial's own; none is built as a polynomial, and a
+        slot that no monomial holds (a zero field in the OR of the keys)
+        is skipped without a pass over the rows."""
+        chart = self.chart
+        held = reduce(or_, self.nums, 0)
         pairs = []
         for slot, img in images.items():
             if img:
                 same_chart(self, img)
+                if (0 <= slot < 3 * chart.n
+                        and not held >> chart.shifts[slot] & FIELD_MASK):
+                    continue
                 rows = self._partial_rows(slot)
                 if rows:
                     pairs.append((img.den * self.den, img._layout(), rows))
-        return _sum_of_products(self.chart, pairs, max_weight)
+        return _sum_of_products(chart, pairs, max_weight)
 
     def exchange(self, pairs: Sequence[Tuple[int, int]],
                  max_weight: int = None,
@@ -492,21 +499,7 @@ class GradedPoly:
             raise NotHomogeneousError(degs)
         return degs.pop()
 
-    def parity(self) -> int:
-        odd_low = self.chart.odd_low
-        pars = {(k & odd_low).bit_count() & 1 for k in self.nums}
-        if len(pars) != 1:
-            raise NotHomogeneousError(pars)
-        return pars.pop()
-
     # -- views ---------------------------------------------------------------
-    def filter_terms(self, keep: Callable[[Monomial], bool]) -> "GradedPoly":
-        """The monomials whose exponent tuple satisfies ``keep``."""
-        chart = self.chart
-        return GradedPoly._of(chart, {k: v for k, v in self.nums.items()
-                                      if keep(unpack_monomial(chart, k))},
-                              self.den)
-
     def max_base_degree(self) -> int:
         shifts = self.chart.shifts[:self.chart.n]
         return max((sum([k >> sh & FIELD_MASK for sh in shifts])

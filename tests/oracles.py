@@ -22,8 +22,12 @@ of tensor squares, the square of the dual covariant differential as
 graded commutators of its direction derivations, the Koszul sign of a
 tensor push read off each degree-homogeneous pair of parts instead of
 off parities, random samples summed one public single-term polynomial
-at a time instead of collected in one dict) so frozen expectations in
-the tests do not share code with the implementation they check.
+at a time instead of collected in one dict, the dual correction form
+through the whole transported connection inv(d_i o exp(I)) and the
+pairing instead of a table of the weight-one parts of inv(d^J), parity
+and filtering read off exponent tuples instead of packed keys) so
+frozen expectations in the tests do not share code with the
+implementation they check.
 """
 
 import itertools
@@ -427,7 +431,7 @@ def per_letter_word_times_function(chart, index, g):
         for word, coeff in per_letter_word_times_function(
                 chart, rest, part.partial(slot)).items():
             accumulate(word, coeff)
-        passed = -part if par and part.parity() else part
+        passed = -part if par and parity(part) else part
         for word, coeff in per_letter_word_times_function(
                 chart, rest, passed).items():
             sign, merged = merge_words(chart, word, unit)
@@ -604,7 +608,7 @@ def degree_split_mul_letter_left(tensor, slot):
             continue
         for part in coeff.homogeneous_components().values():
             val = part if sign > 0 else -part
-            if par and part.parity():
+            if par and parity(part):
                 val = -val
             cur = out.get(idx)
             out[idx] = val if cur is None else cur + val
@@ -656,3 +660,112 @@ def summed_random_symtensor(rng, chart, max_weight, terms=3, max_base=2):
         out = out + SymTensor(chart, {tuple(index): summed_random_base_poly(
             rng, chart, max_base, 2)})
     return out
+
+
+def parity(f):
+    """Parity of a homogeneous polynomial, summed over the exponent
+    tuples of ``terms``; NotHomogeneousError on mixed parity.  (The
+    library reads odd slots off the packed keys.)"""
+    from jetexp.poly import NotHomogeneousError
+
+    odd = f.chart.gen_parities
+    pars = {sum(e for e, p in zip(m, odd) if p) & 1 for m in f.terms}
+    if len(pars) != 1:
+        raise NotHomogeneousError(pars)
+    return pars.pop()
+
+
+def filter_terms(f, keep):
+    """The monomials of ``f`` whose exponent tuple satisfies ``keep``,
+    rebuilt through the public constructor."""
+    return GradedPoly(f.chart, {m: c for m, c in f.terms.items() if keep(m)})
+
+
+def lightning_nabla(ctx, field, tensor):
+    """The flat connection transported from left operator composition:
+    cov(X, S) = inv(X o map(S)).  Raises the weight by one, so the
+    context needs headroom above the tensor's weight."""
+    from jetexp.chart import same_chart
+    from jetexp.enveloping import DiffOp, TruncationOverflowError
+
+    same_chart(ctx, field, tensor)
+    if tensor.weight() + 1 > ctx.max_weight:
+        raise TruncationOverflowError(
+            "transported derivative of weight-%d tensor exceeds context "
+            "cap %d" % (tensor.weight(), ctx.max_weight))
+    xop = DiffOp.from_vector_field(field)
+    return ctx.inv(xop.compose(ctx.map(tensor)))
+
+
+def theta_form(ctx, field, tensor):
+    """Correction of the transported connection against the naive
+    symmetric product plus the input connection (contracted with the
+    given field).
+
+    Gated on torsion-freeness: with torsion the weight-one value would
+    be half the torsion tensor rather than zero, and none of the
+    downstream weight bookkeeping applies.  Lowers weight by at least
+    one on torsion-free input.
+    """
+    from jetexp.enveloping import sym_mul_vf
+    from jetexp.geometry import nabla_sym
+
+    if not ctx.conn.torsion_free:
+        raise ValueError("correction form requires a torsion-free "
+                         "connection")
+    lowered = lightning_nabla(ctx, field, tensor)
+    return (lowered - sym_mul_vf(field, tensor)
+            - nabla_sym(ctx.conn, field, tensor))
+
+
+def xi_form_by_theta(ctx, max_fiber_weight=None):
+    """Dual correction form through the whole transported connection:
+    for each direction i and word index I,
+
+        contribution_k  +=  sign/I! * y^I * <theta(d_i, word_I), y_k>
+
+    with sign = (-1)^(|word_I||d_i|), then multiplied by the direction's
+    form generator on the left.  (The library reads the pairing off a
+    table of the weight-one parts of inv(d^J) and forms no inverse,
+    operator product or covariant derivative.)
+    """
+    from jetexp.chart import mi_all_up_to, mi_factorial, mi_weight
+    from jetexp.enveloping import (SymTensor, TruncationOverflowError,
+                                   pairing, word_degree)
+    from jetexp.geometry import VectorField
+    from jetexp.poly import pack_monomial
+
+    if not ctx.conn.torsion_free:
+        raise ValueError("dual correction form requires a torsion-free "
+                         "connection")
+    chart = ctx.chart
+    weight = (chart.truncation.max_sym_weight if max_fiber_weight is None
+              else int(max_fiber_weight))
+    if weight + 1 > ctx.max_weight:
+        raise TruncationOverflowError(
+            "fiber weight %d needs context cap at least %d"
+            % (weight, weight + 1))
+    components = [GradedPoly.zero(chart) for _ in range(chart.n)]
+    for i in range(chart.n):
+        xi_i = VectorField.coordinate(chart, i)
+        dxi = GradedPoly.generator(chart, chart.dx_slot(i))
+        for index in mi_all_up_to(chart.n, weight):
+            if mi_weight(index) < 2:
+                continue
+            if any(e > 1 and chart.coordinate_parity(s)
+                   for s, e in enumerate(index)):
+                continue
+            theta = theta_form(ctx, xi_i, SymTensor.from_word(chart, index))
+            if not theta:
+                continue
+            sign = -1 if ((word_degree(chart, index) & 1)
+                          and chart.coordinate_parity(i)) else 1
+            y_mono = GradedPoly._of(chart, {pack_monomial(
+                chart, (0,) * chart.n + index + (0,) * chart.n): sign},
+                mi_factorial(index))
+            for k in range(chart.n):
+                yk = GradedPoly.generator(chart, chart.y_slot(k))
+                coeff = pairing(theta, yk)
+                if coeff:
+                    components[k] = components[k] + dxi * (y_mono * coeff)
+    return tuple(components)

@@ -21,7 +21,7 @@ from jetexp.poly import (FLIP, GradedPoly, TruncationOverflowError, combine,
                          unpack_monomial)
 
 from conftest import CHART_DEFS, build_chart
-from oracles import fraction_mul, fraction_partial
+from oracles import filter_terms, fraction_mul, fraction_partial
 from test_poly_properties import PROPERTY
 
 CHARTS = {name: build_chart(name)[0] for name in sorted(CHART_DEFS)}
@@ -122,7 +122,7 @@ def term_by_term(chart, entry):
         return p * w
     x = entry[2]
     if x is FLIP:
-        even = p.filter_terms(lambda m: not monomial_parity(chart, m))
+        even = filter_terms(p, lambda m: not monomial_parity(chart, m))
         return (even - (p - even)) * w
     if isinstance(x, int):
         return fraction_partial(p, x) * w

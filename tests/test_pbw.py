@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,16 @@ from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                                comult_sym, pairing, sym_mul_vf)
 from jetexp.fedosov import delta_op
 from jetexp.geometry import Connection, VectorField, nabla_sym
-from jetexp.pbw import PbwContext, lightning_nabla, theta_form, xi_form
+from jetexp.pbw import PbwContext, xi_form
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_section,
-                              random_symtensor, random_word)
+                              random_symtensor, random_torsion_free_connection,
+                              random_word)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (compose_word_image, per_letter_compose,
-                     per_letter_word_image)
+from oracles import (compose_word_image, filter_terms, lightning_nabla,
+                     per_letter_compose, per_letter_word_image, theta_form,
+                     xi_form_by_theta)
 
 
 def europe_recursion(ctx, fields):
@@ -86,6 +89,8 @@ def test_weight_cap_errors(e1):
     with pytest.raises(TruncationOverflowError):
         lightning_nabla(small, VectorField.coordinate(chart, 0),
                         SymTensor.from_word(chart, (2,)))
+    with pytest.raises(TruncationOverflowError):
+        xi_form(small, 2)
 
 
 @pytest.mark.parametrize("name", ["line_curved", "plane_curved", "mixed",
@@ -424,6 +429,24 @@ def test_xi_form_requires_torsion_free():
         xi_form(ctx, 4)
 
 
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_xi_form_matches_transported_connection_route(name, charts):
+    chart, conn = charts[name]
+    weight = chart.truncation.max_sym_weight
+    assert xi_form(PbwContext(chart, conn, max_weight=weight + 1)) == \
+        xi_form_by_theta(PbwContext(chart, conn, max_weight=weight + 1))
+
+
+def test_xi_form_matches_transported_connection_route_dense():
+    # a dense random torsion-free table (seed 11) at weight 4
+    chart = Chart([("x1", 0), ("x2", 0), ("x3", 1), ("x4", 2)],
+                  Truncation(4, 3, 6))
+    conn = random_torsion_free_connection(random.Random(11), chart)
+    got = xi_form(PbwContext(chart, conn, max_weight=5))
+    assert any(got)
+    assert got == xi_form_by_theta(PbwContext(chart, conn, max_weight=5))
+
+
 def test_xi_form_fiber_weight_at_least_two_and_raising_normalized(charts,
                                                                   contexts):
     from jetexp.fedosov import delta_inv_op
@@ -456,8 +479,7 @@ def test_transpose_relation_between_theta_and_xi(charts, contexts, rng):
             index = tuple(index)
             tensor = SymTensor.from_word(chart, index)
             sigma = random_section(rng, chart, weight, terms=3)
-            sigma = sigma.filter_terms(
-                lambda m: not any(m[2 * chart.n:]))
+            sigma = filter_terms(sigma, lambda m: not any(m[2 * chart.n:]))
             for i in range(chart.n):
                 x = VectorField.coordinate(chart, i)
                 # contract the one-form against direction i
@@ -481,7 +503,7 @@ def test_pairing_against_lowering_transpose(charts, rng):
         for _ in range(40):
             tensor = random_symtensor(rng, chart, 3)
             sigma = random_section(rng, chart, 4, terms=4)
-            sigma = sigma.filter_terms(lambda m: not any(m[2 * chart.n:]))
+            sigma = filter_terms(sigma, lambda m: not any(m[2 * chart.n:]))
             i = rng.randrange(chart.n)
             coeff = random_base_poly(rng, chart, 1, 2)
             x = VectorField.coordinate(chart, i).scale(coeff)

@@ -9,7 +9,7 @@ from jetexp.poly import (DegreeUndefinedError, GradedPoly, NotHomogeneousError,
 from jetexp.randomgen import random_section
 
 from conftest import CHART_DEFS
-from oracles import (brute_force_derivative, derivation_apply,
+from oracles import (brute_force_derivative, derivation_apply, filter_terms,
                      fraction_derive, fraction_mul, fraction_partial)
 
 
@@ -117,8 +117,9 @@ def test_derive_matches_positional_leibniz_oracle(charts, rng, name):
             images = [None] * nslots
             for s in rng.sample(range(nslots), rng.randint(1, nslots)):
                 want = (parity + chart.gen_parities[s]) & 1
-                images[s] = random_section(rng, chart, 2, terms=4) \
-                    .filter_terms(lambda m: monomial_parity(chart, m) == want)
+                images[s] = filter_terms(
+                    random_section(rng, chart, 2, terms=4),
+                    lambda m: monomial_parity(chart, m) == want)
             f = random_section(rng, chart, 3)
             table = {s: img for s, img in enumerate(images) if img is not None}
             assert f.derive(table) == derivation_apply(f, images, parity)
@@ -177,8 +178,9 @@ def test_weight_capped_products_match_projection(charts, rng, name):
             table = {}
             for s in rng.sample(range(nslots), rng.randint(1, nslots)):
                 want = (parity + chart.gen_parities[s]) & 1
-                table[s] = random_section(rng, chart, 2, terms=4) \
-                    .filter_terms(lambda m: monomial_parity(chart, m) == want)
+                table[s] = filter_terms(
+                    random_section(rng, chart, 2, terms=4),
+                    lambda m: monomial_parity(chart, m) == want)
             full_product, full_derive = a * b, a.derive(table)
             for w in range(top + 1):
                 assert a.times(b, w) == project_weight(full_product, w)
@@ -217,8 +219,8 @@ def test_integer_kernel_matches_fraction_oracle(charts, rng, name):
         a = _random_poly(rng, chart, rng.randint(1, 8), 4)
         b = _random_poly(rng, chart, rng.randint(1, 8), 4)
         derived = [a * b, -a, a + b, a * Fraction(-3, 7),
-                   a.filter_terms(lambda m: sum(m[chart.n:]) <= 2),
-                   b.filter_terms(lambda m: sum(m[chart.n:]) >= 2)]
+                   filter_terms(a, lambda m: sum(m[chart.n:]) <= 2),
+                   filter_terms(b, lambda m: sum(m[chart.n:]) >= 2)]
         checked = {}  # each distinct product once, in order
         for left, right in [(a, b), (b, a), (a, a)] + \
                 [(d, b) for d in derived] + [(b, d) for d in derived]:
@@ -239,9 +241,9 @@ def test_integer_kernel_matches_fraction_oracle(charts, rng, name):
                        for s, img in table.items()}
         # operands whose partials vanish on some, or all, listed slots
         missing = rng.sample(listed, rng.randint(1, len(listed)))
-        operands = [a, a.filter_terms(lambda m: not any(m[s] for s in
-                                                        missing)),
-                    a.filter_terms(lambda m: not any(m[s] for s in listed)),
+        operands = [a, filter_terms(a, lambda m: not any(m[s] for s in
+                                                         missing)),
+                    filter_terms(a, lambda m: not any(m[s] for s in listed)),
                     consts[2]]
         for f in operands:
             for images in (table, with_consts):

@@ -17,6 +17,8 @@ from jetexp.enveloping import parity_parts
 from jetexp.grammar import format_poly, parse_poly
 from jetexp.poly import GradedPoly
 
+from oracles import filter_terms
+
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
 CHARTS = [load_chart_file(os.path.join(CHART_DIR, name))[0]
           for name in sorted(os.listdir(CHART_DIR)) if name.endswith(".chart")]
@@ -74,7 +76,7 @@ def test_every_result_is_canonical(args, k, q):
     results = [a, a + b, a - b, -a, a * b, a * k, k * a, a * q,
                GradedPoly.constant(chart, q), delta_inv_op(a),
                a.derive({s: b for s in range(0, nslots, 2)}),
-               a.filter_terms(lambda m: sum(m) % 2 == 0)]
+               filter_terms(a, lambda m: sum(m) % 2 == 0)]
     results += [a.partial(s) for s in range(nslots)]
     results += [a.times(b, w) for w in range(4)]
     results += list(a.weight_layers().values())
