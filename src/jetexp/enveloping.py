@@ -3,38 +3,35 @@ coalgebra structure shared by both.
 
 Word convention.  A multi-index I over the chart's coordinates denotes
 the *descending* word: the derivation of the last coordinate comes
-first, that of the first coordinate last.  SymTensor stores the
-coefficient of the descending symmetric word; DiffOp stores the
-coefficient of the descending composition (so the lowest-index
-derivative acts first on a function).  The two conventions match, which
-makes the symbol map on a top-order multi-index the verbatim
-reinterpretation, and makes the duality pairing with fiber monomials
-come out as I! on the diagonal with no stray signs, odd sectors
-included.
+first, that of the first coordinate last (and acts last on a function).
+SymTensor stores the coefficient of the descending symmetric word and
+DiffOp that of the descending composition, with all coefficient
+functions left of all derivations.  The two conventions match, so the
+top-order part of an operator reread as a tensor is its leading symbol,
+and the duality pairing with fiber monomials is I! on the diagonal with
+no stray signs, odd sectors included.
 
-DiffOp normal form puts all coefficient functions left of all
-derivations.  Every Koszul sign for moving one coordinate derivation
-within a descending word comes from one rule, ``letter_sign``: d_s
-entering at the front of the word of K moves right past the letters
-with a larger coordinate index, a sign for each odd one when d_s is odd,
-and an odd d_s already in K gives 0 (coordinate derivations commute
-exactly, so this is lossless).  ``letter_compose`` brings a single
-derivation past a normal-ordered term by the graded Leibniz rule
+Every Koszul sign for moving one coordinate derivation within a
+descending word comes from one rule, ``letter_sign``: d_s entering at
+the front of the word of K moves right past the letters with a larger
+coordinate index, a sign for each odd one when d_s is odd, and an odd
+d_s already in K gives 0 (coordinate derivations commute exactly, so
+this is lossless).  ``letter_compose`` brings a single derivation past a
+normal-ordered term by the graded Leibniz rule
 
     d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
 the symmetric product ``SymTensor.mul_letter_left`` is its last term
-alone, and ``add_letter`` gathers ``letter_compose`` over a table.
-``DiffOp.compose`` applies the letters of each left word this way,
-innermost first; the word images of ``pbw`` use the same rule.
+alone, and ``add_letter`` gathers ``letter_compose`` over a table (word
+-> list of ``poly.combine`` entries, each list summed into one
+polynomial by ``from_table``).  ``DiffOp.compose`` applies the letters
+of each left word this way, innermost first.
 
-Tables.  A word -> coefficient table under construction maps each word
-to a list of ``poly.combine`` entries: an int weight times a
-coefficient, a product of two, a one-slot partial (the (d_s c) d^K term
-above) or a parity flip (an odd d_s crossing c: its even part keeps the
-sign, its odd part changes it).  ``from_table`` sums each list into one
-polynomial, so no term of the Leibniz rule is built as a polynomial of
-its own.
+Symbols.  ``symbol`` writes either kind of sum as one polynomial in base
+and fiber generators, sigma(sum_K c_K d^K) = sum_K rho(K) c_K y^K, and
+``from_symbol`` reads it back.  rho(K) = ``symbol_sign`` reorders the
+descending word into the canonical monomial y^K; it is built from
+``letter_sign``.  The word images of ``pbw`` are held as symbols.
 
 Tensor squares over base functions are normalized with all coefficients
 pushed into the left factor via the bimodule relation
@@ -44,9 +41,11 @@ u.f (x) v == u (x) f.v; the right slot is always a pure word.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Dict, List, Tuple
 
-from .chart import Chart, mi_factorial, mi_weight, same_chart
+from .chart import FIELD_MASK, Chart, mi_factorial, mi_weight, same_chart
 from .poly import (FLIP, GradedPoly, TruncationOverflowError, combine,
                    unpack_monomial)
 
@@ -89,6 +88,18 @@ def letter_sign(chart: Chart, slot: int, index: MultiIndex) -> int:
     return -1 if crossings & 1 else 1
 
 
+def symbol_sign(chart: Chart, index: MultiIndex) -> int:
+    """rho(K), the sign reordering the descending word of ``index`` into
+    the fiber monomial y^K: the product over its odd letters d_s of
+    ``letter_sign`` of d_s on K - e_s, so (-1)^(k(k-1)/2) for k odd
+    letters."""
+    sign = 1
+    for s, e in enumerate(index):
+        if e and chart.coordinate_parity(s):
+            sign *= letter_sign(chart, s, index[:s] + (0,) + index[s + 1:])
+    return sign
+
+
 def parity_parts(f: GradedPoly):
     """(parity, part) for the nonzero even and odd parts of ``f``."""
     odd_low = f.chart.odd_low
@@ -118,9 +129,12 @@ def letter_compose(chart: Chart, slot: int, index: MultiIndex,
 
         d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
 
-    the first term a partial entry, the last by ``_prepend``."""
-    return [(index, (weight, coeff, slot))] + _prepend(
-        chart, slot, index, coeff, 1, weight)
+    the first term a partial entry (none when no monomial of c holds
+    x_s), the last by ``_prepend``."""
+    tail = _prepend(chart, slot, index, coeff, 1, weight)
+    if reduce(or_, coeff.nums, 0) >> chart.shifts[slot] & FIELD_MASK:
+        return [(index, (weight, coeff, slot))] + tail
+    return tail
 
 
 def add_letter(chart: Chart, table, slot: int, terms, weight: int = 1):
@@ -183,6 +197,33 @@ class _IndexedSum:
     def function(cls, chart: Chart, f: GradedPoly):
         return cls(chart, {(0,) * chart.n: f})
 
+    def symbol(self) -> GradedPoly:
+        """sigma = sum_K rho(K) c_K y^K, in base and fiber generators."""
+        chart = self.chart
+        units = chart.unit[chart.n:2 * chart.n]
+        return combine(chart, [(symbol_sign(chart, index), c, GradedPoly._of(
+            chart, {sum([e * u for e, u in zip(index, units)]): 1}))
+            for index, c in self.terms.items()])
+
+    @classmethod
+    def from_symbol(cls, sigma: GradedPoly):
+        """The sum whose ``symbol`` is ``sigma``: its monomials grouped
+        by their fiber part y^K, rho(K) times each group's base part the
+        coefficient of K."""
+        chart = sigma.chart
+        base = chart.base_mask
+        groups: Dict[int, Dict[int, int]] = {}
+        for k, v in sigma.nums.items():
+            groups.setdefault(k & ~base, {})[k & base] = v
+        terms = {}
+        for fiber, nums in groups.items():
+            index = tuple([fiber >> sh & FIELD_MASK
+                           for sh in chart.shifts[chart.n:2 * chart.n]])
+            if symbol_sign(chart, index) < 0:
+                nums = {k: -v for k, v in nums.items()}
+            terms[index] = GradedPoly._of(chart, nums, sigma.den)
+        return cls.zero(chart)._wrap(terms)
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -219,9 +260,6 @@ class _IndexedSum:
             return self._wrap({i: factor * c for i, c in self.terms.items()})
         factor = Fraction(factor)
         return self._wrap({i: c * factor for i, c in self.terms.items()})
-
-    def max_word_weight(self) -> int:
-        return max((mi_weight(i) for i in self.terms), default=0)
 
     def weight_part(self, w: int):
         return self._wrap({i: c for i, c in self.terms.items()
@@ -262,7 +300,7 @@ class SymTensor(_IndexedSum):
     coordinate derivations."""
 
     def weight(self) -> int:
-        return self.max_word_weight()
+        return max((mi_weight(i) for i in self.terms), default=0)
 
     def mul_letter_left(self, slot: int, times: int = 1) -> "SymTensor":
         """Symmetric product by d_slot^times from the left (the letters
@@ -388,15 +426,19 @@ class TensorSquare:
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     def add_term(self, left_index, right_index, coeff):
-        if not coeff:
-            return
-        key = (tuple(left_index), tuple(right_index))
-        cur = self.terms.get(key)
-        val = coeff if cur is None else cur + coeff
-        if val:
-            self.terms[key] = val
-        else:
-            del self.terms[key]
+        self.add_table({(tuple(left_index), tuple(right_index)):
+                        [(1, coeff)]})
+
+    def add_table(self, table):
+        """Add a (left, right) -> list of ``combine`` entries table, each
+        key summed with its stored coefficient by one ``combine``."""
+        for key, entries in table.items():
+            cur = self.terms.pop(key, None)
+            if cur is not None:
+                entries.append((1, cur))
+            val = combine(self.chart, entries)
+            if val:
+                self.terms[key] = val
 
     def __eq__(self, other):
         return (isinstance(other, TensorSquare)
@@ -437,11 +479,12 @@ def _shuffle_splits(chart: Chart, index: MultiIndex):
 def _comult(element: _IndexedSum, kind: str) -> TensorSquare:
     """Shuffle comultiplication of the words of ``element``, extended
     left-linearly over their coefficients, as a square of ``kind``."""
-    out = TensorSquare(element.chart, kind)
+    table: Dict[Tuple[MultiIndex, MultiIndex], list] = {}
     for index, coeff in element.terms.items():
         for sign, left, right in _shuffle_splits(element.chart, index):
-            out.add_term(left, right, coeff * sign)
-    return out
+            table.setdefault((left, right), []).append((sign, coeff))
+    return TensorSquare(element.chart, kind, {
+        key: combine(element.chart, entries) for key, entries in table.items()})
 
 
 def comult_sym(tensor: SymTensor) -> TensorSquare:
@@ -456,29 +499,34 @@ def comult_env(op: DiffOp) -> TensorSquare:
     return _comult(op, "env")
 
 
-def tensor_push_left(out: TensorSquare, left_op: DiffOp, right_op: DiffOp):
-    """Accumulate left_op (x) right_op into ``out`` in normal form: each
-    right-slot coefficient crosses the left slot with a Koszul sign and
-    left-multiplies it.
+def tensor_push_left(out: TensorSquare, pairs):
+    """Accumulate the sum of left_op (x) right_op over ``pairs`` into
+    ``out`` in normal form: each right-slot coefficient crosses the left
+    slot with a Koszul sign and left-multiplies it.  Every key is summed
+    once, with its stored coefficient, by one ``combine``.
 
     The sign (-1)^(|f||u|) depends on parities only.  Each right
     coefficient enters by its parity parts: an even part multiplies the
     left coefficients as they are, an odd one the left table with its
     odd parts negated (a term's parity is its coefficient's plus its
-    word's), built at most once per call."""
-    chart = left_op.chart
-    flipped = None
-    for right_index, rcoeff in right_op.terms.items():
-        for par, g in parity_parts(rcoeff):
-            table = left_op.terms
-            if par:
-                if flipped is None:
-                    flipped = {i: combine(chart, [
-                        (-1 if word_degree(chart, i) & 1 else 1, c, FLIP)])
-                        for i, c in table.items()}
-                table = flipped
-            for left_index, lcoeff in table.items():
-                out.add_term(left_index, right_index, g * lcoeff)
+    word's), built at most once per pair."""
+    gathered: Dict[Tuple[MultiIndex, MultiIndex], list] = {}
+    for left_op, right_op in pairs:
+        chart = left_op.chart
+        flipped = None
+        for right_index, rcoeff in right_op.terms.items():
+            for par, g in parity_parts(rcoeff):
+                table = left_op.terms
+                if par:
+                    if flipped is None:
+                        flipped = {i: combine(chart, [
+                            (-1 if word_degree(chart, i) & 1 else 1, c,
+                             FLIP)]) for i, c in table.items()}
+                    table = flipped
+                for left_index, lcoeff in table.items():
+                    gathered.setdefault((left_index, right_index),
+                                        []).append((1, g, lcoeff))
+    out.add_table(gathered)
 
 
 # ---------------------------------------------------------------------------

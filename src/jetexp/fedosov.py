@@ -37,13 +37,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .chart import Chart, mi_all_up_to, mi_factorial
+from .chart import FIELD_MASK, Chart, mi_all_up_to, mi_factorial
 from .enveloping import TruncationOverflowError
-from .geometry import Connection
+from .geometry import Connection, replacement_terms
 from .pbw import PbwContext, recursion_steps
 from .perturbation import ContractionData, perturb_contraction
-from .poly import (GradedPoly, combine, monomial_pq, pack_monomial,
-                   unpack_monomial)
+from .poly import GradedPoly, combine, pack_monomial, unpack_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +309,13 @@ def _solve_correction(conn: Connection, weight: int,
         for k in range(chart.n))
     if confirm != comps:
         raise FlatStructureError("correction recursion did not stabilize")
+    fiber_shifts = chart.shifts[chart.n:2 * chart.n]
     for k, comp in enumerate(comps):
         if delta_inv_op(comp):
             raise FlatStructureError("correction is not raising-normalized")
-        for m in comp.terms:
-            if monomial_pq(chart, m)[1] < 2:
-                raise FlatStructureError("correction has fiber weight < 2")
+        if any(sum([key >> sh & FIELD_MASK for sh in fiber_shifts]) < 2
+               for key in comp.nums):
+            raise FlatStructureError("correction has fiber weight < 2")
         if comp and comp.degree() != 1 + chart.coordinate_degree(k):
             raise FlatStructureError("correction component degree is off")
     return comps
@@ -336,14 +336,14 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
 
     with the steps (s, I - e_s, eps_s * I_s) of the word recursion
     (``pbw.recursion_steps``) and sum_J c_J d^J = cov(d_s, word of
-    I - e_s) the context's memoized replacement, whose words have weight
-    |I| - 1.  The map is left linear over base functions, so
-    exp(c_J d^J)(f) = c_J v_J.  The v_I are filled iteratively in
-    ascending weight, so every v_J is known when it is needed: no
-    operator is built, and the depth of the computation does not grow
-    with the weight.  Each v_I is one ``poly.combine`` of its partial
-    entries and replacement products, and the result one ``combine`` of
-    the products y^I / I! * v_I.
+    I - e_s), whose words have weight |I| - 1.  The map is left linear
+    over base functions, so exp(c_J d^J)(f) = c_J v_J.  The v_I are
+    filled iteratively in ascending weight, so every v_J is known when
+    it is needed: no operator and no word table is built, and the depth
+    of the computation does not grow with the weight.  Each v_I is one
+    ``poly.combine`` of its partial entries and, per term (c, Gamma, J)
+    of ``geometry.replacement_terms``, the product c * Gamma * v_J; the
+    result is one ``combine`` of the products y^I / I! * v_I.
     """
     chart = ctx.chart
     if not f.is_base_only():
@@ -366,10 +366,9 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
             entries = []
             for slot, rest, signed in recursion_steps(chart, index):
                 entries.append((signed, values[rest], slot))
-                if m > 1:  # cov(d_s, 1) = 0
-                    for word, coeff in ctx.replacement(slot,
-                                                       rest).terms.items():
-                        entries.append((-signed, coeff, values[word]))
+                for mult, gam, word in replacement_terms(ctx.conn, slot,
+                                                         rest):
+                    entries.append((-signed * mult, gam, values[word]))
             val = combine(chart, entries, m)
         values[index] = val
         if val:

@@ -279,9 +279,9 @@ def curvature(conn: Connection, x: VectorField, y: VectorField,
     return out
 
 
-def coordinate_replacement(conn: Connection, direction: int,
-                           index) -> SymTensor:
-    """cov(d_direction, word of ``index``), read off the Christoffel table.
+def replacement_terms(conn: Connection, direction: int, index):
+    """cov(d_direction, word of ``index``) read off the Christoffel
+    table, as terms (signed multiplicity, Gamma, word J).
 
     Each block of equal letters d_slot (only even letters repeat) is
     replaced once by Gamma(direction, slot, k) d_k and scaled by its
@@ -294,7 +294,6 @@ def coordinate_replacement(conn: Connection, direction: int,
     """
     chart = conn.chart
     gamma = conn.gamma
-    table: Dict[Tuple[int, ...], list] = {}
     for slot in range(chart.n - 1, -1, -1):
         mult = index[slot]
         if not mult:
@@ -306,11 +305,18 @@ def coordinate_replacement(conn: Connection, direction: int,
             if gam is None:
                 continue
             sign = letter_sign(chart, k, rest)
-            if not sign:
-                continue  # an odd letter repeated
-            word = rest[:k] + (rest[k] + 1,) + rest[k + 1:]
-            table.setdefault(word, []).append((pulled * sign, gam))
-    return SymTensor.from_table(chart, table)
+            if sign:  # else an odd letter repeated
+                yield (pulled * sign, gam,
+                       rest[:k] + (rest[k] + 1,) + rest[k + 1:])
+
+
+def coordinate_replacement(conn: Connection, direction: int,
+                           index) -> SymTensor:
+    """cov(d_direction, word of ``index``) as a tensor."""
+    table: Dict[Tuple[int, ...], list] = {}
+    for mult, gam, word in replacement_terms(conn, direction, index):
+        table.setdefault(word, []).append((mult, gam))
+    return SymTensor.from_table(conn.chart, table)
 
 
 def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:

@@ -17,43 +17,34 @@ letters give equal terms (only even letters repeat, so their sign is
     exp(I) = 1/|I| * sum_{s : I_s > 0} eps_s * I_s *
         ( d_s o exp(I - e_s) - exp(cov(d_s, word of I - e_s)) )
 
-with eps_s = ``enveloping.letter_sign`` of d_s on I - e_s (pulling d_s
-to the front is the inverse of moving it back to its place).
+with eps_s = ``enveloping.letter_sign`` of d_s on I - e_s.
 ``recursion_steps`` yields the triples (s, I - e_s, eps_s * I_s) that
 drive both the word images here and the values of ``fedosov.tau_pbw``.
-No general operator product is formed: d_s o exp(I - e_s) is taken one
-coefficient at a time by the one-letter Leibniz rule
-(``enveloping.add_letter`` over ``letter_compose``)
 
-    d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
+The recursion runs on symbols sigma(sum_K c_K d^K) = sum_K rho(K) c_K
+y^K (``enveloping.symbol_sign``).  Constant-coefficient derivations
+supercommute exactly as the fiber generators do, so the Leibniz rule
+d_s o (c d^K) = (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K) reads
 
-and all its terms and the replacement terms c_J exp(J) go into one
-word -> coefficient table of ``poly.combine`` entries with integer
-weights eps_s * I_s: a partial of a coefficient, a coefficient under a
-parity flip, or a product c_J * (coefficient of exp(J)).  Each word's
-entries are summed into one polynomial and divided by |I| once.
-``map`` gathers c_J exp(J) into one table the same way.  The inverse
-peels symbols: the top-order part of an operator is reinterpreted as a
-word, its image subtracted, and the remainder (one order lower, because
-symbols match exactly) recursed on.
+    sigma(d_s o P)  =  partial_{x_s} sigma(P) + y_s . sigma(P),
 
-A context carries two memo tables, the only mutable state: basis word
-to operator, and (slot s, word of J) to the replacement tensor
-cov(d_s, word of J) that the recursion subtracts for the word J + e_s,
-read off the Christoffel table by ``geometry.coordinate_replacement``.
-The replacements are shared by the word images and by the augmentation
-route ``fedosov.tau_pbw``, which runs the same recursion on values.  A
-missing entry of either table is computed and then stored by one
-``dict.setdefault``, which is atomic, and the first value stored wins,
-so contexts can be shared across worker threads (two threads may
-compute the same entry, but both get the same stored value).
+and a replacement term c_J exp(J) has symbol c_J . sigma(J): each word
+is one ``poly.combine`` of partial and product entries, divided by |I|
+once, and no word -> coefficient table is built.  ``map`` is one
+``combine`` of t_J . sigma(J).  The inverse peels symbols: the top
+weight layer of the remainder's symbol (a key's weight is the word
+order) is the next part of the tensor, and one ``combine`` subtracts its
+image, which lowers the order because symbols match exactly.
 
-Weight bookkeeping: a context created with the chart's default cap can
-serve the map and its inverse up to weight Q.  The dual correction form
-``xi_form`` reads the inverse of one extra composition with a vector
-field, so it requires ``max_weight`` headroom of one above the fiber
-weight it is probed at; the constructor argument makes that explicit
-rather than silently truncating.
+A context carries two memo tables, the only mutable state: word ->
+symbol, and word -> the operator ``word_image`` builds from it once.
+A missing entry is computed and stored by one ``dict.setdefault``,
+which is atomic, and the first value stored wins, so contexts can be
+shared across worker threads.
+
+A context created with the chart's default cap serves the map and its
+inverse up to weight Q; ``xi_form`` reads words one weight above the
+fiber weight it is probed at, so it requires that headroom explicitly.
 """
 
 from __future__ import annotations
@@ -64,7 +55,7 @@ from .chart import (Chart, mi_all_up_to, mi_factorial, mi_weight,
                     same_chart)
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                          add_letter, letter_sign, word_degree)
-from .geometry import Connection, coordinate_replacement
+from .geometry import Connection, replacement_terms
 from .poly import GradedPoly, combine, pack_monomial
 
 
@@ -79,8 +70,8 @@ def recursion_steps(chart: Chart, index):
 
 
 class PbwContext:
-    """Chart + connection + memoized basis-word images and replacement
-    tensors (first value stored wins; see the module docstring)."""
+    """Chart + connection + memoized basis-word symbols and operators
+    (first value stored wins; see the module docstring)."""
 
     def __init__(self, chart: Chart, conn: Connection, max_weight: int = None):
         if conn.chart != chart:
@@ -89,52 +80,45 @@ class PbwContext:
         self.conn = conn
         self.max_weight = (chart.truncation.max_sym_weight
                            if max_weight is None else int(max_weight))
-        self._memo: Dict[Tuple[int, ...], DiffOp] = {}
-        self._replacements: Dict[Tuple[int, Tuple[int, ...]], SymTensor] = {}
+        self._fiber = tuple(GradedPoly.generator(chart, chart.y_slot(s))
+                            for s in range(chart.n))
+        self._symbols: Dict[Tuple[int, ...], GradedPoly] = {}
+        self._images: Dict[Tuple[int, ...], DiffOp] = {}
 
     # -- basis words ---------------------------------------------------------
     def word_image(self, index) -> DiffOp:
         """Image of the descending basis word of ``index`` (memoized)."""
         index = tuple(index)
-        hit = self._memo.get(index)
+        hit = self._images.get(index)
         if hit is not None:
             return hit
-        return self._memo.setdefault(index, self._compute_word(index))
+        return self._images.setdefault(
+            index, DiffOp.from_symbol(self._symbol(index)))
 
-    def replacement(self, slot: int, index) -> SymTensor:
-        """cov(d_slot, word of ``index``), the tensor the recursion
-        subtracts for the word index + e_slot (memoized like the word
-        images)."""
-        key = (slot, tuple(index))
-        hit = self._replacements.get(key)
+    def _symbol(self, index) -> GradedPoly:
+        """Symbol of the image of the word of ``index`` (memoized)."""
+        hit = self._symbols.get(index)
         if hit is not None:
             return hit
-        return self._replacements.setdefault(
-            key, coordinate_replacement(self.conn, slot, key[1]))
+        return self._symbols.setdefault(index, self._compute_word(index))
 
-    def _compute_word(self, index) -> DiffOp:
-        """One step of the recursion: every slot's terms d_s o W_{I-e_s}
-        (by ``add_letter``, one coefficient at a time) and every
-        replacement term c_J W_J are gathered in one word -> entries
-        table with integer weights eps_s * I_s, divided by |I| once."""
+    def _compute_word(self, index) -> GradedPoly:
+        """One step of the recursion on symbols: for every step (s,
+        I - e_s, w) the partial by x_s and the product by y_s of
+        sigma(I - e_s) and, per replacement term (c, Gamma, J), the
+        product -w * c * Gamma * sigma(J), all in one ``combine``
+        divided by |I|."""
         chart = self.chart
-        m = mi_weight(index)
-        if m == 0:
-            return DiffOp.identity(chart)
-        if m == 1:
-            return DiffOp.from_word(chart, index)
-        table: Dict[Tuple[int, ...], list] = {}
+        if not any(index):
+            return GradedPoly.constant(chart, 1)
+        entries = []
         for slot, rest, weight in recursion_steps(chart, index):
-            add_letter(chart, table, slot, self.word_image(rest).terms, weight)
-            self._gather(table, self.replacement(slot, rest), -weight)
-        return DiffOp.from_table(chart, table, m)
-
-    def _gather(self, table, tensor: SymTensor, weight: int):
-        """Add weight * sum_J c_J W_J to ``table`` (word -> list of
-        ``combine`` entries), one product entry per term."""
-        for index, c in tensor.terms.items():
-            for word, coeff in self.word_image(index).terms.items():
-                table.setdefault(word, []).append((weight, c, coeff))
+            prev = self._symbol(rest)
+            entries.append((weight, prev, slot))
+            entries.append((weight, self._fiber[slot], prev))
+            for mult, gam, word in replacement_terms(self.conn, slot, rest):
+                entries.append((-weight * mult, gam, self._symbol(word)))
+        return combine(chart, entries, mi_weight(index))
 
     # -- the map and its inverse ----------------------------------------------
     def map(self, tensor: SymTensor) -> DiffOp:
@@ -144,29 +128,32 @@ class PbwContext:
             raise TruncationOverflowError(
                 "tensor weight %d exceeds context cap %d"
                 % (tensor.weight(), self.max_weight))
-        table: Dict[Tuple[int, ...], list] = {}
-        self._gather(table, tensor, 1)
-        return DiffOp.from_table(self.chart, table)
+        return DiffOp.from_symbol(combine(self.chart, [
+            (1, c, self._symbol(index)) for index, c in tensor.terms.items()]))
 
     def inv(self, op: DiffOp) -> SymTensor:
-        """Inverse by symbol peeling (top order down)."""
+        """Inverse by symbol peeling (top order down): the top weight
+        layer of the remainder's symbol is the next part of the tensor,
+        and its image is subtracted from the remainder."""
         same_chart(self, op)
         order = op.order()
         if order is not None and order > self.max_weight:
             raise TruncationOverflowError(
                 "operator order %d exceeds context cap %d"
                 % (order, self.max_weight))
-        out = SymTensor.zero(self.chart)
-        rem = op
+        chart = self.chart
+        shift = chart.weight_shift
+        terms = {}
+        rem = op.symbol()
         while rem:
-            k = rem.order()
-            top = rem.gr_leading()
-            out = out + top
-            rem = rem - self.map(top)
-            new_order = rem.order()
-            if new_order is not None and new_order >= k:
+            k, layer = max(rem.weight_layers().items())
+            top = SymTensor.from_symbol(layer)
+            terms.update(top.terms)
+            rem = combine(chart, [(1, rem)] + [
+                (-1, c, self._symbol(index)) for index, c in top.terms.items()])
+            if rem and max(rem.nums) >> shift >= k:
                 raise AssertionError("symbol peeling failed to lower order")
-        return out
+        return SymTensor.zero(chart)._wrap(terms)
 
 
 def xi_form(ctx: PbwContext, max_fiber_weight: int = None):

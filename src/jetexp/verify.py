@@ -74,9 +74,9 @@ def morphism_sides(ctx: PbwContext, tensor: SymTensor):
     """Both sides of the comultiplication identity for the map."""
     lhs = comult_env(ctx.map(tensor))
     rhs = TensorSquare(ctx.chart, "env")
-    for (left, right), coeff in comult_sym(tensor).terms.items():
-        tensor_push_left(rhs, ctx.word_image(left).scale(coeff),
-                         ctx.word_image(right))
+    tensor_push_left(rhs, [
+        (ctx.word_image(left).scale(coeff), ctx.word_image(right))
+        for (left, right), coeff in comult_sym(tensor).terms.items()])
     return lhs, rhs
 
 

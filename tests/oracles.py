@@ -466,6 +466,7 @@ def compose_word_image(ctx, index):
     in one table.)"""
     from jetexp.chart import mi_weight
     from jetexp.enveloping import DiffOp
+    from jetexp.geometry import coordinate_replacement
 
     chart = ctx.chart
     m = mi_weight(index)
@@ -483,7 +484,8 @@ def compose_word_image(ctx, index):
         rest_index = tuple(e - u for e, u in zip(index, unit))
         left = per_letter_compose(DiffOp.from_word(chart, unit),
                                   ctx.word_image(rest_index))
-        term = left - ctx.map(ctx.replacement(slot, rest_index))
+        term = left - ctx.map(coordinate_replacement(ctx.conn, slot,
+                                                     rest_index))
         par = chart.coordinate_parity(slot)
         sign = -1 if par and odd_before & 1 else 1
         odd_before += par
@@ -552,7 +554,7 @@ def tensor_square_left_mult_vf(field, square):
             for udeg, upart in left_op.homogeneous_components().items():
                 crossed = upart.scale(-1) if (xdeg & 1) and (udeg & 1) \
                     else upart
-                tensor_push_left(out, crossed, xr)
+                tensor_push_left(out, [(crossed, xr)])
     return out
 
 

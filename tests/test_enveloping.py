@@ -8,7 +8,8 @@ from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weigh
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                                comult_env, comult_sym, letter_compose,
                                letter_sign, pairing, parity_parts, sym_mul_vf,
-                               tensor_push_left, TensorSquare, word_letters)
+                               symbol_sign, tensor_push_left, TensorSquare,
+                               word_letters)
 from jetexp.geometry import VectorField
 from jetexp.poly import GradedPoly, combine
 from jetexp.randomgen import (random_base_poly, random_symtensor,
@@ -287,8 +288,8 @@ def _triple_split(chart, square_factory, comult, obj, first_left):
             for (l, m), c in inner.terms.items():
                 # move c (pure word split of b: constant) and cross signs
                 square = TensorSquare(obj.chart, "sym")
-                tensor_push_left(square, type(obj)(obj.chart, {a: coeff}),
-                                 type(obj)(obj.chart, {l: c}))
+                tensor_push_left(square, [(type(obj)(obj.chart, {a: coeff}),
+                                           type(obj)(obj.chart, {l: c}))])
                 for (k2, l2), c2 in square.terms.items():
                     push((k2, l2, m), c2)
     return out
@@ -435,7 +436,7 @@ def test_tensor_push_left_matches_degree_split_oracle(name, data):
     for rhs in (right, odd_parts(right)):
         got = TensorSquare(chart, "env")
         want = TensorSquare(chart, "env")
-        tensor_push_left(got, left, rhs)
+        tensor_push_left(got, [(left, rhs)])
         degree_split_tensor_push_left(want, left, rhs)
         assert got == want
 
@@ -474,3 +475,50 @@ def test_letter_sign_matches_bubble_sort(name):
                 continue
             keys = [n - 1 - s for s in [slot] + word_letters(index)]
             assert got == bubble_koszul_sign(keys, degrees), (index, slot)
+
+
+# ---------------------------------------------------------------------------
+# symbols: sigma(sum_K c_K d^K) = sum_K rho(K) c_K y^K
+
+def _fiber_monomial(chart, index):
+    return GradedPoly(chart, {(0,) * chart.n + tuple(index)
+                              + (0,) * chart.n: 1})
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_symbol_roundtrip_on_random_values(name, rng):
+    # both kinds of sum to a symbol and back; the symbol against its
+    # definition, rho(K) = (-1)^(k(k-1)/2) for k odd letters, built with
+    # the product kernel rather than by shifting keys
+    chart, _ = build_chart(name)
+    n = chart.n
+    for _ in range(12):
+        tensor = random_symtensor(rng, chart, chart.truncation.max_sym_weight)
+        op = DiffOp(chart, dict(tensor.terms))
+        want = GradedPoly.zero(chart)
+        for index, c in tensor.terms.items():
+            k = sum(e for s, e in enumerate(index)
+                    if chart.coordinate_parity(s))
+            assert symbol_sign(chart, index) == (-1) ** (k * (k - 1) // 2)
+            want = want + c * _fiber_monomial(chart, index) * \
+                (-1) ** (k * (k - 1) // 2)
+        for value in (tensor, op):
+            sigma = value.symbol()
+            assert sigma == want
+            assert all(not any(m[2 * n:]) for m in sigma.terms)
+            assert type(value).from_symbol(sigma) == value
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_symbol_of_a_letter_composed(name, rng):
+    # sigma(d_s o P) = partial_{x_s} sigma(P) + y_s . sigma(P)
+    chart, _ = build_chart(name)
+    for _ in range(8):
+        op = DiffOp(chart, dict(random_symtensor(
+            rng, chart, chart.truncation.max_sym_weight - 1).terms))
+        sigma = op.symbol()
+        for s in range(chart.n):
+            letter = DiffOp.from_word(
+                chart, tuple(1 if u == s else 0 for u in range(chart.n)))
+            y = GradedPoly.generator(chart, chart.y_slot(s))
+            assert letter.compose(op).symbol() == sigma.partial(s) + y * sigma

@@ -330,14 +330,15 @@ def test_theta_is_coderivation(charts, contexts, rng):
                 for (a, b), coeff in comult_sym(tensor).terms.items():
                     # theta acting on the left slot
                     part = theta_form(ctx, x, SymTensor(chart, {a: coeff}))
-                    tensor_push_left(rhs, part, SymTensor.from_word(chart, b))
+                    tensor_push_left(rhs, [(part,
+                                            SymTensor.from_word(chart, b))])
                     # theta acting on the right slot, crossing the left
                     left = SymTensor(chart, {a: coeff})
                     right = theta_form(ctx, x, SymTensor.from_word(chart, b))
                     for adeg, apart in left.homogeneous_components().items():
                         flip = (adeg & 1) and (xdeg & 1)
-                        tensor_push_left(rhs, -apart if flip else apart,
-                                         right)
+                        tensor_push_left(rhs, [(-apart if flip else apart,
+                                                right)])
                 assert lhs == rhs
 
 
@@ -367,8 +368,8 @@ def test_theta_cyclic_sum_vanishes(charts, contexts, rng):
 
 
 def test_context_memo_is_shareable_across_threads():
-    # both memo tables (word images, and the replacements that tau_pbw
-    # shares with them) under several threads on one context
+    # both memo tables (word symbols and the operators built from them)
+    # under several threads on one context, with tau_pbw interleaved
     import sys
     import threading
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jetexp.fedosov
-import jetexp.pbw
 import jetexp.verify
 from jetexp.chart import Chart, Truncation
 from jetexp.enveloping import DiffOp
@@ -139,23 +138,6 @@ def test_resolution_computes_each_augmentation_once(monkeypatch):
         return real(fd, f)
     monkeypatch.setattr(jetexp.fedosov.FedosovData, "tau_series", counted)
     chart, conn = build_chart("plane_curved")
-    results = run_suite("resolution", chart, conn, seed=0, weight=3)
-    assert all(r.status == "PASS" for r in results)
-    assert seen and len(seen) == len(set(seen))
-
-
-def test_resolution_forms_each_replacement_once(monkeypatch):
-    # the suite calls tau_pbw on one context for every input; the
-    # replacement cov(d_s, word) of each (slot, word) is formed once and
-    # shared through the context's memo
-    seen = []
-    real = jetexp.pbw.coordinate_replacement
-
-    def counted(conn, direction, index):
-        seen.append((direction, tuple(index)))
-        return real(conn, direction, index)
-    monkeypatch.setattr(jetexp.pbw, "coordinate_replacement", counted)
-    chart, conn = build_chart("mixed")
     results = run_suite("resolution", chart, conn, seed=0, weight=3)
     assert all(r.status == "PASS" for r in results)
     assert seen and len(seen) == len(set(seen))
