@@ -3,7 +3,7 @@ coalgebra structure shared by both.
 
 Word convention.  A multi-index I over the chart's coordinates denotes
 the *descending* word: the derivation of the last coordinate comes
-first, that of the first coordinate last (and acts last on a function).
+first, that of the first coordinate last (so it acts first on a function).
 SymTensor stores the coefficient of the descending symmetric word and
 DiffOp that of the descending composition, with all coefficient
 functions left of all derivations.  The two conventions match, so the
@@ -207,9 +207,9 @@ class _IndexedSum:
 
     @classmethod
     def from_symbol(cls, sigma: GradedPoly):
-        """The sum whose ``symbol`` is ``sigma``: its monomials grouped
-        by their fiber part y^K, rho(K) times each group's base part the
-        coefficient of K."""
+        """The sum whose ``symbol`` is ``sigma`` (no form generators): its
+        monomials grouped by their fiber part y^K, rho(K) times each
+        group's base part the coefficient of K."""
         chart = sigma.chart
         base = chart.base_mask
         groups: Dict[int, Dict[int, int]] = {}
@@ -484,7 +484,7 @@ def _comult(element: _IndexedSum, kind: str) -> TensorSquare:
         for sign, left, right in _shuffle_splits(element.chart, index):
             table.setdefault((left, right), []).append((sign, coeff))
     return TensorSquare(element.chart, kind, {
-        key: combine(element.chart, entries) for key, entries in table.items()})
+        key: combine(element.chart, terms) for key, terms in table.items()})
 
 
 def comult_sym(tensor: SymTensor) -> TensorSquare:

@@ -129,7 +129,7 @@ class PbwContext:
                 "tensor weight %d exceeds context cap %d"
                 % (tensor.weight(), self.max_weight))
         return DiffOp.from_symbol(combine(self.chart, [
-            (1, c, self._symbol(index)) for index, c in tensor.terms.items()]))
+            (1, c, self._symbol(word)) for word, c in tensor.terms.items()]))
 
     def inv(self, op: DiffOp) -> SymTensor:
         """Inverse by symbol peeling (top order down): the top weight
@@ -150,7 +150,7 @@ class PbwContext:
             top = SymTensor.from_symbol(layer)
             terms.update(top.terms)
             rem = combine(chart, [(1, rem)] + [
-                (-1, c, self._symbol(index)) for index, c in top.terms.items()])
+                (-1, c, self._symbol(word)) for word, c in top.terms.items()])
             if rem and max(rem.nums) >> shift >= k:
                 raise AssertionError("symbol peeling failed to lower order")
         return SymTensor.zero(chart)._wrap(terms)

@@ -429,15 +429,17 @@ def odd_parts(obj):
 def test_tensor_push_left_matches_degree_split_oracle(name, data):
     # the drawn coefficients run over all base generators, so on a chart
     # with odd coordinates they are of mixed parity; their odd parts are
-    # pushed too
+    # pushed too, alone and as a second pair onto the same keys
     chart, _ = build_chart(name)
     left = data.draw(indexed(DiffOp, chart))
     right = data.draw(indexed(DiffOp, chart))
-    for rhs in (right, odd_parts(right)):
+    for pairs in ([(left, right)], [(left, odd_parts(right))],
+                  [(left, right), (left, odd_parts(right))]):
         got = TensorSquare(chart, "env")
         want = TensorSquare(chart, "env")
-        tensor_push_left(got, [(left, rhs)])
-        degree_split_tensor_push_left(want, left, rhs)
+        tensor_push_left(got, pairs)
+        for lhs, rhs in pairs:
+            degree_split_tensor_push_left(want, lhs, rhs)
         assert got == want
 
 
