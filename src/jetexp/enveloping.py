@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
+from math import comb
 from operator import or_
 from typing import Dict, List, Tuple
 
@@ -425,10 +427,6 @@ class TensorSquare:
         self.kind = kind
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
-    def add_term(self, left_index, right_index, coeff):
-        self.add_table({(tuple(left_index), tuple(right_index)):
-                        [(1, coeff)]})
-
     def add_table(self, table):
         """Add a (left, right) -> list of ``combine`` entries table, each
         key summed with its stored coefficient by one ``combine``."""
@@ -453,38 +451,39 @@ class TensorSquare:
 
 
 def _shuffle_splits(chart: Chart, index: MultiIndex):
-    """Yield (Koszul sign, left index, right index) over all
-    order-preserving two-block splits of the descending word."""
-    letters = word_letters(index)
-    pars = [chart.coordinate_parity(s) for s in letters]
-    k = len(letters)
-    n = chart.n
-    for mask in range(1 << k):
-        left = [0] * n
-        right = [0] * n
-        inv = 0
-        odd_sent_right = 0
-        for pos in range(k):
-            if mask >> pos & 1:
-                left[letters[pos]] += 1
-                if pars[pos]:
-                    inv += odd_sent_right
+    """Yield (weight, left index, right index) once per distinct split
+    of the descending word into two order-preserving blocks: the left
+    block takes L_s <= I_s letters d_s, the right the rest.  The
+    comb(I_s, L_s) interleavings of each even letter give equal terms,
+    so the weight is their product times the Koszul sign: each odd
+    letter sent left crosses the odd letters sent right before it in the
+    descending word (those of larger coordinate index)."""
+    parities = [chart.coordinate_parity(s) for s in range(chart.n)]
+    for left in product(*[range(e + 1) for e in index]):
+        weight = 1
+        crossings = odd_right = 0
+        for s in range(chart.n - 1, -1, -1):
+            if not parities[s]:
+                weight *= comb(index[s], left[s])
+            elif left[s]:
+                crossings += odd_right
             else:
-                right[letters[pos]] += 1
-                if pars[pos]:
-                    odd_sent_right += 1
-        yield (-1 if inv & 1 else 1), tuple(left), tuple(right)
+                odd_right += index[s]
+        right = tuple([i - j for i, j in zip(index, left)])
+        yield (-weight if crossings & 1 else weight), left, right
 
 
 def _comult(element: _IndexedSum, kind: str) -> TensorSquare:
     """Shuffle comultiplication of the words of ``element``, extended
     left-linearly over their coefficients, as a square of ``kind``."""
-    table: Dict[Tuple[MultiIndex, MultiIndex], list] = {}
+    chart = element.chart
+    terms = {}
     for index, coeff in element.terms.items():
-        for sign, left, right in _shuffle_splits(element.chart, index):
-            table.setdefault((left, right), []).append((sign, coeff))
-    return TensorSquare(element.chart, kind, {
-        key: combine(element.chart, terms) for key, terms in table.items()})
+        # left + right = index, so no two terms share a key
+        for weight, left, right in _shuffle_splits(chart, index):
+            terms[left, right] = (coeff if weight == 1 else
+                                  combine(chart, [(weight, coeff)]))
+    return TensorSquare(chart, kind, terms)
 
 
 def comult_sym(tensor: SymTensor) -> TensorSquare:

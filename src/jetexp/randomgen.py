@@ -4,24 +4,40 @@ tensors, words, and torsion-free connections on a chart.
 Everything takes an explicit random.Random so runs are reproducible;
 base degrees stay inside the chart's declared bound so generated inputs
 are always valid chart-file material.
+
+Samples are built on packed keys: each coefficient n/d of
+``random_coefficient`` (d in {1, 2, 3}) is drawn as the integer
+numerator n * 6/d over 6, by the same two RNG calls, summed per key,
+and each polynomial ends in one ``GradedPoly._of``.  So the draws, and
+the values, are those of summing one single-term polynomial at a time.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List
+from itertools import product
+from typing import Dict, List
 
 from .chart import Chart
 from .enveloping import SymTensor
 from .geometry import Connection, VectorField
-from .poly import GradedPoly, monomial_pq
+from .poly import GradedPoly, monomial_pq, pack_monomial
+
+
+def _sixths(rng: random.Random) -> int:
+    """The numerator over 6 of a ``random_coefficient`` draw."""
+    num = rng.randrange(-6, 7) or 1
+    return num * (6 // rng.choice((1, 1, 2, 3)))
 
 
 def random_coefficient(rng: random.Random) -> Fraction:
-    num = rng.randrange(-6, 7) or 1
-    den = rng.choice((1, 1, 2, 3))
-    return Fraction(num, den)
+    return Fraction(_sixths(rng), 6)
+
+
+def _in_sixths(chart: Chart, nums: Dict[int, int]) -> GradedPoly:
+    """The polynomial sum_k nums[k]/6 * monomial(k)."""
+    return GradedPoly._of(chart, {k: v for k, v in nums.items() if v}, 6)
 
 
 def random_monomial(rng: random.Random, chart: Chart, max_base: int,
@@ -45,57 +61,58 @@ def random_monomial(rng: random.Random, chart: Chart, max_base: int,
     return tuple(exps)
 
 
+def _draw_base_terms(rng: random.Random, chart: Chart, nums: Dict[int, int],
+                     max_degree: int, terms: int) -> None:
+    """Add the draws of ``random_base_poly`` to ``nums`` (key -> sixths)."""
+    for _ in range(terms):
+        key = pack_monomial(chart, random_monomial(rng, chart, max_degree,
+                                                   0, 0))
+        nums[key] = nums.get(key, 0) + _sixths(rng)
+
+
 def random_base_poly(rng: random.Random, chart: Chart, max_degree: int = 2,
                      terms: int = 3) -> GradedPoly:
-    out = {}
-    for _ in range(terms):
-        m = random_monomial(rng, chart, max_degree, 0, 0)
-        out[m] = out.get(m, 0) + random_coefficient(rng)
-    return GradedPoly(chart, out)
+    nums: Dict[int, int] = {}
+    _draw_base_terms(rng, chart, nums, max_degree, terms)
+    return _in_sixths(chart, nums)
 
 
 def random_section(rng: random.Random, chart: Chart, max_weight: int,
                    terms: int = 5, max_base: int = 2) -> GradedPoly:
     """Random polynomial section with every monomial's p + q within the
     weight bound."""
-    out = {}
+    nums: Dict[int, int] = {}
     for _ in range(terms):
         m = random_monomial(rng, chart, max_base, max_weight, max_weight)
         while sum(monomial_pq(chart, m)) > max_weight:
             hot = [s for s in range(chart.n, 3 * chart.n) if m[s]]
             s = rng.choice(hot)
             m = m[:s] + (m[s] - 1,) + m[s + 1:]
-        out[m] = out.get(m, 0) + random_coefficient(rng)
-    return GradedPoly(chart, out)
+        key = pack_monomial(chart, m)
+        nums[key] = nums.get(key, 0) + _sixths(rng)
+    return _in_sixths(chart, nums)
 
 
 def random_homogeneous_base(rng: random.Random, chart: Chart, degree: int,
                             max_exp: int = 2) -> GradedPoly:
     """Random homogeneous base polynomial of exact degree (zero when no
-    monomial of that degree exists within the exponent cap)."""
+    monomial of that degree exists within the exponent cap): each
+    candidate monomial, in lexicographic order of its exponents, is kept
+    with probability 0.6, and when none is, one is chosen with
+    coefficient 1."""
     n = chart.n
-    candidates = []
-
-    def walk(slot, acc, deg_left_vec):
-        if slot == n:
-            if sum(e * chart.coordinate_degree(s)
-                   for s, e in enumerate(acc)) == degree:
-                candidates.append(tuple(acc) + (0,) * (2 * n))
-            return
-        cap = 1 if chart.coordinate_parity(slot) else max_exp
-        for e in range(cap + 1):
-            walk(slot + 1, acc + [e], deg_left_vec)
-
-    walk(0, [], None)
-    out = GradedPoly.zero(chart)
-    if not candidates:
-        return out
-    for m in candidates:
+    caps = [1 if chart.coordinate_parity(s) else max_exp for s in range(n)]
+    degrees = [chart.coordinate_degree(s) for s in range(n)]
+    candidates = [pack_monomial(chart, m + (0,) * (2 * n))
+                  for m in product(*[range(cap + 1) for cap in caps])
+                  if sum([e * d for e, d in zip(m, degrees)]) == degree]
+    nums: Dict[int, int] = {}
+    for key in candidates:
         if rng.random() < 0.6:
-            out = out + GradedPoly(chart, {m: random_coefficient(rng)})
-    if not out:
-        out = GradedPoly(chart, {rng.choice(candidates): Fraction(1)})
-    return out
+            nums[key] = _sixths(rng)
+    if candidates and not nums:
+        nums[rng.choice(candidates)] = 6
+    return _in_sixths(chart, nums)
 
 
 def random_vector_field(rng: random.Random, chart: Chart,
@@ -132,17 +149,17 @@ def random_word(rng: random.Random, chart: Chart, length: int) -> List[int]:
 
 def random_symtensor(rng: random.Random, chart: Chart, max_weight: int,
                      terms: int = 3, max_base: int = 2) -> SymTensor:
-    out = {}
+    table: Dict[tuple, Dict[int, int]] = {}
     for _ in range(terms):
         w = rng.randrange(max_weight + 1)
-        letters = random_word(rng, chart, w)
         index = [0] * chart.n
-        for s in letters:
+        for s in random_word(rng, chart, w):
             index[s] += 1
-        index = tuple(index)
-        coeff = random_base_poly(rng, chart, max_base, 2)
-        out[index] = out[index] + coeff if index in out else coeff
-    return SymTensor(chart, out)
+        _draw_base_terms(rng, chart, table.setdefault(tuple(index), {}),
+                         max_base, 2)
+    # random_word keeps odd letters single, so no index needs checking
+    return SymTensor.zero(chart)._wrap({
+        index: _in_sixths(chart, nums) for index, nums in table.items()})
 
 
 def random_torsion_free_connection(rng: random.Random,

@@ -113,7 +113,14 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
     signed sum of covariant-derivative contractions must agree with the
     map through the top *two* filtration layers (residual order at most
     L - 2).  The correction is formed on the side the direction checks:
-    as symmetric tensors for the inverse, as operators for the map."""
+    as symmetric tensors for the inverse, as operators for the map.
+
+    The contraction of positions j < k depends on the positions only
+    through its Koszul sign (moving letters j and k to the end): the
+    field, the rest word and the term are those of the letter pair
+    (letters[j], letters[k]).  So the signs are summed per distinct
+    pair first, and each pair's term is built once, scaled by its sum;
+    a pair whose signs cancel builds nothing."""
     chart = ctx.chart
     conn = ctx.conn
     length = len(letters)
@@ -121,22 +128,27 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
     index = _word_index(chart, letters)
     product = DiffOp.from_word(chart, index)
     word = SymTensor.from_word(chart, index)
-    correction = SymTensor.zero(chart) if invert else DiffOp.zero(chart)
+    signs = {}
     for j in range(length):
         for k in range(j + 1, length):
-            rest = [letters[p] for p in range(length) if p not in (j, k)]
             perm = [p for p in range(length) if p not in (j, k)] + [j, k]
-            eps = koszul_sign(perm, degrees)
-            nabla = conn.christoffel_field(letters[j], letters[k])
-            if not nabla:
-                continue
-            if invert:
-                term = _append_word(chart, rest, nabla)
-            else:
-                term = DiffOp.from_word(
-                    chart, _word_index(chart, rest)).compose(
-                    DiffOp.from_vector_field(nabla))
-            correction = correction + term.scale(eps)
+            pair = letters[j], letters[k]
+            signs[pair] = signs.get(pair, 0) + koszul_sign(perm, degrees)
+    correction = SymTensor.zero(chart) if invert else DiffOp.zero(chart)
+    for (a, b), eps in signs.items():
+        nabla = conn.christoffel_field(a, b) if eps else None
+        if not nabla:
+            continue
+        rest = list(letters)
+        rest.remove(a)
+        rest.remove(b)
+        if invert:
+            term = _append_word(chart, rest, nabla)
+        else:
+            term = DiffOp.from_word(
+                chart, _word_index(chart, rest)).compose(
+                DiffOp.from_vector_field(nabla))
+        correction = correction + term.scale(eps)
     if invert:
         residual = ctx.inv(product) - word - correction
         return residual.weight_le(length - 2) == residual

@@ -18,11 +18,13 @@ each letter to the whole operator by ``letter_compose``, the operator
 products d_s o W of a word image summed as operators instead of into
 one table, the symmetrization of a word of vector fields as the average
 over all orderings, the comultiplication built by left multiplications
-of tensor squares, the square of the dual covariant differential as
-graded commutators of its direction derivations, the Koszul sign of a
-tensor push read off each degree-homogeneous pair of parts instead of
-off parities, random samples summed one public single-term polynomial
-at a time instead of collected in one dict, the dual correction form
+of tensor squares or summed over all 2^k bitmask splits of a word
+instead of once per distinct split, the square of the dual covariant
+differential as graded commutators of its direction derivations, the
+Koszul sign of a tensor push read off each degree-homogeneous pair of
+parts instead of off parities, random samples summed one public
+single-term polynomial at a time instead of as numerators over 6 on
+packed keys, the dual correction form
 through the whole transported connection inv(d_i o exp(I)) and the
 pairing instead of a table of the weight-one parts of inv(d^J), parity
 and filtering read off exponent tuples instead of packed keys) so
@@ -547,7 +549,7 @@ def tensor_square_left_mult_vf(field, square):
     for (left_index, right_index), coeff in square.terms.items():
         left_op = DiffOp(chart, {left_index: coeff})
         for idx, c in xop.compose(left_op).terms.items():
-            out.add_term(idx, right_index, c)
+            out.add_table({(idx, right_index): [(1, c)]})
         right_word = DiffOp.from_word(chart, right_index)
         for xdeg, xpart in vf_homogeneous_ops(field):
             xr = xpart.compose(right_word)
@@ -592,8 +594,8 @@ def degree_split_tensor_push_left(out, left_op, right_op):
                 flip = (gdeg & 1) and (udeg & 1)
                 moved = upart.scale(gpart)
                 for left_index, lcoeff in moved.terms.items():
-                    out.add_term(left_index, right_index,
-                                 -lcoeff if flip else lcoeff)
+                    out.add_table({(left_index, right_index): [
+                        (-1 if flip else 1, lcoeff)]})
 
 
 def degree_split_mul_letter_left(tensor, slot):
@@ -615,6 +617,47 @@ def degree_split_mul_letter_left(tensor, slot):
             cur = out.get(idx)
             out[idx] = val if cur is None else cur + val
     return type(tensor)(chart, out)
+
+
+def bitmask_shuffle_splits(chart, index):
+    """Yield (Koszul sign, left index, right index) over all 2^k
+    order-preserving two-block splits of the descending word of k
+    letters, one per bitmask, equal splits repeated."""
+    from jetexp.enveloping import word_letters
+
+    letters = word_letters(index)
+    pars = [chart.coordinate_parity(s) for s in letters]
+    k = len(letters)
+    n = chart.n
+    for mask in range(1 << k):
+        left = [0] * n
+        right = [0] * n
+        inv = 0
+        odd_sent_right = 0
+        for pos in range(k):
+            if mask >> pos & 1:
+                left[letters[pos]] += 1
+                if pars[pos]:
+                    inv += odd_sent_right
+            else:
+                right[letters[pos]] += 1
+                if pars[pos]:
+                    odd_sent_right += 1
+        yield (-1 if inv & 1 else 1), tuple(left), tuple(right)
+
+
+def per_split_comult(element, kind):
+    """The shuffle comultiplication of ``element`` summed one public
+    polynomial per bitmask split."""
+    from jetexp.enveloping import TensorSquare
+
+    out = {}
+    for index, coeff in element.terms.items():
+        for sign, left, right in bitmask_shuffle_splits(element.chart,
+                                                        index):
+            cur = out.get((left, right), GradedPoly.zero(element.chart))
+            out[left, right] = cur + (coeff if sign > 0 else -coeff)
+    return TensorSquare(element.chart, kind, out)
 
 
 def summed_random_base_poly(rng, chart, max_degree=2, terms=3):
@@ -661,6 +704,37 @@ def summed_random_symtensor(rng, chart, max_weight, terms=3, max_base=2):
             index[s] += 1
         out = out + SymTensor(chart, {tuple(index): summed_random_base_poly(
             rng, chart, max_base, 2)})
+    return out
+
+
+def summed_random_homogeneous_base(rng, chart, degree, max_exp=2):
+    """``randomgen.random_homogeneous_base`` as a sum of single-term
+    polynomials over candidates enumerated by recursion, with the same
+    draws in the same order."""
+    from jetexp.randomgen import random_coefficient
+
+    n = chart.n
+    candidates = []
+
+    def walk(slot, acc):
+        if slot == n:
+            if sum(e * chart.coordinate_degree(s)
+                   for s, e in enumerate(acc)) == degree:
+                candidates.append(tuple(acc) + (0,) * (2 * n))
+            return
+        cap = 1 if chart.coordinate_parity(slot) else max_exp
+        for e in range(cap + 1):
+            walk(slot + 1, acc + [e])
+
+    walk(0, [])
+    out = GradedPoly.zero(chart)
+    if not candidates:
+        return out
+    for m in candidates:
+        if rng.random() < 0.6:
+            out = out + GradedPoly(chart, {m: random_coefficient(rng)})
+    if not out:
+        out = GradedPoly(chart, {rng.choice(candidates): Fraction(1)})
     return out
 
 

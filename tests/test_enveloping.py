@@ -20,8 +20,8 @@ from hypothesis import given, strategies as st
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
                      degree_split_tensor_push_left, per_letter_compose,
-                     shuffle_pairing, sym_word, sym_word_product,
-                     tensor_square_left_mult_vf)
+                     per_split_comult, shuffle_pairing, sym_word,
+                     sym_word_product, tensor_square_left_mult_vf)
 from test_operator_properties import indexed
 from test_poly_properties import PROPERTY
 
@@ -249,6 +249,24 @@ def test_comult_env_matches_iterated_product_route():
             built = tensor_square_left_mult_vf(
                 VectorField.coordinate(chart, slot), built)
         assert built == comult_env(DiffOp.from_word(chart, index))
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_comult_matches_bitmask_split_oracle(name):
+    # every admissible word up to weight 6, each with a random base
+    # coefficient: one term per distinct split, weighted by binomials and
+    # the odd-crossing sign, equals the sum over all 2^k bitmask splits
+    chart, _ = build_chart(name)
+    rng = random.Random(19)
+    for index in mi_all_up_to(chart.n, 6):
+        if any(e > 1 and chart.coordinate_parity(s)
+               for s, e in enumerate(index)):
+            continue
+        coeff = random_base_poly(rng, chart, 2, 2)
+        tensor = SymTensor(chart, {index: coeff})
+        op = DiffOp(chart, {index: coeff})
+        assert comult_sym(tensor) == per_split_comult(tensor, "sym")
+        assert comult_env(op) == per_split_comult(op, "env")
 
 
 def test_comult_multiplicative_on_vector_fields(mixed, rng):

@@ -200,6 +200,27 @@ def test_coalgebra_check_fails_when_a_word_image_is_perturbed(monkeypatch,
     assert broken.status == "FAIL"
 
 
+@pytest.mark.parametrize("name", ["line_curved", "mixed", "two_odd"])
+def test_two_term_checks_fail_on_a_doubled_christoffel_field(monkeypatch,
+                                                             name):
+    # negative control: the correction's covariant derivatives doubled
+    # must break both two-term expansions, while the checks that never
+    # read christoffel_field still pass
+    real = Connection.christoffel_field
+
+    def doubled(conn, i, j):
+        field = real(conn, i, j)
+        return field + field
+    monkeypatch.setattr(Connection, "christoffel_field", doubled)
+    chart, conn = build_chart(name)
+    statuses = {r.name: r.status
+                for r in run_suite("symbols", chart, conn, seed=0)}
+    assert statuses == {"symbol-of-map-is-identity": "PASS",
+                        "two-term-leading-expansion": "FAIL",
+                        "two-term-leading-expansion-inverse": "FAIL",
+                        "map-inverse-roundtrip": "PASS"}
+
+
 def test_inverse_two_term_expansion_composes_no_operators(monkeypatch):
     # the inverse direction needs only the symmetric correction, and the
     # word product is read off in closed form
