@@ -52,10 +52,25 @@ class CheckResult(NamedTuple):
 
 
 def run_check(name: str, samples: Iterable, test: Callable) -> CheckResult:
-    """``test`` on each sample in turn; FAIL at the first that fails."""
+    """``test`` on each distinct sample in turn, in the order given; FAIL
+    at the first that fails, with its repr as the witness.
+
+    ``test`` must be a pure function of its sample, so a sample equal to
+    one already passed is skipped: the witness is the same as if every
+    sample ran.  A list sample (a word) is keyed by its tuple; a sample
+    that cannot be hashed always runs."""
+    passed = set()
     for sample in samples:
+        key = tuple(sample) if type(sample) is list else sample
+        try:
+            if key in passed:
+                continue
+        except TypeError:  # unhashable: no key to skip it by
+            key = None
         if not test(sample):
             return CheckResult(name, "FAIL", repr(sample))
+        if key is not None:
+            passed.add(key)
     return CheckResult(name, "PASS", None)
 
 

@@ -28,12 +28,19 @@ Suites:
                    homotopy against the perturbation-lemma fixed point
                    h' = h - h.partial.h' in the unperturbed maps
 
-Work shared between the checks of a suite is memoized inside one suite
-call and dropped when it returns: the resolution suite sums the series
-augmentation and the homotopy of each input once, and the flat-connection
-suite builds its dnabla table once.  Nothing is cached across calls, and
-the memos hold series values only, so the independent routes (tau_pbw,
-the projected full products) are never read from them.
+Work shared between the checks of a suite is computed once inside one
+suite call and dropped when it returns.  ``perturbation.run_check`` runs
+each distinct sample once (the drawn words repeat).  Both augmentation
+routes are linear over constants, so each is evaluated once per distinct
+base monomial and a function's augmentation is one ``combine`` of those
+columns (``_columns``): the series augmentation of the flat contraction
+and of the transfer, and tau_pbw, each in a table of its own.  The
+homotopy of each section is summed once (``_memo``), the symbols suite
+runs ``PbwContext.map`` and ``inv`` once per distinct argument, and the
+flat-connection suite builds its dnabla table once.  Nothing is cached
+across calls, and no route reads another's table, so the independent
+routes (tau_pbw against the series, the projected full products against
+d_apply) stay independent.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .geometry import Connection, VectorField
 from .pbw import PbwContext, xi_form
 from .perturbation import (CheckResult, ContractionData, check_contraction,
                            run_check)
-from .poly import GradedPoly
+from .poly import GradedPoly, combine
 from .randomgen import (random_base_poly, random_section, random_symtensor,
                         random_word)
 
@@ -66,6 +73,15 @@ def _memo(fn: Callable) -> Callable:
             value = values[x] = fn(x)
         return value
     return call
+
+
+def _columns(chart: Chart, fn: Callable) -> Callable:
+    """A linear map ``fn`` on polynomials over ``chart``, computed once
+    per distinct monomial for one suite call: f = sum_k (nums_k / den)
+    m_k maps to sum_k (nums_k / den) fn(m_k), one ``combine``."""
+    column = _memo(lambda key: fn(GradedPoly._of(chart, {key: 1})))
+    return lambda f: combine(
+        chart, [(num, column(key)) for key, num in f.nums.items()], f.den)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +123,8 @@ def _word_index(chart: Chart, letters) -> tuple:
     return tuple(index)
 
 
-def _leading_two_term(ctx: PbwContext, letters, invert: bool):
+def _leading_two_term(ctx: PbwContext, letters, invert: bool,
+                      map_: Callable = None, inv: Callable = None):
     """The two-term expansion residual of the map (or its inverse) on a
     coordinate word of L factors: the word's product corrected by the
     signed sum of covariant-derivative contractions must agree with the
@@ -120,7 +137,8 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
     field, the rest word and the term are those of the letter pair
     (letters[j], letters[k]).  So the signs are summed per distinct
     pair first, and each pair's term is built once, scaled by its sum;
-    a pair whose signs cancel builds nothing."""
+    a pair whose signs cancel builds nothing.  ``map_`` and ``inv``
+    stand in for ``ctx.map`` and ``ctx.inv`` (the suite passes memos)."""
     chart = ctx.chart
     conn = ctx.conn
     length = len(letters)
@@ -150,9 +168,9 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool):
                 DiffOp.from_vector_field(nabla))
         correction = correction + term.scale(eps)
     if invert:
-        residual = ctx.inv(product) - word - correction
+        residual = (inv or ctx.inv)(product) - word - correction
         return residual.weight_le(length - 2) == residual
-    residual = ctx.map(word) - product + correction
+    residual = (map_ or ctx.map)(word) - product + correction
     if not residual:
         return True
     return residual.order() <= length - 2
@@ -173,11 +191,13 @@ def suite_symbols(chart: Chart, conn: Connection, seed: int,
     rng = random.Random(seed)
     weight = min(weight, 5)
     ctx = PbwContext(chart, conn, max_weight=weight + 1)
+    # the checks map and invert the same words again and again
+    map_, inv = _memo(ctx.map), _memo(ctx.inv)
 
     tensors = [t for t in (random_symtensor(rng, chart, weight)
                            for _ in range(30)) if t]
     res = [run_check("symbol-of-map-is-identity", tensors,
-                     lambda t: _symbol_check(ctx, t))]
+                     lambda t: _symbol_check(map_, t))]
 
     if weight < 2:
         return res + [CheckResult(name, "SKIP", "needs words of two letters; "
@@ -189,26 +209,27 @@ def suite_symbols(chart: Chart, conn: Connection, seed: int,
              for _ in range(30)]
     words = [w for w in words if w]
     res.append(run_check("two-term-leading-expansion", words,
-                         lambda w: _leading_two_term(ctx, w, invert=False)))
+                         lambda w: _leading_two_term(ctx, w, False, map_)))
     res.append(run_check("two-term-leading-expansion-inverse", words,
-                         lambda w: _leading_two_term(ctx, w, invert=True)))
+                         lambda w: _leading_two_term(ctx, w, True, inv=inv)))
     res.append(run_check("map-inverse-roundtrip", words,
-                         lambda w: _roundtrip(ctx, w)))
+                         lambda w: _roundtrip(chart, map_, inv, w)))
     return res
 
 
-def _symbol_check(ctx: PbwContext, tensor: SymTensor) -> bool:
+def _symbol_check(map_: Callable, tensor: SymTensor) -> bool:
     top = tensor.weight()
-    op = ctx.map(tensor)
+    op = map_(tensor)
     return op.gr_leading() == tensor.weight_part(top) and \
         (op.order() or 0) <= top
 
 
-def _roundtrip(ctx: PbwContext, letters) -> bool:
-    index = _word_index(ctx.chart, letters)
-    word = SymTensor.from_word(ctx.chart, index)
-    op = DiffOp.from_word(ctx.chart, index)
-    return ctx.inv(ctx.map(word)) == word and ctx.map(ctx.inv(op)) == op
+def _roundtrip(chart: Chart, map_: Callable, inv: Callable,
+               letters) -> bool:
+    index = _word_index(chart, letters)
+    word = SymTensor.from_word(chart, index)
+    op = DiffOp.from_word(chart, index)
+    return inv(map_(word)) == word and map_(inv(op)) == op
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +272,15 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int,
     ctx = PbwContext(chart, conn, max_weight=weight + 1)
 
     # the contraction's series augmentation and homotopy are memos, so each
-    # input is summed once per suite; tau_pbw is never taken from them
+    # monomial (each section) is summed once per suite; tau_pbw keeps its
+    # own columns and never reads the series ones
     contraction = flat_contraction(fd)
     tau, h = contraction.tau, contraction.h
+    pbw = _columns(chart, lambda f: tau_pbw(ctx, f, weight))
 
     funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(20)]
     res = [run_check("augmentation-routes-agree", funcs,
-                     lambda f: tau(f) == tau_pbw(ctx, f, weight))]
+                     lambda f: tau(f) == pbw(f))]
     res.append(run_check("augmentation-splits-projection", funcs,
                          lambda f: sigma_aug(tau(f)) == f))
     res.append(run_check("augmentation-is-flat", funcs,
@@ -281,11 +304,12 @@ def suite_resolution(chart: Chart, conn: Connection, seed: int,
 
 def flat_contraction(fd: FedosovData) -> ContractionData:
     """The contraction of the flat complex onto base functions, with the
-    series ``fd.tau_series`` and ``fd.homotopy_h`` memoized for as long as
-    the contraction lives."""
+    series ``fd.tau_series`` summed once per distinct monomial and
+    ``fd.homotopy_h`` once per distinct section, for as long as the
+    contraction lives."""
     return ContractionData(
         sigma=sigma_aug,
-        tau=_memo(fd.tau_series),
+        tau=_columns(fd.chart, fd.tau_series),
         h=_memo(fd.homotopy_h),
         d_big=fd.d_apply,
         d_small=lambda f: GradedPoly.zero(fd.chart),
@@ -305,6 +329,9 @@ def suite_perturbation(chart: Chart, conn: Connection, seed: int,
 
     ctx = PbwContext(chart, conn, max_weight=weight)
     perturbed, theta = fd.transfer
+    # each route in columns of its own
+    tau = _columns(chart, perturbed.tau)
+    pbw = _columns(chart, lambda f: tau_pbw(ctx, f, weight))
 
     def homotopy_fixed_point(w):
         # h'(w) = h(w) - h(partial(h'(w))), in the unperturbed maps only
@@ -313,7 +340,7 @@ def suite_perturbation(chart: Chart, conn: Connection, seed: int,
 
     res.append(run_check(
         "transferred-augmentation-matches", funcs,
-        lambda f: perturbed.tau(f) == tau_pbw(ctx, f, weight)))
+        lambda f: tau(f) == pbw(f)))
     res.append(run_check("transferred-projection-is-projection", sections,
                          lambda w: perturbed.sigma(w) == sigma_aug(w)))
     res.append(run_check("transferred-homotopy-matches", sections,

@@ -27,9 +27,11 @@ single-term polynomial at a time instead of as numerators over 6 on
 packed keys, the dual correction form
 through the whole transported connection inv(d_i o exp(I)) and the
 pairing instead of a table of the weight-one parts of inv(d^J), parity
-and filtering read off exponent tuples instead of packed keys) so
-frozen expectations in the tests do not share code with the
-implementation they check.
+and filtering read off exponent tuples instead of packed keys, the
+augmentation and the correction of a chart with solvable geodesics as
+closed-form series in Bernoulli and factorial coefficients instead of
+any recursion, series or solve) so frozen expectations in the tests do
+not share code with the implementation they check.
 """
 
 import itertools
@@ -845,3 +847,82 @@ def xi_form_by_theta(ctx, max_fiber_weight=None):
                 if coeff:
                     components[k] = components[k] + dxi * (y_mono * coeff)
     return tuple(components)
+
+
+# -- closed forms on a chart with solvable geodesics --------------------------
+#
+# The chart: x1 of degree 0 and x2 of any degree d, with one Christoffel
+# entry Gamma^2_11 = c*x2.  Its geodesics are x1(t) = x1 + t*y1 and
+# x2'' = -c*y1^2*x2, so tau(f) = f(exp_x(y)) (Emmrich-Weinstein) and the
+# correction are known at every fiber weight.
+
+
+def bernoulli_numbers(m):
+    """B_0 .. B_m (B_1 = -1/2) by the recurrence
+    sum_{j <= k} comb(k + 1, j) B_j = 0 for k >= 1."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k))
+                 / (k + 1))
+    return b
+
+
+def t_cot_coefficients(kmax):
+    """a_1 .. a_kmax with sum_k a_k t^(2k) = 1 - t cot t, that is
+    a_k = 2^(2k) |B_(2k)| / (2k)!."""
+    b = bernoulli_numbers(2 * kmax)
+    return [Fraction(4 ** k) * abs(b[2 * k]) / math.factorial(2 * k)
+            for k in range(1, kmax + 1)]
+
+
+def _fiber_monomial(chart, e1, e2):
+    # y1^e1 * y2^e2 as an exponent tuple over the 3n slots
+    m = [0] * 3 * chart.n
+    m[chart.y_slot(0)], m[chart.y_slot(1)] = e1, e2
+    return m
+
+
+def geodesic_tau(chart, c, weight):
+    """(tau(x1), tau(x2)) cut at fiber weight ``weight``:
+
+        tau(x1) = x1 + y1
+        tau(x2) = x2 cos(sqrt(c) y1) + y2 sin(sqrt(c) y1) / (sqrt(c) y1)
+
+    as series in c y1^2."""
+    c = Fraction(c)
+    x1 = _fiber_monomial(chart, 0, 0)
+    x1[chart.x_slot(0)] = 1
+    tau_x1 = {tuple(x1): 1, tuple(_fiber_monomial(chart, 1, 0)): 1}
+    tau_x2 = {}
+    for k in range(weight // 2 + 1):
+        m = _fiber_monomial(chart, 2 * k, 0)
+        m[chart.x_slot(1)] = 1
+        tau_x2[tuple(m)] = (-c) ** k / math.factorial(2 * k)
+        if 2 * k + 1 <= weight:
+            tau_x2[tuple(_fiber_monomial(chart, 2 * k, 1))] = \
+                (-c) ** k / math.factorial(2 * k + 1)
+    return GradedPoly(chart, tau_x1), GradedPoly(chart, tau_x2)
+
+
+def geodesic_correction_series(chart, coefficients):
+    """sum_k coefficients[k - 1] * y1^(2k - 1)."""
+    return GradedPoly(chart, {
+        tuple(_fiber_monomial(chart, 2 * k - 1, 0)): a
+        for k, a in enumerate(coefficients, 1)})
+
+
+def geodesic_form(chart):
+    """dx2 y1 - dx1 y2, in this order of factors (it matters for odd d)."""
+    gen = lambda slot: GradedPoly.generator(chart, slot)
+    return (fraction_mul(gen(chart.dx_slot(1)), gen(chart.y_slot(0)))
+            - fraction_mul(gen(chart.dx_slot(0)), gen(chart.y_slot(1))))
+
+
+def geodesic_correction(chart, c, weight):
+    """The correction form (0, (dx2 y1 - dx1 y2) sum_k a_k c^k y1^(2k-1))
+    cut at fiber weight ``weight`` (terms of fiber weight 2k), with the
+    a_k of ``t_cot_coefficients``."""
+    c = Fraction(c)
+    series = geodesic_correction_series(chart, [
+        a * c ** k for k, a in enumerate(t_cot_coefficients(weight // 2), 1)])
+    return GradedPoly.zero(chart), fraction_mul(geodesic_form(chart), series)

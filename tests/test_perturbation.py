@@ -6,7 +6,8 @@ from jetexp.fedosov import (FedosovData, base_contraction, project_weight,
                             sigma_aug, tau_pbw)
 from jetexp.pbw import PbwContext
 from jetexp.perturbation import (ContractionData, SeriesDivergenceError,
-                                 check_contraction, perturb_contraction)
+                                 check_contraction, perturb_contraction,
+                                 run_check)
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_section
 from jetexp.verify import flat_contraction
@@ -98,6 +99,44 @@ def test_toy_contraction_passes(toy):
     big, small = toy_samples()
     results = check_contraction(toy, big, small)
     assert all(r.status == "PASS" for r in results), results
+
+
+def counting(test):
+    seen = []
+
+    def run(sample):
+        seen.append(sample)
+        return test(sample)
+    return run, seen
+
+
+def test_run_check_tests_each_distinct_sample_once():
+    # words arrive as lists and are keyed by their tuple
+    samples = [[2, 1], Vec((1, 2)), [2, 1], Vec((1, 2)), [0], [2, 1]]
+    test, seen = counting(lambda s: True)
+    assert run_check("n", samples, test).status == "PASS"
+    assert seen == [[2, 1], Vec((1, 2)), [0]]
+    # a generator of samples is read once, in order
+    test, seen = counting(lambda s: True)
+    assert run_check("n", (k % 3 for k in range(10)), test).status == "PASS"
+    assert seen == [0, 1, 2]
+
+
+def test_run_check_witness_is_the_first_failing_sample():
+    # duplicates of passing samples before, and of the failing one and
+    # others after: the witness is still the first failing sample
+    bad = [1, 0]
+    samples = [[2], [2], [3], [2], bad, [3], list(bad), [4], [1, 1]]
+    test, seen = counting(lambda s: sum(s) != 1)
+    assert run_check("n", samples, test) == ("n", "FAIL", repr(bad))
+    assert seen == [[2], [3], bad]
+
+
+def test_run_check_runs_unhashable_samples_every_time():
+    samples = [{"a": 1}, {"a": 1}, {"a": 2}]
+    test, seen = counting(lambda s: True)
+    assert run_check("n", samples, test).status == "PASS"
+    assert seen == samples
 
 
 def test_zero_complex_passes_vacuously():

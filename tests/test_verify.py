@@ -7,14 +7,14 @@ import jetexp.fedosov
 import jetexp.verify
 from jetexp.chart import Chart, Truncation
 from jetexp.enveloping import DiffOp
-from jetexp.fedosov import FedosovData, base_contraction
+from jetexp.fedosov import FedosovData, base_contraction, tau_pbw
 from jetexp.geometry import Connection
 from jetexp.pbw import PbwContext
 from jetexp.perturbation import ContractionData, PerturbedContraction
 from jetexp.poly import GradedPoly
-from jetexp.randomgen import random_word
-from jetexp.verify import (SUITE_NAMES, _leading_two_term, _word_index,
-                           run_suite)
+from jetexp.randomgen import random_base_poly, random_word
+from jetexp.verify import (SUITE_NAMES, _columns, _leading_two_term,
+                           _word_index, run_suite)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import per_letter_compose
@@ -177,6 +177,100 @@ def test_resolution_homotopy_check_fails_when_last_series_term_dropped(
                                    weight=3)}
     assert statuses["flat-tau-sigma-homotopic-to-identity"] == "FAIL"
     assert statuses["augmentation-routes-agree"] == "PASS"
+
+
+@pytest.mark.parametrize("name", ["plane_curved", "mixed"])
+@pytest.mark.parametrize("suite", ["resolution", "perturbation"])
+def test_augmentation_routes_take_each_monomial_once(monkeypatch, suite,
+                                                     name):
+    # both routes are linear: each sees single monomials with coefficient
+    # 1, each once per suite call, in a table of its own
+    pbw_seen, series_seen = [], []
+    real_pbw = jetexp.verify.tau_pbw
+    real_perturb = jetexp.fedosov.perturb_contraction
+
+    def pbw(ctx, f, weight):
+        pbw_seen.append(f)
+        return real_pbw(ctx, f, weight)
+
+    def perturb(c, partial, max_terms):
+        # the transfer's augmentation is FedosovData.tau_series
+        out = real_perturb(c, partial, max_terms)
+        t = out.contraction
+
+        def tau(m):
+            series_seen.append(m)
+            return t.tau(m)
+        return PerturbedContraction(
+            ContractionData(t.sigma, tau, t.h, t.d_big, t.d_small), out.theta)
+
+    monkeypatch.setattr(jetexp.verify, "tau_pbw", pbw)
+    monkeypatch.setattr(jetexp.fedosov, "perturb_contraction", perturb)
+    chart, conn = build_chart(name)
+    results = run_suite(suite, chart, conn, seed=0, weight=3)
+    assert all(r.status == "PASS" for r in results)
+    for seen in (pbw_seen, series_seen):
+        assert seen and len(seen) == len(set(seen))
+        assert all(f.den == 1 and list(f.nums.values()) == [1]
+                   for f in seen)
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_columns_equal_the_direct_routes(name):
+    chart, conn = build_chart(name)
+    weight = chart.truncation.max_sym_weight
+    fd = FedosovData(conn, weight)
+    ctx = PbwContext(chart, conn, max_weight=weight)
+    series = _columns(chart, fd.tau_series)
+    pbw = _columns(chart, lambda f: tau_pbw(ctx, f, weight))
+    rng = random.Random(11)
+    funcs = [random_base_poly(rng, chart, 3, 4) for _ in range(20)]
+    for f in funcs + [GradedPoly.zero(chart)]:
+        assert series(f) == fd.tau_series(f)
+        assert pbw(f) == tau_pbw(ctx, f, weight)
+
+
+@pytest.mark.parametrize("name", ["line_curved", "mixed"])
+def test_augmentation_checks_fail_when_one_monomial_is_off(monkeypatch,
+                                                           name):
+    # negative control for the columns: a tau_pbw off by a fiber term on
+    # every argument holding x must fail both augmentation comparisons,
+    # and only those
+    chart, conn = build_chart(name)
+    (key,) = GradedPoly.generator(chart, 0).nums
+    fiber = GradedPoly.generator(chart, chart.y_slot(0))
+    real = jetexp.verify.tau_pbw
+
+    def off(ctx, f, weight):
+        out = real(ctx, f, weight)
+        return out + fiber if key in f.nums else out
+    monkeypatch.setattr(jetexp.verify, "tau_pbw", off)
+    statuses = {r.name: r.status
+                for suite in ("resolution", "perturbation")
+                for r in run_suite(suite, chart, conn, seed=0, weight=3)}
+    assert {n for n, s in statuses.items() if s != "PASS"} == {
+        "augmentation-routes-agree", "transferred-augmentation-matches"}
+    assert statuses["augmentation-routes-agree"] == "FAIL"
+
+
+def test_symbols_maps_and_inverts_each_argument_once(monkeypatch):
+    # the two-term and roundtrip checks send the same words through map
+    # and inv; each distinct argument runs once per suite call
+    seen = {"map": [], "inv": []}
+    for method in seen:
+        def counted(ctx, x, _real=getattr(PbwContext, method),
+                    _seen=seen[method]):
+            _seen.append(x)
+            return _real(ctx, x)
+        monkeypatch.setattr(PbwContext, method, counted)
+    for name in ("line_curved", "mixed", "two_odd"):
+        chart, conn = build_chart(name)
+        for calls in seen.values():
+            calls.clear()
+        results = run_suite("symbols", chart, conn, seed=0)
+        assert all(r.status == "PASS" for r in results)
+        for calls in seen.values():
+            assert calls and len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("name", ["line_curved", "mixed", "two_odd"])
