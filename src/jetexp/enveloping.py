@@ -4,34 +4,39 @@ coalgebra structure shared by both.
 Word convention.  A multi-index I over the chart's coordinates denotes
 the *descending* word: the derivation of the last coordinate comes
 first, that of the first coordinate last (so it acts first on a function).
-SymTensor stores the coefficient of the descending symmetric word and
-DiffOp that of the descending composition, with all coefficient
-functions left of all derivations.  The two conventions match, so the
-top-order part of an operator reread as a tensor is its leading symbol,
-and the duality pairing with fiber monomials is I! on the diagonal with
-no stray signs, odd sectors included.
+A term c d^I of a tensor is the descending symmetric word, of an
+operator the descending composition, with all coefficient functions
+left of all derivations.  The two conventions match, so the top-order
+part of an operator reread as a tensor is its leading symbol, and the
+duality pairing with fiber monomials is I! on the diagonal with no stray
+signs, odd sectors included.
 
 Every Koszul sign for moving one coordinate derivation within a
 descending word comes from one rule, ``letter_sign``: d_s entering at
 the front of the word of K moves right past the letters with a larger
 coordinate index, a sign for each odd one when d_s is odd, and an odd
 d_s already in K gives 0 (coordinate derivations commute exactly, so
-this is lossless).  ``letter_compose`` brings a single derivation past a
-normal-ordered term by the graded Leibniz rule
+this is lossless).
 
-    d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
+Symbols.  A tensor or an operator holds one value, its symbol
 
-the symmetric product ``SymTensor.mul_letter_left`` is its last term
-alone, and ``add_letter`` gathers ``letter_compose`` over a table (word
--> list of ``poly.combine`` entries, each list summed into one
-polynomial by ``from_table``).  ``DiffOp.compose`` applies the letters
-of each left word this way, innermost first.
+    sigma(sum_K c_K d^K)  =  sum_K rho(K) c_K y^K,
 
-Symbols.  ``symbol`` writes either kind of sum as one polynomial in base
-and fiber generators, sigma(sum_K c_K d^K) = sum_K rho(K) c_K y^K, and
-``from_symbol`` reads it back.  rho(K) = ``symbol_sign`` reorders the
-descending word into the canonical monomial y^K; it is built from
-``letter_sign``.  The word images of ``pbw`` are held as symbols.
+one polynomial in base and fiber generators; rho(K) = ``symbol_sign``
+reorders the descending word into the canonical monomial y^K
+(``word_symbol`` is sigma(d^K)).  Sums, scaling, equality and the
+weight filtration are those of the polynomial, the weight of a key being
+the word order.  Constant-coefficient derivations supercommute exactly
+as the fiber generators do, so the symmetric product is the product of
+symbols, and the operator product is the normal-ordered star product
+
+    sigma(P o Q)  =  sum_K 1/K! (sigma(P) <-d_y^K) (d_x^K sigma(Q)),
+
+right derivatives in the fiber generators on the left factor and left
+ones in the base generators on the right factor; for one letter it is
+the graded Leibniz rule sigma(d_s o P) = partial_{x_s} sigma(P) + y_s .
+sigma(P).  ``terms``, word -> coefficient, is a view for the printer,
+the comultiplications and the pairing, built on first read.
 
 Tensor squares over base functions are normalized with all coefficients
 pushed into the left factor via the bimodule relation
@@ -41,15 +46,13 @@ u.f (x) v == u (x) f.v; the right slot is always a pure word.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product
-from math import comb
-from operator import or_
+from math import comb, lcm
 from typing import Dict, List, Tuple
 
-from .chart import FIELD_MASK, Chart, mi_factorial, mi_weight, same_chart
-from .poly import (FLIP, GradedPoly, TruncationOverflowError, combine,
-                   unpack_monomial)
+from .chart import FIELD_MASK, FIELD_MAX, Chart, mi_factorial, same_chart
+from .poly import (FLIP, GradedPoly, TruncationOverflowError, _key_degree,
+                   combine, unpack_monomial)
 
 MultiIndex = Tuple[int, ...]
 
@@ -81,25 +84,41 @@ def letter_sign(chart: Chart, slot: int, index: MultiIndex) -> int:
     """Sign for moving d_slot from the front of the descending word of
     ``index`` to its place, past every letter with a larger coordinate
     index; 0 when d_slot is odd and already in the word."""
-    if not chart.coordinate_parity(slot):
+    odd = chart.gen_parities  # a base slot's parity is its coordinate's
+    if not odd[slot]:
         return 1
     if index[slot]:
         return 0
-    crossings = sum(index[u] for u in range(slot + 1, chart.n)
-                    if chart.coordinate_parity(u))
+    crossings = sum([index[u] for u in range(slot + 1, chart.n) if odd[u]])
     return -1 if crossings & 1 else 1
 
 
 def symbol_sign(chart: Chart, index: MultiIndex) -> int:
     """rho(K), the sign reordering the descending word of ``index`` into
-    the fiber monomial y^K: the product over its odd letters d_s of
-    ``letter_sign`` of d_s on K - e_s, so (-1)^(k(k-1)/2) for k odd
-    letters."""
-    sign = 1
-    for s, e in enumerate(index):
-        if e and chart.coordinate_parity(s):
-            sign *= letter_sign(chart, s, index[:s] + (0,) + index[s + 1:])
-    return sign
+    the fiber monomial y^K: even letters commute with everything, and
+    the k odd letters are reversed, so (-1)^(k(k-1)/2), -1 exactly when
+    k mod 4 is 2 or 3."""
+    odd = sum([e for e, p in zip(index, chart.gen_parities) if p])
+    return -1 if odd & 2 else 1
+
+
+def word_symbol(chart: Chart, index: MultiIndex,
+                coeff: GradedPoly = None) -> GradedPoly:
+    """sigma(c d^K) = rho(K) c y^K for a base function c (default 1):
+    each key of c moved by y^K's, as base generators come first.
+    TruncationOverflowError when an exponent or the word's weight
+    exceeds ``FIELD_MAX``."""
+    if max(index) > FIELD_MAX or sum(index) > FIELD_MAX:
+        raise TruncationOverflowError("word weight %d exceeds %d"
+                                      % (sum(index), FIELD_MAX))
+    key = sum([e * u for e, u in zip(index, chart.unit[chart.n:2 * chart.n])])
+    sign = symbol_sign(chart, index)
+    if coeff is None:
+        return GradedPoly._of(chart, {key: sign})
+    if not key:
+        return coeff
+    return GradedPoly._of(chart, {k + key: v * sign
+                                  for k, v in coeff.nums.items()}, coeff.den)
 
 
 def parity_parts(f: GradedPoly):
@@ -108,76 +127,41 @@ def parity_parts(f: GradedPoly):
     return list(f._split(lambda k: (k & odd_low).bit_count() & 1).items())
 
 
-def _prepend(chart: Chart, slot: int, index: MultiIndex,
-             coeff: GradedPoly, times: int = 1, weight: int = 1):
-    """weight * d_slot^times (coeff d^index) with the letters moved past
-    the coefficient and into the word, as (word, ``combine`` entry)
-    pairs: for an odd slot c crosses as a parity flip, and an odd square
-    is 0; a block of an even letter moves in one step, with no sign."""
-    odd = chart.coordinate_parity(slot)
-    sign = 0 if odd and times > 1 else letter_sign(chart, slot, index)
-    if not sign:
-        return []
-    word = index[:slot] + (index[slot] + times,) + index[slot + 1:]
-    if odd:
-        return [(word, (sign * weight, coeff, FLIP))]
-    return [(word, (sign * weight, coeff))]
-
-
-def letter_compose(chart: Chart, slot: int, index: MultiIndex,
-                   coeff: GradedPoly, weight: int = 1):
-    """weight * d_slot o (coeff d^index) in normal form, as (word,
-    ``combine`` entry) pairs, by the graded Leibniz rule
-
-        d_s o (c d^K)  =  (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K),
-
-    the first term a partial entry (none when no monomial of c holds
-    x_s), the last by ``_prepend``."""
-    tail = _prepend(chart, slot, index, coeff, 1, weight)
-    if reduce(or_, coeff.nums, 0) >> chart.shifts[slot] & FIELD_MASK:
-        return [(index, (weight, coeff, slot))] + tail
-    return tail
-
-
-def add_letter(chart: Chart, table, slot: int, terms, weight: int = 1):
-    """Add weight * d_slot o (sum of c d^K over ``terms``, word -> c) to
-    ``table`` (word -> list of ``combine`` entries), each term brought
-    to normal form by ``letter_compose``."""
-    for index, coeff in terms.items():
-        for word, entry in letter_compose(chart, slot, index, coeff, weight):
-            table.setdefault(word, []).append(entry)
-
-
 class _IndexedSum:
-    """Finite map multi-index -> base-function coefficient."""
+    """A finite sum of words with base-function coefficients, held as its
+    symbol (module docstring)."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_sigma", "_terms")
 
     def __init__(self, chart: Chart, terms: Dict[MultiIndex, GradedPoly] = None):
+        entries = []
+        for index, coeff in (terms or {}).items():
+            if not coeff:
+                continue
+            index = tuple(index)
+            _check_index(chart, index)
+            if coeff.chart != chart:
+                raise ValueError("chart mismatch in coefficient")
+            if not coeff.is_base_only():
+                raise ValueError("coefficients must be base functions")
+            entries.append((1, word_symbol(chart, index, coeff)))
         self.chart = chart
-        clean: Dict[MultiIndex, GradedPoly] = {}
-        if terms:
-            for index, coeff in terms.items():
-                if not coeff:
-                    continue
-                index = tuple(index)
-                _check_index(chart, index)
-                if coeff.chart != chart:
-                    raise ValueError("chart mismatch in coefficient")
-                if not coeff.is_base_only():
-                    raise ValueError("coefficients must be base functions")
-                clean[index] = coeff
-        self.terms = clean
+        self._sigma = combine(chart, entries)
+        self._terms = None
 
-    def _wrap(self, terms):
-        out = type(self).__new__(type(self))
-        out.chart = self.chart
-        out.terms = {i: c for i, c in terms.items() if c}
+    @classmethod
+    def from_symbol(cls, sigma: GradedPoly):
+        """The sum whose symbol is ``sigma`` (trusted: base and fiber
+        generators only)."""
+        out = cls.__new__(cls)
+        out.chart = sigma.chart
+        out._sigma = sigma
+        out._terms = None
         return out
 
     @classmethod
     def zero(cls, chart: Chart):
-        return cls(chart)
+        return cls.from_symbol(GradedPoly.zero(chart))
 
     @classmethod
     def from_word(cls, chart: Chart, index: MultiIndex, coeff=None):
@@ -188,109 +172,88 @@ class _IndexedSum:
         return cls(chart, {tuple(index): coeff})
 
     @classmethod
-    def from_table(cls, chart: Chart, table, div: int = 1) -> "_IndexedSum":
-        """The sum with coefficient combine(entries) / div at each word
-        of ``table`` (word -> list of ``combine`` entries)."""
-        return cls.zero(chart)._wrap({
-            word: combine(chart, entries, div)
-            for word, entries in table.items()})
-
-    @classmethod
     def function(cls, chart: Chart, f: GradedPoly):
         return cls(chart, {(0,) * chart.n: f})
 
-    def symbol(self) -> GradedPoly:
-        """sigma = sum_K rho(K) c_K y^K, in base and fiber generators."""
-        chart = self.chart
-        units = chart.unit[chart.n:2 * chart.n]
-        return combine(chart, [(symbol_sign(chart, index), c, GradedPoly._of(
-            chart, {sum([e * u for e, u in zip(index, units)]): 1}))
-            for index, c in self.terms.items()])
-
     @classmethod
-    def from_symbol(cls, sigma: GradedPoly):
-        """The sum whose ``symbol`` is ``sigma`` (no form generators): its
-        monomials grouped by their fiber part y^K, rho(K) times each
-        group's base part the coefficient of K."""
-        chart = sigma.chart
-        base = chart.base_mask
-        groups: Dict[int, Dict[int, int]] = {}
-        for k, v in sigma.nums.items():
-            groups.setdefault(k & ~base, {})[k & base] = v
-        terms = {}
-        for fiber, nums in groups.items():
-            index = tuple([fiber >> sh & FIELD_MASK
-                           for sh in chart.shifts[chart.n:2 * chart.n]])
-            if symbol_sign(chart, index) < 0:
-                nums = {k: -v for k, v in nums.items()}
-            terms[index] = GradedPoly._of(chart, nums, sigma.den)
-        return cls.zero(chart)._wrap(terms)
+    def from_vector_field(cls, field):
+        """Weight-one sum of anything with ``chart`` and a per-coordinate
+        ``components`` tuple of base functions."""
+        chart = field.chart
+        return cls(chart, {tuple(int(s == i) for s in range(chart.n)): comp
+                           for i, comp in enumerate(field.components)})
+
+    def symbol(self) -> GradedPoly:
+        return self._sigma
+
+    @property
+    def terms(self) -> Dict[MultiIndex, GradedPoly]:
+        """word -> coefficient, read off the symbol on first read (do not
+        mutate): its monomials grouped by their fiber part y^K, rho(K)
+        times each group's base part the coefficient of K."""
+        terms = self._terms
+        if terms is None:
+            chart = self.chart
+            sigma = self._sigma
+            base = chart.base_mask
+            groups: Dict[int, Dict[int, int]] = {}
+            for k, v in sigma.nums.items():
+                groups.setdefault(k & ~base, {})[k & base] = v
+            shifts = chart.shifts[chart.n:2 * chart.n]
+            terms = self._terms = {}
+            for fiber, nums in groups.items():
+                # rho(K) = -1 for 2 or 3 odd letters mod 4 (``symbol_sign``)
+                if (fiber & chart.odd_low).bit_count() & 2:
+                    nums = {k: -v for k, v in nums.items()}
+                terms[tuple([fiber >> sh & FIELD_MASK for sh in shifts])] = \
+                    GradedPoly._of(chart, nums, sigma.den)
+        return terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._sigma)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return self._sigma == other._sigma
 
     def __hash__(self):
-        return hash((type(self).__name__, self.chart,
-                     frozenset((i, hash(c)) for i, c in self.terms.items())))
+        return hash((type(self).__name__, self._sigma))
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        same_chart(self, other)
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            cur = out.get(i)
-            out[i] = c if cur is None else cur + c
-        return self._wrap(out)
+        return self.from_symbol(self._sigma + other._sigma)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._wrap({i: -c for i, c in self.terms.items()})
+        return self.from_symbol(-self._sigma)
 
     def scale(self, factor):
         """Left multiplication by a base function or scalar."""
         if isinstance(factor, GradedPoly):
             if not factor.is_base_only():
                 raise ValueError("left factor must be a base function")
-            return self._wrap({i: factor * c for i, c in self.terms.items()})
-        factor = Fraction(factor)
-        return self._wrap({i: c * factor for i, c in self.terms.items()})
+            return self.from_symbol(factor * self._sigma)
+        return self.from_symbol(self._sigma * Fraction(factor))
 
     def weight_part(self, w: int):
-        return self._wrap({i: c for i, c in self.terms.items()
-                           if mi_weight(i) == w})
+        return self.from_symbol(self._sigma.weight_layers().get(
+            w, GradedPoly.zero(self.chart)))
 
     def weight_le(self, w: int):
-        return self._wrap({i: c for i, c in self.terms.items()
-                           if mi_weight(i) <= w})
+        return self.from_symbol(self._sigma.up_to_weight(w))
 
     def homogeneous_components(self):
-        """Split by total degree (coefficient degree plus word degree)."""
-        buckets: Dict[int, Dict[MultiIndex, GradedPoly]] = {}
-        for index, coeff in self.terms.items():
-            wd = word_degree(self.chart, index)
-            for d, part in coeff.homogeneous_components().items():
-                dst = buckets.setdefault(d + wd, {})
-                cur = dst.get(index)
-                dst[index] = part if cur is None else cur + part
-        return {d: self._wrap(t) for d, t in sorted(buckets.items())}
-
-    def degree(self) -> int:
-        comps = self.homogeneous_components()
-        if not comps:
-            from .poly import DegreeUndefinedError
-            raise DegreeUndefinedError("zero element has no degree")
-        if len(comps) > 1:
-            from .poly import NotHomogeneousError
-            raise NotHomogeneousError(set(comps))
-        return next(iter(comps))
+        """Split by total degree (coefficient degree plus word degree; a
+        fiber generator counts minus its degree)."""
+        chart = self.chart
+        base = chart.base_mask
+        return {d: self.from_symbol(part) for d, part in self._sigma._split(
+            lambda k: _key_degree(chart, k & base)
+            - _key_degree(chart, k & ~base)).items()}
 
     def __repr__(self):
         from .grammar import format_indexed
@@ -302,17 +265,13 @@ class SymTensor(_IndexedSum):
     coordinate derivations."""
 
     def weight(self) -> int:
-        return max((mi_weight(i) for i in self.terms), default=0)
+        return max(self._sigma.nums, default=0) >> self.chart.weight_shift
 
-    def mul_letter_left(self, slot: int, times: int = 1) -> "SymTensor":
-        """Symmetric product by d_slot^times from the left (the letters
-        still cross each term's coefficient; an even block is one step)."""
-        table: Dict[MultiIndex, list] = {}
-        for index, coeff in self.terms.items():
-            for word, entry in _prepend(self.chart, slot, index, coeff,
-                                        times):
-                table.setdefault(word, []).append(entry)
-        return self.from_table(self.chart, table)
+    def __mul__(self, other):
+        """Symmetric product: the product of symbols."""
+        if type(other) is not SymTensor:
+            return NotImplemented
+        return SymTensor.from_symbol(self._sigma * other._sigma)
 
 
 class DiffOp(_IndexedSum):
@@ -322,28 +281,17 @@ class DiffOp(_IndexedSum):
     def identity(cls, chart: Chart) -> "DiffOp":
         return cls.function(chart, GradedPoly.constant(chart, 1))
 
-    @classmethod
-    def from_vector_field(cls, field) -> "DiffOp":
-        """Order-one operator of anything with ``chart`` and a
-        per-coordinate ``components`` tuple of base functions."""
-        chart = field.chart
-        terms: Dict[MultiIndex, GradedPoly] = {}
-        for i, comp in enumerate(field.components):
-            if comp:
-                terms[tuple(1 if s == i else 0 for s in range(chart.n))] = comp
-        return cls(chart, terms)
-
     def order(self):
-        """Filtration order; None for the zero operator."""
-        return max((mi_weight(i) for i in self.terms), default=None)
+        """Filtration order (a key's weight); None for the zero operator."""
+        if self._sigma:
+            return max(self._sigma.nums) >> self.chart.weight_shift
 
     def gr_leading(self) -> SymTensor:
         """Symbol: the top-order part reread as a symmetric tensor."""
         top = self.order()
         if top is None:
             return SymTensor.zero(self.chart)
-        return SymTensor(self.chart, {i: c for i, c in self.terms.items()
-                                      if mi_weight(i) == top})
+        return SymTensor.from_symbol(self._sigma.weight_layers()[top])
 
     def apply(self, f: GradedPoly) -> GradedPoly:
         if f.chart != self.chart:
@@ -361,26 +309,38 @@ class DiffOp(_IndexedSum):
         return combine(self.chart, entries)
 
     def compose(self, other: "DiffOp", max_order=None) -> "DiffOp":
-        """Operator product self o other in normal form, letter by letter:
-        for each term c d^I of self, the letters of I act on other's
-        table by ``letter_compose``, innermost (lowest slot) first, and c
-        multiplies the result on the left.
+        """Operator product self o other, the star product of symbols
+        (module docstring), with one term per distinct K, its letters
+        taken in ascending slot order on both factors.  A right
+        derivative by y_s is the left one followed by a parity flip for
+        an odd x_s; a K whose either factor vanishes is not extended.
 
         ``max_order`` None computes exactly; otherwise a product whose
         order exceeds ``max_order`` raises TruncationOverflowError (its
         top words are never dropped silently).
         """
         chart = same_chart(self, other)
-        out: Dict[MultiIndex, list] = {}
-        for index, c in self.terms.items():
-            table = other.terms
-            for slot in reversed(word_letters(index)):
-                step: Dict[MultiIndex, list] = {}
-                add_letter(chart, step, slot, table)
-                table = self.from_table(chart, step).terms
-            for word, coeff in table.items():
-                out.setdefault(word, []).append((1, c, coeff))
-        product = self.from_table(chart, out)
+        n = chart.n
+        terms = []  # (K!, sigma(self) <-d_y^K, d_x^K sigma(other))
+        # (K!, the two factors, last letter of K, its multiplicity)
+        stack = [(1, self._sigma, other._sigma, 0, 0)]
+        while stack:
+            fact, left, right, last, mult = stack.pop()
+            terms.append((fact, left, right))
+            for s in range(last, n):
+                odd = chart.coordinate_parity(s)
+                if s == last and odd and mult:
+                    continue
+                b = right.partial(s)
+                a = left.partial(n + s) if b else None
+                if a and odd:
+                    a = combine(chart, [(1, a, FLIP)])
+                if a:
+                    m = mult + 1 if s == last else 1
+                    stack.append((fact * m, a, b, s, m))
+        div = lcm(*[fact for fact, _, _ in terms])
+        product = self.from_symbol(combine(chart, [
+            (div // fact, a, b) for fact, a, b in terms], div))
         order = product.order()
         if max_order is not None and order is not None and order > max_order:
             raise TruncationOverflowError(
@@ -390,12 +350,7 @@ class DiffOp(_IndexedSum):
 
 def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
     """Symmetric product (vector field) (.) tensor, field on the left."""
-    chart = same_chart(field, tensor)
-    out = SymTensor.zero(chart)
-    for i, comp in enumerate(field.components):
-        if comp:
-            out = out + tensor.mul_letter_left(i).scale(comp)
-    return out
+    return SymTensor.from_vector_field(field) * tensor
 
 
 # ---------------------------------------------------------------------------
@@ -500,32 +455,27 @@ def comult_env(op: DiffOp) -> TensorSquare:
 
 def tensor_push_left(out: TensorSquare, pairs):
     """Accumulate the sum of left_op (x) right_op over ``pairs`` into
-    ``out`` in normal form: each right-slot coefficient crosses the left
-    slot with a Koszul sign and left-multiplies it.  Every key is summed
-    once, with its stored coefficient, by one ``combine``.
+    ``out`` in normal form: each right-slot coefficient f crosses the
+    left slot u with a Koszul sign and left-multiplies it.  Symbols are
+    graded-commutative and a term has its symbol's parity, so that is
+    sigma(u) . f:
 
-    The sign (-1)^(|f||u|) depends on parities only.  Each right
-    coefficient enters by its parity parts: an even part multiplies the
-    left coefficients as they are, an odd one the left table with its
-    odd parts negated (a term's parity is its coefficient's plus its
-    word's), built at most once per pair."""
-    gathered: Dict[Tuple[MultiIndex, MultiIndex], list] = {}
+        sigma((-1)^(|f||u|) f.u)  =  (-1)^(|f||u|) f . sigma(u)
+                                  =  sigma(u) . f.
+
+    The products paired with each right word are summed by one
+    ``combine`` and read back by left word; every key is then summed
+    once, with its stored coefficient."""
+    gathered: Dict[MultiIndex, list] = {}  # right word -> left entries
     for left_op, right_op in pairs:
-        chart = left_op.chart
-        flipped = None
-        for right_index, rcoeff in right_op.terms.items():
-            for par, g in parity_parts(rcoeff):
-                table = left_op.terms
-                if par:
-                    if flipped is None:
-                        flipped = {i: combine(chart, [
-                            (-1 if word_degree(chart, i) & 1 else 1, c,
-                             FLIP)]) for i, c in table.items()}
-                    table = flipped
-                for left_index, lcoeff in table.items():
-                    gathered.setdefault((left_index, right_index),
-                                        []).append((1, g, lcoeff))
-    out.add_table(gathered)
+        for right_index, f in right_op.terms.items():
+            gathered.setdefault(right_index, []).append(
+                (1, left_op.symbol(), f))
+    out.add_table({
+        (left_index, right_index): [(1, c)]
+        for right_index, entries in gathered.items()
+        for left_index, c in DiffOp.from_symbol(
+            combine(out.chart, entries)).terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .chart import Chart, same_chart
-from .enveloping import SymTensor, letter_sign, parity_parts
-from .poly import GradedPoly
+from .enveloping import SymTensor, letter_sign, word_symbol
+from .poly import FLIP, GradedPoly, combine
 
 
 class VectorField:
@@ -149,7 +149,7 @@ class Connection:
     j-th along the i-th; missing entries are zero.
     """
 
-    __slots__ = ("chart", "gamma", "torsion_free")
+    __slots__ = ("chart", "gamma", "torsion_free", "rows")
 
     def __init__(self, chart: Chart,
                  gamma: Dict[Tuple[int, int, int], GradedPoly] = None,
@@ -171,6 +171,10 @@ class Connection:
                     "degree %d" % (i + 1, j + 1, k + 1, want))
             table[(i, j, k)] = poly
         self.gamma = table
+        # (i, j) -> the nonzero (k, Gamma^k_ij), k ascending
+        self.rows: Dict[Tuple[int, int], list] = {}
+        for (i, j, k), poly in sorted(table.items()):
+            self.rows.setdefault((i, j), []).append((k, poly))
         self.torsion_free = bool(torsion_free)
         if self.torsion_free:
             self._check_symmetric()
@@ -293,17 +297,14 @@ def replacement_terms(conn: Connection, direction: int, index):
     before the block undoes the direction's crossing of them.
     """
     chart = conn.chart
-    gamma = conn.gamma
+    rows = conn.rows
     for slot in range(chart.n - 1, -1, -1):
         mult = index[slot]
-        if not mult:
+        if not mult or (direction, slot) not in rows:
             continue
         rest = index[:slot] + (mult - 1,) + index[slot + 1:]
         pulled = mult * letter_sign(chart, slot, rest)
-        for k in range(chart.n):
-            gam = gamma.get((direction, slot, k))
-            if gam is None:
-                continue
+        for k, gam in rows[direction, slot]:
             sign = letter_sign(chart, k, rest)
             if sign:  # else an odd letter repeated
                 yield (pulled * sign, gam,
@@ -312,46 +313,34 @@ def replacement_terms(conn: Connection, direction: int, index):
 
 def coordinate_replacement(conn: Connection, direction: int,
                            index) -> SymTensor:
-    """cov(d_direction, word of ``index``) as a tensor."""
-    table: Dict[Tuple[int, ...], list] = {}
-    for mult, gam, word in replacement_terms(conn, direction, index):
-        table.setdefault(word, []).append((mult, gam))
-    return SymTensor.from_table(conn.chart, table)
+    """cov(d_direction, word of ``index``) as a tensor: one ``combine``
+    of the symbols of the terms of ``replacement_terms``."""
+    chart = conn.chart
+    return SymTensor.from_symbol(combine(chart, [
+        (mult, word_symbol(chart, word, gam))
+        for mult, gam, word in replacement_terms(conn, direction, index)]))
 
 
 def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
     """The connection extended as a derivation of the symmetric product.
 
     By the Leibniz rule over ``coordinate_replacement``: with X = sum_i
-    X_i d_i, and p and q indexing the parity parts of X_i and of the
-    coefficient c,
+    X_i d_i,
 
-        cov(X, c w) = X(c) w + sum_i (-1)^(|X_i,p d_i| |c_q|)
-                                  c_q X_i,p cov(d_i, w).
+        cov(X, c w) = X(c) w + sum_i (-1)^(|X_i d_i| |c|) c X_i cov(d_i, w).
 
-    Only parities enter the signs, so coefficients are split by parity,
-    not by degree.
+    Base functions commute gradedly, so the signed c X_i is X_i times c
+    under a parity flip when x_i is odd; X(c) w has symbol X(c) sigma(w),
+    so the first terms are X applied to the whole symbol.  All terms are
+    one ``combine``.
     """
     chart = same_chart(conn, x, tensor)
-    pars = [chart.coordinate_parity(s) for s in range(chart.n)]
-    # the direction's components split by the parity of X_i,p d_i
-    xparts = [(i, [(p ^ pars[i], part) for p, part in parity_parts(comp)])
-              for i, comp in enumerate(x.components) if comp]
-    out: Dict[Tuple[int, ...], GradedPoly] = {}
-
-    def add(index, val):
-        cur = out.get(index)
-        out[index] = val if cur is None else cur + val
-
+    entries = [(1, x.apply(tensor.symbol()))]
     for index, coeff in tensor.terms.items():
-        dcoeff = x.apply(coeff)
-        if dcoeff:
-            add(index, dcoeff)
-        cparts = parity_parts(coeff)
-        for i, parts in xparts:
-            for word, g in coordinate_replacement(conn, i, index).terms.items():
-                for cpar, cpart in cparts:
-                    for xpar, xpart in parts:
-                        val = cpart * xpart * g
-                        add(word, -val if cpar & xpar else val)
-    return SymTensor.zero(chart)._wrap(out)
+        flipped = combine(chart, [(1, coeff, FLIP)])
+        for i, comp in enumerate(x.components):
+            cov = coordinate_replacement(conn, i, index).symbol()
+            if comp and cov:
+                entries.append((1, comp * (
+                    flipped if chart.coordinate_parity(i) else coeff), cov))
+    return SymTensor.from_symbol(combine(chart, entries))

@@ -25,7 +25,8 @@ from typing import List, Tuple
 
 from .chart import Chart
 from .poly import GradedPoly
-from .enveloping import DiffOp, SymTensor, TruncationOverflowError
+from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
+                         word_symbol)
 
 
 class ExprSyntaxError(ValueError):
@@ -69,6 +70,7 @@ class _Parser:
         self.chart = chart
         self.text = text
         self.mode = mode  # 'poly' | 'diffop' | 'sym'
+        self.kind = {"diffop": DiffOp, "sym": SymTensor}.get(mode)
         self.max_order = max_order  # operator order cap of a product
         self.tokens = _tokenize(text)
         self.i = 0
@@ -84,37 +86,22 @@ class _Parser:
         return tok
 
     # -- factor values in the target algebra -------------------------------
-    def _unit(self):
-        if self.mode == "poly":
-            return GradedPoly.constant(self.chart, 1)
-        if self.mode == "diffop":
-            return DiffOp.identity(self.chart)
-        return SymTensor.from_word(self.chart, (0,) * self.chart.n)
-
     def _mul(self, acc, factor):
-        if self.mode == "poly":
-            return acc * factor
-        if self.mode == "diffop":
-            if isinstance(factor, GradedPoly):
-                factor = DiffOp.function(self.chart, factor)
-            # composing peels the left word letter by letter: bound it first
-            orders = (acc.order() or 0, factor.order() or 0)
-            if self.max_order is not None and max(orders) > self.max_order:
-                raise TruncationOverflowError(
-                    "operator order %d exceeds bound %d"
-                    % (max(orders), self.max_order))
-            return acc.compose(factor)
-        if isinstance(factor, GradedPoly):
-            factor = SymTensor.function(self.chart, factor)
-        return _sym_mul(acc, factor)
+        if self.kind and isinstance(factor, GradedPoly):
+            factor = self.kind.from_symbol(factor)  # a base function
+        if self.mode != "diffop":
+            return acc * factor  # a symmetric product is one of symbols
+        # bound the operands before the product is formed
+        orders = (acc.order() or 0, factor.order() or 0)
+        if self.max_order is not None and max(orders) > self.max_order:
+            raise TruncationOverflowError(
+                "operator order %d exceeds bound %d"
+                % (max(orders), self.max_order))
+        return acc.compose(factor)
 
     def _scalar(self, c: Fraction):
-        if self.mode == "poly":
-            return GradedPoly.constant(self.chart, c)
-        if self.mode == "diffop":
-            return DiffOp.function(self.chart, GradedPoly.constant(self.chart, c))
-        return SymTensor.from_word(self.chart, (0,) * self.chart.n,
-                                   GradedPoly.constant(self.chart, c))
+        value = GradedPoly.constant(self.chart, c)
+        return self.kind.from_symbol(value) if self.kind else value
 
     def _generator(self, name: str, pos: int, exp: int, epos: int):
         """``name`` raised to ``exp``, built directly (an odd generator
@@ -133,19 +120,17 @@ class _Parser:
                 if self.mode != "diffop":
                     raise ExprSyntaxError("d[..] only valid in operator "
                                           "expressions", pos)
-                word = DiffOp.from_word
             elif head == "s":
                 if self.mode != "sym":
                     raise ExprSyntaxError("s[..] only valid in symmetric "
                                           "tensor expressions", pos)
-                word = SymTensor.from_word
             else:
                 raise ExprSyntaxError("unknown bracket generator %r" % head,
                                       pos)
             if exp > 1 and chart.coordinate_parity(idx):
                 return self._scalar(0)
-            return word(chart, tuple(exp if s == idx else 0
-                                     for s in range(chart.n)))
+            return self.kind.from_symbol(word_symbol(
+                chart, tuple(exp if s == idx else 0 for s in range(chart.n))))
         try:
             slot = chart.slot(name)
         except KeyError:
@@ -189,7 +174,7 @@ class _Parser:
         return total
 
     def _term(self):
-        acc = self._unit()
+        acc = self._scalar(1)
         while True:
             pos = self.peek()[2] if self.peek() else len(self.text)
             acc = self._mul(acc, self._factor())
@@ -203,9 +188,8 @@ class _Parser:
     def _check_base_degree(self, value, pos: int):
         """A coefficient product past the chart's base-degree bound B is
         an error at the factor that crossed it."""
-        coeffs = [value] if isinstance(value, GradedPoly) \
-            else value.terms.values()
-        degree = max((c.max_base_degree() for c in coeffs), default=0)
+        degree = (value if isinstance(value, GradedPoly)
+                  else value.symbol()).max_base_degree()
         limit = self.chart.truncation.max_base_degree
         if degree > limit:
             raise ExprSyntaxError("base degree %d exceeds chart bound %d"
@@ -241,22 +225,6 @@ class _Parser:
 
 def _negate(x):
     return -x
-
-
-def _sym_mul(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Symmetric product of parsed tensors: s[..] factor chains, and a
-    base function written to the right of a tensor (as a tensor of the
-    empty word).  Each term c W of a multiplies b by the letters of W,
-    last letter first, a power of one letter in one step, and then by c
-    on the left."""
-    out = SymTensor.zero(a.chart)
-    for index, coeff in a.terms.items():
-        prod = b
-        for slot, times in enumerate(index):
-            if times:
-                prod = prod.mul_letter_left(slot, times)
-        out = out + prod.scale(coeff)
-    return out
 
 
 def parse_poly(chart: Chart, text: str) -> GradedPoly:

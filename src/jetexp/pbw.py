@@ -22,25 +22,24 @@ with eps_s = ``enveloping.letter_sign`` of d_s on I - e_s.
 drive both the word images here and the values of ``fedosov.tau_pbw``.
 
 The recursion runs on symbols sigma(sum_K c_K d^K) = sum_K rho(K) c_K
-y^K (``enveloping.symbol_sign``).  Constant-coefficient derivations
-supercommute exactly as the fiber generators do, so the Leibniz rule
-d_s o (c d^K) = (d_s c) d^K + (-1)^(|x_s||c|) c (d_s d^K) reads
+y^K (``enveloping`` module docstring), where the Leibniz rule reads
 
     sigma(d_s o P)  =  partial_{x_s} sigma(P) + y_s . sigma(P),
 
 and a replacement term c_J exp(J) has symbol c_J . sigma(J): each word
 is one ``poly.combine`` of partial and product entries, divided by |I|
-once, and no word -> coefficient table is built.  ``map`` is one
-``combine`` of t_J . sigma(J).  The inverse peels symbols: the top
-weight layer of the remainder's symbol (a key's weight is the word
-order) is the next part of the tensor, and one ``combine`` subtracts its
-image, which lowers the order because symbols match exactly.
+once.  ``map`` is one ``combine`` of t_J . sigma(J).  The inverse peels
+symbols: the top weight layer of the remainder's symbol (a key's weight
+is the word order) is the next part of the tensor, and one ``combine``
+subtracts its image, which lowers the order because symbols match
+exactly.
 
-A context carries two memo tables, the only mutable state: word ->
-symbol, and word -> the operator ``word_image`` builds from it once.
-A missing entry is computed and stored by one ``dict.setdefault``,
-which is atomic, and the first value stored wins, so contexts can be
-shared across worker threads.
+A context carries one memo table, word -> symbol, the only mutable
+state; ``word_image`` wraps a symbol as an operator.  A missing word is
+filled from an explicit work stack, shorter words first, so the word
+length is not bounded by the interpreter's recursion limit.  Each word
+is stored by one ``dict.setdefault``, which is atomic, and the first
+value stored wins, so contexts can be shared across worker threads.
 
 A context created with the chart's default cap serves the map and its
 inverse up to weight Q; ``xi_form`` reads words one weight above the
@@ -54,7 +53,7 @@ from typing import Dict, Tuple
 from .chart import (Chart, mi_all_up_to, mi_factorial, mi_weight,
                     same_chart)
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         add_letter, letter_sign, word_degree)
+                         letter_sign, word_degree)
 from .geometry import Connection, replacement_terms
 from .poly import GradedPoly, combine, pack_monomial
 
@@ -70,8 +69,8 @@ def recursion_steps(chart: Chart, index):
 
 
 class PbwContext:
-    """Chart + connection + memoized basis-word symbols and operators
-    (first value stored wins; see the module docstring)."""
+    """Chart + connection + memoized basis-word symbols (first value
+    stored wins; see the module docstring)."""
 
     def __init__(self, chart: Chart, conn: Connection, max_weight: int = None):
         if conn.chart != chart:
@@ -83,41 +82,53 @@ class PbwContext:
         self._fiber = tuple(GradedPoly.generator(chart, chart.y_slot(s))
                             for s in range(chart.n))
         self._symbols: Dict[Tuple[int, ...], GradedPoly] = {}
-        self._images: Dict[Tuple[int, ...], DiffOp] = {}
 
     # -- basis words ---------------------------------------------------------
     def word_image(self, index) -> DiffOp:
-        """Image of the descending basis word of ``index`` (memoized)."""
-        index = tuple(index)
-        hit = self._images.get(index)
-        if hit is not None:
-            return hit
-        return self._images.setdefault(
-            index, DiffOp.from_symbol(self._symbol(index)))
+        """Image of the descending basis word of ``index``."""
+        return DiffOp.from_symbol(self._symbol(tuple(index)))
 
     def _symbol(self, index) -> GradedPoly:
-        """Symbol of the image of the word of ``index`` (memoized)."""
-        hit = self._symbols.get(index)
+        """Symbol of the image of the word of ``index`` (memoized).  A
+        missing word goes on a work stack below the missing words its
+        steps read, and is computed when it is back on top."""
+        symbols = self._symbols
+        hit = symbols.get(index)
         if hit is not None:
             return hit
-        return self._symbols.setdefault(index, self._compute_word(index))
+        stack = [(index, False)]
+        while stack:
+            word, ready = stack.pop()
+            if word in symbols:
+                continue
+            missing = [] if ready else [
+                dep for slot, rest, _ in recursion_steps(self.chart, word)
+                for dep in [rest] + [j for _, _, j in replacement_terms(
+                    self.conn, slot, rest)] if dep not in symbols]
+            if missing:
+                stack.append((word, True))
+                stack.extend((dep, False) for dep in missing)
+            else:
+                symbols.setdefault(word, self._compute_word(word))
+        return symbols[index]
 
     def _compute_word(self, index) -> GradedPoly:
         """One step of the recursion on symbols: for every step (s,
         I - e_s, w) the partial by x_s and the product by y_s of
         sigma(I - e_s) and, per replacement term (c, Gamma, J), the
         product -w * c * Gamma * sigma(J), all in one ``combine``
-        divided by |I|."""
+        divided by |I|; every shorter word is memoized."""
         chart = self.chart
         if not any(index):
             return GradedPoly.constant(chart, 1)
+        symbols = self._symbols
         entries = []
         for slot, rest, weight in recursion_steps(chart, index):
-            prev = self._symbol(rest)
+            prev = symbols[rest]
             entries.append((weight, prev, slot))
             entries.append((weight, self._fiber[slot], prev))
             for mult, gam, word in replacement_terms(self.conn, slot, rest):
-                entries.append((-weight * mult, gam, self._symbol(word)))
+                entries.append((-weight * mult, gam, symbols[word]))
         return combine(chart, entries, mi_weight(index))
 
     # -- the map and its inverse ----------------------------------------------
@@ -143,17 +154,17 @@ class PbwContext:
                 % (order, self.max_weight))
         chart = self.chart
         shift = chart.weight_shift
-        terms = {}
+        layers = []
         rem = op.symbol()
         while rem:
             k, layer = max(rem.weight_layers().items())
-            top = SymTensor.from_symbol(layer)
-            terms.update(top.terms)
+            layers.append((1, layer))
             rem = combine(chart, [(1, rem)] + [
-                (-1, c, self._symbol(word)) for word, c in top.terms.items()])
+                (-1, c, self._symbol(word))
+                for word, c in SymTensor.from_symbol(layer).terms.items()])
             if rem and max(rem.nums) >> shift >= k:
                 raise AssertionError("symbol peeling failed to lower order")
-        return SymTensor.zero(chart)._wrap(terms)
+        return SymTensor.from_symbol(combine(chart, layers))
 
 
 def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
@@ -174,7 +185,8 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
 
         <theta(d_i, word_I), y_k>  =  sum_J c_J * lambda_k(J)
 
-    over the terms c_J d^J of d_i o exp(I) (one ``add_letter`` table),
+    over the terms c_J d^J of d_i o exp(I), whose symbol is
+    partial_{x_i} sigma + y_i . sigma for sigma the symbol of exp(I),
     where lambda_k(J) is the coefficient at e_k of inv(d^J).  lambda is
     filled bottom-up over the words of weight at most one above the
     fiber weight: lambda(0) = 0, lambda_k(e_j) = delta_jk and, since
@@ -209,7 +221,7 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
             if word != skip:
                 for e, v in lam[word].items():
                     table.setdefault(e, []).append((scale, c, v))
-        return SymTensor.from_table(chart, table).terms
+        return {e: combine(chart, entries) for e, entries in table.items()}
 
     for index in words:
         if mi_weight(index) < 2:
@@ -225,13 +237,12 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
         y_mono = GradedPoly._of(chart, {pack_monomial(
             chart, (0,) * n + index + (0,) * n): 1}, mi_factorial(index))
         odd_word = word_degree(chart, index) & 1
-        image = ctx.word_image(index).terms
+        sigma = ctx._symbol(index)
         for i in range(n):
-            step: Dict[Tuple[int, ...], list] = {}
-            add_letter(chart, step, i, image)
+            step = DiffOp.from_symbol(combine(
+                chart, [(1, sigma, i), (1, ctx._fiber[i], sigma)]))
             sign = -1 if odd_word and chart.coordinate_parity(i) else 1
             dxi = GradedPoly.generator(chart, chart.dx_slot(i))
-            for e, coeff in inv_weight_one(
-                    DiffOp.from_table(chart, step).terms, 1).items():
+            for e, coeff in inv_weight_one(step.terms, 1).items():
                 components[e.index(1)].append((sign, dxi, y_mono * coeff))
     return tuple(combine(chart, entries) for entries in components)

@@ -20,9 +20,9 @@ from itertools import product
 from typing import Dict, List
 
 from .chart import Chart
-from .enveloping import SymTensor
+from .enveloping import SymTensor, word_symbol
 from .geometry import Connection, VectorField
-from .poly import GradedPoly, monomial_pq, pack_monomial
+from .poly import GradedPoly, combine, monomial_pq, pack_monomial
 
 
 def _sixths(rng: random.Random) -> int:
@@ -158,8 +158,9 @@ def random_symtensor(rng: random.Random, chart: Chart, max_weight: int,
         _draw_base_terms(rng, chart, table.setdefault(tuple(index), {}),
                          max_base, 2)
     # random_word keeps odd letters single, so no index needs checking
-    return SymTensor.zero(chart)._wrap({
-        index: _in_sixths(chart, nums) for index, nums in table.items()})
+    return SymTensor.from_symbol(combine(chart, [
+        (1, word_symbol(chart, index, _in_sixths(chart, nums)))
+        for index, nums in table.items()]))
 
 
 def random_torsion_free_connection(rng: random.Random,

@@ -50,11 +50,11 @@ from typing import Callable, List
 
 from .chart import Chart, koszul_sign
 from .enveloping import (DiffOp, SymTensor, TensorSquare, comult_env,
-                         comult_sym, sym_mul_vf, tensor_push_left)
+                         comult_sym, tensor_push_left)
 from .fedosov import (FedosovData, base_contraction, delta_inv_op, delta_op,
                       dnabla_images, project_weight, sigma_aug, tau_pbw,
                       vvf_action)
-from .geometry import Connection, VectorField
+from .geometry import Connection
 from .pbw import PbwContext, xi_form
 from .perturbation import (CheckResult, ContractionData, check_contraction,
                            run_check)
@@ -87,12 +87,19 @@ def _columns(chart: Chart, fn: Callable) -> Callable:
 # ---------------------------------------------------------------------------
 
 def morphism_sides(ctx: PbwContext, tensor: SymTensor):
-    """Both sides of the comultiplication identity for the map."""
+    """Both sides of the comultiplication identity for the map.  The
+    tensor product is additive in each slot, so the right side sums the
+    left factors of each right word into one operator first."""
+    chart = ctx.chart
     lhs = comult_env(ctx.map(tensor))
-    rhs = TensorSquare(ctx.chart, "env")
+    lefts = {}  # right word -> entries of its summed left factor
+    for (left, right), coeff in comult_sym(tensor).terms.items():
+        lefts.setdefault(right, []).append(
+            (1, coeff, ctx.word_image(left).symbol()))
+    rhs = TensorSquare(chart, "env")
     tensor_push_left(rhs, [
-        (ctx.word_image(left).scale(coeff), ctx.word_image(right))
-        for (left, right), coeff in comult_sym(tensor).terms.items()])
+        (DiffOp.from_symbol(combine(chart, entries)), ctx.word_image(right))
+        for right, entries in lefts.items()])
     return lhs, rhs
 
 
@@ -152,7 +159,8 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool,
             perm = [p for p in range(length) if p not in (j, k)] + [j, k]
             pair = letters[j], letters[k]
             signs[pair] = signs.get(pair, 0) + koszul_sign(perm, degrees)
-    correction = SymTensor.zero(chart) if invert else DiffOp.zero(chart)
+    kind = SymTensor if invert else DiffOp
+    correction = kind.zero(chart)
     for (a, b), eps in signs.items():
         nabla = conn.christoffel_field(a, b) if eps else None
         if not nabla:
@@ -160,12 +168,9 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool,
         rest = list(letters)
         rest.remove(a)
         rest.remove(b)
-        if invert:
-            term = _append_word(chart, rest, nabla)
-        else:
-            term = DiffOp.from_word(
-                chart, _word_index(chart, rest)).compose(
-                DiffOp.from_vector_field(nabla))
+        head = kind.from_word(chart, _word_index(chart, rest))
+        tail = kind.from_vector_field(nabla)  # appended as the last factor
+        term = head * tail if invert else head.compose(tail)
         correction = correction + term.scale(eps)
     if invert:
         residual = (inv or ctx.inv)(product) - word - correction
@@ -174,16 +179,6 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool,
     if not residual:
         return True
     return residual.order() <= length - 2
-
-
-def _append_word(chart: Chart, letters, field: VectorField) -> SymTensor:
-    """Symmetric word of ``letters`` with the field appended as the last
-    factor (field's coefficients cross the whole word)."""
-    tail = sym_mul_vf(field, SymTensor.from_word(chart, (0,) * chart.n))
-    out = tail
-    for s in reversed(letters):
-        out = out.mul_letter_left(s)
-    return out
 
 
 def suite_symbols(chart: Chart, conn: Connection, seed: int,

@@ -13,10 +13,9 @@ counting instead of the integer-numerator bitmask kernel, operator word
 images applied to a function instead of the recursion evaluated on
 values, a symmetric word built letter by letter instead of by index
 arithmetic, operator products by peeling letters through each
-coefficient and merging words by ``merge_words`` instead of applying
-each letter to the whole operator by ``letter_compose``, the operator
-products d_s o W of a word image summed as operators instead of into
-one table, the symmetrization of a word of vector fields as the average
+coefficient and merging words by ``merge_words`` instead of the star
+product of symbols, the operator products d_s o W of a word image
+summed as operators instead of as one symbol, the symmetrization of a word of vector fields as the average
 over all orderings, the comultiplication built by left multiplications
 of tensor squares or summed over all 2^k bitmask splits of a word
 instead of once per distinct split, the square of the dual covariant
@@ -30,7 +29,9 @@ pairing instead of a table of the weight-one parts of inv(d^J), parity
 and filtering read off exponent tuples instead of packed keys, the
 augmentation and the correction of a chart with solvable geodesics as
 closed-form series in Bernoulli and factorial coefficients instead of
-any recursion, series or solve) so frozen expectations in the tests do
+any recursion, series or solve, the augmentation as the exponential of
+the geodesic spray applied by the positional Leibniz rule instead of
+the word-image recursion or the perturbation series) so frozen expectations in the tests do
 not share code with the implementation they check.
 """
 
@@ -66,8 +67,7 @@ def merge_words(chart, a, b):
     Returns (0, None) when an odd derivation would repeat.  In a
     descending word the right block's letters cross exactly the left
     block's letters with *smaller* coordinate index on their way to
-    canonical position.  (The library moves one letter at a time by
-    ``enveloping.letter_sign``.)
+    canonical position.  (The library multiplies the words' symbols.)
     """
     inv = 0
     for v, bv in enumerate(b):
@@ -253,6 +253,30 @@ def derivation_apply(f, images, parity):
     return out
 
 
+def geodesic_spray_tau(conn, f, weight, gamma_first=False):
+    """The augmentation as the exponential of the geodesic spray:
+    tau(f) = sum_{m <= weight} V^m(f) / m!, with V the even derivation
+    x_i -> y_i, y_k -> -sum_{i,j} y_i y_j Gamma^k_ij (in this order of
+    factors; ``gamma_first`` puts Gamma in front, a negative control)
+    and form generators -> 0, applied by ``derivation_apply``.  V raises
+    the fiber weight by one, so V^m(f) of a base function has weight m.
+    (The library runs the word-image recursion on values, or the
+    perturbation series.)"""
+    chart = conn.chart
+    n = chart.n
+    y = [GradedPoly.generator(chart, chart.y_slot(i)) for i in range(n)]
+    images = y + [GradedPoly.zero(chart)] * n + [None] * n
+    for (i, j, k), gam in conn.gamma.items():
+        pair = fraction_mul(y[i], y[j])
+        images[n + k] = images[n + k] - (
+            fraction_mul(gam, pair) if gamma_first else fraction_mul(pair, gam))
+    out = term = f
+    for m in range(1, weight + 1):
+        term = derivation_apply(term, images, 0) * Fraction(1, m)
+        out = out + term
+    return out
+
+
 def derive_delta(f):
     """The lowering map as the generator table y_i -> dx_i applied by
     ``GradedPoly.derive``.  (The library exchanges slots in one pass,
@@ -352,7 +376,7 @@ def sym_word_product(chart, slots):
 
     out = SymTensor.from_word(chart, (0,) * chart.n)
     for slot in reversed(list(slots)):
-        out = out.mul_letter_left(slot)
+        out = degree_split_mul_letter_left(out, slot)
     return out
 
 
@@ -414,8 +438,7 @@ def per_letter_word_times_function(chart, index, g):
     word -> coefficient, peeling one derivation at a time by the graded
     Leibniz rule d_i o m_f = m_{d_i f} + (-1)^(|x_i||f|) m_f o d_i, the
     word merged by ``merge_words``.  (The library's ``DiffOp.compose``
-    applies each letter to the whole right operator by
-    ``letter_compose``, the new word ordered by ``letter_sign``.)"""
+    is the star product of symbols.)"""
     out = {}
     if not g:
         return out
@@ -466,8 +489,7 @@ def compose_word_image(ctx, index):
     with one term per distinct letter (like the library), each d_s o W
     formed by ``per_letter_compose`` and each term summed and scaled as
     an operator; shorter words come from the context.  (The library
-    forms d_s o W by ``letter_compose`` and sums every term of the step
-    in one table.)"""
+    sums every term of the step as one symbol.)"""
     from jetexp.chart import mi_weight
     from jetexp.enveloping import DiffOp
     from jetexp.geometry import coordinate_replacement
@@ -601,9 +623,9 @@ def degree_split_tensor_push_left(out, left_op, right_op):
 
 
 def degree_split_mul_letter_left(tensor, slot):
-    """``SymTensor.mul_letter_left`` over the degree-homogeneous parts of
-    each coefficient, the parity read off each part, and the word
-    merged by ``merge_words``."""
+    """The symmetric product d_slot (.) tensor over the degree-homogeneous
+    parts of each coefficient, the parity read off each part, and the
+    word merged by ``merge_words``.  (The library multiplies symbols.)"""
     chart = tensor.chart
     par = chart.coordinate_parity(slot)
     unit = tuple(int(s == slot) for s in range(chart.n))

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -319,3 +321,19 @@ def test_long_word_image_stays_fast():
     assert time.perf_counter() - start < 3
     assert code == 0
     assert text.startswith("d[x]^32 - 496*x*d[x]^31")
+
+
+def test_long_word_image_needs_no_deep_recursion():
+    # the word symbols are filled from a work stack, not by recursion, so
+    # a word of weight 150 maps under a recursion limit of 200
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; sys.setrecursionlimit(200); "
+            "from jetexp.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "pbw", "--max-weight", "155", "--chart",
+         chart("line_curved.chart"), "s[x]^150"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.startswith("d[x]^150 - 11175*x*d[x]^149")

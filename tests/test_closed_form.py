@@ -15,8 +15,8 @@ from jetexp.pbw import PbwContext, xi_form
 from jetexp.poly import GradedPoly
 
 from oracles import (bernoulli_numbers, fraction_mul, geodesic_correction,
-                     geodesic_correction_series, geodesic_form, geodesic_tau,
-                     t_cot_coefficients)
+                     geodesic_correction_series, geodesic_form,
+                     geodesic_spray_tau, geodesic_tau, t_cot_coefficients)
 
 
 def geodesic_chart(d, c, weight):
@@ -103,3 +103,13 @@ def test_cli_fedosov_records_are_the_bernoulli_series(tmp_path):
     want += ["A i=2 J=(%d,0) k=2 coeff=%s" % (2 * k, a)
              for k, a in enumerate(coeffs, 1)]
     assert out.getvalue().splitlines() == want + ["D2_RESIDUAL 0"]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, -1])
+@pytest.mark.parametrize("c", [1, Fraction(-2, 3)])
+def test_geodesic_spray_matches_the_closed_form(d, c):
+    weight = 12
+    chart, conn = geodesic_chart(d, c, weight)
+    for slot, tau in enumerate(geodesic_tau(chart, c, weight)):
+        x = GradedPoly.generator(chart, slot)
+        assert geodesic_spray_tau(conn, x, weight) == tau

@@ -6,12 +6,11 @@ import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weight
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                               comult_env, comult_sym, letter_compose,
-                               letter_sign, pairing, parity_parts, sym_mul_vf,
-                               symbol_sign, tensor_push_left, TensorSquare,
-                               word_letters)
+                               comult_env, comult_sym, letter_sign, pairing,
+                               parity_parts, sym_mul_vf, symbol_sign,
+                               tensor_push_left, TensorSquare, word_letters)
 from jetexp.geometry import VectorField
-from jetexp.poly import GradedPoly, combine
+from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_symtensor,
                               random_vector_field)
 
@@ -68,8 +67,8 @@ def test_compose_examples(line, mixed):
 
 
 def test_compose_peels_long_blocks_at_once():
-    # a long word is applied one letter at a time in a loop, not by
-    # recursion, so d[x]^1200 o x takes 1200 cheap steps
+    # the star product forms one term per distinct K that both factors
+    # survive, so d[x]^1200 o x is two terms, with no recursion
     from jetexp.grammar import parse_diffop
     chart, _ = build_chart("line_curved")
     x = x_of(chart)
@@ -92,9 +91,9 @@ def test_compose_matches_per_letter_oracle(name, rng):
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
 def test_letter_compose_matches_general_product(name):
-    # d_s o W by the one-letter Leibniz rule against the oracle's
-    # operator product, on operators whose coefficients are even, odd and
-    # mixed
+    # d_s o W by the star product against the oracle's operator product
+    # and against the one-letter Leibniz rule on symbols, on operators
+    # whose coefficients are even, odd and mixed
     chart, _ = build_chart(name)
     rng = random.Random(20261018)
     odd = [GradedPoly.generator(chart, s) for s in chart.odd_slots
@@ -110,16 +109,14 @@ def test_letter_compose_matches_general_product(name):
                 mixed_seen |= len(parity_parts(coeff)) == 2
             terms[index] = coeff
         op = DiffOp(chart, terms)
+        sigma = op.symbol()
         for slot in range(chart.n):
-            table = {}
-            for word, coeff in op.terms.items():
-                for new, entry in letter_compose(chart, slot, word, coeff):
-                    table.setdefault(new, []).append(entry)
-            got = {new: combine(chart, entries)
-                   for new, entries in table.items()}
             unit = tuple(1 if s == slot else 0 for s in range(chart.n))
-            assert DiffOp(chart, got) == \
-                per_letter_compose(DiffOp.from_word(chart, unit), op)
+            letter = DiffOp.from_word(chart, unit)
+            got = letter.compose(op)
+            assert got == per_letter_compose(letter, op)
+            y = GradedPoly.generator(chart, chart.y_slot(slot))
+            assert got.symbol() == sigma.partial(slot) + y * sigma
     assert mixed_seen or not odd
 
 
@@ -469,11 +466,16 @@ def test_mul_letter_left_matches_degree_split_oracle(name, data):
     tensor = data.draw(indexed(SymTensor, chart))
     for slot in range(chart.n):
         for t in (tensor, odd_parts(tensor)):
+            # the symmetric product by d_s, twice (an odd square is 0),
+            # and by an even d_s^2 in one step
+            unit = tuple(int(s == slot) for s in range(chart.n))
+            letter = SymTensor.from_word(chart, unit)
             once = degree_split_mul_letter_left(t, slot)
-            assert t.mul_letter_left(slot) == once
-            # a power of one letter in one step; an odd square is 0
-            assert t.mul_letter_left(slot, 2) == \
-                degree_split_mul_letter_left(once, slot)
+            twice = degree_split_mul_letter_left(once, slot)
+            assert letter * t == once and letter * once == twice
+            if not chart.coordinate_parity(slot):
+                assert SymTensor.from_word(
+                    chart, tuple(2 * e for e in unit)) * t == twice
 
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)

@@ -24,7 +24,8 @@ from jetexp.randomgen import (random_base_poly, random_section,
 
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import (derivation_apply, dual_curvature_action, filter_terms,
-                     fixed_point_correction, tau_by_word_images)
+                     fixed_point_correction, geodesic_spray_tau,
+                     tau_by_word_images)
 
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
 
@@ -480,6 +481,40 @@ def test_tau_pbw_matches_word_image_oracle(name, charts, rng):
         for f in _functions_with_odd_parts(rng, chart, 3):
             assert tau_pbw(ctx, f, weight) == \
                 tau_by_word_images(ctx, f, weight)
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_tau_is_the_exponential_of_the_geodesic_spray(name, charts, rng):
+    # Emmrich-Weinstein: the augmentation is exp(V) for the spray V, on
+    # the coordinates and on seeded functions with odd parts, against
+    # both routes at the chart's weight
+    chart, conn = charts[name]
+    weight = chart.truncation.max_sym_weight
+    ctx = PbwContext(chart, conn, max_weight=weight)
+    fd = FedosovData(conn, weight)
+    coordinates = [GradedPoly.generator(chart, s) for s in range(chart.n)]
+    for f in coordinates + _functions_with_odd_parts(rng, chart, 2):
+        want = geodesic_spray_tau(conn, f, weight)
+        assert tau_pbw(ctx, f, weight) == want
+        assert fd.tau_series(f) == want
+
+
+def test_geodesic_spray_negative_controls():
+    # Gamma in front of y_i y_j differs where an odd Christoffel entry
+    # meets an odd pair of fiber generators, and a spray without its
+    # Gamma term is the flat one
+    chart, conn = build_chart("three_degrees")
+    weight = chart.truncation.max_sym_weight
+    ctx = PbwContext(chart, conn, max_weight=weight)
+    z = GradedPoly.generator(chart, 2)
+    assert geodesic_spray_tau(conn, z, weight) == tau_pbw(ctx, z, weight)
+    assert geodesic_spray_tau(conn, z, weight, gamma_first=True) != \
+        tau_pbw(ctx, z, weight)
+    chart, conn = build_chart("line_curved")
+    ctx = PbwContext(chart, conn)
+    x = GradedPoly.generator(chart, 0)
+    assert geodesic_spray_tau(Connection.flat(chart), x, 5) != \
+        tau_pbw(ctx, x, 5)
 
 
 def test_homotopy_identities(charts, rng):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import (ChartFileError, load_chart_file,
                               parse_chart_file)
-from jetexp.enveloping import DiffOp, SymTensor
+from jetexp.enveloping import DiffOp, SymTensor, TruncationOverflowError
 from jetexp.grammar import (ExprSyntaxError, format_diffop, format_poly,
                             format_symtensor, parse_diffop, parse_poly,
                             parse_symtensor)
@@ -154,8 +154,14 @@ def test_base_degree_bound_enforced_on_parse(mixed):
     assert not parse_poly(mixed, "t^99999999")
     assert not parse_symtensor(mixed, "s[t]^99999999")
     assert not parse_diffop(mixed, "d[t]^2")
-    assert parse_symtensor(mixed, "s[x]^99999999") == \
-        SymTensor.from_word(mixed, (99999999, 0))
+    # a word is held in its symbol's packed fields: a bracket power up to
+    # FIELD_MAX is one word, past it a truncation overflow
+    assert parse_symtensor(mixed, "s[x]^32767") == \
+        SymTensor.from_word(mixed, (32767, 0))
+    for build in (lambda: parse_symtensor(mixed, "s[x]^99999999"),
+                  lambda: SymTensor.from_word(mixed, (99999999, 0))):
+        with pytest.raises(TruncationOverflowError):
+            build()
     assert parse_diffop(mixed, "d[x]^3") == \
         parse_diffop(mixed, "d[x]*d[x]*d[x]")
 

@@ -158,7 +158,7 @@ def test_word_images_match_per_letter_oracle(name, charts, contexts):
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
 def test_word_images_match_general_product_oracle(name, charts, contexts):
     # each d_s o W by the oracle's operator product and summed as
-    # operators against the library's one-letter rule summed in one table
+    # operators against the library's one-letter rule on symbols
     chart, conn = charts[name]
     ctx = contexts[name]
     for index in admissible_words(chart, chart.truncation.max_sym_weight):
