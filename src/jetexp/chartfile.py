@@ -19,8 +19,11 @@ Format (``#`` starts a comment, blank lines ignored, ``=`` optional):
     1 1 2 x2      # i j k polynomial   (1-based indices, chart grammar)
 
 Christoffel degree constraints are validated on load, as is graded
-symmetry when the torsion-free flag is set.  Q, P and B are at most
-``chart.FIELD_MAX``, the largest exponent a packed monomial holds.
+symmetry when the torsion-free flag is set; a failure names the line of
+the least failing triple's entry.  Q, P and B are at most
+``chart.FIELD_MAX``, the largest exponent a packed monomial holds.  A
+coordinate name, a truncation key or the flag given twice is an error
+at its second line, and the flag reads only true/false, yes/no or 1/0.
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ from __future__ import annotations
 from typing import Tuple
 
 from .chart import FIELD_MAX, Chart, Truncation
-from .geometry import Connection
+from .geometry import ChristoffelError, Connection
 from .grammar import ExprSyntaxError, parse_poly
 from .poly import TruncationOverflowError
+
+
+_FLAG_VALUES = {"true": True, "yes": True, "1": True,
+                "false": False, "no": False, "0": False}
 
 
 class ChartFileError(ValueError):
@@ -40,9 +47,9 @@ class ChartFileError(ValueError):
 
 
 def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
-    coords = []
+    coords = {}  # name -> degree
     trunc = {}
-    flags = {"torsion_free": True}
+    flags = {}
     christoffel = []  # (line_no, i, j, k, poly text)
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -59,14 +66,19 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
         if section == "coordinates":
             if len(fields) != 2:
                 raise ChartFileError("expected 'name degree'", line_no)
+            if fields[0] in coords:
+                raise ChartFileError("repeated coordinate %r" % fields[0],
+                                     line_no)
             try:
-                coords.append((fields[0], int(fields[1])))
+                coords[fields[0]] = int(fields[1])
             except ValueError:
                 raise ChartFileError("bad degree %r" % fields[1],
                                      line_no) from None
         elif section == "truncation":
             if len(fields) != 2 or fields[0] not in ("Q", "P", "B"):
                 raise ChartFileError("expected 'Q|P|B value'", line_no)
+            if fields[0] in trunc:
+                raise ChartFileError("repeated %s" % fields[0], line_no)
             try:
                 trunc[fields[0]] = int(fields[1])
             except ValueError:
@@ -79,7 +91,13 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
             if len(fields) != 2 or fields[0] != "torsion_free":
                 raise ChartFileError("expected 'torsion_free true|false'",
                                      line_no)
-            flags["torsion_free"] = fields[1].lower() in ("true", "1", "yes")
+            if fields[0] in flags:
+                raise ChartFileError("repeated %s" % fields[0], line_no)
+            value = _FLAG_VALUES.get(fields[1].lower())
+            if value is None:
+                raise ChartFileError("bad flag value %r" % fields[1],
+                                     line_no)
+            flags[fields[0]] = value
         elif section == "christoffel":
             if len(fields) < 4:
                 raise ChartFileError("expected 'i j k polynomial'", line_no)
@@ -98,11 +116,13 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
         raise ChartFileError("truncation incomplete, missing %s"
                              % ", ".join(sorted(missing)), 0)
     try:
-        chart = Chart(coords, Truncation(trunc["Q"], trunc["P"], trunc["B"]))
+        chart = Chart(coords.items(),
+                      Truncation(trunc["Q"], trunc["P"], trunc["B"]))
     except ValueError as exc:
         raise ChartFileError(str(exc), 0) from None
 
     gamma = {}
+    lines = {}  # triple -> the line of its first entry
     for line_no, i, j, k, poly_text in christoffel:
         for idx in (i, j, k):
             if not 1 <= idx <= chart.n:
@@ -118,10 +138,16 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
                                  "functions", line_no)
         key = (i - 1, j - 1, k - 1)
         gamma[key] = gamma.get(key, poly * 0) + poly
+        lines.setdefault(key, line_no)
     try:
-        conn = Connection(chart, gamma, torsion_free=flags["torsion_free"])
-    except ValueError as exc:
-        raise ChartFileError(str(exc), 0) from None
+        conn = Connection(chart, gamma,
+                          torsion_free=flags.get("torsion_free", True))
+    except ChristoffelError as exc:
+        # a symmetry failure names (i, j, k) with i <= j; the file may
+        # give only its mirror (j, i, k)
+        i, j, k = exc.triple
+        line = lines.get(exc.triple) or lines[j, i, k]
+        raise ChartFileError(str(exc), line) from None
     return chart, conn
 
 

@@ -141,6 +141,15 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return out
 
 
+class ChristoffelError(ValueError):
+    """A Christoffel table that breaks the degree or symmetry rule;
+    ``triple`` is the least failing (i, j, k), 0-based."""
+
+    def __init__(self, message: str, triple: Tuple[int, int, int]):
+        super().__init__(message)
+        self.triple = triple
+
+
 class Connection:
     """Christoffel table on the chart.
 
@@ -156,7 +165,9 @@ class Connection:
                  torsion_free: bool = True):
         self.chart = chart
         table: Dict[Tuple[int, int, int], GradedPoly] = {}
-        for (i, j, k), poly in (gamma or {}).items():
+        # (i, j) -> the nonzero (k, Gamma^k_ij), k ascending
+        self.rows: Dict[Tuple[int, int], list] = {}
+        for (i, j, k), poly in sorted((gamma or {}).items()):
             if not poly:
                 continue
             if poly.chart != chart:
@@ -166,15 +177,12 @@ class Connection:
             want = (chart.coordinate_degree(k) - chart.coordinate_degree(i)
                     - chart.coordinate_degree(j))
             if poly.degree() != want:
-                raise ValueError(
+                raise ChristoffelError(
                     "Christoffel entry (%d,%d,%d) must be homogeneous of "
-                    "degree %d" % (i + 1, j + 1, k + 1, want))
+                    "degree %d" % (i + 1, j + 1, k + 1, want), (i, j, k))
             table[(i, j, k)] = poly
-        self.gamma = table
-        # (i, j) -> the nonzero (k, Gamma^k_ij), k ascending
-        self.rows: Dict[Tuple[int, int], list] = {}
-        for (i, j, k), poly in sorted(table.items()):
             self.rows.setdefault((i, j), []).append((k, poly))
+        self.gamma = table
         self.torsion_free = bool(torsion_free)
         if self.torsion_free:
             self._check_symmetric()
@@ -200,10 +208,10 @@ class Connection:
             if chart.coordinate_parity(i) and chart.coordinate_parity(j):
                 b = -b
             if a != b:
-                raise ValueError(
+                raise ChristoffelError(
                     "torsion_free flag set but Christoffel table is "
                     "not graded-symmetric at (%d,%d,%d)"
-                    % (i + 1, j + 1, k + 1))
+                    % (i + 1, j + 1, k + 1), (i, j, k))
 
     def entry(self, i: int, j: int, k: int) -> GradedPoly:
         return self.gamma.get((i, j, k), GradedPoly.zero(self.chart))

@@ -37,7 +37,9 @@ exactly.
 A context carries one memo table, word -> symbol, the only mutable
 state; ``word_image`` wraps a symbol as an operator.  A missing word is
 filled from an explicit work stack, shorter words first, so the word
-length is not bounded by the interpreter's recursion limit.  Each word
+length is not bounded by the interpreter's recursion limit; its steps
+and their replacement terms are read once, and the word waits on the
+stack with them while the words they read are filled.  Each word
 is stored by one ``dict.setdefault``, which is atomic, and the first
 value stored wins, so contexts can be shared across worker threads.
 
@@ -90,44 +92,49 @@ class PbwContext:
 
     def _symbol(self, index) -> GradedPoly:
         """Symbol of the image of the word of ``index`` (memoized).  A
-        missing word goes on a work stack below the missing words its
-        steps read, and is computed when it is back on top."""
+        missing word goes on a work stack, with its steps, below the
+        missing words they read, and is computed from those steps when
+        it is back on top."""
         symbols = self._symbols
         hit = symbols.get(index)
         if hit is not None:
             return hit
-        stack = [(index, False)]
+        stack = [(index, None)]
         while stack:
-            word, ready = stack.pop()
+            word, steps = stack.pop()
             if word in symbols:
                 continue
-            missing = [] if ready else [
-                dep for slot, rest, _ in recursion_steps(self.chart, word)
-                for dep in [rest] + [j for _, _, j in replacement_terms(
-                    self.conn, slot, rest)] if dep not in symbols]
-            if missing:
-                stack.append((word, True))
-                stack.extend((dep, False) for dep in missing)
-            else:
-                symbols.setdefault(word, self._compute_word(word))
+            if steps is None:
+                steps = [(slot, rest, weight,
+                          tuple(replacement_terms(self.conn, slot, rest)))
+                         for slot, rest, weight
+                         in recursion_steps(self.chart, word)]
+                missing = [dep for _, rest, _, terms in steps
+                           for dep in [rest] + [j for _, _, j in terms]
+                           if dep not in symbols]
+                if missing:
+                    stack.append((word, steps))
+                    stack.extend((dep, None) for dep in missing)
+                    continue
+            symbols.setdefault(word, self._compute_word(word, steps))
         return symbols[index]
 
-    def _compute_word(self, index) -> GradedPoly:
+    def _compute_word(self, index, steps) -> GradedPoly:
         """One step of the recursion on symbols: for every step (s,
-        I - e_s, w) the partial by x_s and the product by y_s of
-        sigma(I - e_s) and, per replacement term (c, Gamma, J), the
-        product -w * c * Gamma * sigma(J), all in one ``combine``
-        divided by |I|; every shorter word is memoized."""
+        I - e_s, w, replacement terms) the partial by x_s and the product
+        by y_s of sigma(I - e_s) and, per replacement term (c, Gamma, J),
+        the product -w * c * Gamma * sigma(J), all in one ``combine``
+        divided by |I|; every word the steps read is memoized."""
         chart = self.chart
-        if not any(index):
+        if not steps:
             return GradedPoly.constant(chart, 1)
         symbols = self._symbols
         entries = []
-        for slot, rest, weight in recursion_steps(chart, index):
+        for slot, rest, weight, terms in steps:
             prev = symbols[rest]
             entries.append((weight, prev, slot))
             entries.append((weight, self._fiber[slot], prev))
-            for mult, gam, word in replacement_terms(self.conn, slot, rest):
+            for mult, gam, word in terms:
                 entries.append((-weight * mult, gam, symbols[word]))
         return combine(chart, entries, mi_weight(index))
 

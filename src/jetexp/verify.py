@@ -3,11 +3,11 @@
 Each suite runs a family of exact identities on seeded random data and
 returns a list of check results (``perturbation.CheckResult``, each
 built by ``perturbation.run_check``, the runner the contraction checks
-use too); a FAIL carries a printable witness.  Every suite takes
-(chart, conn, seed, weight), and ``run_suite`` looks them up in one
-table: it resolves a missing weight to the chart's Q, and on a
-torsionful connection it returns a single SKIP entry for each suite
-whose statements need a torsion-free one instead of running it.
+use too); a FAIL carries a printable witness.  Every suite takes (a
+session, seed), and ``run_suite`` looks them up in one table: it
+resolves a missing weight to the chart's Q, and on a torsionful
+connection it returns a single SKIP entry for each suite whose
+statements need a torsion-free one instead of running it.
 
 Suites:
 
@@ -28,24 +28,25 @@ Suites:
                    homotopy against the perturbation-lemma fixed point
                    h' = h - h.partial.h' in the unperturbed maps
 
-Work shared between the checks of a suite is computed once inside one
-suite call and dropped when it returns.  ``perturbation.run_check`` runs
-each distinct sample once (the drawn words repeat).  Both augmentation
-routes are linear over constants, so each is evaluated once per distinct
-base monomial and a function's augmentation is one ``combine`` of those
-columns (``_columns``): the series augmentation of the flat contraction
-and of the transfer, and tau_pbw, each in a table of its own.  The
-homotopy of each section is summed once (``_memo``), the symbols suite
-runs ``PbwContext.map`` and ``inv`` once per distinct argument, and the
-flat-connection suite builds its dnabla table once.  Nothing is cached
-across calls, and no route reads another's table, so the independent
-routes (tau_pbw against the series, the projected full products against
-d_apply) stay independent.
+One ``run_suite`` call builds one session (``_Session``) and passes it
+to every suite it runs, so the five suites of ``all`` share its flat
+structure, its context and its memos: they draw overlapping samples from
+the same seed, and a value one suite computed is read by the next.  The
+session is dropped when the call returns; nothing outlives it.
+``perturbation.run_check`` runs each distinct sample once (the drawn
+words repeat).  Both augmentation routes are linear over constants, so
+each is evaluated once per distinct base monomial and a function's
+augmentation is one ``combine`` of those columns (``_columns``): the
+series augmentation and tau_pbw, each in a table of its own.  The
+flat-connection suite builds its own dnabla table.  No route reads
+another's table, so the independent routes (tau_pbw against the series,
+the projected full products against d_apply) stay independent.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Callable, List
 
 from .chart import Chart, koszul_sign
@@ -63,7 +64,8 @@ from .randomgen import (random_base_poly, random_section, random_symtensor,
                         random_word)
 
 def _memo(fn: Callable) -> Callable:
-    """``fn`` computed once per distinct argument, for one suite call."""
+    """``fn`` computed once per distinct argument, for as long as the
+    memo lives."""
     values = {}
 
     def call(x):
@@ -77,41 +79,91 @@ def _memo(fn: Callable) -> Callable:
 
 def _columns(chart: Chart, fn: Callable) -> Callable:
     """A linear map ``fn`` on polynomials over ``chart``, computed once
-    per distinct monomial for one suite call: f = sum_k (nums_k / den)
-    m_k maps to sum_k (nums_k / den) fn(m_k), one ``combine``."""
+    per distinct monomial for as long as the map lives: f = sum_k
+    (nums_k / den) m_k maps to sum_k (nums_k / den) fn(m_k), one
+    ``combine``."""
     column = _memo(lambda key: fn(GradedPoly._of(chart, {key: 1})))
     return lambda f: combine(
         chart, [(num, column(key)) for key, num in f.nums.items()], f.den)
 
 
+class _Session:
+    """What the suites of one ``run_suite`` call share, each part built
+    on first use: the flat structure ``fd`` (so a torsionful chart,
+    where only the coalgebra suite runs, never solves it), one context
+    capped at weight + 1 (the cap only bounds arguments, and every
+    suite's inputs fit under it), memos of its ``map``, ``inv`` and
+    ``word_image``, the flat contraction (whose series augmentation is
+    the transfer's) and the tau_pbw columns.  Each route keeps a table
+    of its own, and the session is dropped when the call returns."""
+
+    def __init__(self, chart: Chart, conn: Connection, weight: int):
+        self.chart = chart
+        self.conn = conn
+        self.weight = weight
+
+    @cached_property
+    def ctx(self) -> PbwContext:
+        return PbwContext(self.chart, self.conn, max_weight=self.weight + 1)
+
+    @cached_property
+    def map(self) -> Callable:
+        return _memo(self.ctx.map)
+
+    @cached_property
+    def inv(self) -> Callable:
+        return _memo(self.ctx.inv)
+
+    @cached_property
+    def word_image(self) -> Callable:
+        return _memo(self.ctx.word_image)
+
+    @cached_property
+    def fd(self) -> FedosovData:
+        return FedosovData(self.conn, self.weight)
+
+    @cached_property
+    def flat(self) -> ContractionData:
+        return flat_contraction(self.fd)
+
+    @cached_property
+    def tau_pbw_columns(self) -> Callable:
+        return _columns(self.chart,
+                        lambda f: tau_pbw(self.ctx, f, self.weight))
+
+
 # ---------------------------------------------------------------------------
 
-def morphism_sides(ctx: PbwContext, tensor: SymTensor):
+def morphism_sides(ctx: PbwContext, tensor: SymTensor,
+                   word_image: Callable = None, map_: Callable = None):
     """Both sides of the comultiplication identity for the map.  The
     tensor product is additive in each slot, so the right side sums the
-    left factors of each right word into one operator first."""
+    left factors of each right word into one operator first.
+    ``word_image`` and ``map_`` stand in for ``ctx.word_image`` and
+    ``ctx.map`` (the suite passes memos)."""
     chart = ctx.chart
-    lhs = comult_env(ctx.map(tensor))
+    word_image = word_image or ctx.word_image
+    lhs = comult_env((map_ or ctx.map)(tensor))
     lefts = {}  # right word -> entries of its summed left factor
     for (left, right), coeff in comult_sym(tensor).terms.items():
         lefts.setdefault(right, []).append(
-            (1, coeff, ctx.word_image(left).symbol()))
+            (1, coeff, word_image(left).symbol()))
     rhs = TensorSquare(chart, "env")
     tensor_push_left(rhs, [
-        (DiffOp.from_symbol(combine(chart, entries)), ctx.word_image(right))
+        (DiffOp.from_symbol(combine(chart, entries)), word_image(right))
         for right, entries in lefts.items()])
     return lhs, rhs
 
 
-def suite_coalgebra(chart: Chart, conn: Connection, seed: int,
-                    weight: int) -> List[CheckResult]:
+def suite_coalgebra(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    weight = min(weight, 5)
-    ctx = PbwContext(chart, conn, max_weight=weight + 1)
-    tensors = [random_symtensor(rng, chart, weight) for _ in range(40)]
+    weight = min(session.weight, 5)
+    tensors = [random_symtensor(rng, session.chart, weight)
+               for _ in range(40)]
 
     def test(t):
-        lhs, rhs = morphism_sides(ctx, t)
+        lhs, rhs = morphism_sides(session.ctx, t, session.word_image,
+                                  session.map)
         return lhs == rhs
 
     return [run_check("comultiplication-intertwines-map", tensors, test)]
@@ -181,13 +233,12 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool,
     return residual.order() <= length - 2
 
 
-def suite_symbols(chart: Chart, conn: Connection, seed: int,
-                  weight: int) -> List[CheckResult]:
+def suite_symbols(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    weight = min(weight, 5)
-    ctx = PbwContext(chart, conn, max_weight=weight + 1)
+    chart, ctx = session.chart, session.ctx
+    weight = min(session.weight, 5)
     # the checks map and invert the same words again and again
-    map_, inv = _memo(ctx.map), _memo(ctx.inv)
+    map_, inv = session.map, session.inv
 
     tensors = [t for t in (random_symtensor(rng, chart, weight)
                            for _ in range(30)) if t]
@@ -229,12 +280,10 @@ def _roundtrip(chart: Chart, map_: Callable, inv: Callable,
 
 # ---------------------------------------------------------------------------
 
-def suite_flat_connection(chart: Chart, conn: Connection, seed: int,
-                          weight: int) -> List[CheckResult]:
+def suite_flat_connection(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    fd = FedosovData(conn, weight)
-    ctx = PbwContext(chart, conn, max_weight=weight + 1)
-    xi = xi_form(ctx, weight)
+    chart, weight, fd = session.chart, session.weight, session.fd
+    xi = xi_form(session.ctx, weight)
 
     res = [CheckResult("correction-equals-minus-dual-form",
                        "PASS" if all(a == -b for a, b in
@@ -250,7 +299,7 @@ def suite_flat_connection(chart: Chart, conn: Connection, seed: int,
                          lambda w: not fd.d_apply(fd.d_apply(w))))
     # full products projected afterwards, with the suite's own dnabla
     # table: independent of the capped products inside d_apply
-    dnabla = dnabla_images(conn)
+    dnabla = dnabla_images(session.conn)
     res.append(run_check(
         "flat-operator-is-lower-plus-dual-correction", sections,
         lambda w: fd.d_apply(w) == project_weight(
@@ -260,18 +309,16 @@ def suite_flat_connection(chart: Chart, conn: Connection, seed: int,
 
 # ---------------------------------------------------------------------------
 
-def suite_resolution(chart: Chart, conn: Connection, seed: int,
-                     weight: int) -> List[CheckResult]:
+def suite_resolution(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    fd = FedosovData(conn, weight)
-    ctx = PbwContext(chart, conn, max_weight=weight + 1)
+    chart, weight, fd = session.chart, session.weight, session.fd
 
     # the contraction's series augmentation and homotopy are memos, so each
-    # monomial (each section) is summed once per suite; tau_pbw keeps its
+    # monomial (each section) is summed once per session; tau_pbw keeps its
     # own columns and never reads the series ones
-    contraction = flat_contraction(fd)
+    contraction = session.flat
     tau, h = contraction.tau, contraction.h
-    pbw = _columns(chart, lambda f: tau_pbw(ctx, f, weight))
+    pbw = session.tau_pbw_columns
 
     funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(20)]
     res = [run_check("augmentation-routes-agree", funcs,
@@ -311,10 +358,9 @@ def flat_contraction(fd: FedosovData) -> ContractionData:
     )
 
 
-def suite_perturbation(chart: Chart, conn: Connection, seed: int,
-                       weight: int) -> List[CheckResult]:
+def suite_perturbation(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    fd = FedosovData(conn, weight)
+    chart, weight, fd = session.chart, session.weight, session.fd
     base = base_contraction(chart, weight)
 
     sections = [random_section(rng, chart, weight) for _ in range(12)]
@@ -322,11 +368,10 @@ def suite_perturbation(chart: Chart, conn: Connection, seed: int,
     res = [r._replace(name="lowering-" + r.name)
            for r in check_contraction(base, sections, funcs)]
 
-    ctx = PbwContext(chart, conn, max_weight=weight)
     perturbed, theta = fd.transfer
-    # each route in columns of its own
-    tau = _columns(chart, perturbed.tau)
-    pbw = _columns(chart, lambda f: tau_pbw(ctx, f, weight))
+    # each route in the session's columns of its own: the flat
+    # contraction's series augmentation is the transfer's
+    tau, pbw = session.flat.tau, session.tau_pbw_columns
 
     def homotopy_fixed_point(w):
         # h'(w) = h(w) - h(partial(h'(w))), in the unperturbed maps only
@@ -367,16 +412,19 @@ SUITE_NAMES = tuple(_suites())
 def run_suite(name: str, chart: Chart, conn: Connection, seed: int = 0,
               weight: int = None) -> List[CheckResult]:
     """The named suite, or ``all`` of them in order, at ``weight`` (by
-    default the chart's Q)."""
-    if name == "all":
-        return [r for suite in SUITE_NAMES
-                for r in run_suite(suite, chart, conn, seed, weight)]
-    if name not in SUITE_NAMES:
+    default the chart's Q), sharing one session."""
+    if name != "all" and name not in SUITE_NAMES:
         raise ValueError("unknown suite %r" % name)
-    suite, gated = _suites()[name]
-    if gated and not conn.torsion_free:
-        return [CheckResult(gated, "SKIP",
-                            "requires a torsion-free connection")]
     if weight is None:
         weight = chart.truncation.max_sym_weight
-    return suite(chart, conn, seed, weight)
+    session = _Session(chart, conn, weight)
+    suites = _suites()
+    results = []
+    for suite_name in SUITE_NAMES if name == "all" else (name,):
+        suite, gated = suites[suite_name]
+        if gated and not conn.torsion_free:
+            results.append(CheckResult(gated, "SKIP",
+                                       "requires a torsion-free connection"))
+        else:
+            results += suite(session, seed)
+    return results

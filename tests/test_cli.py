@@ -159,6 +159,28 @@ def test_exit_codes(tmp_path, capsys):
     undecodable.write_bytes(b"[coordinates]\nx 0\n# caf\xe9\n")
     assert run("tau", "--chart", str(undecodable), "x") == (2, "")
     assert "byte 0xe9 is not UTF-8 text (line 3)" in capsys.readouterr().err
+    # a misspelt flag, a repeated key or name, and a Christoffel table
+    # that breaks a rule: each names its line (the second one of a
+    # repeat, the least failing triple's entry of a table)
+    coords = "[coordinates]\nx1 0\nx2 0\n"
+    trunc = "[truncation]\nQ 3\nP 3\nB 6\n"
+    for text, line in (
+            (coords + trunc + "[flags]\ntorsion_free ture\n", 9),
+            (coords + trunc + "[flags]\ntorsion_free no\ntorsion_free 1\n",
+             10),
+            (coords + trunc + "Q 4\n", 8),
+            (coords + trunc + "P 3\n", 8),
+            (coords + "[truncation]\nB 6\nQ 3\nP 3\nB 6\n", 8),
+            ("[coordinates]\nx 0\nt 1\nx 2\n" + trunc, 4),
+            ("[coordinates]\nx 0\nt 1\n" + trunc
+             + "[christoffel]\n1 1 1 x\n2 2 2 x\n1 1 2 x\n", 11),
+            (coords + trunc + "[christoffel]\n2 1 1 x2\n1 1 1 1\n", 9),
+            (coords + trunc + "[christoffel]\n1 1 1 1\n2 1 2 x1\n"
+             "1 2 1 x2\n1 2 1 -x2\n", 10)):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run("fedosov", "--chart", str(bad)) == (2, "")
+        assert "(line %d)" % line in capsys.readouterr().err
     # weight bounds below 1: a usage error, not a wrong answer or a crash
     curved = chart("line_curved.chart")
     for argv in (("tau", "--route", "series", "--max-weight", "-1", "x^2"),

@@ -412,6 +412,32 @@ def test_context_memo_is_shareable_across_threads():
     assert not failures
 
 
+@pytest.mark.parametrize("name", ["mixed", "three_degrees"])
+def test_cold_fill_reads_each_step_once(monkeypatch, name):
+    # a missing word's steps and their replacement terms are read once,
+    # also when the word waits on the stack for the words they read
+    import jetexp.pbw
+    from jetexp.pbw import recursion_steps
+
+    calls = []
+    real = jetexp.pbw.replacement_terms
+
+    def counted(conn, slot, rest):
+        calls.append((slot, rest))
+        return real(conn, slot, rest)
+    monkeypatch.setattr(jetexp.pbw, "replacement_terms", counted)
+    chart, conn = build_chart(name)
+    ctx = PbwContext(chart, conn)
+    weight = chart.truncation.max_sym_weight
+    for index in admissible_words(chart, weight):
+        if mi_weight(index) == weight:
+            ctx.word_image(index)
+    steps = [(slot, rest) for word in ctx._symbols
+             for slot, rest, _ in recursion_steps(chart, word)]
+    assert calls and sorted(calls) == sorted(steps)
+    assert len(set(calls)) == len(calls)
+
+
 def test_xi_form_vanishes_without_curvature():
     chart, conn = build_chart("line_flat")
     ctx = PbwContext(chart, conn, max_weight=6)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 import jetexp.fedosov
 import jetexp.verify
 from jetexp.chart import Chart, Truncation
+from jetexp.chartfile import load_chart_file
 from jetexp.enveloping import DiffOp
 from jetexp.fedosov import FedosovData, base_contraction, tau_pbw
 from jetexp.geometry import Connection
@@ -19,6 +21,39 @@ from jetexp.verify import (SUITE_NAMES, _columns, _leading_two_term,
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import per_letter_compose
 from test_poly_properties import PROPERTY
+
+
+CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
+SHIPPED_CHARTS = sorted(name for name in os.listdir(CHART_DIR)
+                        if name.endswith(".chart"))
+
+
+def any_chart(name):
+    """A conftest chart by name, or a shipped one by file name."""
+    if name.endswith(".chart"):
+        return load_chart_file(os.path.join(CHART_DIR, name))
+    return build_chart(name)
+
+
+def status_table(chart, conn, suites, weight=3):
+    """Check name -> status over ``suites``, one ``run_suite`` call each
+    (``all`` is one call for every suite)."""
+    return {r.name: r.status for suite in suites
+            for r in run_suite(suite, chart, conn, seed=0, weight=weight)}
+
+
+def fails(table):
+    return {name for name, status in table.items() if status == "FAIL"}
+
+
+def through_all(names):
+    """Parametrize (name, suites) over the chart ``names``: every suite
+    one call each (the chart's name as id), then all of them through one
+    session (id ending in ``-all``)."""
+    return pytest.mark.parametrize("name, suites", [
+        pytest.param(name, suites, id=name + tag)
+        for suites, tag in ((SUITE_NAMES, ""), (("all",), "-all"))
+        for name in names])
 
 
 def torsionful():
@@ -71,18 +106,39 @@ def test_suite_names_are_stable():
 
 
 def test_every_shipped_chart_loads_and_passes_a_suite():
-    import os
-    from jetexp.chartfile import load_chart_file
-    chart_dir = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
-    seen = 0
-    for name in sorted(os.listdir(chart_dir)):
-        if not name.endswith(".chart"):
-            continue
-        chart, conn = load_chart_file(os.path.join(chart_dir, name))
+    for name in SHIPPED_CHARTS:
+        chart, conn = any_chart(name)
         results = run_suite("coalgebra", chart, conn, seed=0)
         assert all(r.status == "PASS" for r in results), name
-        seen += 1
-    assert seen >= 6
+    assert len(SHIPPED_CHARTS) >= 6
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS + tuple(SHIPPED_CHARTS))
+def test_all_equals_the_single_suites(name):
+    # one session shared by the five suites changes no result
+    chart, conn = any_chart(name)
+    for seed in range(3):
+        for weight in (3, None):
+            assert run_suite("all", chart, conn, seed, weight) == [
+                r for suite in SUITE_NAMES
+                for r in run_suite(suite, chart, conn, seed, weight)]
+
+
+@pytest.mark.parametrize("name", ["plane_curved", "plane_torsion.chart"])
+def test_all_builds_one_context_and_at_most_one_flat_structure(
+        monkeypatch, name):
+    # the flat structure is solved only for the suites that need it
+    built = []
+    for cls in (PbwContext, FedosovData):
+        def counted(self, *args, _real=cls.__init__, **kwargs):
+            built.append(type(self))
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    chart, conn = any_chart(name)
+    results = run_suite("all", chart, conn, seed=0)
+    assert all(r.status != "FAIL" for r in results)
+    assert built.count(PbwContext) == 1
+    assert built.count(FedosovData) == (1 if conn.torsion_free else 0)
 
 
 def perturbation_statuses():
@@ -161,6 +217,14 @@ def test_resolution_computes_each_homotopy_once(monkeypatch):
 
 def test_resolution_homotopy_check_fails_when_last_series_term_dropped(
         monkeypatch):
+    homotopy_control(monkeypatch, SUITE_NAMES)
+
+
+def test_resolution_homotopy_check_fails_through_all(monkeypatch):
+    homotopy_control(monkeypatch, ("all",))
+
+
+def homotopy_control(monkeypatch, suites):
     # negative control for the memo: a homotopy that drops the last
     # nonzero term of its series must still break the homotopy identity
     def short_series(fd, w):
@@ -172,19 +236,19 @@ def test_resolution_homotopy_check_fails_when_last_series_term_dropped(
 
     monkeypatch.setattr(FedosovData, "homotopy_h", short_series)
     chart, conn = build_chart("plane_curved")
-    statuses = {r.name: r.status
-                for r in run_suite("resolution", chart, conn, seed=0,
-                                   weight=3)}
-    assert statuses["flat-tau-sigma-homotopic-to-identity"] == "FAIL"
-    assert statuses["augmentation-routes-agree"] == "PASS"
+    table = status_table(chart, conn, suites)
+    assert fails(table) == {"flat-tau-sigma-homotopic-to-identity",
+                            "closed-sections-are-exact"}
+    assert table["augmentation-routes-agree"] == "PASS"
 
 
 @pytest.mark.parametrize("name", ["plane_curved", "mixed"])
-@pytest.mark.parametrize("suite", ["resolution", "perturbation"])
+@pytest.mark.parametrize("suite", ["resolution", "perturbation", "all"])
 def test_augmentation_routes_take_each_monomial_once(monkeypatch, suite,
                                                      name):
     # both routes are linear: each sees single monomials with coefficient
-    # 1, each once per suite call, in a table of its own
+    # 1, each once per run_suite call (the resolution and perturbation
+    # suites of one ``all`` call share them), in a table of its own
     pbw_seen, series_seen = [], []
     real_pbw = jetexp.verify.tau_pbw
     real_perturb = jetexp.fedosov.perturb_contraction
@@ -230,9 +294,9 @@ def test_columns_equal_the_direct_routes(name):
         assert pbw(f) == tau_pbw(ctx, f, weight)
 
 
-@pytest.mark.parametrize("name", ["line_curved", "mixed"])
+@through_all(["line_curved", "mixed"])
 def test_augmentation_checks_fail_when_one_monomial_is_off(monkeypatch,
-                                                           name):
+                                                           name, suites):
     # negative control for the columns: a tau_pbw off by a fiber term on
     # every argument holding x must fail both augmentation comparisons,
     # and only those
@@ -245,12 +309,10 @@ def test_augmentation_checks_fail_when_one_monomial_is_off(monkeypatch,
         out = real(ctx, f, weight)
         return out + fiber if key in f.nums else out
     monkeypatch.setattr(jetexp.verify, "tau_pbw", off)
-    statuses = {r.name: r.status
-                for suite in ("resolution", "perturbation")
-                for r in run_suite(suite, chart, conn, seed=0, weight=3)}
-    assert {n for n, s in statuses.items() if s != "PASS"} == {
+    table = status_table(chart, conn, suites)
+    assert {n for n, s in table.items() if s != "PASS"} == {
         "augmentation-routes-agree", "transferred-augmentation-matches"}
-    assert statuses["augmentation-routes-agree"] == "FAIL"
+    assert table["augmentation-routes-agree"] == "FAIL"
 
 
 def test_symbols_maps_and_inverts_each_argument_once(monkeypatch):
@@ -273,9 +335,9 @@ def test_symbols_maps_and_inverts_each_argument_once(monkeypatch):
             assert calls and len(calls) == len(set(calls))
 
 
-@pytest.mark.parametrize("name", ["line_curved", "mixed", "two_odd"])
+@through_all(["line_curved", "mixed", "two_odd"])
 def test_coalgebra_check_fails_when_a_word_image_is_perturbed(monkeypatch,
-                                                              name):
+                                                              name, suites):
     # negative control: one word image off by the identity operator
     chart, conn = build_chart(name)
     target = (2,) + (0,) * (chart.n - 1)
@@ -286,12 +348,10 @@ def test_coalgebra_check_fails_when_a_word_image_is_perturbed(monkeypatch,
         if tuple(index) == target:
             return image + DiffOp.identity(ctx.chart)
         return image
-    (clean,) = run_suite("coalgebra", chart, conn, seed=0)
+    assert not fails(status_table(chart, conn, suites, None))
     monkeypatch.setattr(PbwContext, "word_image", perturbed)
-    (broken,) = run_suite("coalgebra", chart, conn, seed=0)
-    assert clean.status == "PASS"
-    assert broken.name == "comultiplication-intertwines-map"
-    assert broken.status == "FAIL"
+    assert fails(status_table(chart, conn, suites, None)) == {
+        "comultiplication-intertwines-map"}
 
 
 @pytest.mark.parametrize("name", ["line_curved", "mixed", "two_odd"])
