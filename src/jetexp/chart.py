@@ -54,14 +54,10 @@ class Coordinate(NamedTuple):
     degree: int
 
 
-def _fiber_name(name: str) -> str:
-    if name.startswith("x"):
-        return "y" + name[1:]
-    return "y_" + name
-
-
-def _form_name(name: str) -> str:
-    return "d" + name
+def derived_names(name: str) -> Tuple[str, str]:
+    """The fiber and form generator names of a coordinate ``name``."""
+    fiber = "y" + name[1:] if name.startswith("x") else "y_" + name
+    return fiber, "d" + name
 
 
 class Chart:
@@ -90,9 +86,8 @@ class Chart:
             raise ValueError("truncation bounds must be at most %d"
                              % FIELD_MAX)
         names = [c.name for c in coords]
-        derived = ([_fiber_name(n) for n in names]
-                   + [_form_name(n) for n in names])
-        all_names = names + derived
+        derived = [derived_names(n) for n in names]
+        all_names = names + [f for f, _ in derived] + [d for _, d in derived]
         if len(set(all_names)) != len(all_names):
             raise ValueError("coordinate names collide (directly or through "
                              "derived fiber/form generator names)")

@@ -20,22 +20,24 @@ Format (``#`` starts a comment, blank lines ignored, ``=`` optional):
 
 Christoffel degree constraints are validated on load, as is graded
 symmetry when the torsion-free flag is set; a failure names the line of
-the least failing triple's entry.  Q, P and B are at most
-``chart.FIELD_MAX``, the largest exponent a packed monomial holds.  A
-coordinate name, a truncation key or the flag given twice is an error
-at its second line, and the flag reads only true/false, yes/no or 1/0.
+the least failing triple's entry.  Q >= 1, P >= 2 and B >= 1 are at
+most ``chart.FIELD_MAX``, the largest exponent a packed monomial holds.
+A coordinate name (or a derived fiber or form name), a truncation key
+or the flag given twice is an error at its second line, and the flag
+reads only true/false, yes/no or 1/0.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .chart import FIELD_MAX, Chart, Truncation
+from .chart import FIELD_MAX, Chart, Truncation, derived_names
 from .geometry import ChristoffelError, Connection
 from .grammar import ExprSyntaxError, parse_poly
 from .poly import TruncationOverflowError
 
 
+_TRUNCATION_MIN = {"Q": 1, "P": 2, "B": 1}
 _FLAG_VALUES = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
 
@@ -48,6 +50,7 @@ class ChartFileError(ValueError):
 
 def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
     coords = {}  # name -> degree
+    names = set()  # the generator names of the coordinates so far
     trunc = {}
     flags = {}
     christoffel = []  # (line_no, i, j, k, poly text)
@@ -66,27 +69,30 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
         if section == "coordinates":
             if len(fields) != 2:
                 raise ChartFileError("expected 'name degree'", line_no)
-            if fields[0] in coords:
-                raise ChartFileError("repeated coordinate %r" % fields[0],
-                                     line_no)
+            new = (fields[0],) + derived_names(fields[0])
+            if not names.isdisjoint(new):  # a repeat, or a derived name
+                raise ChartFileError("coordinate %r repeats a generator "
+                                     "name" % fields[0], line_no)
+            names.update(new)
             try:
                 coords[fields[0]] = int(fields[1])
             except ValueError:
                 raise ChartFileError("bad degree %r" % fields[1],
                                      line_no) from None
         elif section == "truncation":
-            if len(fields) != 2 or fields[0] not in ("Q", "P", "B"):
+            if len(fields) != 2 or fields[0] not in _TRUNCATION_MIN:
                 raise ChartFileError("expected 'Q|P|B value'", line_no)
-            if fields[0] in trunc:
-                raise ChartFileError("repeated %s" % fields[0], line_no)
+            key = fields[0]
+            if key in trunc:
+                raise ChartFileError("repeated %s" % key, line_no)
             try:
-                trunc[fields[0]] = int(fields[1])
+                value = trunc[key] = int(fields[1])
             except ValueError:
                 raise ChartFileError("bad value %r" % fields[1],
                                      line_no) from None
-            if trunc[fields[0]] > FIELD_MAX:
-                raise ChartFileError("%s %d exceeds %d" % (
-                    fields[0], trunc[fields[0]], FIELD_MAX), line_no)
+            if not _TRUNCATION_MIN[key] <= value <= FIELD_MAX:
+                raise ChartFileError("%s %d is outside %d..%d" % (
+                    key, value, _TRUNCATION_MIN[key], FIELD_MAX), line_no)
         elif section == "flags":
             if len(fields) != 2 or fields[0] != "torsion_free":
                 raise ChartFileError("expected 'torsion_free true|false'",
@@ -115,11 +121,8 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
     if missing:
         raise ChartFileError("truncation incomplete, missing %s"
                              % ", ".join(sorted(missing)), 0)
-    try:
-        chart = Chart(coords.items(),
-                      Truncation(trunc["Q"], trunc["P"], trunc["B"]))
-    except ValueError as exc:
-        raise ChartFileError(str(exc), 0) from None
+    chart = Chart(coords.items(),
+                  Truncation(trunc["Q"], trunc["P"], trunc["B"]))
 
     gamma = {}
     lines = {}  # triple -> the line of its first entry

@@ -73,17 +73,9 @@ def cmd_pbw(args, out) -> int:
     try:
         if args.direction == "fwd":
             tensor = parse_symtensor(chart, args.expression)
-            if tensor.weight() > weight:
-                raise TruncationOverflowError(
-                    "tensor weight %d exceeds bound %d"
-                    % (tensor.weight(), weight))
             out.write(format_diffop(ctx.map(tensor)) + "\n")
         else:
             op = parse_diffop(chart, args.expression, max_order=weight)
-            order = op.order() or 0
-            if order > weight:
-                raise TruncationOverflowError(
-                    "operator order %d exceeds bound %d" % (order, weight))
             out.write(format_symtensor(ctx.inv(op)) + "\n")
     except ExprSyntaxError as exc:
         raise _Failure(EXIT_PARSE, "parse error: %s" % exc)

@@ -36,21 +36,27 @@ right derivatives in the fiber generators on the left factor and left
 ones in the base generators on the right factor; for one letter it is
 the graded Leibniz rule sigma(d_s o P) = partial_{x_s} sigma(P) + y_s .
 sigma(P).  ``terms``, word -> coefficient, is a view for the printer,
-the comultiplications and the pairing, built on first read.
+``apply``, ``PbwContext.map`` and the pairing, built on first read.
 
-Tensor squares over base functions are normalized with all coefficients
-pushed into the left factor via the bimodule relation
-u.f (x) v == u (x) f.v; the right slot is always a pure word.
+Tensor squares over base functions are symbols on ``square_chart``,
+which adds a primed copy x' of each coordinate: u (x) v is
+sigma(u) . sigma(v)', the right factor's fiber generators moved to the
+copy's y' (``to_square``).  So c d^L (x) d^R is rho(L) rho(R) c y^L y'^R,
+the balancing u (x) f.v = (-1)^(|f||u|) (f.u) (x) v is graded
+commutativity (balancing by right composition would break the
+coalgebra-morphism identity), and the shuffle comultiplication is the
+substitution y -> y + y' (``comult_sym``, ``comult_env``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, lcm
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from math import lcm
+from typing import Callable, Dict, List, Tuple
 
-from .chart import FIELD_MASK, FIELD_MAX, Chart, mi_factorial, same_chart
+from .chart import (FIELD_BITS, FIELD_MASK, FIELD_MAX, Chart, mi_factorial,
+                    same_chart)
 from .poly import (FLIP, GradedPoly, TruncationOverflowError, _key_degree,
                    combine, unpack_monomial)
 
@@ -119,6 +125,16 @@ def word_symbol(chart: Chart, index: MultiIndex,
         return coeff
     return GradedPoly._of(chart, {k + key: v * sign
                                   for k, v in coeff.nums.items()}, coeff.den)
+
+
+def fiber_parts(sigma: GradedPoly) -> Dict[int, Dict[int, int]]:
+    """The monomials of ``sigma`` by fiber part: packed fiber part (its
+    weight field included) -> {packed base part: numerator / sigma.den}."""
+    base = sigma.chart.base_mask
+    groups: Dict[int, Dict[int, int]] = {}
+    for k, v in sigma.nums.items():
+        groups.setdefault(k & ~base, {})[k & base] = v
+    return groups
 
 
 def parity_parts(f: GradedPoly):
@@ -195,13 +211,9 @@ class _IndexedSum:
         if terms is None:
             chart = self.chart
             sigma = self._sigma
-            base = chart.base_mask
-            groups: Dict[int, Dict[int, int]] = {}
-            for k, v in sigma.nums.items():
-                groups.setdefault(k & ~base, {})[k & base] = v
             shifts = chart.shifts[chart.n:2 * chart.n]
             terms = self._terms = {}
-            for fiber, nums in groups.items():
+            for fiber, nums in fiber_parts(sigma).items():
                 # rho(K) = -1 for 2 or 3 odd letters mod 4 (``symbol_sign``)
                 if (fiber & chart.odd_low).bit_count() & 2:
                     nums = {k: -v for k, v in nums.items()}
@@ -308,17 +320,12 @@ class DiffOp(_IndexedSum):
                 entries.append((1, coeff, g))
         return combine(self.chart, entries)
 
-    def compose(self, other: "DiffOp", max_order=None) -> "DiffOp":
+    def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self o other, the star product of symbols
         (module docstring), with one term per distinct K, its letters
         taken in ascending slot order on both factors.  A right
         derivative by y_s is the left one followed by a parity flip for
-        an odd x_s; a K whose either factor vanishes is not extended.
-
-        ``max_order`` None computes exactly; otherwise a product whose
-        order exceeds ``max_order`` raises TruncationOverflowError (its
-        top words are never dropped silently).
-        """
+        an odd x_s; a K whose either factor vanishes is not extended."""
         chart = same_chart(self, other)
         n = chart.n
         terms = []  # (K!, sigma(self) <-d_y^K, d_x^K sigma(other))
@@ -339,13 +346,8 @@ class DiffOp(_IndexedSum):
                     m = mult + 1 if s == last else 1
                     stack.append((fact * m, a, b, s, m))
         div = lcm(*[fact for fact, _, _ in terms])
-        product = self.from_symbol(combine(chart, [
+        return self.from_symbol(combine(chart, [
             (div // fact, a, b) for fact, a, b in terms], div))
-        order = product.order()
-        if max_order is not None and order is not None and order > max_order:
-            raise TruncationOverflowError(
-                "operator order %d exceeds cap %d" % (order, max_order))
-        return product
 
 
 def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
@@ -354,128 +356,78 @@ def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# Comultiplication and tensor squares
+# Tensor squares and the comultiplication
 
-class TensorSquare:
-    """Two-slot tensor over base functions: map (left word, right word)
-    -> coefficient, all coefficients normalized into the left slot.
-
-    The balancing over the (graded-commutative) ring of base functions
-    moves a coefficient between slots with the Koszul sign of crossing
-    the left slot and *left*-multiplies it there:
-
-        u (x) f.v  ==  (-1)^(|f||u|) (f.u) (x) v .
-
-    This is the balancing that makes the exponential map's slot-wise
-    application well defined; balancing by right composition instead
-    would break the coalgebra-morphism identity (one extra Leibniz term
-    per crossing, checked by hand on a two-coordinate mixed chart).
-    """
-
-    __slots__ = ("chart", "kind", "terms")
-
-    def __init__(self, chart: Chart, kind: str,
-                 terms: Dict[Tuple[MultiIndex, MultiIndex], GradedPoly] = None):
-        if kind not in ("sym", "env"):
-            raise ValueError("kind must be 'sym' or 'env'")
-        self.chart = chart
-        self.kind = kind
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def add_table(self, table):
-        """Add a (left, right) -> list of ``combine`` entries table, each
-        key summed with its stored coefficient by one ``combine``."""
-        for key, entries in table.items():
-            cur = self.terms.pop(key, None)
-            if cur is not None:
-                entries.append((1, cur))
-            val = combine(self.chart, entries)
-            if val:
-                self.terms[key] = val
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorSquare)
-                and self.chart == other.chart and self.kind == other.kind
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return "TensorSquare(%s, %d terms)" % (self.kind, len(self.terms))
+@lru_cache(maxsize=None)
+def square_chart(chart: Chart) -> Chart:
+    """The coordinates of ``chart`` and a primed copy of each, of the same
+    degree, whose fiber generators y' hold a square's right slot.  A
+    copy's generator names are the chart's with the primes appended, and
+    it takes as many primes as keep them free (x' may be taken)."""
+    primes = "'"
+    while not set(chart.gen_names).isdisjoint(
+            [name + primes for name in chart.gen_names]):
+        primes += "'"
+    return Chart(chart.coords + tuple((name + primes, degree)
+                                      for name, degree in chart.coords),
+                 chart.truncation)
 
 
-def _shuffle_splits(chart: Chart, index: MultiIndex):
-    """Yield (weight, left index, right index) once per distinct split
-    of the descending word into two order-preserving blocks: the left
-    block takes L_s <= I_s letters d_s, the right the rest.  The
-    comb(I_s, L_s) interleavings of each even letter give equal terms,
-    so the weight is their product times the Koszul sign: each odd
-    letter sent left crosses the odd letters sent right before it in the
-    descending word (those of larger coordinate index)."""
-    parities = [chart.coordinate_parity(s) for s in range(chart.n)]
-    for left in product(*[range(e + 1) for e in index]):
-        weight = 1
-        crossings = odd_right = 0
-        for s in range(chart.n - 1, -1, -1):
-            if not parities[s]:
-                weight *= comb(index[s], left[s])
-            elif left[s]:
-                crossings += odd_right
-            else:
-                odd_right += index[s]
-        right = tuple([i - j for i, j in zip(index, left)])
-        yield (-weight if crossings & 1 else weight), left, right
+def to_square(sigma: GradedPoly, right: bool = False) -> GradedPoly:
+    """A symbol (base and fiber generators) on ``square_chart``, in the
+    left slot (y) or the ``right`` one (y').  Only the packed keys move:
+    the base fields stay, and the fiber and weight fields shift."""
+    chart = sigma.chart
+    width, base = FIELD_BITS * chart.n, chart.base_mask
+    step = 2 * width if right else width
+    return GradedPoly._of(square_chart(chart), {
+        k & base | (k & base << width) << step | k >> 3 * width << 6 * width: v
+        for k, v in sigma.nums.items()}, sigma.den)
 
 
-def _comult(element: _IndexedSum, kind: str) -> TensorSquare:
-    """Shuffle comultiplication of the words of ``element``, extended
-    left-linearly over their coefficients, as a square of ``kind``."""
-    chart = element.chart
-    terms = {}
-    for index, coeff in element.terms.items():
-        # left + right = index, so no two terms share a key
-        for weight, left, right in _shuffle_splits(chart, index):
-            terms[left, right] = (coeff if weight == 1 else
-                                  combine(chart, [(weight, coeff)]))
-    return TensorSquare(chart, kind, terms)
+def fiber_sum_powers(chart: Chart) -> Callable[[int], GradedPoly]:
+    """K -> (y + y')^K on ``square_chart(chart)``, for K the packed fiber
+    part of a key of ``chart``, each formed once while the map lives:
+    (y + y')^K = (y_s + y'_s) . (y + y')^(K - e_s) for the lowest slot s
+    of K, followed down to a formed power and multiplied back up."""
+    square = square_chart(chart)
+    n = chart.n
+    powers = {0: GradedPoly.constant(square, 1)}
+
+    def power(fiber: int) -> GradedPoly:
+        chain, key = [], fiber
+        while key not in powers:
+            s = ((key & -key).bit_length() - 1) // FIELD_BITS  # y_s's slot
+            chain.append((key, s))
+            key -= chart.unit[s]
+        for key, s in reversed(chain):
+            powers[key] = GradedPoly._of(square, {
+                square.unit[n + s]: 1, square.unit[2 * n + s]: 1}) \
+                * powers[key - chart.unit[s]]
+        return powers[fiber]
+    return power
 
 
-def comult_sym(tensor: SymTensor) -> TensorSquare:
-    """Shuffle comultiplication of a symmetric tensor, left-linear over
-    base functions."""
-    return _comult(tensor, "sym")
+def _comult(element: _IndexedSum, powers=None) -> GradedPoly:
+    """Shuffle comultiplication, left-linear over base functions: one
+    ``combine`` of c_K . (y + y')^K over the fiber parts K of the symbol,
+    the powers from ``powers`` or a ``fiber_sum_powers`` of this call."""
+    sigma = element.symbol()
+    square = square_chart(sigma.chart)
+    power = powers or fiber_sum_powers(sigma.chart)
+    return combine(square, [(1, GradedPoly._of(square, nums), power(fiber))
+                            for fiber, nums in fiber_parts(sigma).items()],
+                   sigma.den)
 
 
-def comult_env(op: DiffOp) -> TensorSquare:
-    """Shuffle comultiplication of a normal-ordered operator, computed on
-    its derivation words and extended left-linearly over coefficients."""
-    return _comult(op, "env")
+def comult_sym(tensor: SymTensor, powers=None) -> GradedPoly:
+    """Comultiplication of a symmetric tensor (``_comult``)."""
+    return _comult(tensor, powers)
 
 
-def tensor_push_left(out: TensorSquare, pairs):
-    """Accumulate the sum of left_op (x) right_op over ``pairs`` into
-    ``out`` in normal form: each right-slot coefficient f crosses the
-    left slot u with a Koszul sign and left-multiplies it.  Symbols are
-    graded-commutative and a term has its symbol's parity, so that is
-    sigma(u) . f:
-
-        sigma((-1)^(|f||u|) f.u)  =  (-1)^(|f||u|) f . sigma(u)
-                                  =  sigma(u) . f.
-
-    The products paired with each right word are summed by one
-    ``combine`` and read back by left word; every key is then summed
-    once, with its stored coefficient."""
-    gathered: Dict[MultiIndex, list] = {}  # right word -> left entries
-    for left_op, right_op in pairs:
-        for right_index, f in right_op.terms.items():
-            gathered.setdefault(right_index, []).append(
-                (1, left_op.symbol(), f))
-    out.add_table({
-        (left_index, right_index): [(1, c)]
-        for right_index, entries in gathered.items()
-        for left_index, c in DiffOp.from_symbol(
-            combine(out.chart, entries)).terms.items()})
+def comult_env(op: DiffOp, powers=None) -> GradedPoly:
+    """Comultiplication of a normal-ordered operator (``_comult``)."""
+    return _comult(op, powers)
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,10 @@ import random
 from functools import cached_property
 from typing import Callable, List
 
-from .chart import Chart, koszul_sign
-from .enveloping import (DiffOp, SymTensor, TensorSquare, comult_env,
-                         comult_sym, tensor_push_left)
+from .chart import FIELD_BITS, Chart, koszul_sign
+from .enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
+                         fiber_parts, fiber_sum_powers, symbol_sign,
+                         to_square)
 from .fedosov import (FedosovData, base_contraction, delta_inv_op, delta_op,
                       dnabla_images, project_weight, sigma_aug, tau_pbw,
                       vvf_action)
@@ -59,7 +60,7 @@ from .geometry import Connection
 from .pbw import PbwContext, xi_form
 from .perturbation import (CheckResult, ContractionData, check_contraction,
                            run_check)
-from .poly import GradedPoly, combine
+from .poly import GradedPoly, combine, unpack_monomial
 from .randomgen import (random_base_poly, random_section, random_symtensor,
                         random_word)
 
@@ -93,9 +94,10 @@ class _Session:
     where only the coalgebra suite runs, never solves it), one context
     capped at weight + 1 (the cap only bounds arguments, and every
     suite's inputs fit under it), memos of its ``map``, ``inv`` and
-    ``word_image``, the flat contraction (whose series augmentation is
-    the transfer's) and the tau_pbw columns.  Each route keeps a table
-    of its own, and the session is dropped when the call returns."""
+    ``word_image`` and of the coalgebra check's squares, the flat
+    contraction (whose series augmentation is the transfer's) and the
+    tau_pbw columns.  Each route keeps a table of its own, and the
+    session is dropped when the call returns."""
 
     def __init__(self, chart: Chart, conn: Connection, weight: int):
         self.chart = chart
@@ -119,6 +121,21 @@ class _Session:
         return _memo(self.ctx.word_image)
 
     @cached_property
+    def powers(self) -> Callable:
+        return fiber_sum_powers(self.chart)
+
+    @cached_property
+    def images(self) -> Callable:
+        """Packed K (its fields from bit 0) -> sigma(exp y^K), y^K being
+        rho(K) d^K, through ``word_image``, and its right-slot move."""
+        def images(word):
+            index = unpack_monomial(self.chart, word)[:self.chart.n]
+            sigma = self.word_image(index).symbol()
+            sigma = sigma if symbol_sign(self.chart, index) > 0 else -sigma
+            return sigma, to_square(sigma, right=True)
+        return _memo(images)
+
+    @cached_property
     def fd(self) -> FedosovData:
         return FedosovData(self.conn, self.weight)
 
@@ -134,25 +151,27 @@ class _Session:
 
 # ---------------------------------------------------------------------------
 
-def morphism_sides(ctx: PbwContext, tensor: SymTensor,
-                   word_image: Callable = None, map_: Callable = None):
-    """Both sides of the comultiplication identity for the map.  The
-    tensor product is additive in each slot, so the right side sums the
-    left factors of each right word into one operator first.
-    ``word_image`` and ``map_`` stand in for ``ctx.word_image`` and
-    ``ctx.map`` (the suite passes memos)."""
-    chart = ctx.chart
-    word_image = word_image or ctx.word_image
-    lhs = comult_env((map_ or ctx.map)(tensor))
-    lefts = {}  # right word -> entries of its summed left factor
-    for (left, right), coeff in comult_sym(tensor).terms.items():
-        lefts.setdefault(right, []).append(
-            (1, coeff, word_image(left).symbol()))
-    rhs = TensorSquare(chart, "env")
-    tensor_push_left(rhs, [
-        (DiffOp.from_symbol(combine(chart, entries)), word_image(right))
-        for right, entries in lefts.items()])
-    return lhs, rhs
+def morphism_sides(session: _Session, tensor: SymTensor):
+    """Both sides of the comultiplication identity for the map as square
+    symbols (``enveloping`` module docstring), Delta exp(t) and
+    (exp (x) exp) Delta(t); the latter maps each y^L y'^R of Delta(t) to
+    exp(y^L) (x) exp(y^R).  The map is left-linear and the tensor
+    product additive in each slot, so the left factors of each R are
+    summed first, and the right side is one ``combine`` of each sum
+    times the moved exp(y^R)."""
+    chart = session.chart
+    width = FIELD_BITS * chart.n
+    words = (1 << width) - 1
+    delta = comult_sym(tensor, session.powers)
+    lefts = {}  # R -> entries of its summed left factor
+    for fiber, nums in fiber_parts(delta).items():
+        lefts.setdefault(fiber >> 3 * width & words, []).append(
+            (1, GradedPoly._of(chart, nums),
+             session.images(fiber >> 2 * width & words)[0]))
+    rhs = combine(delta.chart, [
+        (1, to_square(combine(chart, entries)), session.images(right)[1])
+        for right, entries in lefts.items()], delta.den)
+    return comult_env(session.map(tensor), session.powers), rhs
 
 
 def suite_coalgebra(session: _Session, seed: int) -> List[CheckResult]:
@@ -162,8 +181,7 @@ def suite_coalgebra(session: _Session, seed: int) -> List[CheckResult]:
                for _ in range(40)]
 
     def test(t):
-        lhs, rhs = morphism_sides(session.ctx, t, session.word_image,
-                                  session.map)
+        lhs, rhs = morphism_sides(session, t)
         return lhs == rhs
 
     return [run_check("comultiplication-intertwines-map", tensors, test)]

@@ -18,7 +18,10 @@ product of symbols, the operator products d_s o W of a word image
 summed as operators instead of as one symbol, the symmetrization of a word of vector fields as the average
 over all orderings, the comultiplication built by left multiplications
 of tensor squares or summed over all 2^k bitmask splits of a word
-instead of once per distinct split, the square of the dual covariant
+instead of the substitution y -> y + y' in its symbol, tensor squares
+as (left word, right word) tables placed on the square chart key by key
+with the signs rho(L) rho(R) instead of as products of moved symbols,
+the square of the dual covariant
 differential as graded commutators of its direction derivations, the
 Koszul sign of a tensor push read off each degree-homogeneous pair of
 parts instead of off parities, random samples summed one public
@@ -556,32 +559,76 @@ def vf_homogeneous_ops(field):
     return [(d, DiffOp(chart, t)) for d, t in sorted(buckets.items())]
 
 
+def _odd_letter_sign(chart, index):
+    """rho(K) = (-1)^(k(k-1)/2) for the k odd letters of ``index``: the
+    sign reversing the odd letters of the descending word."""
+    k = sum(e for s, e in enumerate(index) if chart.coordinate_parity(s))
+    return -1 if k * (k - 1) // 2 % 2 else 1
+
+
+def square_from_table(chart, table):
+    """The square symbol of sum c_{L,R} d^L (x) d^R from a (L, R) ->
+    coefficient table: each monomial of c_{L,R} placed with y^L y'^R
+    and the sign rho(L) rho(R), by exponent tuples, with no product."""
+    from jetexp.enveloping import square_chart
+
+    n = chart.n
+    out = {}
+    for (left, right), coeff in table.items():
+        sign = _odd_letter_sign(chart, left) * _odd_letter_sign(chart, right)
+        for m, c in coeff.terms.items():
+            assert not any(m[n:]), "coefficients must be base functions"
+            key = m[:n] + (0,) * n + tuple(left) + tuple(right) + (0,) * 2 * n
+            out[key] = out.get(key, 0) + sign * c
+    return GradedPoly(square_chart(chart), out)
+
+
+def square_table(chart, square):
+    """The (L, R) -> coefficient table of a square symbol over ``chart``,
+    read back key by key (the inverse of ``square_from_table``)."""
+    n = chart.n
+    out = {}
+    for m, c in square.terms.items():
+        assert not any(m[n:2 * n]) and not any(m[4 * n:])
+        left, right = m[2 * n:3 * n], m[3 * n:4 * n]
+        sign = _odd_letter_sign(chart, left) * _odd_letter_sign(chart, right)
+        base = m[:n] + (0,) * 2 * n
+        out.setdefault((left, right), {})[base] = sign * c
+    return {key: GradedPoly(chart, terms) for key, terms in out.items()}
+
+
+def _add_to_table(table, key, coeff):
+    cur = table.get(key)
+    table[key] = coeff if cur is None else cur + coeff
+
+
 def tensor_square_left_mult_vf(field, square):
-    """Multiply a tensor square from the left by (X (x) 1 + 1 (x) X).
+    """Multiply a square symbol from the left by (X (x) 1 + 1 (x) X).
 
     The X (x) 1 term composes into the left slot; the 1 (x) X term
     crosses the left slot with a Koszul sign, composes into the right
     slot, and the coefficients this produces on the right are pushed
-    back into the left slot through the balancing twist.
+    back into the left slot through the balancing twist
+    (``degree_split_tensor_push_left``).
     """
-    from jetexp.chart import same_chart
-    from jetexp.enveloping import DiffOp, TensorSquare, tensor_push_left
+    from jetexp.enveloping import DiffOp
 
-    chart = same_chart(field, square)
+    chart = field.chart
     xop = DiffOp.from_vector_field(field)
-    out = TensorSquare(chart, square.kind)
-    for (left_index, right_index), coeff in square.terms.items():
+    out = {}
+    for (left_index, right_index), coeff in square_table(chart,
+                                                         square).items():
         left_op = DiffOp(chart, {left_index: coeff})
         for idx, c in xop.compose(left_op).terms.items():
-            out.add_table({(idx, right_index): [(1, c)]})
+            _add_to_table(out, (idx, right_index), c)
         right_word = DiffOp.from_word(chart, right_index)
         for xdeg, xpart in vf_homogeneous_ops(field):
             xr = xpart.compose(right_word)
             for udeg, upart in left_op.homogeneous_components().items():
                 crossed = upart.scale(-1) if (xdeg & 1) and (udeg & 1) \
                     else upart
-                tensor_push_left(out, [(crossed, xr)])
-    return out
+                degree_split_tensor_push_left(out, crossed, xr)
+    return square_from_table(chart, out)
 
 
 def dual_curvature_action(conn, f):
@@ -608,18 +655,20 @@ def dual_curvature_action(conn, f):
     return out
 
 
-def degree_split_tensor_push_left(out, left_op, right_op):
-    """``tensor_push_left`` over degree-homogeneous parts: the whole left
-    operator and each right coefficient split by total degree, each pair
-    of parts multiplied and negated when both degrees are odd."""
+def degree_split_tensor_push_left(table, left_op, right_op):
+    """Add left_op (x) right_op to a (L, R) -> coefficient ``table``, each
+    right coefficient pushed into the left slot over degree-homogeneous
+    parts: the whole left operator and each right coefficient split by
+    total degree, each pair of parts multiplied and negated when both
+    degrees are odd."""
     for right_index, rcoeff in right_op.terms.items():
         for udeg, upart in left_op.homogeneous_components().items():
             for gdeg, gpart in rcoeff.homogeneous_components().items():
                 flip = (gdeg & 1) and (udeg & 1)
                 moved = upart.scale(gpart)
                 for left_index, lcoeff in moved.terms.items():
-                    out.add_table({(left_index, right_index): [
-                        (-1 if flip else 1, lcoeff)]})
+                    _add_to_table(table, (left_index, right_index),
+                                  -lcoeff if flip else lcoeff)
 
 
 def degree_split_mul_letter_left(tensor, slot):
@@ -670,18 +719,15 @@ def bitmask_shuffle_splits(chart, index):
         yield (-1 if inv & 1 else 1), tuple(left), tuple(right)
 
 
-def per_split_comult(element, kind):
-    """The shuffle comultiplication of ``element`` summed one public
-    polynomial per bitmask split."""
-    from jetexp.enveloping import TensorSquare
-
+def per_split_comult(element):
+    """The square symbol of the shuffle comultiplication of ``element``
+    summed one public polynomial per bitmask split."""
     out = {}
     for index, coeff in element.terms.items():
         for sign, left, right in bitmask_shuffle_splits(element.chart,
                                                         index):
-            cur = out.get((left, right), GradedPoly.zero(element.chart))
-            out[left, right] = cur + (coeff if sign > 0 else -coeff)
-    return TensorSquare(element.chart, kind, out)
+            _add_to_table(out, (left, right), coeff if sign > 0 else -coeff)
+    return square_from_table(element.chart, out)
 
 
 def summed_random_base_poly(rng, chart, max_degree=2, terms=3):

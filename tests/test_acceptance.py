@@ -21,7 +21,7 @@ from jetexp.perturbation import ContractionData, check_contraction, \
 from jetexp.poly import GradedPoly, monomial_pq
 from jetexp.randomgen import (random_base_poly, random_section,
                               random_symtensor, random_word)
-from jetexp.verify import flat_contraction, morphism_sides
+from jetexp.verify import _Session, flat_contraction, morphism_sides
 
 from conftest import CHART_DEFS
 from oracles import (derivation_apply, dual_curvature_action, filter_terms,
@@ -56,10 +56,10 @@ def test_criterion_1_coalgebra_morphism_randomized():
     checked = 0
     for name in names:
         chart, conn = acceptance_chart(name)
-        ctx = PbwContext(chart, conn, max_weight=5)
+        session = _Session(chart, conn, 4)  # a context capped at 5
         for _ in range(40):
             tensor = random_symtensor(rng, chart, 4)
-            lhs, rhs = morphism_sides(ctx, tensor)
+            lhs, rhs = morphism_sides(session, tensor)
             assert lhs == rhs
             checked += 1
     elapsed = time.time() - start

@@ -172,6 +172,9 @@ def test_exit_codes(tmp_path, capsys):
             (coords + trunc + "P 3\n", 8),
             (coords + "[truncation]\nB 6\nQ 3\nP 3\nB 6\n", 8),
             ("[coordinates]\nx 0\nt 1\nx 2\n" + trunc, 4),
+            # a name taken by a derived form name, a bound below its least
+            ("[coordinates]\nx 0\ndx 0\n" + trunc, 3),
+            (coords + "[truncation]\nQ 0\nP 3\nB 6\n", 5),
             ("[coordinates]\nx 0\nt 1\n" + trunc
              + "[christoffel]\n1 1 1 x\n2 2 2 x\n1 1 2 x\n", 11),
             (coords + trunc + "[christoffel]\n2 1 1 x2\n1 1 1 1\n", 9),
@@ -287,6 +290,19 @@ def test_verify_suites_pass_on_shipped_charts():
 def test_verify_three_degree_chart_coalgebra():
     code, text = run("verify", "--chart", chart("three_degrees.chart"),
                      "--suite", "coalgebra")
+    assert code == 0
+    assert text == ("CHECK comultiplication-intertwines-map PASS\n"
+                    "VERIFY coalgebra PASS\n")
+
+
+def test_verify_coalgebra_on_primed_coordinate_names(tmp_path):
+    # the tensor-square chart adds a primed copy of each coordinate; a
+    # chart that already names x' makes the copies take more primes
+    primed = tmp_path / "primed.chart"
+    primed.write_text("[coordinates]\nx 0\nx' 0\n"
+                      "[truncation]\nQ 4\nP 3\nB 6\n"
+                      "[christoffel]\n1 1 2 x\n2 2 1 x\n")
+    code, text = run("verify", "--chart", str(primed), "--suite", "coalgebra")
     assert code == 0
     assert text == ("CHECK comultiplication-intertwines-map PASS\n"
                     "VERIFY coalgebra PASS\n")

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weight
-from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                               comult_env, comult_sym, letter_sign, pairing,
-                               parity_parts, sym_mul_vf, symbol_sign,
-                               tensor_push_left, TensorSquare, word_letters)
+from jetexp.enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
+                               letter_sign, pairing, parity_parts,
+                               square_chart, sym_mul_vf, symbol_sign,
+                               to_square, word_letters)
 from jetexp.geometry import VectorField
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_symtensor,
@@ -19,8 +19,9 @@ from hypothesis import given, strategies as st
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
                      degree_split_tensor_push_left, per_letter_compose,
-                     per_split_comult, shuffle_pairing, sym_word,
-                     sym_word_product, tensor_square_left_mult_vf)
+                     per_split_comult, shuffle_pairing, square_from_table,
+                     square_table, sym_word, sym_word_product,
+                     tensor_square_left_mult_vf)
 from test_operator_properties import indexed
 from test_poly_properties import PROPERTY
 
@@ -121,14 +122,10 @@ def test_letter_compose_matches_general_product(name):
 
 
 def test_compose_truncation_cap(line):
+    # the product is exact past the chart's weight (5 here): an order cap
+    # is the caller's, as the grammar's is
     d3 = DiffOp.from_word(line, (3,))
-    with pytest.raises(TruncationOverflowError):
-        d3.compose(d3, max_order=line.truncation.max_sym_weight)  # 5 here
-    with pytest.raises(TruncationOverflowError):
-        d3.compose(d3, max_order=4)
-    assert d3.compose(d3).order() == 6  # exact by default
-    assert d3.compose(DiffOp.from_word(line, (2,)),
-                      max_order=line.truncation.max_sym_weight).order() == 5
+    assert d3.compose(d3).order() == 6
 
 
 def test_compose_confluence_and_apply(mixed, rng):
@@ -189,41 +186,41 @@ def test_comult_sym_examples(line):
     one = SymTensor.function(line, GradedPoly.constant(line, 1))
     d = SymTensor.from_word(line, (1,))
     empty = (0,)
-    got = comult_sym(one)
-    assert got.terms == {(empty, empty): GradedPoly.constant(line, 1)}
-    got = comult_sym(d)
-    assert got.terms == {((1,), empty): GradedPoly.constant(line, 1),
-                         (empty, (1,)): GradedPoly.constant(line, 1)}
+    got = square_table(line, comult_sym(one))
+    assert got == {(empty, empty): GradedPoly.constant(line, 1)}
+    got = square_table(line, comult_sym(d))
+    assert got == {((1,), empty): GradedPoly.constant(line, 1),
+                   (empty, (1,)): GradedPoly.constant(line, 1)}
     # weight two: 1 (x) W + W (x) 1 + two cross terms
-    got = comult_sym(SymTensor.from_word(line, (2,)))
-    assert got.terms[((1,), (1,))] == GradedPoly.constant(line, 2)
+    got = square_table(line, comult_sym(SymTensor.from_word(line, (2,))))
+    assert got[((1,), (1,))] == GradedPoly.constant(line, 2)
 
 
 def test_comult_sym_odd_cross_sign():
     two_odd = Chart([("t1", 1), ("t2", 1)])
     word = SymTensor.from_word(two_odd, (1, 1))  # descending: t2 then t1
-    got = comult_sym(word)
+    got = square_table(two_odd, comult_sym(word))
     # splitting off the trailing letter t1 to the left crosses t2
-    assert got.terms[((1, 0), (0, 1))] == -GradedPoly.constant(two_odd, 1)
-    assert got.terms[((0, 1), (1, 0))] == GradedPoly.constant(two_odd, 1)
+    assert got[((1, 0), (0, 1))] == -GradedPoly.constant(two_odd, 1)
+    assert got[((0, 1), (1, 0))] == GradedPoly.constant(two_odd, 1)
 
 
 def test_comult_env_examples(mixed):
     f = random_base_poly(random.Random(1), mixed, 2, 2)
     op = DiffOp.function(mixed, f)
-    got = comult_env(op)
-    assert got.terms == {((0, 0), (0, 0)): f}
+    got = square_table(mixed, comult_env(op))
+    assert got == {((0, 0), (0, 0)): f}
     d = DiffOp.from_word(mixed, (1, 0))
-    got = comult_env(d)
-    assert got.terms == {((1, 0), (0, 0)): GradedPoly.constant(mixed, 1),
-                         ((0, 0), (1, 0)): GradedPoly.constant(mixed, 1)}
+    got = square_table(mixed, comult_env(d))
+    assert got == {((1, 0), (0, 0)): GradedPoly.constant(mixed, 1),
+                   ((0, 0), (1, 0)): GradedPoly.constant(mixed, 1)}
     # product of two distinct commuting coordinate fields
     plane = Chart([("x1", 0), ("x2", 0)])
     op = DiffOp.from_word(plane, (1, 1))
-    got = comult_env(op)
+    got = square_table(plane, comult_env(op))
     one = GradedPoly.constant(plane, 1)
-    assert got.terms == {((1, 1), (0, 0)): one, ((0, 0), (1, 1)): one,
-                         ((1, 0), (0, 1)): one, ((0, 1), (1, 0)): one}
+    assert got == {((1, 1), (0, 0)): one, ((0, 0), (1, 1)): one,
+                   ((1, 0), (0, 1)): one, ((0, 1), (1, 0)): one}
 
 
 def test_comult_env_matches_iterated_product_route():
@@ -240,8 +237,8 @@ def test_comult_env_matches_iterated_product_route():
         if mi_weight(index) < 2:
             continue
         empty = (0,) * chart.n
-        built = TensorSquare(chart, "env",
-                             {(empty, empty): GradedPoly.constant(chart, 1)})
+        built = square_from_table(
+            chart, {(empty, empty): GradedPoly.constant(chart, 1)})
         for slot in reversed(word_letters(index)):
             built = tensor_square_left_mult_vf(
                 VectorField.coordinate(chart, slot), built)
@@ -262,8 +259,8 @@ def test_comult_matches_bitmask_split_oracle(name):
         coeff = random_base_poly(rng, chart, 2, 2)
         tensor = SymTensor(chart, {index: coeff})
         op = DiffOp(chart, {index: coeff})
-        assert comult_sym(tensor) == per_split_comult(tensor, "sym")
-        assert comult_env(op) == per_split_comult(op, "env")
+        assert comult_sym(tensor) == per_split_comult(tensor)
+        assert comult_env(op) == per_split_comult(op)
 
 
 def test_comult_multiplicative_on_vector_fields(mixed, rng):
@@ -278,7 +275,19 @@ def test_comult_multiplicative_on_vector_fields(mixed, rng):
         assert lhs == rhs
 
 
-def _triple_split(chart, square_factory, comult, obj, first_left):
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@PROPERTY
+@given(data=st.data())
+def test_comult_sym_is_multiplicative(name, data):
+    # the substitution y -> y + y' is an algebra map, and the square
+    # product of symbols the product of the tensor-square algebra
+    chart, _ = build_chart(name)
+    s = data.draw(indexed(SymTensor, chart))
+    t = data.draw(indexed(SymTensor, chart))
+    assert comult_sym(s * t) == comult_sym(s) * comult_sym(t)
+
+
+def _triple_split(chart, comult, obj, first_left):
     """Canonical (K, L, M) -> coeff table for (Delta (x) id)Delta or
     (id (x) Delta)Delta, with all coefficients pushed to the far left."""
     out = {}
@@ -293,19 +302,20 @@ def _triple_split(chart, square_factory, comult, obj, first_left):
         else:
             del out[key]
 
-    for (a, b), coeff in comult(obj).terms.items():
+    for (a, b), coeff in square_table(chart, comult(obj)).items():
         if first_left:
             inner = comult(type(obj)(obj.chart, {a: coeff}))
-            for (k, l), c in inner.terms.items():
+            for (k, l), c in square_table(chart, inner).items():
                 push((k, l, b), c)
         else:
             inner = comult(type(obj).from_word(obj.chart, b))
-            for (l, m), c in inner.terms.items():
-                # move c (pure word split of b: constant) and cross signs
-                square = TensorSquare(obj.chart, "sym")
-                tensor_push_left(square, [(type(obj)(obj.chart, {a: coeff}),
-                                           type(obj)(obj.chart, {l: c}))])
-                for (k2, l2), c2 in square.terms.items():
+            for (l, m), c in square_table(chart, inner).items():
+                # move c (pure word split of b: constant) and cross signs:
+                # the square product of (a: coeff) (x) (l: c)
+                square = (to_square(type(obj)(chart, {a: coeff}).symbol())
+                          * to_square(type(obj)(chart, {l: c}).symbol(),
+                                      right=True))
+                for (k2, l2), c2 in square_table(chart, square).items():
                     push((k2, l2, m), c2)
     return out
 
@@ -317,8 +327,8 @@ def test_coassociativity(mixed, rng, kind):
     for _ in range(20):
         t = random_symtensor(rng, mixed, 4)
         obj = make(mixed, dict(t.terms))
-        left = _triple_split(mixed, None, com, obj, first_left=True)
-        right = _triple_split(mixed, None, com, obj, first_left=False)
+        left = _triple_split(mixed, com, obj, first_left=True)
+        right = _triple_split(mixed, com, obj, first_left=False)
         assert left == right
 
 
@@ -333,7 +343,7 @@ def test_counit_both_sides(mixed, rng, kind):
         # (counit (x) id) Delta == id: keep terms with empty left word
         left = {}
         right = {}
-        for (a, b), coeff in com(obj).terms.items():
+        for (a, b), coeff in square_table(mixed, com(obj)).items():
             if a == empty:
                 # coefficient crosses nothing: it is already far left
                 cur = right.get(b)
@@ -422,7 +432,7 @@ def test_sym_mul_vf_and_word_product(mixed):
 def test_tensor_square_counit_of_counit(line):
     t = SymTensor.from_word(line, (3,))
     total = GradedPoly.zero(line)
-    for (a, b), coeff in comult_sym(t).terms.items():
+    for (a, b), coeff in square_table(line, comult_sym(t)).items():
         if a == (0,) and b == (3,):
             total = total + coeff
     assert total == GradedPoly.constant(line, 1)
@@ -442,20 +452,23 @@ def odd_parts(obj):
 @PROPERTY
 @given(data=st.data())
 def test_tensor_push_left_matches_degree_split_oracle(name, data):
-    # the drawn coefficients run over all base generators, so on a chart
-    # with odd coordinates they are of mixed parity; their odd parts are
-    # pushed too, alone and as a second pair onto the same keys
+    # pushing each right coefficient into the left slot is the product of
+    # square symbols.  The drawn coefficients run over all base
+    # generators, so on a chart with odd coordinates they are of mixed
+    # parity; their odd parts are pushed too, alone and as a second pair
+    # onto the same keys
     chart, _ = build_chart(name)
     left = data.draw(indexed(DiffOp, chart))
     right = data.draw(indexed(DiffOp, chart))
     for pairs in ([(left, right)], [(left, odd_parts(right))],
                   [(left, right), (left, odd_parts(right))]):
-        got = TensorSquare(chart, "env")
-        want = TensorSquare(chart, "env")
-        tensor_push_left(got, pairs)
+        got = GradedPoly.zero(square_chart(chart))
+        want = {}
         for lhs, rhs in pairs:
+            got = got + to_square(lhs.symbol()) * to_square(rhs.symbol(),
+                                                            right=True)
             degree_split_tensor_push_left(want, lhs, rhs)
-        assert got == want
+        assert got == square_from_table(chart, want)
 
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)

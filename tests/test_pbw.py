@@ -16,8 +16,8 @@ from jetexp.randomgen import (random_base_poly, random_section,
 
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import (compose_word_image, filter_terms, lightning_nabla,
-                     per_letter_compose, per_letter_word_image, theta_form,
-                     xi_form_by_theta)
+                     per_letter_compose, per_letter_word_image, square_table,
+                     theta_form, xi_form_by_theta)
 
 
 def europe_recursion(ctx, fields):
@@ -315,7 +315,10 @@ def test_theta_lowers_weight(charts, contexts, rng):
 
 
 def test_theta_is_coderivation(charts, contexts, rng):
-    from jetexp.enveloping import TensorSquare, tensor_push_left
+    from jetexp.enveloping import to_square
+
+    def square(u, v):  # u (x) v: a right coefficient crosses u leftwards
+        return to_square(u.symbol()) * to_square(v.symbol(), right=True)
 
     for name in ("plane_curved", "mixed"):
         chart, conn = charts[name]
@@ -326,19 +329,18 @@ def test_theta_is_coderivation(charts, contexts, rng):
                 x = VectorField.coordinate(chart, i)
                 xdeg = -chart.coordinate_degree(i)
                 lhs = comult_sym(theta_form(ctx, x, tensor))
-                rhs = TensorSquare(chart, "sym")
-                for (a, b), coeff in comult_sym(tensor).terms.items():
+                rhs = GradedPoly.zero(lhs.chart)
+                for (a, b), coeff in square_table(
+                        chart, comult_sym(tensor)).items():
                     # theta acting on the left slot
                     part = theta_form(ctx, x, SymTensor(chart, {a: coeff}))
-                    tensor_push_left(rhs, [(part,
-                                            SymTensor.from_word(chart, b))])
+                    rhs = rhs + square(part, SymTensor.from_word(chart, b))
                     # theta acting on the right slot, crossing the left
                     left = SymTensor(chart, {a: coeff})
                     right = theta_form(ctx, x, SymTensor.from_word(chart, b))
                     for adeg, apart in left.homogeneous_components().items():
                         flip = (adeg & 1) and (xdeg & 1)
-                        tensor_push_left(rhs, [(-apart if flip else apart,
-                                                right)])
+                        rhs = rhs + square(-apart if flip else apart, right)
                 assert lhs == rhs
 
 
