@@ -35,8 +35,10 @@ symbols, and the operator product is the normal-ordered star product
 right derivatives in the fiber generators on the left factor and left
 ones in the base generators on the right factor; for one letter it is
 the graded Leibniz rule sigma(d_s o P) = partial_{x_s} sigma(P) + y_s .
-sigma(P).  ``terms``, word -> coefficient, is a view for the printer,
-``apply``, ``PbwContext.map`` and the pairing, built on first read.
+sigma(P).  ``terms``, word -> coefficient, is a view for ``apply``,
+``PbwContext.map`` and ``inv``, ``xi_form``, ``nabla_sym`` and the
+pairing, built on each read (each reads it once); the text layer
+(``grammar``) reads and writes symbols.
 
 Tensor squares over base functions are symbols on ``square_chart``,
 which adds a primed copy x' of each coordinate: u (x) v is
@@ -147,7 +149,7 @@ class _IndexedSum:
     """A finite sum of words with base-function coefficients, held as its
     symbol (module docstring)."""
 
-    __slots__ = ("chart", "_sigma", "_terms")
+    __slots__ = ("chart", "_sigma")
 
     def __init__(self, chart: Chart, terms: Dict[MultiIndex, GradedPoly] = None):
         entries = []
@@ -163,7 +165,6 @@ class _IndexedSum:
             entries.append((1, word_symbol(chart, index, coeff)))
         self.chart = chart
         self._sigma = combine(chart, entries)
-        self._terms = None
 
     @classmethod
     def from_symbol(cls, sigma: GradedPoly):
@@ -172,7 +173,6 @@ class _IndexedSum:
         out = cls.__new__(cls)
         out.chart = sigma.chart
         out._sigma = sigma
-        out._terms = None
         return out
 
     @classmethod
@@ -204,21 +204,19 @@ class _IndexedSum:
 
     @property
     def terms(self) -> Dict[MultiIndex, GradedPoly]:
-        """word -> coefficient, read off the symbol on first read (do not
-        mutate): its monomials grouped by their fiber part y^K, rho(K)
-        times each group's base part the coefficient of K."""
-        terms = self._terms
-        if terms is None:
-            chart = self.chart
-            sigma = self._sigma
-            shifts = chart.shifts[chart.n:2 * chart.n]
-            terms = self._terms = {}
-            for fiber, nums in fiber_parts(sigma).items():
-                # rho(K) = -1 for 2 or 3 odd letters mod 4 (``symbol_sign``)
-                if (fiber & chart.odd_low).bit_count() & 2:
-                    nums = {k: -v for k, v in nums.items()}
-                terms[tuple([fiber >> sh & FIELD_MASK for sh in shifts])] = \
-                    GradedPoly._of(chart, nums, sigma.den)
+        """word -> coefficient, read off the symbol on each read: its
+        monomials grouped by their fiber part y^K, rho(K) times each
+        group's base part the coefficient of K."""
+        chart = self.chart
+        sigma = self._sigma
+        shifts = chart.shifts[chart.n:2 * chart.n]
+        terms = {}
+        for fiber, nums in fiber_parts(sigma).items():
+            # rho(K) = -1 for 2 or 3 odd letters mod 4 (``symbol_sign``)
+            if (fiber & chart.odd_low).bit_count() & 2:
+                nums = {k: -v for k, v in nums.items()}
+            terms[tuple([fiber >> sh & FIELD_MASK for sh in shifts])] = \
+                GradedPoly._of(chart, nums, sigma.den)
         return terms
 
     def __bool__(self):
@@ -268,8 +266,9 @@ class _IndexedSum:
             - _key_degree(chart, k & ~base)).items()}
 
     def __repr__(self):
-        from .grammar import format_indexed
-        return "%s(%s)" % (type(self).__name__, format_indexed(self))
+        from .grammar import format_diffop, format_symtensor
+        fmt = format_diffop if isinstance(self, DiffOp) else format_symtensor
+        return "%s(%s)" % (type(self).__name__, fmt(self))
 
 
 class SymTensor(_IndexedSum):
@@ -447,6 +446,7 @@ def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
     n = chart.n
     base = chart.base_mask
     odd_base = chart.odd_low & base
+    terms = tensor.terms
     entries = []
     for k, v in sigma.nums.items():
         m = unpack_monomial(chart, k)
@@ -454,7 +454,7 @@ def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
             raise ValueError("pairing argument must be free of form "
                              "generators")
         fiber = m[n:2 * n]
-        coeff = tensor.terms.get(fiber)
+        coeff = terms.get(fiber)
         if coeff is None:
             continue
         base_parity = (k & odd_base).bit_count() & 1

@@ -12,7 +12,7 @@ jet quotient by total filtration weight p + q.  Every operator used
 (the lowering/raising pair, the projection/inclusion pair, the dual
 covariant differential, and vector-valued-form actions) preserves that
 filtration, and weights add under products, so cutting each product off
-at the quotient weight (GradedPoly.times with ``max_weight``) computes
+at the quotient weight (GradedPoly.derive with ``max_weight``) computes
 exactly in the quotient without forming the terms it drops; "exact up to
 truncation" means exact there.
 

@@ -10,23 +10,28 @@ Grammar (whitespace insignificant):
 
 NAME is a chart generator (coordinate, fiber or form name); ``d[c]`` is
 the derivation of coordinate c (operator factor), ``s[c]`` its symmetric
-counterpart.  Factors of a term multiply left to right in the relevant
-algebra, so ``d[x]*x`` parses to x*d[x] + 1.  Printing is canonical and
-deterministic (terms sorted by descending word, then descending monomial
-exponents) and every printed expression re-parses to an equal value:
-parse(print(f)) == f, bit-exact.
+counterpart.  Every factor is built as a symbol (``enveloping`` module
+docstring): a constant, a generator, or the symbol of a bracket word.
+Factors of a term multiply left to right in the relevant algebra, the
+product of symbols for polynomials and tensors and ``DiffOp.compose``
+for operators, so ``d[x]*x`` parses to x*d[x] + 1.  Printing reads the
+packed keys of the symbol and is canonical and deterministic (terms
+sorted by descending word, then descending monomial exponents); every
+printed expression re-parses to an equal value: parse(print(f)) == f,
+bit-exact.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import List, Tuple
 
 from .chart import Chart
-from .poly import GradedPoly
+from .poly import GradedPoly, unpack_monomial
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         word_symbol)
+                         symbol_sign, word_symbol)
 
 
 class ExprSyntaxError(ValueError):
@@ -64,13 +69,16 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return out
 
 
+# bracket head -> (the expression kind it belongs to, that kind in errors)
+_HEADS = {"d": (DiffOp, "operator"), "s": (SymTensor, "symmetric tensor")}
+
+
 class _Parser:
-    def __init__(self, chart: Chart, text: str, mode: str,
+    def __init__(self, chart: Chart, text: str, kind=None,
                  max_order: int = None):
         self.chart = chart
         self.text = text
-        self.mode = mode  # 'poly' | 'diffop' | 'sym'
-        self.kind = {"diffop": DiffOp, "sym": SymTensor}.get(mode)
+        self.kind = kind  # None (a polynomial), DiffOp or SymTensor
         self.max_order = max_order  # operator order cap of a product
         self.tokens = _tokenize(text)
         self.i = 0
@@ -85,57 +93,47 @@ class _Parser:
         self.i += 1
         return tok
 
-    # -- factor values in the target algebra -------------------------------
-    def _mul(self, acc, factor):
-        if self.kind and isinstance(factor, GradedPoly):
-            factor = self.kind.from_symbol(factor)  # a base function
-        if self.mode != "diffop":
+    # -- factor values: symbols ----------------------------------------------
+    def _mul(self, acc: GradedPoly, factor: GradedPoly) -> GradedPoly:
+        if self.kind is not DiffOp:
             return acc * factor  # a symmetric product is one of symbols
         # bound the operands before the product is formed
-        orders = (acc.order() or 0, factor.order() or 0)
-        if self.max_order is not None and max(orders) > self.max_order:
+        order = max(max(acc.nums, default=0),
+                    max(factor.nums, default=0)) >> self.chart.weight_shift
+        if self.max_order is not None and order > self.max_order:
             raise TruncationOverflowError(
-                "operator order %d exceeds bound %d"
-                % (max(orders), self.max_order))
-        return acc.compose(factor)
+                "operator order %d exceeds bound %d" % (order, self.max_order))
+        return DiffOp.from_symbol(acc).compose(
+            DiffOp.from_symbol(factor)).symbol()
 
-    def _scalar(self, c: Fraction):
-        value = GradedPoly.constant(self.chart, c)
-        return self.kind.from_symbol(value) if self.kind else value
-
-    def _generator(self, name: str, pos: int, exp: int, epos: int):
-        """``name`` raised to ``exp``, built directly (an odd generator
-        squares to 0; an even one is capped by its block's B, Q or P; a
-        bracket power is one word, its weight checked by the caller)."""
+    def _generator(self, kind: str, name: str, pos: int, exp: int,
+                   epos: int) -> GradedPoly:
+        """The symbol of ``name`` raised to ``exp``, built directly (an
+        odd generator squares to 0; an even one is capped by its block's
+        B, Q or P; a bracket power is one word, ``word_symbol`` raising
+        TruncationOverflowError past ``FIELD_MAX``)."""
         chart = self.chart
-        bracket = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\[([A-Za-z_0-9]+)\]$",
-                           name)
-        if bracket:
-            head, coord = bracket.group(1), bracket.group(2)
+        if kind == "word":
+            head, coord = name[:-1].split("[")
             names = [c.name for c in chart.coords]
             if coord not in names:
                 raise ExprSyntaxError("unknown coordinate %r" % coord, pos)
-            idx = names.index(coord)
-            if head == "d":
-                if self.mode != "diffop":
-                    raise ExprSyntaxError("d[..] only valid in operator "
-                                          "expressions", pos)
-            elif head == "s":
-                if self.mode != "sym":
-                    raise ExprSyntaxError("s[..] only valid in symmetric "
-                                          "tensor expressions", pos)
-            else:
+            if head not in _HEADS:
                 raise ExprSyntaxError("unknown bracket generator %r" % head,
                                       pos)
+            if self.kind is not _HEADS[head][0]:
+                raise ExprSyntaxError("%s[..] only valid in %s expressions"
+                                      % (head, _HEADS[head][1]), pos)
+            idx = names.index(coord)
             if exp > 1 and chart.coordinate_parity(idx):
-                return self._scalar(0)
-            return self.kind.from_symbol(word_symbol(
-                chart, tuple(exp if s == idx else 0 for s in range(chart.n))))
+                return GradedPoly.zero(chart)
+            return word_symbol(chart, tuple(exp if s == idx else 0
+                                            for s in range(chart.n)))
         try:
             slot = chart.slot(name)
         except KeyError:
             raise ExprSyntaxError("unknown generator %r" % name, pos) from None
-        if self.mode != "poly" and slot >= chart.n:
+        if self.kind and slot >= chart.n:
             raise ExprSyntaxError("%r is not a coordinate; coefficients must "
                                   "be base functions" % name, pos)
         if chart.gen_parities[slot]:
@@ -151,7 +149,7 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
     def parse(self):
-        total = None
+        total = GradedPoly.zero(self.chart)
         sign = 1
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
@@ -159,9 +157,7 @@ class _Parser:
             sign = -1 if tok[1] == "-" else 1
         while True:
             term = self._term()
-            if sign < 0:
-                term = _negate(term)
-            total = term if total is None else total + term
+            total = total + term if sign > 0 else total - term
             tok = self.peek()
             if tok is None:
                 break
@@ -171,10 +167,10 @@ class _Parser:
                 continue
             raise ExprSyntaxError("expected '+' or '-', got %r" % tok[1],
                                   tok[2])
-        return total
+        return self.kind.from_symbol(total) if self.kind else total
 
-    def _term(self):
-        acc = self._scalar(1)
+    def _term(self) -> GradedPoly:
+        acc = GradedPoly.constant(self.chart, 1)
         while True:
             pos = self.peek()[2] if self.peek() else len(self.text)
             acc = self._mul(acc, self._factor())
@@ -185,19 +181,17 @@ class _Parser:
                 continue
             return acc
 
-    def _check_base_degree(self, value, pos: int):
+    def _check_base_degree(self, value: GradedPoly, pos: int):
         """A coefficient product past the chart's base-degree bound B is
         an error at the factor that crossed it."""
-        degree = (value if isinstance(value, GradedPoly)
-                  else value.symbol()).max_base_degree()
+        degree = value.max_base_degree()
         limit = self.chart.truncation.max_base_degree
         if degree > limit:
             raise ExprSyntaxError("base degree %d exceeds chart bound %d"
                                   % (degree, limit), pos)
 
-    def _factor(self):
-        tok = self.take()
-        kind, text, pos = tok
+    def _factor(self) -> GradedPoly:
+        kind, text, pos = self.take()
         if kind == "int":
             num = int(text)
             nxt = self.peek()
@@ -208,8 +202,8 @@ class _Parser:
                     raise ExprSyntaxError("expected denominator", dpos)
                 if not int(dtext):
                     raise ExprSyntaxError("zero denominator", dpos)
-                return self._scalar(Fraction(num, int(dtext)))
-            return self._scalar(Fraction(num))
+                num = Fraction(num, int(dtext))
+            return GradedPoly.constant(self.chart, num)
         if kind in ("name", "word"):
             exp, epos = 1, pos
             nxt = self.peek()
@@ -219,104 +213,66 @@ class _Parser:
                 if ekind != "int":
                     raise ExprSyntaxError("expected integer exponent", epos)
                 exp = int(etext)
-            return self._generator(text, pos, exp, epos)
+            return self._generator(kind, text, pos, exp, epos)
         raise ExprSyntaxError("unexpected token %r" % text, pos)
 
 
-def _negate(x):
-    return -x
-
-
 def parse_poly(chart: Chart, text: str) -> GradedPoly:
-    return _Parser(chart, text, "poly").parse()
+    return _Parser(chart, text).parse()
 
 
 def parse_diffop(chart: Chart, text: str, max_order: int = None) -> DiffOp:
     """Parse an operator expression; with ``max_order``, an operand of a
     product whose order exceeds it raises TruncationOverflowError before
     the product is formed."""
-    return _Parser(chart, text, "diffop", max_order).parse()
+    return _Parser(chart, text, DiffOp, max_order).parse()
 
 
 def parse_symtensor(chart: Chart, text: str) -> SymTensor:
-    return _Parser(chart, text, "sym").parse()
+    return _Parser(chart, text, SymTensor).parse()
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-def _format_coeff(c: Fraction, lead_monomial: bool):
-    """(sign string contribution handled by caller) -> text or None when
-    the coefficient is +/-1 in front of a nonempty monomial."""
-    if c.denominator == 1:
-        if abs(c.numerator) == 1 and not lead_monomial:
-            return None
-        return str(abs(c.numerator))
-    return "%d/%d" % (abs(c.numerator), c.denominator)
+def _power(name: str, e: int) -> str:
+    return name if e == 1 else "%s^%d" % (name, e)
 
 
-def _format_terms(pieces):
-    """pieces: list of (sort key, coeff, monomial text or '')."""
-    if not pieces:
-        return "0"
-    pieces = sorted(pieces, key=lambda p: p[0], reverse=True)
-    out = []
-    for _, coeff, mono in pieces:
-        coeff_txt = _format_coeff(coeff, lead_monomial=not mono)
-        body = "*".join(x for x in (coeff_txt, mono) if x) or coeff_txt
-        if not out:
-            out.append(body if coeff >= 0 else "-" + body)
-        else:
-            out.append(("+ " if coeff >= 0 else "- ") + body)
-    return " ".join(out)
-
-
-def _monomial_text(chart: Chart, m) -> str:
-    parts = []
-    for slot, e in enumerate(m):
-        if not e:
-            continue
-        name = chart.gen_names[slot]
-        parts.append(name if e == 1 else "%s^%d" % (name, e))
-    return "*".join(parts)
+def _format(sigma: GradedPoly, head: str = None) -> str:
+    """Canonical text of a polynomial, or with ``head`` ('d' or 's') of
+    the sum whose symbol is ``sigma``: each key's base monomial followed
+    by the descending word of its fiber part K, the coefficient times
+    rho(K).  Terms descend by (word weight, word, monomial)."""
+    chart, den = sigma.chart, sigma.den
+    n = chart.n if head else 3 * chart.n
+    pieces = []
+    for key, num in sigma.nums.items():
+        m = unpack_monomial(chart, key)
+        mono, word = m[:n], m[n:2 * n]  # the word is () without a head
+        if head:
+            num *= symbol_sign(chart, word)
+        g = gcd(num, den)
+        digits = str(abs(num) // g) if g == den else \
+            "%d/%d" % (abs(num) // g, den // g)
+        factors = [_power(x, e) for x, e in zip(chart.gen_names, mono) if e]
+        factors += [_power("%s[%s]" % (head, coord.name), e) for coord, e
+                    in reversed(list(zip(chart.coords, word))) if e]
+        body = "*".join(factors if digits == "1" and factors
+                        else [digits] + factors)
+        pieces.append(((sum(word), word, mono), num < 0, body))
+    text = "".join((" - " if neg else " + ") + body
+                   for _, neg, body in sorted(pieces, reverse=True))
+    return ("-" if text.startswith(" -") else "") + text[3:] or "0"
 
 
 def format_poly(f: GradedPoly) -> str:
-    pieces = [(m, c, _monomial_text(f.chart, m)) for m, c in f.terms.items()]
-    return _format_terms(pieces)
-
-
-def _word_text(chart: Chart, index, head: str) -> str:
-    parts = []
-    for slot in range(chart.n - 1, -1, -1):
-        e = index[slot]
-        if not e:
-            continue
-        name = chart.coords[slot].name
-        token = "%s[%s]" % (head, name)
-        parts.append(token if e == 1 else "%s^%d" % (token, e))
-    return "*".join(parts)
-
-
-def format_indexed(obj, head=None) -> str:
-    """Canonical text of a DiffOp (head 'd') or SymTensor (head 's')."""
-    if head is None:
-        head = "d" if isinstance(obj, DiffOp) else "s"
-    chart = obj.chart
-    pieces = []
-    for index, coeff in obj.terms.items():
-        word = _word_text(chart, index, head)
-        for m, c in coeff.terms.items():
-            mono = _monomial_text(chart, m)
-            body = "*".join(x for x in (mono, word) if x)
-            key = (sum(index), index, m)
-            pieces.append((key, c, body))
-    return _format_terms(pieces)
+    return _format(f)
 
 
 def format_diffop(op: DiffOp) -> str:
-    return format_indexed(op, "d")
+    return _format(op.symbol(), "d")
 
 
 def format_symtensor(t: SymTensor) -> str:
-    return format_indexed(t, "s")
+    return _format(t.symbol(), "s")

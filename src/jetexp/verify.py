@@ -93,8 +93,8 @@ class _Session:
     on first use: the flat structure ``fd`` (so a torsionful chart,
     where only the coalgebra suite runs, never solves it), one context
     capped at weight + 1 (the cap only bounds arguments, and every
-    suite's inputs fit under it), memos of its ``map``, ``inv`` and
-    ``word_image`` and of the coalgebra check's squares, the flat
+    suite's inputs fit under it), memos of its ``map`` and ``inv`` and
+    of the coalgebra check's word images and their squares, the flat
     contraction (whose series augmentation is the transfer's) and the
     tau_pbw columns.  Each route keeps a table of its own, and the
     session is dropped when the call returns."""
@@ -117,20 +117,17 @@ class _Session:
         return _memo(self.ctx.inv)
 
     @cached_property
-    def word_image(self) -> Callable:
-        return _memo(self.ctx.word_image)
-
-    @cached_property
     def powers(self) -> Callable:
         return fiber_sum_powers(self.chart)
 
     @cached_property
     def images(self) -> Callable:
         """Packed K (its fields from bit 0) -> sigma(exp y^K), y^K being
-        rho(K) d^K, through ``word_image``, and its right-slot move."""
+        rho(K) d^K, through ``ctx.word_image``, and its right-slot
+        move."""
         def images(word):
             index = unpack_monomial(self.chart, word)[:self.chart.n]
-            sigma = self.word_image(index).symbol()
+            sigma = self.ctx.word_image(index).symbol()
             sigma = sigma if symbol_sign(self.chart, index) > 0 else -sigma
             return sigma, to_square(sigma, right=True)
         return _memo(images)
@@ -200,8 +197,7 @@ def _word_index(chart: Chart, letters) -> tuple:
     return tuple(index)
 
 
-def _leading_two_term(ctx: PbwContext, letters, invert: bool,
-                      map_: Callable = None, inv: Callable = None):
+def _leading_two_term(session: _Session, letters, invert: bool):
     """The two-term expansion residual of the map (or its inverse) on a
     coordinate word of L factors: the word's product corrected by the
     signed sum of covariant-derivative contractions must agree with the
@@ -214,10 +210,10 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool,
     field, the rest word and the term are those of the letter pair
     (letters[j], letters[k]).  So the signs are summed per distinct
     pair first, and each pair's term is built once, scaled by its sum;
-    a pair whose signs cancel builds nothing.  ``map_`` and ``inv``
-    stand in for ``ctx.map`` and ``ctx.inv`` (the suite passes memos)."""
-    chart = ctx.chart
-    conn = ctx.conn
+    a pair whose signs cancel builds nothing.  The map and its inverse
+    are the session's memos."""
+    chart = session.chart
+    conn = session.conn
     length = len(letters)
     degrees = [-chart.coordinate_degree(s) for s in letters]
     index = _word_index(chart, letters)
@@ -243,9 +239,9 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool,
         term = head * tail if invert else head.compose(tail)
         correction = correction + term.scale(eps)
     if invert:
-        residual = (inv or ctx.inv)(product) - word - correction
+        residual = session.inv(product) - word - correction
         return residual.weight_le(length - 2) == residual
-    residual = (map_ or ctx.map)(word) - product + correction
+    residual = session.map(word) - product + correction
     if not residual:
         return True
     return residual.order() <= length - 2
@@ -253,7 +249,7 @@ def _leading_two_term(ctx: PbwContext, letters, invert: bool,
 
 def suite_symbols(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    chart, ctx = session.chart, session.ctx
+    chart = session.chart
     weight = min(session.weight, 5)
     # the checks map and invert the same words again and again
     map_, inv = session.map, session.inv
@@ -273,9 +269,9 @@ def suite_symbols(session: _Session, seed: int) -> List[CheckResult]:
              for _ in range(30)]
     words = [w for w in words if w]
     res.append(run_check("two-term-leading-expansion", words,
-                         lambda w: _leading_two_term(ctx, w, False, map_)))
+                         lambda w: _leading_two_term(session, w, False)))
     res.append(run_check("two-term-leading-expansion-inverse", words,
-                         lambda w: _leading_two_term(ctx, w, True, inv=inv)))
+                         lambda w: _leading_two_term(session, w, True)))
     res.append(run_check("map-inverse-roundtrip", words,
                          lambda w: _roundtrip(chart, map_, inv, w)))
     return res

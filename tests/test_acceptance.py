@@ -88,16 +88,16 @@ def test_criterion_3_symbols_and_two_term_expansions():
     rng = random.Random(103)
     for name in ("line_curved", "plane_curved", "mixed", "two_odd"):
         chart, conn = acceptance_chart(name)
-        ctx = PbwContext(chart, conn, max_weight=WEIGHT + 1)
+        session = _Session(chart, conn, WEIGHT)  # context cap WEIGHT + 1
         for _ in range(25):
             tensor = random_symtensor(rng, chart, 4)
             if tensor:
-                op = ctx.map(tensor)
+                op = session.ctx.map(tensor)
                 assert op.gr_leading() == tensor.weight_part(tensor.weight())
             letters = random_word(rng, chart, rng.randrange(2, 5))
             if letters:
-                assert _leading_two_term(ctx, letters, invert=False)
-                assert _leading_two_term(ctx, letters, invert=True)
+                assert _leading_two_term(session, letters, invert=False)
+                assert _leading_two_term(session, letters, invert=True)
     report(3, "symbol identity and both two-term leading expansions on "
               "random coordinate words")
 

@@ -1,4 +1,5 @@
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, strategies as st
 from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import (ChartFileError, load_chart_file,
                               parse_chart_file)
-from jetexp.enveloping import DiffOp, SymTensor, TruncationOverflowError
+from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
+                               _IndexedSum)
 from jetexp.grammar import (ExprSyntaxError, format_diffop, format_poly,
                             format_symtensor, parse_diffop, parse_poly,
                             parse_symtensor)
+from jetexp.pbw import PbwContext
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_section, random_symtensor
 
@@ -18,6 +21,7 @@ from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import bubble_koszul_sign
 from test_poly_properties import PROPERTY
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 @pytest.fixture
 def mixed():
@@ -36,28 +40,36 @@ def test_poly_parse_basics(mixed):
                                                             mixed.y_slot(1))
 
 
-def test_poly_roundtrip_random(mixed, rng):
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_poly_roundtrip_random(name, rng):
+    chart, _ = build_chart(name)
     for _ in range(60):
-        f = random_section(rng, mixed, 3)
-        assert parse_poly(mixed, format_poly(f)) == f
-    assert format_poly(GradedPoly.zero(mixed)) == "0"
-    assert parse_poly(mixed, "0") == GradedPoly.zero(mixed)
+        f = random_section(rng, chart, 3)
+        assert parse_poly(chart, format_poly(f)) == f
+    assert format_poly(GradedPoly.zero(chart)) == "0"
+    assert parse_poly(chart, "0") == GradedPoly.zero(chart)
 
 
-def test_diffop_roundtrip(mixed, rng):
+# charts with two odd coordinates have words whose symbol sign is -1
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_diffop_roundtrip(name, rng):
+    chart, _ = build_chart(name)
     for _ in range(40):
         terms = {}
         for _ in range(3):
-            idx = (rng.randrange(3), rng.randrange(2))
-            terms[idx] = random_base_poly(rng, mixed, 2, 2)
-        op = DiffOp(mixed, terms)
-        assert parse_diffop(mixed, format_diffop(op)) == op
+            idx = tuple(rng.randrange(2 if chart.coordinate_parity(s) else 3)
+                        for s in range(chart.n))
+            terms[idx] = random_base_poly(rng, chart, 2, 2)
+        op = DiffOp(chart, terms)
+        assert parse_diffop(chart, format_diffop(op)) == op
 
 
-def test_symtensor_roundtrip(mixed, rng):
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_symtensor_roundtrip(name, rng):
+    chart, _ = build_chart(name)
     for _ in range(40):
-        t = random_symtensor(rng, mixed, 3)
-        assert parse_symtensor(mixed, format_symtensor(t)) == t
+        t = random_symtensor(rng, chart, 3)
+        assert parse_symtensor(chart, format_symtensor(t)) == t
 
 
 def test_operator_expression_composes_left_to_right(mixed):
@@ -164,6 +176,49 @@ def test_base_degree_bound_enforced_on_parse(mixed):
             build()
     assert parse_diffop(mixed, "d[x]^3") == \
         parse_diffop(mixed, "d[x]*d[x]*d[x]")
+
+
+def test_operator_order_cap_acts_before_the_product(mixed, monkeypatch):
+    # the cap rejects an operand before any operator product is formed
+    def forbidden(*args):
+        raise AssertionError("DiffOp.compose called")
+    monkeypatch.setattr(DiffOp, "compose", forbidden)
+    with pytest.raises(TruncationOverflowError):
+        parse_diffop(mixed, "d[x]^6*x", max_order=5)
+
+
+def test_text_layer_reads_no_word_view(monkeypatch):
+    # parsing and printing read and write symbols: with the word ->
+    # coefficient view unreadable, every pbw expression of the shipped
+    # benchmark plan and its map/inv value parse and print as before
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from workloads import SHIPPED_EXPRESSIONS
+    finally:
+        sys.path.pop(0)
+    tensor = (parse_symtensor, format_symtensor)
+    operator = (parse_diffop, format_diffop)
+    cases = []  # (chart, text, parse, format, value, printed value)
+    for name, (fwd, inv, _) in sorted(SHIPPED_EXPRESSIONS.items()):
+        chart, conn = load_chart_file(
+            os.path.join(ROOT, "charts", name + ".chart"))
+        ctx = PbwContext(chart, conn)
+        for texts, (parse, fmt), image, (parse_to, fmt_to) in (
+                (fwd, tensor, ctx.map, operator),
+                (inv, operator, ctx.inv, tensor)):
+            for text in texts:
+                value = parse(chart, text)
+                mapped = image(value)
+                cases += [(chart, text, parse, fmt, value, fmt(value)),
+                          (chart, fmt_to(mapped), parse_to, fmt_to, mapped,
+                           fmt_to(mapped))]
+
+    def forbidden(self):
+        raise AssertionError("word view read")
+    monkeypatch.setattr(_IndexedSum, "terms", property(forbidden))
+    for chart, text, parse, fmt, value, printed in cases:
+        assert parse(chart, text) == value
+        assert fmt(value) == printed
 
 
 def test_print_is_deterministic(mixed, rng):

@@ -16,7 +16,7 @@ from jetexp.perturbation import ContractionData, PerturbedContraction
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_word
 from jetexp.verify import (SUITE_NAMES, _columns, _leading_two_term,
-                           _word_index, run_suite)
+                           _Session, _word_index, run_suite)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import per_letter_compose
@@ -384,14 +384,15 @@ def test_inverse_two_term_expansion_composes_no_operators(monkeypatch):
     rng = random.Random(3)
     for name in TORSION_FREE_CHARTS:
         chart, conn = build_chart(name)
-        ctx = PbwContext(chart, conn, max_weight=5)
+        session = _Session(chart, conn, 4)  # a context capped at 5
         for _ in range(6):
             letters = random_word(rng, chart, rng.randrange(2, 5))
-            assert _leading_two_term(ctx, letters, invert=True)
+            assert _leading_two_term(session, letters, invert=True)
     # the forward direction composes its correction as operators
     chart, conn = build_chart("line_curved")
+    session = _Session(chart, conn, chart.truncation.max_sym_weight - 1)
     with pytest.raises(AssertionError, match="compose called"):
-        _leading_two_term(PbwContext(chart, conn), [0, 0], invert=False)
+        _leading_two_term(session, [0, 0], invert=False)
 
 
 def unit_word(chart, slot):
