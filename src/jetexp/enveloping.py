@@ -9,7 +9,10 @@ operator the descending composition, with all coefficient functions
 left of all derivations.  The two conventions match, so the top-order
 part of an operator reread as a tensor is its leading symbol, and the
 duality pairing with fiber monomials is I! on the diagonal with no stray
-signs, odd sectors included.
+signs, odd sectors included.  Inside the package a word is the packed
+key of y^I, its weight field included (``word_key``, the one conversion
+from a multi-index): I_s is the field of fiber slot s, |I| the weight
+field, and the odd letters the key's ``odd_low`` bits.
 
 Every Koszul sign for moving one coordinate derivation within a
 descending word comes from one rule, ``letter_sign``: d_s entering at
@@ -35,10 +38,9 @@ symbols, and the operator product is the normal-ordered star product
 right derivatives in the fiber generators on the left factor and left
 ones in the base generators on the right factor; for one letter it is
 the graded Leibniz rule sigma(d_s o P) = partial_{x_s} sigma(P) + y_s .
-sigma(P).  ``terms``, word -> coefficient, is a view for ``apply``,
-``PbwContext.map`` and ``inv``, ``xi_form``, ``nabla_sym`` and the
-pairing, built on each read (each reads it once); the text layer
-(``grammar``) reads and writes symbols.
+sigma(P).  A symbol's monomials grouped by word are its ``fiber_parts``;
+``terms``, multi-index -> coefficient, is a view of them for readers
+outside the package, built on each read.
 
 Tensor squares over base functions are symbols on ``square_chart``,
 which adds a primed copy x' of each coordinate: u (x) v is
@@ -55,27 +57,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from .chart import (FIELD_BITS, FIELD_MASK, FIELD_MAX, Chart, mi_factorial,
                     same_chart)
 from .poly import (FLIP, GradedPoly, TruncationOverflowError, _key_degree,
-                   combine, unpack_monomial)
+                   combine)
 
 MultiIndex = Tuple[int, ...]
-
-
-def word_letters(index: MultiIndex) -> List[int]:
-    """Coordinate slots of the descending word, highest index first."""
-    out: List[int] = []
-    for slot in range(len(index) - 1, -1, -1):
-        out.extend([slot] * index[slot])
-    return out
-
-
-def word_degree(chart: Chart, index: MultiIndex) -> int:
-    """Degree of the basis word (a coordinate derivation has degree -|x_i|)."""
-    return -sum(e * chart.coordinate_degree(i) for i, e in enumerate(index))
 
 
 def _check_index(chart: Chart, index: MultiIndex):
@@ -88,44 +77,48 @@ def _check_index(chart: Chart, index: MultiIndex):
             raise ValueError("odd coordinate derivation repeated in a word")
 
 
-def letter_sign(chart: Chart, slot: int, index: MultiIndex) -> int:
-    """Sign for moving d_slot from the front of the descending word of
-    ``index`` to its place, past every letter with a larger coordinate
-    index; 0 when d_slot is odd and already in the word."""
-    odd = chart.gen_parities  # a base slot's parity is its coordinate's
-    if not odd[slot]:
-        return 1
-    if index[slot]:
-        return 0
-    crossings = sum([index[u] for u in range(slot + 1, chart.n) if odd[u]])
-    return -1 if crossings & 1 else 1
-
-
-def symbol_sign(chart: Chart, index: MultiIndex) -> int:
-    """rho(K), the sign reordering the descending word of ``index`` into
-    the fiber monomial y^K: even letters commute with everything, and
-    the k odd letters are reversed, so (-1)^(k(k-1)/2), -1 exactly when
-    k mod 4 is 2 or 3."""
-    odd = sum([e for e, p in zip(index, chart.gen_parities) if p])
-    return -1 if odd & 2 else 1
-
-
-def word_symbol(chart: Chart, index: MultiIndex,
-                coeff: GradedPoly = None) -> GradedPoly:
-    """sigma(c d^K) = rho(K) c y^K for a base function c (default 1):
-    each key of c moved by y^K's, as base generators come first.
+def word_key(chart: Chart, index: MultiIndex) -> int:
+    """The word of ``index``: the packed key of y^index.
     TruncationOverflowError when an exponent or the word's weight
     exceeds ``FIELD_MAX``."""
     if max(index) > FIELD_MAX or sum(index) > FIELD_MAX:
         raise TruncationOverflowError("word weight %d exceeds %d"
                                       % (sum(index), FIELD_MAX))
-    key = sum([e * u for e, u in zip(index, chart.unit[chart.n:2 * chart.n])])
-    sign = symbol_sign(chart, index)
+    return sum([e * u for e, u in zip(index, chart.unit[chart.n:2 * chart.n])])
+
+
+def letter_sign(chart: Chart, slot: int, word: int) -> int:
+    """Sign for moving d_slot from the front of the descending ``word``
+    to its place, past every letter with a larger coordinate index; 0
+    when d_slot is odd and already in the word."""
+    shift = chart.shifts[chart.n + slot]
+    if not chart.odd_low >> shift & 1:
+        return 1
+    odd = (word & chart.odd_low) >> shift
+    if odd & 1:
+        return 0
+    return -1 if odd.bit_count() & 1 else 1
+
+
+def symbol_sign(chart: Chart, word: int) -> int:
+    """rho(K), the sign reordering the descending ``word`` K into the
+    fiber monomial y^K: even letters commute with everything, and the k
+    odd letters are reversed, so (-1)^(k(k-1)/2), -1 exactly when k mod
+    4 is 2 or 3."""
+    return -1 if (word & chart.odd_low).bit_count() & 2 else 1
+
+
+def word_symbol(chart: Chart, word: int,
+                coeff: GradedPoly = None) -> GradedPoly:
+    """sigma(c d^K) = rho(K) c y^K for a base function c (default 1):
+    each key of c moved by the ``word`` K, as base generators come
+    first."""
+    sign = symbol_sign(chart, word)
     if coeff is None:
-        return GradedPoly._of(chart, {key: sign})
-    if not key:
+        return GradedPoly._of(chart, {word: sign})
+    if not word:
         return coeff
-    return GradedPoly._of(chart, {k + key: v * sign
+    return GradedPoly._of(chart, {k + word: v * sign
                                   for k, v in coeff.nums.items()}, coeff.den)
 
 
@@ -156,13 +149,13 @@ class _IndexedSum:
         for index, coeff in (terms or {}).items():
             if not coeff:
                 continue
-            index = tuple(index)
             _check_index(chart, index)
             if coeff.chart != chart:
                 raise ValueError("chart mismatch in coefficient")
             if not coeff.is_base_only():
                 raise ValueError("coefficients must be base functions")
-            entries.append((1, word_symbol(chart, index, coeff)))
+            entries.append((1, word_symbol(chart, word_key(chart, index),
+                                           coeff)))
         self.chart = chart
         self._sigma = combine(chart, entries)
 
@@ -204,20 +197,14 @@ class _IndexedSum:
 
     @property
     def terms(self) -> Dict[MultiIndex, GradedPoly]:
-        """word -> coefficient, read off the symbol on each read: its
-        monomials grouped by their fiber part y^K, rho(K) times each
-        group's base part the coefficient of K."""
+        """multi-index -> coefficient, read off the symbol on each read:
+        rho(K) times the base part of each fiber part K."""
         chart = self.chart
-        sigma = self._sigma
+        den = self._sigma.den
         shifts = chart.shifts[chart.n:2 * chart.n]
-        terms = {}
-        for fiber, nums in fiber_parts(sigma).items():
-            # rho(K) = -1 for 2 or 3 odd letters mod 4 (``symbol_sign``)
-            if (fiber & chart.odd_low).bit_count() & 2:
-                nums = {k: -v for k, v in nums.items()}
-            terms[tuple([fiber >> sh & FIELD_MASK for sh in shifts])] = \
-                GradedPoly._of(chart, nums, sigma.den)
-        return terms
+        return {tuple([word >> sh & FIELD_MASK for sh in shifts]):
+                GradedPoly._of(chart, nums, den) * symbol_sign(chart, word)
+                for word, nums in fiber_parts(self._sigma).items()}
 
     def __bool__(self):
         return bool(self._sigma)
@@ -307,17 +294,20 @@ class DiffOp(_IndexedSum):
     def apply(self, f: GradedPoly) -> GradedPoly:
         if f.chart != self.chart:
             raise ValueError("chart mismatch between operator and argument")
+        chart = self.chart
         entries = []
-        for index, coeff in self.terms.items():
+        for word, nums in fiber_parts(self._sigma).items():
             g = f
-            for slot in range(self.chart.n):
-                for _ in range(index[slot]):
+            for slot in range(chart.n):
+                for _ in range(word >> chart.shifts[chart.n + slot]
+                               & FIELD_MASK):
                     g = g.partial(slot)
                 if not g:
                     break
             if g:
-                entries.append((1, coeff, g))
-        return combine(self.chart, entries)
+                entries.append((symbol_sign(chart, word),
+                                GradedPoly._of(chart, nums), g))
+        return combine(chart, entries, self._sigma.den)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self o other, the star product of symbols
@@ -384,6 +374,17 @@ def to_square(sigma: GradedPoly, right: bool = False) -> GradedPoly:
         for k, v in sigma.nums.items()}, sigma.den)
 
 
+def square_words(chart: Chart, fiber: int) -> Tuple[int, int]:
+    """The words L and R of ``chart`` of a fiber key y^L y'^R of
+    ``square_chart(chart)``.  A word's weight, its fields' sum, is their
+    value mod ``FIELD_MASK``: 2^FIELD_BITS is 1 mod it, and it exceeds
+    every weight."""
+    width, fields = FIELD_BITS * chart.n, chart.base_mask
+    left, right = fiber >> 2 * width & fields, fiber >> 3 * width & fields
+    return (left << width | left % FIELD_MASK << chart.weight_shift,
+            right << width | right % FIELD_MASK << chart.weight_shift)
+
+
 def fiber_sum_powers(chart: Chart) -> Callable[[int], GradedPoly]:
     """K -> (y + y')^K on ``square_chart(chart)``, for K the packed fiber
     part of a key of ``chart``, each formed once while the map lives:
@@ -443,23 +444,23 @@ def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
     the monomial form g.y^J requires for dual-basis expansions.
     """
     chart = same_chart(tensor, sigma)
-    n = chart.n
-    base = chart.base_mask
-    odd_base = chart.odd_low & base
-    terms = tensor.terms
+    n, base, odd_low = chart.n, chart.base_mask, chart.odd_low
+    tau = tensor.symbol()
+    parts = fiber_parts(tau)
     entries = []
     for k, v in sigma.nums.items():
-        m = unpack_monomial(chart, k)
-        if any(m[2 * n:]):
+        if k >> 2 * FIELD_BITS * n & base:
             raise ValueError("pairing argument must be free of form "
                              "generators")
-        fiber = m[n:2 * n]
-        coeff = terms.get(fiber)
-        if coeff is None:
-            continue
-        base_parity = (k & odd_base).bit_count() & 1
-        word_parity = word_degree(chart, fiber) & 1
-        sign = -1 if base_parity and word_parity else 1
-        entries.append((1, coeff, GradedPoly._of(
-            chart, {k & base: v * mi_factorial(fiber) * sign}, sigma.den)))
+        word = k & ~base
+        if word in parts:
+            sign = symbol_sign(chart, word)
+            odd = k & odd_low
+            if (odd & base).bit_count() & (odd & ~base).bit_count() & 1:
+                sign = -sign
+            fact = mi_factorial([word >> sh & FIELD_MASK
+                                 for sh in chart.shifts[n:2 * n]])
+            entries.append((sign * v * fact, GradedPoly._of(
+                chart, parts[word], tau.den), GradedPoly._of(
+                chart, {k & base: 1}, sigma.den)))
     return combine(chart, entries)

@@ -38,11 +38,11 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .chart import FIELD_MASK, Chart, mi_all_up_to, mi_factorial
-from .enveloping import TruncationOverflowError
+from .enveloping import TruncationOverflowError, word_key
 from .geometry import Connection, replacement_terms
 from .pbw import PbwContext, recursion_steps
 from .perturbation import ContractionData, perturb_contraction
-from .poly import GradedPoly, combine, pack_monomial, unpack_monomial
+from .poly import GradedPoly, combine, unpack_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +202,9 @@ class FedosovData:
 
         D = -delta + dnabla + correction-action
 
-    square to zero in the jet quotient at ``weight``.  D and its
-    weight-raising part D + delta are derivations, kept as the generator
-    image tables ``flat_images`` and ``perturbation_images``.
+    square to zero in the jet quotient at ``weight``.  Its weight-raising
+    part D + delta is a derivation, kept as the generator image table
+    ``perturbation_images``; D itself is that part less delta.
     ``transfer`` is the perturbation of the lowering-map contraction by
     D + delta; its series give the augmentation and the homotopy, and
     raise SeriesDivergenceError if they fail to terminate.
@@ -221,21 +221,18 @@ class FedosovData:
                        else int(weight))
         images = dnabla_images(conn)
         self.correction = _solve_correction(conn, self.weight, images)
-        self.perturbation_images = images
-        self.flat_images = dict(self.perturbation_images)
         for k, comp in enumerate(self.correction):
-            y = chart.y_slot(k)
-            self.perturbation_images[y] += comp
-            self.flat_images[y] = (self.perturbation_images[y]
-                                   - GradedPoly.generator(chart,
-                                                          chart.dx_slot(k)))
+            images[chart.y_slot(k)] += comp
+        self.perturbation_images = images
         self.transfer = perturb_contraction(
             base_contraction(chart, self.weight), self.perturbation,
             max_terms=self.weight + 2)
 
     # -- the flat operator and its homotopy data ---------------------------
     def d_apply(self, f: GradedPoly) -> GradedPoly:
-        return f.derive(self.flat_images, self.weight)
+        """The flat operator D: the perturbation less delta (both keep
+        the weight cap, as delta keeps p + q)."""
+        return self.perturbation(f) - delta_op(f, self.weight)
 
     def perturbation(self, f: GradedPoly) -> GradedPoly:
         """The weight-raising part: D + delta."""
@@ -352,27 +349,24 @@ def tau_pbw(ctx: PbwContext, f: GradedPoly, weight: int = None) -> GradedPoly:
     if weight > ctx.max_weight:
         raise TruncationOverflowError(
             "weight %d exceeds context cap %d" % (weight, ctx.max_weight))
-    n = chart.n
-    pars = [chart.coordinate_parity(s) for s in range(n)]
-    values: Dict[Tuple[int, ...], GradedPoly] = {}
+    pars = [chart.coordinate_parity(s) for s in range(chart.n)]
+    values: Dict[int, GradedPoly] = {}  # word key -> v_I
     out = []
-    for index in mi_all_up_to(n, weight):
+    for index in mi_all_up_to(chart.n, weight):
         if any(e > 1 and pars[s] for s, e in enumerate(index)):
             continue
-        m = sum(index)
-        if not m:
+        word = word_key(chart, index)
+        if not word:
             val = f
         else:
             entries = []
-            for slot, rest, signed in recursion_steps(chart, index):
+            for slot, rest, signed in recursion_steps(chart, word):
                 entries.append((signed, values[rest], slot))
-                for mult, gam, word in replacement_terms(ctx.conn, slot,
-                                                         rest):
-                    entries.append((-signed * mult, gam, values[word]))
-            val = combine(chart, entries, m)
-        values[index] = val
+                for mult, gam, j in replacement_terms(ctx.conn, slot, rest):
+                    entries.append((-signed * mult, gam, values[j]))
+            val = combine(chart, entries, sum(index))
+        values[word] = val
         if val:
-            y_mono = GradedPoly._of(chart, {pack_monomial(
-                chart, (0,) * n + index + (0,) * n): 1}, mi_factorial(index))
-            out.append((1, y_mono, val))
+            out.append((1, GradedPoly._of(chart, {word: 1},
+                                          mi_factorial(index)), val))
     return combine(chart, out)

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .chart import Chart, same_chart
-from .enveloping import SymTensor, letter_sign, word_symbol
+from .chart import FIELD_MASK, Chart, same_chart
+from .enveloping import (SymTensor, fiber_parts, letter_sign, symbol_sign,
+                         word_symbol)
 from .poly import FLIP, GradedPoly, combine
 
 
@@ -291,9 +292,9 @@ def curvature(conn: Connection, x: VectorField, y: VectorField,
     return out
 
 
-def replacement_terms(conn: Connection, direction: int, index):
-    """cov(d_direction, word of ``index``) read off the Christoffel
-    table, as terms (signed multiplicity, Gamma, word J).
+def replacement_terms(conn: Connection, direction: int, word: int):
+    """cov(d_direction, ``word``) read off the Christoffel table, as
+    terms (signed multiplicity, Gamma, word J).
 
     Each block of equal letters d_slot (only even letters repeat) is
     replaced once by Gamma(direction, slot, k) d_k and scaled by its
@@ -306,27 +307,27 @@ def replacement_terms(conn: Connection, direction: int, index):
     """
     chart = conn.chart
     rows = conn.rows
+    fiber = chart.unit[chart.n:2 * chart.n]
     for slot in range(chart.n - 1, -1, -1):
-        mult = index[slot]
+        mult = word >> chart.shifts[chart.n + slot] & FIELD_MASK
         if not mult or (direction, slot) not in rows:
             continue
-        rest = index[:slot] + (mult - 1,) + index[slot + 1:]
+        rest = word - fiber[slot]
         pulled = mult * letter_sign(chart, slot, rest)
         for k, gam in rows[direction, slot]:
             sign = letter_sign(chart, k, rest)
             if sign:  # else an odd letter repeated
-                yield (pulled * sign, gam,
-                       rest[:k] + (rest[k] + 1,) + rest[k + 1:])
+                yield pulled * sign, gam, rest + fiber[k]
 
 
 def coordinate_replacement(conn: Connection, direction: int,
-                           index) -> SymTensor:
-    """cov(d_direction, word of ``index``) as a tensor: one ``combine``
-    of the symbols of the terms of ``replacement_terms``."""
+                           word: int) -> SymTensor:
+    """cov(d_direction, ``word``) as a tensor: one ``combine`` of the
+    symbols of the terms of ``replacement_terms``."""
     chart = conn.chart
     return SymTensor.from_symbol(combine(chart, [
-        (mult, word_symbol(chart, word, gam))
-        for mult, gam, word in replacement_terms(conn, direction, index)]))
+        (mult, word_symbol(chart, j, gam))
+        for mult, gam, j in replacement_terms(conn, direction, word)]))
 
 
 def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
@@ -339,16 +340,19 @@ def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
 
     Base functions commute gradedly, so the signed c X_i is X_i times c
     under a parity flip when x_i is odd; X(c) w has symbol X(c) sigma(w),
-    so the first terms are X applied to the whole symbol.  All terms are
-    one ``combine``.
+    so the first terms are X applied to the whole symbol.  The words w
+    and their coefficients c are the fiber parts of the symbol, and all
+    terms are one ``combine``.
     """
     chart = same_chart(conn, x, tensor)
-    entries = [(1, x.apply(tensor.symbol()))]
-    for index, coeff in tensor.terms.items():
+    sigma = tensor.symbol()
+    entries = [(sigma.den, x.apply(sigma))]
+    for word, nums in fiber_parts(sigma).items():
+        coeff = GradedPoly._of(chart, nums)
         flipped = combine(chart, [(1, coeff, FLIP)])
         for i, comp in enumerate(x.components):
-            cov = coordinate_replacement(conn, i, index).symbol()
+            cov = coordinate_replacement(conn, i, word).symbol()
             if comp and cov:
-                entries.append((1, comp * (
+                entries.append((symbol_sign(chart, word), comp * (
                     flipped if chart.coordinate_parity(i) else coeff), cov))
-    return SymTensor.from_symbol(combine(chart, entries))
+    return SymTensor.from_symbol(combine(chart, entries, sigma.den))

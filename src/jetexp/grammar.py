@@ -31,7 +31,7 @@ from typing import List, Tuple
 from .chart import Chart
 from .poly import GradedPoly, unpack_monomial
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         symbol_sign, word_symbol)
+                         symbol_sign, word_key, word_symbol)
 
 
 class ExprSyntaxError(ValueError):
@@ -95,22 +95,24 @@ class _Parser:
 
     # -- factor values: symbols ----------------------------------------------
     def _mul(self, acc: GradedPoly, factor: GradedPoly) -> GradedPoly:
+        """acc * factor, or ``factor`` opening a term (acc None); the
+        operator operands are checked against the order cap first."""
         if self.kind is not DiffOp:
-            return acc * factor  # a symmetric product is one of symbols
-        # bound the operands before the product is formed
-        order = max(max(acc.nums, default=0),
-                    max(factor.nums, default=0)) >> self.chart.weight_shift
+            return factor if acc is None else acc * factor
+        operands = (factor,) if acc is None else (acc, factor)
+        order = max(max(f.nums, default=0)
+                    for f in operands) >> self.chart.weight_shift
         if self.max_order is not None and order > self.max_order:
             raise TruncationOverflowError(
                 "operator order %d exceeds bound %d" % (order, self.max_order))
-        return DiffOp.from_symbol(acc).compose(
+        return factor if acc is None else DiffOp.from_symbol(acc).compose(
             DiffOp.from_symbol(factor)).symbol()
 
     def _generator(self, kind: str, name: str, pos: int, exp: int,
                    epos: int) -> GradedPoly:
         """The symbol of ``name`` raised to ``exp``, built directly (an
         odd generator squares to 0; an even one is capped by its block's
-        B, Q or P; a bracket power is one word, ``word_symbol`` raising
+        B, Q or P; a bracket power is one word, ``word_key`` raising
         TruncationOverflowError past ``FIELD_MAX``)."""
         chart = self.chart
         if kind == "word":
@@ -127,8 +129,8 @@ class _Parser:
             idx = names.index(coord)
             if exp > 1 and chart.coordinate_parity(idx):
                 return GradedPoly.zero(chart)
-            return word_symbol(chart, tuple(exp if s == idx else 0
-                                            for s in range(chart.n)))
+            return word_symbol(chart, word_key(
+                chart, [exp if s == idx else 0 for s in range(chart.n)]))
         try:
             slot = chart.slot(name)
         except KeyError:
@@ -170,7 +172,7 @@ class _Parser:
         return self.kind.from_symbol(total) if self.kind else total
 
     def _term(self) -> GradedPoly:
-        acc = GradedPoly.constant(self.chart, 1)
+        acc = None
         while True:
             pos = self.peek()[2] if self.peek() else len(self.text)
             acc = self._mul(acc, self._factor())
@@ -251,7 +253,7 @@ def _format(sigma: GradedPoly, head: str = None) -> str:
         m = unpack_monomial(chart, key)
         mono, word = m[:n], m[n:2 * n]  # the word is () without a head
         if head:
-            num *= symbol_sign(chart, word)
+            num *= symbol_sign(chart, key & ~chart.base_mask)
         g = gcd(num, den)
         digits = str(abs(num) // g) if g == den else \
             "%d/%d" % (abs(num) // g, den // g)

@@ -17,9 +17,11 @@ letters give equal terms (only even letters repeat, so their sign is
     exp(I) = 1/|I| * sum_{s : I_s > 0} eps_s * I_s *
         ( d_s o exp(I - e_s) - exp(cov(d_s, word of I - e_s)) )
 
-with eps_s = ``enveloping.letter_sign`` of d_s on I - e_s.
-``recursion_steps`` yields the triples (s, I - e_s, eps_s * I_s) that
-drive both the word images here and the values of ``fedosov.tau_pbw``.
+with eps_s = ``enveloping.letter_sign`` of d_s on I - e_s.  A word is
+its fiber key (``enveloping.word_key``): I - e_s is the key less the
+unit of y_s, and |I| its weight field.  ``recursion_steps`` yields the
+triples (s, I - e_s, eps_s * I_s) that drive both the word images here
+and the values of ``fedosov.tau_pbw``.
 
 The recursion runs on symbols sigma(sum_K c_K d^K) = sum_K rho(K) c_K
 y^K (``enveloping`` module docstring), where the Leibniz rule reads
@@ -28,20 +30,21 @@ y^K (``enveloping`` module docstring), where the Leibniz rule reads
 
 and a replacement term c_J exp(J) has symbol c_J . sigma(J): each word
 is one ``poly.combine`` of partial and product entries, divided by |I|
-once.  ``map`` is one ``combine`` of t_J . sigma(J).  The inverse peels
-symbols: the top weight layer of the remainder's symbol (a key's weight
-is the word order) is the next part of the tensor, and one ``combine``
-subtracts its image, which lowers the order because symbols match
-exactly.
+once.  ``map`` is one ``combine`` of t_J . sigma(J) over the fiber parts
+J of the tensor's symbol.  The inverse peels symbols: the top weight
+layer of the remainder's symbol (a key's weight is the word order) is
+the next part of the tensor, and one ``combine`` subtracts its image,
+which lowers the order because symbols match exactly.
 
 A context carries one memo table, word -> symbol, the only mutable
-state; ``word_image`` wraps a symbol as an operator.  A missing word is
-filled from an explicit work stack, shorter words first, so the word
-length is not bounded by the interpreter's recursion limit; its steps
-and their replacement terms are read once, and the word waits on the
-stack with them while the words they read are filled.  Each word
-is stored by one ``dict.setdefault``, which is atomic, and the first
-value stored wins, so contexts can be shared across worker threads.
+state; ``word_image`` wraps the symbol of a multi-index's word as an
+operator.  A missing word is filled from an explicit work stack,
+shorter words first, so the word length is not bounded by the
+interpreter's recursion limit; its steps and their replacement terms
+are read once, and the word waits on the stack with them while the
+words they read are filled.  Each word is stored by one
+``dict.setdefault``, which is atomic, and the first value stored wins,
+so contexts can be shared across worker threads.
 
 A context created with the chart's default cap serves the map and its
 inverse up to weight Q; ``xi_form`` reads words one weight above the
@@ -50,23 +53,22 @@ fiber weight it is probed at, so it requires that headroom explicitly.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-from .chart import (Chart, mi_all_up_to, mi_factorial, mi_weight,
-                    same_chart)
+from .chart import FIELD_MASK, Chart, mi_all_up_to, mi_factorial, same_chart
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         letter_sign, word_degree)
+                         fiber_parts, letter_sign, symbol_sign, word_key)
 from .geometry import Connection, replacement_terms
-from .poly import GradedPoly, combine, pack_monomial
+from .poly import GradedPoly, combine
 
 
-def recursion_steps(chart: Chart, index):
-    """(s, I - e_s, eps_s * I_s) for every letter d_s of the word of I,
+def recursion_steps(chart: Chart, word: int):
+    """(s, I - e_s, eps_s * I_s) for every letter d_s of the ``word`` I,
     highest slot first: the steps of the averaged recursion."""
     for slot in range(chart.n - 1, -1, -1):
-        mult = index[slot]
+        mult = word >> chart.shifts[chart.n + slot] & FIELD_MASK
         if mult:
-            rest = index[:slot] + (mult - 1,) + index[slot + 1:]
+            rest = word - chart.unit[chart.n + slot]
             yield slot, rest, letter_sign(chart, slot, rest) * mult
 
 
@@ -83,43 +85,43 @@ class PbwContext:
                            if max_weight is None else int(max_weight))
         self._fiber = tuple(GradedPoly.generator(chart, chart.y_slot(s))
                             for s in range(chart.n))
-        self._symbols: Dict[Tuple[int, ...], GradedPoly] = {}
+        self._symbols: Dict[int, GradedPoly] = {}
 
     # -- basis words ---------------------------------------------------------
     def word_image(self, index) -> DiffOp:
         """Image of the descending basis word of ``index``."""
-        return DiffOp.from_symbol(self._symbol(tuple(index)))
+        return DiffOp.from_symbol(self._symbol(word_key(self.chart, index)))
 
-    def _symbol(self, index) -> GradedPoly:
-        """Symbol of the image of the word of ``index`` (memoized).  A
-        missing word goes on a work stack, with its steps, below the
-        missing words they read, and is computed from those steps when
-        it is back on top."""
+    def _symbol(self, word: int) -> GradedPoly:
+        """Symbol of the image of ``word`` (memoized).  A missing word
+        goes on a work stack, with its steps, below the missing words
+        they read, and is computed from those steps when it is back on
+        top."""
         symbols = self._symbols
-        hit = symbols.get(index)
+        hit = symbols.get(word)
         if hit is not None:
             return hit
-        stack = [(index, None)]
+        stack = [(word, None)]
         while stack:
-            word, steps = stack.pop()
-            if word in symbols:
+            top, steps = stack.pop()
+            if top in symbols:
                 continue
             if steps is None:
                 steps = [(slot, rest, weight,
                           tuple(replacement_terms(self.conn, slot, rest)))
                          for slot, rest, weight
-                         in recursion_steps(self.chart, word)]
+                         in recursion_steps(self.chart, top)]
                 missing = [dep for _, rest, _, terms in steps
                            for dep in [rest] + [j for _, _, j in terms]
                            if dep not in symbols]
                 if missing:
-                    stack.append((word, steps))
+                    stack.append((top, steps))
                     stack.extend((dep, None) for dep in missing)
                     continue
-            symbols.setdefault(word, self._compute_word(word, steps))
-        return symbols[index]
+            symbols.setdefault(top, self._compute_word(top, steps))
+        return symbols[word]
 
-    def _compute_word(self, index, steps) -> GradedPoly:
+    def _compute_word(self, word, steps) -> GradedPoly:
         """One step of the recursion on symbols: for every step (s,
         I - e_s, w, replacement terms) the partial by x_s and the product
         by y_s of sigma(I - e_s) and, per replacement term (c, Gamma, J),
@@ -134,9 +136,9 @@ class PbwContext:
             prev = symbols[rest]
             entries.append((weight, prev, slot))
             entries.append((weight, self._fiber[slot], prev))
-            for mult, gam, word in terms:
-                entries.append((-weight * mult, gam, symbols[word]))
-        return combine(chart, entries, mi_weight(index))
+            for mult, gam, j in terms:
+                entries.append((-weight * mult, gam, symbols[j]))
+        return combine(chart, entries, word >> chart.weight_shift)
 
     # -- the map and its inverse ----------------------------------------------
     def map(self, tensor: SymTensor) -> DiffOp:
@@ -146,8 +148,11 @@ class PbwContext:
             raise TruncationOverflowError(
                 "tensor weight %d exceeds context cap %d"
                 % (tensor.weight(), self.max_weight))
+        sigma = tensor.symbol()
         return DiffOp.from_symbol(combine(self.chart, [
-            (1, c, self._symbol(word)) for word, c in tensor.terms.items()]))
+            (symbol_sign(self.chart, word), GradedPoly._of(self.chart, nums),
+             self._symbol(word))
+            for word, nums in fiber_parts(sigma).items()], sigma.den))
 
     def inv(self, op: DiffOp) -> SymTensor:
         """Inverse by symbol peeling (top order down): the top weight
@@ -166,9 +171,10 @@ class PbwContext:
         while rem:
             k, layer = max(rem.weight_layers().items())
             layers.append((1, layer))
-            rem = combine(chart, [(1, rem)] + [
-                (-1, c, self._symbol(word))
-                for word, c in SymTensor.from_symbol(layer).terms.items()])
+            rem = combine(chart, [(layer.den, rem)] + [
+                (-symbol_sign(chart, word), GradedPoly._of(chart, nums),
+                 self._symbol(word))
+                for word, nums in fiber_parts(layer).items()], layer.den)
             if rem and max(rem.nums) >> shift >= k:
                 raise AssertionError("symbol peeling failed to lower order")
         return SymTensor.from_symbol(combine(chart, layers))
@@ -192,12 +198,13 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
 
         <theta(d_i, word_I), y_k>  =  sum_J c_J * lambda_k(J)
 
-    over the terms c_J d^J of d_i o exp(I), whose symbol is
+    over the terms c_J d^J of d_i o exp(I), the fiber parts of its symbol
     partial_{x_i} sigma + y_i . sigma for sigma the symbol of exp(I),
     where lambda_k(J) is the coefficient at e_k of inv(d^J).  lambda is
     filled bottom-up over the words of weight at most one above the
-    fiber weight: lambda(0) = 0, lambda_k(e_j) = delta_jk and, since
-    exp(J) is d^J plus lower terms c_K d^K,
+    fiber weight, from the memoized symbols: lambda(0) = 0,
+    lambda_k(e_j) = delta_jk and, since exp(J) is d^J plus lower terms
+    c_K d^K,
 
         lambda_k(J)  =  -sum_{K != J} c_K * lambda_k(K).
 
@@ -215,41 +222,39 @@ def xi_form(ctx: PbwContext, max_fiber_weight: int = None):
         raise TruncationOverflowError(
             "fiber weight %d needs context cap at least %d"
             % (weight, weight + 1))
-    words = [index for index in mi_all_up_to(n, weight + 1)
+    words = [(index, word_key(chart, index))
+             for index in mi_all_up_to(n, weight + 1)
              if not any(e > 1 and chart.coordinate_parity(s)
                         for s, e in enumerate(index))]
-    lam = {}  # word J -> {e_k: lambda_k(J)}, the weight-1 part of inv(d^J)
+    lam = {}  # word J -> {k: lambda_k(J)}, the weight-1 part of inv(d^J)
 
-    def inv_weight_one(terms, scale, skip=None):
-        """{e_k: sum of scale * c_J * lambda_k(J)} over ``terms`` (word
-        J -> c_J) but the word ``skip``."""
-        table: Dict[Tuple[int, ...], list] = {}
-        for word, c in terms.items():
+    def inv_weight_one(sigma, scale, skip=None):
+        """{k: sum of scale * c_J * lambda_k(J)} over the words J of the
+        symbol ``sigma`` but the word ``skip``."""
+        table: Dict[int, list] = {}
+        for word, nums in fiber_parts(sigma).items():
             if word != skip:
-                for e, v in lam[word].items():
-                    table.setdefault(e, []).append((scale, c, v))
-        return {e: combine(chart, entries) for e, entries in table.items()}
+                c = GradedPoly._of(chart, nums)
+                for k, v in lam[word].items():
+                    table.setdefault(k, []).append(
+                        (scale * symbol_sign(chart, word), c, v))
+        return {k: combine(chart, entries, sigma.den)
+                for k, entries in table.items()}
 
-    for index in words:
-        if mi_weight(index) < 2:
-            lam[index] = {index: GradedPoly.constant(chart, 1)} \
-                if any(index) else {}
-        else:
-            lam[index] = inv_weight_one(ctx.word_image(index).terms, -1,
-                                        index)
+    for index, word in words:  # the empty word has no lower terms
+        lam[word] = {index.index(1): GradedPoly.constant(chart, 1)} \
+            if sum(index) == 1 else inv_weight_one(ctx._symbol(word), -1, word)
     components = [[] for _ in range(n)]
-    for index in words:
-        if not 2 <= mi_weight(index) <= weight:
+    for index, word in words:
+        if not 2 <= sum(index) <= weight:
             continue
-        y_mono = GradedPoly._of(chart, {pack_monomial(
-            chart, (0,) * n + index + (0,) * n): 1}, mi_factorial(index))
-        odd_word = word_degree(chart, index) & 1
-        sigma = ctx._symbol(index)
+        y_mono = GradedPoly._of(chart, {word: 1}, mi_factorial(index))
+        odd_word = (word & chart.odd_low).bit_count() & 1
+        sigma = ctx._symbol(word)
         for i in range(n):
-            step = DiffOp.from_symbol(combine(
-                chart, [(1, sigma, i), (1, ctx._fiber[i], sigma)]))
+            step = combine(chart, [(1, sigma, i), (1, ctx._fiber[i], sigma)])
             sign = -1 if odd_word and chart.coordinate_parity(i) else 1
             dxi = GradedPoly.generator(chart, chart.dx_slot(i))
-            for e, coeff in inv_weight_one(step.terms, 1).items():
-                components[e.index(1)].append((sign, dxi, y_mono * coeff))
+            for k, coeff in inv_weight_one(step, 1).items():
+                components[k].append((sign, dxi, y_mono * coeff))
     return tuple(combine(chart, entries) for entries in components)

@@ -46,10 +46,10 @@ per weight p + q, ascending, (key, odd bits, parity bits of the odd
 slots above each slot, numerator).  A pair of rows multiplies to the
 key sum, with the product of numerators.  Intersecting odd bits kill a
 pair; otherwise its Koszul sign is the parity of the odd slots of the
-left monomial above the odd slots of the right one.  A constant factor
-is taken as a scalar, capped like the product, and builds no rows.  A
-guard bit set in any key a product or an exchange forms raises
-``TruncationOverflowError``.
+left monomial above the odd slots of the right one; ``derive`` can
+skip the pairs above a weight cap.  A constant factor of ``*`` is taken
+as a scalar and builds no rows.  A guard bit set in any key a product
+or an exchange forms raises ``TruncationOverflowError``.
 
 One polynomial per word.  ``combine`` sums a list of entries, each an
 int weight times a polynomial, a product of two, a one-slot partial or
@@ -267,40 +267,31 @@ class GradedPoly:
         return GradedPoly._of(self.chart,
                               {k: -v for k, v in self.nums.items()}, self.den)
 
-    def __mul__(self, other, max_weight: int = None):
-        """Product with a scalar or a polynomial.  With ``max_weight``
-        (called as ``times``), only monomial pairs whose weights p + q
-        sum to at most ``max_weight`` are formed: the result is the full
-        product projected to that weight.  A constant factor is taken as
-        a scalar: no product rows are built."""
+    def __mul__(self, other):
+        """Product with a scalar or a polynomial.  A constant factor is
+        taken as a scalar: no product rows are built."""
         if isinstance(other, GradedPoly):
             same_chart(self, other)
             for c, f in ((other, self), (self, other)):
                 if len(c.nums) == 1 and 0 in c.nums:
-                    return f._scaled(c.nums[0], c.den, max_weight)
+                    return f._scaled(c.nums[0], c.den)
             return _sum_of_products(self.chart, (
-                (self.den * other.den, self._layout(), other._layout()),),
-                max_weight)
+                (self.den * other.den, self._layout(), other._layout()),))
         c = other if type(other) is int else Fraction(other)
         return self._scaled(c.numerator, c.denominator)
-
-    times = __mul__  # a.times(b, max_weight): the weight-capped product
 
     def __rmul__(self, other):
         return self.__mul__(other)  # scalars commute with everything
 
-    def _scaled(self, num: int, den: int,
-                max_weight: int = None) -> "GradedPoly":
-        """num/den * self, projected to weight ``max_weight`` when given
-        (the operand itself when that changes nothing)."""
-        f = self if max_weight is None else self.up_to_weight(max_weight)
+    def _scaled(self, num: int, den: int) -> "GradedPoly":
+        """num/den * self (the operand itself for 1)."""
         if not num:
             return GradedPoly.zero(self.chart)
         if num == den:  # times 1
-            return f
+            return self
         return GradedPoly._of(self.chart, {k: v * num
-                                           for k, v in f.nums.items()},
-                              f.den * den)
+                                           for k, v in self.nums.items()},
+                              self.den * den)
 
     def up_to_weight(self, max_weight: int) -> "GradedPoly":
         """The jet-quotient projection: the monomials of weight p + q at
@@ -389,8 +380,9 @@ class GradedPoly:
                max_weight: int = None) -> "GradedPoly":
         """The derivation with generator images ``images`` (slot -> poly;
         unlisted slots and None map to 0): sum_s images[s] . partial_s,
-        each product formed only up to weight ``max_weight`` (see
-        ``times``).  The partials enter the product kernel as rows read
+        with ``max_weight`` forming only the monomial pairs whose weights
+        p + q sum to at most it, which is the result projected to that
+        weight.  The partials enter the product kernel as rows read
         off this polynomial's own; none is built as a polynomial, and a
         slot that no monomial holds (a zero field in the OR of the keys)
         is skipped without a pass over the rows."""

@@ -149,18 +149,16 @@ def random_word(rng: random.Random, chart: Chart, length: int) -> List[int]:
 
 def random_symtensor(rng: random.Random, chart: Chart, max_weight: int,
                      terms: int = 3, max_base: int = 2) -> SymTensor:
-    table: Dict[tuple, Dict[int, int]] = {}
+    table: Dict[int, Dict[int, int]] = {}  # word -> base numerators
     for _ in range(terms):
         w = rng.randrange(max_weight + 1)
-        index = [0] * chart.n
-        for s in random_word(rng, chart, w):
-            index[s] += 1
-        _draw_base_terms(rng, chart, table.setdefault(tuple(index), {}),
-                         max_base, 2)
-    # random_word keeps odd letters single, so no index needs checking
+        word = sum([chart.unit[chart.n + s]
+                    for s in random_word(rng, chart, w)])
+        _draw_base_terms(rng, chart, table.setdefault(word, {}), max_base, 2)
+    # random_word keeps odd letters single, so no word needs checking
     return SymTensor.from_symbol(combine(chart, [
-        (1, word_symbol(chart, index, _in_sixths(chart, nums)))
-        for index, nums in table.items()]))
+        (1, word_symbol(chart, word, _in_sixths(chart, nums)))
+        for word, nums in table.items()]))
 
 
 def random_torsion_free_connection(rng: random.Random,

@@ -49,10 +49,10 @@ import random
 from functools import cached_property
 from typing import Callable, List
 
-from .chart import FIELD_BITS, Chart, koszul_sign
+from .chart import Chart, koszul_sign
 from .enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
-                         fiber_parts, fiber_sum_powers, symbol_sign,
-                         to_square)
+                         fiber_parts, fiber_sum_powers, square_words,
+                         symbol_sign, to_square, word_symbol)
 from .fedosov import (FedosovData, base_contraction, delta_inv_op, delta_op,
                       dnabla_images, project_weight, sigma_aug, tau_pbw,
                       vvf_action)
@@ -122,13 +122,13 @@ class _Session:
 
     @cached_property
     def images(self) -> Callable:
-        """Packed K (its fields from bit 0) -> sigma(exp y^K), y^K being
-        rho(K) d^K, through ``ctx.word_image``, and its right-slot
-        move."""
+        """Word K -> sigma(exp y^K), y^K being rho(K) d^K, and its
+        right-slot move, through ``ctx.word_image`` (by multi-index)."""
         def images(word):
-            index = unpack_monomial(self.chart, word)[:self.chart.n]
+            n = self.chart.n
+            index = unpack_monomial(self.chart, word)[n:2 * n]
             sigma = self.ctx.word_image(index).symbol()
-            sigma = sigma if symbol_sign(self.chart, index) > 0 else -sigma
+            sigma = sigma if symbol_sign(self.chart, word) > 0 else -sigma
             return sigma, to_square(sigma, right=True)
         return _memo(images)
 
@@ -157,14 +157,12 @@ def morphism_sides(session: _Session, tensor: SymTensor):
     summed first, and the right side is one ``combine`` of each sum
     times the moved exp(y^R)."""
     chart = session.chart
-    width = FIELD_BITS * chart.n
-    words = (1 << width) - 1
     delta = comult_sym(tensor, session.powers)
     lefts = {}  # R -> entries of its summed left factor
     for fiber, nums in fiber_parts(delta).items():
-        lefts.setdefault(fiber >> 3 * width & words, []).append(
-            (1, GradedPoly._of(chart, nums),
-             session.images(fiber >> 2 * width & words)[0]))
+        left, right = square_words(chart, fiber)
+        lefts.setdefault(right, []).append(
+            (1, GradedPoly._of(chart, nums), session.images(left)[0]))
     rhs = combine(delta.chart, [
         (1, to_square(combine(chart, entries)), session.images(right)[1])
         for right, entries in lefts.items()], delta.den)
@@ -186,15 +184,12 @@ def suite_coalgebra(session: _Session, seed: int) -> List[CheckResult]:
 
 # ---------------------------------------------------------------------------
 
-def _word_index(chart: Chart, letters) -> tuple:
-    """Multi-index of a letter list.  The suites draw descending letters
-    with no odd letter repeated, as ``random_word`` does (and so is every
-    sublist), so the product d_{l_1} o d_{l_2} o ... of constant
-    coordinate derivations is the word of this index, with no sign."""
-    index = [0] * chart.n
-    for s in letters:
-        index[s] += 1
-    return tuple(index)
+def _word(chart: Chart, letters) -> GradedPoly:
+    """Symbol of the word of a letter list.  The suites draw descending
+    letters with no odd letter repeated, as ``random_word`` does (and so
+    is every sublist), so the product d_{l_1} o d_{l_2} o ... of
+    constant coordinate derivations is this word, with no sign."""
+    return word_symbol(chart, sum([chart.unit[chart.n + s] for s in letters]))
 
 
 def _leading_two_term(session: _Session, letters, invert: bool):
@@ -216,9 +211,8 @@ def _leading_two_term(session: _Session, letters, invert: bool):
     conn = session.conn
     length = len(letters)
     degrees = [-chart.coordinate_degree(s) for s in letters]
-    index = _word_index(chart, letters)
-    product = DiffOp.from_word(chart, index)
-    word = SymTensor.from_word(chart, index)
+    product = DiffOp.from_symbol(_word(chart, letters))
+    word = SymTensor.from_symbol(product.symbol())
     signs = {}
     for j in range(length):
         for k in range(j + 1, length):
@@ -234,7 +228,7 @@ def _leading_two_term(session: _Session, letters, invert: bool):
         rest = list(letters)
         rest.remove(a)
         rest.remove(b)
-        head = kind.from_word(chart, _word_index(chart, rest))
+        head = kind.from_symbol(_word(chart, rest))
         tail = kind.from_vector_field(nabla)  # appended as the last factor
         term = head * tail if invert else head.compose(tail)
         correction = correction + term.scale(eps)
@@ -286,9 +280,8 @@ def _symbol_check(map_: Callable, tensor: SymTensor) -> bool:
 
 def _roundtrip(chart: Chart, map_: Callable, inv: Callable,
                letters) -> bool:
-    index = _word_index(chart, letters)
-    word = SymTensor.from_word(chart, index)
-    op = DiffOp.from_word(chart, index)
+    op = DiffOp.from_symbol(_word(chart, letters))
+    word = SymTensor.from_symbol(op.symbol())
     return inv(map_(word)) == word and map_(inv(op)) == op
 
 

@@ -46,6 +46,21 @@ from jetexp.chart import koszul_sign  # also re-exported for tests
 from jetexp.poly import GradedPoly
 
 
+def word_letters(index):
+    """Coordinate slots of the descending word of a multi-index, highest
+    index first."""
+    out = []
+    for slot in range(len(index) - 1, -1, -1):
+        out.extend([slot] * index[slot])
+    return out
+
+
+def word_degree(chart, index):
+    """Degree of the basis word of a multi-index (a coordinate derivation
+    has degree -|x_i|)."""
+    return -sum(e * chart.coordinate_degree(i) for i, e in enumerate(index))
+
+
 def bubble_koszul_sign(permutation, degrees):
     """Koszul sign by literally bubble-sorting the word and charging -1
     per adjacent swap of two odd elements."""
@@ -126,10 +141,6 @@ def mat_identity(n):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_inv(a):
@@ -333,7 +344,7 @@ def per_position_nabla_sym(conn, x, tensor):
     position of each word on its own, with the Christoffel field rebuilt
     per position.  (The library replaces each block of equal letters once
     and scales by its multiplicity.)"""
-    from jetexp.enveloping import SymTensor, word_letters
+    from jetexp.enveloping import SymTensor
     from jetexp.geometry import VectorField
 
     chart = conn.chart
@@ -411,7 +422,7 @@ def per_letter_word_image(ctx, index):
     to the front) and ``per_position_nabla_sym``; shorter words come from
     the context.  Needs a nonempty word.  (The library forms one term
     per distinct letter, times its multiplicity.)"""
-    from jetexp.enveloping import DiffOp, SymTensor, word_letters
+    from jetexp.enveloping import DiffOp, SymTensor
     from jetexp.geometry import VectorField
 
     chart = ctx.chart
@@ -494,7 +505,7 @@ def compose_word_image(ctx, index):
     an operator; shorter words come from the context.  (The library
     sums every term of the step as one symbol.)"""
     from jetexp.chart import mi_weight
-    from jetexp.enveloping import DiffOp
+    from jetexp.enveloping import DiffOp, word_key
     from jetexp.geometry import coordinate_replacement
 
     chart = ctx.chart
@@ -513,8 +524,8 @@ def compose_word_image(ctx, index):
         rest_index = tuple(e - u for e, u in zip(index, unit))
         left = per_letter_compose(DiffOp.from_word(chart, unit),
                                   ctx.word_image(rest_index))
-        term = left - ctx.map(coordinate_replacement(ctx.conn, slot,
-                                                     rest_index))
+        term = left - ctx.map(coordinate_replacement(
+            ctx.conn, slot, word_key(chart, rest_index)))
         par = chart.coordinate_parity(slot)
         sign = -1 if par and odd_before & 1 else 1
         odd_before += par
@@ -696,7 +707,6 @@ def bitmask_shuffle_splits(chart, index):
     """Yield (Koszul sign, left index, right index) over all 2^k
     order-preserving two-block splits of the descending word of k
     letters, one per bitmask, equal splits repeated."""
-    from jetexp.enveloping import word_letters
 
     letters = word_letters(index)
     pars = [chart.coordinate_parity(s) for s in letters]
@@ -877,7 +887,7 @@ def xi_form_by_theta(ctx, max_fiber_weight=None):
     """
     from jetexp.chart import mi_all_up_to, mi_factorial, mi_weight
     from jetexp.enveloping import (SymTensor, TruncationOverflowError,
-                                   pairing, word_degree)
+                                   pairing)
     from jetexp.geometry import VectorField
     from jetexp.poly import pack_monomial
 

@@ -339,6 +339,18 @@ def test_verify_matches_shipped_reference():
         assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["argv"]
 
 
+def test_shipped_reference_reads_no_word_view(monkeypatch):
+    # inside the package a word is its packed fiber key: with the
+    # multi-index -> coefficient view unreadable, every command of the
+    # shipped-cli reference prints the same bytes
+    from jetexp.enveloping import _IndexedSum
+
+    def forbidden(self):
+        raise AssertionError("word view read")
+    monkeypatch.setattr(_IndexedSum, "terms", property(forbidden))
+    test_verify_matches_shipped_reference()
+
+
 def test_output_determinism():
     first = run("fedosov", "--chart", chart("plane_curved.chart"))
     second = run("fedosov", "--chart", chart("plane_curved.chart"))

@@ -7,8 +7,8 @@ import pytest
 from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weight
 from jetexp.enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
                                letter_sign, pairing, parity_parts,
-                               square_chart, sym_mul_vf, symbol_sign,
-                               to_square, word_letters)
+                               square_chart, square_words, sym_mul_vf,
+                               symbol_sign, to_square, word_key)
 from jetexp.geometry import VectorField
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_symtensor,
@@ -21,7 +21,7 @@ from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
                      degree_split_tensor_push_left, per_letter_compose,
                      per_split_comult, shuffle_pairing, square_from_table,
                      square_table, sym_word, sym_word_product,
-                     tensor_square_left_mult_vf)
+                     tensor_square_left_mult_vf, word_letters)
 from test_operator_properties import indexed
 from test_poly_properties import PROPERTY
 
@@ -228,7 +228,6 @@ def test_comult_env_matches_iterated_product_route():
     # product of the comultiplications of its letters, built by
     # iterated left multiplication starting from 1 (x) 1
     from jetexp.chart import mi_all_up_to, mi_weight
-    from jetexp.enveloping import word_letters
     chart = Chart([("x", 0), ("t1", 1), ("t2", 1)], Truncation(4, 3, 6))
     for index in mi_all_up_to(chart.n, 4):
         if any(e > 1 and chart.coordinate_parity(s)
@@ -330,6 +329,26 @@ def test_coassociativity(mixed, rng, kind):
         left = _triple_split(mixed, com, obj, first_left=True)
         right = _triple_split(mixed, com, obj, first_left=False)
         assert left == right
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_square_words_undo_to_square(name):
+    # the words read off a square's fiber key y^L y'^R are L and R, also
+    # when their weights sum to the field's limit
+    chart, _ = build_chart(name)
+    words = [index for index in mi_all_up_to(chart.n, 3)
+             if not any(e > 1 and chart.coordinate_parity(s)
+                        for s, e in enumerate(index))]
+    cases = [(chart, left, right) for left in words for right in words]
+    line = Chart([("x", 0)], Truncation(5, 3, 6))
+    cases.append((line, (20000,), (12767,)))
+    for chart, left, right in cases:
+        square = (to_square(SymTensor.from_word(chart, left).symbol())
+                  * to_square(SymTensor.from_word(chart, right).symbol(),
+                              right=True))
+        (fiber,) = square.nums
+        assert square_words(chart, fiber) == \
+            (word_key(chart, left), word_key(chart, right))
 
 
 @pytest.mark.parametrize("kind", ["sym", "env"])
@@ -504,7 +523,7 @@ def test_letter_sign_matches_bubble_sort(name):
                for s, e in enumerate(index)):
             continue
         for slot in range(n):
-            got = letter_sign(chart, slot, index)
+            got = letter_sign(chart, slot, word_key(chart, index))
             if chart.coordinate_parity(slot) and index[slot]:
                 assert got == 0, (index, slot)
                 continue
@@ -534,7 +553,8 @@ def test_symbol_roundtrip_on_random_values(name, rng):
         for index, c in tensor.terms.items():
             k = sum(e for s, e in enumerate(index)
                     if chart.coordinate_parity(s))
-            assert symbol_sign(chart, index) == (-1) ** (k * (k - 1) // 2)
+            assert symbol_sign(chart, word_key(chart, index)) == \
+                (-1) ** (k * (k - 1) // 2)
             want = want + c * _fiber_monomial(chart, index) * \
                 (-1) ** (k * (k - 1) // 2)
         for value in (tensor, op):

@@ -160,7 +160,7 @@ def test_dual_connection_examples(line):
 
 def test_dual_connection_pairing_compatibility(charts, rng):
     # d_i<S, sigma> = <cov_i S, sigma> + sign <S, cov_i sigma>
-    from jetexp.enveloping import word_degree
+    from oracles import word_degree
     from jetexp.geometry import nabla_sym
     for name in ("plane_curved", "mixed", "deg2"):
         chart, conn = charts[name]

@@ -1,7 +1,7 @@
 import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to
-from jetexp.enveloping import SymTensor
+from jetexp.enveloping import SymTensor, word_key
 from jetexp.geometry import (Connection, VectorField, coordinate_replacement,
                              cov_deriv, curvature, lie_bracket, nabla_sym,
                              torsion)
@@ -303,6 +303,7 @@ def test_nabla_sym_matches_per_position_oracle(name, charts, rng):
                for s, e in enumerate(index)):
             continue
         for s in range(chart.n):
-            assert coordinate_replacement(conn, s, index) == \
+            assert coordinate_replacement(conn, s,
+                                          word_key(chart, index)) == \
                 per_position_nabla_sym(conn, VectorField.coordinate(chart, s),
                                        SymTensor.from_word(chart, index))

@@ -187,6 +187,29 @@ def test_operator_order_cap_acts_before_the_product(mixed, monkeypatch):
         parse_diffop(mixed, "d[x]^6*x", max_order=5)
 
 
+def test_operator_terms_start_at_their_first_factor(mixed, monkeypatch):
+    # a term is its first factor, composed with each further one: a
+    # one-factor operator term makes no operator product, and the order
+    # cap still rejects that factor on its own
+    calls = []
+    real = DiffOp.compose
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+    monkeypatch.setattr(DiffOp, "compose", counted)
+    for text, products in (("d[x]", 0), ("-d[t] + 2", 0), ("x*d[x]", 1),
+                           ("d[x]*x - d[t]*d[x]", 2), ("3*x*d[t]", 2)):
+        calls.clear()
+        parse_diffop(mixed, text)
+        assert len(calls) == products, text
+    calls.clear()
+    with pytest.raises(TruncationOverflowError,
+                       match="operator order 6 exceeds bound 5"):
+        parse_diffop(mixed, "d[x]^6", max_order=5)
+    assert not calls
+
+
 def test_text_layer_reads_no_word_view(monkeypatch):
     # parsing and printing read and write symbols: with the word ->
     # coefficient view unreadable, every pbw expression of the shipped

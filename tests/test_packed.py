@@ -93,7 +93,7 @@ def test_guard_bit_raises_truncation_overflow():
         with pytest.raises(TruncationOverflowError):
             make()
     # capped below the overflowing weight, nothing overflows
-    assert not top.times(y2, FIELD_MAX)
+    assert not (y2 * y2).derive({3: top}, FIELD_MAX)
 
 
 def entry_polys(chart):

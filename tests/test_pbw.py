@@ -494,7 +494,7 @@ def test_xi_form_fiber_weight_at_least_two_and_raising_normalized(charts,
 def test_transpose_relation_between_theta_and_xi(charts, contexts, rng):
     # <S, contraction of the dual form applied to sigma> equals the
     # signed pairing of theta(S) against sigma, on fiber polynomials
-    from jetexp.enveloping import word_degree
+    from oracles import word_degree
     for name in ("plane_curved", "mixed"):
         chart, conn = charts[name]
         ctx = contexts[name]
@@ -526,7 +526,7 @@ def test_transpose_relation_between_theta_and_xi(charts, contexts, rng):
 def test_pairing_against_lowering_transpose(charts, rng):
     # <S, i_X delta(sigma)> == +/- <X (.) S, sigma> for coordinate and
     # coefficient-bearing directions
-    from jetexp.enveloping import word_degree
+    from oracles import word_degree
     for name in ("mixed", "two_odd"):
         chart, conn = charts[name]
         for _ in range(40):

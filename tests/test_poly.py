@@ -165,8 +165,8 @@ def test_scalar_arithmetic(mixed):
 @pytest.mark.parametrize("name", ["mixed", "two_odd", "negdeg",
                                   "three_degrees"])
 def test_weight_capped_products_match_projection(charts, rng, name):
-    # a product cut off at weight w is the full product projected to w,
-    # and so is a derivation applied with that cap, for every w up to Q+1
+    # a derivation applied with its products cut off at weight w is the
+    # full derivation projected to w, for every w up to Q+1
     from jetexp.fedosov import project_weight
     chart, _ = charts[name]
     nslots = 3 * chart.n
@@ -181,9 +181,8 @@ def test_weight_capped_products_match_projection(charts, rng, name):
                 table[s] = filter_terms(
                     random_section(rng, chart, 2, terms=4),
                     lambda m: monomial_parity(chart, m) == want)
-            full_product, full_derive = a * b, a.derive(table)
+            full_derive = a.derive(table)
             for w in range(top + 1):
-                assert a.times(b, w) == project_weight(full_product, w)
                 assert a.derive(table, max_weight=w) == \
                     project_weight(full_derive, w)
 
@@ -207,10 +206,10 @@ CONSTANTS = (1, -1, Fraction(2, 3), Fraction(-5, 7))
 
 @pytest.mark.parametrize("name", sorted(CHART_DEFS))
 def test_integer_kernel_matches_fraction_oracle(charts, rng, name):
-    # products at every cap, partials and derivations agree with the
-    # Fraction pair loop, also on values built from already-used ones;
-    # every product also runs with a constant factor on either side (taken
-    # as a scalar), at caps down to below the other factor's lowest weight
+    # products, partials and derivations (the capped kernel at every cap)
+    # agree with the Fraction pair loop, also on values built from
+    # already-used ones; every product also runs with a constant factor on
+    # either side (taken as a scalar by ``*``, as an image by ``derive``)
     chart, _ = charts[name]
     nslots = 3 * chart.n
     top = chart.truncation.max_sym_weight + 1
@@ -230,8 +229,12 @@ def test_integer_kernel_matches_fraction_oracle(charts, rng, name):
         for x, y in checked:
             assert x * y == fraction_mul(x, y)
             assert all(type(c) is Fraction for c in (x * y).terms.values())
+            # the capped kernel, reached through derive: y times the
+            # partial of x by one slot x holds
+            held = [s for s in range(nslots) if any(m[s] for m in x.terms)]
+            images = {rng.choice(held) if held else 0: y}
             for w in range(-1, top + 1):
-                assert x.times(y, w) == fraction_mul(x, y, w)
+                assert x.derive(images, w) == fraction_derive(x, images, w)
         for f in [a, b] + derived:
             for s in range(nslots):
                 assert f.partial(s) == fraction_partial(f, s)

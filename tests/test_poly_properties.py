@@ -78,7 +78,8 @@ def test_every_result_is_canonical(args, k, q):
                a.derive({s: b for s in range(0, nslots, 2)}),
                filter_terms(a, lambda m: sum(m) % 2 == 0)]
     results += [a.partial(s) for s in range(nslots)]
-    results += [a.times(b, w) for w in range(4)]
+    results += [a.derive({s: b for s in range(0, nslots, 2)}, w)
+                for w in range(4)]
     results += list(a.weight_layers().values())
     results += list(a.homogeneous_components().values())
     results += [part for _, part in parity_parts(a)]
@@ -103,9 +104,10 @@ def test_terms_view_round_trip_and_hash(args):
 @given(chart_and(2))
 def test_capped_product_is_the_projected_product(args):
     chart, a, b = args
-    full = a * b
+    images = {s: b for s in range(0, 3 * chart.n, 2)}
+    full = a.derive(images)
     for w in range(9):
-        assert a.times(b, w) == project_weight(full, w)
+        assert a.derive(images, w) == project_weight(full, w)
 
 
 @PROPERTY

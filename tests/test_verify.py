@@ -16,7 +16,7 @@ from jetexp.perturbation import ContractionData, PerturbedContraction
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_word
 from jetexp.verify import (SUITE_NAMES, _columns, _leading_two_term,
-                           _Session, _word_index, run_suite)
+                           _Session, _word, run_suite)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import per_letter_compose
@@ -411,4 +411,4 @@ def test_compose_letters_matches_per_letter_products(name, seed, length):
     want = DiffOp.identity(chart)
     for s in letters:
         want = per_letter_compose(want, unit_word(chart, s))
-    assert DiffOp.from_word(chart, _word_index(chart, letters)) == want
+    assert DiffOp.from_symbol(_word(chart, letters)) == want
