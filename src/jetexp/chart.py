@@ -188,10 +188,6 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Multi-index utilities (tuples over N_0^n)
 
-def mi_weight(index: Sequence[int]) -> int:
-    return sum(index)
-
-
 def mi_factorial(index: Sequence[int]) -> int:
     out = 1
     for e in index:

@@ -132,12 +132,6 @@ def fiber_parts(sigma: GradedPoly) -> Dict[int, Dict[int, int]]:
     return groups
 
 
-def parity_parts(f: GradedPoly):
-    """(parity, part) for the nonzero even and odd parts of ``f``."""
-    odd_low = f.chart.odd_low
-    return list(f._split(lambda k: (k & odd_low).bit_count() & 1).items())
-
-
 class _IndexedSum:
     """A finite sum of words with base-function coefficients, held as its
     symbol (module docstring)."""

@@ -202,12 +202,16 @@ class FedosovData:
 
         D = -delta + dnabla + correction-action
 
-    square to zero in the jet quotient at ``weight``.  Its weight-raising
-    part D + delta is a derivation, kept as the generator image table
-    ``perturbation_images``; D itself is that part less delta.
-    ``transfer`` is the perturbation of the lowering-map contraction by
-    D + delta; its series give the augmentation and the homotopy, and
-    raise SeriesDivergenceError if they fail to terminate.
+    square to zero in the jet quotient at ``weight``.  Each derivation
+    involved is a generator image table applied by one
+    ``GradedPoly.derive``: dnabla (``dnabla_images``) and dnabla - delta
+    feed the correction solve; the weight-raising part D + delta
+    (``perturbation_images``: dnabla plus the correction action) drives
+    the series, and D itself (``flat_images``) is that table with dx_k
+    subtracted from the image of each y_k.  ``transfer`` is the
+    perturbation of the lowering-map contraction by D + delta; its
+    series give the augmentation and the homotopy, and raise
+    SeriesDivergenceError if they fail to terminate.
     """
 
     def __init__(self, conn: Connection, weight: int = None):
@@ -224,15 +228,15 @@ class FedosovData:
         for k, comp in enumerate(self.correction):
             images[chart.y_slot(k)] += comp
         self.perturbation_images = images
+        self.flat_images = _less_delta(chart, images)
         self.transfer = perturb_contraction(
             base_contraction(chart, self.weight), self.perturbation,
             max_terms=self.weight + 2)
 
     # -- the flat operator and its homotopy data ---------------------------
     def d_apply(self, f: GradedPoly) -> GradedPoly:
-        """The flat operator D: the perturbation less delta (both keep
-        the weight cap, as delta keeps p + q)."""
-        return self.perturbation(f) - delta_op(f, self.weight)
+        """The flat operator D, with products cut off at the weight."""
+        return f.derive(self.flat_images, self.weight)
 
     def perturbation(self, f: GradedPoly) -> GradedPoly:
         """The weight-raising part: D + delta."""
@@ -248,6 +252,17 @@ class FedosovData:
         that id - tau.sigma = h.D + D.h; this is *minus* the geometric
         series of (raise o perturbation) ending in the raising map."""
         return self.transfer.contraction.h(f)
+
+
+def _less_delta(chart: Chart, images: Dict[int, GradedPoly]
+                ) -> Dict[int, GradedPoly]:
+    """The table of a derivation less delta: dx_k subtracted from the
+    image of each y_k."""
+    out = dict(images)
+    for k in range(chart.n):
+        y = chart.y_slot(k)
+        out[y] = images[y] - GradedPoly.generator(chart, chart.dx_slot(k))
+    return out
 
 
 def _solve_correction(conn: Connection, weight: int,
@@ -274,12 +289,14 @@ def _solve_correction(conn: Connection, weight: int,
     each is formed once, layer by layer.  One confirming pass of the
     whole fixed-point map, with products cut off at weight + 1, must
     then reproduce the result.  ``images`` is the generator table of
-    dnabla, ``dnabla_images(conn)``.
+    dnabla, ``dnabla_images(conn)``; the seed is one derive of dnabla y_k
+    over the table of dnabla - delta.
     """
     chart = conn.chart
     top = weight + 1
     d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
-    seed = [dy.derive(images) - delta_op(dy) for dy in d_y]
+    lowered = _less_delta(chart, images)  # dnabla - delta
+    seed = [dy.derive(lowered) for dy in d_y]
     seed_layers = [s.weight_layers() for s in seed]
     zero = GradedPoly.zero(chart)
     layers: Dict[int, Tuple[GradedPoly, ...]] = {}

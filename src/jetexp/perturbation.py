@@ -166,9 +166,10 @@ def perturb_contraction(c: ContractionData, partial: Callable,
         return series("homotopy", c.h(x), step, identity)
 
     def theta(m):
-        # sum sigma partial (-h partial)^k tau
-        return series("transferred-perturbation", c.tau(m), step,
-                      lambda t: c.sigma(partial(t)))
+        # sum sigma partial (-h partial)^k tau = sum sigma p_k over
+        # p_k = partial t_k, p_{k+1} = -partial h p_k: one partial a term
+        return series("transferred-perturbation", partial(c.tau(m)),
+                      lambda p: -partial(c.h(p)), c.sigma)
 
     def new_d_big(x):
         return c.d_big(x) + partial(x)

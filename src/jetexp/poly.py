@@ -96,10 +96,6 @@ class DegreeUndefinedError(ValueError):
     """Raised when a degree is requested of the zero polynomial."""
 
 
-def monomial_parity(chart: Chart, m: Monomial) -> int:
-    return sum(e * p for e, p in zip(m, chart.gen_parities)) & 1
-
-
 def monomial_pq(chart: Chart, m: Monomial) -> Tuple[int, int]:
     """(form degree p, fiber weight q) of a monomial."""
     n = chart.n
@@ -416,17 +412,23 @@ class GradedPoly:
         odd g_s out of the front costs the parity of the odd slots below
         s, and putting an odd g_t in front of m - e_s costs the parity
         of its odd slots below t, or kills the term when it already
-        holds g_t."""
+        holds g_t.  As in ``derive``, a pair whose slot s no monomial
+        holds (a zero field in the OR of the keys) is skipped, and a zero
+        operand is returned as it is."""
         chart = self.chart
         n = chart.n
         odd_low = chart.odd_low
         shifts, unit = chart.shifts, chart.unit
+        held = reduce(or_, self.nums, 0)
         table = []  # (shift of s, odd bit of s, odd bit of t, key step)
         for s, t in pairs:
             if not (n <= s < 3 * n and n <= t < 3 * n):
                 raise ValueError("exchange pairs must be fiber or form slots")
-            table.append((shifts[s], odd_low & 1 << shifts[s],
-                          odd_low & 1 << shifts[t], unit[t] - unit[s]))
+            if held >> shifts[s] & FIELD_MASK:
+                table.append((shifts[s], odd_low & 1 << shifts[s],
+                              odd_low & 1 << shifts[t], unit[t] - unit[s]))
+        if not table:  # a zero operand, or no slot s held
+            return self if not self.nums else GradedPoly.zero(chart)
         shift = chart.weight_shift
         limit = None if max_weight is None else max_weight + 1 << shift
         layers: Dict[int, list] = {}  # weight p + q -> [(key, num)]

@@ -37,10 +37,14 @@ session is dropped when the call returns; nothing outlives it.
 words repeat).  Both augmentation routes are linear over constants, so
 each is evaluated once per distinct base monomial and a function's
 augmentation is one ``combine`` of those columns (``_columns``): the
-series augmentation and tau_pbw, each in a table of its own.  The
-flat-connection suite builds its own dnabla table.  No route reads
-another's table, so the independent routes (tau_pbw against the series,
-the projected full products against d_apply) stay independent.
+series augmentation and tau_pbw, each in a table of its own.  The flat
+operator D is applied once per distinct argument: the flat
+contraction's differential is a memo of ``FedosovData.d_apply``, which
+holds D's own values only, and every suite reads it.  The
+flat-connection suite builds its own dnabla table and projects full
+products afterwards.  No route reads another's table, so the
+independent routes (tau_pbw against the series, the projected full
+products against D) stay independent.
 """
 
 from __future__ import annotations
@@ -95,8 +99,8 @@ class _Session:
     capped at weight + 1 (the cap only bounds arguments, and every
     suite's inputs fit under it), memos of its ``map`` and ``inv`` and
     of the coalgebra check's word images and their squares, the flat
-    contraction (whose series augmentation is the transfer's) and the
-    tau_pbw columns.  Each route keeps a table of its own, and the
+    contraction (whose differential is a memo of D and whose series
+    augmentation is the transfer's) and the tau_pbw columns.  Each route keeps a table of its own, and the
     session is dropped when the call returns."""
 
     def __init__(self, chart: Chart, conn: Connection, weight: int):
@@ -290,6 +294,7 @@ def _roundtrip(chart: Chart, map_: Callable, inv: Callable,
 def suite_flat_connection(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
     chart, weight, fd = session.chart, session.weight, session.fd
+    d = session.flat.d_big
     xi = xi_form(session.ctx, weight)
 
     res = [CheckResult("correction-equals-minus-dual-form",
@@ -303,13 +308,13 @@ def suite_flat_connection(session: _Session, seed: int) -> List[CheckResult]:
 
     sections = [random_section(rng, chart, weight) for _ in range(15)]
     res.append(run_check("flat-operator-squares-to-zero", sections,
-                         lambda w: not fd.d_apply(fd.d_apply(w))))
+                         lambda w: not d(d(w))))
     # full products projected afterwards, with the suite's own dnabla
     # table: independent of the capped products inside d_apply
     dnabla = dnabla_images(session.conn)
     res.append(run_check(
         "flat-operator-is-lower-plus-dual-correction", sections,
-        lambda w: fd.d_apply(w) == project_weight(
+        lambda w: d(w) == project_weight(
             -delta_op(w) + w.derive(dnabla) - vvf_action(xi, w), weight)))
     return res
 
@@ -318,13 +323,13 @@ def suite_flat_connection(session: _Session, seed: int) -> List[CheckResult]:
 
 def suite_resolution(session: _Session, seed: int) -> List[CheckResult]:
     rng = random.Random(seed)
-    chart, weight, fd = session.chart, session.weight, session.fd
+    chart, weight = session.chart, session.weight
 
-    # the contraction's series augmentation and homotopy are memos, so each
-    # monomial (each section) is summed once per session; tau_pbw keeps its
-    # own columns and never reads the series ones
+    # the contraction's series augmentation, homotopy and differential are
+    # memos, so each monomial (each section) is summed or applied once per
+    # session; tau_pbw keeps its own columns and never reads the series ones
     contraction = session.flat
-    tau, h = contraction.tau, contraction.h
+    tau, h, d = contraction.tau, contraction.h, contraction.d_big
     pbw = session.tau_pbw_columns
 
     funcs = [random_base_poly(rng, chart, 2, 3) for _ in range(20)]
@@ -333,7 +338,7 @@ def suite_resolution(session: _Session, seed: int) -> List[CheckResult]:
     res.append(run_check("augmentation-splits-projection", funcs,
                          lambda f: sigma_aug(tau(f)) == f))
     res.append(run_check("augmentation-is-flat", funcs,
-                         lambda f: not fd.d_apply(tau(f))))
+                         lambda f: not d(tau(f))))
     pairs = list(zip(funcs[::2], funcs[1::2]))
     res.append(run_check(
         "augmentation-is-multiplicative", pairs,
@@ -344,23 +349,22 @@ def suite_resolution(session: _Session, seed: int) -> List[CheckResult]:
     res += [r._replace(name="flat-" + r.name)
             for r in check_contraction(contraction, sections, funcs)]
 
-    closed = [fd.d_apply(random_section(rng, chart, weight - 1))
-              for _ in range(20)]
+    closed = [d(random_section(rng, chart, weight - 1)) for _ in range(20)]
     res.append(run_check("closed-sections-are-exact", closed,
-                         lambda w: fd.d_apply(h(w)) == w))
+                         lambda w: d(h(w)) == w))
     return res
 
 
 def flat_contraction(fd: FedosovData) -> ContractionData:
     """The contraction of the flat complex onto base functions, with the
     series ``fd.tau_series`` summed once per distinct monomial and
-    ``fd.homotopy_h`` once per distinct section, for as long as the
-    contraction lives."""
+    ``fd.homotopy_h`` and the flat operator ``fd.d_apply`` once per
+    distinct section, for as long as the contraction lives."""
     return ContractionData(
         sigma=sigma_aug,
         tau=_columns(fd.chart, fd.tau_series),
         h=_memo(fd.homotopy_h),
-        d_big=fd.d_apply,
+        d_big=_memo(fd.d_apply),
         d_small=lambda f: GradedPoly.zero(fd.chart),
     )
 

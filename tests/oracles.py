@@ -504,7 +504,6 @@ def compose_word_image(ctx, index):
     formed by ``per_letter_compose`` and each term summed and scaled as
     an operator; shorter words come from the context.  (The library
     sums every term of the step as one symbol.)"""
-    from jetexp.chart import mi_weight
     from jetexp.enveloping import DiffOp, word_key
     from jetexp.geometry import coordinate_replacement
 
@@ -818,6 +817,22 @@ def summed_random_homogeneous_base(rng, chart, degree, max_exp=2):
     return out
 
 
+def mi_weight(index):
+    """Total weight of a multi-index."""
+    return sum(index)
+
+
+def monomial_parity(chart, m):
+    """Parity of an exponent tuple."""
+    return sum(e * p for e, p in zip(m, chart.gen_parities)) & 1
+
+
+def parity_parts(f):
+    """(parity, part) for the nonzero even and odd parts of ``f``."""
+    odd_low = f.chart.odd_low
+    return list(f._split(lambda k: (k & odd_low).bit_count() & 1).items())
+
+
 def parity(f):
     """Parity of a homogeneous polynomial, summed over the exponent
     tuples of ``terms``; NotHomogeneousError on mixed parity.  (The
@@ -885,7 +900,7 @@ def xi_form_by_theta(ctx, max_fiber_weight=None):
     table of the weight-one parts of inv(d^J) and forms no inverse,
     operator product or covariant derivative.)
     """
-    from jetexp.chart import mi_all_up_to, mi_factorial, mi_weight
+    from jetexp.chart import mi_all_up_to, mi_factorial
     from jetexp.enveloping import (SymTensor, TruncationOverflowError,
                                    pairing)
     from jetexp.geometry import VectorField

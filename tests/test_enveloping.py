@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial, mi_weight
+from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial
 from jetexp.enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
-                               letter_sign, pairing, parity_parts,
+                               letter_sign, pairing,
                                square_chart, square_words, sym_mul_vf,
                                symbol_sign, to_square, word_key)
 from jetexp.geometry import VectorField
@@ -20,8 +20,9 @@ from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
                      degree_split_tensor_push_left, per_letter_compose,
                      per_split_comult, shuffle_pairing, square_from_table,
-                     square_table, sym_word, sym_word_product,
-                     tensor_square_left_mult_vf, word_letters)
+                     mi_weight, parity_parts, square_table, sym_word,
+                     sym_word_product, tensor_square_left_mult_vf,
+                     word_letters)
 from test_operator_properties import indexed
 from test_poly_properties import PROPERTY
 
@@ -227,7 +228,7 @@ def test_comult_env_matches_iterated_product_route():
     # independent route: the comultiplication of a word equals the
     # product of the comultiplications of its letters, built by
     # iterated left multiplication starting from 1 (x) 1
-    from jetexp.chart import mi_all_up_to, mi_weight
+    from jetexp.chart import mi_all_up_to
     chart = Chart([("x", 0), ("t1", 1), ("t2", 1)], Truncation(4, 3, 6))
     for index in mi_all_up_to(chart.n, 4):
         if any(e > 1 and chart.coordinate_parity(s)

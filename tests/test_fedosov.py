@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import load_chart_file
 from jetexp.enveloping import SymTensor, pairing
-from jetexp.fedosov import (FedosovData, FlatStructureError,
+from jetexp.fedosov import (FedosovData, FlatStructureError, _less_delta,
                             _solve_correction, delta_inv_op, delta_op,
                             dnabla_form, dnabla_images,
                             dual_connection_images, iota_incl,
@@ -92,6 +92,33 @@ def test_exchange_maps_match_the_positional_leibniz_rule(name, seed):
     assert delta_inv_op(w) == raised
     assert delta_op(w, q) == project_weight(lowered, q)
     assert delta_inv_op(w, q) == project_weight(raised, q)
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_exchange_skipping_absent_slots_matches_the_unskipped_form(name):
+    # sections that lack some source slots, a base function (no source
+    # slot at all) and zero: the skip leaves every result as it was
+    chart, _ = build_chart(name)
+    n = chart.n
+    q = chart.truncation.max_sym_weight
+    rng = random.Random(17)
+    down = [(chart.y_slot(i), chart.dx_slot(i)) for i in range(n)]
+    up = [(t, s) for s, t in down]
+    zero = GradedPoly.zero(chart)
+    samples = [zero, random_base_poly(rng, chart, 2, 3)]
+    for drop in range(n):
+        w = random_section(rng, chart, q + 1)
+        samples += [filter_terms(w, lambda m: not m[n + drop]),
+                    filter_terms(w, lambda m: not m[2 * n + drop]),
+                    filter_terms(w, lambda m: not any(m[n:2 * n]))]
+    for w in samples:
+        for cap in (None, q):
+            for pairs, by_weight in ((down, False), (up, True)):
+                want = oracle_exchange(w, pairs, by_weight)
+                if cap is not None:
+                    want = project_weight(want, cap)
+                assert w.exchange(pairs, cap, by_weight) == want
+    assert zero.exchange(down) is zero
 
 
 def test_exchange_rejects_base_slots(line):
@@ -397,6 +424,49 @@ def test_flat_image_tables_match_operator_sums(charts, rng):
             assert fd.d_apply(w) == project_weight(-delta_op(w) + raising,
                                                    fd.weight)
             assert fd.perturbation(w) == project_weight(raising, fd.weight)
+
+
+def sections_at_and_above_the_cap(rng, chart, weight):
+    """Random sections up to weight + 1, and monomials at the weight and
+    one above it."""
+    even = next(s for s in map(chart.y_slot, range(chart.n))
+                if not chart.gen_parities[s])
+    x = GradedPoly.generator(chart, chart.x_slot(0))
+    y = GradedPoly.generator(chart, even)
+    dx = [GradedPoly.generator(chart, chart.dx_slot(i))
+          for i in range(chart.n)]
+    top = [y ** weight, x * y ** weight, y ** (weight + 1),
+           y ** weight + x * y ** (weight + 1)]
+    top += [y ** (weight - 1) * d for d in dx]
+    top += [y ** weight * d for d in dx]
+    return top + [random_section(rng, chart, weight + 1) for _ in range(8)]
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_flat_operator_table_is_perturbation_less_lowering(name):
+    # one derive over D's own table against the weight-raising part less
+    # the lowering exchange, at the cap and above it
+    chart, conn = build_chart(name)
+    fd = FedosovData(conn, chart.truncation.max_sym_weight)
+    rng = random.Random(23)
+    above = 0
+    for w in sections_at_and_above_the_cap(rng, chart, fd.weight):
+        above += project_weight(w, fd.weight) != w
+        assert fd.d_apply(w) == \
+            fd.perturbation(w) - delta_op(w, fd.weight)
+    assert above >= 4
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+def test_solve_seed_is_one_derive_over_dnabla_less_lowering(name):
+    # the correction solve's seed, dnabla(dnabla y_k) - delta(dnabla y_k),
+    # as one derive over the table of dnabla - delta
+    chart, conn = build_chart(name)
+    images = dnabla_images(conn)
+    lowered = _less_delta(chart, images)
+    for k in range(chart.n):
+        dy = images[chart.y_slot(k)]
+        assert dy.derive(lowered) == dy.derive(images) - delta_op(dy)
 
 
 def test_augmentation_taylor_specialization(rng):

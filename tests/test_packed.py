@@ -17,11 +17,12 @@ from jetexp.chart import FIELD_MAX, Chart, Truncation
 from jetexp.enveloping import TruncationOverflowError as ReExported
 from jetexp.fedosov import delta_inv_op
 from jetexp.poly import (FLIP, GradedPoly, TruncationOverflowError, combine,
-                         monomial_parity, monomial_pq, pack_monomial,
+                         monomial_pq, pack_monomial,
                          unpack_monomial)
 
 from conftest import CHART_DEFS, build_chart
-from oracles import filter_terms, fraction_mul, fraction_partial
+from oracles import (filter_terms, fraction_mul, fraction_partial,
+                     monomial_parity)
 from test_poly_properties import PROPERTY
 
 CHARTS = {name: build_chart(name)[0] for name in sorted(CHART_DEFS)}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetexp.chart import Chart, Truncation, koszul_sign, mi_all_up_to, mi_weight
+from jetexp.chart import Chart, Truncation, koszul_sign, mi_all_up_to
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                                comult_sym, pairing, sym_mul_vf)
 from jetexp.fedosov import delta_op
@@ -16,7 +16,7 @@ from jetexp.randomgen import (random_base_poly, random_section,
 
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import (compose_word_image, filter_terms, lightning_nabla,
-                     per_letter_compose, per_letter_word_image, square_table,
+                     mi_weight, per_letter_compose, per_letter_word_image, square_table,
                      theta_form, xi_form_by_theta)
 
 

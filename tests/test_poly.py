@@ -5,12 +5,13 @@ import pytest
 
 from jetexp.chart import Chart, Truncation
 from jetexp.poly import (DegreeUndefinedError, GradedPoly, NotHomogeneousError,
-                         monomial_parity, monomial_pq)
+                         monomial_pq)
 from jetexp.randomgen import random_section
 
 from conftest import CHART_DEFS
 from oracles import (brute_force_derivative, derivation_apply, filter_terms,
-                     fraction_derive, fraction_mul, fraction_partial)
+                     fraction_derive, fraction_mul, fraction_partial,
+                     monomial_parity)
 
 
 @pytest.fixture

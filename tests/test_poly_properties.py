@@ -13,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from jetexp.chartfile import load_chart_file
 from jetexp.fedosov import delta_inv_op, project_weight
-from jetexp.enveloping import parity_parts
 from jetexp.grammar import format_poly, parse_poly
 from jetexp.poly import GradedPoly
 
-from oracles import filter_terms
+from oracles import filter_terms, parity_parts
 
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
 CHARTS = [load_chart_file(os.path.join(CHART_DIR, name))[0]

@@ -215,6 +215,26 @@ def test_resolution_computes_each_homotopy_once(monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
+def test_all_applies_the_flat_operator_once_per_distinct_argument(
+        monkeypatch):
+    # every suite and the flat contraction read the session's memo of D,
+    # so one ``all`` call per shipped chart applies D once per argument
+    seen = []
+    real = FedosovData.d_apply
+
+    def counted(fd, w):
+        seen.append(w)
+        return real(fd, w)
+    monkeypatch.setattr(FedosovData, "d_apply", counted)
+    for name in SHIPPED_CHARTS:
+        chart, conn = any_chart(name)
+        del seen[:]
+        results = run_suite("all", chart, conn, seed=7)
+        assert all(r.status != "FAIL" for r in results)
+        assert len(seen) == len(set(seen))
+        assert bool(seen) == conn.torsion_free
+
+
 def test_resolution_homotopy_check_fails_when_last_series_term_dropped(
         monkeypatch):
     homotopy_control(monkeypatch, SUITE_NAMES)
