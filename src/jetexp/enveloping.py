@@ -59,8 +59,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Dict, Tuple
 
-from .chart import (FIELD_BITS, FIELD_MASK, FIELD_MAX, Chart, mi_factorial,
-                    same_chart)
+from .chart import FIELD_BITS, FIELD_MASK, FIELD_MAX, Chart, same_chart
 from .poly import (FLIP, GradedPoly, TruncationOverflowError, _key_degree,
                    combine)
 
@@ -333,11 +332,6 @@ class DiffOp(_IndexedSum):
             (div // fact, a, b) for fact, a, b in terms], div))
 
 
-def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
-    """Symmetric product (vector field) (.) tensor, field on the left."""
-    return SymTensor.from_vector_field(field) * tensor
-
-
 # ---------------------------------------------------------------------------
 # Tensor squares and the comultiplication
 
@@ -422,39 +416,3 @@ def comult_sym(tensor: SymTensor, powers=None) -> GradedPoly:
 def comult_env(op: DiffOp, powers=None) -> GradedPoly:
     """Comultiplication of a normal-ordered operator (``_comult``)."""
     return _comult(op, powers)
-
-
-# ---------------------------------------------------------------------------
-# Duality pairing with fiber polynomials
-
-def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
-    """Pair a symmetric tensor against a polynomial in base and fiber
-    generators.
-
-    On basis data <word_I, y^J> = I!.delta_{I,J}; the descending-word
-    convention absorbs all odd-sector signs.  A base coefficient sitting
-    left of the fiber monomial crosses the word with a Koszul sign:
-    <W, g.y^J> = (-1)^(|g||y^J|) g.<W, y^J>, which is exactly the rule
-    the monomial form g.y^J requires for dual-basis expansions.
-    """
-    chart = same_chart(tensor, sigma)
-    n, base, odd_low = chart.n, chart.base_mask, chart.odd_low
-    tau = tensor.symbol()
-    parts = fiber_parts(tau)
-    entries = []
-    for k, v in sigma.nums.items():
-        if k >> 2 * FIELD_BITS * n & base:
-            raise ValueError("pairing argument must be free of form "
-                             "generators")
-        word = k & ~base
-        if word in parts:
-            sign = symbol_sign(chart, word)
-            odd = k & odd_low
-            if (odd & base).bit_count() & (odd & ~base).bit_count() & 1:
-                sign = -sign
-            fact = mi_factorial([word >> sh & FIELD_MASK
-                                 for sh in chart.shifts[n:2 * n]])
-            entries.append((sign * v * fact, GradedPoly._of(
-                chart, parts[word], tau.den), GradedPoly._of(
-                chart, {k & base: 1}, sigma.den)))
-    return combine(chart, entries)

@@ -1,4 +1,5 @@
-"""Vector fields, graded affine connections, torsion and curvature.
+"""Vector fields, graded affine connections, and a connection extended
+to symmetric tensors.
 
 A connection is specified by its Christoffel table on the chart: the
 covariant derivative of the j-th coordinate derivation along the i-th is
@@ -7,15 +8,6 @@ operator degree 0, which forces each nonzero Gamma^k_{ij} to be
 homogeneous of degree |x_k| - |x_i| - |x_j|; that constraint is checked
 at construction, as is graded symmetry when the torsion-free flag is
 set (silent violations would poison everything built downstream).
-
-Sign conventions: the bracket is the graded commutator of derivations,
-the torsion is
-
-    T(X, Y) = cov(X, Y) - (-1)^(|X||Y|) cov(Y, X) - [X, Y]
-
-and the curvature carries the prefactor (-1)^(|Y| - 1) in front of the
-covariant-derivative commutator, so that the square of the covariant
-differential is the wedge action of the curvature two-form.
 
 On interior products: pairing the i-th coordinate derivation with its
 own degree-(1+|x_i|) form generator is degree -(1+|x_i|), so the
@@ -126,22 +118,6 @@ class VectorField:
         return "VectorField(%s)" % (" + ".join(parts) or "0")
 
 
-def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Graded commutator of derivations."""
-    chart = same_chart(x, y)
-    out = VectorField.zero(chart)
-    for dx, xh in x.homogeneous_components().items():
-        for dy, yh in y.homogeneous_components().items():
-            sign = -1 if (dx & 1) and (dy & 1) else 1
-            comps = []
-            for k in range(chart.n):
-                first = xh.apply(yh.components[k])
-                second = yh.apply(xh.components[k])
-                comps.append(first - second * sign)
-            out = out + VectorField(chart, comps)
-    return out
-
-
 class ChristoffelError(ValueError):
     """A Christoffel table that breaks the degree or symmetry rule;
     ``triple`` is the least failing (i, j, k), 0-based."""
@@ -233,63 +209,6 @@ class Connection:
     def __repr__(self):
         return "Connection(%d entries, torsion_free=%s)" % (
             len(self.gamma), self.torsion_free)
-
-
-def cov_deriv(conn: Connection, x: VectorField, y: VectorField) -> VectorField:
-    """Covariant derivative: base-linear in the direction, graded Leibniz
-    in the argument."""
-    chart = same_chart(conn, x, y)
-    out = VectorField.zero(chart)
-    for dx, xh in x.homogeneous_components().items():
-        # derivative of the coefficients
-        comps = [xh.apply(c) for c in y.components]
-        out = out + VectorField(chart, comps)
-        # Christoffel part: X(g_j . d_j) picks (-1)^(|X||g_j|) g_j cov(X, d_j)
-        for j in range(chart.n):
-            for gdeg, gpart in y.components[j].homogeneous_components().items():
-                flip = (dx & 1) and (gdeg & 1)
-                for i in range(chart.n):
-                    xi = xh.components[i]
-                    if not xi:
-                        continue
-                    for k in range(chart.n):
-                        gam = conn.entry(i, j, k)
-                        if not gam:
-                            continue
-                        val = gpart * xi * gam
-                        if flip:
-                            val = -val
-                        add = [GradedPoly.zero(chart)] * chart.n
-                        add[k] = val
-                        out = out + VectorField(chart, add)
-    return out
-
-
-def torsion(conn: Connection, x: VectorField, y: VectorField) -> VectorField:
-    chart = same_chart(conn, x, y)
-    out = VectorField.zero(chart)
-    for dx, xh in x.homogeneous_components().items():
-        for dy, yh in y.homogeneous_components().items():
-            sign = -1 if (dx & 1) and (dy & 1) else 1
-            term = cov_deriv(conn, xh, yh) - cov_deriv(conn, yh, xh).scale(sign)
-            out = out + term - lie_bracket(xh, yh)
-    return out
-
-
-def curvature(conn: Connection, x: VectorField, y: VectorField,
-              z: VectorField) -> VectorField:
-    """Curvature two-form evaluated on (x, y) and applied to z."""
-    chart = same_chart(conn, x, y, z)
-    out = VectorField.zero(chart)
-    for dx, xh in x.homogeneous_components().items():
-        for dy, yh in y.homogeneous_components().items():
-            sign = -1 if (dx & 1) and (dy & 1) else 1
-            pref = -1 if (dy - 1) & 1 else 1
-            term = (cov_deriv(conn, xh, cov_deriv(conn, yh, z))
-                    - cov_deriv(conn, yh, cov_deriv(conn, xh, z)).scale(sign)
-                    - cov_deriv(conn, lie_bracket(xh, yh), z))
-            out = out + term.scale(pref)
-    return out
 
 
 def replacement_terms(conn: Connection, direction: int, word: int):

@@ -39,7 +39,7 @@ computed once.  Every operation computes numerators over one
 denominator and ends in the one internal constructor ``_of``, which
 reduces them with a single gcd.  ``terms``, exponent tuple ->
 ``Fraction``, is a view for readers outside the arithmetic, built on
-first read and cached; the public constructor takes the same tuples.
+each read; the public constructor takes the same tuples.
 
 Product kernel.  Each polynomial lazily builds, at most once, its rows:
 per weight p + q, ascending, (key, odd bits, parity bits of the odd
@@ -58,9 +58,9 @@ caller that sums many such terms builds no polynomial for any of them.
 Its products go through the same loop as ``*`` and ``derive``.
 
 Values are immutable after construction and all operations are pure, so
-the cached view, rows and hash never go stale and sharing across
-threads needs no synchronization (two threads may both build the same
-cache).
+the rows and the hash, the only caches, never go stale and sharing
+across threads needs no synchronization (two threads may both build
+the same cache).
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _check_guard(chart: Chart, keys) -> None:
 
 
 class GradedPoly:
-    __slots__ = ("chart", "den", "nums", "_terms", "_rows", "_hash")
+    __slots__ = ("chart", "den", "nums", "_rows", "_hash")
 
     def __init__(self, chart: Chart, terms: Dict[Monomial, Fraction] = None):
         clean: Dict[int, Fraction] = {}
@@ -162,7 +162,7 @@ class GradedPoly:
         self.den = den
         self.nums = {k: c.numerator * (den // c.denominator)
                      for k, c in clean.items()}
-        self._terms = self._rows = self._hash = None
+        self._rows = self._hash = None
 
     @staticmethod
     def _of(chart: Chart, nums: Dict[int, int],
@@ -179,20 +179,16 @@ class GradedPoly:
         p.chart = chart
         p.den = den
         p.nums = nums
-        p._terms = p._rows = p._hash = None
+        p._rows = p._hash = None
         return p
 
     @property
     def terms(self) -> Dict[Monomial, Fraction]:
-        """exponent tuple -> Fraction coefficient, built on first read."""
-        terms = self._terms
-        if terms is None:
-            den = self.den
-            shifts = self.chart.shifts
-            terms = self._terms = {
-                tuple([k >> sh & FIELD_MASK for sh in shifts]):
+        """exponent tuple -> Fraction coefficient, built on each read."""
+        den = self.den
+        shifts = self.chart.shifts
+        return {tuple([k >> sh & FIELD_MASK for sh in shifts]):
                 Fraction(v, den) for k, v in self.nums.items()}
-        return terms
 
     # -- constructors -----------------------------------------------------
     @classmethod

@@ -1,38 +1,31 @@
-"""Seeded random data for property suites: polynomials, sections,
-tensors, words, and torsion-free connections on a chart.
+"""Seeded random data for the verify suites and property tests:
+polynomials, sections, tensors and words on a chart.
 
 Everything takes an explicit random.Random so runs are reproducible;
 base degrees stay inside the chart's declared bound so generated inputs
 are always valid chart-file material.
 
-Samples are built on packed keys: each coefficient n/d of
-``random_coefficient`` (d in {1, 2, 3}) is drawn as the integer
-numerator n * 6/d over 6, by the same two RNG calls, summed per key,
-and each polynomial ends in one ``GradedPoly._of``.  So the draws, and
-the values, are those of summing one single-term polynomial at a time.
+Samples are built on packed keys: each coefficient n/d (n a nonzero
+integer in [-6, 6], d in {1, 2, 3}) is drawn by two RNG calls as the
+integer numerator n * 6/d over 6 (``_sixths``), summed per key, and
+each polynomial ends in one ``GradedPoly._of``.  So the draws, and the
+values, are those of summing one single-term polynomial at a time.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from itertools import product
 from typing import Dict, List
 
 from .chart import Chart
 from .enveloping import SymTensor, word_symbol
-from .geometry import Connection, VectorField
 from .poly import GradedPoly, combine, monomial_pq, pack_monomial
 
 
 def _sixths(rng: random.Random) -> int:
-    """The numerator over 6 of a ``random_coefficient`` draw."""
+    """The numerator over 6 of one random coefficient n/d."""
     num = rng.randrange(-6, 7) or 1
     return num * (6 // rng.choice((1, 1, 2, 3)))
-
-
-def random_coefficient(rng: random.Random) -> Fraction:
-    return Fraction(_sixths(rng), 6)
 
 
 def _in_sixths(chart: Chart, nums: Dict[int, int]) -> GradedPoly:
@@ -93,43 +86,6 @@ def random_section(rng: random.Random, chart: Chart, max_weight: int,
     return _in_sixths(chart, nums)
 
 
-def random_homogeneous_base(rng: random.Random, chart: Chart, degree: int,
-                            max_exp: int = 2) -> GradedPoly:
-    """Random homogeneous base polynomial of exact degree (zero when no
-    monomial of that degree exists within the exponent cap): each
-    candidate monomial, in lexicographic order of its exponents, is kept
-    with probability 0.6, and when none is, one is chosen with
-    coefficient 1."""
-    n = chart.n
-    caps = [1 if chart.coordinate_parity(s) else max_exp for s in range(n)]
-    degrees = [chart.coordinate_degree(s) for s in range(n)]
-    candidates = [pack_monomial(chart, m + (0,) * (2 * n))
-                  for m in product(*[range(cap + 1) for cap in caps])
-                  if sum([e * d for e, d in zip(m, degrees)]) == degree]
-    nums: Dict[int, int] = {}
-    for key in candidates:
-        if rng.random() < 0.6:
-            nums[key] = _sixths(rng)
-    if candidates and not nums:
-        nums[rng.choice(candidates)] = 6
-    return _in_sixths(chart, nums)
-
-
-def random_vector_field(rng: random.Random, chart: Chart,
-                        max_degree: int = 2) -> VectorField:
-    return VectorField(chart, [random_base_poly(rng, chart, max_degree, 2)
-                               for _ in range(chart.n)])
-
-
-def random_homogeneous_vf(rng: random.Random, chart: Chart,
-                          degree: int) -> VectorField:
-    comps = []
-    for i in range(chart.n):
-        want = degree + chart.coordinate_degree(i)
-        comps.append(random_homogeneous_base(rng, chart, want))
-    return VectorField(chart, comps)
-
-
 def random_word(rng: random.Random, chart: Chart, length: int) -> List[int]:
     """Random multiset of coordinate slots usable as a symmetric word
     (odd slots at most once); returned in descending order."""
@@ -159,28 +115,3 @@ def random_symtensor(rng: random.Random, chart: Chart, max_weight: int,
     return SymTensor.from_symbol(combine(chart, [
         (1, word_symbol(chart, word, _in_sixths(chart, nums)))
         for word, nums in table.items()]))
-
-
-def random_torsion_free_connection(rng: random.Random,
-                                   chart: Chart) -> Connection:
-    gamma = {}
-    n = chart.n
-    for i in range(n):
-        for j in range(i, n):
-            pi = chart.coordinate_parity(i)
-            pj = chart.coordinate_parity(j)
-            if i == j and pi:
-                continue  # graded symmetry forces the odd diagonal to zero
-            for k in range(n):
-                want = (chart.coordinate_degree(k) - chart.coordinate_degree(i)
-                        - chart.coordinate_degree(j))
-                entry = random_homogeneous_base(rng, chart, want, max_exp=1)
-                if not entry:
-                    continue
-                if rng.random() < 0.5:
-                    continue
-                gamma[(i, j, k)] = entry
-                if i != j:
-                    sign = -1 if pi and pj else 1
-                    gamma[(j, i, k)] = entry * sign
-    return Connection(chart, gamma, torsion_free=True)

@@ -36,14 +36,34 @@ any recursion, series or solve, the augmentation as the exponential of
 the geodesic spray applied by the positional Leibniz rule instead of
 the word-image recursion or the perturbation series) so frozen expectations in the tests do
 not share code with the implementation they check.
+
+It also holds the references the package computes without: the
+component-wise calculus of vector fields (graded bracket, covariant
+derivative, torsion, curvature), the duality pairing of tensors with
+fiber polynomials, the symmetric product of a vector field and a
+tensor, and seeded vector fields and torsion-free connections.  The
+bracket is the graded commutator of derivations, the torsion is
+
+    T(X, Y) = cov(X, Y) - (-1)^(|X||Y|) cov(Y, X) - [X, Y]
+
+and the curvature carries the prefactor (-1)^(|Y| - 1) in front of the
+covariant-derivative commutator, so that the square of the covariant
+differential is the wedge action of the curvature two-form.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
-from jetexp.chart import koszul_sign  # also re-exported for tests
-from jetexp.poly import GradedPoly
+from jetexp.chart import (FIELD_BITS, FIELD_MASK, Chart,
+                          koszul_sign,  # also re-exported for tests
+                          mi_factorial, same_chart)
+from jetexp.enveloping import SymTensor, fiber_parts, symbol_sign
+from jetexp.geometry import Connection, VectorField
+from jetexp.poly import GradedPoly, combine, pack_monomial
+from jetexp.randomgen import _in_sixths, _sixths, random_base_poly
 
 
 def word_letters(index):
@@ -344,9 +364,6 @@ def per_position_nabla_sym(conn, x, tensor):
     position of each word on its own, with the Christoffel field rebuilt
     per position.  (The library replaces each block of equal letters once
     and scales by its multiplicity.)"""
-    from jetexp.enveloping import SymTensor
-    from jetexp.geometry import VectorField
-
     chart = conn.chart
     out = SymTensor.zero(chart)
     for dx, xh in x.homogeneous_components().items():
@@ -386,8 +403,6 @@ def per_position_nabla_sym(conn, x, tensor):
 def sym_word_product(chart, slots):
     """Canonical form of a symmetric word of coordinate derivations given
     in left-to-right order, one letter at a time from the right."""
-    from jetexp.enveloping import SymTensor
-
     out = SymTensor.from_word(chart, (0,) * chart.n)
     for slot in reversed(list(slots)):
         out = degree_split_mul_letter_left(out, slot)
@@ -398,7 +413,7 @@ def tau_by_word_images(ctx, f, weight):
     """The augmentation as sum_I y^I / I! times the operator
     ``ctx.word_image(I)`` applied to ``f``.  (The library evaluates the
     recursion on values and builds no operator.)"""
-    from jetexp.chart import mi_all_up_to, mi_factorial
+    from jetexp.chart import mi_all_up_to
 
     chart = ctx.chart
     out = GradedPoly.zero(chart)
@@ -422,8 +437,7 @@ def per_letter_word_image(ctx, index):
     to the front) and ``per_position_nabla_sym``; shorter words come from
     the context.  Needs a nonempty word.  (The library forms one term
     per distinct letter, times its multiplicity.)"""
-    from jetexp.enveloping import DiffOp, SymTensor
-    from jetexp.geometry import VectorField
+    from jetexp.enveloping import DiffOp
 
     chart = ctx.chart
     letters = word_letters(index)
@@ -535,7 +549,6 @@ def compose_word_image(ctx, index):
 def sym_word(fields):
     """Symmetrization of a word of homogeneous vector fields: the average
     of all Koszul-signed orderings composed in the operator algebra."""
-    from jetexp.chart import same_chart
     from jetexp.enveloping import DiffOp
 
     if not fields:
@@ -742,7 +755,7 @@ def per_split_comult(element):
 def summed_random_base_poly(rng, chart, max_degree=2, terms=3):
     """``randomgen.random_base_poly`` as a sum of single-term
     polynomials, with the same draws in the same order."""
-    from jetexp.randomgen import random_coefficient, random_monomial
+    from jetexp.randomgen import random_monomial
 
     out = GradedPoly.zero(chart)
     for _ in range(terms):
@@ -755,7 +768,7 @@ def summed_random_section(rng, chart, max_weight, terms=5, max_base=2):
     """``randomgen.random_section`` as a sum of single-term polynomials,
     with the same draws in the same order."""
     from jetexp.poly import monomial_pq
-    from jetexp.randomgen import random_coefficient, random_monomial
+    from jetexp.randomgen import random_monomial
 
     out = GradedPoly.zero(chart)
     for _ in range(terms):
@@ -771,7 +784,6 @@ def summed_random_section(rng, chart, max_weight, terms=5, max_base=2):
 def summed_random_symtensor(rng, chart, max_weight, terms=3, max_base=2):
     """``randomgen.random_symtensor`` as a sum of single-term tensors,
     with the same draws in the same order."""
-    from jetexp.enveloping import SymTensor
     from jetexp.randomgen import random_word
 
     out = SymTensor.zero(chart)
@@ -786,35 +798,70 @@ def summed_random_symtensor(rng, chart, max_weight, terms=3, max_base=2):
     return out
 
 
-def summed_random_homogeneous_base(rng, chart, degree, max_exp=2):
-    """``randomgen.random_homogeneous_base`` as a sum of single-term
-    polynomials over candidates enumerated by recursion, with the same
-    draws in the same order."""
-    from jetexp.randomgen import random_coefficient
+def random_coefficient(rng: random.Random) -> Fraction:
+    return Fraction(_sixths(rng), 6)
 
+
+def random_homogeneous_base(rng: random.Random, chart: Chart, degree: int,
+                            max_exp: int = 2) -> GradedPoly:
+    """Random homogeneous base polynomial of exact degree (zero when no
+    monomial of that degree exists within the exponent cap): each
+    candidate monomial, in lexicographic order of its exponents, is kept
+    with probability 0.6, and when none is, one is chosen with
+    coefficient 1."""
     n = chart.n
-    candidates = []
-
-    def walk(slot, acc):
-        if slot == n:
-            if sum(e * chart.coordinate_degree(s)
-                   for s, e in enumerate(acc)) == degree:
-                candidates.append(tuple(acc) + (0,) * (2 * n))
-            return
-        cap = 1 if chart.coordinate_parity(slot) else max_exp
-        for e in range(cap + 1):
-            walk(slot + 1, acc + [e])
-
-    walk(0, [])
-    out = GradedPoly.zero(chart)
-    if not candidates:
-        return out
-    for m in candidates:
+    caps = [1 if chart.coordinate_parity(s) else max_exp for s in range(n)]
+    degrees = [chart.coordinate_degree(s) for s in range(n)]
+    candidates = [pack_monomial(chart, m + (0,) * (2 * n))
+                  for m in product(*[range(cap + 1) for cap in caps])
+                  if sum([e * d for e, d in zip(m, degrees)]) == degree]
+    nums: Dict[int, int] = {}
+    for key in candidates:
         if rng.random() < 0.6:
-            out = out + GradedPoly(chart, {m: random_coefficient(rng)})
-    if not out:
-        out = GradedPoly(chart, {rng.choice(candidates): Fraction(1)})
-    return out
+            nums[key] = _sixths(rng)
+    if candidates and not nums:
+        nums[rng.choice(candidates)] = 6
+    return _in_sixths(chart, nums)
+
+
+def random_vector_field(rng: random.Random, chart: Chart,
+                        max_degree: int = 2) -> VectorField:
+    return VectorField(chart, [random_base_poly(rng, chart, max_degree, 2)
+                               for _ in range(chart.n)])
+
+
+def random_homogeneous_vf(rng: random.Random, chart: Chart,
+                          degree: int) -> VectorField:
+    comps = []
+    for i in range(chart.n):
+        want = degree + chart.coordinate_degree(i)
+        comps.append(random_homogeneous_base(rng, chart, want))
+    return VectorField(chart, comps)
+
+
+def random_torsion_free_connection(rng: random.Random,
+                                   chart: Chart) -> Connection:
+    gamma = {}
+    n = chart.n
+    for i in range(n):
+        for j in range(i, n):
+            pi = chart.coordinate_parity(i)
+            pj = chart.coordinate_parity(j)
+            if i == j and pi:
+                continue  # graded symmetry forces the odd diagonal to zero
+            for k in range(n):
+                want = (chart.coordinate_degree(k) - chart.coordinate_degree(i)
+                        - chart.coordinate_degree(j))
+                entry = random_homogeneous_base(rng, chart, want, max_exp=1)
+                if not entry:
+                    continue
+                if rng.random() < 0.5:
+                    continue
+                gamma[(i, j, k)] = entry
+                if i != j:
+                    sign = -1 if pi and pj else 1
+                    gamma[(j, i, k)] = entry * sign
+    return Connection(chart, gamma, torsion_free=True)
 
 
 def mi_weight(index):
@@ -856,7 +903,6 @@ def lightning_nabla(ctx, field, tensor):
     """The flat connection transported from left operator composition:
     cov(X, S) = inv(X o map(S)).  Raises the weight by one, so the
     context needs headroom above the tensor's weight."""
-    from jetexp.chart import same_chart
     from jetexp.enveloping import DiffOp, TruncationOverflowError
 
     same_chart(ctx, field, tensor)
@@ -878,7 +924,6 @@ def theta_form(ctx, field, tensor):
     downstream weight bookkeeping applies.  Lowers weight by at least
     one on torsion-free input.
     """
-    from jetexp.enveloping import sym_mul_vf
     from jetexp.geometry import nabla_sym
 
     if not ctx.conn.torsion_free:
@@ -900,11 +945,8 @@ def xi_form_by_theta(ctx, max_fiber_weight=None):
     table of the weight-one parts of inv(d^J) and forms no inverse,
     operator product or covariant derivative.)
     """
-    from jetexp.chart import mi_all_up_to, mi_factorial
-    from jetexp.enveloping import (SymTensor, TruncationOverflowError,
-                                   pairing)
-    from jetexp.geometry import VectorField
-    from jetexp.poly import pack_monomial
+    from jetexp.chart import mi_all_up_to
+    from jetexp.enveloping import TruncationOverflowError
 
     if not ctx.conn.torsion_free:
         raise ValueError("dual correction form requires a torsion-free "
@@ -940,6 +982,120 @@ def xi_form_by_theta(ctx, max_fiber_weight=None):
                 if coeff:
                     components[k] = components[k] + dxi * (y_mono * coeff)
     return tuple(components)
+
+
+# -- the reference calculus on vector fields, and the duality pairing -------
+
+
+def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """Graded commutator of derivations."""
+    chart = same_chart(x, y)
+    out = VectorField.zero(chart)
+    for dx, xh in x.homogeneous_components().items():
+        for dy, yh in y.homogeneous_components().items():
+            sign = -1 if (dx & 1) and (dy & 1) else 1
+            comps = []
+            for k in range(chart.n):
+                first = xh.apply(yh.components[k])
+                second = yh.apply(xh.components[k])
+                comps.append(first - second * sign)
+            out = out + VectorField(chart, comps)
+    return out
+
+
+def cov_deriv(conn: Connection, x: VectorField, y: VectorField) -> VectorField:
+    """Covariant derivative: base-linear in the direction, graded Leibniz
+    in the argument."""
+    chart = same_chart(conn, x, y)
+    out = VectorField.zero(chart)
+    for dx, xh in x.homogeneous_components().items():
+        # derivative of the coefficients
+        comps = [xh.apply(c) for c in y.components]
+        out = out + VectorField(chart, comps)
+        # Christoffel part: X(g_j . d_j) picks (-1)^(|X||g_j|) g_j cov(X, d_j)
+        for j in range(chart.n):
+            for gdeg, gpart in y.components[j].homogeneous_components().items():
+                flip = (dx & 1) and (gdeg & 1)
+                for i in range(chart.n):
+                    xi = xh.components[i]
+                    if not xi:
+                        continue
+                    for k in range(chart.n):
+                        gam = conn.entry(i, j, k)
+                        if not gam:
+                            continue
+                        val = gpart * xi * gam
+                        if flip:
+                            val = -val
+                        add = [GradedPoly.zero(chart)] * chart.n
+                        add[k] = val
+                        out = out + VectorField(chart, add)
+    return out
+
+
+def torsion(conn: Connection, x: VectorField, y: VectorField) -> VectorField:
+    chart = same_chart(conn, x, y)
+    out = VectorField.zero(chart)
+    for dx, xh in x.homogeneous_components().items():
+        for dy, yh in y.homogeneous_components().items():
+            sign = -1 if (dx & 1) and (dy & 1) else 1
+            term = cov_deriv(conn, xh, yh) - cov_deriv(conn, yh, xh).scale(sign)
+            out = out + term - lie_bracket(xh, yh)
+    return out
+
+
+def curvature(conn: Connection, x: VectorField, y: VectorField,
+              z: VectorField) -> VectorField:
+    """Curvature two-form evaluated on (x, y) and applied to z."""
+    chart = same_chart(conn, x, y, z)
+    out = VectorField.zero(chart)
+    for dx, xh in x.homogeneous_components().items():
+        for dy, yh in y.homogeneous_components().items():
+            sign = -1 if (dx & 1) and (dy & 1) else 1
+            pref = -1 if (dy - 1) & 1 else 1
+            term = (cov_deriv(conn, xh, cov_deriv(conn, yh, z))
+                    - cov_deriv(conn, yh, cov_deriv(conn, xh, z)).scale(sign)
+                    - cov_deriv(conn, lie_bracket(xh, yh), z))
+            out = out + term.scale(pref)
+    return out
+
+
+def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
+    """Symmetric product (vector field) (.) tensor, field on the left."""
+    return SymTensor.from_vector_field(field) * tensor
+
+
+def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:
+    """Pair a symmetric tensor against a polynomial in base and fiber
+    generators.
+
+    On basis data <word_I, y^J> = I!.delta_{I,J}; the descending-word
+    convention absorbs all odd-sector signs.  A base coefficient sitting
+    left of the fiber monomial crosses the word with a Koszul sign:
+    <W, g.y^J> = (-1)^(|g||y^J|) g.<W, y^J>, which is exactly the rule
+    the monomial form g.y^J requires for dual-basis expansions.
+    """
+    chart = same_chart(tensor, sigma)
+    n, base, odd_low = chart.n, chart.base_mask, chart.odd_low
+    tau = tensor.symbol()
+    parts = fiber_parts(tau)
+    entries = []
+    for k, v in sigma.nums.items():
+        if k >> 2 * FIELD_BITS * n & base:
+            raise ValueError("pairing argument must be free of form "
+                             "generators")
+        word = k & ~base
+        if word in parts:
+            sign = symbol_sign(chart, word)
+            odd = k & odd_low
+            if (odd & base).bit_count() & (odd & ~base).bit_count() & 1:
+                sign = -sign
+            fact = mi_factorial([word >> sh & FIELD_MASK
+                                 for sh in chart.shifts[n:2 * n]])
+            entries.append((sign * v * fact, GradedPoly._of(
+                chart, parts[word], tau.den), GradedPoly._of(
+                chart, {k & base: 1}, sigma.den)))
+    return combine(chart, entries)
 
 
 # -- closed forms on a chart with solvable geodesics --------------------------

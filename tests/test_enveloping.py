@@ -6,23 +6,21 @@ import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial
 from jetexp.enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
-                               letter_sign, pairing,
-                               square_chart, square_words, sym_mul_vf,
+                               letter_sign, square_chart, square_words,
                                symbol_sign, to_square, word_key)
 from jetexp.geometry import VectorField
 from jetexp.poly import GradedPoly
-from jetexp.randomgen import (random_base_poly, random_symtensor,
-                              random_vector_field)
+from jetexp.randomgen import random_base_poly, random_symtensor
 
 from hypothesis import given, strategies as st
 
 from conftest import TORSION_FREE_CHARTS, build_chart
 from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
-                     degree_split_tensor_push_left, per_letter_compose,
-                     per_split_comult, shuffle_pairing, square_from_table,
-                     mi_weight, parity_parts, square_table, sym_word,
-                     sym_word_product, tensor_square_left_mult_vf,
-                     word_letters)
+                     degree_split_tensor_push_left, mi_weight, pairing,
+                     parity_parts, per_letter_compose, per_split_comult,
+                     random_vector_field, shuffle_pairing, square_from_table,
+                     square_table, sym_mul_vf, sym_word, sym_word_product,
+                     tensor_square_left_mult_vf, word_letters)
 from test_operator_properties import indexed
 from test_poly_properties import PROPERTY
 

@@ -9,22 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import load_chart_file
-from jetexp.enveloping import SymTensor, pairing
+from jetexp.enveloping import SymTensor
 from jetexp.fedosov import (FedosovData, FlatStructureError, _less_delta,
                             _solve_correction, delta_inv_op, delta_op,
                             dnabla_form, dnabla_images,
                             dual_connection_images, iota_incl,
                             project_weight, sigma_aug, tau_pbw, vvf_action,
                             vvf_records)
-from jetexp.geometry import Connection, VectorField, curvature
+from jetexp.geometry import Connection, VectorField
 from jetexp.pbw import PbwContext
 from jetexp.poly import GradedPoly, monomial_pq
-from jetexp.randomgen import (random_base_poly, random_section,
-                              random_torsion_free_connection)
+from jetexp.randomgen import random_base_poly, random_section
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (derivation_apply, dual_curvature_action, filter_terms,
-                     fixed_point_correction, geodesic_spray_tau,
+from oracles import (curvature, derivation_apply, dual_curvature_action,
+                     filter_terms, fixed_point_correction, geodesic_spray_tau,
+                     pairing, random_torsion_free_connection,
                      tau_by_word_images)
 
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")

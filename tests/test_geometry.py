@@ -3,15 +3,14 @@ import pytest
 from jetexp.chart import Chart, Truncation, mi_all_up_to
 from jetexp.enveloping import SymTensor, word_key
 from jetexp.geometry import (Connection, VectorField, coordinate_replacement,
-                             cov_deriv, curvature, lie_bracket, nabla_sym,
-                             torsion)
+                             nabla_sym)
 from jetexp.poly import GradedPoly
-from jetexp.randomgen import (random_base_poly, random_homogeneous_vf,
-                              random_symtensor, random_torsion_free_connection,
-                              random_vector_field)
+from jetexp.randomgen import random_base_poly, random_symtensor
 
 from conftest import TORSION_FREE_CHARTS
-from oracles import per_position_nabla_sym
+from oracles import (cov_deriv, curvature, lie_bracket, per_position_nabla_sym,
+                     random_homogeneous_vf, random_torsion_free_connection,
+                     random_vector_field, sym_mul_vf, torsion)
 
 
 @pytest.fixture
@@ -272,7 +271,6 @@ def test_nabla_sym_is_graded_derivation_of_product(mixed, rng):
             if not y:
                 continue
             tensor = random_symtensor(rng, mixed, 2)
-            from jetexp.enveloping import sym_mul_vf
             lhs = nabla_sym(conn, x, sym_mul_vf(y, tensor))
             dy = y.degree()
             sign = -1 if (deg & 1) and (dy & 1) else 1

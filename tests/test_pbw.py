@@ -5,19 +5,19 @@ import pytest
 
 from jetexp.chart import Chart, Truncation, koszul_sign, mi_all_up_to
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                               comult_sym, pairing, sym_mul_vf)
+                               comult_sym)
 from jetexp.fedosov import delta_op
 from jetexp.geometry import Connection, VectorField, nabla_sym
 from jetexp.pbw import PbwContext, xi_form
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_section,
-                              random_symtensor, random_torsion_free_connection,
-                              random_word)
+                              random_symtensor, random_word)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (compose_word_image, filter_terms, lightning_nabla,
-                     mi_weight, per_letter_compose, per_letter_word_image, square_table,
-                     theta_form, xi_form_by_theta)
+from oracles import (compose_word_image, cov_deriv, filter_terms,
+                     lightning_nabla, mi_weight, pairing, per_letter_compose,
+                     per_letter_word_image, random_torsion_free_connection,
+                     square_table, sym_mul_vf, theta_form, xi_form_by_theta)
 
 
 def europe_recursion(ctx, fields):
@@ -221,7 +221,6 @@ def test_lightning_weight_one_matches_product_plus_connection(charts,
                                                               contexts, rng):
     # on single coordinate derivations the transported derivative is the
     # symmetric product plus the plain covariant derivative (torsion-free)
-    from jetexp.geometry import cov_deriv
     for name in ("plane_curved", "mixed", "deg2"):
         chart, conn = charts[name]
         ctx = contexts[name]

@@ -12,12 +12,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetexp.randomgen import (random_base_poly, random_homogeneous_base,
-                              random_section, random_symtensor)
+from jetexp.randomgen import random_base_poly, random_section, random_symtensor
 
 from conftest import CHART_DEFS, build_chart
-from oracles import (summed_random_base_poly,
-                     summed_random_homogeneous_base, summed_random_section,
+from oracles import (summed_random_base_poly, summed_random_section,
                      summed_random_symtensor)
 
 SAMPLES = settings(derandomize=True, database=None, deadline=None,
@@ -60,12 +58,3 @@ def test_random_symtensor_draws_unchanged(name, seed, weight, terms, base):
     same_draws(random_symtensor, summed_random_symtensor, seed, chart,
                weight, terms, base)
 
-
-@pytest.mark.parametrize("name", sorted(CHART_DEFS))
-@SAMPLES
-@given(seed=SEEDS, degree=st.integers(-3, 5), max_exp=st.integers(0, 3))
-def test_random_homogeneous_base_draws_unchanged(name, seed, degree,
-                                                 max_exp):
-    chart, _ = build_chart(name)
-    same_draws(random_homogeneous_base, summed_random_homogeneous_base,
-               seed, chart, degree, max_exp)
