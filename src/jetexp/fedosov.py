@@ -20,7 +20,9 @@ Every such operator that is a derivation shares the left-derivative
 sign rule of GradedPoly.derive.  The lowering and raising maps send
 generators to generators and keep p + q, so each is one slot exchange
 (GradedPoly.exchange) with an optional weight cap; the others are
-tables of generator images applied by GradedPoly.derive:
+tables of generator images applied by GradedPoly.derive, or summed as
+derivation entries of ``poly.combine`` where several meet in one sum
+(each component of each layer of the correction solve is one such sum):
 
   * lowering map:  y_i -> dx_i, i.e. delta(u) = sum_i dx_i . (d u / d y_i)
   * raising map:   dx_i -> y_i, each output monomial divided by its own
@@ -31,13 +33,15 @@ tables of generator images applied by GradedPoly.derive:
   * dual connection on fiber generators, fixed by the requirement that
     covariant differentiation commute with the duality pairing:
         cov_i(y_k) = - sum_l (-1)^(|x_l|(1+|x_k|)) Gamma^k_{il} . y_l
+    (built into the dnabla table directly, one ``combine`` per fiber
+    generator over the nonzero Christoffel rows)
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .chart import FIELD_MASK, Chart, mi_all_up_to, mi_factorial
+from .chart import Chart, mi_all_up_to, mi_factorial
 from .enveloping import TruncationOverflowError, word_key
 from .geometry import Connection, replacement_terms
 from .pbw import PbwContext, recursion_steps
@@ -106,43 +110,31 @@ def base_contraction(chart: Chart, weight: int) -> ContractionData:
 # ---------------------------------------------------------------------------
 # derivations of the section algebra
 
-def dual_connection_images(conn: Connection) -> List[List[GradedPoly]]:
-    """Per direction i, the generator images of the induced derivation on
-    sections: base generators map to Kronecker deltas, fiber generators
-    to the dual Christoffel contraction, form generators to zero."""
-    chart = conn.chart
-    all_images: List[List[GradedPoly]] = []
-    for i in range(chart.n):
-        images: List[GradedPoly] = [None] * (3 * chart.n)
-        images[chart.x_slot(i)] = GradedPoly.constant(chart, 1)
-        for k in range(chart.n):
-            acc = GradedPoly.zero(chart)
-            for l in range(chart.n):
-                gam = conn.entry(i, l, k)
-                if not gam:
-                    continue
-                exp = chart.coordinate_parity(l) * \
-                    (1 + chart.coordinate_degree(k))
-                sign = -1 if exp & 1 else 1
-                acc = acc + gam * GradedPoly.generator(chart, chart.y_slot(l)) \
-                    * (-sign)
-            images[chart.y_slot(k)] = acc
-        all_images.append(images)
-    return all_images
-
-
 def dnabla_images(conn: Connection) -> Dict[int, GradedPoly]:
     """Generator images of the dual covariant differential
     sum_i dx_i . cov_i: x_i -> dx_i, y_k -> sum_i dx_i . cov_i(y_k),
-    form generators -> 0."""
+    form generators -> 0, with the dual connection on fiber generators
+
+        cov_i(y_k) = - sum_l (-1)^(|x_l|(1+|x_k|)) Gamma^k_{il} . y_l.
+
+    Each y_k image is one ``combine`` over the nonzero rows (i, l) of
+    ``conn.rows``: the term dx_i Gamma^k_{il} y_l is Gamma^k_{il} times
+    the monomial y_l dx_i, moving dx_i past Gamma y_l at the sign
+    (-1)^(|x_k|(1+|x_i|))."""
     chart = conn.chart
-    rows = dual_connection_images(conn)
-    dx = [GradedPoly.generator(chart, chart.dx_slot(i))
-          for i in range(chart.n)]
-    images = {chart.x_slot(i): dx[i] for i in range(chart.n)}
-    for y in map(chart.y_slot, range(chart.n)):
-        images[y] = sum((dx[i] * row[y] for i, row in enumerate(rows)
-                         if row[y]), GradedPoly.zero(chart))
+    n = chart.n
+    par = [chart.coordinate_parity(s) for s in range(n)]
+    entries: List[list] = [[] for _ in range(n)]
+    for (i, l), row in conn.rows.items():
+        y_dx = GradedPoly._of(chart, {chart.unit[chart.y_slot(l)]
+                                      + chart.unit[chart.dx_slot(i)]: 1})
+        for k, gam in row:
+            odd = (par[l] * (1 + par[k]) + par[k] * (1 + par[i])) & 1
+            entries[k].append((1 if odd else -1, gam, y_dx))
+    images = {chart.x_slot(i): GradedPoly.generator(chart, chart.dx_slot(i))
+              for i in range(n)}
+    for k in range(n):
+        images[chart.y_slot(k)] = combine(chart, entries[k])
     return images
 
 
@@ -203,15 +195,16 @@ class FedosovData:
         D = -delta + dnabla + correction-action
 
     square to zero in the jet quotient at ``weight``.  Each derivation
-    involved is a generator image table applied by one
-    ``GradedPoly.derive``: dnabla (``dnabla_images``) and dnabla - delta
-    feed the correction solve; the weight-raising part D + delta
-    (``perturbation_images``: dnabla plus the correction action) drives
-    the series, and D itself (``flat_images``) is that table with dx_k
-    subtracted from the image of each y_k.  ``transfer`` is the
-    perturbation of the lowering-map contraction by D + delta; its
-    series give the augmentation and the homotopy, and raise
-    SeriesDivergenceError if they fail to terminate.
+    involved is a generator image table: the dnabla table
+    (``dnabla_images``) and the correction's layers, as action tables,
+    enter the correction solve as derivation entries of ``combine``;
+    the weight-raising part D + delta (``perturbation_images``: dnabla
+    plus the correction action) drives the series, and D itself
+    (``flat_images``) is that table with dx_k subtracted from the image
+    of each y_k, each applied by one ``GradedPoly.derive``.
+    ``transfer`` is the perturbation of the lowering-map contraction by
+    D + delta; its series give the augmentation and the homotopy, and
+    raise SeriesDivergenceError if they fail to terminate.
     """
 
     def __init__(self, conn: Connection, weight: int = None):
@@ -281,54 +274,72 @@ def _solve_correction(conn: Connection, weight: int,
     in the quotient at weight + 1.  The dual differential raises p + q by
     one, dnabla y_k has weight 2 and the action of a weight-u layer on a
     weight-v one has weight u + v - 1, while the raising map keeps p + q.
-    So the layer of a at weight w is the raising map of
+    The seed (dnabla - delta) dnabla y_k is -delta(dnabla y_k) at weight 2
+    and dnabla(dnabla y_k) at weight 3.  So the layer of a at weight w is
+    the raising map of
 
-        seed_w + dnabla a_{w-1} + sum_{u+v=w+1} action(a_u, b_v),
+        seed_w + dnabla a_{w-1} + action(a_{w-1}, dnabla y_k)
+               + sum_{u+v=w+1} action(a_u, a_v[k]),
 
-    b = dnabla y_k + a_k, whose products involve only layers below w;
-    each is formed once, layer by layer.  One confirming pass of the
-    whole fixed-point map, with products cut off at weight + 1, must
-    then reproduce the result.  ``images`` is the generator table of
-    dnabla, ``dnabla_images(conn)``; the seed is one derive of dnabla y_k
-    over the table of dnabla - delta.
+    whose products involve only layers below w.  A layer is kept as its
+    action table {y_k: k-th component}, and the right-hand side of each
+    component is one ``combine``: the seed layer and one derivation entry
+    per dnabla or action term, over one denominator, then one raising
+    map.  ``images`` is the generator table of dnabla,
+    ``dnabla_images(conn)``.
+
+    One confirming pass of the whole fixed-point map must then reproduce
+    the result.  With b_k = dnabla y_k + a_k, its right-hand side is
+    -delta(dnabla y_k) + (dnabla + action(a)) b_k, and dnabla + action(a)
+    is the table of dnabla with each y_k sent to b_k; so each component
+    is one ``combine`` with products cut off at weight + 1, projected
+    there after the raising map.  The normalization, fiber-weight and
+    degree checks follow; fiber weight is read off the fiber fields of
+    the packed keys.
     """
     chart = conn.chart
+    ys = [chart.y_slot(k) for k in range(chart.n)]
     top = weight + 1
-    d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
-    lowered = _less_delta(chart, images)  # dnabla - delta
-    seed = [dy.derive(lowered) for dy in d_y]
-    seed_layers = [s.weight_layers() for s in seed]
-    zero = GradedPoly.zero(chart)
-    layers: Dict[int, Tuple[GradedPoly, ...]] = {}
-    for w in range(2, top + 1):  # the seed has weights 2 and 3
+    d_y = [images[y] for y in ys]
+    lowered = [delta_op(dy) for dy in d_y]  # the seed's weight-2 part
+    layers: Dict[int, Dict[int, GradedPoly]] = {}  # w -> action table
+    for w in range(2, top + 1):
         below = layers.get(w - 1)
-        new = []
-        for k in range(chart.n):
-            rhs = seed_layers[k].get(w, zero)
+        new = {}
+        for k, y in enumerate(ys):
+            if w == 2:
+                entries = [(-1, lowered[k])]
+            elif w == 3:  # the seed's weight-3 part
+                entries = [(1, d_y[k], images)]
+            else:
+                entries = []
             if below is not None:
-                rhs = rhs + below[k].derive(images) + vvf_action(below, d_y[k])
+                entries += [(1, below[y], images), (1, d_y[k], below)]
             for u, a_u in layers.items():
                 a_v = layers.get(w + 1 - u)
                 if a_v is not None:
-                    rhs = rhs + vvf_action(a_u, a_v[k])
-            new.append(delta_inv_op(rhs))
-        if any(new):
-            layers[w] = tuple(new)
-    comps = tuple(sum((layer[k] for layer in layers.values()), zero)
-                  for k in range(chart.n))
+                    entries.append((1, a_v[y], a_u))
+            new[y] = delta_inv_op(combine(chart, entries))
+        if any(new.values()):
+            layers[w] = new
+    comps = tuple(combine(chart, [(1, layer[y]) for layer in layers.values()])
+                  for y in ys)
+    table = dict(images)  # dnabla + action(a): y_k -> b_k
+    for k, y in enumerate(ys):
+        table[y] = d_y[k] + comps[k]
     confirm = tuple(
-        project_weight(delta_inv_op(
-            seed[k] + vvf_action(comps, d_y[k] + comps[k], top)
-            + comps[k].derive(images, top)), top)
-        for k in range(chart.n))
+        project_weight(delta_inv_op(combine(chart, [
+            (-1, lowered[k]), (1, table[y], table)], max_weight=top)), top)
+        for k, y in enumerate(ys))
     if confirm != comps:
         raise FlatStructureError("correction recursion did not stabilize")
-    fiber_shifts = chart.shifts[chart.n:2 * chart.n]
+    # fiber weight < 2: the fiber fields hold nothing or one unit
+    fibers = chart.base_mask << chart.shifts[chart.n]
+    light = {0} | {1 << chart.shifts[y] for y in ys}
     for k, comp in enumerate(comps):
         if delta_inv_op(comp):
             raise FlatStructureError("correction is not raising-normalized")
-        if any(sum([key >> sh & FIELD_MASK for sh in fiber_shifts]) < 2
-               for key in comp.nums):
+        if any(key & fibers in light for key in comp.nums):
             raise FlatStructureError("correction has fiber weight < 2")
         if comp and comp.degree() != 1 + chart.coordinate_degree(k):
             raise FlatStructureError("correction component degree is off")

@@ -30,12 +30,15 @@ them.  A presentation with descending filtrations and lowering
 perturbations maps onto this one by negating weights.
 
 Checks report as ``CheckResult`` entries built by ``run_check``; the
-verify suites use the same pair.
+verify suites use the same pair.  A check whose test raises reports
+FAIL, with the exception in its witness, rather than a traceback.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, List, NamedTuple, Optional
+
+from .poly import TruncationOverflowError
 
 
 class CheckResult(NamedTuple):
@@ -53,7 +56,11 @@ class CheckResult(NamedTuple):
 
 def run_check(name: str, samples: Iterable, test: Callable) -> CheckResult:
     """``test`` on each distinct sample in turn, in the order given; FAIL
-    at the first that fails, with its repr as the witness.
+    at the first that fails, with its repr as the witness.  A sample on
+    which ``test`` raises an ``Exception`` fails the check too, and the
+    witness names the exception after the sample; a truncation overflow
+    (an input past a declared bound, not a broken identity) and any
+    ``BaseException`` propagate.
 
     ``test`` must be a pure function of its sample, so a sample equal to
     one already passed is skipped: the witness is the same as if every
@@ -67,7 +74,14 @@ def run_check(name: str, samples: Iterable, test: Callable) -> CheckResult:
                 continue
         except TypeError:  # unhashable: no key to skip it by
             key = None
-        if not test(sample):
+        try:
+            ok = test(sample)
+        except TruncationOverflowError:
+            raise
+        except Exception as exc:
+            return CheckResult(name, "FAIL", "%r raised %s: %s"
+                               % (sample, type(exc).__name__, exc))
+        if not ok:
             return CheckResult(name, "FAIL", repr(sample))
         if key is not None:
             passed.add(key)

@@ -18,8 +18,9 @@ convention.
 parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
 One per-row rule forms partial_s from the operand's product rows; it
-feeds ``derive``'s products directly and builds ``partial``'s result
-and ``combine``'s partial entries.
+feeds the products of ``derive`` and of ``combine``'s derivation
+entries directly and builds ``partial``'s result and ``combine``'s
+partial entries.
 A derivation whose images are single generators of fiber or form slots,
 g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off the
 odd-slot bits of each key, in one pass with no product rows.  Such a
@@ -52,10 +53,12 @@ as a scalar and builds no rows.  A guard bit set in any key a product
 or an exchange forms raises ``TruncationOverflowError``.
 
 One polynomial per word.  ``combine`` sums a list of entries, each an
-int weight times a polynomial, a product of two, a one-slot partial or
-a parity flip, as integer numerators over one lcm, reduced once: a
-caller that sums many such terms builds no polynomial for any of them.
-Its products go through the same loop as ``*`` and ``derive``.
+int weight times a polynomial, a product of two, a derivation (a table
+of generator images, as ``derive`` takes), a one-slot partial or a
+parity flip, as integer numerators over one lcm, reduced once: a caller
+that sums many such terms builds no polynomial for any of them.  Its
+products and derivations go through the same loop as ``*`` and
+``derive``, with the same optional weight cap.
 
 Values are immutable after construction and all operations are pure, so
 the rows and the hash, the only caches, never go stale and sharing
@@ -374,23 +377,14 @@ class GradedPoly:
         unlisted slots and None map to 0): sum_s images[s] . partial_s,
         with ``max_weight`` forming only the monomial pairs whose weights
         p + q sum to at most it, which is the result projected to that
-        weight.  The partials enter the product kernel as rows read
-        off this polynomial's own; none is built as a polynomial, and a
-        slot that no monomial holds (a zero field in the OR of the keys)
-        is skipped without a pass over the rows."""
-        chart = self.chart
-        held = reduce(or_, self.nums, 0)
-        pairs = []
-        for slot, img in images.items():
-            if img:
-                same_chart(self, img)
-                if (0 <= slot < 3 * chart.n
-                        and not held >> chart.shifts[slot] & FIELD_MASK):
-                    continue
-                rows = self._partial_rows(slot)
-                if rows:
-                    pairs.append((img.den * self.den, img._layout(), rows))
-        return _sum_of_products(chart, pairs, max_weight)
+        weight.  The partials enter the product kernel as rows read off
+        this polynomial's own; none is built as a polynomial, and a slot
+        that no monomial holds (a zero field in the OR of the keys) is
+        skipped without a pass over the rows (``_meeting``, which a
+        derivation entry of ``combine`` reads too)."""
+        return _sum_of_products(self.chart, [
+            (img.den * self.den, img._layout(), self._partial_rows(slot))
+            for slot, img in _meeting(self, images)], max_weight)
 
     def exchange(self, pairs: Sequence[Tuple[int, int]],
                  max_weight: int = None,
@@ -544,26 +538,63 @@ def _sum_of_products(chart: Chart, pairs,
     return GradedPoly._of(chart, {k: v for k, v in out.items() if v}, den)
 
 
-def combine(chart: Chart, entries, div: int = 1) -> GradedPoly:
+def _meeting(p: GradedPoly, images: Mapping[int, GradedPoly]) -> list:
+    """The (slot, image) pairs of a derivation table that can act on
+    ``p``: a nonzero image (on p's chart) at a slot that some monomial
+    of p holds, read off a nonzero field in the OR of p's keys.  A slot
+    off the chart is kept, for ``_partial_rows`` to refuse."""
+    chart = p.chart
+    held = reduce(or_, p.nums, 0)
+    nslots, shifts = 3 * chart.n, chart.shifts
+    out = []
+    for slot, img in images.items():
+        if img is not None and img.nums:
+            same_chart(p, img)
+            if not 0 <= slot < nslots or held >> shifts[slot] & FIELD_MASK:
+                out.append((slot, img))
+    return out
+
+
+def combine(chart: Chart, entries, div: int = 1,
+            max_weight: int = None) -> GradedPoly:
     """sum_k entry_k / div over ``entries``, each a tuple
 
         (w, p)          w * p
         (w, p, q)       w * p * q            (q a GradedPoly)
+        (w, p, images)  w * sum_s images[s] . partial_s(p)
+                                             (images a mapping slot ->
+                                             poly, as in ``derive``)
         (w, p, s)       w * partial_s(p)     (s an int slot)
         (w, p, FLIP)    w * (p with its odd part negated)
 
     with int weights w: integer numerators over the lcm of the entries'
-    denominators, reduced once.  A lone (w, p) is p scaled."""
+    denominators, reduced once.  A lone (w, p) is p scaled.  Products
+    and derivation entries run the one product loop; with
+    ``max_weight`` they form only the monomial pairs of total weight
+    p + q at most it, so their terms above it are never formed, while
+    the other entries are summed whole."""
     if len(entries) == 1 and len(entries[0]) == 2:
         w, p = entries[0]
         return p._scaled(w, div)
-    dens = [e[1].den * e[2].den if len(e) == 3 and type(e[2]) is GradedPoly
-            else e[1].den for e in entries]
+    dens = []
+    meets = []  # the (slot, image) pairs of each derivation entry, in order
+    for e in entries:
+        d = e[1].den
+        if len(e) == 3:
+            x = e[2]
+            if type(x) is GradedPoly:
+                d *= x.den
+            elif type(x) is not int and x is not FLIP:  # a derivation
+                pairs = _meeting(e[1], x)
+                meets.append(pairs)
+                d *= lcm(*[img.den for _, img in pairs])
+        dens.append(d)
     den = lcm(*dens)
     out: Dict[int, int] = {}
     get = out.get
     products = False
     odd_low = chart.odd_low
+    next_meet = iter(meets).__next__
     for entry, d in zip(entries, dens):
         w = entry[0] * (den // d)
         p = entry[1]
@@ -579,15 +610,24 @@ def combine(chart: Chart, entries, div: int = 1) -> GradedPoly:
                     out[k] = get(k, 0) + (
                         -v * w if (k & odd_low).bit_count() & 1 else v * w)
                 continue
+            if type(x) is not GradedPoly:  # a derivation
+                scale = d // p.den  # the lcm of the images' denominators
+                for slot, img in next_meet():
+                    _products_into(out, w * (scale // img.den), img._layout(),
+                                   p._partial_rows(slot), max_weight)
+                products = True
+                continue
             if len(x.nums) == 1 and 0 in x.nums:  # a constant factor
                 w *= x.nums[0]
             elif len(p.nums) == 1 and 0 in p.nums:
                 w *= p.nums[0]
                 p = x
             else:
-                _products_into(out, w, p._layout(), x._layout())
+                _products_into(out, w, p._layout(), x._layout(), max_weight)
                 products = True
                 continue
+            if max_weight is not None:
+                p = p.up_to_weight(max_weight)
         for k, v in p.nums.items():
             out[k] = get(k, 0) + v * w
     if products:

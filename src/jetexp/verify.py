@@ -7,7 +7,10 @@ use too); a FAIL carries a printable witness.  Every suite takes (a
 session, seed), and ``run_suite`` looks them up in one table: it
 resolves a missing weight to the chart's Q, and on a torsionful
 connection it returns a single SKIP entry for each suite whose
-statements need a torsion-free one instead of running it.
+statements need a torsion-free one instead of running it.  A broken
+program reports FAIL, not a traceback: an exception inside a check is
+that check's FAIL (``run_check``), and one raised by a suite outside
+its checks is one FAIL line named after the suite.
 
 Suites:
 
@@ -64,7 +67,8 @@ from .geometry import Connection
 from .pbw import PbwContext, xi_form
 from .perturbation import (CheckResult, ContractionData, check_contraction,
                            run_check)
-from .poly import GradedPoly, combine, unpack_monomial
+from .poly import (GradedPoly, TruncationOverflowError, combine,
+                   unpack_monomial)
 from .randomgen import (random_base_poly, random_section, random_symtensor,
                         random_word)
 
@@ -423,7 +427,10 @@ SUITE_NAMES = tuple(_suites())
 def run_suite(name: str, chart: Chart, conn: Connection, seed: int = 0,
               weight: int = None) -> List[CheckResult]:
     """The named suite, or ``all`` of them in order, at ``weight`` (by
-    default the chart's Q), sharing one session."""
+    default the chart's Q), sharing one session.  An exception that a
+    suite raises outside any check (a flat structure that fails to
+    build, say) ends that suite in one FAIL line named after it; a
+    truncation overflow propagates."""
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError("unknown suite %r" % name)
     if weight is None:
@@ -436,6 +443,12 @@ def run_suite(name: str, chart: Chart, conn: Connection, seed: int = 0,
         if gated and not conn.torsion_free:
             results.append(CheckResult(gated, "SKIP",
                                        "requires a torsion-free connection"))
-        else:
+            continue
+        try:
             results += suite(session, seed)
+        except TruncationOverflowError:
+            raise
+        except Exception as exc:  # outside any check: one FAIL line
+            results.append(CheckResult(suite_name, "FAIL", "raised %s: %s"
+                                       % (type(exc).__name__, exc)))
     return results

@@ -21,7 +21,10 @@ of tensor squares or summed over all 2^k bitmask splits of a word
 instead of the substitution y -> y + y' in its symbol, tensor squares
 as (left word, right word) tables placed on the square chart key by key
 with the signs rho(L) rho(R) instead of as products of moved symbols,
-the square of the dual covariant
+the dual connection as per-direction tables of its generator images
+built entry by entry with chains of ``+`` instead of one ``combine``
+per fiber generator over the rows of the Christoffel table, the square
+of the dual covariant
 differential as graded commutators of its direction derivations, the
 Koszul sign of a tensor push read off each degree-homogeneous pair of
 parts instead of off parities, random samples summed one public
@@ -56,6 +59,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from typing import List
 
 from jetexp.chart import (FIELD_BITS, FIELD_MASK, Chart,
                           koszul_sign,  # also re-exported for tests
@@ -340,10 +344,11 @@ def fixed_point_correction(conn, weight):
     the lowering and raising maps from ``derive_delta`` and
     ``derive_delta_inv``, and projecting to weight + 1 afterwards.  (The
     library instead solves one weight layer at a time with products cut
-    off at the cap, and exchanges slots for the two maps.)"""
-    from jetexp.fedosov import dnabla_images, project_weight, vvf_action
+    off at the cap, and exchanges slots for the two maps; its dnabla
+    table here is ``dnabla_table``.)"""
+    from jetexp.fedosov import project_weight, vvf_action
     chart = conn.chart
-    images = dnabla_images(conn)
+    images = dnabla_table(conn)
     d_y = [images[chart.y_slot(k)] for k in range(chart.n)]
     seed = [dy.derive(images) - derive_delta(dy) for dy in d_y]
     comps = tuple(GradedPoly.zero(chart) for _ in range(chart.n))
@@ -654,13 +659,52 @@ def tensor_square_left_mult_vf(field, square):
     return square_from_table(chart, out)
 
 
+def dual_connection_images(conn: Connection) -> List[List[GradedPoly]]:
+    """Per direction i, the generator images of the induced derivation on
+    sections: base generators map to Kronecker deltas, fiber generators
+    to the dual Christoffel contraction, form generators to zero."""
+    chart = conn.chart
+    all_images: List[List[GradedPoly]] = []
+    for i in range(chart.n):
+        images: List[GradedPoly] = [None] * (3 * chart.n)
+        images[chart.x_slot(i)] = GradedPoly.constant(chart, 1)
+        for k in range(chart.n):
+            acc = GradedPoly.zero(chart)
+            for l in range(chart.n):
+                gam = conn.entry(i, l, k)
+                if not gam:
+                    continue
+                exp = chart.coordinate_parity(l) * \
+                    (1 + chart.coordinate_degree(k))
+                sign = -1 if exp & 1 else 1
+                acc = acc + gam * GradedPoly.generator(chart, chart.y_slot(l)) \
+                    * (-sign)
+            images[chart.y_slot(k)] = acc
+        all_images.append(images)
+    return all_images
+
+
+def dnabla_table(conn):
+    """The generator table of the dual covariant differential rebuilt
+    from ``dual_connection_images``: x_i -> dx_i and y_k -> sum_i dx_i .
+    (the y_k image of direction i), summed with ``+``.  (The library
+    forms each y_k image as one ``combine`` over the Christoffel rows.)"""
+    chart = conn.chart
+    rows = dual_connection_images(conn)
+    dx = [GradedPoly.generator(chart, chart.dx_slot(i))
+          for i in range(chart.n)]
+    images = {chart.x_slot(i): dx[i] for i in range(chart.n)}
+    for y in map(chart.y_slot, range(chart.n)):
+        images[y] = sum((dx[i] * row[y] for i, row in enumerate(rows)
+                         if row[y]), GradedPoly.zero(chart))
+    return images
+
+
 def dual_curvature_action(conn, f):
     """The square of the dual covariant differential reassembled from
     graded commutators of the direction derivations; equals
     dnabla_form(dnabla_form(.)) identically and ties to the curvature of
     the input connection through the pairing (tested, not assumed)."""
-    from jetexp.fedosov import dual_connection_images
-
     chart = f.chart
     images = [dict(enumerate(row)) for row in dual_connection_images(conn)]
     out = GradedPoly.zero(chart)

@@ -11,8 +11,7 @@ from fractions import Fraction
 from jetexp.chart import Chart, Truncation, mi_all_up_to
 from jetexp.enveloping import DiffOp, SymTensor
 from jetexp.fedosov import (FedosovData, delta_inv_op, delta_op, dnabla_form,
-                            dual_connection_images, project_weight,
-                            sigma_aug, tau_pbw)
+                            project_weight, sigma_aug, tau_pbw)
 from jetexp.geometry import Connection, VectorField
 from jetexp.grammar import parse_poly
 from jetexp.pbw import PbwContext, xi_form
@@ -24,8 +23,9 @@ from jetexp.randomgen import (random_base_poly, random_section,
 from jetexp.verify import _Session, flat_contraction, morphism_sides
 
 from conftest import CHART_DEFS
-from oracles import (curvature, derivation_apply, dual_curvature_action,
-                     filter_terms, lightning_nabla, pairing, sym_mul_vf)
+from oracles import (curvature, derivation_apply, dual_connection_images,
+                     dual_curvature_action, filter_terms, lightning_nabla,
+                     pairing, sym_mul_vf)
 
 WEIGHT = 5  # the truncation every criterion is pinned at
 

@@ -339,6 +339,50 @@ def test_verify_matches_shipped_reference():
         assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["argv"]
 
 
+def test_verify_reports_a_broken_solve_as_fail(monkeypatch, capsys):
+    # one layer of the correction solve skewed, as in
+    # test_confirming_pass_rejects_a_bad_layer: the flat structure fails
+    # to build inside a suite, outside any check, and verify prints that
+    # suite's FAIL line and exits 1 with no traceback
+    import jetexp.fedosov as fedosov
+    real = fedosov.delta_inv_op
+    skewed_once = []
+
+    def skewed(f, max_weight=None):
+        out = real(f, max_weight)
+        if out and not skewed_once:
+            skewed_once.append(out)
+            return out * 2
+        return out
+    monkeypatch.setattr(fedosov, "delta_inv_op", skewed)
+    code, text = run("verify", "--chart", chart("plane_curved.chart"),
+                     "--suite", "all")
+    assert code == 1
+    assert ("CHECK flat-connection FAIL raised FlatStructureError: "
+            "correction recursion did not stabilize\n") in text
+    assert text.endswith("VERIFY all FAIL\n")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_reports_a_raising_check_as_fail(monkeypatch, capsys):
+    # a letter_sign that ignores the crossed odd letters: on two_odd
+    # peeling a symbol raises inside a check, which is that check's FAIL
+    import jetexp.geometry as geometry
+    import jetexp.pbw as pbw
+    real = pbw.letter_sign
+
+    def mutant(chart, slot, word):
+        return real(chart, slot, word) and 1
+    monkeypatch.setattr(pbw, "letter_sign", mutant)
+    monkeypatch.setattr(geometry, "letter_sign", mutant)
+    code, text = run("verify", "--chart", chart("two_odd.chart"),
+                     "--suite", "all")
+    assert code == 1
+    assert " raised AssertionError: " in text
+    assert text.endswith("VERIFY all FAIL\n")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_shipped_reference_reads_no_word_view(monkeypatch):
     # inside the package a word is its packed fiber key: with the
     # multi-index -> coefficient view unreadable, every command of the

@@ -12,8 +12,7 @@ from jetexp.chartfile import load_chart_file
 from jetexp.enveloping import SymTensor
 from jetexp.fedosov import (FedosovData, FlatStructureError, _less_delta,
                             _solve_correction, delta_inv_op, delta_op,
-                            dnabla_form, dnabla_images,
-                            dual_connection_images, iota_incl,
+                            dnabla_form, dnabla_images, iota_incl,
                             project_weight, sigma_aug, tau_pbw, vvf_action,
                             vvf_records)
 from jetexp.geometry import Connection, VectorField
@@ -22,7 +21,8 @@ from jetexp.poly import GradedPoly, monomial_pq
 from jetexp.randomgen import random_base_poly, random_section
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (curvature, derivation_apply, dual_curvature_action,
+from oracles import (curvature, derivation_apply, dnabla_table,
+                     dual_connection_images, dual_curvature_action,
                      filter_terms, fixed_point_correction, geodesic_spray_tau,
                      pairing, random_torsion_free_connection,
                      tau_by_word_images)
@@ -361,6 +361,85 @@ def test_confirming_pass_rejects_a_bad_layer(monkeypatch):
         _solve_correction(conn, 4, dnabla_images(conn))
 
 
+def test_solve_forms_no_sum_chain_and_no_action_call(monkeypatch):
+    # each layer component is one combine and one raising map: on every
+    # shipped torsion-free chart the solve adds with + only for the n
+    # b_k = dnabla y_k + a_k of the confirming pass, and never calls
+    # vvf_action
+    import jetexp.fedosov as fedosov
+    real_plus = GradedPoly._plus
+    plus = []
+
+    def counted(self, other, sign):
+        plus.append(sign)
+        return real_plus(self, other, sign)
+
+    def no_action(*args, **kwargs):
+        raise AssertionError("vvf_action called")
+    solved = 0
+    for path in sorted(glob.glob(os.path.join(CHART_DIR, "*.chart"))):
+        chart, conn = load_chart_file(path)
+        if not conn.torsion_free:
+            continue
+        images = dnabla_images(conn)
+        want = fixed_point_correction(conn, chart.truncation.max_sym_weight)
+        del plus[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedPoly, "_plus", counted)
+            patch.setattr(fedosov, "vvf_action", no_action)
+            comps = _solve_correction(conn, chart.truncation.max_sym_weight,
+                                      images)
+        assert comps == want
+        assert len(plus) <= chart.n, path
+        solved += 1
+    assert solved >= 6
+
+
+def test_solve_rejects_a_layer_with_one_product_pair_dropped(monkeypatch):
+    # negative control: one derivation entry of one layer loses one
+    # image slot, once, so the layer misses those products; the
+    # confirming pass must reject it
+    import jetexp.fedosov as fedosov
+    from jetexp.poly import combine as real
+    chart, conn = build_chart("plane_curved")
+    dropped = []
+
+    def drop_one(chart, entries, div=1, max_weight=None):
+        if not dropped:
+            for at, entry in enumerate(entries):
+                if len(entry) == 3 and isinstance(entry[2], dict):
+                    for slot in entry[2]:
+                        table = dict(entry[2])
+                        del table[slot]
+                        short = entries[:at] + [entry[:2] + (table,)] + \
+                            entries[at + 1:]
+                        out = real(chart, short, div, max_weight)
+                        if out != real(chart, entries, div, max_weight):
+                            dropped.append(slot)
+                            return out
+        return real(chart, entries, div, max_weight)
+    monkeypatch.setattr(fedosov, "combine", drop_one)
+    with pytest.raises(FlatStructureError, match="did not stabilize"):
+        _solve_correction(conn, 4, dnabla_images(conn))
+    assert dropped
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS + ("dense3", "dense4",
+                                                        "plane_torsion"))
+def test_dnabla_images_match_the_rebuilt_oracle_table(name):
+    # one combine per fiber generator over the Christoffel rows against
+    # dx_i . (the y_k image of direction i), summed with +
+    if name == "plane_torsion":
+        chart, conn = load_chart_file(os.path.join(CHART_DIR,
+                                                   "plane_torsion.chart"))
+    elif name.startswith("dense"):
+        conn = {"dense3": dense_connection(3, 4),
+                "dense4": dense_connection(4, 3)}[name]
+    else:
+        chart, conn = build_chart(name)
+    assert dnabla_images(conn) == dnabla_table(conn)
+
+
 def test_dense_solve_stays_fast():
     # dense n=4 table at weight 5: about 1 s with weight-capped products
     # and the layered solve, about 27 s with full products and the plain
@@ -460,13 +539,18 @@ def test_flat_operator_table_is_perturbation_less_lowering(name):
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
 def test_solve_seed_is_one_derive_over_dnabla_less_lowering(name):
     # the correction solve's seed, dnabla(dnabla y_k) - delta(dnabla y_k),
-    # as one derive over the table of dnabla - delta
+    # as one derive over the table of dnabla - delta; the solve reads its
+    # weight-2 part as -delta(dnabla y_k) and its weight-3 part as
+    # dnabla(dnabla y_k)
     chart, conn = build_chart(name)
     images = dnabla_images(conn)
     lowered = _less_delta(chart, images)
     for k in range(chart.n):
         dy = images[chart.y_slot(k)]
-        assert dy.derive(lowered) == dy.derive(images) - delta_op(dy)
+        seed = dy.derive(lowered)
+        assert seed == dy.derive(images) - delta_op(dy)
+        layers = {2: -delta_op(dy), 3: dy.derive(images)}
+        assert seed.weight_layers() == {w: p for w, p in layers.items() if p}
 
 
 def test_augmentation_taylor_specialization(rng):

@@ -3,8 +3,9 @@
 Keys are checked against exponent tuples on every conftest chart, at
 field values up to the 32767 bound and past it.  ``combine`` is checked
 against the term-by-term sum of its entries, each built as its own
-polynomial by the Fraction oracles and added with ``+``, on the charts
-with odd and negative-degree coordinates.  Examples are drawn by
+polynomial by the Fraction oracles and added with ``+``, with and
+without a cap on its products and derivations, on the charts with odd
+and negative-degree coordinates.  Examples are drawn by
 Hypothesis with ``derandomize=True`` and no example database.
 """
 
@@ -21,8 +22,8 @@ from jetexp.poly import (FLIP, GradedPoly, TruncationOverflowError, combine,
                          unpack_monomial)
 
 from conftest import CHART_DEFS, build_chart
-from oracles import (filter_terms, fraction_mul, fraction_partial,
-                     monomial_parity)
+from oracles import (filter_terms, fraction_derive, fraction_mul,
+                     fraction_partial, monomial_parity)
 from test_poly_properties import PROPERTY
 
 CHARTS = {name: build_chart(name)[0] for name in sorted(CHART_DEFS)}
@@ -113,11 +114,15 @@ def entries(chart):
         st.tuples(weight, poly),
         st.tuples(weight, poly, poly),
         st.tuples(weight, poly, st.integers(0, 3 * chart.n - 1)),
+        st.tuples(weight, poly, st.dictionaries(
+            st.integers(0, 3 * chart.n - 1), poly, max_size=3)),
         st.tuples(weight, poly, st.just(FLIP))), max_size=6)
 
 
-def term_by_term(chart, entry):
-    """One entry built as its own polynomial, with no ``combine`` code."""
+def term_by_term(chart, entry, max_weight=None):
+    """One entry built as its own polynomial, with no ``combine`` code;
+    products and derivations keep the pairs of weight at most
+    ``max_weight``."""
     w, p = entry[:2]
     if len(entry) == 2:
         return p * w
@@ -127,7 +132,9 @@ def term_by_term(chart, entry):
         return (even - (p - even)) * w
     if isinstance(x, int):
         return fraction_partial(p, x) * w
-    return fraction_mul(p, x) * w
+    if isinstance(x, dict):
+        return fraction_derive(p, x, max_weight) * w
+    return fraction_mul(p, x, max_weight) * w
 
 
 @pytest.mark.parametrize("name", SIGNED_CHARTS)
@@ -137,7 +144,8 @@ def test_combine_matches_term_by_term_sum(name, data):
     chart = CHARTS[name]
     table = data.draw(entries(chart))
     div = data.draw(st.integers(1, 6))
+    cap = data.draw(st.one_of(st.none(), st.integers(-1, 8)))
     want = GradedPoly.zero(chart)
     for entry in table:
-        want = want + term_by_term(chart, entry)
-    assert combine(chart, table, div) == want * Fraction(1, div)
+        want = want + term_by_term(chart, entry, cap)
+    assert combine(chart, table, div, cap) == want * Fraction(1, div)

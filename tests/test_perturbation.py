@@ -8,7 +8,7 @@ from jetexp.pbw import PbwContext
 from jetexp.perturbation import (ContractionData, SeriesDivergenceError,
                                  check_contraction, perturb_contraction,
                                  run_check)
-from jetexp.poly import GradedPoly
+from jetexp.poly import GradedPoly, TruncationOverflowError
 from jetexp.randomgen import random_base_poly, random_section
 from jetexp.verify import flat_contraction
 
@@ -137,6 +137,28 @@ def test_run_check_runs_unhashable_samples_every_time():
     test, seen = counting(lambda s: True)
     assert run_check("n", samples, test).status == "PASS"
     assert seen == samples
+
+
+def test_run_check_reports_a_raising_test_as_fail():
+    # an exception inside the test is the check's FAIL, witnessed by the
+    # sample and the exception type; later samples do not run
+    def test(s):
+        if s == 2:
+            raise ZeroDivisionError("boom")
+        return True
+    counted, seen = counting(test)
+    result = run_check("n", [1, 2, 3], counted)
+    assert result == ("n", "FAIL", "2 raised ZeroDivisionError: boom")
+    assert seen == [1, 2]
+
+
+def test_run_check_lets_overflow_and_base_exceptions_through():
+    for exc in (TruncationOverflowError("past the bound"),
+                KeyboardInterrupt()):
+        def test(s, exc=exc):
+            raise exc
+        with pytest.raises(type(exc)):
+            run_check("n", [1], test)
 
 
 def test_zero_complex_passes_vacuously():
