@@ -23,7 +23,9 @@ product of monomials is one int addition, and a guard bit set in the
 sum is an overflow.  ``unit[s]`` is the key of the generator in slot s
 (its field's low bit, plus the weight field's for a fiber or form
 slot), ``odd_low`` the low bits of the odd slots' fields (an odd
-exponent is 0 or 1), and ``guard`` the guard bits of all fields.
+exponent is 0 or 1), ``guard`` the guard bits of all fields, and
+``graded_fields`` the (shift, degree) of each slot of nonzero degree,
+the only fields a monomial's degree reads.
 
 Naming: a coordinate named ``x2`` gets fiber generator ``y2`` and form
 generator ``dx2`` (leading ``x`` swapped for ``y``); any other name
@@ -71,6 +73,7 @@ class Chart:
         "coords", "truncation", "n", "gen_names", "gen_degrees",
         "gen_parities", "odd_slots", "_slot_of",
         "shifts", "weight_shift", "unit", "odd_low", "guard", "base_mask",
+        "graded_fields",
     )
 
     def __init__(self, coordinates: Iterable[Tuple[str, int]],
@@ -111,6 +114,8 @@ class Chart:
         self.guard = sum(1 << sh + FIELD_BITS - 1
                          for sh in self.shifts + (self.weight_shift,))
         self.base_mask = (1 << FIELD_BITS * self.n) - 1
+        self.graded_fields = tuple((sh, d) for sh, d in
+                                   zip(self.shifts, self.gen_degrees) if d)
 
     # slot layout: [0, n) base, [n, 2n) fiber, [2n, 3n) form
     def x_slot(self, i: int) -> int:

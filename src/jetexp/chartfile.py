@@ -140,7 +140,7 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
             raise ChartFileError("Christoffel entries must be base "
                                  "functions", line_no)
         key = (i - 1, j - 1, k - 1)
-        gamma[key] = gamma.get(key, poly * 0) + poly
+        gamma[key] = gamma[key] + poly if key in gamma else poly
         lines.setdefault(key, line_no)
     try:
         conn = Connection(chart, gamma,

@@ -55,8 +55,9 @@ substitution y -> y + y' (``comult_sym``, ``comult_env``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
+from operator import or_
 from typing import Callable, Dict, Tuple
 
 from .chart import FIELD_BITS, FIELD_MASK, FIELD_MAX, Chart, same_chart
@@ -307,16 +308,31 @@ class DiffOp(_IndexedSum):
         (module docstring), with one term per distinct K, its letters
         taken in ascending slot order on both factors.  A right
         derivative by y_s is the left one followed by a parity flip for
-        an odd x_s; a K whose either factor vanishes is not extended."""
+        an odd x_s; a K whose either factor vanishes is not extended.
+        K takes only the letters s whose fiber field s some key of self
+        holds and whose base field s some key of other holds (nonzero
+        fields in the OR of each factor's keys, as ``poly._meeting``
+        reads them; a derivative holds no field its factor does not), so
+        a product already in normal order, a function on the left or a
+        constant-coefficient word on the right, is one product of
+        symbols with no partial pass."""
         chart = same_chart(self, other)
         n = chart.n
+        shifts = chart.shifts
+        held_left = reduce(or_, self._sigma.nums, 0)
+        held_right = reduce(or_, other._sigma.nums, 0)
+        letters = [s for s in range(n)
+                   if held_left >> shifts[n + s] & FIELD_MASK
+                   and held_right >> shifts[s] & FIELD_MASK]
         terms = []  # (K!, sigma(self) <-d_y^K, d_x^K sigma(other))
         # (K!, the two factors, last letter of K, its multiplicity)
         stack = [(1, self._sigma, other._sigma, 0, 0)]
         while stack:
             fact, left, right, last, mult = stack.pop()
             terms.append((fact, left, right))
-            for s in range(last, n):
+            for s in letters:
+                if s < last:
+                    continue
                 odd = chart.coordinate_parity(s)
                 if s == last and odd and mult:
                     continue

@@ -14,11 +14,17 @@ counterpart.  Every factor is built as a symbol (``enveloping`` module
 docstring): a constant, a generator, or the symbol of a bracket word.
 Factors of a term multiply left to right in the relevant algebra, the
 product of symbols for polynomials and tensors and ``DiffOp.compose``
-for operators, so ``d[x]*x`` parses to x*d[x] + 1.  Printing reads the
-packed keys of the symbol and is canonical and deterministic (terms
-sorted by descending word, then descending monomial exponents); every
-printed expression re-parses to an equal value: parse(print(f)) == f,
-bit-exact.
+for operators, so ``d[x]*x`` parses to x*d[x] + 1; a product already in
+normal order (a function times an operator, an operator times a
+constant-coefficient word) is one product of symbols.  A token's kind
+is the regex alternative that matched it, and the signed terms of an
+expression are summed by one ``poly.combine``.  Printing splits each
+packed key of the symbol into its base part and the rest (the fiber
+part K of a word, or a polynomial's fiber and form monomial) and reads
+each distinct part's fields, factor text and rho(K) once per call.  It
+is canonical and deterministic (terms sorted by descending word, then
+descending monomial exponents); every printed expression re-parses to
+an equal value: parse(print(f)) == f, bit-exact.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Tuple
 
-from .chart import Chart
-from .poly import GradedPoly, unpack_monomial
+from .chart import FIELD_MASK, Chart
+from .poly import GradedPoly, combine
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                          symbol_sign, word_key, word_symbol)
 
@@ -61,10 +67,8 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
                 break
             bad = pos + len(rest) - len(rest.lstrip())
             raise ExprSyntaxError("unexpected character %r" % text[bad], bad)
-        for kind in ("int", "word", "name", "op"):
-            if m.group(kind) is not None:
-                out.append((kind, m.group(kind), m.start(kind)))
-                break
+        kind = m.lastgroup  # the one alternative that matched
+        out.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return out
 
@@ -151,15 +155,14 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
     def parse(self):
-        total = GradedPoly.zero(self.chart)
+        terms = []  # (sign, term), summed by one combine
         sign = 1
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
             self.take()
             sign = -1 if tok[1] == "-" else 1
         while True:
-            term = self._term()
-            total = total + term if sign > 0 else total - term
+            terms.append((sign, self._term()))
             tok = self.peek()
             if tok is None:
                 break
@@ -169,6 +172,7 @@ class _Parser:
                 continue
             raise ExprSyntaxError("expected '+' or '-', got %r" % tok[1],
                                   tok[2])
+        total = combine(self.chart, terms)
         return self.kind.from_symbol(total) if self.kind else total
 
     def _term(self) -> GradedPoly:
@@ -185,8 +189,14 @@ class _Parser:
 
     def _check_base_degree(self, value: GradedPoly, pos: int):
         """A coefficient product past the chart's base-degree bound B is
-        an error at the factor that crossed it."""
-        degree = value.max_base_degree()
+        an error at the factor that crossed it.  Each operand of the
+        product was within B <= ``FIELD_MAX``, so a key's base degree,
+        the sum of its base fields, is below ``FIELD_MASK`` and is the
+        value of those fields mod ``FIELD_MASK`` (2^FIELD_BITS is 1 mod
+        it), read off each key directly."""
+        base = self.chart.base_mask
+        degree = max([(key & base) % FIELD_MASK for key in value.nums],
+                     default=0)
         limit = self.chart.truncation.max_base_degree
         if degree > limit:
             raise ExprSyntaxError("base degree %d exceeds chart bound %d"
@@ -237,32 +247,58 @@ def parse_symtensor(chart: Chart, text: str) -> SymTensor:
 # ---------------------------------------------------------------------------
 # Printing
 
-def _power(name: str, e: int) -> str:
-    return name if e == 1 else "%s^%d" % (name, e)
+def _part(chart: Chart, key: int, slots, names) -> Tuple[tuple, list]:
+    """The fields of ``key`` at ``slots``, in that order, and the factor
+    text of each nonzero one, ``names`` naming the slots."""
+    shifts = chart.shifts
+    fields = tuple([key >> shifts[s] & FIELD_MASK for s in slots])
+    return fields, [name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(names, fields) if e]
 
 
 def _format(sigma: GradedPoly, head: str = None) -> str:
     """Canonical text of a polynomial, or with ``head`` ('d' or 's') of
     the sum whose symbol is ``sigma``: each key's base monomial followed
     by the descending word of its fiber part K, the coefficient times
-    rho(K).  Terms descend by (word weight, word, monomial)."""
+    rho(K).  Terms descend by (word weight, word, monomial).  Each key is
+    split into its base part and the rest (its fiber part K, or the fiber
+    and form monomial without a head), and each distinct part's fields,
+    factor text and, for a K, rho(K) are read once per call."""
     chart, den = sigma.chart, sigma.den
-    n = chart.n if head else 3 * chart.n
+    n, mask = chart.n, chart.base_mask
+    base_slots, base_names = range(n), chart.gen_names[:n]
+    if head:  # a word descends: the last coordinate's letter first
+        rest_slots = range(2 * n - 1, n - 1, -1)
+        rest_names = ["%s[%s]" % (head, c.name)
+                      for c in reversed(chart.coords)]
+    else:
+        rest_slots, rest_names = range(n, 3 * n), chart.gen_names[n:]
+    bases = {}  # base part -> (its fields, its factors)
+    rests = {}  # rest -> (its sort order, its factors, rho(K) or 1)
     pieces = []
     for key, num in sigma.nums.items():
-        m = unpack_monomial(chart, key)
-        mono, word = m[:n], m[n:2 * n]  # the word is () without a head
-        if head:
-            num *= symbol_sign(chart, key & ~chart.base_mask)
+        b = key & mask
+        base = bases.get(b)
+        if base is None:
+            base = bases[b] = _part(chart, b, base_slots, base_names)
+        r = key ^ b
+        rest = rests.get(r)
+        if rest is None:
+            fields, factors = _part(chart, r, rest_slots, rest_names)
+            rest = rests[r] = (
+                (sum(fields), fields[::-1]), factors, symbol_sign(chart, r)
+            ) if head else (fields, factors, 1)
+        base_fields, base_factors = base
+        order, rest_factors, sign = rest
+        num *= sign
         g = gcd(num, den)
         digits = str(abs(num) // g) if g == den else \
             "%d/%d" % (abs(num) // g, den // g)
-        factors = [_power(x, e) for x, e in zip(chart.gen_names, mono) if e]
-        factors += [_power("%s[%s]" % (head, coord.name), e) for coord, e
-                    in reversed(list(zip(chart.coords, word))) if e]
+        factors = base_factors + rest_factors
         body = "*".join(factors if digits == "1" and factors
                         else [digits] + factors)
-        pieces.append(((sum(word), word, mono), num < 0, body))
+        pieces.append((order + (base_fields,) if head
+                       else (base_fields, order), num < 0, body))
     text = "".join((" - " if neg else " + ") + body
                    for _, neg, body in sorted(pieces, reverse=True))
     return ("-" if text.startswith(" -") else "") + text[3:] or "0"

@@ -123,7 +123,7 @@ def unpack_monomial(chart: Chart, key: int) -> Monomial:
 
 def _key_degree(chart: Chart, key: int) -> int:
     return sum([(key >> sh & FIELD_MASK) * d
-                for sh, d in zip(chart.shifts, chart.gen_degrees) if d])
+                for sh, d in chart.graded_fields])
 
 
 def _check_guard(chart: Chart, keys) -> None:
@@ -484,11 +484,6 @@ class GradedPoly:
         return degs.pop()
 
     # -- views ---------------------------------------------------------------
-    def max_base_degree(self) -> int:
-        shifts = self.chart.shifts[:self.chart.n]
-        return max((sum([k >> sh & FIELD_MASK for sh in shifts])
-                    for k in self.nums), default=0)
-
     def is_base_only(self) -> bool:
         return max(self.nums, default=0) >> self.chart.weight_shift == 0
 

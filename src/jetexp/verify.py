@@ -99,9 +99,10 @@ def _columns(chart: Chart, fn: Callable) -> Callable:
 class _Session:
     """What the suites of one ``run_suite`` call share, each part built
     on first use: the flat structure ``fd`` (so a torsionful chart,
-    where only the coalgebra suite runs, never solves it), one context
-    capped at weight + 1 (the cap only bounds arguments, and every
-    suite's inputs fit under it), memos of its ``map`` and ``inv`` and
+    where only the coalgebra suite runs, never solves it, and a solve
+    that raised is not run again), one context capped at weight + 1
+    (the cap only bounds arguments, and every suite's inputs fit under
+    it), memos of its ``map`` and ``inv`` and
     of the coalgebra check's word images and their squares, the flat
     contraction (whose differential is a memo of D and whose series
     augmentation is the transfer's) and the tau_pbw columns.  Each route keeps a table of its own, and the
@@ -111,6 +112,7 @@ class _Session:
         self.chart = chart
         self.conn = conn
         self.weight = weight
+        self._fd = None  # the flat structure, or what its build raised
 
     @cached_property
     def ctx(self) -> PbwContext:
@@ -140,9 +142,22 @@ class _Session:
             return sigma, to_square(sigma, right=True)
         return _memo(images)
 
-    @cached_property
+    @property
     def fd(self) -> FedosovData:
-        return FedosovData(self.conn, self.weight)
+        """The flat structure, built on first use.  A build that raised
+        raises the same exception on every later use, with no second
+        solve, so each suite that needs it still ends in its own FAIL
+        line."""
+        fd = self._fd
+        if fd is None:
+            try:
+                fd = self._fd = FedosovData(self.conn, self.weight)
+            except Exception as exc:
+                self._fd = exc
+                raise
+        if isinstance(fd, Exception):
+            raise fd
+        return fd
 
     @cached_property
     def flat(self) -> ContractionData:

@@ -37,8 +37,11 @@ augmentation and the correction of a chart with solvable geodesics as
 closed-form series in Bernoulli and factorial coefficients instead of
 any recursion, series or solve, the augmentation as the exponential of
 the geodesic spray applied by the positional Leibniz rule instead of
-the word-image recursion or the perturbation series) so frozen expectations in the tests do
-not share code with the implementation they check.
+the word-image recursion or the perturbation series, the printed text
+read off each key's unpacked exponent tuple instead of off its base
+and fiber parts, each distinct part read once per call) so frozen
+expectations in the tests do not share code with the implementation
+they check.
 
 It also holds the references the package computes without: the
 component-wise calculus of vector fields (graded bracket, covariant
@@ -59,6 +62,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import List
 
 from jetexp.chart import (FIELD_BITS, FIELD_MASK, Chart,
@@ -66,7 +70,7 @@ from jetexp.chart import (FIELD_BITS, FIELD_MASK, Chart,
                           mi_factorial, same_chart)
 from jetexp.enveloping import SymTensor, fiber_parts, symbol_sign
 from jetexp.geometry import Connection, VectorField
-from jetexp.poly import GradedPoly, combine, pack_monomial
+from jetexp.poly import GradedPoly, combine, pack_monomial, unpack_monomial
 from jetexp.randomgen import _in_sixths, _sixths, random_base_poly
 
 
@@ -146,6 +150,37 @@ def shuffle_pairing(chart, word_slots, fiber_monomial_slots):
             order.append(p + perm[i])
         total += bubble_koszul_sign(order, degrees)
     return total
+
+
+def _power(name: str, e: int) -> str:
+    return name if e == 1 else "%s^%d" % (name, e)
+
+
+def unpacked_format(sigma: GradedPoly, head: str = None) -> str:
+    """Canonical text of a polynomial, or with ``head`` ('d' or 's') of
+    the sum whose symbol is ``sigma``: each key's base monomial followed
+    by the descending word of its fiber part K, the coefficient times
+    rho(K).  Terms descend by (word weight, word, monomial)."""
+    chart, den = sigma.chart, sigma.den
+    n = chart.n if head else 3 * chart.n
+    pieces = []
+    for key, num in sigma.nums.items():
+        m = unpack_monomial(chart, key)
+        mono, word = m[:n], m[n:2 * n]  # the word is () without a head
+        if head:
+            num *= symbol_sign(chart, key & ~chart.base_mask)
+        g = gcd(num, den)
+        digits = str(abs(num) // g) if g == den else \
+            "%d/%d" % (abs(num) // g, den // g)
+        factors = [_power(x, e) for x, e in zip(chart.gen_names, mono) if e]
+        factors += [_power("%s[%s]" % (head, coord.name), e) for coord, e
+                    in reversed(list(zip(chart.coords, word))) if e]
+        body = "*".join(factors if digits == "1" and factors
+                        else [digits] + factors)
+        pieces.append(((sum(word), word, mono), num < 0, body))
+    text = "".join((" - " if neg else " + ") + body
+                   for _, neg, body in sorted(pieces, reverse=True))
+    return ("-" if text.startswith(" -") else "") + text[3:] or "0"
 
 
 def mat_mul(a, b):

@@ -21,7 +21,7 @@ from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
                      random_vector_field, shuffle_pairing, square_from_table,
                      square_table, sym_mul_vf, sym_word, sym_word_product,
                      tensor_square_left_mult_vf, word_letters)
-from test_operator_properties import indexed
+from test_operator_properties import base_polys, indexed, words
 from test_poly_properties import PROPERTY
 
 
@@ -77,6 +77,25 @@ def test_compose_peels_long_blocks_at_once():
     assert time.perf_counter() - start < 2
     assert got == DiffOp(chart, {(1200,): x,
                                  (1199,): GradedPoly.constant(chart, 1200)})
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@PROPERTY
+@given(data=st.data())
+def test_compose_matches_per_letter_oracle_on_drawn_pairs(name, data):
+    # K runs over the letters whose fiber field the left factor holds
+    # and whose base field the right one holds: a function on the left
+    # or a base-free factor on the right leaves none
+    chart, _ = build_chart(name)
+    functions = base_polys(chart).map(lambda f: DiffOp.function(chart, f))
+    base_free = st.dictionaries(
+        words(chart), st.fractions(min_value=-6, max_value=6,
+                                   max_denominator=12), max_size=3).map(
+        lambda terms: DiffOp(chart, {index: GradedPoly.constant(chart, c)
+                                     for index, c in terms.items()}))
+    left = data.draw(st.one_of(indexed(DiffOp, chart), functions))
+    right = data.draw(st.one_of(indexed(DiffOp, chart), base_free))
+    assert left.compose(right) == per_letter_compose(left, right)
 
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)

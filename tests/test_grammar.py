@@ -9,7 +9,7 @@ from jetexp.chart import Chart, Truncation
 from jetexp.chartfile import (ChartFileError, load_chart_file,
                               parse_chart_file)
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                               _IndexedSum)
+                               _IndexedSum, symbol_sign, word_key)
 from jetexp.grammar import (ExprSyntaxError, format_diffop, format_poly,
                             format_symtensor, parse_diffop, parse_poly,
                             parse_symtensor)
@@ -18,8 +18,9 @@ from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_section, random_symtensor
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import bubble_koszul_sign
-from test_poly_properties import PROPERTY
+from oracles import bubble_koszul_sign, unpacked_format
+from test_operator_properties import indexed
+from test_poly_properties import PROPERTY, polys
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -242,6 +243,54 @@ def test_text_layer_reads_no_word_view(monkeypatch):
     for chart, text, parse, fmt, value, printed in cases:
         assert parse(chart, text) == value
         assert fmt(value) == printed
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
+@PROPERTY
+@given(data=st.data())
+def test_printer_matches_the_per_key_oracle(name, data):
+    # the printer reads each distinct base part and fiber part once; the
+    # oracle unpacks every key whole
+    chart, _ = build_chart(name)
+    f = data.draw(polys(chart))
+    assert format_poly(f) == unpacked_format(f)
+    for cls, fmt, head in ((DiffOp, format_diffop, "d"),
+                           (SymTensor, format_symtensor, "s")):
+        value = data.draw(indexed(cls, chart))
+        assert fmt(value) == unpacked_format(value.symbol(), head)
+
+
+def test_printer_cases_match_the_per_key_oracle():
+    # zero, a denominator above 1, negative coefficients, and a word of
+    # two odd letters, whose symbol sign rho(K) is -1
+    chart, _ = build_chart("two_odd")
+    assert symbol_sign(chart, word_key(chart, (0, 1, 1))) == -1
+    for parse, fmt, head, text in (
+            (parse_poly, format_poly, None, "0"),
+            (parse_diffop, format_diffop, "d", "0"),
+            (parse_symtensor, format_symtensor, "s", "0"),
+            (parse_poly, format_poly, None,
+             "-3/2*x*t1*y_t2*dt1 + 7/6*y^2*dx - 1"),
+            (parse_diffop, format_diffop, "d",
+             "5/4*d[t2]*d[t1]*d[x]^2 - 3/2*x*d[t2]*d[t1] - x^2*d[x] + 1/3"),
+            (parse_symtensor, format_symtensor, "s",
+             "5/4*t1*s[t2]*s[t1]*s[x]^2 - 3/2*x*s[t2]*s[t1] - 2/5*s[t1]")):
+        value = parse(chart, text)
+        assert fmt(value) == text
+        sigma = value if head is None else value.symbol()
+        assert unpacked_format(sigma, head) == text
+
+
+def test_normal_ordered_operator_term_makes_no_partial_pass(mixed,
+                                                            monkeypatch):
+    # each product of the term has a function on the left or a word with
+    # constant coefficients on the right: one product of symbols each
+    def forbidden(*args):
+        raise AssertionError("partial pass")
+    monkeypatch.setattr(GradedPoly, "_partial_rows", forbidden)
+    x = GradedPoly.generator(mixed, 0)
+    assert parse_diffop(mixed, "3*x*d[t]*d[x]^2") == \
+        DiffOp(mixed, {(2, 1): 3 * x})
 
 
 def test_print_is_deterministic(mixed, rng):

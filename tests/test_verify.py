@@ -1,3 +1,4 @@
+import io
 import os
 import random
 
@@ -353,6 +354,41 @@ def test_symbols_maps_and_inverts_each_argument_once(monkeypatch):
         assert all(r.status == "PASS" for r in results)
         for calls in seen.values():
             assert calls and len(calls) == len(set(calls))
+
+
+def test_a_failed_flat_structure_is_solved_once(monkeypatch):
+    # the three suites that need the flat structure each print their own
+    # FAIL line, all three read off the one failed solve of the session
+    from jetexp.cli import main
+    calls = []
+
+    def broken(conn, weight, images):
+        calls.append(weight)
+        raise jetexp.fedosov.FlatStructureError(
+            "correction has fiber weight < 2")
+    monkeypatch.setattr(jetexp.fedosov, "_solve_correction", broken)
+    out = io.StringIO()
+    assert main(["verify", "--chart", os.path.join(CHART_DIR, "two_odd.chart"),
+                 "--suite", "all", "--seed", "3"], out) == 1
+    assert len(calls) == 1
+    fail = "FAIL raised FlatStructureError: correction has fiber weight < 2\n"
+    assert out.getvalue() == (
+        "CHECK comultiplication-intertwines-map PASS\n"
+        "CHECK symbol-of-map-is-identity PASS\n"
+        "CHECK two-term-leading-expansion PASS\n"
+        "CHECK two-term-leading-expansion-inverse PASS\n"
+        "CHECK map-inverse-roundtrip PASS\n"
+        "CHECK flat-connection " + fail +
+        "CHECK resolution " + fail +
+        "CHECK perturbation " + fail +
+        "VERIFY all FAIL\n")
+    for name in ("mixed", "three_degrees"):
+        calls.clear()
+        chart, conn = build_chart(name)
+        results = run_suite("all", chart, conn, seed=0)
+        assert len(calls) == 1
+        assert [r.name for r in results if r.status == "FAIL"] == [
+            "flat-connection", "resolution", "perturbation"]
 
 
 @through_all(["line_curved", "mixed", "two_odd"])
