@@ -3,14 +3,17 @@ polynomial arithmetic, the jet-level exponential map between symmetric
 tensors and differential operators, the induced flat structure on
 form-valued fiber polynomials, and a generic homological perturbation
 engine — all over exact rationals.
+
+Importing the package loads the chart, polynomial, geometry and operator
+modules.  ``PbwContext`` and ``FedosovData`` load their modules (``pbw``;
+``fedosov`` with ``pbw`` and ``perturbation``) on first access, so that
+a process that never uses them never compiles them.
 """
 
 from .chart import Chart, Truncation, koszul_sign
 from .poly import GradedPoly
 from .geometry import Connection, VectorField
 from .enveloping import DiffOp, SymTensor
-from .pbw import PbwContext
-from .fedosov import FedosovData
 
 __all__ = [
     "Chart", "Truncation", "koszul_sign", "GradedPoly", "Connection",
@@ -18,3 +21,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "PbwContext":
+        from .pbw import PbwContext as value
+    elif name == "FedosovData":
+        from .fedosov import FedosovData as value
+    else:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    globals()[name] = value
+    return value

@@ -15,6 +15,12 @@ below 1 or above ``chart.FIELD_MAX``, 3 truncation overflow (from any
 subcommand), 4 precondition violation (e.g. torsionful chart where
 torsion-freeness is required).  Output is
 deterministic: identical inputs produce byte-identical output.
+
+Each subcommand imports the modules it runs when it runs: ``pbw`` loads
+``pbw``, ``tau`` and ``fedosov`` load ``fedosov`` (with ``pbw`` and
+``perturbation``), and only ``verify`` loads ``verify`` and
+``randomgen``.  Each ``jetexp`` call is a fresh process, so a short
+command does not pay to compile the modules it never reaches.
 """
 
 from __future__ import annotations
@@ -26,17 +32,19 @@ import sys
 from .chart import FIELD_MAX
 from .chartfile import ChartFileError, load_chart_file
 from .enveloping import TruncationOverflowError
-from .fedosov import FedosovData, tau_pbw, vvf_records
 from .grammar import (ExprSyntaxError, format_diffop, format_poly,
                       format_symtensor, parse_diffop, parse_poly,
                       parse_symtensor)
-from .pbw import PbwContext
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_TRUNCATION = 3
 EXIT_PRECONDITION = 4
+
+# ``verify.SUITE_NAMES``, spelt out so that building the parser does not
+# import ``verify`` (tests/test_verify.py checks that the two agree)
+SUITE_NAMES = ("coalgebra", "symbols", "flat-connection", "resolution",
+               "perturbation")
 
 
 class _Failure(Exception):
@@ -67,6 +75,7 @@ def _weight(chart, arg):
 
 
 def cmd_pbw(args, out) -> int:
+    from .pbw import PbwContext
     chart, conn = _load(args.chart)
     weight = _weight(chart, args.max_weight)
     ctx = PbwContext(chart, conn, max_weight=weight)
@@ -83,6 +92,7 @@ def cmd_pbw(args, out) -> int:
 
 
 def cmd_fedosov(args, out) -> int:
+    from .fedosov import FedosovData, vvf_records
     chart, conn = _load(args.chart)
     if not conn.torsion_free:
         raise _Failure(EXIT_PRECONDITION,
@@ -113,7 +123,7 @@ def cmd_fedosov(args, out) -> int:
     return EXIT_OK if residual == "0" else 1
 
 
-def _flatness_residual(fd: FedosovData) -> str:
+def _flatness_residual(fd) -> str:
     from .poly import GradedPoly
     chart = fd.chart
     probes = [GradedPoly.generator(chart, chart.y_slot(k))
@@ -128,6 +138,8 @@ def _flatness_residual(fd: FedosovData) -> str:
 
 
 def cmd_tau(args, out) -> int:
+    from .fedosov import FedosovData, tau_pbw
+    from .pbw import PbwContext
     chart, conn = _load(args.chart)
     weight = _weight(chart, args.max_weight)
     try:
@@ -150,6 +162,7 @@ def cmd_tau(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .verify import run_suite
     chart, conn = _load(args.chart)
     weight = _weight(chart, args.max_weight)
     results = run_suite(args.suite, chart, conn, seed=args.seed,

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import jetexp
 from jetexp.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -431,3 +432,44 @@ def test_long_word_image_needs_no_deep_recursion():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert proc.stdout.startswith("d[x]^150 - 11175*x*d[x]^149")
+
+
+def test_each_command_imports_only_the_modules_it_runs():
+    # every call is a fresh process, so a module a command never reaches
+    # must not be imported (and, without cached bytecode, compiled) by it
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = """if True:
+        import io, json, sys
+        import jetexp, jetexp.chartfile, jetexp.cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("jetexp."))
+
+        steps = [loaded()]
+        for argv in (["pbw", "--chart", sys.argv[1], "s[x]^2"],
+                     ["tau", "--route", "pbw", "--chart", sys.argv[1], "x"]):
+            assert jetexp.cli.main(argv, io.StringIO()) == 0
+            steps.append(loaded())
+        names = {}
+        exec("from jetexp import *", names)
+        print(json.dumps({
+            "steps": steps,
+            "star": sorted(n for n in jetexp.__all__ if n in names),
+            "same": [jetexp.PbwContext is jetexp.pbw.PbwContext,
+                     jetexp.FedosovData is jetexp.fedosov.FedosovData]}))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code, chart("line_curved.chart")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    seen = json.loads(proc.stdout)
+    imported, after_pbw, after_tau = (set(s) for s in seen["steps"])
+    lazy = {"jetexp." + m for m in ("pbw", "fedosov", "perturbation",
+                                    "verify", "randomgen")}
+    assert imported & lazy == set()
+    assert after_pbw - imported == {"jetexp.pbw"}
+    assert after_tau & {"jetexp.verify", "jetexp.randomgen"} == set()
+    assert seen["star"] == sorted(jetexp.__all__)
+    assert seen["same"] == [True, True]

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import jetexp.cli
 import jetexp.fedosov
 import jetexp.verify
 from jetexp.chart import Chart, Truncation
@@ -101,9 +102,19 @@ def test_check_line_format():
     assert result.line().startswith("CHECK leading-terms SKIP")
 
 
-def test_suite_names_are_stable():
+def test_suite_names_are_stable(capsys):
     assert SUITE_NAMES == ("coalgebra", "symbols", "flat-connection",
                            "resolution", "perturbation")
+    # the CLI spells the names out so that its parser does not import
+    # verify; a name it lacks or one verify lacks would drift silently
+    assert jetexp.cli.SUITE_NAMES == SUITE_NAMES
+    with pytest.raises(SystemExit) as exc:
+        jetexp.cli.main(["verify", "--chart", "any.chart", "--suite",
+                         "nowhere"], out=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jetexp verify")
+    assert "invalid choice: 'nowhere'" in err
 
 
 def test_every_shipped_chart_loads_and_passes_a_suite():
