@@ -138,7 +138,8 @@ class _IndexedSum:
 
     __slots__ = ("chart", "_sigma")
 
-    def __init__(self, chart: Chart, terms: Dict[MultiIndex, GradedPoly] = None):
+    def __init__(self, chart: Chart,
+                 terms: Dict[MultiIndex, GradedPoly] = None):
         entries = []
         for index, coeff in (terms or {}).items():
             if not coeff:

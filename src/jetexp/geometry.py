@@ -67,8 +67,8 @@ class VectorField:
 
     def __add__(self, other):
         same_chart(self, other)
-        return VectorField(self.chart, [a + b for a, b in
-                                        zip(self.components, other.components)])
+        return VectorField(self.chart, [
+            a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -249,7 +249,8 @@ def coordinate_replacement(conn: Connection, direction: int,
         for mult, gam, j in replacement_terms(conn, direction, word)]))
 
 
-def nabla_sym(conn: Connection, x: VectorField, tensor: SymTensor) -> SymTensor:
+def nabla_sym(conn: Connection, x: VectorField,
+              tensor: SymTensor) -> SymTensor:
     """The connection extended as a derivation of the symmetric product.
 
     By the Leibniz rule over ``coordinate_replacement``: with X = sum_i

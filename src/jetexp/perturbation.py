@@ -88,18 +88,13 @@ def run_check(name: str, samples: Iterable, test: Callable) -> CheckResult:
     return CheckResult(name, "PASS", None)
 
 
-class ContractionData:
+class ContractionData(NamedTuple):
     """Maps of a contraction of (N, d_big) onto (M, d_small)."""
-
-    __slots__ = ("sigma", "tau", "h", "d_big", "d_small")
-
-    def __init__(self, sigma: Callable, tau: Callable, h: Callable,
-                 d_big: Callable, d_small: Callable):
-        self.sigma = sigma
-        self.tau = tau
-        self.h = h
-        self.d_big = d_big
-        self.d_small = d_small
+    sigma: Callable
+    tau: Callable
+    h: Callable
+    d_big: Callable
+    d_small: Callable
 
 
 def check_contraction(c: ContractionData, big_samples: Iterable,

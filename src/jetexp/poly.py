@@ -18,9 +18,9 @@ convention.
 parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
 One per-row rule forms partial_s from the operand's product rows; it
-feeds the products of ``derive`` and of ``combine``'s derivation
-entries directly and builds ``partial``'s result and ``combine``'s
-partial entries.
+feeds the products of ``combine``'s derivation entries (``derive`` is
+one) directly and builds ``partial``'s result and ``combine``'s partial
+entries.
 A derivation whose images are single generators of fiber or form slots,
 g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off the
 odd-slot bits of each key, in one pass with no product rows.  Such a
@@ -47,18 +47,20 @@ per weight p + q, ascending, (key, odd bits, parity bits of the odd
 slots above each slot, numerator).  A pair of rows multiplies to the
 key sum, with the product of numerators.  Intersecting odd bits kill a
 pair; otherwise its Koszul sign is the parity of the odd slots of the
-left monomial above the odd slots of the right one; ``derive`` can
-skip the pairs above a weight cap.  A constant factor of ``*`` is taken
-as a scalar and builds no rows.  A guard bit set in any key a product
-or an exchange forms raises ``TruncationOverflowError``.
+left monomial above the odd slots of the right one; a weight cap skips
+the pairs above it.  The loop, ``_products_into``, has one caller,
+``combine``.  A guard bit set in any key a product or an exchange forms
+raises ``TruncationOverflowError``.
 
 One polynomial per word.  ``combine`` sums a list of entries, each an
 int weight times a polynomial, a product of two, a derivation (a table
 of generator images, as ``derive`` takes), a one-slot partial or a
 parity flip, as integer numerators over one lcm, reduced once: a caller
 that sums many such terms builds no polynomial for any of them.  Its
-products and derivations go through the same loop as ``*`` and
-``derive``, with the same optional weight cap.
+products and derivations run the product loop, with an optional weight
+cap, and a constant factor is taken as a scalar and builds no rows.
+``*`` of two polynomials is one product entry and ``derive`` one
+derivation entry, so every product the package forms enters here.
 
 Values are immutable after construction and all operations are pure, so
 the rows and the hash, the only caches, never go stale and sharing
@@ -263,15 +265,10 @@ class GradedPoly:
                               {k: -v for k, v in self.nums.items()}, self.den)
 
     def __mul__(self, other):
-        """Product with a scalar or a polynomial.  A constant factor is
-        taken as a scalar: no product rows are built."""
+        """Product with a scalar or a polynomial, the latter a product
+        entry of ``combine``."""
         if isinstance(other, GradedPoly):
-            same_chart(self, other)
-            for c, f in ((other, self), (self, other)):
-                if len(c.nums) == 1 and 0 in c.nums:
-                    return f._scaled(c.nums[0], c.den)
-            return _sum_of_products(self.chart, (
-                (self.den * other.den, self._layout(), other._layout()),))
+            return combine(same_chart(self, other), [(1, self, other)])
         c = other if type(other) is int else Fraction(other)
         return self._scaled(c.numerator, c.denominator)
 
@@ -377,14 +374,12 @@ class GradedPoly:
         unlisted slots and None map to 0): sum_s images[s] . partial_s,
         with ``max_weight`` forming only the monomial pairs whose weights
         p + q sum to at most it, which is the result projected to that
-        weight.  The partials enter the product kernel as rows read off
-        this polynomial's own; none is built as a polynomial, and a slot
-        that no monomial holds (a zero field in the OR of the keys) is
-        skipped without a pass over the rows (``_meeting``, which a
-        derivation entry of ``combine`` reads too)."""
-        return _sum_of_products(self.chart, [
-            (img.den * self.den, img._layout(), self._partial_rows(slot))
-            for slot, img in _meeting(self, images)], max_weight)
+        weight.  It is the derivation entry of ``combine``: the partials
+        enter the product kernel as rows read off this polynomial's own;
+        none is built as a polynomial, and a slot that no monomial holds
+        (a zero field in the OR of the keys) is skipped without a pass
+        over the rows (``_meeting``)."""
+        return combine(self.chart, [(1, self, images)], max_weight=max_weight)
 
     def exchange(self, pairs: Sequence[Tuple[int, int]],
                  max_weight: int = None,
@@ -517,20 +512,6 @@ def _products_into(out: Dict[int, int], scale: int, left, right,
                             nb = -nb
                     k = ka + kb
                     out[k] = get(k, 0) + na * nb
-
-
-def _sum_of_products(chart: Chart, pairs,
-                     max_weight: int = None) -> GradedPoly:
-    """sum_k a_k * b_k over ``pairs`` (Da*Db, rows of a, rows of b) on
-    ``chart``, forming only monomial pairs of total weight at most
-    ``max_weight`` when given: integer numerators over the lcm of the
-    pairs' Da*Db."""
-    den = lcm(*[d for d, _, _ in pairs])
-    out: Dict[int, int] = {}
-    for d, left, right in pairs:
-        _products_into(out, den // d, left, right, max_weight)
-    _check_guard(chart, out)
-    return GradedPoly._of(chart, {k: v for k, v in out.items() if v}, den)
 
 
 def _meeting(p: GradedPoly, images: Mapping[int, GradedPoly]) -> list:

@@ -72,6 +72,7 @@ from .poly import (GradedPoly, TruncationOverflowError, combine,
 from .randomgen import (random_base_poly, random_section, random_symtensor,
                         random_word)
 
+
 def _memo(fn: Callable) -> Callable:
     """``fn`` computed once per distinct argument, for as long as the
     memo lives."""
@@ -102,11 +103,11 @@ class _Session:
     where only the coalgebra suite runs, never solves it, and a solve
     that raised is not run again), one context capped at weight + 1
     (the cap only bounds arguments, and every suite's inputs fit under
-    it), memos of its ``map`` and ``inv`` and
-    of the coalgebra check's word images and their squares, the flat
-    contraction (whose differential is a memo of D and whose series
-    augmentation is the transfer's) and the tau_pbw columns.  Each route keeps a table of its own, and the
-    session is dropped when the call returns."""
+    it), memos of its ``map`` and ``inv`` and of the coalgebra check's
+    word images and their squares, the flat contraction (whose
+    differential is a memo of D and whose series augmentation is the
+    transfer's) and the tau_pbw columns.  Each route keeps a table of
+    its own, and the session is dropped when the call returns."""
 
     def __init__(self, chart: Chart, conn: Connection, weight: int):
         self.chart = chart

@@ -5,7 +5,7 @@ import pytest
 
 from jetexp.chart import Chart, Truncation
 from jetexp.poly import (DegreeUndefinedError, GradedPoly, NotHomogeneousError,
-                         monomial_pq)
+                         combine, monomial_pq)
 from jetexp.randomgen import random_section
 
 from conftest import CHART_DEFS
@@ -274,3 +274,29 @@ def test_derive_builds_no_partial_polynomial(charts, rng, monkeypatch):
             f = _random_poly(rng, chart, rng.randint(1, 8), 4)
             for table in tables:
                 assert f.derive(table) == fraction_derive(f, table)
+
+
+@pytest.mark.parametrize("name", sorted(CHART_DEFS))
+def test_kernel_entry_points_refuse_bad_slots(charts, name):
+    # a slot off the chart, a base slot in an exchange pair and an image
+    # on another chart are refused by every entry point, on a nonzero
+    # operand and on zero alike
+    chart, _ = charts[name]
+    n = chart.n
+    other, _ = charts["mixed" if name == "deg2" else "deg2"]
+    x, y = GradedPoly.generator(chart, 0), GradedPoly.generator(chart, n)
+    foreign = GradedPoly.generator(other, 0)
+    for p in (x * y + GradedPoly.constant(chart, 3), GradedPoly.zero(chart)):
+        for slot in (3 * n, -1):
+            with pytest.raises(ValueError):
+                p.partial(slot)
+            with pytest.raises(ValueError):
+                p.derive({slot: y})
+            with pytest.raises(ValueError):
+                combine(chart, [(1, p, slot)])
+            with pytest.raises(ValueError):
+                combine(chart, [(1, p, {slot: y})])
+        with pytest.raises(ValueError):
+            p.exchange([(0, n)])
+        with pytest.raises(ValueError):
+            p.derive({0: foreign})

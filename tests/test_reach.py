@@ -6,7 +6,8 @@ Every function or method defined in ``src/jetexp`` must be among them,
 unless ``ALLOWED`` names it with its reason; an allowlisted name that no
 longer exists, or that is now reached, fails too, so the list cannot go
 stale.  A second check reads each module with ``ast`` and fails on a
-name it imports and never reads.
+name it imports and never reads, and a third on any function but
+``poly.combine`` that reads the product loop ``poly._products_into``.
 """
 
 import ast
@@ -148,3 +149,27 @@ def test_every_src_import_is_read():
                    for name, line in sorted(imported.items())
                    if name not in read]
     assert unread == []
+
+
+def test_product_loop_has_one_caller():
+    # every product and derivation enters the kernel's loop through
+    # combine: no other function, nor module-level code, reads its name
+    readers = set()
+
+    def visit(node, module, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                visit(child, module, name, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, owner, prefix + child.name + ".")
+            else:
+                if (getattr(child, "id", None) == "_products_into"
+                        or isinstance(child, ast.Attribute)
+                        and child.attr == "_products_into"):
+                    readers.add("%s:%s" % (module, owner))
+                visit(child, module, owner, prefix)
+
+    for module, _, tree in _modules():
+        visit(tree, module, "<module>", "")
+    assert sorted(readers) == ["poly:combine"]
