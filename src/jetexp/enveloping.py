@@ -218,7 +218,9 @@ class _IndexedSum:
         return self.from_symbol(self._sigma + other._sigma)
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.from_symbol(self._sigma - other._sigma)
 
     def __neg__(self):
         return self.from_symbol(-self._sigma)

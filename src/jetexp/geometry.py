@@ -153,7 +153,7 @@ class Connection:
                 raise ValueError("Christoffel entries are base functions")
             want = (chart.coordinate_degree(k) - chart.coordinate_degree(i)
                     - chart.coordinate_degree(j))
-            if poly.degree() != want:
+            if list(poly.homogeneous_components()) != [want]:
                 raise ChristoffelError(
                     "Christoffel entry (%d,%d,%d) must be homogeneous of "
                     "degree %d" % (i + 1, j + 1, k + 1, want), (i, j, k))

@@ -19,8 +19,7 @@ parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
 One per-row rule forms partial_s from the operand's product rows; it
 feeds the products of ``combine``'s derivation entries (``derive`` is
-one) directly and builds ``partial``'s result and ``combine``'s partial
-entries.
+one) directly and sums its partial entries (``partial`` is one).
 A derivation whose images are single generators of fiber or form slots,
 g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off the
 odd-slot bits of each key, in one pass with no product rows.  Such a
@@ -38,7 +37,8 @@ canonical, gcd(den, every numerator) = 1 (the zero polynomial has den
 1), so equality and hashing compare (den, nums) directly; the hash is
 computed once.  Every operation computes numerators over one
 denominator and ends in the one internal constructor ``_of``, which
-reduces them with a single gcd.  ``terms``, exponent tuple ->
+reduces them with a single gcd; ``+``, ``-`` and ``partial`` are
+``combine`` entries, so they share its sum.  ``terms``, exponent tuple ->
 ``Fraction``, is a view for readers outside the arithmetic, built on
 each read; the public constructor takes the same tuples.
 
@@ -55,12 +55,16 @@ raises ``TruncationOverflowError``.
 One polynomial per word.  ``combine`` sums a list of entries, each an
 int weight times a polynomial, a product of two, a derivation (a table
 of generator images, as ``derive`` takes), a one-slot partial or a
-parity flip, as integer numerators over one lcm, reduced once: a caller
-that sums many such terms builds no polynomial for any of them.  Its
-products and derivations run the product loop, with an optional weight
-cap, and a constant factor is taken as a scalar and builds no rows.
-``*`` of two polynomials is one product entry and ``derive`` one
-derivation entry, so every product the package forms enters here.
+parity flip, in one pass as integer numerators over a running common
+denominator, reduced once: a caller that sums many such terms builds no
+polynomial for any of them.  An entry whose denominator does not divide
+the running one rescales the numerators summed so far to their lcm, by
+a factor of at least 2, so a call rescales at most log2(final
+denominator) times.  Its products and derivations run the product loop,
+with an optional weight cap, and a constant factor is taken as a scalar
+and builds no rows.  ``*`` of two polynomials is one product entry,
+``derive`` one derivation entry, ``partial`` one partial entry and
+``+`` and ``-`` two weighted entries, so each of them enters here.
 
 Values are immutable after construction and all operations are pure, so
 the rows and the hash, the only caches, never go stale and sharing
@@ -232,37 +236,15 @@ class GradedPoly:
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self._plus(other, 1)
+        return combine(same_chart(self, other), [(1, self), (1, other)])
 
     def __sub__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self._plus(other, -1)
-
-    def _plus(self, other: "GradedPoly", sign: int) -> "GradedPoly":
-        """self + sign * other, over the lcm of the two denominators."""
-        same_chart(self, other)
-        if not other.nums:  # values are immutable: share the operand
-            return self
-        if not self.nums:
-            return other if sign == 1 else -other
-        da, db = self.den, other.den
-        den = lcm(da, db)
-        scale_a, scale_b = den // da, sign * (den // db)
-        out = dict(self.nums) if scale_a == 1 else \
-            {k: v * scale_a for k, v in self.nums.items()}
-        get = out.get
-        for k, v in other.nums.items():
-            v = get(k, 0) + v * scale_b
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return GradedPoly._of(self.chart, out, den)
+        return combine(same_chart(self, other), [(1, self), (-1, other)])
 
     def __neg__(self):
-        return GradedPoly._of(self.chart,
-                              {k: -v for k, v in self.nums.items()}, self.den)
+        return self._scaled(-1, 1)
 
     def __mul__(self, other):
         """Product with a scalar or a polynomial, the latter a product
@@ -363,10 +345,9 @@ class GradedPoly:
         return out
 
     def partial(self, slot: int) -> "GradedPoly":
-        """Left derivative by the generator in ``slot``."""
-        return GradedPoly._of(self.chart, {
-            k: v for _, rows in self._partial_rows(slot)
-            for k, _, _, v in rows}, self.den)
+        """Left derivative by the generator in ``slot``, the partial
+        entry of ``combine``."""
+        return combine(self.chart, [(1, self, slot)])
 
     def derive(self, images: Mapping[int, "GradedPoly"],
                max_weight: int = None) -> "GradedPoly":
@@ -543,56 +524,42 @@ def combine(chart: Chart, entries, div: int = 1,
         (w, p, s)       w * partial_s(p)     (s an int slot)
         (w, p, FLIP)    w * (p with its odd part negated)
 
-    with int weights w: integer numerators over the lcm of the entries'
-    denominators, reduced once.  A lone (w, p) is p scaled.  Products
-    and derivation entries run the one product loop; with
-    ``max_weight`` they form only the monomial pairs of total weight
-    p + q at most it, so their terms above it are never formed, while
-    the other entries are summed whole."""
+    with int weights w, in one pass: the numerators are summed over a
+    running common denominator, and an entry whose denominator does not
+    divide it multiplies the numerators summed so far by the factor that
+    makes it their lcm.  That factor is at least 2, so a call rescales at
+    most log2(final denominator) times.  The sum is reduced once.  A
+    lone (w, p) is p scaled.  Products and derivation entries run the
+    one product loop; with ``max_weight`` they form only the monomial
+    pairs of total weight p + q at most it, so their terms above it are
+    never formed, while the other entries are summed whole."""
     if len(entries) == 1 and len(entries[0]) == 2:
         w, p = entries[0]
         return p._scaled(w, div)
-    dens = []
-    meets = []  # the (slot, image) pairs of each derivation entry, in order
-    for e in entries:
-        d = e[1].den
-        if len(e) == 3:
-            x = e[2]
-            if type(x) is GradedPoly:
-                d *= x.den
-            elif type(x) is not int and x is not FLIP:  # a derivation
-                pairs = _meeting(e[1], x)
-                meets.append(pairs)
-                d *= lcm(*[img.den for _, img in pairs])
-        dens.append(d)
-    den = lcm(*dens)
+    den = 1
     out: Dict[int, int] = {}
     get = out.get
     products = False
-    odd_low = chart.odd_low
-    next_meet = iter(meets).__next__
-    for entry, d in zip(entries, dens):
-        w = entry[0] * (den // d)
+    for entry in entries:
         p = entry[1]
-        if len(entry) == 3:
+        d = p.den
+        if len(entry) == 2:
+            x = None
+        else:
             x = entry[2]
-            if type(x) is int:
-                for _, rows in p._partial_rows(x):
-                    for k, _, _, v in rows:
-                        out[k] = get(k, 0) + v * w
-                continue
-            if x is FLIP:
-                for k, v in p.nums.items():
-                    out[k] = get(k, 0) + (
-                        -v * w if (k & odd_low).bit_count() & 1 else v * w)
-                continue
-            if type(x) is not GradedPoly:  # a derivation
-                scale = d // p.den  # the lcm of the images' denominators
-                for slot, img in next_meet():
-                    _products_into(out, w * (scale // img.den), img._layout(),
-                                   p._partial_rows(slot), max_weight)
-                products = True
-                continue
+            if type(x) is GradedPoly:
+                d *= x.den
+            elif type(x) is not int and x is not FLIP:
+                x = _meeting(p, x)  # a derivation: its (slot, image) pairs
+                scale = lcm(*[img.den for _, img in x])
+                d *= scale
+        if den % d:
+            r = d // gcd(den, d)
+            den *= r
+            for k, v in out.items():
+                out[k] = v * r
+        w = entry[0] * (den // d)
+        if type(x) is GradedPoly:
             if len(x.nums) == 1 and 0 in x.nums:  # a constant factor
                 w *= x.nums[0]
             elif len(p.nums) == 1 and 0 in p.nums:
@@ -604,6 +571,23 @@ def combine(chart: Chart, entries, div: int = 1,
                 continue
             if max_weight is not None:
                 p = p.up_to_weight(max_weight)
+        elif x is not None:
+            if type(x) is int:
+                for _, rows in p._partial_rows(x):
+                    for k, _, _, v in rows:
+                        out[k] = get(k, 0) + v * w
+            elif x is FLIP:
+                odd_low = chart.odd_low
+                for k, v in p.nums.items():
+                    out[k] = get(k, 0) + (
+                        -v * w if (k & odd_low).bit_count() & 1 else v * w)
+            else:  # the pairs of a derivation
+                for slot, img in x:
+                    _products_into(out, w * (scale // img.den),
+                                   img._layout(), p._partial_rows(slot),
+                                   max_weight)
+                products = True
+            continue
         for k, v in p.nums.items():
             out[k] = get(k, 0) + v * w
     if products:

@@ -267,19 +267,29 @@ def fraction_partial(f, slot):
     return GradedPoly(f.chart, out)
 
 
+def fraction_sum(chart, polys):
+    """The sum of ``polys`` by one Fraction accumulation per monomial of
+    their ``terms`` views, with no ``GradedPoly`` arithmetic (whose
+    ``+`` is a ``combine`` call)."""
+    out = {}
+    for p in polys:
+        for m, c in p.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+    return GradedPoly(chart, out)
+
+
 def fraction_derive(f, images, max_weight=None):
     """sum_s images[s] . partial_s(f) from the two oracles above, summed
-    one slot at a time."""
-    out = GradedPoly.zero(f.chart)
-    for slot, img in images.items():
-        out = out + fraction_mul(img, fraction_partial(f, slot), max_weight)
-    return out
+    by ``fraction_sum``."""
+    return fraction_sum(f.chart, [
+        fraction_mul(img, fraction_partial(f, slot), max_weight)
+        for slot, img in images.items()])
 
 
 def brute_force_derivative(chart, f, slot, direction="left"):
     """Left derivative recomputed by expanding every monomial into an
     explicit generator word and cancelling against the leading letter."""
-    out = GradedPoly.zero(chart)
+    out = []
     for m, c in f.terms.items():
         word = []
         for s, e in enumerate(m):
@@ -296,8 +306,8 @@ def brute_force_derivative(chart, f, slot, direction="left"):
             mono = [0] * (3 * chart.n)
             for r in rest:
                 mono[r] += 1
-            out = out + GradedPoly(chart, {tuple(mono): c * sign})
-    return out
+            out.append(GradedPoly(chart, {tuple(mono): c * sign}))
+    return fraction_sum(chart, out)
 
 
 def derivation_apply(f, images, parity):

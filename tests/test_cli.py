@@ -179,6 +179,9 @@ def test_exit_codes(tmp_path, capsys):
             ("[coordinates]\nx 0\nt 1\n" + trunc
              + "[christoffel]\n1 1 1 x\n2 2 2 x\n1 1 2 x\n", 11),
             (coords + trunc + "[christoffel]\n2 1 1 x2\n1 1 1 1\n", 9),
+            # a mixed-degree entry
+            ("[coordinates]\nx 0\nt 1\n" + trunc
+             + "[christoffel]\n1 1 1 x + t\n", 9),
             (coords + trunc + "[christoffel]\n1 1 1 1\n2 1 2 x1\n"
              "1 2 1 x2\n1 2 1 -x2\n", 10)):
         bad.write_text(text)

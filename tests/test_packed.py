@@ -3,10 +3,10 @@
 Keys are checked against exponent tuples on every conftest chart, at
 field values up to the 32767 bound and past it.  ``combine`` is checked
 against the term-by-term sum of its entries, each built as its own
-polynomial by the Fraction oracles and added with ``+``, with and
-without a cap on its products and derivations, on the charts with odd
-and negative-degree coordinates.  Examples are drawn by
-Hypothesis with ``derandomize=True`` and no example database.
+polynomial by the Fraction oracles and summed by ``fraction_sum``, with
+and without a cap on its products and derivations, on the charts with
+odd and negative-degree coordinates.  Examples are drawn by Hypothesis
+with ``derandomize=True`` and no example database.
 """
 
 from fractions import Fraction
@@ -23,7 +23,7 @@ from jetexp.poly import (FLIP, GradedPoly, TruncationOverflowError, combine,
 
 from conftest import CHART_DEFS, build_chart
 from oracles import (filter_terms, fraction_derive, fraction_mul,
-                     fraction_partial, monomial_parity)
+                     fraction_partial, fraction_sum, monomial_parity)
 from test_poly_properties import PROPERTY
 
 CHARTS = {name: build_chart(name)[0] for name in sorted(CHART_DEFS)}
@@ -129,7 +129,7 @@ def term_by_term(chart, entry, max_weight=None):
     x = entry[2]
     if x is FLIP:
         even = filter_terms(p, lambda m: not monomial_parity(chart, m))
-        return (even - (p - even)) * w
+        return fraction_sum(chart, [even * 2, -p]) * w
     if isinstance(x, int):
         return fraction_partial(p, x) * w
     if isinstance(x, dict):
@@ -145,7 +145,6 @@ def test_combine_matches_term_by_term_sum(name, data):
     table = data.draw(entries(chart))
     div = data.draw(st.integers(1, 6))
     cap = data.draw(st.one_of(st.none(), st.integers(-1, 8)))
-    want = GradedPoly.zero(chart)
-    for entry in table:
-        want = want + term_by_term(chart, entry, cap)
+    want = fraction_sum(chart, [term_by_term(chart, entry, cap)
+                                for entry in table])
     assert combine(chart, table, div, cap) == want * Fraction(1, div)

@@ -7,7 +7,8 @@ unless ``ALLOWED`` names it with its reason; an allowlisted name that no
 longer exists, or that is now reached, fails too, so the list cannot go
 stale.  A second check reads each module with ``ast`` and fails on a
 name it imports and never reads, and a third on any function but
-``poly.combine`` that reads the product loop ``poly._products_into``.
+``poly.combine`` that reads the product loop ``poly._products_into`` or
+the partial rows ``poly._partial_rows``.
 """
 
 import ast
@@ -42,6 +43,7 @@ ALLOWED = {
     "enveloping:_IndexedSum.from_word": VALUE_API,
     "enveloping:_IndexedSum.function": VALUE_API,
     "enveloping:_IndexedSum.homogeneous_components": VALUE_API,
+    "enveloping:_IndexedSum.__neg__": VALUE_API,
     "enveloping:DiffOp.identity": VALUE_API,
     "geometry:Connection.flat": VALUE_API,
     "geometry:Connection.__eq__": VALUE_API,
@@ -56,7 +58,6 @@ ALLOWED = {
     "geometry:VectorField.degree": VALUE_API,
     "poly:GradedPoly.__pow__": VALUE_API,
     "poly:GradedPoly.__rmul__": VALUE_API,
-    "poly:GradedPoly.homogeneous_components": VALUE_API,
     "perturbation:perturb_contraction.new_d_big":
         "checked on the toy complex by tests/test_perturbation.py",
     "perturbation:perturb_contraction.new_d_small":
@@ -151,9 +152,13 @@ def test_every_src_import_is_read():
     assert unread == []
 
 
+KERNEL_LOOPS = ("_products_into", "_partial_rows")
+
+
 def test_product_loop_has_one_caller():
-    # every product and derivation enters the kernel's loop through
-    # combine: no other function, nor module-level code, reads its name
+    # every product, derivation and partial enters the kernel's loops
+    # through combine: no other function, nor module-level code, reads
+    # their names
     readers = set()
 
     def visit(node, module, owner, prefix):
@@ -164,9 +169,9 @@ def test_product_loop_has_one_caller():
             elif isinstance(child, ast.ClassDef):
                 visit(child, module, owner, prefix + child.name + ".")
             else:
-                if (getattr(child, "id", None) == "_products_into"
+                if (getattr(child, "id", None) in KERNEL_LOOPS
                         or isinstance(child, ast.Attribute)
-                        and child.attr == "_products_into"):
+                        and child.attr in KERNEL_LOOPS):
                     readers.add("%s:%s" % (module, owner))
                 visit(child, module, owner, prefix)
 
