@@ -2,7 +2,8 @@
 polynomial arithmetic, the jet-level exponential map between symmetric
 tensors and differential operators, the induced flat structure on
 form-valued fiber polynomials, and a generic homological perturbation
-engine — all over exact rationals.
+engine — all over exact rationals; a connection is read off its
+Christoffel rows, and tensors and operators are their symbols.
 
 Importing the package loads the chart, polynomial, geometry and operator
 modules.  ``PbwContext`` and ``FedosovData`` load their modules (``pbw``;
@@ -10,14 +11,14 @@ modules.  ``PbwContext`` and ``FedosovData`` load their modules (``pbw``;
 a process that never uses them never compiles them.
 """
 
-from .chart import Chart, Truncation, koszul_sign
+from .chart import Chart, Truncation
 from .poly import GradedPoly
-from .geometry import Connection, VectorField
+from .geometry import Connection
 from .enveloping import DiffOp, SymTensor
 
 __all__ = [
-    "Chart", "Truncation", "koszul_sign", "GradedPoly", "Connection",
-    "VectorField", "DiffOp", "SymTensor", "PbwContext", "FedosovData",
+    "Chart", "Truncation", "GradedPoly", "Connection", "DiffOp",
+    "SymTensor", "PbwContext", "FedosovData",
 ]
 
 __version__ = "0.1.0"

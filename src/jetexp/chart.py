@@ -161,35 +161,6 @@ def same_chart(*objs) -> Chart:
     return chart
 
 
-def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
-    """Sign relating a reordered graded symmetric word to the sorted one.
-
-    ``permutation`` lists, position by position, which original element
-    (0-based) sits there; ``degrees`` are the degrees of the original
-    elements.  The sign is -1 to the number of inversions between odd
-    elements, i.e. the sign making
-
-        X_{p(0)} (.) X_{p(1)} (.) ... = sign * X_0 (.) X_1 (.) ...
-
-    hold in the graded symmetric algebra.
-    """
-    perm = list(permutation)
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("not a permutation of 0..%d: %r"
-                         % (len(perm) - 1, permutation))
-    if len(degrees) != len(perm):
-        raise ValueError("degrees list length must match permutation size")
-    par = [int(d) & 1 for d in degrees]
-    inv = 0
-    for s in range(len(perm)):
-        if not par[perm[s]]:
-            continue
-        for t in range(s + 1, len(perm)):
-            if par[perm[t]] and perm[s] > perm[t]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 # ---------------------------------------------------------------------------
 # Multi-index utilities (tuples over N_0^n)
 

@@ -22,9 +22,9 @@ Christoffel degree constraints are validated on load, as is graded
 symmetry when the torsion-free flag is set; a failure names the line of
 the least failing triple's entry.  Q >= 1, P >= 2 and B >= 1 are at
 most ``chart.FIELD_MAX``, the largest exponent a packed monomial holds.
-A coordinate name (or a derived fiber or form name), a truncation key
-or the flag given twice is an error at its second line, and the flag
-reads only true/false, yes/no or 1/0.
+A coordinate name must be a ``grammar.NAME``.  A name (a derived fiber
+or form name too), a truncation key or the flag given twice is an error
+at its second line, and the flag reads only true/false, yes/no or 1/0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Tuple
 
 from .chart import FIELD_MAX, Chart, Truncation, derived_names
 from .geometry import ChristoffelError, Connection
-from .grammar import ExprSyntaxError, parse_poly
+from .grammar import NAME, ExprSyntaxError, parse_poly
 from .poly import TruncationOverflowError
 
 
@@ -69,6 +69,9 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
         if section == "coordinates":
             if len(fields) != 2:
                 raise ChartFileError("expected 'name degree'", line_no)
+            if not NAME.fullmatch(fields[0]):  # no expression could name it
+                raise ChartFileError("bad coordinate name %r" % fields[0],
+                                     line_no)
             new = (fields[0],) + derived_names(fields[0])
             if not names.isdisjoint(new):  # a repeat, or a derived name
                 raise ChartFileError("coordinate %r repeats a generator "

@@ -179,14 +179,6 @@ class _IndexedSum:
     def function(cls, chart: Chart, f: GradedPoly):
         return cls(chart, {(0,) * chart.n: f})
 
-    @classmethod
-    def from_vector_field(cls, field):
-        """Weight-one sum of anything with ``chart`` and a per-coordinate
-        ``components`` tuple of base functions."""
-        chart = field.chart
-        return cls(chart, {tuple(int(s == i) for s in range(chart.n)): comp
-                           for i, comp in enumerate(field.components)})
-
     def symbol(self) -> GradedPoly:
         return self._sigma
 

@@ -1,13 +1,14 @@
-"""Vector fields, graded affine connections, and a connection extended
-to symmetric tensors.
+"""Graded affine connections, and a connection extended to symmetric
+tensors.
 
 A connection is specified by its Christoffel table on the chart: the
 covariant derivative of the j-th coordinate derivation along the i-th is
-the vector field with components Gamma[i, j, k].  A connection has
-operator degree 0, which forces each nonzero Gamma^k_{ij} to be
-homogeneous of degree |x_k| - |x_i| - |x_j|; that constraint is checked
-at construction, as is graded symmetry when the torsion-free flag is
-set (silent violations would poison everything built downstream).
+sum_k Gamma[i, j, k] d_k, the row ``rows[i, j]`` of nonzero (k, Gamma)
+that every route reads.  A connection has operator degree 0, which
+forces each nonzero Gamma^k_{ij} to be homogeneous of degree
+|x_k| - |x_i| - |x_j|; that constraint is checked at construction, as is
+graded symmetry when the torsion-free flag is set (silent violations
+would poison everything built downstream).
 
 On interior products: pairing the i-th coordinate derivation with its
 own degree-(1+|x_i|) form generator is degree -(1+|x_i|), so the
@@ -24,98 +25,6 @@ from .chart import FIELD_MASK, Chart, same_chart
 from .enveloping import (SymTensor, fiber_parts, letter_sign, symbol_sign,
                          word_symbol)
 from .poly import FLIP, GradedPoly, combine
-
-
-class VectorField:
-    """Derivation sum(components[i] * d/dx_i) with base-function
-    coefficients on the left."""
-
-    __slots__ = ("chart", "components")
-
-    def __init__(self, chart: Chart, components):
-        components = tuple(components)
-        if len(components) != chart.n:
-            raise ValueError("need one component per coordinate")
-        for c in components:
-            if c.chart != chart:
-                raise ValueError("chart mismatch in component")
-            if not c.is_base_only():
-                raise ValueError("vector field components must be base "
-                                 "functions")
-        self.chart = chart
-        self.components = components
-
-    @classmethod
-    def coordinate(cls, chart: Chart, i: int) -> "VectorField":
-        one = GradedPoly.constant(chart, 1)
-        zero = GradedPoly.zero(chart)
-        return cls(chart, [one if s == i else zero for s in range(chart.n)])
-
-    @classmethod
-    def zero(cls, chart: Chart) -> "VectorField":
-        z = GradedPoly.zero(chart)
-        return cls(chart, [z] * chart.n)
-
-    def __bool__(self):
-        return any(self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return (self.chart == other.chart
-                and self.components == other.components)
-
-    def __add__(self, other):
-        same_chart(self, other)
-        return VectorField(self.chart, [
-            a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return VectorField(self.chart, [-c for c in self.components])
-
-    def scale(self, factor) -> "VectorField":
-        if isinstance(factor, GradedPoly):
-            return VectorField(self.chart,
-                               [factor * c for c in self.components])
-        return VectorField(self.chart,
-                           [c * factor for c in self.components])
-
-    def apply(self, f: GradedPoly) -> GradedPoly:
-        """The derivation applied to a polynomial."""
-        if f.chart != self.chart:
-            raise ValueError("chart mismatch")
-        return f.derive(dict(enumerate(self.components)))
-
-    def homogeneous_components(self) -> Dict[int, "VectorField"]:
-        chart = self.chart
-        buckets: Dict[int, list] = {}
-        for i, comp in enumerate(self.components):
-            for d, part in comp.homogeneous_components().items():
-                deg = d - chart.coordinate_degree(i)
-                bucket = buckets.setdefault(
-                    deg, [GradedPoly.zero(chart)] * chart.n)
-                bucket[i] = bucket[i] + part
-        return {d: VectorField(chart, comps)
-                for d, comps in sorted(buckets.items())}
-
-    def degree(self) -> int:
-        comps = self.homogeneous_components()
-        if not comps:
-            from .poly import DegreeUndefinedError
-            raise DegreeUndefinedError("zero vector field has no degree")
-        if len(comps) > 1:
-            from .poly import NotHomogeneousError
-            raise NotHomogeneousError(set(comps))
-        return next(iter(comps))
-
-    def __repr__(self):
-        from .grammar import format_poly
-        parts = ["(%s)*d_%s" % (format_poly(c), self.chart.coords[i].name)
-                 for i, c in enumerate(self.components) if c]
-        return "VectorField(%s)" % (" + ".join(parts) or "0")
 
 
 class ChristoffelError(ValueError):
@@ -190,16 +99,6 @@ class Connection:
                     "not graded-symmetric at (%d,%d,%d)"
                     % (i + 1, j + 1, k + 1), (i, j, k))
 
-    def entry(self, i: int, j: int, k: int) -> GradedPoly:
-        return self.gamma.get((i, j, k), GradedPoly.zero(self.chart))
-
-    def christoffel_field(self, i: int, j: int) -> VectorField:
-        """Covariant derivative of the j-th coordinate derivation along
-        the i-th."""
-        chart = self.chart
-        return VectorField(chart, [self.entry(i, j, k)
-                                   for k in range(chart.n)])
-
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
@@ -249,9 +148,9 @@ def coordinate_replacement(conn: Connection, direction: int,
         for mult, gam, j in replacement_terms(conn, direction, word)]))
 
 
-def nabla_sym(conn: Connection, x: VectorField,
-              tensor: SymTensor) -> SymTensor:
-    """The connection extended as a derivation of the symmetric product.
+def nabla_sym(conn: Connection, x, tensor: SymTensor) -> SymTensor:
+    """The connection extended as a derivation of the symmetric product,
+    along a vector field ``x`` given by its base-function ``components``.
 
     By the Leibniz rule over ``coordinate_replacement``: with X = sum_i
     X_i d_i,
@@ -260,13 +159,13 @@ def nabla_sym(conn: Connection, x: VectorField,
 
     Base functions commute gradedly, so the signed c X_i is X_i times c
     under a parity flip when x_i is odd; X(c) w has symbol X(c) sigma(w),
-    so the first terms are X applied to the whole symbol.  The words w
-    and their coefficients c are the fiber parts of the symbol, and all
-    terms are one ``combine``.
+    so the first terms are X applied to the whole symbol (a ``derive``).
+    The words w and their coefficients c are the fiber parts of the
+    symbol, and all terms are one ``combine``.
     """
     chart = same_chart(conn, x, tensor)
     sigma = tensor.symbol()
-    entries = [(sigma.den, x.apply(sigma))]
+    entries = [(sigma.den, sigma.derive(dict(enumerate(x.components))))]
     for word, nums in fiber_parts(sigma).items():
         coeff = GradedPoly._of(chart, nums)
         flipped = combine(chart, [(1, coeff, FLIP)])

@@ -8,7 +8,8 @@ Grammar (whitespace insignificant):
     coeff    :=  integer | integer '/' integer
     gen      :=  NAME | 'd[' NAME ']' | 's[' NAME ']'
 
-NAME is a chart generator (coordinate, fiber or form name); ``d[c]`` is
+NAME is a chart generator (coordinate, fiber or form name), letters,
+digits and underscores not led by a digit, then any primes; ``d[c]`` is
 the derivation of coordinate c (operator factor), ``s[c]`` its symmetric
 counterpart.  Every factor is built as a symbol (``enveloping`` module
 docstring): a constant, a generator, or the symbol of a bracket word.
@@ -48,12 +49,14 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*'*")  # primes as square_chart's
+
 _TOKEN = re.compile(r"""\s*(?:
     (?P<int>\d+)
-  | (?P<word>[A-Za-z_][A-Za-z_0-9]*\[[A-Za-z_][A-Za-z_0-9]*\])
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<word>{0}\[{0}\])
+  | (?P<name>{0})
   | (?P<op>[-+*/^])
-)""", re.VERBOSE)
+)""".format(NAME.pattern), re.VERBOSE)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:

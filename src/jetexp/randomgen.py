@@ -42,15 +42,10 @@ def random_monomial(rng: random.Random, chart: Chart, max_base: int,
         cap = 1 if chart.gen_parities[slot] else budgets[slot]
         exps.append(rng.randrange(cap + 1) if cap > 0 else 0)
     # respect block budgets for even generators too
-    while sum(exps[:n]) > max_base:
-        hot = [s for s in range(n) if exps[s]]
-        exps[rng.choice(hot)] -= 1
-    while sum(exps[n:2 * n]) > max_fiber:
-        hot = [s for s in range(n, 2 * n) if exps[s]]
-        exps[rng.choice(hot)] -= 1
-    while sum(exps[2 * n:]) > max_form:
-        hot = [s for s in range(2 * n, 3 * n) if exps[s]]
-        exps[rng.choice(hot)] -= 1
+    for start, budget in ((0, max_base), (n, max_fiber), (2 * n, max_form)):
+        while sum(exps[start:start + n]) > budget:
+            hot = [s for s in range(start, start + n) if exps[s]]
+            exps[rng.choice(hot)] -= 1
     return tuple(exps)
 
 

@@ -56,7 +56,7 @@ import random
 from functools import cached_property
 from typing import Callable, List
 
-from .chart import Chart, koszul_sign
+from .chart import FIELD_MASK, Chart
 from .enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
                          fiber_parts, fiber_sum_powers, square_words,
                          symbol_sign, to_square, word_symbol)
@@ -209,11 +209,39 @@ def suite_coalgebra(session: _Session, seed: int) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _word(chart: Chart, letters) -> GradedPoly:
-    """Symbol of the word of a letter list.  The suites draw descending
-    letters with no odd letter repeated, as ``random_word`` does (and so
-    is every sublist), so the product d_{l_1} o d_{l_2} o ... of
-    constant coordinate derivations is this word, with no sign."""
-    return word_symbol(chart, sum([chart.unit[chart.n + s] for s in letters]))
+    """Symbol of the word of a letter list, by the checked constructor
+    ``DiffOp.from_word``.  The suites draw descending letters with no
+    odd letter repeated, as ``random_word`` does, so the product
+    d_{l_1} o d_{l_2} o ... of constant coordinate derivations is this
+    word, with no sign."""
+    index = [letters.count(s) for s in range(chart.n)]
+    return DiffOp.from_word(chart, index).symbol()
+
+
+def _pair_counts(chart: Chart, word: int) -> dict:
+    """Letter pair (a, b), a >= b, of the descending ``word`` -> the
+    signed number of its position pairs: m_a m_b, or m_a (m_a - 1)/2
+    when a = b, each moved to the end of the word with the Koszul sign
+    (-1)^(p_a (o_a - p_b) + p_b o_b), p_s the parity of d_s and o_s the
+    number of odd letters below slot s, counted off the key's
+    ``odd_low`` bits.  The rule is the check's own, not ``letter_sign``,
+    so that the check stays independent of the map."""
+    n, odd = chart.n, word & chart.odd_low
+    letters = []  # (slot, multiplicity, parity, odd letters below)
+    for s in range(n):
+        shift = chart.shifts[n + s]
+        mult = word >> shift & FIELD_MASK
+        if mult:
+            letters.append((s, mult, odd >> shift & 1,
+                            (odd & (1 << shift) - 1).bit_count()))
+    counts = {}
+    for i, (a, m_a, p_a, o_a) in enumerate(letters):
+        for b, m_b, p_b, o_b in letters[:i + 1]:
+            pairs = m_a * (m_a - 1) // 2 if a == b else m_a * m_b
+            if pairs:
+                crossings = p_a * (o_a - p_b) + p_b * o_b
+                counts[a, b] = -pairs if crossings & 1 else pairs
+    return counts
 
 
 def _leading_two_term(session: _Session, letters, invert: bool):
@@ -227,35 +255,27 @@ def _leading_two_term(session: _Session, letters, invert: bool):
     The contraction of positions j < k depends on the positions only
     through its Koszul sign (moving letters j and k to the end): the
     field, the rest word and the term are those of the letter pair
-    (letters[j], letters[k]).  So the signs are summed per distinct
-    pair first, and each pair's term is built once, scaled by its sum;
-    a pair whose signs cancel builds nothing.  The map and its inverse
-    are the session's memos."""
-    chart = session.chart
-    conn = session.conn
+    (a, b).  So each distinct pair's term is built once and scaled by
+    its signed count (``_pair_counts``).  The field is the pair's
+    Christoffel row, with symbol sum_k Gamma^k_ab y_k, one ``combine``,
+    appended as the last factor.  The map and its inverse are the
+    session's memos."""
+    chart, rows = session.chart, session.conn.rows
+    fiber = chart.unit[chart.n:2 * chart.n]
     length = len(letters)
-    degrees = [-chart.coordinate_degree(s) for s in letters]
     product = DiffOp.from_symbol(_word(chart, letters))
     word = SymTensor.from_symbol(product.symbol())
-    signs = {}
-    for j in range(length):
-        for k in range(j + 1, length):
-            perm = [p for p in range(length) if p not in (j, k)] + [j, k]
-            pair = letters[j], letters[k]
-            signs[pair] = signs.get(pair, 0) + koszul_sign(perm, degrees)
+    key = sum([fiber[s] for s in letters])
     kind = SymTensor if invert else DiffOp
     correction = kind.zero(chart)
-    for (a, b), eps in signs.items():
-        nabla = conn.christoffel_field(a, b) if eps else None
-        if not nabla:
+    for (a, b), count in _pair_counts(chart, key).items():
+        if (a, b) not in rows:
             continue
-        rest = list(letters)
-        rest.remove(a)
-        rest.remove(b)
-        head = kind.from_symbol(_word(chart, rest))
-        tail = kind.from_vector_field(nabla)  # appended as the last factor
+        head = kind.from_symbol(word_symbol(chart, key - fiber[a] - fiber[b]))
+        tail = kind.from_symbol(combine(chart, [
+            (1, word_symbol(chart, fiber[k], gam)) for k, gam in rows[a, b]]))
         term = head * tail if invert else head.compose(tail)
-        correction = correction + term.scale(eps)
+        correction = correction + term.scale(count)
     if invert:
         residual = session.inv(product) - word - correction
         return residual.weight_le(length - 2) == residual

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Each function recomputes a quantity by a deliberately different route
-than the library (bubble sort instead of inversion counting, explicit
+than the library (bubble sort instead of counting odd letters off
+packed bits, explicit
 shuffle interleave instead of the factorial diagonal rule, exact matrix
 inversion instead of series summation, a plain fixed-point iteration of
 full products instead of the weight-layered correction solve, the
@@ -44,8 +45,10 @@ expectations in the tests do not share code with the implementation
 they check.
 
 It also holds the references the package computes without: the
-component-wise calculus of vector fields (graded bracket, covariant
-derivative, torsion, curvature), the duality pairing of tensors with
+component-wise calculus of vector fields (``VectorField``, a
+connection's entries and Christoffel fields, the weight-one tensor or
+operator of a field, graded bracket, covariant derivative, torsion,
+curvature), the duality pairing of tensors with
 fiber polynomials, the symmetric product of a vector field and a
 tensor, and seeded vector fields and torsion-free connections.  The
 bracket is the graded commutator of derivations, the torsion is
@@ -63,15 +66,126 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import List
+from typing import Dict, List
 
-from jetexp.chart import (FIELD_BITS, FIELD_MASK, Chart,
-                          koszul_sign,  # also re-exported for tests
-                          mi_factorial, same_chart)
+from jetexp.chart import (FIELD_BITS, FIELD_MASK, Chart, mi_factorial,
+                          same_chart)
 from jetexp.enveloping import SymTensor, fiber_parts, symbol_sign
-from jetexp.geometry import Connection, VectorField
+from jetexp.geometry import Connection
 from jetexp.poly import GradedPoly, combine, pack_monomial, unpack_monomial
 from jetexp.randomgen import _in_sixths, _sixths, random_base_poly
+
+
+class VectorField:
+    """Derivation sum(components[i] * d/dx_i) with base-function
+    coefficients on the left."""
+
+    __slots__ = ("chart", "components")
+
+    def __init__(self, chart: Chart, components):
+        components = tuple(components)
+        if len(components) != chart.n:
+            raise ValueError("need one component per coordinate")
+        for c in components:
+            if c.chart != chart:
+                raise ValueError("chart mismatch in component")
+            if not c.is_base_only():
+                raise ValueError("vector field components must be base "
+                                 "functions")
+        self.chart = chart
+        self.components = components
+
+    @classmethod
+    def coordinate(cls, chart: Chart, i: int) -> "VectorField":
+        one = GradedPoly.constant(chart, 1)
+        zero = GradedPoly.zero(chart)
+        return cls(chart, [one if s == i else zero for s in range(chart.n)])
+
+    @classmethod
+    def zero(cls, chart: Chart) -> "VectorField":
+        z = GradedPoly.zero(chart)
+        return cls(chart, [z] * chart.n)
+
+    def __bool__(self):
+        return any(self.components)
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return (self.chart == other.chart
+                and self.components == other.components)
+
+    def __add__(self, other):
+        same_chart(self, other)
+        return VectorField(self.chart, [
+            a + b for a, b in zip(self.components, other.components)])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return VectorField(self.chart, [-c for c in self.components])
+
+    def scale(self, factor) -> "VectorField":
+        if isinstance(factor, GradedPoly):
+            return VectorField(self.chart,
+                               [factor * c for c in self.components])
+        return VectorField(self.chart,
+                           [c * factor for c in self.components])
+
+    def apply(self, f: GradedPoly) -> GradedPoly:
+        """The derivation applied to a polynomial."""
+        if f.chart != self.chart:
+            raise ValueError("chart mismatch")
+        return f.derive(dict(enumerate(self.components)))
+
+    def homogeneous_components(self) -> Dict[int, "VectorField"]:
+        chart = self.chart
+        buckets: Dict[int, list] = {}
+        for i, comp in enumerate(self.components):
+            for d, part in comp.homogeneous_components().items():
+                deg = d - chart.coordinate_degree(i)
+                bucket = buckets.setdefault(
+                    deg, [GradedPoly.zero(chart)] * chart.n)
+                bucket[i] = bucket[i] + part
+        return {d: VectorField(chart, comps)
+                for d, comps in sorted(buckets.items())}
+
+    def degree(self) -> int:
+        comps = self.homogeneous_components()
+        if not comps:
+            from jetexp.poly import DegreeUndefinedError
+            raise DegreeUndefinedError("zero vector field has no degree")
+        if len(comps) > 1:
+            from jetexp.poly import NotHomogeneousError
+            raise NotHomogeneousError(set(comps))
+        return next(iter(comps))
+
+    def __repr__(self):
+        from jetexp.grammar import format_poly
+        parts = ["(%s)*d_%s" % (format_poly(c), self.chart.coords[i].name)
+                 for i, c in enumerate(self.components) if c]
+        return "VectorField(%s)" % (" + ".join(parts) or "0")
+
+
+def entry(conn: Connection, i: int, j: int, k: int) -> GradedPoly:
+    return conn.gamma.get((i, j, k), GradedPoly.zero(conn.chart))
+
+
+def christoffel_field(conn: Connection, i: int, j: int) -> VectorField:
+    """Covariant derivative of the j-th coordinate derivation along
+    the i-th."""
+    chart = conn.chart
+    return VectorField(chart, [entry(conn, i, j, k)
+                               for k in range(chart.n)])
+
+
+def from_vector_field(cls, field):
+    """Weight-one sum of anything with ``chart`` and a per-coordinate
+    ``components`` tuple of base functions."""
+    chart = field.chart
+    return cls(chart, {tuple(int(s == i) for s in range(chart.n)): comp
+                       for i, comp in enumerate(field.components)})
 
 
 def word_letters(index):
@@ -433,8 +547,8 @@ def per_position_nabla_sym(conn, x, tensor):
                     for i in range(chart.n):
                         xi = xh.components[i]
                         if xi:
-                            repl = repl + conn.christoffel_field(
-                                i, slot).scale(xi)
+                            repl = repl + christoffel_field(
+                                conn, i, slot).scale(xi)
                     rest = list(letters)
                     del rest[pos]
                     for k in range(chart.n):
@@ -605,10 +719,10 @@ def sym_word(fields):
         raise ValueError("empty word")
     chart = same_chart(*fields)
     degrees = [f.degree() for f in fields]
-    ops = [DiffOp.from_vector_field(f) for f in fields]
+    ops = [from_vector_field(DiffOp, f) for f in fields]
     out = DiffOp.zero(chart)
     for perm in itertools.permutations(range(len(fields))):
-        sign = koszul_sign(list(perm), degrees)
+        sign = bubble_koszul_sign(list(perm), degrees)
         term = DiffOp.identity(chart)
         for pos in perm:
             term = term.compose(ops[pos])
@@ -687,7 +801,7 @@ def tensor_square_left_mult_vf(field, square):
     from jetexp.enveloping import DiffOp
 
     chart = field.chart
-    xop = DiffOp.from_vector_field(field)
+    xop = from_vector_field(DiffOp, field)
     out = {}
     for (left_index, right_index), coeff in square_table(chart,
                                                          square).items():
@@ -716,7 +830,7 @@ def dual_connection_images(conn: Connection) -> List[List[GradedPoly]]:
         for k in range(chart.n):
             acc = GradedPoly.zero(chart)
             for l in range(chart.n):
-                gam = conn.entry(i, l, k)
+                gam = entry(conn, i, l, k)
                 if not gam:
                     continue
                 exp = chart.coordinate_parity(l) * \
@@ -999,7 +1113,7 @@ def lightning_nabla(ctx, field, tensor):
         raise TruncationOverflowError(
             "transported derivative of weight-%d tensor exceeds context "
             "cap %d" % (tensor.weight(), ctx.max_weight))
-    xop = DiffOp.from_vector_field(field)
+    xop = from_vector_field(DiffOp, field)
     return ctx.inv(xop.compose(ctx.map(tensor)))
 
 
@@ -1110,7 +1224,7 @@ def cov_deriv(conn: Connection, x: VectorField, y: VectorField) -> VectorField:
                     if not xi:
                         continue
                     for k in range(chart.n):
-                        gam = conn.entry(i, j, k)
+                        gam = entry(conn, i, j, k)
                         if not gam:
                             continue
                         val = gpart * xi * gam
@@ -1151,7 +1265,7 @@ def curvature(conn: Connection, x: VectorField, y: VectorField,
 
 def sym_mul_vf(field, tensor: SymTensor) -> SymTensor:
     """Symmetric product (vector field) (.) tensor, field on the left."""
-    return SymTensor.from_vector_field(field) * tensor
+    return from_vector_field(SymTensor, field) * tensor
 
 
 def pairing(tensor: SymTensor, sigma: GradedPoly) -> GradedPoly:

@@ -12,7 +12,7 @@ from jetexp.chart import Chart, Truncation, mi_all_up_to
 from jetexp.enveloping import DiffOp, SymTensor
 from jetexp.fedosov import (FedosovData, delta_inv_op, delta_op, dnabla_form,
                             project_weight, sigma_aug, tau_pbw)
-from jetexp.geometry import Connection, VectorField
+from jetexp.geometry import Connection
 from jetexp.grammar import parse_poly
 from jetexp.pbw import PbwContext, xi_form
 from jetexp.perturbation import ContractionData, check_contraction, \
@@ -23,9 +23,9 @@ from jetexp.randomgen import (random_base_poly, random_section,
 from jetexp.verify import _Session, flat_contraction, morphism_sides
 
 from conftest import CHART_DEFS
-from oracles import (curvature, derivation_apply, dual_connection_images,
-                     dual_curvature_action, filter_terms, lightning_nabla,
-                     pairing, sym_mul_vf)
+from oracles import (VectorField, curvature, derivation_apply,
+                     dual_connection_images, dual_curvature_action,
+                     filter_terms, lightning_nabla, pairing, sym_mul_vf)
 
 WEIGHT = 5  # the truncation every criterion is pinned at
 

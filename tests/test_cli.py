@@ -183,7 +183,12 @@ def test_exit_codes(tmp_path, capsys):
             ("[coordinates]\nx 0\nt 1\n" + trunc
              + "[christoffel]\n1 1 1 x + t\n", 9),
             (coords + trunc + "[christoffel]\n1 1 1 1\n2 1 2 x1\n"
-             "1 2 1 x2\n1 2 1 -x2\n", 10)):
+             "1 2 1 x2\n1 2 1 -x2\n", 10),
+            # a coordinate name that no expression can name
+            ("[coordinates]\nx 0\nx^2 0\n" + trunc
+             + "[christoffel]\n1 1 2 x^2\n", 3),
+            ("[coordinates]\na-b 0\n" + trunc, 2),
+            ("[coordinates]\nx 0\n1x 0\n" + trunc, 3)):
         bad.write_text(text)
         capsys.readouterr()
         assert run("fedosov", "--chart", str(bad)) == (2, "")

@@ -8,19 +8,20 @@ from jetexp.chart import Chart, Truncation, mi_all_up_to, mi_factorial
 from jetexp.enveloping import (DiffOp, SymTensor, comult_env, comult_sym,
                                letter_sign, square_chart, square_words,
                                symbol_sign, to_square, word_key)
-from jetexp.geometry import VectorField
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_symtensor
 
 from hypothesis import given, strategies as st
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (bubble_koszul_sign, degree_split_mul_letter_left,
-                     degree_split_tensor_push_left, mi_weight, pairing,
-                     parity_parts, per_letter_compose, per_split_comult,
-                     random_vector_field, shuffle_pairing, square_from_table,
-                     square_table, sym_mul_vf, sym_word, sym_word_product,
-                     tensor_square_left_mult_vf, word_letters)
+from oracles import (VectorField, bubble_koszul_sign,
+                     degree_split_mul_letter_left,
+                     degree_split_tensor_push_left, from_vector_field,
+                     mi_weight, pairing, parity_parts, per_letter_compose,
+                     per_split_comult, random_vector_field, shuffle_pairing,
+                     square_from_table, square_table, sym_mul_vf, sym_word,
+                     sym_word_product, tensor_square_left_mult_vf,
+                     word_letters)
 from test_operator_properties import base_polys, indexed, words
 from test_poly_properties import PROPERTY
 
@@ -287,7 +288,7 @@ def test_comult_multiplicative_on_vector_fields(mixed, rng):
                            random_base_poly(rng, mixed, 2, 2),
                            (rng.randrange(3), 0):
                            random_base_poly(rng, mixed, 2, 2)})
-        lhs = comult_env(DiffOp.from_vector_field(x).compose(u))
+        lhs = comult_env(from_vector_field(DiffOp, x).compose(u))
         rhs = tensor_square_left_mult_vf(x, comult_env(u))
         assert lhs == rhs
 

@@ -15,13 +15,13 @@ from jetexp.fedosov import (FedosovData, FlatStructureError, _less_delta,
                             dnabla_form, dnabla_images, iota_incl,
                             project_weight, sigma_aug, tau_pbw, vvf_action,
                             vvf_records)
-from jetexp.geometry import Connection, VectorField
+from jetexp.geometry import Connection
 from jetexp.pbw import PbwContext
 from jetexp.poly import GradedPoly, monomial_pq
 from jetexp.randomgen import random_base_poly, random_section
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (curvature, derivation_apply, dnabla_table,
+from oracles import (VectorField, curvature, derivation_apply, dnabla_table,
                      dual_connection_images, dual_curvature_action,
                      filter_terms, fixed_point_correction, geodesic_spray_tau,
                      pairing, random_torsion_free_connection,

@@ -2,15 +2,15 @@ import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to
 from jetexp.enveloping import SymTensor, word_key
-from jetexp.geometry import (Connection, VectorField, coordinate_replacement,
-                             nabla_sym)
+from jetexp.geometry import Connection, coordinate_replacement, nabla_sym
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_symtensor
 
 from conftest import TORSION_FREE_CHARTS
-from oracles import (cov_deriv, curvature, lie_bracket, per_position_nabla_sym,
-                     random_homogeneous_vf, random_torsion_free_connection,
-                     random_vector_field, sym_mul_vf, torsion)
+from oracles import (VectorField, cov_deriv, curvature, lie_bracket,
+                     per_position_nabla_sym, random_homogeneous_vf,
+                     random_torsion_free_connection, random_vector_field,
+                     sym_mul_vf, torsion)
 
 
 @pytest.fixture

@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from jetexp.chart import Chart, Truncation, koszul_sign, mi_all_up_to
+from jetexp.chart import Chart, Truncation, mi_all_up_to
 from jetexp.enveloping import (DiffOp, SymTensor, TruncationOverflowError,
                                comult_sym)
 from jetexp.fedosov import delta_op
-from jetexp.geometry import Connection, VectorField, nabla_sym
+from jetexp.geometry import Connection, nabla_sym
 from jetexp.pbw import PbwContext, xi_form
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import (random_base_poly, random_section,
                               random_symtensor, random_word)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import (compose_word_image, cov_deriv, filter_terms,
+from oracles import (VectorField, bubble_koszul_sign, compose_word_image,
+                     cov_deriv, filter_terms, from_vector_field,
                      lightning_nabla, mi_weight, pairing, per_letter_compose,
                      per_letter_word_image, random_torsion_free_connection,
                      square_table, sym_mul_vf, theta_form, xi_form_by_theta)
@@ -28,14 +29,14 @@ def europe_recursion(ctx, fields):
     if m == 0:
         return DiffOp.identity(chart)
     if m == 1:
-        return DiffOp.from_vector_field(fields[0])
+        return from_vector_field(DiffOp, fields[0])
     degrees = [f.degree() for f in fields]
     acc = DiffOp.zero(chart)
     for k in range(m):
         eps = -1 if (degrees[k] & 1) and \
             (sum(d & 1 for d in degrees[:k]) & 1) else 1
         rest = fields[:k] + fields[k + 1:]
-        left = per_letter_compose(DiffOp.from_vector_field(fields[k]),
+        left = per_letter_compose(from_vector_field(DiffOp, fields[k]),
                                   europe_recursion(ctx, rest))
         word = SymTensor.function(chart, GradedPoly.constant(chart, 1))
         for f in reversed(rest):
@@ -357,7 +358,7 @@ def test_theta_cyclic_sum_vanishes(charts, contexts, rng):
             total = SymTensor.zero(chart)
             for k, slot in enumerate(letters):
                 perm = [k] + [p for p in range(len(letters)) if p != k]
-                eps = koszul_sign(perm, degrees)
+                eps = bubble_koszul_sign(perm, degrees)
                 rest = letters[:k] + letters[k + 1:]
                 index = [0] * chart.n
                 for s in rest:

@@ -30,32 +30,20 @@ ALLOWED = {
     "chart:Chart.__repr__": "repr",
     "enveloping:_IndexedSum.__repr__": "repr",
     "geometry:Connection.__repr__": "repr",
-    "geometry:VectorField.__repr__": "repr",
     "poly:GradedPoly.__repr__": "repr",
     "poly:NotHomogeneousError.__init__": "exception constructor",
     "enveloping:DiffOp.apply": TRACER,
     "fedosov:dnabla_form": TRACER,
     "geometry:nabla_sym": TRACER,
     "geometry:coordinate_replacement": TRACER + " (called by nabla_sym)",
-    "geometry:VectorField.apply": TRACER + " (called by nabla_sym)",
     "enveloping:_IndexedSum.terms": TRACER + " (the terms view)",
     "poly:GradedPoly.terms": TRACER + " (the terms view)",
-    "enveloping:_IndexedSum.from_word": VALUE_API,
     "enveloping:_IndexedSum.function": VALUE_API,
     "enveloping:_IndexedSum.homogeneous_components": VALUE_API,
     "enveloping:_IndexedSum.__neg__": VALUE_API,
     "enveloping:DiffOp.identity": VALUE_API,
     "geometry:Connection.flat": VALUE_API,
     "geometry:Connection.__eq__": VALUE_API,
-    "geometry:VectorField.coordinate": VALUE_API,
-    "geometry:VectorField.zero": VALUE_API,
-    "geometry:VectorField.__eq__": VALUE_API,
-    "geometry:VectorField.__add__": VALUE_API,
-    "geometry:VectorField.__sub__": VALUE_API,
-    "geometry:VectorField.__neg__": VALUE_API,
-    "geometry:VectorField.scale": VALUE_API,
-    "geometry:VectorField.homogeneous_components": VALUE_API,
-    "geometry:VectorField.degree": VALUE_API,
     "poly:GradedPoly.__pow__": VALUE_API,
     "poly:GradedPoly.__rmul__": VALUE_API,
     "perturbation:perturb_contraction.new_d_big":

@@ -18,10 +18,11 @@ from jetexp.perturbation import ContractionData, PerturbedContraction
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_word
 from jetexp.verify import (SUITE_NAMES, _columns, _leading_two_term,
-                           _Session, _word, run_suite)
+                           _pair_counts, _Session, _word, run_suite)
 
 from conftest import TORSION_FREE_CHARTS, build_chart
-from oracles import per_letter_compose
+from oracles import (bubble_koszul_sign, per_letter_compose,
+                     random_torsion_free_connection)
 from test_poly_properties import PROPERTY
 
 
@@ -426,20 +427,71 @@ def test_two_term_checks_fail_on_a_doubled_christoffel_field(monkeypatch,
                                                              name):
     # negative control: the correction's covariant derivatives doubled
     # must break both two-term expansions, while the checks that never
-    # read christoffel_field still pass
-    real = Connection.christoffel_field
-
-    def doubled(conn, i, j):
-        field = real(conn, i, j)
-        return field + field
-    monkeypatch.setattr(Connection, "christoffel_field", doubled)
+    # read the Christoffel rows still pass: the checks read the doubled
+    # rows, and the session's context keeps the real connection
     chart, conn = build_chart(name)
+    doubled = Connection(chart, {key: gam + gam
+                                 for key, gam in conn.gamma.items()})
+    monkeypatch.setattr(
+        jetexp.verify, "PbwContext",
+        lambda chart, _, max_weight: PbwContext(chart, conn,
+                                                max_weight=max_weight))
     statuses = {r.name: r.status
-                for r in run_suite("symbols", chart, conn, seed=0)}
+                for r in run_suite("symbols", chart, doubled, seed=0)}
     assert statuses == {"symbol-of-map-is-identity": "PASS",
                         "two-term-leading-expansion": "FAIL",
                         "two-term-leading-expansion-inverse": "FAIL",
                         "map-inverse-roundtrip": "PASS"}
+
+
+def bubble_pair_counts(chart, letters):
+    """Letter pair -> the bubble-sort Koszul signs of moving each of its
+    position pairs j < k to the end of the descending word, summed."""
+    degrees = [-chart.coordinate_degree(s) for s in letters]
+    counts = {}
+    for j in range(len(letters)):
+        for k in range(j + 1, len(letters)):
+            perm = [p for p in range(len(letters)) if p not in (j, k)]
+            pair = letters[j], letters[k]
+            counts[pair] = counts.get(pair, 0) + bubble_koszul_sign(
+                perm + [j, k], degrees)
+    return {pair: count for pair, count in counts.items() if count}
+
+
+def test_pair_counts_match_bubble_sort_signs():
+    # random descending words over random graded charts, odd and negative
+    # degrees included, against the sign summed per position pair
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        chart = Chart([("c%d" % i, rng.randrange(-2, 3)) for i in range(n)],
+                      Truncation(8, 3, 6))
+        for _ in range(10):
+            letters = random_word(rng, chart, rng.randrange(0, 8))
+            word = sum([chart.unit[n + s] for s in letters])
+            assert _pair_counts(chart, word) == bubble_pair_counts(
+                chart, letters), (chart, letters)
+
+
+def test_two_term_checks_fail_with_unsigned_pair_counts(monkeypatch):
+    # negative control: the pair counts without their signs pass on
+    # every conftest and shipped chart at verify seeds 0 and 1, but not
+    # on a chart with odd letters on both sides of an even one
+    chart = Chart([("a0", -1), ("a1", 0), ("a2", 1)], Truncation(4, 4, 6))
+    conn = random_torsion_free_connection(random.Random(0), chart)
+    real = jetexp.verify._pair_counts
+    two_term = ("two-term-leading-expansion",
+                "two-term-leading-expansion-inverse")
+    for seed in (0, 1):
+        statuses = {r.name: r.status
+                    for r in run_suite("symbols", chart, conn, seed=seed)}
+        assert [statuses[name] for name in two_term] == ["PASS", "PASS"]
+    monkeypatch.setattr(jetexp.verify, "_pair_counts", lambda chart, word: {
+        pair: abs(count) for pair, count in real(chart, word).items()})
+    for seed in (0, 1):
+        statuses = {r.name: r.status
+                    for r in run_suite("symbols", chart, conn, seed=seed)}
+        assert [statuses[name] for name in two_term] == ["FAIL", "FAIL"]
 
 
 def test_inverse_two_term_expansion_composes_no_operators(monkeypatch):
