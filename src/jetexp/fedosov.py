@@ -144,16 +144,15 @@ def dnabla_form(conn: Connection, f: GradedPoly) -> GradedPoly:
     return f.derive(dnabla_images(conn))
 
 
-def vvf_action(components: Sequence[GradedPoly], f: GradedPoly,
-               max_weight: int = None) -> GradedPoly:
+def vvf_action(components: Sequence[GradedPoly], f: GradedPoly
+               ) -> GradedPoly:
     """Action of a vector-valued form (tuple of coefficient polynomials,
-    one per fiber generator) as the derivation sum_k comp_k . d/dy_k,
-    with products cut off at ``max_weight`` when given."""
+    one per fiber generator) as the derivation sum_k comp_k . d/dy_k."""
     if not components:
         raise ValueError("empty component tuple")
     chart = components[0].chart
     return f.derive({chart.y_slot(k): comp
-                     for k, comp in enumerate(components)}, max_weight)
+                     for k, comp in enumerate(components)})
 
 
 def vvf_records(components: Sequence[GradedPoly]):
@@ -182,8 +181,11 @@ def vvf_records(components: Sequence[GradedPoly]):
 # the flat structure
 
 class FlatStructureError(RuntimeError):
-    """The weight recursion failed to stabilize (should never happen for a
-    valid torsion-free connection)."""
+    """The correction solve failed: the connection has torsion
+    (delta(dnabla y_k) != 0, checked before any layer), the confirming
+    pass did not reproduce the layers, or the result is not
+    raising-normalized, of fiber weight >= 2 and of the right degree.
+    For a torsion-free connection only a fault of the solve raises it."""
 
 
 class FedosovData:
@@ -266,71 +268,53 @@ def _solve_correction(conn: Connection, weight: int,
     The square of the candidate flat operator is a fiberwise derivation
     vanishing on base and form generators, so flatness reduces to its
     vanishing on fiber generators; peeling the lowering map off that
-    equation with the homotopy identity gives the fixed-point form
+    equation with the homotopy identity gives, with b_k = dnabla y_k + a_k,
+    the fixed-point form
 
-        a_k = raise( (dnabla)^2 y_k - delta(dnabla y_k)
-                     + action(a, dnabla y_k + a_k) + dnabla a_k )
+        a_k = raise( -delta(dnabla y_k) + (dnabla + action(a)) b_k )
 
-    in the quotient at weight + 1.  The dual differential raises p + q by
-    one, dnabla y_k has weight 2 and the action of a weight-u layer on a
-    weight-v one has weight u + v - 1, while the raising map keeps p + q.
-    The seed (dnabla - delta) dnabla y_k is -delta(dnabla y_k) at weight 2
-    and dnabla(dnabla y_k) at weight 3.  So the layer of a at weight w is
+    in the quotient at weight + 1.  A connection is torsion-free exactly
+    when delta(dnabla y_k) = 0 for every k; that is checked once, first,
+    and the term is dropped.  The dual differential raises p + q by one,
+    the action of a weight-u layer on a weight-v one has weight
+    u + v - 1, and the raising map keeps p + q.  So with the layers
+    b_2 = dnabla y (the table ``images`` of dnabla, ``dnabla_images(conn)``,
+    itself) and b_w = a_w for w >= 3, the layer of a at weight w >= 3 is
     the raising map of
 
-        seed_w + dnabla a_{w-1} + action(a_{w-1}, dnabla y_k)
-               + sum_{u+v=w+1} action(a_u, a_v[k]),
+        dnabla b_{w-1}[k] + sum_{u+v=w+1, u>=3} action(a_u)(b_v[k]),
 
     whose products involve only layers below w.  A layer is kept as its
     action table {y_k: k-th component}, and the right-hand side of each
-    component is one ``combine``: the seed layer and one derivation entry
-    per dnabla or action term, over one denominator, then one raising
-    map.  ``images`` is the generator table of dnabla,
-    ``dnabla_images(conn)``.
+    component is one ``combine`` of those derivation entries over one
+    denominator, then one raising map.
 
     One confirming pass of the whole fixed-point map must then reproduce
-    the result.  With b_k = dnabla y_k + a_k, its right-hand side is
-    -delta(dnabla y_k) + (dnabla + action(a)) b_k, and dnabla + action(a)
-    is the table of dnabla with each y_k sent to b_k; so each component
-    is one ``combine`` with products cut off at weight + 1, projected
-    there after the raising map.  The normalization, fiber-weight and
-    degree checks follow; fiber weight is read off the fiber fields of
-    the packed keys.
+    the result.  dnabla + action(a) is the table of dnabla with each y_k
+    sent to b_k, so each component is one ``derive`` of b_k by that table
+    with products cut off at weight + 1, projected there after the
+    raising map.  The normalization, fiber-weight and degree checks
+    follow; fiber weight is read off the fiber fields of the packed keys.
     """
     chart = conn.chart
     ys = [chart.y_slot(k) for k in range(chart.n)]
     top = weight + 1
-    d_y = [images[y] for y in ys]
-    lowered = [delta_op(dy) for dy in d_y]  # the seed's weight-2 part
-    layers: Dict[int, Dict[int, GradedPoly]] = {}  # w -> action table
-    for w in range(2, top + 1):
-        below = layers.get(w - 1)
-        new = {}
-        for k, y in enumerate(ys):
-            if w == 2:
-                entries = [(-1, lowered[k])]
-            elif w == 3:  # the seed's weight-3 part
-                entries = [(1, d_y[k], images)]
-            else:
-                entries = []
-            if below is not None:
-                entries += [(1, below[y], images), (1, d_y[k], below)]
-            for u, a_u in layers.items():
-                a_v = layers.get(w + 1 - u)
-                if a_v is not None:
-                    entries.append((1, a_v[y], a_u))
-            new[y] = delta_inv_op(combine(chart, entries))
-        if any(new.values()):
-            layers[w] = new
-    comps = tuple(combine(chart, [(1, layer[y]) for layer in layers.values()])
+    if any(delta_op(images[y]) for y in ys):
+        raise FlatStructureError("connection has torsion: "
+                                 "delta(dnabla y_k) != 0")
+    b: Dict[int, Dict[int, GradedPoly]] = {2: images}  # w -> action table
+    for w in range(3, top + 1):  # dnabla b_{w-1} + action(a_u)(b_v)
+        b[w] = {y: delta_inv_op(combine(chart, [(1, b[w - 1][y], images)]
+                                        + [(1, b[w + 1 - u][y], b[u])
+                                           for u in range(3, w)]))
+                for y in ys}
+    comps = tuple(combine(chart, [(1, b[w][y]) for w in range(3, top + 1)])
                   for y in ys)
     table = dict(images)  # dnabla + action(a): y_k -> b_k
     for k, y in enumerate(ys):
-        table[y] = d_y[k] + comps[k]
-    confirm = tuple(
-        project_weight(delta_inv_op(combine(chart, [
-            (-1, lowered[k]), (1, table[y], table)], max_weight=top)), top)
-        for k, y in enumerate(ys))
+        table[y] = images[y] + comps[k]
+    confirm = tuple(project_weight(delta_inv_op(table[y].derive(table, top)),
+                                   top) for y in ys)
     if confirm != comps:
         raise FlatStructureError("correction recursion did not stabilize")
     # fiber weight < 2: the fiber fields hold nothing or one unit

@@ -57,7 +57,8 @@ from typing import Dict
 
 from .chart import FIELD_MASK, Chart, mi_all_up_to, mi_factorial, same_chart
 from .enveloping import (DiffOp, SymTensor, TruncationOverflowError,
-                         fiber_parts, letter_sign, symbol_sign, word_key)
+                         _check_index, fiber_parts, letter_sign, symbol_sign,
+                         word_key)
 from .geometry import Connection, replacement_terms
 from .poly import GradedPoly, combine
 
@@ -89,7 +90,9 @@ class PbwContext:
 
     # -- basis words ---------------------------------------------------------
     def word_image(self, index) -> DiffOp:
-        """Image of the descending basis word of ``index``."""
+        """Image of the descending basis word of ``index``; ValueError,
+        as in ``DiffOp.from_word``, when ``index`` names no basis word."""
+        _check_index(self.chart, index)
         return DiffOp.from_symbol(self._symbol(word_key(self.chart, index)))
 
     def _symbol(self, word: int) -> GradedPoly:

@@ -362,10 +362,10 @@ def test_confirming_pass_rejects_a_bad_layer(monkeypatch):
 
 
 def test_solve_forms_no_sum_chain_and_no_action_call(monkeypatch):
-    # each layer component is one combine and one raising map: on every
-    # shipped torsion-free chart the solve adds with + only for the n
-    # b_k = dnabla y_k + a_k of the confirming pass, and never calls
-    # vvf_action
+    # each layer component of b = dnabla y + a is one combine and one
+    # raising map: on every shipped torsion-free chart the solve adds
+    # with + only for the n b_k = dnabla y_k + a_k of the confirming
+    # pass, and never calls vvf_action
     import jetexp.fedosov as fedosov
     plus = []
 
@@ -424,6 +424,35 @@ def test_solve_rejects_a_layer_with_one_product_pair_dropped(monkeypatch):
     with pytest.raises(FlatStructureError, match="did not stabilize"):
         _solve_correction(conn, 4, dnabla_images(conn))
     assert dropped
+
+
+def test_torsion_free_connections_pass_the_solve_torsion_check():
+    # the check the solve makes first, delta(dnabla y_k) = 0 for every k,
+    # holds on the nine conftest charts and on seeded random torsion-free
+    # connections over coordinate degrees -2..2, n = 1..4
+    conns = [build_chart(name)[1] for name in TORSION_FREE_CHARTS]
+    assert len(conns) == 9
+    rng = random.Random(34)
+    for n in range(1, 5):
+        for _ in range(12):
+            chart = Chart([("x%d" % (i + 1), rng.randint(-2, 2))
+                           for i in range(n)], Truncation(3, 3, 6))
+            conns.append(random_torsion_free_connection(rng, chart))
+    curved = 0
+    for conn in conns:
+        images = dnabla_images(conn)
+        ys = [conn.chart.y_slot(k) for k in range(conn.chart.n)]
+        curved += any(images[y] for y in ys)
+        assert not any(delta_op(images[y]) for y in ys)
+    assert curved >= 30
+
+
+def test_solve_names_torsion_when_the_check_fails():
+    chart, conn = load_chart_file(os.path.join(CHART_DIR,
+                                               "plane_torsion.chart"))
+    with pytest.raises(FlatStructureError, match="connection has torsion"):
+        _solve_correction(conn, chart.truncation.max_sym_weight,
+                          dnabla_images(conn))
 
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS + ("dense3", "dense4",
@@ -540,10 +569,11 @@ def test_flat_operator_table_is_perturbation_less_lowering(name):
 
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
 def test_solve_seed_is_one_derive_over_dnabla_less_lowering(name):
-    # the correction solve's seed, dnabla(dnabla y_k) - delta(dnabla y_k),
-    # as one derive over the table of dnabla - delta; the solve reads its
-    # weight-2 part as -delta(dnabla y_k) and its weight-3 part as
-    # dnabla(dnabla y_k)
+    # the fixed-point map's seed, dnabla(dnabla y_k) - delta(dnabla y_k),
+    # as one derive over the table of dnabla - delta; its weight-2 part
+    # -delta(dnabla y_k) is the solve's torsion check, zero here, and its
+    # weight-3 part dnabla(dnabla y_k) is dnabla b_2, the solve's first
+    # layer before the raising map
     chart, conn = build_chart(name)
     images = dnabla_images(conn)
     lowered = _less_delta(chart, images)

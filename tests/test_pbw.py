@@ -144,6 +144,19 @@ def test_word_images_match_europe_oracle(charts, contexts):
             assert ctx.word_image(index) == europe_recursion(ctx, fields)
 
 
+def test_word_image_refuses_a_repeated_odd_letter():
+    # as DiffOp.from_word does, and before the word reaches the memo
+    chart, conn = build_chart("mixed")
+    ctx = PbwContext(chart, conn, max_weight=4)
+    ctx.word_image((1, 1))
+    before = set(ctx._symbols)
+    with pytest.raises(ValueError, match="odd coordinate derivation"):
+        DiffOp.from_word(chart, (0, 2))
+    with pytest.raises(ValueError, match="odd coordinate derivation"):
+        ctx.word_image((0, 2))
+    assert set(ctx._symbols) == before
+
+
 @pytest.mark.parametrize("name", TORSION_FREE_CHARTS)
 def test_word_images_match_per_letter_oracle(name, charts, contexts):
     # one recursion term per letter against the library's one term per
