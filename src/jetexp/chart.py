@@ -78,7 +78,7 @@ class Chart:
 
     def __init__(self, coordinates: Iterable[Tuple[str, int]],
                  truncation: Truncation = Truncation(5, 3, 6)):
-        coords = tuple(Coordinate(str(n), int(d)) for n, d in coordinates)
+        coords = tuple([Coordinate(str(n), int(d)) for n, d in coordinates])
         if not coords:
             raise ValueError("chart needs at least one coordinate")
         truncation = Truncation(*map(int, truncation))
@@ -91,31 +91,32 @@ class Chart:
         names = [c.name for c in coords]
         derived = [derived_names(n) for n in names]
         all_names = names + [f for f, _ in derived] + [d for _, d in derived]
-        if len(set(all_names)) != len(all_names):
+        self._slot_of = {name: i for i, name in enumerate(all_names)}
+        if len(self._slot_of) != len(all_names):
             raise ValueError("coordinate names collide (directly or through "
                              "derived fiber/form generator names)")
+        n = len(coords)
         self.coords = coords
         self.truncation = truncation
-        self.n = len(coords)
+        self.n = n
         self.gen_names = tuple(all_names)
         degrees = [c.degree for c in coords]
-        self.gen_degrees = tuple(degrees + degrees + [d + 1 for d in degrees])
-        self.gen_parities = tuple(d & 1 for d in self.gen_degrees)
-        self.odd_slots = tuple(s for s, p in enumerate(self.gen_parities)
-                               if p)
-        self._slot_of = {name: i for i, name in enumerate(self.gen_names)}
+        self.gen_degrees = gen_degrees = tuple(
+            degrees + degrees + [d + 1 for d in degrees])
+        self.gen_parities = tuple([d & 1 for d in gen_degrees])
+        self.odd_slots = tuple([s for s, d in enumerate(gen_degrees) if d & 1])
         # the packed monomial layout (see the module docstring)
-        self.shifts = tuple(FIELD_BITS * s for s in range(3 * self.n))
-        self.weight_shift = FIELD_BITS * 3 * self.n
+        self.weight_shift = FIELD_BITS * 3 * n
+        self.shifts = shifts = tuple(range(0, self.weight_shift, FIELD_BITS))
         weight_unit = 1 << self.weight_shift
-        self.unit = tuple(1 << sh | (weight_unit if s >= self.n else 0)
-                          for s, sh in enumerate(self.shifts))
-        self.odd_low = sum(1 << self.shifts[s] for s in self.odd_slots)
-        self.guard = sum(1 << sh + FIELD_BITS - 1
-                         for sh in self.shifts + (self.weight_shift,))
-        self.base_mask = (1 << FIELD_BITS * self.n) - 1
-        self.graded_fields = tuple((sh, d) for sh, d in
-                                   zip(self.shifts, self.gen_degrees) if d)
+        self.unit = tuple([1 << sh for sh in shifts[:n]]
+                          + [1 << sh | weight_unit for sh in shifts[n:]])
+        self.odd_low = sum([1 << shifts[s] for s in self.odd_slots])
+        self.guard = sum([1 << sh + FIELD_BITS - 1
+                          for sh in shifts + (self.weight_shift,)])
+        self.base_mask = (1 << FIELD_BITS * n) - 1
+        self.graded_fields = tuple([(sh, d) for sh, d in
+                                    zip(shifts, gen_degrees) if d])
 
     # slot layout: [0, n) base, [n, 2n) fiber, [2n, 3n) form
     def x_slot(self, i: int) -> int:

@@ -56,16 +56,16 @@ def parse_chart_file(text: str) -> Tuple[Chart, Connection]:
     christoffel = []  # (line_no, i, j, k, poly text)
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip().lower()
             if section not in ("coordinates", "truncation", "flags",
                                "christoffel"):
                 raise ChartFileError("unknown section %r" % section, line_no)
             continue
-        fields = [f for f in line.replace("=", " ").split() if f]
+        fields = line.replace("=", " ").split()
         if section == "coordinates":
             if len(fields) != 2:
                 raise ChartFileError("expected 'name degree'", line_no)

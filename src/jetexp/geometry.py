@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 from .chart import FIELD_MASK, Chart, same_chart
 from .enveloping import (SymTensor, fiber_parts, letter_sign, symbol_sign,
                          word_symbol)
-from .poly import FLIP, GradedPoly, combine
+from .poly import FLIP, GradedPoly, _key_degree, combine
 
 
 class ChristoffelError(ValueError):
@@ -41,7 +41,12 @@ class Connection:
 
     ``gamma`` maps (i, j, k) (0-based) to the coefficient polynomial of
     the k-th coordinate derivation in the covariant derivative of the
-    j-th along the i-th; missing entries are zero.
+    j-th along the i-th; missing entries are zero.  Construction reads
+    the stored form of each entry: its degree off each packed key
+    (``poly._key_degree``) and, with ``torsion_free``, its graded
+    symmetry against its mirror by denominator and signed numerators,
+    building no polynomial for either check.  A failure raises
+    ``ChristoffelError`` naming the least failing triple.
     """
 
     __slots__ = ("chart", "gamma", "torsion_free", "rows")
@@ -53,20 +58,22 @@ class Connection:
         table: Dict[Tuple[int, int, int], GradedPoly] = {}
         # (i, j) -> the nonzero (k, Gamma^k_ij), k ascending
         self.rows: Dict[Tuple[int, int], list] = {}
-        for (i, j, k), poly in sorted((gamma or {}).items()):
+        degree = [c.degree for c in chart.coords]
+        for triple, poly in sorted((gamma or {}).items()):
             if not poly:
                 continue
-            if poly.chart != chart:
+            if poly.chart is not chart and poly.chart != chart:
                 raise ValueError("chart mismatch in Christoffel entry")
             if not poly.is_base_only():
                 raise ValueError("Christoffel entries are base functions")
-            want = (chart.coordinate_degree(k) - chart.coordinate_degree(i)
-                    - chart.coordinate_degree(j))
-            if list(poly.homogeneous_components()) != [want]:
-                raise ChristoffelError(
-                    "Christoffel entry (%d,%d,%d) must be homogeneous of "
-                    "degree %d" % (i + 1, j + 1, k + 1, want), (i, j, k))
-            table[(i, j, k)] = poly
+            i, j, k = triple
+            want = degree[k] - degree[i] - degree[j]
+            for key in poly.nums:
+                if _key_degree(chart, key) != want:
+                    raise ChristoffelError(
+                        "Christoffel entry (%d,%d,%d) must be homogeneous "
+                        "of degree %d" % (i + 1, j + 1, k + 1, want), triple)
+            table[triple] = poly
             self.rows.setdefault((i, j), []).append((k, poly))
         self.gamma = table
         self.torsion_free = bool(torsion_free)
@@ -83,17 +90,18 @@ class Connection:
         entry and mirror are both missing cannot fail, so only the
         stored keys are visited, as (min(i, j), max(i, j), k) in
         ascending order: the first failure named is the least failing
-        triple."""
-        chart = self.chart
-        zero = GradedPoly.zero(chart)
+        triple.  Stored entries are nonzero, so a triple whose entry or
+        mirror is missing fails, and otherwise the two are compared by
+        denominator and signed numerators."""
+        odd = [c.degree & 1 for c in self.chart.coords]
         gamma = self.gamma
         for i, j, k in sorted({(min(i, j), max(i, j), k)
                                for i, j, k in gamma}):
-            a = gamma.get((i, j, k), zero)
-            b = gamma.get((j, i, k), zero)
-            if chart.coordinate_parity(i) and chart.coordinate_parity(j):
-                b = -b
-            if a != b:
+            a = gamma.get((i, j, k))
+            b = gamma.get((j, i, k))
+            if (a is None or b is None or a.den != b.den
+                    or a.nums != (b.nums if not odd[i] & odd[j] else
+                                  {key: -v for key, v in b.nums.items()})):
                 raise ChristoffelError(
                     "torsion_free flag set but Christoffel table is "
                     "not graded-symmetric at (%d,%d,%d)"

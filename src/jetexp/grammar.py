@@ -11,15 +11,20 @@ Grammar (whitespace insignificant):
 NAME is a chart generator (coordinate, fiber or form name), letters,
 digits and underscores not led by a digit, then any primes; ``d[c]`` is
 the derivation of coordinate c (operator factor), ``s[c]`` its symmetric
-counterpart.  Every factor is built as a symbol (``enveloping`` module
-docstring): a constant, a generator, or the symbol of a bracket word.
-Factors of a term multiply left to right in the relevant algebra, the
-product of symbols for polynomials and tensors and ``DiffOp.compose``
-for operators, so ``d[x]*x`` parses to x*d[x] + 1; a product already in
+counterpart.  Constants are central in all three algebras, so the
+coefficients of a term, wherever they stand, fold into one fraction:
+its weight in the one ``poly.combine`` that sums the signed terms of
+an expression.  Every other factor is built as a symbol (``enveloping``
+module docstring), a generator or the symbol of a bracket word, and
+these multiply left to right in the relevant algebra, the product of
+symbols for polynomials and tensors and ``DiffOp.compose`` for
+operators, so ``d[x]*x`` parses to x*d[x] + 1; a product already in
 normal order (a function times an operator, an operator times a
-constant-coefficient word) is one product of symbols.  A token's kind
-is the regex alternative that matched it, and the signed terms of an
-expression are summed by one ``poly.combine``.  Printing splits each
+constant-coefficient word) is one product of symbols.  A zero
+coefficient makes its term 0, and the later factors of that term are
+checked but not multiplied.  One pattern splits the text into tokens,
+a token's kind the alternative that matched it (an operator's kind its
+own character), and the parser looks ahead by index.  Printing splits each
 packed key of the symbol into its base part and the rest (the fiber
 part K of a word, or a polynomial's fiber and form monomial) and reads
 each distinct part's fields, factor text and rho(K) once per call.  It
@@ -31,8 +36,7 @@ an equal value: parse(print(f)) == f, bit-exact.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Tuple
 
 from .chart import FIELD_MASK, Chart
@@ -56,23 +60,22 @@ _TOKEN = re.compile(r"""\s*(?:
   | (?P<word>{0}\[{0}\])
   | (?P<name>{0})
   | (?P<op>[-+*/^])
+  | (?P<bad>\S)
 )""".format(NAME.pattern), re.VERBOSE)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, text, position) of each token, where an operator's kind is
+    its own character, closed by ("end", "", len(text))."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExprSyntaxError("unexpected character %r" % text[bad], bad)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup  # the one alternative that matched
-        out.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        tok = m.group(kind)
+        pos = m.start(kind)
+        if kind == "bad":
+            raise ExprSyntaxError("unexpected character %r" % tok, pos)
+        out.append((tok if kind == "op" else kind, tok, pos))
+    out.append(("end", "", len(text)))
     return out
 
 
@@ -84,36 +87,29 @@ class _Parser:
     def __init__(self, chart: Chart, text: str, kind=None,
                  max_order: int = None):
         self.chart = chart
-        self.text = text
         self.kind = kind  # None (a polynomial), DiffOp or SymTensor
         self.max_order = max_order  # operator order cap of a product
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.i]
+        if tok[0] == "end":
+            raise ExprSyntaxError("unexpected end of input", tok[2])
         self.i += 1
         return tok
 
     # -- factor values: symbols ----------------------------------------------
-    def _mul(self, acc: GradedPoly, factor: GradedPoly) -> GradedPoly:
-        """acc * factor, or ``factor`` opening a term (acc None); the
-        operator operands are checked against the order cap first."""
-        if self.kind is not DiffOp:
-            return factor if acc is None else acc * factor
-        operands = (factor,) if acc is None else (acc, factor)
-        order = max(max(f.nums, default=0)
-                    for f in operands) >> self.chart.weight_shift
-        if self.max_order is not None and order > self.max_order:
+    def _check_order(self, *operands):
+        """The operator order cap, checked on the operands of a product
+        before it is formed (None for a scalar, of order 0)."""
+        if self.max_order is None:
+            return
+        order = max([max(f.nums, default=0) for f in operands
+                     if f is not None], default=0) >> self.chart.weight_shift
+        if order > self.max_order:
             raise TruncationOverflowError(
                 "operator order %d exceeds bound %d" % (order, self.max_order))
-        return factor if acc is None else DiffOp.from_symbol(acc).compose(
-            DiffOp.from_symbol(factor)).symbol()
 
     def _generator(self, kind: str, name: str, pos: int, exp: int,
                    epos: int) -> GradedPoly:
@@ -124,8 +120,11 @@ class _Parser:
         chart = self.chart
         if kind == "word":
             head, coord = name[:-1].split("[")
-            names = [c.name for c in chart.coords]
-            if coord not in names:
+            try:
+                idx = chart.slot(coord)
+            except KeyError:
+                idx = chart.n
+            if idx >= chart.n:
                 raise ExprSyntaxError("unknown coordinate %r" % coord, pos)
             if head not in _HEADS:
                 raise ExprSyntaxError("unknown bracket generator %r" % head,
@@ -133,7 +132,6 @@ class _Parser:
             if self.kind is not _HEADS[head][0]:
                 raise ExprSyntaxError("%s[..] only valid in %s expressions"
                                       % (head, _HEADS[head][1]), pos)
-            idx = names.index(coord)
             if exp > 1 and chart.coordinate_parity(idx):
                 return GradedPoly.zero(chart)
             return word_symbol(chart, word_key(
@@ -158,45 +156,95 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
     def parse(self):
-        terms = []  # (sign, term), summed by one combine
+        tokens = self.tokens
+        terms = []  # (signed scalar numerator, its denominator, value)
         sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
+        if tokens[0][0] in ("+", "-"):
+            sign = -1 if tokens[0][0] == "-" else 1
+            self.i = 1
         while True:
-            terms.append((sign, self._term()))
-            tok = self.peek()
-            if tok is None:
+            num, den, value = self._term()
+            terms.append((sign * num, den, value))
+            kind, text, pos = tokens[self.i]
+            if kind == "end":
                 break
-            if tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                sign = -1 if tok[1] == "-" else 1
-                continue
-            raise ExprSyntaxError("expected '+' or '-', got %r" % tok[1],
-                                  tok[2])
-        total = combine(self.chart, terms)
+            if kind not in ("+", "-"):
+                raise ExprSyntaxError("expected '+' or '-', got %r" % text,
+                                      pos)
+            sign = -1 if kind == "-" else 1
+            self.i += 1
+        chart = self.chart
+        div = lcm(*[den for _, den, _ in terms])
+        total = combine(chart, [
+            (num * (div // den),
+             GradedPoly._of(chart, {0: 1}) if value is None else value)
+            for num, den, value in terms], div)
         return self.kind.from_symbol(total) if self.kind else total
 
-    def _term(self) -> GradedPoly:
-        acc = None
+    def _term(self):
+        """(numerator, denominator, value) of the next term: its scalar
+        factors folded into one fraction, and the product of its other
+        factors, left to right, or None when it has none.  A zero scalar
+        makes the term 0, and later factors are only checked."""
+        tokens = self.tokens
+        num = den = 1
+        value = None
         while True:
-            pos = self.peek()[2] if self.peek() else len(self.text)
-            acc = self._mul(acc, self._factor())
-            self._check_base_degree(acc, pos)
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.take()
-                continue
-            return acc
+            kind, text, pos = self.take()
+            if kind == "int":
+                over = 1
+                if tokens[self.i][0] == "/":
+                    self.i += 1
+                    dkind, dtext, dpos = self.take()
+                    if dkind != "int":
+                        raise ExprSyntaxError("expected denominator", dpos)
+                    over = int(dtext)
+                    if not over:
+                        raise ExprSyntaxError("zero denominator", dpos)
+                self._check_order(value if num else None)
+                num *= int(text)
+                den *= over
+            elif kind in ("name", "word"):
+                exp, epos = 1, pos
+                if tokens[self.i][0] == "^":
+                    self.i += 1
+                    ekind, etext, epos = self.take()
+                    if ekind != "int":
+                        raise ExprSyntaxError("expected integer exponent",
+                                              epos)
+                    exp = int(etext)
+                factor = self._generator(kind, text, pos, exp, epos)
+                if num:
+                    self._check_order(value, factor)
+                    if value is not None:
+                        factor = self._mul(value, factor)
+                        self._check_base_degree(factor, pos)
+                    value = factor
+                else:
+                    self._check_order(factor)
+            else:
+                raise ExprSyntaxError("unexpected token %r" % text, pos)
+            if tokens[self.i][0] != "*":
+                return num, den, value
+            self.i += 1
+
+    def _mul(self, left: GradedPoly, right: GradedPoly) -> GradedPoly:
+        """The product of two factor values in the expression's algebra:
+        of symbols, or ``DiffOp.compose`` for operators."""
+        if self.kind is not DiffOp:
+            return left * right
+        return DiffOp.from_symbol(left).compose(
+            DiffOp.from_symbol(right)).symbol()
 
     def _check_base_degree(self, value: GradedPoly, pos: int):
         """A coefficient product past the chart's base-degree bound B is
-        an error at the factor that crossed it.  Each operand of the
-        product was within B <= ``FIELD_MAX``, so a key's base degree,
-        the sum of its base fields, is below ``FIELD_MASK`` and is the
-        value of those fields mod ``FIELD_MASK`` (2^FIELD_BITS is 1 mod
-        it), read off each key directly."""
+        an error at the factor that crossed it; a lone factor is within
+        B already (``_generator`` caps a base exponent by B, and a word
+        has base degree 0).  Each operand of the product was within
+        B <= ``FIELD_MAX``, so a key's base degree, the sum of its base
+        fields, is below ``FIELD_MASK`` and is the value of those fields
+        mod ``FIELD_MASK`` (2^FIELD_BITS is 1 mod it), read off each key
+        directly."""
         base = self.chart.base_mask
         degree = max([(key & base) % FIELD_MASK for key in value.nums],
                      default=0)
@@ -204,32 +252,6 @@ class _Parser:
         if degree > limit:
             raise ExprSyntaxError("base degree %d exceeds chart bound %d"
                                   % (degree, limit), pos)
-
-    def _factor(self) -> GradedPoly:
-        kind, text, pos = self.take()
-        if kind == "int":
-            num = int(text)
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.take()
-                dkind, dtext, dpos = self.take()
-                if dkind != "int":
-                    raise ExprSyntaxError("expected denominator", dpos)
-                if not int(dtext):
-                    raise ExprSyntaxError("zero denominator", dpos)
-                num = Fraction(num, int(dtext))
-            return GradedPoly.constant(self.chart, num)
-        if kind in ("name", "word"):
-            exp, epos = 1, pos
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "^":
-                self.take()
-                ekind, etext, epos = self.take()
-                if ekind != "int":
-                    raise ExprSyntaxError("expected integer exponent", epos)
-                exp = int(etext)
-            return self._generator(kind, text, pos, exp, epos)
-        raise ExprSyntaxError("unexpected token %r" % text, pos)
 
 
 def parse_poly(chart: Chart, text: str) -> GradedPoly:

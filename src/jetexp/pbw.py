@@ -172,13 +172,15 @@ class PbwContext:
         layers = []
         rem = op.symbol()
         while rem:
-            k, layer = max(rem.weight_layers().items())
+            limit = max(rem.nums) >> shift << shift  # the top layer's keys
+            layer = GradedPoly._of(chart, {k: v for k, v in rem.nums.items()
+                                           if k >= limit}, rem.den)
             layers.append((1, layer))
             rem = combine(chart, [(layer.den, rem)] + [
                 (-symbol_sign(chart, word), GradedPoly._of(chart, nums),
                  self._symbol(word))
                 for word, nums in fiber_parts(layer).items()], layer.den)
-            if rem and max(rem.nums) >> shift >= k:
+            if rem and max(rem.nums) >= limit:
                 raise AssertionError("symbol peeling failed to lower order")
         return SymTensor.from_symbol(combine(chart, layers))
 

@@ -17,9 +17,11 @@ convention.
 ``GradedPoly.derive`` is the one derivation rule: a derivation of either
 parity is the table of its generator images, applied as
 sum_s image_s . partial_s (each image of parity |derivation| + |slot|).
-One per-row rule forms partial_s from the operand's product rows; it
-feeds the products of ``combine``'s derivation entries (``derive`` is
-one) directly and sums its partial entries (``partial`` is one).
+One rule, ``_partial_terms``, forms the terms of partial_s from the
+operand's numerators and states the sign once: ``combine`` adds them
+straight into the sum for a partial entry (``partial`` is one), and lays
+them out as the right-hand rows of the products of a derivation entry
+(``derive`` is one).
 A derivation whose images are single generators of fiber or form slots,
 g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off the
 odd-slot bits of each key, in one pass with no product rows.  Such a
@@ -62,9 +64,11 @@ the running one rescales the numerators summed so far to their lcm, by
 a factor of at least 2, so a call rescales at most log2(final
 denominator) times.  Its products and derivations run the product loop,
 with an optional weight cap, and a constant factor is taken as a scalar
-and builds no rows.  ``*`` of two polynomials is one product entry,
-``derive`` one derivation entry, ``partial`` one partial entry and
-``+`` and ``-`` two weighted entries, so each of them enters here.
+and builds no rows.  A weighted, partial or flip entry into the empty
+sum seeds it with one dict build, and only a sum in which terms met is
+swept for zero numerators.  ``*`` of two polynomials is one product
+entry, ``derive`` one derivation entry, ``partial`` one partial entry
+and ``+`` and ``-`` two weighted entries, so each of them enters here.
 
 Values are immutable after construction and all operations are pure, so
 the rows and the hash, the only caches, never go stale and sharing
@@ -309,40 +313,47 @@ class GradedPoly:
         return rows
 
     # -- graded structure ---------------------------------------------------
-    def _partial_rows(self, slot: int) -> list:
-        """The product rows of partial_slot(self) over ``self.den``, read
-        off the operand's own rows: the key lowered by the slot's unit,
-        the odd bit of the slot cleared and the above bits below it
-        flipped, the sign of the odd slots below it, the weight lowered
-        by one for a fiber or form slot, and the numerator times the
-        exponent.  Distinct monomials have distinct derivatives, so
-        nothing accumulates."""
+    def _partial_terms(self, slot: int) -> list:
+        """The terms (key, numerator over ``self.den``) of
+        partial_slot(self), and the one statement of the left
+        derivative's sign rule: a monomial holding the generator to the
+        power e > 0 loses one factor of it, its key lowered by the slot's
+        unit (the weight field with it, for a fiber or form slot), and
+        its numerator is multiplied by e.  An odd generator (e == 1) is
+        pulled out to the front past the odd generators before it, the
+        odd slots below it, at the sign of their parity.  Distinct
+        monomials have distinct derivatives, so nothing accumulates."""
         chart = self.chart
         if not 0 <= slot < 3 * chart.n:
             raise ValueError("generator slot out of range")
-        lower = slot >= chart.n
         sh = chart.shifts[slot]
         unit = chart.unit[slot]
-        bit = chart.odd_low & 1 << sh
-        below = chart.odd_low & bit - 1 if bit else 0
+        odd = chart.odd_low >> sh & 1
+        below = chart.odd_low & (1 << sh) - 1
         out = []
-        for w, rows in self._layout():
-            drows = []
-            for k, mask, above, v in rows:
-                e = k >> sh & FIELD_MASK
-                if not e:
-                    continue
-                if bit:  # an odd slot: e == 1
-                    if (mask & below).bit_count() & 1:
-                        v = -v
-                    mask ^= bit
-                    above ^= below
-                elif e > 1:
-                    v *= e
-                drows.append((k - unit, mask, above, v))
-            if drows:
-                out.append((w - lower, drows))
+        for k, v in self.nums.items():
+            e = k >> sh & FIELD_MASK
+            if not e:
+                continue
+            if odd:
+                if (k & below).bit_count() & 1:
+                    v = -v
+            elif e > 1:
+                v *= e
+            out.append((k - unit, v))
         return out
+
+    def _partial_rows(self, slot: int) -> list:
+        """The product rows of partial_slot(self) over ``self.den``: the
+        terms of ``_partial_terms`` laid out per weight, ascending.  They
+        stand only on the right of a product, which reads no above bits,
+        so they carry 0 there."""
+        chart = self.chart
+        odd_low, shift = chart.odd_low, chart.weight_shift
+        layers: Dict[int, list] = {}
+        for k, v in self._partial_terms(slot):
+            layers.setdefault(k >> shift, []).append((k, k & odd_low, 0, v))
+        return sorted(layers.items())
 
     def partial(self, slot: int) -> "GradedPoly":
         """Left derivative by the generator in ``slot``, the partial
@@ -356,10 +367,10 @@ class GradedPoly:
         with ``max_weight`` forming only the monomial pairs whose weights
         p + q sum to at most it, which is the result projected to that
         weight.  It is the derivation entry of ``combine``: the partials
-        enter the product kernel as rows read off this polynomial's own;
-        none is built as a polynomial, and a slot that no monomial holds
-        (a zero field in the OR of the keys) is skipped without a pass
-        over the rows (``_meeting``)."""
+        enter the product kernel as rows laid out from
+        ``_partial_terms``; none is built as a polynomial, and a slot
+        that no monomial holds (a zero field in the OR of the keys) is
+        skipped without a pass over the numerators (``_meeting``)."""
         return combine(self.chart, [(1, self, images)], max_weight=max_weight)
 
     def exchange(self, pairs: Sequence[Tuple[int, int]],
@@ -499,7 +510,7 @@ def _meeting(p: GradedPoly, images: Mapping[int, GradedPoly]) -> list:
     """The (slot, image) pairs of a derivation table that can act on
     ``p``: a nonzero image (on p's chart) at a slot that some monomial
     of p holds, read off a nonzero field in the OR of p's keys.  A slot
-    off the chart is kept, for ``_partial_rows`` to refuse."""
+    off the chart is kept, for ``_partial_terms`` to refuse."""
     chart = p.chart
     held = reduce(or_, p.nums, 0)
     nslots, shifts = 3 * chart.n, chart.shifts
@@ -528,38 +539,50 @@ def combine(chart: Chart, entries, div: int = 1,
     running common denominator, and an entry whose denominator does not
     divide it multiplies the numerators summed so far by the factor that
     makes it their lcm.  That factor is at least 2, so a call rescales at
-    most log2(final denominator) times.  The sum is reduced once.  A
-    lone (w, p) is p scaled.  Products and derivation entries run the
-    one product loop; with ``max_weight`` they form only the monomial
-    pairs of total weight p + q at most it, so their terms above it are
-    never formed, while the other entries are summed whole."""
+    most log2(final denominator) times.  The first weighted, partial or
+    flip entry into an empty sum seeds it with one dict build, and zero
+    numerators are dropped only when a term met another.  The sum is
+    reduced once.  A lone (w, p) is p scaled.  Products and derivation
+    entries run the one product loop; with ``max_weight`` they form only
+    the monomial pairs of total weight p + q at most it, so their terms
+    above it are never formed, while the other entries are summed
+    whole."""
     if len(entries) == 1 and len(entries[0]) == 2:
         w, p = entries[0]
         return p._scaled(w, div)
     den = 1
     out: Dict[int, int] = {}
-    get = out.get
-    products = False
+    met = products = False  # a term met another; a product was formed
     for entry in entries:
-        p = entry[1]
-        d = p.den
         if len(entry) == 2:
+            w, p = entry
             x = None
+            d = p.den
         else:
-            x = entry[2]
+            w, p, x = entry
+            d = p.den
             if type(x) is GradedPoly:
                 d *= x.den
-            elif type(x) is not int and x is not FLIP:
+            elif x is not FLIP and type(x) is not int:
                 x = _meeting(p, x)  # a derivation: its (slot, image) pairs
                 scale = lcm(*[img.den for _, img in x])
                 d *= scale
         if den % d:
             r = d // gcd(den, d)
             den *= r
-            for k, v in out.items():
-                out[k] = v * r
-        w = entry[0] * (den // d)
-        if type(x) is GradedPoly:
+            if out:
+                out = {k: v * r for k, v in out.items()}
+        if den != d:
+            w *= den // d
+        if x is None:
+            terms = p.nums.items()
+        elif type(x) is int:
+            terms = p._partial_terms(x)
+        elif x is FLIP:
+            odd_low = chart.odd_low
+            terms = [(k, -v if (k & odd_low).bit_count() & 1 else v)
+                     for k, v in p.nums.items()]
+        elif type(x) is GradedPoly:
             if len(x.nums) == 1 and 0 in x.nums:  # a constant factor
                 w *= x.nums[0]
             elif len(p.nums) == 1 and 0 in p.nums:
@@ -567,30 +590,27 @@ def combine(chart: Chart, entries, div: int = 1,
                 p = x
             else:
                 _products_into(out, w, p._layout(), x._layout(), max_weight)
-                products = True
+                met = products = True
                 continue
             if max_weight is not None:
                 p = p.up_to_weight(max_weight)
-        elif x is not None:
-            if type(x) is int:
-                for _, rows in p._partial_rows(x):
-                    for k, _, _, v in rows:
-                        out[k] = get(k, 0) + v * w
-            elif x is FLIP:
-                odd_low = chart.odd_low
-                for k, v in p.nums.items():
-                    out[k] = get(k, 0) + (
-                        -v * w if (k & odd_low).bit_count() & 1 else v * w)
-            else:  # the pairs of a derivation
-                for slot, img in x:
-                    _products_into(out, w * (scale // img.den),
-                                   img._layout(), p._partial_rows(slot),
-                                   max_weight)
-                products = True
+            terms = p.nums.items()
+        else:  # the pairs of a derivation
+            for slot, img in x:
+                _products_into(out, w * (scale // img.den),
+                               img._layout(), p._partial_rows(slot),
+                               max_weight)
+            met = products = True
             continue
-        for k, v in p.nums.items():
-            out[k] = get(k, 0) + v * w
+        if out or not w:
+            met = True
+            get = out.get
+            for k, v in terms:
+                out[k] = get(k, 0) + v * w
+        else:
+            out = dict(terms) if w == 1 else {k: v * w for k, v in terms}
     if products:
         _check_guard(chart, out)
-    return GradedPoly._of(chart, {k: v for k, v in out.items() if v},
-                          den * div)
+    if met and 0 in out.values():
+        out = {k: v for k, v in out.items() if v}
+    return GradedPoly._of(chart, out, den * div)

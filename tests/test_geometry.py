@@ -1,8 +1,10 @@
 import pytest
 
 from jetexp.chart import Chart, Truncation, mi_all_up_to
+from jetexp.chartfile import ChartFileError, parse_chart_file
 from jetexp.enveloping import SymTensor, word_key
-from jetexp.geometry import Connection, coordinate_replacement, nabla_sym
+from jetexp.geometry import (ChristoffelError, Connection,
+                             coordinate_replacement, nabla_sym)
 from jetexp.poly import GradedPoly
 from jetexp.randomgen import random_base_poly, random_symtensor
 
@@ -155,6 +157,49 @@ def test_symmetry_check_names_the_least_failing_triple():
                        match=r"not graded-symmetric at \(2,2,3\)$"):
         Connection(graded, {(0, 1, 1): one, (1, 0, 1): one, (1, 1, 2): one},
                    torsion_free=True)
+
+
+def test_christoffel_errors_name_message_triple_and_line():
+    # the degree and symmetry checks read packed keys and signed
+    # numerators: a wrong-degree entry, a mixed-degree one and a pair
+    # whose mirror differs only in sign where it must not (an even pair)
+    # or is equal where it must differ in sign (an odd-odd pair) each
+    # raise the message and least failing triple of the polynomial
+    # comparison, and a chart file names the line of that triple's entry
+    # (or of its mirror's, when only the mirror is given)
+    chart = Chart([("x", 0), ("t1", 1), ("t2", 1), ("z", 2)],
+                  Truncation(3, 3, 4))
+    x, t1, t2 = (GradedPoly.generator(chart, s) for s in range(3))
+    one = GradedPoly.constant(chart, 1)
+    head = ("[coordinates]\nx 0\nt1 1\nt2 1\nz 2\n\n[truncation]\n"
+            "Q 3\nP 3\nB 4\n\n[christoffel]\n")  # entries from line 13
+    degree = "Christoffel entry (%s) must be homogeneous of degree %d"
+    symmetric = ("torsion_free flag set but Christoffel table is not "
+                 "graded-symmetric at (%s)")
+    for gamma, lines, message, triple, line in (
+            ({(0, 0, 0): t1}, ["1 1 1 t1"], degree % ("1,1,1", 0),
+             (0, 0, 0), 13),
+            ({(0, 0, 1): t1, (0, 0, 2): t2 + x}, ["1 1 2 t1", "1 1 3 t2 + x"],
+             degree % ("1,1,3", 1), (0, 0, 2), 14),
+            ({(0, 3, 3): x, (3, 0, 3): -x}, ["1 4 4 x", "4 1 4 -x"],
+             symmetric % "1,4,4", (0, 3, 3), 13),
+            ({(0, 1, 1): x, (1, 0, 1): -x}, ["2 1 2 -x", "1 2 2 x"],
+             symmetric % "1,2,2", (0, 1, 1), 14),
+            ({(1, 2, 3): one, (2, 1, 3): one}, ["2 3 4 1", "3 2 4 1"],
+             symmetric % "2,3,4", (1, 2, 3), 13),
+            ({(2, 1, 3): one}, ["3 2 4 1"], symmetric % "2,3,4", (1, 2, 3),
+             13),
+            ({(1, 1, 3): 2 * one}, ["2 2 4 2"], symmetric % "2,2,4",
+             (1, 1, 3), 13)):
+        with pytest.raises(ChristoffelError) as err:
+            Connection(chart, gamma)
+        assert (str(err.value), err.value.triple) == (message, triple)
+        with pytest.raises(ChartFileError) as err:
+            parse_chart_file(head + "\n".join(lines) + "\n")
+        assert str(err.value) == "%s (line %d)" % (message, line)
+    # an odd-odd pair is graded-symmetric when its mirror differs in sign
+    Connection(chart, {(1, 2, 3): one, (2, 1, 3): -one})
+    parse_chart_file(head + "2 3 4 1\n3 2 4 -1\n")
 
 
 def test_torsion_free_characterization_both_ways(mixed, rng):

@@ -189,9 +189,10 @@ def test_operator_order_cap_acts_before_the_product(mixed, monkeypatch):
 
 
 def test_operator_terms_start_at_their_first_factor(mixed, monkeypatch):
-    # a term is its first factor, composed with each further one: a
-    # one-factor operator term makes no operator product, and the order
-    # cap still rejects that factor on its own
+    # a term is its first non-scalar factor, composed with each further
+    # one, its coefficients folded into its weight: a one-factor operator
+    # term makes no operator product, and the order cap still rejects
+    # that factor on its own
     calls = []
     real = DiffOp.compose
 
@@ -200,7 +201,7 @@ def test_operator_terms_start_at_their_first_factor(mixed, monkeypatch):
         return real(self, other)
     monkeypatch.setattr(DiffOp, "compose", counted)
     for text, products in (("d[x]", 0), ("-d[t] + 2", 0), ("x*d[x]", 1),
-                           ("d[x]*x - d[t]*d[x]", 2), ("3*x*d[t]", 2)):
+                           ("d[x]*x - d[t]*d[x]", 2), ("3*x*d[t]", 1)):
         calls.clear()
         parse_diffop(mixed, text)
         assert len(calls) == products, text
@@ -209,6 +210,62 @@ def test_operator_terms_start_at_their_first_factor(mixed, monkeypatch):
                        match="operator order 6 exceeds bound 5"):
         parse_diffop(mixed, "d[x]^6", max_order=5)
     assert not calls
+
+
+# signed terms, each a factor list; D and E stand for an even and an odd
+# letter of the algebra (d[x] and d[t], s[x] and s[t], y and y_t)
+FOLD_SHAPES = (
+    [(1, ["2", "x", "3/4", "D", "1/2"])],
+    [(1, ["D", "2", "x"])],
+    [(1, ["0", "x"]), (1, ["D"])],
+    [(1, ["1/2", "1/3"])],
+    [(1, ["x", "0", "D"])],
+    [(-1, ["3", "t", "E", "2/5", "x"]), (-1, ["E", "t", "1/2"])],
+    [(1, ["t", "1/2", "t"]), (1, ["5/3", "x^2", "D^2", "x"])],
+    [(1, ["E", "0", "E"]), (-1, ["7"]), (1, ["x", "E"])],
+)
+FOLD_ALGEBRAS = {  # name -> (parse, letters D and E, its kind or None)
+    "operator": (parse_diffop, ("d[x]", "d[t]"), DiffOp),
+    "tensor": (parse_symtensor, ("s[x]", "s[t]"), SymTensor),
+    "polynomial": (parse_poly, ("y", "y_t"), None),
+}
+
+
+def _factor_value(chart, kind, factor):
+    """One factor of a shape as a value, with no folding: a constant, a
+    generator power, or a one-letter word."""
+    name, _, exp = factor.partition("^")
+    exp = int(exp or 1)
+    if "[" in name:
+        return kind.from_word(chart, tuple(exp if c.name == name[2:-1]
+                                           else 0 for c in chart.coords))
+    value = GradedPoly.constant(chart, Fraction(name)) \
+        if name[0].isdigit() else \
+        GradedPoly.generator(chart, chart.slot(name)) ** exp
+    return value if kind is None else kind.function(chart, value)
+
+
+@pytest.mark.parametrize("algebra", sorted(FOLD_ALGEBRAS))
+def test_coefficients_fold_into_the_term_weight(mixed, algebra):
+    # coefficients before, between and after the other factors, zero ones
+    # too, give the factor-by-factor product built with * (compose for
+    # operators), as if each were multiplied in where it stands
+    parse, (even, odd), kind = FOLD_ALGEBRAS[algebra]
+    for shape in FOLD_SHAPES:
+        text = ""
+        want = GradedPoly.zero(mixed) if kind is None else kind.zero(mixed)
+        for sign, factors in shape:
+            factors = [f.replace("D", even).replace("E", odd)
+                       for f in factors]
+            text += ("-" if sign < 0 else "+" if text else "") + \
+                "*".join(factors)
+            values = [_factor_value(mixed, kind, f) for f in factors]
+            product = values[0]
+            for value in values[1:]:
+                product = product.compose(value) if kind is DiffOp \
+                    else product * value
+            want = want + product if sign > 0 else want - product
+        assert parse(mixed, text) == want, text
 
 
 def test_text_layer_reads_no_word_view(monkeypatch):

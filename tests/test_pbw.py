@@ -111,6 +111,24 @@ def test_roundtrip_on_all_basis_words(name, charts, contexts):
         assert ctx.map(ctx.inv(op)) == op
 
 
+def test_inverse_reads_each_top_layer_off_the_keys(charts, contexts, rng,
+                                                  monkeypatch):
+    # inv peels the top weight layer of the remainder by its keys; it
+    # splits no polynomial into weight layers
+    pairs = []
+    for name in TORSION_FREE_CHARTS:
+        chart, _ = charts[name]
+        for _ in range(4):
+            t = random_symtensor(rng, chart, chart.truncation.max_sym_weight)
+            pairs.append((contexts[name], t, contexts[name].map(t)))
+
+    def refuse(self):
+        raise AssertionError("weight_layers called")
+    monkeypatch.setattr(GradedPoly, "weight_layers", refuse)
+    for ctx, tensor, op in pairs:
+        assert ctx.inv(op) == tensor
+
+
 def test_left_linearity_over_base_functions(charts, contexts, rng):
     for name in ("mixed", "two_odd"):
         chart, conn = charts[name]

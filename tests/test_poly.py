@@ -276,6 +276,32 @@ def test_derive_builds_no_partial_polynomial(charts, rng, monkeypatch):
                 assert f.derive(table) == fraction_derive(f, table)
 
 
+def test_partial_entries_build_no_rows(charts, rng, monkeypatch):
+    # partial and combine's partial entries add their terms straight from
+    # the numerators: they lay out no product rows, and agree with the
+    # Fraction oracle and with derive on the image 1, which lays the same
+    # terms out as rows
+    def refuse(self, slot):
+        raise AssertionError("a partial entry built product rows")
+    for name in sorted(CHART_DEFS):
+        chart, _ = charts[name]
+        one = GradedPoly.constant(chart, 1)
+        fs = [_random_poly(rng, chart, rng.randint(1, 8), 4)
+              for _ in range(3)]
+        slots = range(3 * chart.n)
+        derived = {(i, s): f.derive({s: one})
+                   for i, f in enumerate(fs) for s in slots}
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedPoly, "_partial_rows", refuse)
+            for (i, s), want in derived.items():
+                f, g = fs[i], fs[i - 1]
+                t = rng.choice(slots)
+                assert f.partial(s) == want == fraction_partial(f, s)
+                got = combine(chart, [(3, f, s), (1, g), (-2, g, t)], 5)
+                assert got == (3 * want + g - 2 * fraction_partial(g, t)) \
+                    * Fraction(1, 5)
+
+
 @pytest.mark.parametrize("name", sorted(CHART_DEFS))
 def test_kernel_entry_points_refuse_bad_slots(charts, name):
     # a slot off the chart, a base slot in an exchange pair and an image

@@ -44,6 +44,7 @@ ALLOWED = {
     "enveloping:DiffOp.identity": VALUE_API,
     "geometry:Connection.flat": VALUE_API,
     "geometry:Connection.__eq__": VALUE_API,
+    "poly:GradedPoly.homogeneous_components": VALUE_API,
     "poly:GradedPoly.__pow__": VALUE_API,
     "poly:GradedPoly.__rmul__": VALUE_API,
     "perturbation:perturb_contraction.new_d_big":
