@@ -16,10 +16,11 @@ at the quotient weight (GradedPoly.derive with ``max_weight``) computes
 exactly in the quotient without forming the terms it drops; "exact up to
 truncation" means exact there.
 
-Every such operator that is a derivation shares the left-derivative
-sign rule of GradedPoly.derive.  The lowering and raising maps send
-generators to generators and keep p + q, so each is one slot exchange
-(GradedPoly.exchange) with an optional weight cap; the others are
+Every such operator that is a derivation takes its left derivatives,
+sign included, from the one rule GradedPoly._partial_terms.  The
+lowering and raising maps send generators to generators and keep p + q,
+so each is one slot exchange (GradedPoly.exchange) with an optional
+weight cap; the others are
 tables of generator images applied by GradedPoly.derive, or summed as
 derivation entries of ``poly.combine`` where several meet in one sum
 (each component of each layer of the correction solve is one such sum):

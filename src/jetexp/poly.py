@@ -23,10 +23,11 @@ straight into the sum for a partial entry (``partial`` is one), and lays
 them out as the right-hand rows of the products of a derivation entry
 (``derive`` is one).
 A derivation whose images are single generators of fiber or form slots,
-g_s -> g_t, is ``GradedPoly.exchange``: the same sign rule, read off the
-odd-slot bits of each key, in one pass with no product rows.  Such a
-map keeps p + q, so it takes an exact weight cap on its input and can
-divide each term by its own p + q in the same pass.
+g_s -> g_t, is ``GradedPoly.exchange``: it reads the same terms of
+partial_s and puts g_t in front of each at the product kernel's sign for
+a left factor of one generator, with no product rows.  Such a map keeps
+p + q, so it takes an exact weight cap on its input and can divide each
+term by its own p + q.
 
 Stored form.  A polynomial stores integers: a positive ``den`` and a
 dict ``nums`` from packed monomial key to nonzero numerator, the
@@ -215,6 +216,8 @@ class GradedPoly:
 
     @classmethod
     def generator(cls, chart: Chart, slot: int, exp: int = 1) -> "GradedPoly":
+        if not 0 <= slot < 3 * chart.n:
+            raise ValueError("generator slot out of range")
         if exp == 1:  # needs none of the checks of the public constructor
             return cls._of(chart, {chart.unit[slot]: 1})
         return cls(chart, {tuple(exp if s == slot else 0
@@ -275,9 +278,9 @@ class GradedPoly:
         """The jet-quotient projection: the monomials of weight p + q at
         most ``max_weight`` (the operand itself when it drops none)."""
         limit = max_weight + 1 << self.chart.weight_shift
-        nums = {k: v for k, v in self.nums.items() if k < limit}
-        if len(nums) == len(self.nums):
+        if not self.nums or max(self.nums) < limit:  # weight is the top field
             return self
+        nums = {k: v for k, v in self.nums.items() if k < limit}
         return GradedPoly._of(self.chart, nums, self.den)
 
     def __pow__(self, k: int):
@@ -376,71 +379,49 @@ class GradedPoly:
     def exchange(self, pairs: Sequence[Tuple[int, int]],
                  max_weight: int = None,
                  by_weight: bool = False) -> "GradedPoly":
-        """The derivation sending the generator in slot s to the one in
-        slot t for each pair (s, t) of fiber or form slots, and every
-        other generator to 0: sum_(s,t) g_t . partial_s(self), with
-        ``derive``'s sign rule, in one pass over the monomials and with
-        no product rows.  Such a map keeps p + q, so ``max_weight``
-        drops the input monomials above it (the same as dropping the
-        output's), and ``by_weight`` divides each term by its own p + q.
-
-        Each term moves its key by the precomputed step unit[t] -
-        unit[s].  Signs come from the odd bits of the key: pulling an
-        odd g_s out of the front costs the parity of the odd slots below
-        s, and putting an odd g_t in front of m - e_s costs the parity
-        of its odd slots below t, or kills the term when it already
-        holds g_t.  As in ``derive``, a pair whose slot s no monomial
-        holds (a zero field in the OR of the keys) is skipped, and a zero
+        """sum_(s,t) g_t . partial_s(self) over pairs (s, t) of fiber or
+        form slots: the derivation g_s -> g_t, every other generator to
+        0, with no product rows.  The terms of partial_s, sign included,
+        come from ``_partial_terms`` for each slot s that some monomial
+        holds; g_t is placed in front at the product kernel's sign for a
+        left factor of one generator (an odd g_t kills a term that holds
+        it and otherwise costs the parity of its odd slots below t).
+        The map keeps p + q, so ``max_weight`` caps the input, and
+        ``by_weight`` divides each term by its own p + q.  A zero
         operand is returned as it is."""
         chart = self.chart
         n = chart.n
-        odd_low = chart.odd_low
-        shifts, unit = chart.shifts, chart.unit
-        held = reduce(or_, self.nums, 0)
-        table = []  # (shift of s, odd bit of s, odd bit of t, key step)
         for s, t in pairs:
             if not (n <= s < 3 * n and n <= t < 3 * n):
                 raise ValueError("exchange pairs must be fiber or form slots")
-            if held >> shifts[s] & FIELD_MASK:
-                table.append((shifts[s], odd_low & 1 << shifts[s],
-                              odd_low & 1 << shifts[t], unit[t] - unit[s]))
-        if not table:  # a zero operand, or no slot s held
-            return self if not self.nums else GradedPoly.zero(chart)
-        shift = chart.weight_shift
-        limit = None if max_weight is None else max_weight + 1 << shift
-        layers: Dict[int, list] = {}  # weight p + q -> [(key, num)]
-        for k, v in self.nums.items():
-            w = k >> shift
-            if w and (limit is None or k < limit):
-                layers.setdefault(w, []).append((k, v))
-        top = lcm(*layers) if by_weight else 1
+        if not self.nums:
+            return self
+        f = self if max_weight is None else self.up_to_weight(max_weight)
+        held = reduce(or_, f.nums, 0)
+        odd_low, shifts, unit = chart.odd_low, chart.shifts, chart.unit
         out: Dict[int, int] = {}
         get = out.get
-        for w, rows in layers.items():
-            scale = top // w if by_weight else 1
-            for k, v in rows:
-                mask = k & odd_low
-                v *= scale
-                for sh, sbit, tbit, step in table:
-                    e = k >> sh & FIELD_MASK
-                    if not e:
-                        continue
-                    c = v * e  # an odd slot has e == 1
-                    rest = mask
-                    if sbit:
-                        if (mask & sbit - 1).bit_count() & 1:
-                            c = -c
-                        rest ^= sbit
-                    if tbit:
-                        if rest & tbit:  # g_t is odd and already in m
-                            continue
-                        if (rest & tbit - 1).bit_count() & 1:
-                            c = -c
-                    key = k + step
-                    out[key] = get(key, 0) + c
+        for s, t in pairs:
+            if not held >> shifts[s] & FIELD_MASK:
+                continue
+            tbit = odd_low & 1 << shifts[t]
+            below = tbit and odd_low & tbit - 1  # 0 for an even g_t
+            for k, v in f._partial_terms(s):
+                if k & tbit:  # an odd g_t already in the term
+                    continue
+                if (k & below).bit_count() & 1:
+                    v = -v
+                k += unit[t]
+                out[k] = get(k, 0) + v
         _check_guard(chart, out)
-        return GradedPoly._of(chart, {k: v for k, v in out.items() if v},
-                              self.den * top)
+        if not by_weight:
+            return GradedPoly._of(chart, {k: v for k, v in out.items() if v},
+                                  f.den)
+        shift = chart.weight_shift
+        top = lcm(*{k >> shift for k in out})  # 1 when no term is left
+        return GradedPoly._of(chart, {k: v * (top // (k >> shift))
+                                      for k, v in out.items() if v},
+                              f.den * top)
 
     def _split(self, key: Callable[[int], int]) -> Dict[int, "GradedPoly"]:
         """The nonzero parts of fixed ``key(packed key)``, keyed

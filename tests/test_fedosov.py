@@ -149,6 +149,33 @@ def test_flat_structure_builds_no_generator_tables(monkeypatch):
     assert tables == [conn]
 
 
+@pytest.mark.parametrize("name", ("two_odd", "odd_first"))
+def test_lowering_pair_reads_the_left_derivative_terms(name, monkeypatch):
+    # both maps take the terms of partial_s, sign included, from
+    # GradedPoly._partial_terms: one call per source slot that some
+    # monomial holds, and the values they give unwrapped
+    chart, _ = build_chart(name)
+    n = chart.n
+    # the last fiber slot and the first form slot stay unheld, so each
+    # map has a source slot it must skip
+    w = filter_terms(random_section(random.Random(23), chart, 4, terms=24),
+                     lambda m: not m[2 * n - 1] and not m[2 * n])
+    held = [s for s in range(n, 3 * n) if any(m[s] for m in w.terms)]
+    expected = (delta_op(w), delta_inv_op(w))
+    slots = []
+    real = GradedPoly._partial_terms
+
+    def recording(self, slot):
+        slots.append(slot)
+        return real(self, slot)
+    monkeypatch.setattr(GradedPoly, "_partial_terms", recording)
+    assert delta_op(w) == expected[0]
+    fiber, slots[:] = slots[:], []
+    assert delta_inv_op(w) == expected[1]
+    assert fiber == [s for s in held if s < 2 * n] != []
+    assert slots == [s for s in held if s >= 2 * n] != []
+
+
 def test_lowering_pair_degrees(line):
     y, dx = g(line, 1), g(line, 2)
     assert delta_op(y * y).degree() == (y * y).degree() + 1

@@ -326,3 +326,13 @@ def test_kernel_entry_points_refuse_bad_slots(charts, name):
             p.exchange([(0, n)])
         with pytest.raises(ValueError):
             p.derive({0: foreign})
+
+
+def test_generator_refuses_slots_off_the_chart(mixed):
+    # a negative slot or one past the form block names no generator
+    n = mixed.n
+    for slot in (-1, -3 * n, 3 * n, 3 * n + 1):
+        for exp in (0, 1, 2):
+            with pytest.raises(ValueError,
+                               match="generator slot out of range"):
+                GradedPoly.generator(mixed, slot, exp)
