@@ -14,7 +14,10 @@ covariant differential, and vector-valued-form actions) preserves that
 filtration, and weights add under products, so cutting each product off
 at the quotient weight (GradedPoly.derive with ``max_weight``) computes
 exactly in the quotient without forming the terms it drops; "exact up to
-truncation" means exact there.
+truncation" means exact there.  So the flat operator at weight w never
+reads the correction's layer of weight w + 1: ``FedosovData`` solves the
+layers of weight <= w, and forms that printed top layer a only when
+``correction`` is read, guarded by delta(a) = R for its right-hand side R.
 
 Every such operator that is a derivation takes its left derivatives,
 sign included, from the one rule GradedPoly._partial_terms.  The
@@ -184,9 +187,11 @@ def vvf_records(components: Sequence[GradedPoly]):
 class FlatStructureError(RuntimeError):
     """The correction solve failed: the connection has torsion
     (delta(dnabla y_k) != 0, checked before any layer), the confirming
-    pass did not reproduce the layers, or the result is not
-    raising-normalized, of fiber weight >= 2 and of the right degree.
-    For a torsion-free connection only a fault of the solve raises it."""
+    pass did not reproduce the layers up to the quotient weight, the
+    printed top layer a of weight + 1 does not solve delta(a) = R for its
+    right-hand side R, or the result is not raising-normalized, of fiber
+    weight >= 2 and of the right degree.  For a torsion-free connection
+    only a fault of the solve raises it."""
 
 
 class FedosovData:
@@ -197,7 +202,13 @@ class FedosovData:
 
         D = -delta + dnabla + correction-action
 
-    square to zero in the jet quotient at ``weight``.  Each derivation
+    square to zero in the jet quotient at ``weight``.  D caps every
+    product at ``weight``, and a layer of weight + 1 times anything lies
+    above it, so D never reads the correction's top layer: the
+    constructor solves the layers of weight <= ``weight`` and their
+    confirming pass at that cap (``_solve_correction`` at weight - 1),
+    and ``correction``, the form through the printed top layer
+    weight + 1, is formed on its first read.  Each derivation
     involved is a generator image table: the dnabla table
     (``dnabla_images``) and the correction's layers, as action tables,
     enter the correction solve as derivation entries of ``combine``;
@@ -219,15 +230,30 @@ class FedosovData:
         self.conn = conn
         self.weight = (chart.truncation.max_sym_weight if weight is None
                        else int(weight))
-        images = dnabla_images(conn)
-        self.correction = _solve_correction(conn, self.weight, images)
-        for k, comp in enumerate(self.correction):
-            images[chart.y_slot(k)] += comp
-        self.perturbation_images = images
-        self.flat_images = _less_delta(chart, images)
+        if self.weight < 0:
+            raise ValueError("flat structure weight must be at least 0, "
+                             "got %d" % self.weight)
+        self._dnabla = images = dnabla_images(conn)
+        self._lower = _solve_correction(conn, self.weight - 1, images)
+        self._correction = None
+        table = dict(images)
+        for k, comp in enumerate(self._lower):
+            table[chart.y_slot(k)] = images[chart.y_slot(k)] + comp
+        self.perturbation_images = table
+        self.flat_images = _less_delta(chart, table)
         self.transfer = perturb_contraction(
             base_contraction(chart, self.weight), self.perturbation,
             max_terms=self.weight + 2)
+
+    @property
+    def correction(self) -> Tuple[GradedPoly, ...]:
+        """The correction through its top layer, weight + 1: the solved
+        layers plus one more turn of the layer rule, formed on the first
+        read and kept."""
+        if self._correction is None:
+            self._correction = _with_top_layer(self.chart, self.weight,
+                                               self._dnabla, self._lower)
+        return self._correction
 
     # -- the flat operator and its homotopy data ---------------------------
     def d_apply(self, f: GradedPoly) -> GradedPoly:
@@ -274,28 +300,28 @@ def _solve_correction(conn: Connection, weight: int,
 
         a_k = raise( -delta(dnabla y_k) + (dnabla + action(a)) b_k )
 
-    in the quotient at weight + 1.  A connection is torsion-free exactly
+    in the quotient at weight + 1, the layers 3 ... weight + 1 of a.
+    (``FedosovData`` calls it at its own weight - 1, the layers its flat
+    operator reads, and adds the top layer with ``_with_top_layer``.)
+    A connection is torsion-free exactly
     when delta(dnabla y_k) = 0 for every k; that is checked once, first,
     and the term is dropped.  The dual differential raises p + q by one,
     the action of a weight-u layer on a weight-v one has weight
     u + v - 1, and the raising map keeps p + q.  So with the layers
     b_2 = dnabla y (the table ``images`` of dnabla, ``dnabla_images(conn)``,
     itself) and b_w = a_w for w >= 3, the layer of a at weight w >= 3 is
-    the raising map of
+    the raising map of the right-hand side ``_layer_sum``,
 
-        dnabla b_{w-1}[k] + sum_{u+v=w+1, u>=3} action(a_u)(b_v[k]),
+        R_w[k] = dnabla b_{w-1}[k] + sum_{u+v=w+1, u>=3} action(a_u)(b_v[k]),
 
     whose products involve only layers below w.  A layer is kept as its
-    action table {y_k: k-th component}, and the right-hand side of each
-    component is one ``combine`` of those derivation entries over one
-    denominator, then one raising map.
+    action table {y_k: k-th component}.
 
     One confirming pass of the whole fixed-point map must then reproduce
     the result.  dnabla + action(a) is the table of dnabla with each y_k
     sent to b_k, so each component is one ``derive`` of b_k by that table
     with products cut off at weight + 1, projected there after the
-    raising map.  The normalization, fiber-weight and degree checks
-    follow; fiber weight is read off the fiber fields of the packed keys.
+    raising map.  The checks of ``_check_correction`` follow.
     """
     chart = conn.chart
     ys = [chart.y_slot(k) for k in range(chart.n)]
@@ -304,11 +330,8 @@ def _solve_correction(conn: Connection, weight: int,
         raise FlatStructureError("connection has torsion: "
                                  "delta(dnabla y_k) != 0")
     b: Dict[int, Dict[int, GradedPoly]] = {2: images}  # w -> action table
-    for w in range(3, top + 1):  # dnabla b_{w-1} + action(a_u)(b_v)
-        b[w] = {y: delta_inv_op(combine(chart, [(1, b[w - 1][y], images)]
-                                        + [(1, b[w + 1 - u][y], b[u])
-                                           for u in range(3, w)]))
-                for y in ys}
+    for w in range(3, top + 1):
+        b[w] = {y: delta_inv_op(_layer_sum(chart, b, w, y)) for y in ys}
     comps = tuple(combine(chart, [(1, b[w][y]) for w in range(3, top + 1)])
                   for y in ys)
     table = dict(images)  # dnabla + action(a): y_k -> b_k
@@ -318,9 +341,61 @@ def _solve_correction(conn: Connection, weight: int,
                                    top) for y in ys)
     if confirm != comps:
         raise FlatStructureError("correction recursion did not stabilize")
+    _check_correction(chart, comps)
+    return comps
+
+
+def _layer_sum(chart: Chart, b: Dict[int, Dict[int, GradedPoly]], w: int,
+               y: int) -> GradedPoly:
+    """The right-hand side R_w at the fiber slot ``y`` of the layer of
+    weight w >= 3, from the action tables ``b`` of the layers below w
+    (b[2] the dnabla table): one ``combine`` of the derivation entries
+    dnabla b_{w-1}[y] and action(a_u)(b_v[y]), u + v = w + 1, u >= 3."""
+    return combine(chart, [(1, b[w - 1][y], b[2])]
+                   + [(1, b[w + 1 - u][y], b[u]) for u in range(3, w)])
+
+
+def _with_top_layer(chart: Chart, weight: int,
+                    images: Dict[int, GradedPoly],
+                    comps: Tuple[GradedPoly, ...]) -> Tuple[GradedPoly, ...]:
+    """The correction ``comps``, solved through weight, with its layer of
+    weight + 1 added: one more turn of the layer rule, a = raise(R) with
+    R = ``_layer_sum`` over the layers of ``comps`` and the dnabla table
+    ``images``.  No product the flat operator forms reads this layer, so
+    no confirming pass covers it; it must solve delta(a) = R instead.
+    By the homotopy identity that holds exactly when delta(R) = 0 and
+    the raising map is right, so it also rejects a wrong raising map.
+    The checks of ``_check_correction`` then run on the whole form."""
+    top = weight + 1
+    if top < 3:  # the first layer has weight 3
+        return comps
+    ys = [chart.y_slot(k) for k in range(chart.n)]
+    zero = GradedPoly.zero(chart)
+    layers = [comp.weight_layers() for comp in comps]
+    b = {w: {y: layers[k].get(w, zero) for k, y in enumerate(ys)}
+         for w in range(3, top)}
+    b[2] = images
+    full = []
+    for k, y in enumerate(ys):
+        r = _layer_sum(chart, b, top, y)
+        a = delta_inv_op(r)
+        if delta_op(a) != r:
+            raise FlatStructureError("top layer does not solve "
+                                     "delta(a) = R")
+        full.append(comps[k] + a)
+    full = tuple(full)
+    _check_correction(chart, full)
+    return full
+
+
+def _check_correction(chart: Chart, comps: Tuple[GradedPoly, ...]) -> None:
+    """The correction is raising-normalized, of fiber weight >= 2 and of
+    degree 1 + |x_k| in component k; fiber weight is read off the fiber
+    fields of the packed keys."""
     # fiber weight < 2: the fiber fields hold nothing or one unit
     fibers = chart.base_mask << chart.shifts[chart.n]
-    light = {0} | {1 << chart.shifts[y] for y in ys}
+    light = {0} | {1 << chart.shifts[chart.y_slot(k)]
+                   for k in range(chart.n)}
     for k, comp in enumerate(comps):
         if delta_inv_op(comp):
             raise FlatStructureError("correction is not raising-normalized")
@@ -328,7 +403,6 @@ def _solve_correction(conn: Connection, weight: int,
             raise FlatStructureError("correction has fiber weight < 2")
         if comp and comp.degree() != 1 + chart.coordinate_degree(k):
             raise FlatStructureError("correction component degree is off")
-    return comps
 
 
 # ---------------------------------------------------------------------------

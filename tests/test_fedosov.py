@@ -328,6 +328,16 @@ def test_flat_structure_requires_torsion_free():
         FedosovData(conn, 4)
 
 
+def test_flat_structure_refuses_a_negative_weight():
+    chart, conn = build_chart("plane_curved")
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        FedosovData(conn, -1)
+    fd = FedosovData(conn, 0)
+    x = GradedPoly.generator(chart, chart.x_slot(0))
+    assert fd.tau_series(x) == x
+    assert all(not c for c in fd.correction)
+
+
 def test_correction_hand_computed_weight_two_records():
     # seed of the recursion on the curved plane: the raising map applied
     # to y1 dx1 dx2 gives (y1^2 dx2 - y1 y2 dx1)/3
@@ -386,6 +396,58 @@ def test_confirming_pass_rejects_a_bad_layer(monkeypatch):
     monkeypatch.setattr(fedosov, "delta_inv_op", skewed)
     with pytest.raises(FlatStructureError, match="did not stabilize"):
         _solve_correction(conn, 4, dnabla_images(conn))
+
+
+def test_series_path_raises_nothing_above_the_weight(monkeypatch):
+    # D caps its products at w, so neither the solve nor tau_series
+    # raises a term of weight w + 1; the first read of correction forms
+    # that top layer, and the whole form is the plain fixed point
+    import jetexp.fedosov as fedosov
+    conn = dense_connection(3, 4)
+    chart = conn.chart
+    real = fedosov.delta_inv_op
+    above = []
+
+    def spy(f, max_weight=None):
+        if f.up_to_weight(4) != f:
+            above.append(f)
+        return real(f, max_weight)
+    monkeypatch.setattr(fedosov, "delta_inv_op", spy)
+    fd = FedosovData(conn, 4)
+    x = [GradedPoly.generator(chart, chart.x_slot(i)) for i in range(3)]
+    assert fd.tau_series(x[0] ** 2 * x[2] + x[0]) != x[0] ** 2 * x[2] + x[0]
+    assert not above
+    correction = fd.correction
+    assert above
+    assert correction == fixed_point_correction(conn, 4)
+    assert fd.correction is correction
+
+
+@pytest.mark.parametrize("name", ("mixed_parity", "three_degrees",
+                                  "two_odd"))
+def test_top_layer_guard_rejects_a_doubled_raising_map(monkeypatch, name):
+    # the shipped charts whose top layer is nonzero: a raising map that
+    # doubles its output on terms of weight w + 1 leaves the solve and
+    # its confirming pass alone, and only delta(a) = R on the top layer
+    # sees it (delta(R) = 0 still holds)
+    import jetexp.fedosov as fedosov
+    chart, conn = load_chart_file(os.path.join(CHART_DIR, name + ".chart"))
+    weight = chart.truncation.max_sym_weight
+    real = fedosov.delta_inv_op
+    doubled = []
+
+    def doubling(f, max_weight=None):
+        out = real(f, max_weight)
+        if out and f.up_to_weight(weight) != f:
+            doubled.append(f)
+            return out * 2
+        return out
+    monkeypatch.setattr(fedosov, "delta_inv_op", doubling)
+    fd = FedosovData(conn, weight)
+    assert not doubled
+    with pytest.raises(FlatStructureError, match="top layer"):
+        fd.correction
+    assert doubled
 
 
 def test_solve_forms_no_sum_chain_and_no_action_call(monkeypatch):
