@@ -17,7 +17,11 @@ exactly in the quotient without forming the terms it drops; "exact up to
 truncation" means exact there.  So the flat operator at weight w never
 reads the correction's layer of weight w + 1: ``FedosovData`` solves the
 layers of weight <= w, and forms that printed top layer a only when
-``correction`` is read, guarded by delta(a) = R for its right-hand side R.
+``correction`` is read, from the solve's own layer tables, guarded by
+delta(a) = R for its right-hand side R.  The solve keeps what it formed:
+its layer tables, the table of dnabla + correction action, and its
+confirming pass's products, from which D^2 on the fiber generators
+(``FedosovData.fiber_squares``) is read with no product formed again.
 
 Every such operator that is a derivation takes its left derivatives,
 sign included, from the one rule GradedPoly._partial_terms.  The
@@ -45,12 +49,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .chart import Chart, mi_all_up_to, mi_factorial
+from .chart import FIELD_MASK, Chart, mi_all_up_to, mi_factorial
 from .enveloping import TruncationOverflowError, word_key
 from .geometry import Connection, replacement_terms
 from .pbw import PbwContext, recursion_steps
 from .perturbation import ContractionData, perturb_contraction
-from .poly import GradedPoly, combine, unpack_monomial
+from .poly import GradedPoly, combine
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +166,32 @@ def vvf_action(components: Sequence[GradedPoly], f: GradedPoly
 def vvf_records(components: Sequence[GradedPoly]):
     """Flatten a vector-valued form into records
     (direction i, fiber multi-index J, component k, base coefficient),
-    sorted by (i, J, k); all indices 1-based in the output.  Within a
-    record the base monomials are distinct, so its numerators are read
-    off the component over the component's denominator."""
+    sorted by (i, J, k); all indices 1-based in the output.  Each is read
+    off the packed key's fields without unpacking it: the direction is
+    one lookup of the form field (a key whose form field is not a single
+    dx_i raises ValueError), J is built once per distinct fiber field,
+    and the base part is the key's base fields.  Within a record the
+    base monomials are distinct, so its numerators are read off the
+    component over the component's denominator."""
     chart = components[0].chart
     n = chart.n
+    mask, shifts = chart.base_mask, chart.shifts
+    fiber_shift, form_shift = shifts[n], shifts[2 * n]
+    directions = {chart.unit[i]: i + 1 for i in range(n)}  # dx_i -> i
+    fibers: Dict[int, Tuple[int, ...]] = {}  # fiber field -> J
     records = {}
-    for k, comp in enumerate(components):
+    for k, comp in enumerate(components, 1):
         for key, v in comp.nums.items():
-            m = unpack_monomial(chart, key)
-            form = m[2 * n:]
-            if sum(form) != 1:
+            i = directions.get(key >> form_shift & mask)
+            if i is None:
                 raise ValueError("vector-valued form component is not a "
                                  "one-form")
-            record = (form.index(1) + 1, m[n:2 * n], k + 1)
-            records.setdefault(record, {})[key & chart.base_mask] = v
+            part = key >> fiber_shift & mask
+            fiber = fibers.get(part)
+            if fiber is None:
+                fiber = fibers[part] = tuple([part >> sh & FIELD_MASK
+                                              for sh in shifts[:n]])
+            records.setdefault((i, fiber, k), {})[key & mask] = v
     return [(i, j, k, GradedPoly._of(chart, nums, components[k - 1].den))
             for (i, j, k), nums in sorted(records.items())]
 
@@ -208,14 +223,19 @@ class FedosovData:
     constructor solves the layers of weight <= ``weight`` and their
     confirming pass at that cap (``_solve_correction`` at weight - 1),
     and ``correction``, the form through the printed top layer
-    weight + 1, is formed on its first read.  Each derivation
-    involved is a generator image table: the dnabla table
-    (``dnabla_images``) and the correction's layers, as action tables,
-    enter the correction solve as derivation entries of ``combine``;
-    the weight-raising part D + delta (``perturbation_images``: dnabla
-    plus the correction action) drives the series, and D itself
-    (``flat_images``) is that table with dx_k subtracted from the image
-    of each y_k, each applied by one ``GradedPoly.derive``.
+    weight + 1, is formed on its first read from the solve's own layer
+    tables.  Each derivation involved is a generator image table: the
+    dnabla table (``dnabla_images``) and the correction's layers, as
+    action tables, enter the correction solve as derivation entries of
+    ``combine``; the weight-raising part D + delta
+    (``perturbation_images``: dnabla plus the correction action, the
+    table the solve's confirming pass derives by) drives the series, and
+    D itself (``flat_images``) is that table with dx_k subtracted from
+    the image of each y_k, each applied by one ``GradedPoly.derive``.
+    ``fiber_squares`` is D^2 on the fiber generators, read off the
+    confirming pass's products.  The layer tables and those products
+    are kept only until their one read (the top layer, ``fiber_squares``),
+    so on large charts the ``fedosov`` command reads the residual first.
     ``transfer`` is the perturbation of the lowering-map contraction by
     D + delta; its series give the augmentation and the homotopy, and
     raise SeriesDivergenceError if they fail to terminate.
@@ -233,14 +253,15 @@ class FedosovData:
         if self.weight < 0:
             raise ValueError("flat structure weight must be at least 0, "
                              "got %d" % self.weight)
-        self._dnabla = images = dnabla_images(conn)
-        self._lower = _solve_correction(conn, self.weight - 1, images)
-        self._correction = None
-        table = dict(images)
-        for k, comp in enumerate(self._lower):
-            table[chart.y_slot(k)] = images[chart.y_slot(k)] + comp
-        self.perturbation_images = table
-        self.flat_images = _less_delta(chart, table)
+        solved = _solve_correction(conn, self.weight - 1, dnabla_images(conn))
+        # what the solve formed, each part kept until its one read: the
+        # layer tables until the top layer is formed, the confirming
+        # products until fiber_squares reads them
+        self._lower, self._layers = tuple(solved), solved.layers
+        self._products = solved.products
+        self._correction = self._squares = None
+        self.perturbation_images = solved.table
+        self.flat_images = _less_delta(chart, solved.table)
         self.transfer = perturb_contraction(
             base_contraction(chart, self.weight), self.perturbation,
             max_terms=self.weight + 2)
@@ -252,8 +273,31 @@ class FedosovData:
         read and kept."""
         if self._correction is None:
             self._correction = _with_top_layer(self.chart, self.weight,
-                                               self._dnabla, self._lower)
+                                               self._lower, self._layers)
+            self._layers = None
         return self._correction
+
+    def fiber_squares(self) -> Tuple[GradedPoly, ...]:
+        """D^2(y_k) for each fiber generator, in the jet quotient at the
+        weight, from the products the solve already formed.  With
+        b_k = dnabla y_k + a_k, D y_k = -dx_k + b_k, and D(dx_k) = 0
+        since no form slot has an image, so D^2(y_k) = D(b_k) =
+        P(b_k) - delta(b_k), with P(b_k) the confirming pass's product
+        (b_k derived by ``perturbation_images``, capped at the weight).
+        That is ``d_apply(d_apply(y_k))`` with no product formed again;
+        the two terms are compared before they are subtracted.  On the
+        base generators D^2(x_k) = D(dx_k) = 0 by the same token.
+        Formed on the first call and kept; the products are then
+        released."""
+        if self._squares is None:
+            chart, table = self.chart, self.perturbation_images
+            out = []
+            for k, product in enumerate(self._products):
+                lowered = delta_op(table[chart.y_slot(k)], self.weight)
+                out.append(product - lowered if product != lowered
+                           else GradedPoly.zero(chart))
+            self._squares, self._products = tuple(out), None
+        return self._squares
 
     # -- the flat operator and its homotopy data ---------------------------
     def d_apply(self, f: GradedPoly) -> GradedPoly:
@@ -285,6 +329,24 @@ def _less_delta(chart: Chart, images: Dict[int, GradedPoly]
         y = chart.y_slot(k)
         out[y] = images[y] - GradedPoly.generator(chart, chart.dx_slot(k))
     return out
+
+
+class _SolvedCorrection(tuple):
+    """The components of a solved correction, a plain tuple to compare
+    and iterate, carrying what the solve built on the way:
+
+      * ``layers``: its action tables by weight, layers[2] the dnabla
+        table and layers[w], w >= 3, the table {y_k: the k-th component
+        of the layer of weight w};
+      * ``table``: the table of dnabla + action(a), y_k -> b_k;
+      * ``products``: the confirming pass's P(b_k), b_k derived by
+        ``table`` with products cut off at the solve's cap.
+    """
+
+    def __new__(cls, comps, layers, table, products):
+        solved = super().__new__(cls, comps)
+        solved.layers, solved.table, solved.products = layers, table, products
+        return solved
 
 
 def _solve_correction(conn: Connection, weight: int,
@@ -321,7 +383,10 @@ def _solve_correction(conn: Connection, weight: int,
     the result.  dnabla + action(a) is the table of dnabla with each y_k
     sent to b_k, so each component is one ``derive`` of b_k by that table
     with products cut off at weight + 1, projected there after the
-    raising map.  The checks of ``_check_correction`` follow.
+    raising map.  The checks of ``_check_correction`` follow.  The result
+    is a ``_SolvedCorrection``: the components, with the layer tables,
+    the table of dnabla + action(a) and the pass's products kept for the
+    top layer and for D^2 (``FedosovData.fiber_squares``).
     """
     chart = conn.chart
     ys = [chart.y_slot(k) for k in range(chart.n)]
@@ -337,12 +402,12 @@ def _solve_correction(conn: Connection, weight: int,
     table = dict(images)  # dnabla + action(a): y_k -> b_k
     for k, y in enumerate(ys):
         table[y] = images[y] + comps[k]
-    confirm = tuple(project_weight(delta_inv_op(table[y].derive(table, top)),
-                                   top) for y in ys)
+    products = tuple(table[y].derive(table, top) for y in ys)
+    confirm = tuple(project_weight(delta_inv_op(p), top) for p in products)
     if confirm != comps:
         raise FlatStructureError("correction recursion did not stabilize")
     _check_correction(chart, comps)
-    return comps
+    return _SolvedCorrection(comps, b, table, products)
 
 
 def _layer_sum(chart: Chart, b: Dict[int, Dict[int, GradedPoly]], w: int,
@@ -356,36 +421,36 @@ def _layer_sum(chart: Chart, b: Dict[int, Dict[int, GradedPoly]], w: int,
 
 
 def _with_top_layer(chart: Chart, weight: int,
-                    images: Dict[int, GradedPoly],
-                    comps: Tuple[GradedPoly, ...]) -> Tuple[GradedPoly, ...]:
-    """The correction ``comps``, solved through weight, with its layer of
-    weight + 1 added: one more turn of the layer rule, a = raise(R) with
-    R = ``_layer_sum`` over the layers of ``comps`` and the dnabla table
-    ``images``.  No product the flat operator forms reads this layer, so
-    no confirming pass covers it; it must solve delta(a) = R instead.
-    By the homotopy identity that holds exactly when delta(R) = 0 and
-    the raising map is right, so it also rejects a wrong raising map.
-    The checks of ``_check_correction`` then run on the whole form."""
+                    comps: Tuple[GradedPoly, ...],
+                    layers: Dict[int, Dict[int, GradedPoly]]
+                    ) -> Tuple[GradedPoly, ...]:
+    """The correction ``comps``, solved through weight, with its layer
+    of weight + 1 added: one more turn of the layer rule, a = raise(R)
+    with R = ``_layer_sum`` over the solve's own layer tables
+    ``layers`` (``_SolvedCorrection.layers``), so no layer is split off
+    the sum again and the operands keep the product rows the solve
+    built.  No product the
+    flat operator forms reads this layer, so no confirming pass covers
+    it; it must solve delta(a) = R instead.  By the homotopy identity
+    that holds exactly when delta(R) = 0 and the raising map is right,
+    so it also rejects a wrong raising map.  The checks of
+    ``_check_correction`` then run on the new layer alone, which is the
+    same as on the whole form: the raising map keeps p + q, and the
+    fiber-weight and degree checks are per key."""
     top = weight + 1
     if top < 3:  # the first layer has weight 3
         return comps
-    ys = [chart.y_slot(k) for k in range(chart.n)]
-    zero = GradedPoly.zero(chart)
-    layers = [comp.weight_layers() for comp in comps]
-    b = {w: {y: layers[k].get(w, zero) for k, y in enumerate(ys)}
-         for w in range(3, top)}
-    b[2] = images
-    full = []
-    for k, y in enumerate(ys):
-        r = _layer_sum(chart, b, top, y)
+    layer = []
+    for k in range(chart.n):
+        r = _layer_sum(chart, layers, top, chart.y_slot(k))
         a = delta_inv_op(r)
         if delta_op(a) != r:
             raise FlatStructureError("top layer does not solve "
                                      "delta(a) = R")
-        full.append(comps[k] + a)
-    full = tuple(full)
-    _check_correction(chart, full)
-    return full
+        layer.append(a)
+    layer = tuple(layer)
+    _check_correction(chart, layer)
+    return tuple(c + a for c, a in zip(comps, layer))
 
 
 def _check_correction(chart: Chart, comps: Tuple[GradedPoly, ...]) -> None:

@@ -40,7 +40,9 @@ any recursion, series or solve, the augmentation as the exponential of
 the geodesic spray applied by the positional Leibniz rule instead of
 the word-image recursion or the perturbation series, the printed text
 read off each key's unpacked exponent tuple instead of off its base
-and fiber parts, each distinct part read once per call) so frozen
+and fiber parts, each distinct part read once per call, the records of
+a vector-valued form read off unpacked exponent tuples instead of off
+the packed form and fiber fields) so frozen
 expectations in the tests do not share code with the implementation
 they check.
 
@@ -521,6 +523,30 @@ def fixed_point_correction(conn, weight):
             return comps
         comps = new
     raise AssertionError("fixed-point iteration did not stabilize")
+
+
+def unpacked_vvf_records(components):
+    """Flatten a vector-valued form into records
+    (direction i, fiber multi-index J, component k, base coefficient),
+    sorted by (i, J, k); all indices 1-based in the output.  Within a
+    record the base monomials are distinct, so its numerators are read
+    off the component over the component's denominator.  (Each key is
+    unpacked to its exponent tuple; the library reads the direction, J
+    and the base part off the packed fields.)"""
+    chart = components[0].chart
+    n = chart.n
+    records = {}
+    for k, comp in enumerate(components):
+        for key, v in comp.nums.items():
+            m = unpack_monomial(chart, key)
+            form = m[2 * n:]
+            if sum(form) != 1:
+                raise ValueError("vector-valued form component is not a "
+                                 "one-form")
+            record = (form.index(1) + 1, m[n:2 * n], k + 1)
+            records.setdefault(record, {})[key & chart.base_mask] = v
+    return [(i, j, k, GradedPoly._of(chart, nums, components[k - 1].den))
+            for (i, j, k), nums in sorted(records.items())]
 
 
 def per_position_nabla_sym(conn, x, tensor):

@@ -1,4 +1,5 @@
 import glob
+import io
 import os
 import random
 import time
@@ -25,7 +26,7 @@ from oracles import (VectorField, curvature, derivation_apply, dnabla_table,
                      dual_connection_images, dual_curvature_action,
                      filter_terms, fixed_point_correction, geodesic_spray_tau,
                      pairing, random_torsion_free_connection,
-                     tau_by_word_images)
+                     tau_by_word_images, unpacked_vvf_records)
 
 CHART_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "charts")
 
@@ -448,6 +449,113 @@ def test_top_layer_guard_rejects_a_doubled_raising_map(monkeypatch, name):
     with pytest.raises(FlatStructureError, match="top layer"):
         fd.correction
     assert doubled
+
+
+def shipped_torsion_free():
+    """(path, chart, connection) of each shipped torsion-free chart."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(CHART_DIR, "*.chart"))):
+        chart, conn = load_chart_file(path)
+        if conn.torsion_free:
+            out.append((path, chart, conn))
+    return out
+
+
+def test_fiber_squares_are_the_flat_operator_applied_twice():
+    # D^2(y_k) read off the solve's products, P(b_k) - delta(b_k), is
+    # d_apply(d_apply(y_k)) on every shipped torsion-free chart at every
+    # weight from 0 and on two dense random tables; D^2(x_k) = D(dx_k)
+    # is 0 by D's table, so the residual does not probe it
+    cases = []
+    for path, chart, conn in shipped_torsion_free():
+        cases += [(conn, w)
+                  for w in range(chart.truncation.max_sym_weight + 1)]
+    assert len(cases) > 6
+    cases += [(dense_connection(3, 4), 4), (dense_connection(4, 3), 3)]
+    lowered = 0  # cases where P(b_k) = delta(b_k) cancels nonzero terms
+    for conn, weight in cases:
+        chart = conn.chart
+        fd = FedosovData(conn, weight)
+        ys = [g(chart, chart.y_slot(k)) for k in range(chart.n)]
+        squares = fd.fiber_squares()
+        assert squares == tuple(fd.d_apply(fd.d_apply(y)) for y in ys)
+        assert fd.fiber_squares() is squares
+        assert not any(fd.d_apply(fd.d_apply(g(chart, s)))
+                       for s in range(chart.n))
+        lowered += any(delta_op(fd.perturbation_images[chart.y_slot(k)],
+                                weight) for k in range(chart.n))
+    assert lowered >= 8
+
+
+def test_fedosov_command_forms_nothing_twice(monkeypatch):
+    # the printed residual is read off the solve's products (no d_apply),
+    # and the correction read takes the solve's layer tables (no
+    # weight_layers split) and checks only the new top layer
+    import jetexp.fedosov as fedosov
+    from jetexp.cli import main
+    applied, split, checked = [], [], []
+    real_check = fedosov._check_correction
+
+    def spy_check(chart, comps):
+        checked.append(comps)
+        return real_check(chart, comps)
+    conns = []
+    for path, chart, conn in shipped_torsion_free():
+        del applied[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(FedosovData, "d_apply",
+                          lambda self, f: applied.append(f))
+            out = io.StringIO()
+            assert main(["fedosov", "--chart", path], out) == 0
+        assert out.getvalue().endswith("D2_RESIDUAL 0\n")
+        assert not applied, path
+        conns.append(conn)
+    conns.append(dense_connection(3, 4))
+    topped = 0
+    for conn in conns:
+        chart = conn.chart
+        weight = chart.truncation.max_sym_weight
+        fd = FedosovData(conn, weight)
+        del split[:], checked[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedPoly, "weight_layers",
+                          lambda self: split.append(self))
+            patch.setattr(fedosov, "_check_correction", spy_check)
+            correction = fd.correction
+        assert correction == fixed_point_correction(conn, weight)
+        assert not split
+        keys = [key for comps in checked for comp in comps
+                for key in comp.nums]
+        assert all(key >> chart.weight_shift == weight + 1 for key in keys)
+        topped += bool(keys)
+    assert topped >= 4
+
+
+@pytest.mark.parametrize("name", TORSION_FREE_CHARTS + ("dense3", "dense4"))
+def test_vvf_records_match_the_unpacking_oracle(name):
+    if name.startswith("dense"):
+        conn = {"dense3": dense_connection(3, 4),
+                "dense4": dense_connection(4, 3)}[name]
+    else:
+        conn = build_chart(name)[1]
+    weight = conn.chart.truncation.max_sym_weight
+    correction = FedosovData(conn, weight).correction
+    if any(correction):
+        assert vvf_records(correction) == unpacked_vvf_records(correction)
+
+
+def test_vvf_records_refuse_a_component_that_is_not_a_one_form():
+    # no form generator, two of them, and dt^2 for the odd coordinate t
+    # (its form generator is even): the oracle's ValueError each time
+    chart, conn = build_chart("mixed")
+    x, t, y, y_t, dx, dt = (g(chart, s) for s in range(6))
+    assert chart.coordinate_parity(1) and not chart.gen_parities[5]
+    for bad in (y * y_t, x * y * y * dx * dt, y * y * dt * dt):
+        comps = (y * y * dx, y * y_t * dt + bad)
+        for records in (vvf_records, unpacked_vvf_records):
+            with pytest.raises(ValueError, match="^vector-valued form "
+                               "component is not a one-form$"):
+                records(comps)
 
 
 def test_solve_forms_no_sum_chain_and_no_action_call(monkeypatch):

@@ -368,6 +368,61 @@ def test_symbols_maps_and_inverts_each_argument_once(monkeypatch):
             assert calls and len(calls) == len(set(calls))
 
 
+FLAT_OPERATOR_CHECKS = ("flat-operator-squares-to-zero",
+                        "flat-operator-is-lower-plus-dual-correction")
+
+
+def test_flat_operator_checks_take_the_generators_first(monkeypatch):
+    # both checks compare derivations, so on the 3n generators they are
+    # complete in the jet quotient: those come first, then the seeded
+    # sections, which are drawn as before
+    samples = {}
+    real = jetexp.verify.run_check
+
+    def spy(name, items, test):
+        samples[name] = list(items)
+        return real(name, items, test)
+    monkeypatch.setattr(jetexp.verify, "run_check", spy)
+    for name in ("line_flat", "mixed", "three_degrees"):
+        chart, conn = build_chart(name)
+        samples.clear()
+        results = run_suite("flat-connection", chart, conn, seed=4)
+        assert all(r.status == "PASS" for r in results)
+        gens = [GradedPoly.generator(chart, s) for s in range(3 * chart.n)]
+        for check in FLAT_OPERATOR_CHECKS:
+            assert samples[check][:3 * chart.n] == gens
+            assert len(samples[check]) == 3 * chart.n + 15
+
+
+@pytest.mark.parametrize("name", [name for name in SHIPPED_CHARTS
+                                  if name != "plane_torsion.chart"])
+def test_a_flipped_generator_in_the_flat_operator_fails_on_it(monkeypatch,
+                                                              name):
+    # negative control: D's table with +dx_k in the image of one y_k.  The
+    # fedosov residual never reads that table, so verify's checks of D
+    # must: the dual-correction check fails on y_k itself, and wherever
+    # D^2 is nonzero (every chart but the two lines, where D^2 stays 0)
+    # the square check fails on a generator too
+    chart, conn = load_chart_file(os.path.join(CHART_DIR, name))
+    real = jetexp.fedosov._less_delta
+    gens = [GradedPoly.generator(chart, s) for s in range(3 * chart.n)]
+    for k in range(chart.n):
+        y = chart.y_slot(k)
+
+        def flipped(chart, images):
+            out = real(chart, images)
+            out[y] = images[y] + GradedPoly.generator(chart,
+                                                      chart.dx_slot(k))
+            return out
+        with monkeypatch.context() as patch:
+            patch.setattr(jetexp.fedosov, "_less_delta", flipped)
+            results = run_suite("flat-connection", chart, conn, seed=0)
+        failed = {r.name: r.witness for r in results if r.status == "FAIL"}
+        assert failed[FLAT_OPERATOR_CHECKS[1]] == repr(gens[y])
+        if chart.n > 1:
+            assert failed[FLAT_OPERATOR_CHECKS[0]] in map(repr, gens)
+
+
 def test_a_failed_flat_structure_is_solved_once(monkeypatch):
     # the three suites that need the flat structure each print their own
     # FAIL line, all three read off the one failed solve of the session
