@@ -5,8 +5,9 @@ Subcommands:
   pbw      map a symmetric-tensor expression forward (``--direction fwd``)
            or an operator expression backward (``inv``)
   fedosov  build the flat structure and print the correction-form records
-           plus a flatness residual line, D^2 on the fiber generators
-           read off the correction solve's own products
+           plus a flatness residual line, D^2 on the fiber generators:
+           the correction solve's confirming pass, D's own table applied
+           twice
   tau      print the jet augmentation of a base function, by either route
   verify   run a named identity suite and report PASS/FAIL lines
 
@@ -100,9 +101,6 @@ def cmd_fedosov(args, out) -> int:
                        "flat structure requires a torsion-free chart")
     weight = _weight(chart, args.max_weight)
     fd = FedosovData(conn, weight)
-    # the residual first: it releases the solve's products before the
-    # correction's top layer is formed
-    residual = _flatness_residual(fd)
     records = vvf_records(fd.correction) if any(fd.correction) else []
     if args.output == "records":
         for i, fiber, k, poly in records:
@@ -122,16 +120,18 @@ def cmd_fedosov(args, out) -> int:
                       % (names[i - 1].name, fiber_txt,
                          chart.gen_names[chart.y_slot(k - 1)],
                          format_poly(poly)))
+    residual = _flatness_residual(fd)
     out.write("D2_RESIDUAL %s\n" % residual)
     return EXIT_OK if residual == "0" else 1
 
 
 def _flatness_residual(fd) -> str:
     """The D2_RESIDUAL text: "0", or the nonzero values of D^2 on the
-    fiber generators joined by "; ".  They are read off the correction
-    solve's own products (``FedosovData.fiber_squares``), so no product
-    of D is formed again; D^2 on a base generator x_k is D(dx_k), 0 by
-    the construction of D's table, and is not probed."""
+    fiber generators joined by "; ".  They are the correction solve's
+    confirming pass (``FedosovData.fiber_squares``), D's own table
+    applied twice, so no product of D is formed again; D^2 on a base
+    generator x_k is D(dx_k), 0 by the construction of D's table, and
+    is not probed."""
     bad = [format_poly(r) for r in fd.fiber_squares() if r]
     return "0" if not bad else "; ".join(bad)
 

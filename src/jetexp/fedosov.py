@@ -19,9 +19,9 @@ reads the correction's layer of weight w + 1: ``FedosovData`` solves the
 layers of weight <= w, and forms that printed top layer a only when
 ``correction`` is read, from the solve's own layer tables, guarded by
 delta(a) = R for its right-hand side R.  The solve keeps what it formed:
-its layer tables, the table of dnabla + correction action, and its
-confirming pass's products, from which D^2 on the fiber generators
-(``FedosovData.fiber_squares``) is read with no product formed again.
+its layer tables, the table of dnabla + correction action, D's own table,
+and its confirming pass, which is D applied twice to each fiber generator
+by that table (``FedosovData.fiber_squares``, printed as D2_RESIDUAL).
 
 Every such operator that is a derivation takes its left derivatives,
 sign included, from the one rule GradedPoly._partial_terms.  The
@@ -202,7 +202,7 @@ def vvf_records(components: Sequence[GradedPoly]):
 class FlatStructureError(RuntimeError):
     """The correction solve failed: the connection has torsion
     (delta(dnabla y_k) != 0, checked before any layer), the confirming
-    pass did not reproduce the layers up to the quotient weight, the
+    pass found raise(D^2 y_k) != 0 up to the quotient weight, the
     printed top layer a of weight + 1 does not solve delta(a) = R for its
     right-hand side R, or the result is not raising-normalized, of fiber
     weight >= 2 and of the right degree.  For a torsion-free connection
@@ -228,14 +228,13 @@ class FedosovData:
     dnabla table (``dnabla_images``) and the correction's layers, as
     action tables, enter the correction solve as derivation entries of
     ``combine``; the weight-raising part D + delta
-    (``perturbation_images``: dnabla plus the correction action, the
-    table the solve's confirming pass derives by) drives the series, and
-    D itself (``flat_images``) is that table with dx_k subtracted from
-    the image of each y_k, each applied by one ``GradedPoly.derive``.
-    ``fiber_squares`` is D^2 on the fiber generators, read off the
-    confirming pass's products.  The layer tables and those products
-    are kept only until their one read (the top layer, ``fiber_squares``),
-    so on large charts the ``fedosov`` command reads the residual first.
+    (``perturbation_images``: dnabla plus the correction action) drives
+    the series, and D itself (``flat_images``) is that table with dx_k
+    subtracted from the image of each y_k, each applied by one
+    ``GradedPoly.derive``.  The solve builds both tables, and its
+    confirming pass derives by D's: ``fiber_squares`` is that pass,
+    D^2 on the fiber generators, kept as the solve returned it.  The
+    layer tables are kept only until the top layer is formed.
     ``transfer`` is the perturbation of the lowering-map contraction by
     D + delta; its series give the augmentation and the homotopy, and
     raise SeriesDivergenceError if they fail to terminate.
@@ -254,14 +253,12 @@ class FedosovData:
             raise ValueError("flat structure weight must be at least 0, "
                              "got %d" % self.weight)
         solved = _solve_correction(conn, self.weight - 1, dnabla_images(conn))
-        # what the solve formed, each part kept until its one read: the
-        # layer tables until the top layer is formed, the confirming
-        # products until fiber_squares reads them
+        # the layer tables are kept until the top layer is formed
         self._lower, self._layers = tuple(solved), solved.layers
-        self._products = solved.products
-        self._correction = self._squares = None
+        self._correction = None
         self.perturbation_images = solved.table
-        self.flat_images = _less_delta(chart, solved.table)
+        self.flat_images = solved.flat
+        self._squares = solved.squares
         self.transfer = perturb_contraction(
             base_contraction(chart, self.weight), self.perturbation,
             max_terms=self.weight + 2)
@@ -279,24 +276,11 @@ class FedosovData:
 
     def fiber_squares(self) -> Tuple[GradedPoly, ...]:
         """D^2(y_k) for each fiber generator, in the jet quotient at the
-        weight, from the products the solve already formed.  With
-        b_k = dnabla y_k + a_k, D y_k = -dx_k + b_k, and D(dx_k) = 0
-        since no form slot has an image, so D^2(y_k) = D(b_k) =
-        P(b_k) - delta(b_k), with P(b_k) the confirming pass's product
-        (b_k derived by ``perturbation_images``, capped at the weight).
-        That is ``d_apply(d_apply(y_k))`` with no product formed again;
-        the two terms are compared before they are subtracted.  On the
-        base generators D^2(x_k) = D(dx_k) = 0 by the same token.
-        Formed on the first call and kept; the products are then
-        released."""
-        if self._squares is None:
-            chart, table = self.chart, self.perturbation_images
-            out = []
-            for k, product in enumerate(self._products):
-                lowered = delta_op(table[chart.y_slot(k)], self.weight)
-                out.append(product - lowered if product != lowered
-                           else GradedPoly.zero(chart))
-            self._squares, self._products = tuple(out), None
+        weight: the solve's confirming pass, D(y_k) = b_k - dx_k derived
+        by D's own table ``flat_images`` with products cut off at the
+        weight, which is ``d_apply(d_apply(y_k))``.  On the base
+        generators D^2(x_k) = D(dx_k) = 0, since no form slot has an
+        image."""
         return self._squares
 
     # -- the flat operator and its homotopy data ---------------------------
@@ -323,11 +307,12 @@ class FedosovData:
 def _less_delta(chart: Chart, images: Dict[int, GradedPoly]
                 ) -> Dict[int, GradedPoly]:
     """The table of a derivation less delta: dx_k subtracted from the
-    image of each y_k."""
+    image of each y_k, one ``combine`` each."""
     out = dict(images)
     for k in range(chart.n):
         y = chart.y_slot(k)
-        out[y] = images[y] - GradedPoly.generator(chart, chart.dx_slot(k))
+        dx = GradedPoly.generator(chart, chart.dx_slot(k))
+        out[y] = combine(chart, [(1, images[y]), (-1, dx)])
     return out
 
 
@@ -339,13 +324,15 @@ class _SolvedCorrection(tuple):
         table and layers[w], w >= 3, the table {y_k: the k-th component
         of the layer of weight w};
       * ``table``: the table of dnabla + action(a), y_k -> b_k;
-      * ``products``: the confirming pass's P(b_k), b_k derived by
-        ``table`` with products cut off at the solve's cap.
+      * ``flat``: D's table, ``table`` less delta, y_k -> b_k - dx_k;
+      * ``squares``: the confirming pass's D^2(y_k), D(y_k) derived by
+        ``flat`` with products cut off at the solve's cap.
     """
 
-    def __new__(cls, comps, layers, table, products):
+    def __new__(cls, comps, layers, table, flat, squares):
         solved = super().__new__(cls, comps)
-        solved.layers, solved.table, solved.products = layers, table, products
+        solved.layers, solved.table = layers, table
+        solved.flat, solved.squares = flat, squares
         return solved
 
 
@@ -379,14 +366,21 @@ def _solve_correction(conn: Connection, weight: int,
     whose products involve only layers below w.  A layer is kept as its
     action table {y_k: k-th component}.
 
-    One confirming pass of the whole fixed-point map must then reproduce
-    the result.  dnabla + action(a) is the table of dnabla with each y_k
-    sent to b_k, so each component is one ``derive`` of b_k by that table
-    with products cut off at weight + 1, projected there after the
-    raising map.  The checks of ``_check_correction`` follow.  The result
-    is a ``_SolvedCorrection``: the components, with the layer tables,
-    the table of dnabla + action(a) and the pass's products kept for the
-    top layer and for D^2 (``FedosovData.fiber_squares``).
+    One confirming pass then certifies the result.  dnabla + action(a)
+    is the table of dnabla with each y_k sent to b_k, and D's table
+    (``_less_delta`` of it) sends y_k to b_k - dx_k.  D has no image on
+    form slots, so D^2(y_k) = D(b_k) = P(b_k) - delta(b_k), with P the
+    derivation dnabla + action(a); each is one ``derive`` of D(y_k) by
+    D's table with products cut off at weight + 1.  The pass requires
+    raise(D^2 y_k), projected at weight + 1, to vanish.  That is the
+    fixed-point check raise(P(b_k)) = a_k: delta(dnabla y_k) = 0
+    (checked first) and raise(a_k) = 0 (a_k is the raising map's output,
+    and ``_check_correction`` checks it) give raise(delta(b_k)) = a_k by
+    the homotopy identity, so raise(P(b_k)) - a_k = raise(D^2 y_k).
+    The checks of ``_check_correction`` follow.  The result is a
+    ``_SolvedCorrection``: the components, with the layer tables kept
+    for the top layer, the two tables, and D^2 on the fiber generators
+    (``FedosovData.fiber_squares``).
     """
     chart = conn.chart
     ys = [chart.y_slot(k) for k in range(chart.n)]
@@ -402,12 +396,12 @@ def _solve_correction(conn: Connection, weight: int,
     table = dict(images)  # dnabla + action(a): y_k -> b_k
     for k, y in enumerate(ys):
         table[y] = images[y] + comps[k]
-    products = tuple(table[y].derive(table, top) for y in ys)
-    confirm = tuple(project_weight(delta_inv_op(p), top) for p in products)
-    if confirm != comps:
+    flat = _less_delta(chart, table)  # D: y_k -> b_k - dx_k
+    squares = tuple(flat[y].derive(flat, top) for y in ys)
+    if any(project_weight(delta_inv_op(q), top) for q in squares):
         raise FlatStructureError("correction recursion did not stabilize")
     _check_correction(chart, comps)
-    return _SolvedCorrection(comps, b, table, products)
+    return _SolvedCorrection(comps, b, table, flat, squares)
 
 
 def _layer_sum(chart: Chart, b: Dict[int, Dict[int, GradedPoly]], w: int,

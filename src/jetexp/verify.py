@@ -53,7 +53,7 @@ products against D) stay independent.
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, List
 
 from .chart import FIELD_MASK, Chart
@@ -73,26 +73,12 @@ from .randomgen import (random_base_poly, random_section, random_symtensor,
                         random_word)
 
 
-def _memo(fn: Callable) -> Callable:
-    """``fn`` computed once per distinct argument, for as long as the
-    memo lives."""
-    values = {}
-
-    def call(x):
-        # one hash per call; the memoized values are never None
-        value = values.get(x)
-        if value is None:
-            value = values[x] = fn(x)
-        return value
-    return call
-
-
 def _columns(chart: Chart, fn: Callable) -> Callable:
     """A linear map ``fn`` on polynomials over ``chart``, computed once
     per distinct monomial for as long as the map lives: f = sum_k
     (nums_k / den) m_k maps to sum_k (nums_k / den) fn(m_k), one
     ``combine``."""
-    column = _memo(lambda key: fn(GradedPoly._of(chart, {key: 1})))
+    column = cache(lambda key: fn(GradedPoly._of(chart, {key: 1})))
     return lambda f: combine(
         chart, [(num, column(key)) for key, num in f.nums.items()], f.den)
 
@@ -121,11 +107,11 @@ class _Session:
 
     @cached_property
     def map(self) -> Callable:
-        return _memo(self.ctx.map)
+        return cache(self.ctx.map)
 
     @cached_property
     def inv(self) -> Callable:
-        return _memo(self.ctx.inv)
+        return cache(self.ctx.inv)
 
     @cached_property
     def powers(self) -> Callable:
@@ -141,7 +127,7 @@ class _Session:
             sigma = self.ctx.word_image(index).symbol()
             sigma = sigma if symbol_sign(self.chart, word) > 0 else -sigma
             return sigma, to_square(sigma, right=True)
-        return _memo(images)
+        return cache(images)
 
     @property
     def fd(self) -> FedosovData:
@@ -408,8 +394,8 @@ def flat_contraction(fd: FedosovData) -> ContractionData:
     return ContractionData(
         sigma=sigma_aug,
         tau=_columns(fd.chart, fd.tau_series),
-        h=_memo(fd.homotopy_h),
-        d_big=_memo(fd.d_apply),
+        h=cache(fd.homotopy_h),
+        d_big=cache(fd.d_apply),
         d_small=lambda f: GradedPoly.zero(fd.chart),
     )
 

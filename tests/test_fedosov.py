@@ -487,6 +487,132 @@ def test_fiber_squares_are_the_flat_operator_applied_twice():
     assert lowered >= 8
 
 
+def certified_cases():
+    """(connection, weight): every shipped torsion-free chart at every
+    weight from 0, and two dense random tables."""
+    cases = []
+    for path, chart, conn in shipped_torsion_free():
+        cases += [(conn, w)
+                  for w in range(chart.truncation.max_sym_weight + 1)]
+    return cases + [(dense_connection(3, 4), 4), (dense_connection(4, 3), 3)]
+
+
+def pass_criteria(chart, table, images, top):
+    """Both forms of the confirming pass at cap ``top`` for the
+    dnabla + action table ``table`` over the dnabla table ``images``, per
+    fiber generator: raise(P(b_k)) - a_k, with P(b_k) the b_k = table[y_k]
+    derived by ``table`` and a_k = b_k - dnabla y_k, and raise(D^2 y_k)
+    over D's table ``_less_delta(table)``."""
+    flat = _less_delta(chart, table)
+    ys = [chart.y_slot(k) for k in range(chart.n)]
+    old = tuple(project_weight(delta_inv_op(table[y].derive(table, top)), top)
+                - (table[y] - images[y]) for y in ys)
+    new = tuple(delta_inv_op(flat[y].derive(flat, top)) for y in ys)
+    return old, new
+
+
+def test_the_squares_certify_what_the_products_did():
+    # raise(P(b_k)) - a_k, the confirming pass's old criterion, is
+    # raise(D^2 y_k) of the squares it keeps, on every solve
+    cases = certified_cases()
+    assert len(cases) > 8
+    for conn, weight in cases:
+        chart = conn.chart
+        fd = FedosovData(conn, weight)
+        table = fd.perturbation_images
+        lower = [project_weight(c, weight) for c in fd.correction]
+        for k, square in enumerate(fd.fiber_squares()):
+            b = table[chart.y_slot(k)]
+            assert delta_inv_op(square) == \
+                delta_inv_op(b.derive(table, weight)) - lower[k]
+
+
+def layer_sum_without(slot_table, at):
+    """``fedosov._layer_sum`` with one entry left out of the layer of
+    weight ``at``: dnabla b_{w-1} (``slot_table`` 2) or a_3 acting on
+    b_{w-2} (``slot_table`` 3): the two layer-sum negative controls."""
+    from jetexp.poly import combine
+
+    def layer_sum(chart, b, w, y):
+        entries = [(1, b[w - 1][y], b[2])] + [(1, b[w + 1 - u][y], b[u])
+                                              for u in range(3, w)]
+        if w == at:
+            entries = [e for e in entries if e[2] is not b[slot_table]]
+        return combine(chart, entries)
+    return layer_sum
+
+
+def test_both_criteria_reject_the_layer_sum_mutants(monkeypatch):
+    # a layer without its dnabla b_{w-1} entry or without its a_3 entry:
+    # on the tables the solve built, the old criterion raise(P(b_k)) - a_k
+    # equals raise(D^2 y_k), and the pass raises exactly where the
+    # mutant changed the correction
+    import jetexp.fedosov as fedosov
+    real_less_delta = fedosov._less_delta
+    rejected = {2: 0, 3: 0}
+    for conn, weight in certified_cases():
+        chart = conn.chart
+        images = dnabla_images(conn)
+        want = _solve_correction(conn, weight - 1, images)
+        for slot_table in (2, 3):
+            for at in range(slot_table + 1, weight + 1):
+                tables = []
+
+                def capture(chart, table):
+                    tables.append(table)
+                    return real_less_delta(chart, table)
+                with monkeypatch.context() as patch:
+                    patch.setattr(fedosov, "_layer_sum",
+                                  layer_sum_without(slot_table, at))
+                    patch.setattr(fedosov, "_less_delta", capture)
+                    try:
+                        _solve_correction(conn, weight - 1, images)
+                        raised = False
+                    except FlatStructureError as exc:
+                        assert "did not stabilize" in str(exc)
+                        raised = True
+                table, = tables
+                old, new = pass_criteria(chart, table, images, weight)
+                assert old == new
+                comps = tuple(table[chart.y_slot(k)] - images[chart.y_slot(k)]
+                              for k in range(chart.n))
+                assert raised == any(new) == (comps != want)
+                rejected[slot_table] += raised
+    assert rejected[2] >= 18 and rejected[3] >= 7, rejected
+
+
+def test_fedosov_data_keeps_no_products_and_reads_squares_unlowered(
+        monkeypatch):
+    # the only products the confirming pass forms are D(y_k) derived by
+    # D's own table, one per fiber generator, and FedosovData keeps those
+    # very values as fiber_squares: no P(b_k) is formed or kept, and
+    # reading the squares calls no lowering map
+    import jetexp.fedosov as fedosov
+    real_derive, real_delta = GradedPoly.derive, fedosov.delta_op
+    derived, lowered = [], []
+
+    def spy_derive(self, images, max_weight=None):
+        out = real_derive(self, images, max_weight)
+        derived.append((images, out))
+        return out
+
+    def spy_delta(f, max_weight=None):
+        lowered.append(f)
+        return real_delta(f, max_weight)
+    for conn, weight in certified_cases():
+        del derived[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedPoly, "derive", spy_derive)
+            fd = FedosovData(conn, weight)
+            patch.setattr(fedosov, "delta_op", spy_delta)
+            squares = fd.fiber_squares()
+        assert not lowered
+        assert len(derived) == len(squares) == conn.chart.n
+        for (images, out), square in zip(derived, squares):
+            assert images is fd.flat_images
+            assert out is square
+
+
 def test_fedosov_command_forms_nothing_twice(monkeypatch):
     # the printed residual is read off the solve's products (no d_apply),
     # and the correction read takes the solve's layer tables (no
