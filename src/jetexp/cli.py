@@ -11,8 +11,10 @@ Subcommands:
   tau      print the jet augmentation of a base function, by either route
   verify   run a named identity suite and report PASS/FAIL lines
 
-Exit codes: 0 success, 1 ran, and a verify identity failed or the
-fedosov D2_RESIDUAL is nonzero, 2 parse/load error or a --max-weight
+Exit codes: 0 success, 1 ran, and a verify identity failed, the
+fedosov D2_RESIDUAL is nonzero, or ``fedosov`` or ``tau --route
+series`` could not build the flat structure (a FlatStructureError,
+printed as one ``error:`` line), 2 parse/load error or a --max-weight
 below 1 or above ``chart.FIELD_MAX``, 3 truncation overflow (from any
 subcommand), 4 precondition violation (e.g. torsionful chart where
 torsion-freeness is required).  Output is
@@ -94,14 +96,18 @@ def cmd_pbw(args, out) -> int:
 
 
 def cmd_fedosov(args, out) -> int:
-    from .fedosov import FedosovData, vvf_records
+    from .fedosov import FedosovData, FlatStructureError, vvf_records
     chart, conn = _load(args.chart)
     if not conn.torsion_free:
         raise _Failure(EXIT_PRECONDITION,
                        "flat structure requires a torsion-free chart")
     weight = _weight(chart, args.max_weight)
-    fd = FedosovData(conn, weight)
-    records = vvf_records(fd.correction) if any(fd.correction) else []
+    try:
+        fd = FedosovData(conn, weight)
+        correction = fd.correction
+    except FlatStructureError as exc:
+        raise _Failure(1, "flat structure not built: %s" % exc)
+    records = vvf_records(correction) if any(correction) else []
     if args.output == "records":
         for i, fiber, k, poly in records:
             out.write("A i=%d J=(%s) k=%d coeff=%s\n"
@@ -137,7 +143,7 @@ def _flatness_residual(fd) -> str:
 
 
 def cmd_tau(args, out) -> int:
-    from .fedosov import FedosovData, tau_pbw
+    from .fedosov import FedosovData, FlatStructureError, tau_pbw
     from .pbw import PbwContext
     chart, conn = _load(args.chart)
     weight = _weight(chart, args.max_weight)
@@ -152,7 +158,10 @@ def cmd_tau(args, out) -> int:
         raise _Failure(EXIT_PRECONDITION,
                        "series route requires a torsion-free chart")
     if args.route == "series":
-        value = FedosovData(conn, weight).tau_series(f)
+        try:
+            value = FedosovData(conn, weight).tau_series(f)
+        except FlatStructureError as exc:
+            raise _Failure(1, "flat structure not built: %s" % exc)
     else:
         ctx = PbwContext(chart, conn, max_weight=weight)
         value = tau_pbw(ctx, f, weight)

@@ -18,10 +18,12 @@ truncation" means exact there.  So the flat operator at weight w never
 reads the correction's layer of weight w + 1: ``FedosovData`` solves the
 layers of weight <= w, and forms that printed top layer a only when
 ``correction`` is read, from the solve's own layer tables, guarded by
-delta(a) = R for its right-hand side R.  The solve keeps what it formed:
-its layer tables, the table of dnabla + correction action, D's own table,
-and its confirming pass, which is D applied twice to each fiber generator
-by that table (``FedosovData.fiber_squares``, printed as D2_RESIDUAL).
+delta(a) = R for its right-hand side R.  The solve returns what it
+formed, and ``FedosovData`` keeps it as the one record of the solve:
+its layer tables, the table of dnabla + correction action (each y_k
+image one sum over the layers), D's own table, and its confirming pass,
+which is D applied twice to each fiber generator by that table
+(``FedosovData.fiber_squares``, printed as D2_RESIDUAL).
 
 Every such operator that is a derivation takes its left derivatives,
 sign included, from the one rule GradedPoly._partial_terms.  The
@@ -47,7 +49,7 @@ derivation entries of ``poly.combine`` where several meet in one sum
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .chart import FIELD_MASK, Chart, mi_all_up_to, mi_factorial
 from .enveloping import TruncationOverflowError, word_key
@@ -221,13 +223,15 @@ class FedosovData:
     product at ``weight``, and a layer of weight + 1 times anything lies
     above it, so D never reads the correction's top layer: the
     constructor solves the layers of weight <= ``weight`` and their
-    confirming pass at that cap (``_solve_correction`` at weight - 1),
+    confirming pass at that cap (``_solve_correction`` at ``weight``),
     and ``correction``, the form through the printed top layer
     weight + 1, is formed on its first read from the solve's own layer
-    tables.  Each derivation involved is a generator image table: the
-    dnabla table (``dnabla_images``) and the correction's layers, as
-    action tables, enter the correction solve as derivation entries of
-    ``combine``; the weight-raising part D + delta
+    tables, the one record of the solve: the top layer is added to
+    them, and each component is one ``combine`` over the layers.  Each
+    derivation involved is a generator image table: the dnabla table
+    (``dnabla_images``) and the correction's layers, as action tables,
+    enter the correction solve as derivation entries of ``combine``;
+    the weight-raising part D + delta
     (``perturbation_images``: dnabla plus the correction action) drives
     the series, and D itself (``flat_images``) is that table with dx_k
     subtracted from the image of each y_k, each applied by one
@@ -252,13 +256,10 @@ class FedosovData:
         if self.weight < 0:
             raise ValueError("flat structure weight must be at least 0, "
                              "got %d" % self.weight)
-        solved = _solve_correction(conn, self.weight - 1, dnabla_images(conn))
-        # the layer tables are kept until the top layer is formed
-        self._lower, self._layers = tuple(solved), solved.layers
+        (self._layers, self.perturbation_images, self.flat_images,
+         self._squares) = _solve_correction(conn, self.weight,
+                                            dnabla_images(conn))
         self._correction = None
-        self.perturbation_images = solved.table
-        self.flat_images = solved.flat
-        self._squares = solved.squares
         self.transfer = perturb_contraction(
             base_contraction(chart, self.weight), self.perturbation,
             max_terms=self.weight + 2)
@@ -270,7 +271,7 @@ class FedosovData:
         read and kept."""
         if self._correction is None:
             self._correction = _with_top_layer(self.chart, self.weight,
-                                               self._lower, self._layers)
+                                               self._layers)
             self._layers = None
         return self._correction
 
@@ -316,29 +317,8 @@ def _less_delta(chart: Chart, images: Dict[int, GradedPoly]
     return out
 
 
-class _SolvedCorrection(tuple):
-    """The components of a solved correction, a plain tuple to compare
-    and iterate, carrying what the solve built on the way:
-
-      * ``layers``: its action tables by weight, layers[2] the dnabla
-        table and layers[w], w >= 3, the table {y_k: the k-th component
-        of the layer of weight w};
-      * ``table``: the table of dnabla + action(a), y_k -> b_k;
-      * ``flat``: D's table, ``table`` less delta, y_k -> b_k - dx_k;
-      * ``squares``: the confirming pass's D^2(y_k), D(y_k) derived by
-        ``flat`` with products cut off at the solve's cap.
-    """
-
-    def __new__(cls, comps, layers, table, flat, squares):
-        solved = super().__new__(cls, comps)
-        solved.layers, solved.table = layers, table
-        solved.flat, solved.squares = flat, squares
-        return solved
-
-
-def _solve_correction(conn: Connection, weight: int,
-                      images: Dict[int, GradedPoly]
-                      ) -> Tuple[GradedPoly, ...]:
+def _solve_correction(conn: Connection, top: int,
+                      images: Dict[int, GradedPoly]):
     """Weight recursion for the unique raising-normalized correction.
 
     The square of the candidate flat operator is a fiberwise derivation
@@ -349,9 +329,9 @@ def _solve_correction(conn: Connection, weight: int,
 
         a_k = raise( -delta(dnabla y_k) + (dnabla + action(a)) b_k )
 
-    in the quotient at weight + 1, the layers 3 ... weight + 1 of a.
-    (``FedosovData`` calls it at its own weight - 1, the layers its flat
-    operator reads, and adds the top layer with ``_with_top_layer``.)
+    in the quotient at ``top``, the layers 3 ... top of a.
+    (``FedosovData`` calls it at its own weight, the layers its flat
+    operator reads, and adds the layer above with ``_with_top_layer``.)
     A connection is torsion-free exactly
     when delta(dnabla y_k) = 0 for every k; that is checked once, first,
     and the term is dropped.  The dual differential raises p + q by one,
@@ -364,44 +344,42 @@ def _solve_correction(conn: Connection, weight: int,
         R_w[k] = dnabla b_{w-1}[k] + sum_{u+v=w+1, u>=3} action(a_u)(b_v[k]),
 
     whose products involve only layers below w.  A layer is kept as its
-    action table {y_k: k-th component}.
+    action table {y_k: k-th component}, and the checks of
+    ``_check_correction`` run on it as it is raised.
 
     One confirming pass then certifies the result.  dnabla + action(a)
-    is the table of dnabla with each y_k sent to b_k, and D's table
-    (``_less_delta`` of it) sends y_k to b_k - dx_k.  D has no image on
+    is the table of dnabla with each y_k sent to b_k, one ``combine``
+    over the layer tables 2 ... top, and D's table (``_less_delta`` of
+    it) sends y_k to b_k - dx_k.  D has no image on
     form slots, so D^2(y_k) = D(b_k) = P(b_k) - delta(b_k), with P the
     derivation dnabla + action(a); each is one ``derive`` of D(y_k) by
-    D's table with products cut off at weight + 1.  The pass requires
-    raise(D^2 y_k), projected at weight + 1, to vanish.  That is the
+    D's table with products cut off at ``top``.  The pass requires
+    raise(D^2 y_k), projected at ``top``, to vanish.  That is the
     fixed-point check raise(P(b_k)) = a_k: delta(dnabla y_k) = 0
     (checked first) and raise(a_k) = 0 (a_k is the raising map's output,
     and ``_check_correction`` checks it) give raise(delta(b_k)) = a_k by
     the homotopy identity, so raise(P(b_k)) - a_k = raise(D^2 y_k).
-    The checks of ``_check_correction`` follow.  The result is a
-    ``_SolvedCorrection``: the components, with the layer tables kept
-    for the top layer, the two tables, and D^2 on the fiber generators
-    (``FedosovData.fiber_squares``).
+    It returns (the layer tables by weight, the table of dnabla +
+    action(a), D's table, D^2 on the fiber generators): the one record
+    of the solve that ``FedosovData`` keeps.
     """
     chart = conn.chart
     ys = [chart.y_slot(k) for k in range(chart.n)]
-    top = weight + 1
     if any(delta_op(images[y]) for y in ys):
         raise FlatStructureError("connection has torsion: "
                                  "delta(dnabla y_k) != 0")
     b: Dict[int, Dict[int, GradedPoly]] = {2: images}  # w -> action table
     for w in range(3, top + 1):
         b[w] = {y: delta_inv_op(_layer_sum(chart, b, w, y)) for y in ys}
-    comps = tuple(combine(chart, [(1, b[w][y]) for w in range(3, top + 1)])
-                  for y in ys)
+        _check_correction(chart, b[w].values())
     table = dict(images)  # dnabla + action(a): y_k -> b_k
-    for k, y in enumerate(ys):
-        table[y] = images[y] + comps[k]
+    for y in ys:
+        table[y] = combine(chart, [(1, layer[y]) for layer in b.values()])
     flat = _less_delta(chart, table)  # D: y_k -> b_k - dx_k
     squares = tuple(flat[y].derive(flat, top) for y in ys)
     if any(project_weight(delta_inv_op(q), top) for q in squares):
         raise FlatStructureError("correction recursion did not stabilize")
-    _check_correction(chart, comps)
-    return _SolvedCorrection(comps, b, table, flat, squares)
+    return b, table, flat, squares
 
 
 def _layer_sum(chart: Chart, b: Dict[int, Dict[int, GradedPoly]], w: int,
@@ -415,42 +393,39 @@ def _layer_sum(chart: Chart, b: Dict[int, Dict[int, GradedPoly]], w: int,
 
 
 def _with_top_layer(chart: Chart, weight: int,
-                    comps: Tuple[GradedPoly, ...],
                     layers: Dict[int, Dict[int, GradedPoly]]
                     ) -> Tuple[GradedPoly, ...]:
-    """The correction ``comps``, solved through weight, with its layer
-    of weight + 1 added: one more turn of the layer rule, a = raise(R)
-    with R = ``_layer_sum`` over the solve's own layer tables
-    ``layers`` (``_SolvedCorrection.layers``), so no layer is split off
-    the sum again and the operands keep the product rows the solve
-    built.  No product the
+    """The correction through weight + 1 from the solve's layer tables
+    ``layers``, 2 ... weight: its layer of weight + 1 is one more turn
+    of the layer rule, a = raise(R) with R = ``_layer_sum`` over those
+    tables, added to them, and each component is one ``combine`` over
+    the layers 3 ... weight + 1.  No product the
     flat operator forms reads this layer, so no confirming pass covers
     it; it must solve delta(a) = R instead.  By the homotopy identity
     that holds exactly when delta(R) = 0 and the raising map is right,
     so it also rejects a wrong raising map.  The checks of
-    ``_check_correction`` then run on the new layer alone, which is the
-    same as on the whole form: the raising map keeps p + q, and the
-    fiber-weight and degree checks are per key."""
+    ``_check_correction`` then run on the new layer, as the solve ran
+    them on each of its own."""
     top = weight + 1
-    if top < 3:  # the first layer has weight 3
-        return comps
-    layer = []
-    for k in range(chart.n):
-        r = _layer_sum(chart, layers, top, chart.y_slot(k))
-        a = delta_inv_op(r)
-        if delta_op(a) != r:
-            raise FlatStructureError("top layer does not solve "
-                                     "delta(a) = R")
-        layer.append(a)
-    layer = tuple(layer)
-    _check_correction(chart, layer)
-    return tuple(c + a for c, a in zip(comps, layer))
+    ys = [chart.y_slot(k) for k in range(chart.n)]
+    if top >= 3:  # the first layer has weight 3
+        layer = layers[top] = {}
+        for y in ys:
+            r = _layer_sum(chart, layers, top, y)
+            a = layer[y] = delta_inv_op(r)
+            if delta_op(a) != r:
+                raise FlatStructureError("top layer does not solve "
+                                         "delta(a) = R")
+        _check_correction(chart, layer.values())
+    return tuple(combine(chart, [(1, layers[w][y])
+                                 for w in range(3, top + 1)]) for y in ys)
 
 
-def _check_correction(chart: Chart, comps: Tuple[GradedPoly, ...]) -> None:
-    """The correction is raising-normalized, of fiber weight >= 2 and of
-    degree 1 + |x_k| in component k; fiber weight is read off the fiber
-    fields of the packed keys."""
+def _check_correction(chart: Chart, comps: Iterable[GradedPoly]) -> None:
+    """The correction components ``comps``, in fiber order (a whole form
+    or one layer of it), are raising-normalized, of fiber weight >= 2
+    and of degree 1 + |x_k| in component k; fiber weight is read off the
+    fiber fields of the packed keys."""
     # fiber weight < 2: the fiber fields hold nothing or one unit
     fibers = chart.base_mask << chart.shifts[chart.n]
     light = {0} | {1 << chart.shifts[chart.y_slot(k)]

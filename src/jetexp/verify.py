@@ -335,7 +335,7 @@ def suite_flat_connection(session: _Session, seed: int) -> List[CheckResult]:
     # the 3n generators first: both checks compare derivations, so on
     # the generators they are complete in the jet quotient, and they
     # cover every image of D's table (the fedosov command's residual
-    # reads the solve's products, not that table)
+    # covers only the fiber generators, by that table applied twice)
     sections = [GradedPoly.generator(chart, s) for s in range(3 * chart.n)]
     sections += [random_section(rng, chart, weight) for _ in range(15)]
     res.append(run_check("flat-operator-squares-to-zero", sections,

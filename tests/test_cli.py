@@ -348,6 +348,52 @@ def test_verify_matches_shipped_reference():
         assert run(*argv) == (cmd["rc"], cmd["stdout"]), cmd["argv"]
 
 
+def test_fedosov_and_series_tau_report_a_failed_solve(monkeypatch, capsys):
+    # negative controls, as for verify: D's table with +dx_k in every y_k
+    # image fails the solve's confirming pass, and a raising map doubled
+    # on terms above the weight fails only the top-layer guard of the
+    # correction read; either failure is one error line and exit 1, with
+    # nothing on stdout and no traceback
+    import jetexp.fedosov as fedosov
+    from jetexp.chartfile import load_chart_file
+    real_raise = fedosov.delta_inv_op
+
+    def flipped(chart, images):
+        out = dict(images)
+        for k in range(chart.n):
+            out[chart.y_slot(k)] = images[chart.y_slot(k)] + \
+                jetexp.GradedPoly.generator(chart, chart.dx_slot(k))
+        return out
+
+    def doubled_above(weight):
+        def doubling(f, max_weight=None):
+            out = real_raise(f, max_weight)
+            return out * 2 if f.up_to_weight(weight) != f else out
+        return doubling
+    curved, mixed = chart("plane_curved.chart"), chart("mixed_parity.chart")
+    weight = load_chart_file(mixed)[0].truncation.max_sym_weight
+    cases = [("_less_delta", flipped, ("fedosov", "--chart", curved),
+              "correction recursion did not stabilize"),
+             ("_less_delta", flipped,
+              ("tau", "--chart", curved, "--route", "series", "x1"),
+              "correction recursion did not stabilize"),
+             ("delta_inv_op", doubled_above(weight),
+              ("fedosov", "--chart", mixed), "top layer does not solve")]
+    for name, patched, argv, message in cases:
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(fedosov, name, patched)
+            assert run(*argv) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: flat structure not built: " + message)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    # the top layer is not read on the series route
+    with monkeypatch.context() as patch:
+        patch.setattr(fedosov, "delta_inv_op", doubled_above(weight))
+        code, text = run("tau", "--chart", mixed, "--route", "series", "x")
+    assert code == 0 and text
+
+
 def test_verify_reports_a_broken_solve_as_fail(monkeypatch, capsys):
     # one layer of the correction solve skewed, as in
     # test_confirming_pass_rejects_a_bad_layer: the flat structure fails

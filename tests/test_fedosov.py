@@ -366,18 +366,18 @@ def test_correction_matches_dual_form_on_charts(charts, contexts):
 
 
 def test_layered_solve_matches_fixed_point_oracle():
-    # every shipped torsion-free chart at every weight, and two dense
-    # random tables: the layered solve is the plain fixed point
+    # every shipped torsion-free chart at every weight from 0, and two
+    # dense random tables: the layered solve is the plain fixed point
     conns = []
     for path in sorted(glob.glob(os.path.join(CHART_DIR, "*.chart"))):
         chart, conn = load_chart_file(path)
         if conn.torsion_free:
             conns += [(conn, w)
-                      for w in range(1, chart.truncation.max_sym_weight + 1)]
+                      for w in range(chart.truncation.max_sym_weight + 1)]
     assert len(conns) > 6
     conns += [(dense_connection(3, 4), 4), (dense_connection(4, 3), 3)]
     for conn, weight in conns:
-        assert _solve_correction(conn, weight, dnabla_images(conn)) == \
+        assert FedosovData(conn, weight).correction == \
             fixed_point_correction(conn, weight)
 
 
@@ -396,7 +396,7 @@ def test_confirming_pass_rejects_a_bad_layer(monkeypatch):
         return out
     monkeypatch.setattr(fedosov, "delta_inv_op", skewed)
     with pytest.raises(FlatStructureError, match="did not stabilize"):
-        _solve_correction(conn, 4, dnabla_images(conn))
+        _solve_correction(conn, 5, dnabla_images(conn))
 
 
 def test_series_path_raises_nothing_above_the_weight(monkeypatch):
@@ -527,6 +527,13 @@ def test_the_squares_certify_what_the_products_did():
                 delta_inv_op(b.derive(table, weight)) - lower[k]
 
 
+def solved_components(chart, table, images):
+    """The correction components a_k = b_k - dnabla y_k read off the
+    dnabla + action table ``table`` over the dnabla table ``images``."""
+    return tuple(table[chart.y_slot(k)] - images[chart.y_slot(k)]
+                 for k in range(chart.n))
+
+
 def layer_sum_without(slot_table, at):
     """``fedosov._layer_sum`` with one entry left out of the layer of
     weight ``at``: dnabla b_{w-1} (``slot_table`` 2) or a_3 acting on
@@ -553,7 +560,9 @@ def test_both_criteria_reject_the_layer_sum_mutants(monkeypatch):
     for conn, weight in certified_cases():
         chart = conn.chart
         images = dnabla_images(conn)
-        want = _solve_correction(conn, weight - 1, images)
+        want = solved_components(chart,
+                                 _solve_correction(conn, weight, images)[1],
+                                 images)
         for slot_table in (2, 3):
             for at in range(slot_table + 1, weight + 1):
                 tables = []
@@ -566,7 +575,7 @@ def test_both_criteria_reject_the_layer_sum_mutants(monkeypatch):
                                   layer_sum_without(slot_table, at))
                     patch.setattr(fedosov, "_less_delta", capture)
                     try:
-                        _solve_correction(conn, weight - 1, images)
+                        _solve_correction(conn, weight, images)
                         raised = False
                     except FlatStructureError as exc:
                         assert "did not stabilize" in str(exc)
@@ -574,8 +583,7 @@ def test_both_criteria_reject_the_layer_sum_mutants(monkeypatch):
                 table, = tables
                 old, new = pass_criteria(chart, table, images, weight)
                 assert old == new
-                comps = tuple(table[chart.y_slot(k)] - images[chart.y_slot(k)]
-                              for k in range(chart.n))
+                comps = solved_components(chart, table, images)
                 assert raised == any(new) == (comps != want)
                 rejected[slot_table] += raised
     assert rejected[2] >= 18 and rejected[3] >= 7, rejected
@@ -687,8 +695,9 @@ def test_vvf_records_refuse_a_component_that_is_not_a_one_form():
 def test_solve_forms_no_sum_chain_and_no_action_call(monkeypatch):
     # each layer component of b = dnabla y + a is one combine and one
     # raising map: on every shipped torsion-free chart the solve adds
-    # with + only for the n b_k = dnabla y_k + a_k of the confirming
-    # pass, and never calls vvf_action
+    # with + at most once per fiber generator (each b_k is now one
+    # combine over the layers, so it adds none), and never calls
+    # vvf_action
     import jetexp.fedosov as fedosov
     plus = []
 
@@ -712,9 +721,9 @@ def test_solve_forms_no_sum_chain_and_no_action_call(monkeypatch):
             patch.setattr(GradedPoly, "__add__", counted(GradedPoly.__add__))
             patch.setattr(GradedPoly, "__sub__", counted(GradedPoly.__sub__))
             patch.setattr(fedosov, "vvf_action", no_action)
-            comps = _solve_correction(conn, chart.truncation.max_sym_weight,
-                                      images)
-        assert comps == want
+            table = _solve_correction(
+                conn, chart.truncation.max_sym_weight + 1, images)[1]
+        assert solved_components(chart, table, images) == want
         assert len(plus) <= chart.n, path
         solved += 1
     assert solved >= 6
@@ -745,7 +754,7 @@ def test_solve_rejects_a_layer_with_one_product_pair_dropped(monkeypatch):
         return real(chart, entries, div, max_weight)
     monkeypatch.setattr(fedosov, "combine", drop_one)
     with pytest.raises(FlatStructureError, match="did not stabilize"):
-        _solve_correction(conn, 4, dnabla_images(conn))
+        _solve_correction(conn, 5, dnabla_images(conn))
     assert dropped
 
 
@@ -774,7 +783,7 @@ def test_solve_names_torsion_when_the_check_fails():
     chart, conn = load_chart_file(os.path.join(CHART_DIR,
                                                "plane_torsion.chart"))
     with pytest.raises(FlatStructureError, match="connection has torsion"):
-        _solve_correction(conn, chart.truncation.max_sym_weight,
+        _solve_correction(conn, chart.truncation.max_sym_weight + 1,
                           dnabla_images(conn))
 
 
